@@ -128,14 +128,6 @@ def build_eps_dyn(params, p, variance):
     return EpsTensor(n, variance, "dynamic", entries)
 
 
-def eps_pair(params_or_ctx, p=None, n=None, ctx=None):
-    """(contravariant, covariant) pair, constant or dynamical."""
-    if p is None:
-        return (build_eps_const(n, ctx, CONTRA), build_eps_const(n, ctx, CO))
-    params = params_or_ctx
-    return (build_eps_dyn(params, p, CONTRA), build_eps_dyn(params, p, CO))
-
-
 # -- eigenvector property and uniqueness ---------------------------------
 
 

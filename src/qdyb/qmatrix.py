@@ -197,9 +197,6 @@ class ShiftFunc:
                 if e:
                     self.atoms[key] = self.atoms.get(key, 0) + e
 
-    def is_constant(self):
-        return not self.atoms
-
     def shifted(self, m, sign):
         atoms = {}
         for (kind, i, j, off), e in self.atoms.items():
@@ -1061,10 +1058,6 @@ def word_from_json(doc, ctx):
     return w
 
 
-def word_to_json(word):
-    return [[str(c), list(l)] for l, c in sorted(word.terms.items())]
-
-
 def invert_word_json(doc):
     """Inverse of a single-word element given as JSON."""
     assert len(doc) == 1 and Fraction(str(doc[0][0])) == 1, \
@@ -1081,10 +1074,6 @@ def _slot(s):
 
 def _det(m):
     return {"kind": "det", "power": m}
-
-
-def _scalar(v):
-    return {"kind": "const", "name": "scalar", "args": {"value": str(v)}}
 
 
 def _eps_ket(w):

@@ -4,8 +4,9 @@ Every identity in this package is checked over an exact field.  Two
 backends are provided:
 
 * the rational numbers (``fractions.Fraction``), the default;
-* a prime field F_P for a configurable prime P > 2**61, used for fast
-  probabilistic (Schwartz-Zippel style) identity checking.
+* a prime field F_P for a configurable odd prime P < 2**64 (default
+  the largest, 2**64 - 59), used for fast probabilistic
+  (Schwartz-Zippel style) identity checking.
 
 On top of the field sit the standard q-integers
 
@@ -143,9 +144,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def fmt(self, x):
-        return str(Fraction(x))
-
     def __repr__(self):
         return "RationalField()"
 
@@ -156,13 +154,42 @@ class RationalField:
         return hash("rational")
 
 
+def _is_prime(m):
+    """Deterministic Miller-Rabin for 2 <= m < 2**64: the first twelve
+    primes as bases decide primality exactly in that range."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m in bases:
+        return True
+    if any(m % b == 0 for b in bases):
+        return False
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """F_p for a fixed prime p.  Identity checks are probabilistic."""
+    """F_p for a fixed odd prime p < 2**64.  Identity checks are
+    probabilistic."""
 
     exact = False
 
     def __init__(self, p=DEFAULT_PRIME):
-        assert p > 2, "need an odd prime"
+        if not (2 < p < 2**64 and _is_prime(p)):
+            raise DegenerateParameterError(
+                "prime field modulus %d is not an odd prime below 2**64"
+                % p)
         self.p = p
         self.zero = ModInt(0, p)
         self.one = ModInt(1, p)
@@ -179,9 +206,6 @@ class PrimeField:
         if isinstance(x, str):
             return self.of(Fraction(x))
         raise TypeError("cannot coerce %r into F_p" % (x,))
-
-    def fmt(self, x):
-        return str(x.v)
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p

@@ -171,7 +171,12 @@ class TensorOp:
                 if not brow:
                     continue
                 for c, b in brow.items():
-                    acc[c] = acc.get(c, 0) + a * b
+                    # the first term is stored as is: starting from int 0
+                    # would send it through the slow reflected add
+                    if c in acc:
+                        acc[c] += a * b
+                    else:
+                        acc[c] = a * b
             acc = {c: v for c, v in acc.items() if v}
             if acc:
                 rows[r] = acc

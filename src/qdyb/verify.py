@@ -40,6 +40,12 @@ class RunConfig:
     def __init__(self, n=2, q=None, root=None, beta=None, alpha="unit",
                  draws=5, points=3, seed=0, backend="rational",
                  corrupt=None):
+        if draws < 1 or points < 1:
+            # with no draw or no point a suite checks nothing, and an
+            # empty battery must not report a pass
+            raise DegenerateParameterError(
+                "draws and points must be at least 1, got draws=%d "
+                "points=%d" % (draws, points))
         self.n = n
         self.q = q
         self.root = root
@@ -50,6 +56,7 @@ class RunConfig:
         self.seed = seed
         self.backend = backend
         self.corrupt = corrupt
+        self.field()  # an unknown backend or a bad modulus fails here
 
     def field(self):
         if self.backend == "rational":

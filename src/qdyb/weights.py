@@ -25,14 +25,17 @@ Derived quantities: pi_ij = (beta_ij - lam)/beta_ij (multiplicative
 along the chain), xi_ij(p) = f(p-1, beta_ij)/f(p, beta_ij), and the
 R-matrix coefficients a_ij = alpha_ij * xi_ij, b_ij = q - xi_ij.
 
-Everything is an immutable value object; instances can be shared freely.
+Points and families are immutable values.  A parameter set is immutable
+in every field it exposes; it fills private memos of its derived tables
+(pi, the regime, xi) on first use, which changes no value it returns, so
+instances can still be shared freely.
 """
 
 from fractions import Fraction
 
 from .scalars import (
-    RATIONAL, DegenerateParameterError, PoleError, PrimeField, QContext,
-    f_poly, fmt_scalar, qnum, xi_of_f,
+    RATIONAL, DegenerateParameterError, PoleError, QContext, f_poly,
+    fmt_scalar, qnum,
 )
 
 GENERIC = "generic"
@@ -270,7 +273,8 @@ def derive_beta(ctx, chain):
 class SLnParams:
     """One member of the SL(n)-type dynamical R-matrix family."""
 
-    __slots__ = ("n", "ctx", "beta_chain", "alpha", "_beta", "_pi", "_regime")
+    __slots__ = ("n", "ctx", "beta_chain", "alpha", "_beta", "_pi", "_regime",
+                 "_xi")
 
     def __init__(self, ctx, beta_chain, alpha=None, _beta_override=None):
         n = ctx.n
@@ -290,6 +294,7 @@ class SLnParams:
                 self._beta = derive_beta(ctx, self.beta_chain)
         self._pi = None
         self._regime = None
+        self._xi = {}
 
     # -- derived parameter tables ------------------------------------
 
@@ -339,7 +344,23 @@ class SLnParams:
         return f_poly(pij, self.beta(i, j), self.ctx)
 
     def xi(self, i, j, pij):
-        """xi_ij(p_ij); xi_ii = q (matching a_ii = q)."""
+        """xi_ij(p_ij); xi_ii = q (matching a_ii = q).
+
+        Memoized per instance on (i, j, p_ij): the braid checks evaluate
+        the same few xi values at p and at its shifts many times over.
+        A pole is not stored, so it raises PoleError on every call.
+        """
+        # one dict per pair, keyed by the bare p_ij: no key tuple is kept
+        # per entry, which cuts the memo's memory by a quarter
+        memo = self._xi.get((i, j))
+        if memo is None:
+            memo = self._xi[(i, j)] = {}
+        val = memo.get(pij)
+        if val is None:
+            val = memo[pij] = self._xi_uncached(i, j, pij)
+        return val
+
+    def _xi_uncached(self, i, j, pij):
         if i == j:
             return self.ctx.q
         if self.beta_chain is None:
@@ -372,10 +393,6 @@ class SLnParams:
     def twisted(self, psi):
         """Parameters after the diagonal twist by psi (beta unchanged)."""
         return SLnParams(self.ctx, self.beta_chain, self.alpha.twisted(psi),
-                         _beta_override=self._beta)
-
-    def with_alpha(self, alpha):
-        return SLnParams(self.ctx, self.beta_chain, alpha,
                          _beta_override=self._beta)
 
     # -- serialization -------------------------------------------------
@@ -506,7 +523,8 @@ def sample_twist(n, rng, field=RATIONAL, geometric=False):
 
 def pole_free(params, point, clearance):
     """True when no f-zero (or vanishing q-integer at beta = oo) occurs
-    within `clearance` integer steps of any p_ij."""
+    within `clearance` integer steps of any p_ij.  The xi values it
+    evaluates stay in the memo of `params`."""
     for i in range(1, params.n + 1):
         for j in range(i + 1, params.n + 1):
             pij = point.p(i, j)

@@ -138,3 +138,16 @@ def test_runconfig_roundtrip():
     doc = cfg.to_json()
     back = RunConfig.from_json(doc)
     assert back.to_json() == doc
+
+
+def test_verify_without_draws_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "qdybe", "--draws", "0")
+    assert code == 2 and not out
+    assert "draws" in err
+
+
+def test_composite_prime_backend_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "qdybe", "--n", "2",
+                             "--backend", "prime:4")
+    assert code == 2 and not out
+    assert "not an odd prime" in err

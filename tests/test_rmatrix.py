@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from qdyb import rmatrix
 from qdyb.scalars import DegenerateParameterError, PoleError, QContext, qnum
 from qdyb.tensor import TensorOp
 from qdyb.rmatrix import (
     ShiftedEvaluation, beta_removal_offsets, build_dj, build_dyn,
     diag_inversion, invert_dyn, pi_ratio_check, twist_checks, verify_qdybe,
+    weight_conservation_check,
 )
 from qdyb.weights import (
     PairFamily, SLnParams, WeightPoint, constant_multiparam, sample_params,
@@ -107,6 +109,47 @@ def test_qdybe_fails_on_broken_beta():
     # a failing record carries a residual witness entry
     wit = [w for _, ok, w in records if not ok and w is not None]
     assert wit
+
+
+def test_weight_conservation_builds_once_per_multiset(monkeypatch):
+    calls = []
+
+    def counted(params, p):
+        calls.append(p)
+        return build_dyn(params, p)
+
+    monkeypatch.setattr(rmatrix, "build_dyn", counted)
+    rng = random.Random(47)
+    for n in (2, 3, 4):
+        params = sample_params(n, rng, alpha="geometric")
+        p = sample_point(params, rng)
+        del calls[:]
+        records = []
+        assert weight_conservation_check(params, p, records)
+        assert records == [("weight-conservation", True, None)]
+        assert len(calls) <= 1 + n * (n + 1) // 2
+
+
+def test_weight_conservation_catches_chain_dependence(monkeypatch):
+    """Entries that read more of the point than p_{i1 i2} are not
+    invariant under p -> p - v(i1) - v(i2): the check must say where."""
+    def tampered(params, p):
+        # a_11 also reads p_1n, the sum of the whole chain, which moves
+        # by -2 under p -> p - 2 v(1)
+        extra = params.ctx.q * p.p(1, params.n)
+        return build_dyn(params, p) + TensorOp.from_entries(
+            params.n, 2, 2, [((1, 1), (1, 1), extra)])
+
+    monkeypatch.setattr(rmatrix, "build_dyn", tampered)
+    rng = random.Random(48)
+    for n in (2, 3):
+        params = sample_params(n, rng)
+        p = sample_point(params, rng)
+        records = []
+        assert not weight_conservation_check(params, p, records)
+        (rec_id, ok, witness), = records
+        assert rec_id == "weight-conservation" and ok is False
+        assert witness[:2] == ((1, 1), (1, 1))
 
 
 def test_dynamical_pole_raises():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qdyb.scalars import (
-    RATIONAL, DegenerateParameterError, PoleError, PrimeField, QContext,
-    f_poly, qfact, qfact_base, qnum, qnum_base, xi_of_f,
+    DEFAULT_PRIME, RATIONAL, DegenerateParameterError, PoleError,
+    PrimeField, QContext, f_poly, qfact, qfact_base, qnum, qnum_base, xi_of_f,
 )
 
 
@@ -156,3 +156,15 @@ def test_modint_field_axioms():
     assert a * a**-1 == F.one
     assert a - a == F.zero
     assert F.of(Fraction(3, 7)) * 7 == 3
+
+
+def test_prime_field_rejects_composite_moduli():
+    assert PrimeField(DEFAULT_PRIME).p == DEFAULT_PRIME
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    # 4; a Carmichael number; strong pseudoprimes to the bases 2..7 and
+    # to 2..31 (only base 37 exposes the second); a composite next to
+    # DEFAULT_PRIME and 2**64 - 1; the even prime; 2**64, out of range
+    for m in (4, 561, 3215031751, 3825123056546413051, 2**64 - 1,
+              DEFAULT_PRIME - 2, 2, 2**64):
+        with pytest.raises(DegenerateParameterError):
+            PrimeField(m)

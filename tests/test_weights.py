@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from qdyb.scalars import DegenerateParameterError, QContext, qnum
+from qdyb.rmatrix import ShiftedEvaluation
+from qdyb.scalars import (
+    RATIONAL, DegenerateParameterError, PoleError, PrimeField, QContext,
+    qnum, xi_of_f,
+)
 from qdyb.weights import (
     BETA_INFINITY, CONSTANT_MULTIPARAM, GENERIC, INTERMEDIATE, PairFamily,
-    SLnParams, WeightPoint, derive_beta, pole_free, sample_params,
-    sample_point, sample_q,
+    SLnParams, WeightPoint, constant_multiparam, derive_beta, pole_free,
+    sample_params, sample_point, sample_q,
 )
 
 
@@ -239,3 +243,57 @@ def test_sample_point_is_pole_free():
         params = sample_params(3, rng)
         p = sample_point(params, rng, clearance=3)
         assert pole_free(params, p, 3)
+
+
+def _xi_reference(params, i, j, pij):
+    """xi_ij(p_ij) straight from its formula, without any memo."""
+    ctx = params.ctx
+    if i == j:
+        return ctx.q
+    if params.beta_chain is None:
+        qnum_frac = lambda e: (ctx.qpow(e) - 1 / ctx.qpow(e)) / ctx.lam
+        return qnum_frac(pij - 1) / qnum_frac(pij)
+    return xi_of_f(pij, params.beta(i, j), ctx)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()],
+                         ids=["rational", "prime"])
+def test_xi_memo_is_transparent(field):
+    """Every regime, integer and fractional arguments, first and repeated
+    calls: the memoized xi equals the uncached formula."""
+    r = field.of(Fraction(3, 2))
+    ctx = QContext(r**3, 3, root=r, field=field)
+    rng = random.Random(23)
+    families = [sample_params(3, rng, ctx=ctx, alpha="geometric"),
+                sample_params(3, rng, ctx=ctx, regime=BETA_INFINITY),
+                constant_multiparam(ctx)]
+    assert [f.regime for f in families] == \
+        [GENERIC, BETA_INFINITY, CONSTANT_MULTIPARAM]
+    for params in families:
+        p = sample_point(params, rng)
+        ev = ShiftedEvaluation(params, (Fraction(1, 3), 0, Fraction(-1, 3)))
+        for _ in range(2):
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    for t in (-1, 0, 1):
+                        pij = p.p(i, j) + t
+                        assert params.xi(i, j, pij) == \
+                            _xi_reference(params, i, j, pij)
+                        arg = ev.arg(i, j, pij)
+                        assert ev.xi(i, j, pij) == \
+                            _xi_reference(params, i, j, arg)
+        # the fractional arguments went through the memo too
+        assert any(isinstance(pij, Fraction) and pij.denominator == 3
+                   for memo in params._xi.values() for pij in memo)
+
+
+def test_xi_pole_raises_on_every_call():
+    ctx = QContext(Fraction(2), 2)
+    beta = -ctx.qbar**2 / qnum(2, ctx)  # zero of f(2, .)
+    for params, pij in ((SLnParams(ctx, [beta]), 2),
+                        (SLnParams(ctx, None), 0)):   # [0] = 0
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                params.xi(1, 2, pij)
+        assert params.xi(1, 2, pij + 1) == \
+            _xi_reference(params, 1, 2, pij + 1)
