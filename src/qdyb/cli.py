@@ -45,15 +45,22 @@ def _params_from_args(args):
 
 def _point_from_args(args, params):
     if args.p:
-        pairs = {}
+        # p<i><j> with j = i + 1; the digits of i and j run together
+        keys = {"p%d%d" % (i, i + 1): i for i in range(1, params.n)}
+        chain = {}
         for item in args.p.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
-            assert key.startswith("p") and len(key) >= 3
-            i, j = int(key[1]), int(key[2])
-            pairs[(i, j)] = int(val)
-        chain = [pairs[(i, i + 1)] for i in range(1, params.n)]
-        return WeightPoint(params.n, chain)
+            if key not in keys:
+                raise DegenerateParameterError(
+                    "unknown weight %r in --p; expected one of %s"
+                    % (key, ", ".join(keys)))
+            chain[keys[key]] = int(val)
+        missing = [key for key, i in keys.items() if i not in chain]
+        if missing:
+            raise DegenerateParameterError(
+                "--p lacks %s" % ", ".join(missing))
+        return WeightPoint(params.n, [chain[i] for i in range(1, params.n)])
     import random
     return sample_point(params, random.Random(args.seed))
 
@@ -132,7 +139,11 @@ def _verify_summary(doc, out):
 
 def cmd_derive(args):
     import random
-    field = verify.RunConfig(backend=args.backend).field()
+    if args.points < 1:
+        # with no point every comparison is vacuous, and must not pass
+        raise DegenerateParameterError(
+            "points must be at least 1, got %d" % args.points)
+    field = verify.RunConfig(n=args.n, backend=args.backend).field()
     r = field.of(Fraction(3, 2))
     ctx = QContext(r**args.n, args.n, root=r, field=field)
     from .weights import sample_params

@@ -37,7 +37,7 @@ import itertools
 
 from .scalars import DegenerateParameterError, qnum
 from .tensor import TensorOp
-from .rmatrix import DynRMatrix, build_dj, dressed_block
+from .rmatrix import DynRMatrix, build_dj, check, dressed_block
 
 
 class HeckeWord:
@@ -327,18 +327,13 @@ def top_vanish_equivalents(rep, n, records=None):
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
     s = (-1) ** (n - 1) * ctx.q * qnum(n, ctx)
 
-    def rec(rid, lhs, rhs):
-        diff = lhs - rhs
-        ok = diff.is_zero()
-        records.append((rid, ok, None if ok else diff.first_nonzero()))
-
-    rec("top-vanish.a-then-down", A * down, s * (A * B))
-    rec("top-vanish.up-then-a", up * A, s * (B * A))
-    rec("top-vanish.down-then-b", down * B, s * (A * B))
-    rec("top-vanish.b-then-up", B * up, s * (B * A))
+    check(records, "top-vanish.a-then-down", A * down, s * (A * B))
+    check(records, "top-vanish.up-then-a", up * A, s * (B * A))
+    check(records, "top-vanish.down-then-b", down * B, s * (A * B))
+    check(records, "top-vanish.b-then-up", B * up, s * (B * A))
     inv2 = 1 / qnum(n, ctx) ** 2
-    rec("top-vanish.aba", A * B * A, inv2 * A)
-    rec("top-vanish.bab", B * A * B, inv2 * B)
+    check(records, "top-vanish.aba", A * B * A, inv2 * A)
+    check(records, "top-vanish.bab", B * A * B, inv2 * B)
 
     # alternating expansion of the top antisymmetrizer
     alt = HeckeWord({(): ctx.q ** n})
@@ -347,8 +342,9 @@ def top_vanish_equivalents(rep, n, records=None):
         alt = alt + HeckeWord({word: (-1) ** m * ctx.q ** (n - m)})
     lhs = antisym(rep, 1, n + 1, memo)
     rhs = (1 / qnum(n + 1, ctx)) * (A * rep.apply(alt))
-    rec("top-vanish.alternating-expansion", lhs, rhs)
-    rec("top-vanish.top-is-zero", lhs, TensorOp.zero(rep.n, rep.k, rep.k))
+    check(records, "top-vanish.alternating-expansion", lhs, rhs)
+    check(records, "top-vanish.top-is-zero", lhs,
+          TensorOp.zero(rep.n, rep.k, rep.k))
     return records
 
 

@@ -30,8 +30,9 @@ E_[..](p) E^[..](p) = [n]!.
 import itertools
 
 from .scalars import DegenerateParameterError, qfact, qfact_base, qnum
-from .tensor import TensorOp, flat_index
+from .tensor import Echelon, TensorOp, flat_index
 from .hecke import HeckeRep
+from .rmatrix import check
 
 
 CO = "co"
@@ -152,13 +153,12 @@ def eigencheck(rep, ket, bra, records=None):
     records.append(("eps.right-eigenvector", wit_k is None, wit_k))
     records.append(("eps.left-eigenvector", wit_b is None, wit_b))
 
-    from .tensor import rank_of_rows
     ident = TensorOp.identity(n, n, ctx.field.one)
     stacked = []
     for i in range(1, n):
         op = rep.image(i) + ctx.qbar * ident
         stacked.extend(op.rows.values())
-    kernel_dim = n**n - rank_of_rows(stacked)
+    kernel_dim = n**n - len(Echelon(stacked))
     records.append(("eps.joint-eigenspace-dimension", kernel_dim == 1,
                     kernel_dim))
     return records
@@ -310,15 +310,11 @@ def window_shift_relations_const(n, ctx, records=None):
 
     lhs = up * ket.kron(one_site)
     rhs = ctx.q * nk.n_op().kron(ket)
-    d = lhs - rhs
-    records.append(("window-shift.const-up", d.is_zero(),
-                    None if d.is_zero() else d.first_nonzero()))
+    check(records, "window-shift.const-up", lhs, rhs)
 
     lhs = down * one_site.kron(ket)
     rhs = ctx.q * ket.kron(nk.k_op())
-    d = lhs - rhs
-    records.append(("window-shift.const-down", d.is_zero(),
-                    None if d.is_zero() else d.first_nonzero()))
+    check(records, "window-shift.const-down", lhs, rhs)
     return records
 
 
@@ -365,15 +361,11 @@ def window_shift_relations_dyn(params, p, records=None):
 
     lhs = bra.kron(one_site) * rep.apply(_word_down(n))
     rhs = ctx.q * (nk.k_op() * dressed)
-    d = lhs - rhs
-    records.append(("window-shift.dyn-down", d.is_zero(),
-                    None if d.is_zero() else d.first_nonzero()))
+    check(records, "window-shift.dyn-down", lhs, rhs)
 
     lhs = dressed * rep.apply(_word_up(n))
     rhs = ctx.q * bra.kron(nk.n_op())
-    d = lhs - rhs
-    records.append(("window-shift.dyn-up", d.is_zero(),
-                    None if d.is_zero() else d.first_nonzero()))
+    check(records, "window-shift.dyn-up", lhs, rhs)
     return records
 
 

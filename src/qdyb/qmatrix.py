@@ -27,10 +27,13 @@ window collapses, inverse cancellations).
 
 A canonical word has all p-dependence left of every slot and all det
 symbols at the right end; canonical words are compared entrywise at the
-samples, with slot sockets anonymized to their temporal positions.  The
-independent check is a membership oracle deciding whether the difference
-of two canonical words lies in the span of the pair-exchange relation
-consequences at fixed degree.
+samples, with slot sockets anonymized to their temporal positions.
+
+The independent check is a membership oracle: at each sample point it
+puts the degree-k pair-exchange consequences rho_dyn(g_j) M -
+M rho_const(g_j), one per coefficient basis matrix M, into the tensor
+layer's exact :class:`~qdyb.tensor.Echelon`, and asks whether every
+slice of the difference of two canonical words lies in their span.
 """
 
 import itertools
@@ -38,7 +41,7 @@ import json
 from fractions import Fraction
 
 from .scalars import DegenerateParameterError, qfact, qnum
-from .tensor import TensorOp
+from .tensor import Echelon, TensorOp
 from .hecke import HeckeRep, HeckeWord
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
 from .rmatrix import build_dj
@@ -1592,66 +1595,35 @@ CERT_BUILDERS = {
 # -- membership oracle -------------------------------------------------------
 
 
-class RelationSpan:
-    """Echelonized span of the degree-k pair-exchange relation
+def relation_span(engine, k, p):
+    """The echelonized span of the degree-k pair-exchange relation
     consequences { rho_dyn(g_j) M - M rho_const(g_j) } at the working
     point, over the coefficient space Mat(n^k, n^k)."""
-
-    def __init__(self, engine, k, p):
-        n = engine.n
-        self.dim = n ** k
-        dyn = engine._dyn_rep(k, p)
-        const = engine._const_rep(k)
-        self.basis = {}  # pivot -> {index: value}, pivot entry = 1
-        dim = self.dim
-        for j in range(1, k):
-            # coefficient functionals transform contravariantly
-            D = dyn.image(j).transpose()
-            C = const.image(j).transpose()
-            dcols = {}
-            for r, row in D.rows.items():
-                for c, v in row.items():
-                    dcols.setdefault(c, {})[r] = v
-            # (D E_rs)_{x y} = D_{x r} delta_{s y};
-            # (E_rs C)_{x y} = delta_{x r} C_{s y}
-            for r in range(dim):
-                dcol = dcols.get(r, {})
-                for s in range(dim):
-                    vec = {}
-                    for x, v in dcol.items():
-                        vec[x * dim + s] = v
-                    for y, v in C.rows.get(s, {}).items():
-                        idx = r * dim + y
-                        vec[idx] = vec.get(idx, 0) - v
-                    vec = {i: v for i, v in vec.items() if v}
-                    self._insert(vec)
-
-    def _reduce(self, vec):
-        vec = dict(vec)
-        while vec:
-            piv = min(vec)
-            row = self.basis.get(piv)
-            if row is None:
-                return vec, piv
-            coef = vec[piv]
-            for i, v in row.items():
-                nv = vec.get(i, 0) - coef * v
-                if nv:
-                    vec[i] = nv
-                else:
-                    vec.pop(i, None)
-        return vec, None
-
-    def _insert(self, vec):
-        vec, piv = self._reduce(vec)
-        if piv is None:
-            return
-        inv = 1 / vec[piv]
-        self.basis[piv] = {i: inv * v for i, v in vec.items()}
-
-    def contains(self, vec):
-        vec, piv = self._reduce(vec)
-        return piv is None
+    dim = engine.n ** k
+    dyn = engine._dyn_rep(k, p)
+    const = engine._const_rep(k)
+    span = Echelon()
+    for j in range(1, k):
+        # coefficient functionals transform contravariantly
+        D = dyn.image(j).transpose()
+        C = const.image(j).transpose()
+        dcols = {}
+        for r, row in D.rows.items():
+            for c, v in row.items():
+                dcols.setdefault(c, {})[r] = v
+        # (D E_rs)_{x y} = D_{x r} delta_{s y};
+        # (E_rs C)_{x y} = delta_{x r} C_{s y}
+        for r in range(dim):
+            dcol = dcols.get(r, {})
+            for s in range(dim):
+                vec = {}
+                for x, v in dcol.items():
+                    vec[x * dim + s] = v
+                for y, v in C.rows.get(s, {}).items():
+                    idx = r * dim + y
+                    vec[idx] = vec.get(idx, 0) - v
+                span.add(vec)
+    return span
 
 
 def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
@@ -1700,10 +1672,9 @@ def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
                 slices.setdefault(key, {})
                 idx = ridx * dim + cidx
                 slices[key][idx] = slices[key].get(idx, 0) + sign * val
-        span = RelationSpan(engine, k, p)
+        span = relation_span(engine, k, p)
         for vec in slices.values():
-            vec = {i: v for i, v in vec.items() if v}
-            if vec and not span.contains(vec):
+            if not span.contains(vec):
                 return "unequal"
     return "equal"
 

@@ -11,15 +11,17 @@ This convention is normative for every serialized matrix.  The sparse
 map never stores explicit zeros.  Operators are immutable after
 construction, so products of independent pairs can run in parallel.
 
-Ranks are computed over the exact field: fraction-free (Bareiss-style,
-gcd-reduced) elimination after clearing denominators on the rational
-backend, plain elimination on the prime field.  Pivots are taken at the
-first nonzero in column order; no numerical tie-breaking exists because
-arithmetic is exact.
+Ranks and span membership share one eliminator, :class:`Echelon`: an
+incremental row echelon keyed by each row's leading (smallest) column.
+Rational rows are cleared to primitive integer vectors and reduced
+fraction-free, pv * row - rv * pivot_row followed by division by the
+gcd; prime-field rows are reduced by the same cross-multiplication on
+their residues, with no inversion.  No numerical tie-breaking exists
+because arithmetic is exact.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import ModInt
 
@@ -230,7 +232,7 @@ class TensorOp:
         return TensorOp(self.n, self.rk, self.ck, rows)
 
     def exact_rank(self):
-        return rank_of_rows(self.rows.values())
+        return len(Echelon(self.rows.values()))
 
     # -- serialization -----------------------------------------------------
 
@@ -308,66 +310,71 @@ class DiagOp:
         return "DiagOp(n=%d, k=%d)" % (self.n, self.k)
 
 
-# -- exact rank ---------------------------------------------------------
+# -- exact elimination ----------------------------------------------------
 
 
-def rank_of_rows(rows):
-    """Rank of a sparse row collection over the exact field.
+class Echelon:
+    """An incremental row echelon of sparse {column: value} rows, each
+    stored row keyed by its leading (smallest) column; ``len`` is the
+    rank.  The first nonzero row fixes the field: residues mod p for
+    ``ModInt`` entries, primitive integer vectors otherwise."""
 
-    Rational entries: rows are scaled to integers, then eliminated
-    fraction-free with cross-multiplication and gcd reduction.  Prime
-    field entries: plain elimination (the result is probabilistic only
-    in the sense that the whole modular run is).
-    """
-    work = []
-    modular = False
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        if not row:
-            continue
-        sample = next(iter(row.values()))
-        if isinstance(sample, ModInt):
-            modular = True
-            work.append(dict(row))
+    __slots__ = ("pivots", "p")
+
+    def __init__(self, rows=()):
+        self.pivots = {}
+        self.p = None
+        for row in rows:
+            self.add(row)
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def add(self, row):
+        """Insert a row; False when it already lies in the span."""
+        rest = self._reduce(row)
+        if rest:
+            self.pivots[min(rest)] = rest
+        return bool(rest)
+
+    def contains(self, row):
+        """True when the row lies in the span of the rows added."""
+        return not self._reduce(row)
+
+    def _reduce(self, row):
+        """The row brought into the field, then cross-multiplied with
+        pivot rows until its leading column has no pivot: empty for a
+        row in the span."""
+        if not self.pivots:
+            self.p = next((v.p for v in row.values()
+                           if isinstance(v, ModInt)), None)
+        p = self.p
+        if p is None:
+            mult = lcm(*(v.denominator for v in row.values()))
+            row = _primitive({c: v.numerator * (mult // v.denominator)
+                              for c, v in row.items() if v})
         else:
-            mult = 1
-            for v in row.values():
-                f = Fraction(v)
-                mult = mult * (f.denominator // gcd(mult, f.denominator))
-            irow = {c: int(Fraction(v) * mult) for c, v in row.items()}
-            g = 0
-            for v in irow.values():
-                g = gcd(g, v)
-            work.append({c: v // g for c, v in irow.items()})
-    rank = 0
-    while work:
-        pc = min(min(row) for row in work)
-        pivot_i = next(i for i, row in enumerate(work) if pc in row)
-        prow = work.pop(pivot_i)
-        pv = prow[pc]
-        rank += 1
-        nxt = []
-        for row in work:
-            rv = row.get(pc)
-            if rv:
-                row = _combine(pv, row, -rv, prow, modular)
-                row.pop(pc, None)
-            if row:
-                nxt.append(row)
-        work = nxt
-    return rank
+            zero = ModInt(0, p)
+            row = {c: r for c, v in row.items() if (r := (zero + v).v)}
+        pivots = self.pivots
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                break
+            pv, rv = prow[lead], row[lead]
+            out = {c: pv * v for c, v in row.items()}
+            for c, v in prow.items():
+                out[c] = out.get(c, 0) - rv * v
+            if p is None:
+                row = _primitive({c: v for c, v in out.items() if v})
+            else:
+                row = {c: r for c, v in out.items() if (r := v % p)}
+        return row
 
 
-def _combine(a, row1, b, row2, modular):
-    out = {}
-    for c in set(row1) | set(row2):
-        v = a * row1.get(c, 0) + b * row2.get(c, 0)
-        if v:
-            out[c] = v
-    if not modular and out:
-        g = 0
-        for v in out.values():
-            g = gcd(g, v)
-        if g > 1:
-            out = {c: v // g for c, v in out.items()}
-    return out
+def _primitive(row):
+    g = gcd(*row.values())
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row

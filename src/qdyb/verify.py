@@ -40,6 +40,9 @@ class RunConfig:
     def __init__(self, n=2, q=None, root=None, beta=None, alpha="unit",
                  draws=5, points=3, seed=0, backend="rational",
                  corrupt=None):
+        if n < 2:
+            # every suite checks identities between index pairs i < j
+            raise DegenerateParameterError("n must be at least 2, got %d" % n)
         if draws < 1 or points < 1:
             # with no draw or no point a suite checks nothing, and an
             # empty battery must not report a pass
@@ -304,8 +307,8 @@ def suite_hecke(cfg):
                        ("localized-last", lrep)):
         records.append(_rec("hecke.relations.%s" % label,
                             rep.relations_hold()))
-        records.append(_rec("hecke.height.%s" % label,
-                            hecke.height(rep) == n, hecke.height(rep)))
+        height = hecke.height(rep)
+        records.append(_rec("hecke.height.%s" % label, height == n, height))
         records.extend(_from_triples(
             hecke.top_vanish_equivalents(rep, n), "hecke.%s." % label))
         records.append(_rec("hecke.antisym-props.%s" % label,

@@ -52,8 +52,13 @@ class WeightPoint:
 
     def __init__(self, n, chain):
         chain = tuple(chain)
-        assert len(chain) == n - 1, "chain length must be n-1"
-        assert all(isinstance(c, int) for c in chain)
+        if len(chain) != n - 1:
+            raise DegenerateParameterError(
+                "weight chain has %d entries, need n-1 = %d"
+                % (len(chain), n - 1))
+        if not all(isinstance(c, int) for c in chain):
+            raise DegenerateParameterError(
+                "weight chain entries must be integers, got %r" % (chain,))
         self.n = n
         self.chain = chain
 
@@ -287,7 +292,10 @@ class SLnParams:
             self._beta = None
         else:
             self.beta_chain = tuple(ctx.field.of(b) for b in beta_chain)
-            assert len(self.beta_chain) == n - 1
+            if len(self.beta_chain) != n - 1:
+                raise DegenerateParameterError(
+                    "beta chain has %d entries, need n-1 = %d"
+                    % (len(self.beta_chain), n - 1))
             if _beta_override is not None:
                 self._beta = dict(_beta_override)  # negative-control hook
             else:

@@ -57,6 +57,30 @@ def test_pole_exits_2(capsys):
 def test_bad_usage_exits_2(capsys):
     code, _, err = run_cli(capsys, "dump", "params", "--n", "2")
     assert code == 2
+    for argv, message in (
+            (("dump", "rhat", "--n", "2", "--q", "2", "--p", "p1=2"),
+             "unknown weight 'p1'"),
+            (("dump", "rhat", "--n", "3", "--q", "2", "--p", "p12=1"),
+             "lacks p23"),
+            (("dump", "rhat", "--n", "3", "--q", "2", "--beta", "1",
+              "--p", "p12=1,p23=1"), "beta chain has 1 entries"),
+            (("verify", "qdybe", "--n", "1"), "n must be at least 2"),
+            (("derive", "--n", "1"), "n must be at least 2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert message in err, (argv, err)
+
+
+def test_point_keys_with_multi_digit_indices(capsys):
+    chain = list(range(-4, 5))
+    spec = ",".join("p%d%d=%d" % (i, i + 1, c)
+                    for i, c in enumerate(chain, 1))
+    assert "p910=4" in spec
+    code, out, _ = run_cli(capsys, "wznw", "--n", "10", "--q", "2",
+                           "--p", spec)
+    assert code == 0
+    w = [Fraction(x) for x in json.loads(out)["weights"]]
+    assert [w[i] - w[i + 1] for i in range(9)] == chain
 
 
 def test_verify_exit_codes(capsys):
@@ -144,6 +168,12 @@ def test_verify_without_draws_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "qdybe", "--draws", "0")
     assert code == 2 and not out
     assert "draws" in err
+
+
+def test_derive_without_points_exits_2(capsys):
+    code, out, err = run_cli(capsys, "derive", "--n", "2", "--points", "0")
+    assert code == 2 and not out
+    assert "points must be at least 1" in err
 
 
 def test_composite_prime_backend_exits_2(capsys):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qdyb.scalars import PrimeField, QContext
-from qdyb.tensor import DiagOp, TensorOp, flat_index, multi_index
+from qdyb.scalars import RATIONAL, PrimeField, QContext
+from qdyb.tensor import DiagOp, Echelon, TensorOp, flat_index, multi_index
 
 
 def random_sparse(n, k, rng, density=5):
@@ -119,6 +119,83 @@ def test_exact_rank_rational_vs_prime():
                    for r, row in op.rows.items()}
         modop = TensorOp(2, 3, 3, modrows)
         assert op.exact_rank() == modop.exact_rank()
+
+
+def dense_rank(rows, ncols, zero):
+    """Textbook Gauss-Jordan elimination with field division: the
+    reference the fraction-free echelon is compared against."""
+    m = [[row.get(c, zero) for c in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def random_rows(field, rng, nrows, ncols):
+    """Sparse rows with small rational entries, about a third of them
+    combinations of earlier rows, some holding explicit zeros."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            row = combination(field, rng, rows)
+        else:
+            row = {}
+            for c in rng.sample(range(ncols), rng.randint(0, min(4, ncols))):
+                row[c] = field.of(Fraction(rng.randint(-4, 4),
+                                           rng.randint(1, 3)))
+        rows.append(row)
+    return rows
+
+
+def combination(field, rng, rows):
+    out = {}
+    for row in rng.sample(rows, min(3, len(rows))):
+        coef = field.of(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        for c, v in row.items():
+            out[c] = out.get(c, field.zero) + coef * v
+    return out
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_echelon_rank_matches_dense_elimination(field):
+    rng = random.Random(14)
+    for _ in range(40):
+        ncols = rng.randint(1, 12)
+        rows = random_rows(field, rng, rng.randint(0, 12), ncols)
+        assert len(Echelon(rows)) == dense_rank(rows, ncols, field.zero)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_echelon_membership(field):
+    rng = random.Random(15)
+    for _ in range(20):
+        ncols = 10
+        rows = random_rows(field, rng, 6, ncols)
+        ech = Echelon(rows)
+        rank = len(ech)
+        assert ech.contains({}) and ech.contains({3: field.zero})
+        for _ in range(5):
+            combo = combination(field, rng, rows)
+            assert ech.contains(combo)
+            assert not ech.add(combo)
+        assert len(ech) == rank
+        # a row led by a column without a pivot lies outside the span
+        free = [c for c in range(ncols) if c not in ech.pivots]
+        lead = rng.choice(free)
+        row = {lead: field.one}
+        for c in range(lead + 1, ncols):
+            row[c] = field.of(rng.randint(-2, 2))
+        assert not ech.contains(row)
+        assert ech.add(row) and len(ech) == rank + 1
+        assert ech.contains(row)
 
 
 def test_projector_rank_complement():

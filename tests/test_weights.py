@@ -38,6 +38,13 @@ def test_weightpoint_from_pairs_checks_additivity():
         WeightPoint.from_pairs(3, {(1, 2): 1, (2, 3): 2, (1, 3): 0})
 
 
+def test_weightpoint_rejects_bad_chain():
+    with pytest.raises(DegenerateParameterError, match="need n-1 = 2"):
+        WeightPoint(3, (1,))
+    with pytest.raises(DegenerateParameterError, match="integers"):
+        WeightPoint(2, (Fraction(1, 2),))
+
+
 def test_derive_beta_small_cases():
     ctx = QContext(Fraction(2), 2)
     b = derive_beta(ctx, [Fraction(1)])
@@ -223,6 +230,8 @@ def test_degenerate_chain_raises():
     b2 = lam - b1
     with pytest.raises(DegenerateParameterError):
         derive_beta(ctx, [b1, b2])
+    with pytest.raises(DegenerateParameterError, match="need n-1 = 2"):
+        SLnParams(ctx, [b1])
 
 
 def test_params_json_roundtrip():
