@@ -158,6 +158,11 @@ def cmd_derive(args):
     else:
         ds = builtin_derivations(args.n)
         names = args.builtin.split(",") if args.builtin else sorted(ds)
+        unknown = [name for name in names if name not in ds]
+        if unknown:
+            raise DegenerateParameterError(
+                "unknown derivation %s in --builtin; known: %s"
+                % (", ".join(map(repr, unknown)), ", ".join(sorted(ds))))
         derivs = [ds[name] for name in names]
     records = []
     for d in derivs:

@@ -31,6 +31,10 @@ equivalently from the left end through g_i; both routes are computed
 and compared.  The height of a representation is the n at which the
 (n+1)-node antisymmetrizer vanishes while the n-node one keeps exactly
 one dimension per window (matrix rank n^(k-n) on V^(x)k).
+
+Each representation keeps one memo of its windows, so every A(i,j) is
+built, and its two routes compared, once per representation, by
+whichever check asks for it first.
 """
 
 import itertools
@@ -116,6 +120,7 @@ class HeckeRep:
         self.base = base
         self._images = images          # images of g_1 .. g_{k-1}
         self._inverses = [None] * len(images)
+        self._antisym = {}             # (i, j) -> A(i, j), built once
 
     @classmethod
     def constant(cls, n, ctx, k, rmat=None):
@@ -186,17 +191,19 @@ class HeckeRep:
         return True
 
 
-def antisym(rep, i, j, _memo=None):
+def antisym(rep, i, j):
     """Image of the window antisymmetrizer A(i, j) on sites i..j.
 
-    Both end-recursions are computed; their agreement is asserted.
+    Both end-recursions are computed, and their agreement is checked,
+    when a window is first built; the window then stays in the memo of
+    `rep`.  A mismatch is never stored, so it raises on every call.
     """
     assert 1 <= i <= j <= rep.k
-    memo = _memo if _memo is not None else {}
-    return _antisym_right(rep, i, j, memo)
+    return _antisym_right(rep, i, j)
 
 
-def _antisym_right(rep, i, j, memo):
+def _antisym_right(rep, i, j):
+    memo = rep._antisym
     key = (i, j)
     if key in memo:
         return memo[key]
@@ -208,13 +215,13 @@ def _antisym_right(rep, i, j, memo):
         den = qnum(m, ctx)
         if not den:
             raise DegenerateParameterError("[%d] = 0" % m)
-        prev = _antisym_right(rep, i, j - 1, memo)
+        prev = _antisym_right(rep, i, j - 1)
         mid = ctx.q ** (m - 1) * TensorOp.identity(rep.n, rep.k,
                                                    ctx.field.one) \
             - qnum(m - 1, ctx) * rep.image(j - 1)
         out = (1 / den) * (prev * mid * prev)
         # left-end recursion must agree
-        prev_l = _antisym_right(rep, i + 1, j, memo) if m > 2 else \
+        prev_l = _antisym_right(rep, i + 1, j) if m > 2 else \
             TensorOp.identity(rep.n, rep.k, ctx.field.one)
         mid_l = ctx.q ** (m - 1) * TensorOp.identity(rep.n, rep.k,
                                                      ctx.field.one) \
@@ -230,8 +237,7 @@ def _antisym_right(rep, i, j, memo):
 
 def antisym_tower(rep, up_to):
     """[A(1,1), A(1,2), ..., A(1,up_to)] as operator images."""
-    memo = {}
-    return [antisym(rep, 1, j, memo) for j in range(1, up_to + 1)]
+    return [antisym(rep, 1, j) for j in range(1, up_to + 1)]
 
 
 def symmetrizer(rep, j):
@@ -263,8 +269,7 @@ def symmetrizer(rep, j):
 def antisym_props_hold(rep, j):
     """(g_i + qbar) A = A (g_i + qbar) = 0 for i < j, and absorption
     A(1,j) A(i,l) = A(i,l) A(1,j) = A(1,j) for windows inside 1..j."""
-    memo = {}
-    A = antisym(rep, 1, j, memo)
+    A = antisym(rep, 1, j)
     qbar = rep.ctx.qbar
     ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field.one)
     for i in range(1, j):
@@ -273,7 +278,7 @@ def antisym_props_hold(rep, j):
             return False
     for i in range(1, j + 1):
         for l in range(i, j + 1):
-            W = antisym(rep, i, l, memo)
+            W = antisym(rep, i, l)
             if A * W != A or W * A != A:
                 return False
     return True
@@ -286,21 +291,20 @@ def height(rep):
     n^(k-n) (one dimension per window, identity on spectator sites);
     the (n+1)-node ones vanish.  Windowed variants are checked too.
     """
-    memo = {}
     k = rep.k
     for n in range(1, k + 1):
         if n == k:
-            if antisym(rep, 1, k, memo).exact_rank() == 1:
+            if antisym(rep, 1, k).exact_rank() == 1:
                 return n
             return None
         top_zero = all(
-            antisym(rep, i, n + i, memo).is_zero()
+            antisym(rep, i, n + i).is_zero()
             for i in range(1, k - n + 1))
         if not top_zero:
             continue
         expected = rep.n ** (k - n)
         ranks_ok = all(
-            antisym(rep, j, n + j - 1, memo).exact_rank() == expected
+            antisym(rep, j, n + j - 1).exact_rank() == expected
             for j in range(1, k - n + 2))
         return n if ranks_ok else None
     return None
@@ -320,9 +324,8 @@ def top_vanish_equivalents(rep, n, records=None):
     assert rep.k == n + 1
     records = records if records is not None else []
     ctx = rep.ctx
-    memo = {}
-    A = antisym(rep, 1, n, memo)
-    B = antisym(rep, 2, n + 1, memo)
+    A = antisym(rep, 1, n)
+    B = antisym(rep, 2, n + 1)
     down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
     s = (-1) ** (n - 1) * ctx.q * qnum(n, ctx)
@@ -340,7 +343,7 @@ def top_vanish_equivalents(rep, n, records=None):
     for m in range(1, n + 1):
         word = tuple(range(n, n - m, -1))
         alt = alt + HeckeWord({word: (-1) ** m * ctx.q ** (n - m)})
-    lhs = antisym(rep, 1, n + 1, memo)
+    lhs = antisym(rep, 1, n + 1)
     rhs = (1 / qnum(n + 1, ctx)) * (A * rep.apply(alt))
     check(records, "top-vanish.alternating-expansion", lhs, rhs)
     check(records, "top-vanish.top-is-zero", lhs,
@@ -363,10 +366,9 @@ def inner_automorphism_check(rep, i, r, records=None):
         if W * rep.image(m) * Winv != rep.image(m + 1):
             ok = False
     records.append(("inner-auto.generators", ok, None))
-    memo = {}
-    lhs = W * antisym(rep, i, r + i, memo) * Winv
+    lhs = W * antisym(rep, i, r + i) * Winv
     records.append(("inner-auto.antisymmetrizer",
-                    lhs == antisym(rep, i + 1, r + i + 1, memo), None))
+                    lhs == antisym(rep, i + 1, r + i + 1), None))
     return records
 
 

@@ -34,11 +34,17 @@ puts the degree-k pair-exchange consequences rho_dyn(g_j) M -
 M rho_const(g_j), one per coefficient basis matrix M, into the tensor
 layer's exact :class:`~qdyb.tensor.Echelon`, and asks whether every
 slice of the difference of two canonical words lies in their span.
+
+A :class:`ReplayEngine` memoizes, for as long as it lives, the value of
+each p-dependent factor at each point (keyed by the factor's JSON, so
+its name and args must determine its tensor) and each relation span per
+(k, point); canonical words are evaluated afresh each time.
 """
 
 import itertools
 import json
 from fractions import Fraction
+from operator import itemgetter
 
 from .scalars import DegenerateParameterError, qfact, qnum
 from .tensor import Echelon, TensorOp
@@ -57,6 +63,16 @@ def _label_key(label):
 
 def _sorted_labels(labels):
     return tuple(sorted(labels, key=_label_key))
+
+
+def _picker(positions):
+    """The map from a tuple to the tuple of its entries at `positions`."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        at = positions[0]
+        return lambda t: (t[at],)
+    return lambda t: ()
 
 
 class SpacedTensor:
@@ -123,41 +139,31 @@ class SpacedTensor:
             if s in bras:
                 raise MoveError("bra collision at %r" % (s,))
             bras.append(s)
-        a_keep = [i for i, s in enumerate(self.bras) if s not in shared]
-        a_con = [self.bras.index(s) for s in shared]
-        b_con = [other.kets.index(s) for s in shared]
-        b_keep = [i for i, s in enumerate(other.kets) if s not in shared]
-
-        grouped = {}
-        for (bk, bb), v in other.data.items():
-            key = tuple(bk[i] for i in b_con)
-            grouped.setdefault(key, []).append((bk, bb, v))
-
         out_kets = _sorted_labels(kets)
         out_bras = _sorted_labels(bras)
-        ket_src = []  # (which, index) in combined (self-ket | other-keep-ket)
-        for s in out_kets:
-            if s in self.kets:
-                ket_src.append((0, self.kets.index(s)))
-            else:
-                ket_src.append((1, other.kets.index(s)))
-        bra_src = []
-        for s in out_bras:
-            if s in other.bras:
-                bra_src.append((1, other.bras.index(s)))
-            else:
-                bra_src.append((0, self.bras.index(s)))
+        # index plans: the contraction key of each side, and each output
+        # socket's position in the concatenated ak + bk / ab + bb
+        a_key = _picker([self.bras.index(s) for s in shared])
+        b_key = _picker([other.kets.index(s) for s in shared])
+        nak, nab = len(self.kets), len(self.bras)
+        ket_of = _picker([self.kets.index(s) if s in self.kets
+                          else nak + other.kets.index(s) for s in out_kets])
+        bra_of = _picker([nab + other.bras.index(s) if s in other.bras
+                          else self.bras.index(s) for s in out_bras])
 
+        grouped = {}
+        for (bk, bb), vb in other.data.items():
+            grouped.setdefault(b_key(bk), []).append((bk, bb, vb))
         data = {}
         for (ak, ab), va in self.data.items():
-            key = tuple(ab[i] for i in a_con)
-            for bk, bb, vb in grouped.get(key, ()):
-                kvals = tuple(ak[i] if w == 0 else bk[i]
-                              for w, i in ket_src)
-                bvals = tuple(ab[i] if w == 0 else bb[i]
-                              for w, i in bra_src)
-                kk = (kvals, bvals)
-                data[kk] = data.get(kk, 0) + va * vb
+            for bk, bb, vb in grouped.get(a_key(ab), ()):
+                kk = (ket_of(ak + bk), bra_of(ab + bb))
+                # the first term is stored as is: starting from int 0
+                # would send it through the slow reflected add
+                if kk in data:
+                    data[kk] += va * vb
+                else:
+                    data[kk] = va * vb
         return SpacedTensor(out_kets, out_bras, data)
 
     def __eq__(self, other):
@@ -387,6 +393,8 @@ class ReplayEngine:
         self._reps = {}
         self._nk = {}
         self._certs = {}
+        self._p_values = {}     # (factor JSON, p.chain) -> SpacedTensor
+        self._spans = {}        # (k, p.chain) -> relation-span Echelon
 
     # -- named tensor builders ------------------------------------
 
@@ -474,8 +482,13 @@ class ReplayEngine:
 
     def eval_p(self, fp, p):
         """Evaluate a p-dependent factor (with dressings) at p."""
-        base_builder = lambda pp: self._build_p(fp.name, fp.args, pp)
-        return self._eval_dressed(base_builder, fp.dress, p)
+        key = (json.dumps(fp.to_json(), sort_keys=True), p.chain)
+        val = self._p_values.get(key)
+        if val is None:
+            base_builder = lambda pp: self._build_p(fp.name, fp.args, pp)
+            val = self._p_values[key] = self._eval_dressed(
+                base_builder, fp.dress, p)
+        return val
 
     def _eval_dressed(self, builder, dress, p):
         if not dress:
@@ -869,8 +882,6 @@ class ReplayEngine:
         used = set(expr.slot_spaces())
         if used & set(w):
             raise MoveError("window spaces already used by slots")
-        inv_fact = FConst("scalar", {"value": str(Fraction(1))},
-                          SpacedTensor.scalar(1 / qfact(self.n, self.ctx)))
         inv_fact = self.const_scalar(1 / qfact(self.n, self.ctx))
         pieces = [inv_fact, FP("eps_bra_dyn", {"window": list(w)})] + \
             [FSlot(s) for s in w] + \
@@ -1631,21 +1642,20 @@ def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
     whether their coefficient difference lies in the relation span, at
     every sample point.  Returns 'equal', 'unequal' or 'inconclusive'.
     """
-    p0 = engine.points[0]
     if engine.n ** len(expr_a.slot_spaces()) > max_dim or \
             engine.n ** len(expr_b.slot_spaces()) > max_dim:
         return "inconclusive"
-    try:
-        k, d, _ = engine.canonical(expr_a, p0)
-        k2, d2, _ = engine.canonical(expr_b, p0)
-    except MoveError:
-        return "inconclusive"
-    if (k, d) != (k2, d2):
-        return "unequal"
-    dim = engine.n ** k
     for p in engine.points:
-        _, _, ta = engine.canonical(expr_a, p)
-        _, _, tb = engine.canonical(expr_b, p)
+        try:
+            k, d, ta = engine.canonical(expr_a, p)
+            k2, d2, tb = engine.canonical(expr_b, p)
+        except MoveError:
+            # the word's shape, not the point, decides whether it is
+            # canonical, so this happens at the first point or never
+            return "inconclusive"
+        if (k, d) != (k2, d2):
+            return "unequal"
+        dim = engine.n ** k
         if set(ta.kets) != set(tb.kets) or set(ta.bras) != set(tb.bras):
             return "unequal"
         frees_k = [s for s in ta.kets if not _is_slot_axis(s)]
@@ -1672,7 +1682,9 @@ def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
                 slices.setdefault(key, {})
                 idx = ridx * dim + cidx
                 slices[key][idx] = slices[key].get(idx, 0) + sign * val
-        span = relation_span(engine, k, p)
+        span = engine._spans.get((k, p.chain))
+        if span is None:
+            span = engine._spans[(k, p.chain)] = relation_span(engine, k, p)
         for vec in slices.values():
             if not span.contains(vec):
                 return "unequal"

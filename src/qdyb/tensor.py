@@ -59,6 +59,14 @@ class TensorOp:
                 if clean:
                     self.rows[r] = clean
 
+    @classmethod
+    def _adopt(cls, n, rk, ck, rows):
+        """An operator over `rows` as they are: every row must be
+        nonempty and free of zeros already."""
+        op = cls.__new__(cls)
+        op.n, op.rk, op.ck, op.rows = n, rk, ck, rows
+        return op
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -159,7 +167,13 @@ class TensorOp:
             return TensorOp.zero(self.n, self.rk, self.ck)
         rows = {r: {c: s * v for c, v in row.items()}
                 for r, row in self.rows.items()}
-        return TensorOp(self.n, self.rk, self.ck, rows)
+        # over a field s * v vanishes for one nonzero v exactly when s is
+        # zero there (an int multiple of p, say), and then for every v
+        for row in rows.values():
+            if not next(iter(row.values())):
+                return TensorOp.zero(self.n, self.rk, self.ck)
+            break
+        return TensorOp._adopt(self.n, self.rk, self.ck, rows)
 
     def __mul__(self, other):
         if not isinstance(other, TensorOp):
@@ -182,7 +196,7 @@ class TensorOp:
             acc = {c: v for c, v in acc.items() if v}
             if acc:
                 rows[r] = acc
-        return TensorOp(self.n, self.rk, other.ck, rows)
+        return TensorOp._adopt(self.n, self.rk, other.ck, rows)
 
     def kron(self, other):
         assert self.n == other.n
@@ -199,7 +213,8 @@ class TensorOp:
                     for c2, v2 in row2.items():
                         dst[c1 * cmul + c2] = v1 * v2
                 rows[r1 * rmul + r2] = dst
-        return TensorOp(n, rk, ck, rows)
+        # a product of nonzeros is nonzero, so no row needs a filter
+        return TensorOp._adopt(n, rk, ck, rows)
 
     def transpose(self):
         rows = {}

@@ -181,3 +181,11 @@ def test_composite_prime_backend_exits_2(capsys):
                              "--backend", "prime:4")
     assert code == 2 and not out
     assert "not an odd prime" in err
+
+
+def test_derive_unknown_builtin_exits_2(capsys):
+    code, out, err = run_cli(capsys, "derive", "--n", "2", "--builtin",
+                             "D1,NOPE")
+    assert code == 2 and not out
+    assert "unknown derivation 'NOPE' in --builtin" in err
+    assert "known: D1, D1k, D2" in err

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from qdyb.scalars import QContext
+import pytest
+
+from qdyb.scalars import DegenerateParameterError, QContext
 from qdyb.tensor import TensorOp
 from qdyb.hecke import (
     HeckeRep, HeckeWord, antisym, antisym_props_hold, antisym_tower,
@@ -77,6 +79,40 @@ def test_antisym_props_and_tower():
     assert antisym_props_hold(drep, 3)
     for A in antisym_tower(drep, 4):
         assert A * A == A
+
+
+def test_tampered_image_raises_on_every_call():
+    """A window whose two recursions disagree is never memoized, so the
+    mismatch raises again on a later call; the windows below it that
+    agree are kept."""
+    ctx = QContext(Fraction(3, 2), 2)
+    rep = HeckeRep.constant(2, ctx, 3)
+    good = HeckeRep.constant(2, ctx, 3)
+    rep._images[1] = 2 * rep._images[1]   # 2 g_2 breaks g^2 = 1 + lam g
+    for _ in range(2):
+        with pytest.raises(DegenerateParameterError,
+                           match=r"window recursion mismatch at A\(1,3\)"):
+            antisym(rep, 1, 3)
+    assert antisym(rep, 1, 2) == antisym(good, 1, 2)
+
+
+def test_height_and_top_vanish_in_either_order():
+    """The windows one check leaves in the rep's memo give the other
+    check the same results as a fresh rep does."""
+    rng = random.Random(19)
+    ctx = QContext(Fraction(3, 2), 3)
+    params = sample_params(2, rng)
+    p = sample_point(params, rng, clearance=3)
+    for build, n in ((lambda: HeckeRep.dynamic(params, p, 3), 2),
+                     (lambda: HeckeRep.constant(3, ctx, 4), 3)):
+        first, second = build(), build()
+        h1 = height(first)
+        t1 = top_vanish_equivalents(first, n)
+        t2 = top_vanish_equivalents(second, n)
+        h2 = height(second)
+        assert h1 == h2 == n
+        assert t1 == t2
+        all_pass(t1)
 
 
 def test_rank_complement_for_idempotents():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdyb.scalars import PrimeField, QContext
+from qdyb.scalars import RATIONAL, PrimeField, QContext
 from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
     MoveError, ReplayEngine, ShiftFunc, SpacedTensor, builtin_derivations,
@@ -38,6 +38,83 @@ def test_spaced_tensor_compose():
     assert C.data[((2,), (2,))] == 2
     with pytest.raises(MoveError):
         A.compose(A)  # ket collision at space 1
+
+
+LABELS = (1, 2, 3, 4, ("sr", 1), ("sc", 1), ("sr", 2))
+
+
+def random_spaced(rng, field, kets, bras, n=2, nnz=8):
+    """A random sparse SpacedTensor; its data keys follow the sorted
+    socket order the constructor gives."""
+    shape = SpacedTensor(kets, bras)
+    data = {}
+    for _ in range(nnz):
+        key = (tuple(rng.randint(1, n) for _ in shape.kets),
+               tuple(rng.randint(1, n) for _ in shape.bras))
+        data[key] = field.of(rng.randint(-2, 2))
+    return SpacedTensor(shape.kets, shape.bras, data)
+
+
+def by_label(st):
+    """Entries keyed by their label -> index assignments, so that the
+    comparison does not depend on the order of the sockets."""
+    return {(frozenset(zip(st.kets, kv)), frozenset(zip(st.bras, bv))): v
+            for (kv, bv), v in st.data.items()}
+
+
+def reference_compose(a, b):
+    """a.compose(b) by brute force over every pair of entries: (the
+    entries, how many sums cancelled to zero)."""
+    shared = set(a.bras) & set(b.kets)
+    sums = {}
+    for (ak, ab), va in a.data.items():
+        a_kets, a_bras = dict(zip(a.kets, ak)), dict(zip(a.bras, ab))
+        for (bk, bb), vb in b.data.items():
+            b_kets, b_bras = dict(zip(b.kets, bk)), dict(zip(b.bras, bb))
+            if any(a_bras[s] != b_kets[s] for s in shared):
+                continue
+            kets = {s: v for s, v in b_kets.items() if s not in shared}
+            kets.update(a_kets)
+            bras = {s: v for s, v in a_bras.items() if s not in shared}
+            bras.update(b_bras)
+            key = (frozenset(kets.items()), frozenset(bras.items()))
+            sums.setdefault(key, []).append(va * vb)
+    totals = {key: sum(terms[1:], terms[0]) for key, terms in sums.items()}
+    out = {key: v for key, v in totals.items() if v}
+    return out, len(totals) - len(out)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_compose_matches_reference(field):
+    rng = random.Random(71)
+    cancelled = 0
+    for trial in range(120):
+        nshared = trial % 3
+        labels = list(LABELS)
+        rng.shuffle(labels)
+        shared, rest = labels[:nshared], labels[nshared:]
+        a_kets = rest[:rng.randint(0, 2)]
+        a_bras = shared + rest[2:2 + rng.randint(0, 1)]
+        b_kets = shared + rest[3:3 + rng.randint(0, 1)]
+        b_bras = rest[4:4 + rng.randint(0, 2)]
+        # a contracted label may stay open on the far side too
+        if shared and rng.random() < 0.3:
+            a_kets = a_kets + shared[:1]
+        if shared and rng.random() < 0.3:
+            b_bras = b_bras + shared[-1:]
+        a = random_spaced(rng, field, a_kets, a_bras)
+        b = random_spaced(rng, field, b_kets, b_bras)
+        c = a.compose(b)
+        expected, zeros = reference_compose(a, b)
+        cancelled += zeros
+        assert set(c.kets) == set(a_kets) | (set(b_kets) - set(shared))
+        assert set(c.bras) == (set(a_bras) - set(shared)) | set(b_bras)
+        # sockets come out sorted, and no zero is stored
+        assert SpacedTensor(c.kets, c.bras).kets == c.kets
+        assert SpacedTensor(c.kets, c.bras).bras == c.bras
+        assert all(c.data.values())
+        assert by_label(c) == expected, (a, b)
+    assert cancelled > 0
 
 
 def test_shift_func():
@@ -73,6 +150,34 @@ def test_oracle_confirms_all_endpoints_n2():
     ds = builtin_derivations(2)
     for name in ALL:
         assert oracle_confirm(eng, ds[name]) == "equal", name
+
+
+def test_oracle_builds_each_relation_span_once(monkeypatch):
+    """The engine keeps each span per (k, point): the 11 confirmations
+    build every span once, with the verdicts of a cold engine, and a warm
+    engine still tells unequal and inconclusive words apart."""
+    import qdyb.qmatrix as qm
+    built = []
+    real = qm.relation_span
+
+    def counting(engine, k, p):
+        built.append((k, p.chain))
+        return real(engine, k, p)
+
+    monkeypatch.setattr(qm, "relation_span", counting)
+    rng = random.Random(43)
+    eng = engine(2, rng, npoints=2)
+    ds = builtin_derivations(2)
+    assert [oracle_confirm(eng, ds[name]) for name in ALL] == \
+        ["equal"] * len(ALL)
+    assert built and len(built) == len(set(built))
+    X = eng.expr([_eps_bra_dyn((1, 2)), _slot(1), _slot(2)])
+    Y = eng.expr([_sym("q", 1), _sym("qfact_inv", 2), _eps_bra_dyn((1, 2)),
+                  _slot(1), _slot(2), _eps_ket((1, 2)), _eps_bra((1, 2))])
+    assert membership_oracle(eng, X, Y) == "unequal"
+    big = eng.expr([_slot(s) for s in range(1, 12)])
+    assert membership_oracle(eng, big, big, max_dim=100) == "inconclusive"
+    assert len(built) == len(set(built))
 
 
 def test_oracle_basic_instances():

@@ -36,6 +36,33 @@ def test_no_explicit_zeros():
     assert op2.is_zero() and not op2.rows
 
 
+def stored_zeros(op):
+    """Explicit zeros and empty rows an operator holds."""
+    return [(r, row) for r, row in op.rows.items()
+            if not row or any(not v for v in row.values())]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7)])
+def test_products_store_no_zeros(field):
+    """Products adopt their rows unfiltered, so a product whose sums
+    cancel must still leave no zero entry and no empty row."""
+    of = field.of
+    # row 0 of a.b cancels to zero; row 1 keeps one entry
+    a = TensorOp(2, 1, 1, {0: {0: of(1), 1: of(1)}, 1: {0: of(2)}})
+    b = TensorOp(2, 1, 1, {0: {0: of(3), 1: of(1)},
+                           1: {0: of(-3), 1: of(-1)}})
+    ab = a * b
+    assert sorted(ab.rows) == [1] and ab.rows[1] == {0: of(6), 1: of(2)}
+    assert (b * a).rows == {0: {0: of(5), 1: of(3)},
+                            1: {0: of(-5), 1: of(-3)}}
+    for op in (ab, a * a - a * a, a.kron(b), b.kron(ab), of(5) * a,
+               (-1) * a, 0 * a, ab * b):
+        assert not stored_zeros(op), op
+    # an int that is zero in the field scales every entry to zero
+    assert (7 * a).is_zero() == (field is not RATIONAL)
+    assert not stored_zeros(7 * a)
+
+
 def test_identity_embed_and_product():
     ident = TensorOp.identity(2, 3)
     assert ident * ident == ident
