@@ -310,7 +310,7 @@ def height(rep):
     return None
 
 
-def top_vanish_equivalents(rep, n, records=None):
+def top_vanish_equivalents(rep, n):
     """The six operator identities equivalent to A(n+1) = 0 at k = n+1,
     plus the alternating expansion of A(n+1) itself.
 
@@ -322,7 +322,7 @@ def top_vanish_equivalents(rep, n, records=None):
     with s = (-1)^(n-1) q [n].
     """
     assert rep.k == n + 1
-    records = records if records is not None else []
+    records = []
     ctx = rep.ctx
     A = antisym(rep, 1, n)
     B = antisym(rep, 2, n + 1)
@@ -351,11 +351,11 @@ def top_vanish_equivalents(rep, n, records=None):
     return records
 
 
-def inner_automorphism_check(rep, i, r, records=None):
+def inner_automorphism_check(rep, i, r):
     """Conjugation by g_i g_{i+1} ... g_{r+i} maps the window subalgebra
     on sites i..r+i onto the one on sites i+1..r+i+1; checked on
     generators and on the window antisymmetrizers."""
-    records = records if records is not None else []
+    records = []
     assert r + i + 1 <= rep.k
     W = rep.apply(HeckeWord.word(tuple(range(i, r + i + 1))))
     Winv = rep.apply(HeckeWord.word(tuple(-l for l in range(r + i, i - 1, -1))))

@@ -132,10 +132,10 @@ def build_eps_dyn(params, p, variance):
 # -- eigenvector property and uniqueness ---------------------------------
 
 
-def eigencheck(rep, ket, bra, records=None):
+def eigencheck(rep, ket, bra):
     """g_i * ket = -qbar * ket and bra * g_i = -qbar * bra for all i,
     plus exact one-dimensionality of the joint (-qbar)-eigenspace."""
-    records = records if records is not None else []
+    records = []
     n = rep.n
     assert rep.k == n
     ctx = rep.ctx
@@ -292,14 +292,14 @@ def build_nk(params=None, p=None, n=None, ctx=None):
 # -- window-shift relations ----------------------------------------------
 
 
-def window_shift_relations_const(n, ctx, records=None):
+def window_shift_relations_const(n, ctx):
     """Transport of the constant tensors from window 1..n to 2..n+1:
 
         rho(g_1...g_n) eps^[1..n]  = q eps^[2..n+1] N,
         rho(g_n...g_1) eps^[2..n+1] = q eps^[1..n] K,
 
     with the constant N = K = identity."""
-    records = records if records is not None else []
+    records = []
     rep = HeckeRep.constant(n, ctx, n + 1)
     ket = build_eps_const(n, ctx, CONTRA).as_ket()
     one_site = TensorOp.identity(n, 1, ctx.field.one)
@@ -341,7 +341,7 @@ def dressed_bra_tensor(params, p):
     return TensorOp(n, 1, n + 1, rows)
 
 
-def window_shift_relations_dyn(params, p, records=None):
+def window_shift_relations_dyn(params, p):
     """The dynamical transport relations on k = n + 1 sites:
 
         E_[1..n](p) rho(g_n...g_1) = q K(p) (X1 E_[2..n+1](p) X1^(-1)),
@@ -350,7 +350,7 @@ def window_shift_relations_dyn(params, p, records=None):
     where the conjugated bra is the explicit row tensor of
     :func:`dressed_bra_tensor` and N, K act between site n+1 and site 1.
     """
-    records = records if records is not None else []
+    records = []
     n = params.n
     ctx = params.ctx
     rep = HeckeRep.dynamic(params, p, n + 1)
@@ -398,8 +398,7 @@ def perm_sum(table, subset):
     return total
 
 
-def bruteforce_norm_identities(table, ctx, d=None, subsets=None,
-                               records=None):
+def bruteforce_norm_identities(table, ctx, d=None, subsets=None):
     """The permutation-sum identities for a xi-table with
     xi_ij = d - b_ij, b_ij + b_ji = lam, b-triple products antisymmetric.
 
@@ -410,7 +409,7 @@ def bruteforce_norm_identities(table, ctx, d=None, subsets=None,
 
     With d omitted it defaults to q (the tensor-normalization case).
     """
-    records = records if records is not None else []
+    records = []
     d = ctx.q if d is None else ctx.field.of(d)
     if subsets is None:
         idx = sorted({i for (i, _) in table})
@@ -475,10 +474,10 @@ def xi_only_hypotheses_hold(table, ctx):
     return True
 
 
-def normalization_check(params, p, records=None):
+def normalization_check(params, p):
     """E_[..](p) E^[..](p) = [n]! and the componentwise product formula
     E_[t](p) E^[t](p) = prod_{a<b} xi_{t_a t_b}."""
-    records = records if records is not None else []
+    records = []
     n = params.n
     ket = build_eps_dyn(params, p, CONTRA)
     bra = build_eps_dyn(params, p, CO)

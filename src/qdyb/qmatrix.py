@@ -22,8 +22,12 @@ and its formal inverse.  Expressions are ordered factor words:
 A move rewrites a factor word soundly: the two defining relations and
 the det definition are axiomatic; every other rewrite is either verified
 numerically at the working sample points (tensor refactorings) or backed
-by a cached replay of a named sub-derivation (det commutation rules,
-window collapses, inverse cancellations).
+by a certificate.  Every certificate is a derivation registered by name
+in CERTIFICATES (det commutation rules, window collapses, inverse
+cancellations, the weight push, the reflection exchange), replayed once
+per engine and argument set.  A `lemma` move splices exactly what its
+certificate proves: it matches the registered derivation's start word
+and puts its end word in its place (or the other way round, reversed).
 
 A canonical word has all p-dependence left of every slot and all det
 symbols at the right end; canonical words are compared entrywise at the
@@ -485,14 +489,13 @@ class ReplayEngine:
         key = (json.dumps(fp.to_json(), sort_keys=True), p.chain)
         val = self._p_values.get(key)
         if val is None:
-            base_builder = lambda pp: self._build_p(fp.name, fp.args, pp)
-            val = self._p_values[key] = self._eval_dressed(
-                base_builder, fp.dress, p)
+            val = self._p_values[key] = self._eval_dressed(fp, p)
         return val
 
-    def _eval_dressed(self, builder, dress, p):
+    def _eval_dressed(self, fp, p):
+        dress = fp.dress
         if not dress:
-            return builder(p)
+            return self._build_p(fp.name, fp.args, p)
         n = self.n
         out_data = {}
         out_kets = out_bras = None
@@ -501,16 +504,20 @@ class ReplayEngine:
             for (s, sg), m in zip(dress, assign):
                 for _ in range(abs(sg)):
                     pp = pp.shift(m, 1 if sg > 0 else -1)
-            block = builder(pp)
+            block = self._build_p(fp.name, fp.args, pp)
             kets = list(block.kets)
             bras = list(block.bras)
             restrict = []  # (position-in-kets, position-in-bras, value)
             extend = []
             for (s, _), m in zip(dress, assign):
-                if s in block.kets:
-                    assert s in block.bras, "dressed factor must be diagonal"
+                if s in block.kets and s in block.bras:
                     restrict.append((block.kets.index(s),
                                      block.bras.index(s), m))
+                elif s in block.kets or s in block.bras:
+                    raise ValueError(
+                        "dressed factor %s must be diagonal in space %r, "
+                        "but has only a %s there"
+                        % (fp.name, s, "ket" if s in block.kets else "bra"))
                 else:
                     extend.append((s, m))
                     kets.append(s)
@@ -941,14 +948,23 @@ class ReplayEngine:
         at = move["at"]
         name = move["name"]
         args = move.get("args", {})
-        lhs, rhs, cert = lemma_instance(self, name, args)
+        builder = CERTIFICATES.get(name)
+        if builder is None:
+            raise MoveError("unknown lemma %r" % (name,))
+        try:
+            d = builder(self.n, args)
+        except KeyError as e:
+            # a malformed script, not a failed move
+            raise ValueError("lemma %s is missing argument %s"
+                             % (name, e)) from None
+        lhs, rhs = self.expr(d["start"]), self.expr(d["end"])
         if move.get("reverse"):
             lhs, rhs = rhs, lhs
         take = len(lhs.factors)
         got = expr.factors[at:at + take]
         if [f.to_json() for f in got] != [f.to_json() for f in lhs.factors]:
             raise MoveError("lemma %s pattern mismatch at %d" % (name, at))
-        self.require_certificate(("lemma", name), args)
+        self.require_certificate(name, args)
         return expr.replaced(at, take, list(rhs.factors))
 
     def _mv_normalize(self, expr, move):
@@ -1018,15 +1034,8 @@ class ReplayEngine:
             raise MoveError("certificate %r failed" % (name,))
 
     def _establish(self, name, args):
-        if isinstance(name, tuple) and name[0] == "lemma":
-            _, _, cert = lemma_instance(self, name[1], args or {})
-            return cert(self)
-        builder = CERT_BUILDERS.get(name)
-        if builder is None:
-            raise MoveError("unknown certificate %r" % (name,))
-        d = builder(self, args)
-        recs = self.run(d)
-        return all(ok for _, ok, _ in recs)
+        return all(ok for _, ok, _ in
+                   self.run(CERTIFICATES[name](self.n, args)))
 
     # -- replay -------------------------------------------------------
 
@@ -1074,8 +1083,11 @@ def word_from_json(doc, ctx):
 
 def invert_word_json(doc):
     """Inverse of a single-word element given as JSON."""
-    assert len(doc) == 1 and Fraction(str(doc[0][0])) == 1, \
-        "only plain words invert syntactically"
+    if not (isinstance(doc, list) and len(doc) == 1
+            and isinstance(doc[0], list) and Fraction(str(doc[0][0])) == 1):
+        # a malformed script, not a failed move
+        raise ValueError("only plain words invert syntactically, got %r"
+                         % (doc,))
     return [["1", [-l for l in reversed(doc[0][1])]]]
 
 
@@ -1191,85 +1203,6 @@ def m_guts(n, s, u, rest):
                _delta(u, s)])
 
 
-# -- lemma registry ----------------------------------------------------------
-
-
-def lemma_instance(engine, name, args):
-    """(lhs SlotExpr, rhs SlotExpr, certifier) for a named rewrite rule."""
-    n = engine.n
-    a = dict(args)
-    if name == "inv_cancel_left":
-        t, u, rest = a["t"], a["u"], tuple(a["rest"])
-        lhs = engine.expr(ainv_guts(n, t, u, rest) + [_slot(u)])
-        rhs = engine.expr([_det(1), _delta(t, u)])
-
-        def cert(eng):
-            d = derivation_inv_cancel_left(n, t, u, rest)
-            return all(ok for _, ok, _ in eng.run(d))
-        return lhs, rhs, cert
-    if name == "inv_cancel_right":
-        t, u, rest = a["t"], a["u"], tuple(a["rest"])
-        lhs = engine.expr([_slot(t), _sym("cinv", n), _det(-1),
-                           _eps_bra_dyn(rest + (u,))]
-                          + [_slot(s) for s in rest]
-                          + [_eps_ket((t,) + rest)])
-        rhs = engine.expr([_delta(t, u)])
-
-        def cert(eng):
-            d = derivation_inv_cancel_right(n, t, u, rest)
-            return all(ok for _, ok, _ in eng.run(d))
-        return lhs, rhs, cert
-    if name == "inv_cancel_right_detfree":
-        t, u, rest = a["t"], a["u"], tuple(a["rest"])
-        lhs = engine.expr([_slot(t)] + ainv_guts(n, t, u, rest))
-        rhs = engine.expr([_det(1), _kdiag(t, -1), _delta(t, u)])
-
-        def cert(eng):
-            d = derivation_inv_cancel_right_detfree(n, t, u, rest)
-            return all(ok for _, ok, _ in eng.run(d))
-        return lhs, rhs, cert
-    if name == "cancel_braided":
-        t, u, w, rest = a["t"], a["u"], a["w"], tuple(a["rest"])
-        lhs = engine.expr(ainv_guts(n, t, u, rest)
-                          + [_rho_dyn(_gen_word(1, -1), (u, w)),
-                             _slot(u), _slot(w)])
-        rhs = engine.expr([_det(1), _slot(w), _delta(t, u),
-                           _rho(_gen_word(1, -1), (u, w))])
-
-        def cert(eng):
-            d = derivation_cancel_braided(n, t, u, w, rest)
-            return all(ok for _, ok, _ in eng.run(d))
-        return lhs, rhs, cert
-    if name == "dpush":
-        x, w, u2, rest2 = a["x"], a["w"], a["u2"], tuple(a["rest2"])
-        lhs = engine.expr([_ddiag(w, dress=((x, -1),)), _slot(x), _slot(w)])
-        rhs = engine.expr([_slot(x), _slot(w)] + m_guts(n, w, u2, rest2))
-
-        def cert(eng):
-            d = derivation_dpush(n, x, w, u2, rest2)
-            return all(ok for _, ok, _ in eng.run(d))
-        return lhs, rhs, cert
-    if name == "m4b":
-        x, w = a["x"], a["w"]
-        u_l, rest_l = a["u_l"], tuple(a["rest_l"])
-        u_r, rest_r = a["u_r"], tuple(a["rest_r"])
-        tgt = a.get("transport")
-        s = w if tgt is None else tgt
-        trans = [] if tgt is None else [_delta(w, tgt)]
-        rinv = {"kind": "const", "name": "rhat",
-                "args": {"spaces": [x, s], "power": -1}}
-        lhs = engine.expr([_det(1)] + m_guts(n, x, u_l, rest_l)
-                          + [_slot(w)] + trans)
-        rhs = engine.expr([_det(1), _sym("rootpow", 2), _slot(w)] + trans
-                          + [rinv] + m_guts(n, s, u_r, rest_r) + [rinv])
-
-        def cert(eng):
-            d = derivation_d6_exchange(n, x, w, transport=tgt)
-            return all(ok for _, ok, _ in eng.run(d))
-        return lhs, rhs, cert
-    raise MoveError("unknown lemma %r" % name)
-
-
 # -- builtin derivations ----------------------------------------------------
 
 
@@ -1360,11 +1293,9 @@ def derivation_d3(n):
             "auto_end": True}
 
 
-def derivation_inv_cancel_left(n, t=None, u=None, rest=None):
+def derivation_inv_cancel_left(n, t, u, rest):
     """det * a^(-1) * a = det * transport (left inverse)."""
-    t = 1 if t is None else t
-    u = n + 1 if u is None else u
-    rest = tuple(range(2, n + 1)) if rest is None else tuple(rest)
+    rest = tuple(rest)
     start = ainv_guts(n, t, u, rest) + [_slot(u)]
     moves = [
         _mv("swap", at=2 + len(rest)),  # eps_ket past slot(u)
@@ -1417,10 +1348,6 @@ def derivation_inv_cancel_right(n, t=None, u=None, rest=None):
             "moves": moves, "end": end, "end_moves": []}
 
 
-def derivation_d4b(n):
-    return derivation_inv_cancel_right(n)
-
-
 def derivation_inv_cancel_right_detfree(n, t, u, rest):
     """a * (det a^(-1)) = det K^(-1) transport."""
     rest = tuple(rest)
@@ -1459,19 +1386,18 @@ def derivation_dpush(n, x, w, u2, rest2):
     """a_x D a_w = a_x a_w M_w: the weight matrix slides right into a
     fresh inverse pair."""
     rest2 = tuple(rest2)
-    start = [_slot(x), _slot(w)] + m_guts(n, w, u2, rest2)
+    start = [_ddiag(w, dress=((x, -1),)), _slot(x), _slot(w)]
+    end = [_slot(x), _slot(w)] + m_guts(n, w, u2, rest2)
     # cancel the inserted head pair, absorb the transports, then shift
     # the weight matrix across the first slot
-    moves = [
+    end_moves = [
         _mv("lemma", at=1, name="inv_cancel_right",
             args={"t": w, "u": u2, "rest": list(rest2)}),
         _mv("refactor", at=1, take=2, payload=[_dmat(w, u2)]),
         _mv("normalize"),
     ]
-    end = [_ddiag(w, dress=((x, -1),)), _slot(x), _slot(w)]
-    end_moves = [_mv("normalize")]
-    return {"name": "weight-push", "n": n, "start": start, "moves": moves,
-            "end": end, "end_moves": end_moves}
+    return {"name": "weight-push", "n": n, "start": start,
+            "moves": [_mv("normalize")], "end": end, "end_moves": end_moves}
 
 
 def derivation_d5_scalar(n):
@@ -1525,20 +1451,24 @@ def derivation_d6_commute(n):
             "end": end, "end_moves": [_mv("normalize")]}
 
 
-def derivation_d6_exchange(n, x=None, w=None, transport=None):
+def derivation_d6_exchange(n, x=1, w=2, transport=None, u=None, rest=None,
+                           u3=None, rest3=None):
     """det M_x a_w = q^(2/n) det a_w R^(-1) M_w R^(-1); the reflection
     exchange relation, det-multiplied.  With `transport`, the outer slot
     lives on w but its column socket is routed to the transport space,
-    and the constant braid factors act on (x, transport)."""
-    x = 1 if x is None else x
-    w = 2 if w is None else w
+    and the constant braid factors act on (x, transport).  `u`/`rest`
+    and `u3`/`rest3` are the aux spaces of M_x (start) and M_w (end);
+    by default they begin just above n + 2, x, w and transport, and 2n
+    labels later."""
     base = max(n + 3, x + 1, w + 1, (transport or 0) + 1)
-    u = base
-    rest = tuple(range(base + 1, base + n))
-    u2 = base + n
-    rest2 = tuple(range(base + n + 1, base + 2 * n))
-    u3 = base + 2 * n
-    rest3 = tuple(range(base + 2 * n + 1, base + 3 * n))
+    if u is None:
+        u, rest = base, range(base + 1, base + n)
+    if u3 is None:
+        u3, rest3 = base + 2 * n, range(base + 2 * n + 1, base + 3 * n)
+    rest, rest3 = tuple(rest), tuple(rest3)
+    # the weight push's inner pair lies above every label in use
+    u2 = 1 + max((x, w, transport or 0, u, u3) + rest + rest3)
+    rest2 = tuple(range(u2 + 1, u2 + n))
     tgt = w if transport is None else transport
     trans = [] if transport is None else [_delta(w, transport)]
     start = [_det(1)] + m_guts(n, x, u, rest) + [_slot(w)] + trans
@@ -1585,7 +1515,7 @@ def builtin_derivations(n):
         "D2": derivation_d2(n),
         "D3": derivation_d3(n),
         "D4": derivation_d4a(n),
-        "D4r": derivation_d4b(n),
+        "D4r": derivation_inv_cancel_right(n),
         "D5": derivation_d5_scalar(n),
         "D5a": derivation_d5_slot(n),
         "D6c": derivation_d6_commute(n),
@@ -1595,11 +1525,26 @@ def builtin_derivations(n):
     return out
 
 
-CERT_BUILDERS = {
-    "det-func-commute": lambda eng, args: derivation_d2(eng.n),
-    "det-slot-exchange": lambda eng, args: derivation_d3(eng.n),
-    "collapse-bra": lambda eng, args: derivation_d1_bra(eng.n, tuple(args)),
-    "collapse-ket": lambda eng, args: derivation_d1_ket(eng.n, tuple(args)),
+# every certificate, by name: builder(n, args) -> derivation; a lemma
+# move with that name rewrites the derivation's start word into its end
+CERTIFICATES = {
+    "det-func-commute": lambda n, args: derivation_d2(n),
+    "det-slot-exchange": lambda n, args: derivation_d3(n),
+    "collapse-bra": derivation_d1_bra,
+    "collapse-ket": derivation_d1_ket,
+    "inv_cancel_left": lambda n, a: derivation_inv_cancel_left(
+        n, a["t"], a["u"], a["rest"]),
+    "inv_cancel_right": lambda n, a: derivation_inv_cancel_right(
+        n, a["t"], a["u"], a["rest"]),
+    "inv_cancel_right_detfree": lambda n, a:
+        derivation_inv_cancel_right_detfree(n, a["t"], a["u"], a["rest"]),
+    "cancel_braided": lambda n, a: derivation_cancel_braided(
+        n, a["t"], a["u"], a["w"], a["rest"]),
+    "dpush": lambda n, a: derivation_dpush(
+        n, a["x"], a["w"], a["u2"], a["rest2"]),
+    "m4b": lambda n, a: derivation_d6_exchange(
+        n, a["x"], a["w"], a.get("transport"),
+        a["u_l"], a["rest_l"], a["u_r"], a["rest_r"]),
 }
 
 
@@ -1742,10 +1687,13 @@ def derivation_d6_reflection(n):
     b = 4 * n + 4
     u2, r2 = b, tuple(range(b + 1, b + n))
     u3, r3 = b + n, tuple(range(b + n + 1, b + 2 * n))
-    u4, r4 = b + 2 * n, tuple(range(b + 2 * n + 1, b + 3 * n))
     u5, r5 = b + 3 * n, tuple(range(b + 3 * n + 1, b + 4 * n))
     u6, r6 = b + 4 * n, tuple(range(b + 4 * n + 1, b + 5 * n))
-    u7, r7 = b + 5 * n, tuple(range(b + 5 * n + 1, b + 6 * n))
+    # the end side's exchange uses the builtin D6's aux labels: its
+    # certificate is then that derivation, whose sub-certificates an
+    # engine that ran D6 already holds
+    u7, r7 = n + 3, tuple(range(n + 4, 2 * n + 3))
+    u4, r4 = 3 * n + 3, tuple(range(3 * n + 4, 4 * n + 3))
 
     start = [_slot(2), _det(1)] + m_guts(n, 2, u2, r2) + [rinv] + \
         m_guts(n, 2, u3, r3) + [rinv]

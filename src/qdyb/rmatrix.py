@@ -227,14 +227,14 @@ def weight_conservation_check(params, p, records):
     return ok
 
 
-def verify_qdybe(params, p, records=None):
+def verify_qdybe(params, p):
     """All braid-relation layouts for the dynamical matrix at p.
 
     Returns the record list; every residual is compared to zero exactly.
     R(p) and each shifted matrix are built once and shared by every
     layout (operators are immutable).
     """
-    records = records if records is not None else []
+    records = []
     n = params.n
     rmx = DynRMatrix(params)
     R = rmx.at(p)
@@ -304,7 +304,7 @@ def twist_a_diag(psi, p, n):
     return DiagOp.from_function(n, 3, val)
 
 
-def twist_checks(params, psi, p, records=None):
+def twist_checks(params, psi, p):
     """Matrix-level verification of the diagonal twist at p:
 
     * F R(p) F^(-1) (with F = F12 * P12) equals the flipped matrix of the
@@ -314,7 +314,7 @@ def twist_checks(params, psi, p, records=None):
       residual layout,
     * braid relation and Hecke condition survive, beta values survive.
     """
-    records = records if records is not None else []
+    records = []
     n = params.n
     one = params.ctx.field.one
     P12 = TensorOp.site_permutation(n, 2, (2, 1), one)
@@ -355,9 +355,7 @@ def twist_checks(params, psi, p, records=None):
         records.append(("twist.shift-hypothesis", None,
                         "skipped: p-dependent twist"))
 
-    verify_sub = []
-    verify_qdybe(twisted, p, verify_sub)
-    bad = [r for r in verify_sub if not r[1]]
+    bad = [r for r in verify_qdybe(twisted, p) if not r[1]]
     records.append(("twist.preserves-braid-and-hecke", not bad,
                     bad[0][2] if bad else None))
 
@@ -468,7 +466,7 @@ def beta_removal_offsets(params):
 # -- the diagonal-conjugation inversion identity ------------------------
 
 
-def diag_inversion(params, p, records=None):
+def diag_inversion(params, p):
     """Build D (D_i = q^(-2 p_in) pi_in, normalized D_n = 1) and sigma
     (q^2 on the diagonal pairs, 1 off), and verify exactly
 
@@ -477,7 +475,7 @@ def diag_inversion(params, p, records=None):
     together with its two scalar components.  Needs pi, so the regime
     must be generic (or beta -> oo, where pi = 1).
     """
-    records = records if records is not None else []
+    records = []
     n = params.n
     ctx = params.ctx
     if params.regime not in (GENERIC, BETA_INFINITY):
@@ -516,9 +514,9 @@ def diag_inversion(params, p, records=None):
     return D1, sigma, records
 
 
-def pi_ratio_check(params, p, records=None):
+def pi_ratio_check(params, p):
     """-(b_ji / b_ij) q^(2 p_ij) = pi_ij at the sampled point."""
-    records = records if records is not None else []
+    records = []
     n = params.n
     ok = True
     for i in range(1, n + 1):

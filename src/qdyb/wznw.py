@@ -88,14 +88,14 @@ def dvec(w):
     return out
 
 
-def det_normalization_check(n, ctx, records=None):
+def det_normalization_check(n, ctx):
     """For the braid matrix scaled by root^(-1): the eigenvalue multiset
     is {q/root with multiplicity C(n+1,2), -1/(q root) with C(n,2)} and
     the product of all n^2 eigenvalues is (-1)^(n choose 2).
 
     Multiplicities come from exact ranks of the two spectral projectors.
     """
-    records = records if records is not None else []
+    records = []
     if ctx.root is None:
         raise DegenerateParameterError("normalization check needs ctx.root")
     R = build_dj(n, ctx)
@@ -124,7 +124,7 @@ def det_normalization_check(n, ctx, records=None):
     return records
 
 
-def reconcile_diag_gauge(params, point, records=None):
+def reconcile_diag_gauge(params, point):
     """Compare q^(d_i - d_j) from the dimension formula with the
     q^(-2 p_ij) pi_ij gauge of the inversion identity.
 
@@ -132,7 +132,7 @@ def reconcile_diag_gauge(params, point, records=None):
     beta -> oo regime.  In the generic regime the mismatch factors are
     reported, not absorbed.
     """
-    records = records if records is not None else []
+    records = []
     if params.regime not in (GENERIC, BETA_INFINITY):
         raise DegenerateParameterError(
             "regime mismatch: pi undefined outside the generic family")

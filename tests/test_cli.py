@@ -1,8 +1,12 @@
 """The command-line front end and the report plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import qdyb
 from qdyb.cli import main
 from qdyb.scalars import QContext, qnum
 from qdyb.tensor import TensorOp
@@ -189,3 +193,69 @@ def test_derive_unknown_builtin_exits_2(capsys):
     assert code == 2 and not out
     assert "unknown derivation 'NOPE' in --builtin" in err
     assert "known: D1, D1k, D2" in err
+
+
+def _slot(s):
+    return {"kind": "slot", "space": s}
+
+
+def _const(name, **args):
+    return {"kind": "const", "name": name, "args": args}
+
+
+# scripts that are malformed input: each must exit 2 with a message that
+# names what is wrong, also when python -O strips the asserts
+BAD_SCRIPTS = {
+    # braid_insert of 2*g1 inverted as if it were g1 proves a1 a2 = 2 a1 a2
+    "false-identity": ({
+        "start": [_slot(1), _slot(2)],
+        "moves": [
+            {"move": "braid_insert", "at": 0, "spaces": [1, 2],
+             "word": [["2", [1]]]},
+            {"move": "intertwine", "at": 0, "dir": "lr"},
+            {"move": "refactor", "at": 2, "take": 2, "payload": [
+                _const("scalar", value="2"),
+                _const("delta", ket=1, bra=1),
+                _const("delta", ket=2, bra=2)]}],
+        "end": [_const("scalar", value="2"), _slot(1), _slot(2)]},
+        "only plain words invert syntactically"),
+    "dressed-ket": ({
+        "start": [{"kind": "p", "name": "eps_ket_dyn",
+                   "args": {"window": [1, 2]}, "dress": [[1, -1]]}],
+        "end": [_slot(1)]},
+        "dressed factor eps_ket_dyn must be diagonal in space 1"),
+    "dressed-bra": ({
+        "start": [{"kind": "p", "name": "eps_bra_dyn",
+                   "args": {"window": [1, 2]}, "dress": [[2, 1]]}],
+        "end": [_slot(1)]},
+        "dressed factor eps_bra_dyn must be diagonal in space 2"),
+    "lemma-missing-arg": ({
+        "start": [_slot(1)],
+        "moves": [{"move": "lemma", "at": 0, "name": "inv_cancel_left",
+                   "args": {"t": 1}}],
+        "end": [_slot(1)]},
+        "lemma inv_cancel_left is missing argument 'u'"),
+}
+
+
+def _derive_subprocess(optimize, *argv):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(qdyb.__file__)))
+    cmd = [sys.executable] + (["-O"] if optimize else []) + \
+        ["-m", "qdyb.cli", "derive", "--n", "2", "--points", "2"] + list(argv)
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_derive_same_under_python_optimize(tmp_path):
+    """Asserts vanish under python -O; no check of a derivation may."""
+    code, out, err = _derive_subprocess(False)
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert _derive_subprocess(True) == (code, out, err)
+    for name, (script, message) in BAD_SCRIPTS.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(dict(script, name=name)))
+        plain = _derive_subprocess(False, "--script", str(path))
+        assert plain[0] == 2 and not plain[1], (name, plain)
+        assert message in plain[2], (name, plain)
+        assert _derive_subprocess(True, "--script", str(path)) == plain, name

@@ -9,10 +9,10 @@ import pytest
 from qdyb.scalars import RATIONAL, PrimeField, QContext
 from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
-    MoveError, ReplayEngine, ShiftFunc, SpacedTensor, builtin_derivations,
-    derivation_from_json, derivation_to_json, membership_oracle,
-    oracle_confirm, _eps_bra, _eps_bra_dyn, _eps_ket, _gen_word, _rho,
-    _rho_dyn, _slot, _sym,
+    CERTIFICATES, MoveError, ReplayEngine, ShiftFunc, SpacedTensor,
+    builtin_derivations, derivation_from_json, derivation_to_json,
+    membership_oracle, oracle_confirm, _eps_bra, _eps_bra_dyn, _eps_ket,
+    _gen_word, _mv, _rho, _rho_dyn, _slot, _sym,
 )
 
 ALL = ["D1", "D1k", "D2", "D3", "D4", "D4r", "D5", "D5a", "D6c", "D6", "D6r"]
@@ -295,3 +295,73 @@ def test_det_commutes_with_assorted_functions():
     for h in families:
         recs = eng.run(derivation_d2(2, hfunc=h))
         assert all(ok for _, ok, _ in recs), recs
+
+
+# one argument set per lemma at n = 2; the second m4b routes the outer
+# column socket through a transport space, as the reflection equation does
+LEMMAS = [
+    ("inv_cancel_left", {"t": 1, "u": 3, "rest": [2]}),
+    ("inv_cancel_right", {"t": 1, "u": 3, "rest": [2]}),
+    ("inv_cancel_right_detfree", {"t": 2, "u": 4, "rest": [3]}),
+    ("cancel_braided", {"t": 1, "u": 3, "w": 4, "rest": [2]}),
+    ("dpush", {"x": 1, "w": 2, "u2": 3, "rest2": [4]}),
+    ("m4b", {"x": 1, "w": 2, "u_l": 7, "rest_l": [8],
+             "u_r": 5, "rest_r": [6]}),
+    ("m4b", {"x": 1, "w": 3, "transport": 2, "u_l": 5, "rest_l": [6],
+             "u_r": 7, "rest_r": [8]}),
+]
+
+
+def lemma_script(name, args, reverse=False, end=None):
+    """A script that rewrites the registered derivation's start word
+    into its end word (or back) with one lemma move."""
+    d = CERTIFICATES[name](2, args)
+    start, stop = (d["end"], d["start"]) if reverse else (d["start"], d["end"])
+    script = {"name": name, "start": start,
+              "moves": [_mv("lemma", at=0, name=name, args=args,
+                            reverse=reverse), _mv("normalize")],
+              "end": stop if end is None else end,
+              "end_moves": [_mv("normalize")]}
+    return derivation_from_json(derivation_to_json(script))
+
+
+def test_each_lemma_replays_as_a_script():
+    eng = engine(2, random.Random(51), npoints=2)
+    for name, args in LEMMAS:
+        for reverse in (False, True):
+            recs = eng.run(lemma_script(name, args, reverse))
+            assert recs == [(name, True, None)], (name, reverse, recs)
+    # the exchange certifies the aux labels it splices
+    start = CERTIFICATES["m4b"](2, LEMMAS[5][1])["start"]
+    assert _slot(7) in start and _slot(8) in start
+
+
+def test_lemma_splices_only_what_its_certificate_proves(monkeypatch):
+    """A registered derivation whose end word gains a factor q: the lemma
+    would splice that word, and its certificate must refuse it."""
+    name, args = LEMMAS[0]
+    honest = CERTIFICATES[name]
+
+    def tampered(n, a):
+        d = honest(n, a)
+        return dict(d, end=d["end"] + [_sym("q", 1)])
+
+    monkeypatch.setitem(CERTIFICATES, name, tampered)
+    script = lemma_script(name, args)
+    assert script["end"][-1] == _sym("q", 1)
+    recs = engine(2, random.Random(52), npoints=2).run(script)
+    assert recs == [("%s.move[0]" % name, False,
+                     "certificate %r failed" % name)]
+
+
+def test_bad_lemma_moves():
+    eng = engine(2, random.Random(53), npoints=2)
+    d = {"name": "bad-lemma", "start": [_slot(1)], "end": [_slot(1)],
+         "moves": [_mv("lemma", at=0, name="inv_cancel_left",
+                       args={"t": 1})]}
+    with pytest.raises(ValueError, match="inv_cancel_left .*'u'") as err:
+        eng.run(d)
+    assert not isinstance(err.value, MoveError)
+    d["moves"] = [_mv("lemma", at=0, name="nope", args={})]
+    assert eng.run(d) == [("bad-lemma.move[0]", False,
+                           "unknown lemma 'nope'")]
