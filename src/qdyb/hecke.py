@@ -20,21 +20,24 @@ Three representation flavors on V^(x)k:
 * localized-last: g_i -> (X_{i+2}...X_k)^(-1) R_{i,i+1}(p) (X_{i+2}...X_k),
   equivalent to the dynamic flavor by conjugation with X_1...X_k.
 
-The q-antisymmetrizer of a window of sites i..j is built by the
-two-sided recursion
+One window recursion serves the q-antisymmetrizer and the symmetrizer.
+In H_k(t) the window of sites i..j is built by
 
-    A(i,i) = 1,
-    A(i,j) = (1/[m]) A(i,j-1) (q^(m-1) - [m-1] g_{j-1}) A(i,j-1),
+    W(i,i) = 1,
+    W(i,j) = (1/[m]_t) W(i,j-1) (t^(m-1) - [m-1]_t g_{j-1}) W(i,j-1),
     m = j - i + 1,
 
 equivalently from the left end through g_i; both routes are computed
-and compared.  The height of a representation is the n at which the
-(n+1)-node antisymmetrizer vanishes while the n-node one keeps exactly
-one dimension per window (matrix rank n^(k-n) on V^(x)k).
+and compared.  The Hecke relation is unchanged by q -> -qbar, so one
+set of generator images serves both deformation parameters: t = q gives
+the antisymmetrizer A(i,j), t = -qbar the symmetrizer S(i,j), with
+[m]_{-qbar} = (-1)^(m+1) [m].  The height of a representation is the n
+at which the (n+1)-node antisymmetrizer vanishes while the n-node one
+keeps exactly one dimension per window (matrix rank n^(k-n) on V^(x)k).
 
-Each representation keeps one memo of its windows, so every A(i,j) is
-built, and its two routes compared, once per representation, by
-whichever check asks for it first.
+Each representation keeps one memo of its windows, keyed by
+(sign, i, j), so every window is built, and its two routes compared,
+once per representation, by whichever check asks for it first.
 """
 
 import itertools
@@ -120,7 +123,7 @@ class HeckeRep:
         self.base = base
         self._images = images          # images of g_1 .. g_{k-1}
         self._inverses = [None] * len(images)
-        self._antisym = {}             # (i, j) -> A(i, j), built once
+        self._windows = {}             # (sign, i, j) -> A or S, built once
 
     @classmethod
     def constant(cls, n, ctx, k, rmat=None):
@@ -199,38 +202,47 @@ def antisym(rep, i, j):
     `rep`.  A mismatch is never stored, so it raises on every call.
     """
     assert 1 <= i <= j <= rep.k
-    return _antisym_right(rep, i, j)
+    return _window(rep, +1, i, j)
 
 
-def _antisym_right(rep, i, j):
-    memo = rep._antisym
-    key = (i, j)
+def symmetrizer(rep, j):
+    """The j-node symmetrizer S(1, j): the window recursion with q
+    replaced by -qbar (a convention; the two towers are distinguished
+    by which one terminates)."""
+    assert 1 <= j <= rep.k
+    return _window(rep, -1, 1, j)
+
+
+def _window(rep, sign, i, j):
+    """The window recursion with t = q (sign +1) or t = -qbar (sign -1)."""
+    memo = rep._windows
+    key = (sign, i, j)
     if key in memo:
         return memo[key]
     ctx = rep.ctx
+    ident = TensorOp.identity(rep.n, rep.k, ctx.field.one)
     if i == j:
-        out = TensorOp.identity(rep.n, rep.k, ctx.field.one)
+        out = ident
     else:
         m = j - i + 1
-        den = qnum(m, ctx)
+        t = ctx.q if sign > 0 else -ctx.qbar
+        den = sign ** (m + 1) * qnum(m, ctx)    # [m]_t
         if not den:
             raise DegenerateParameterError("[%d] = 0" % m)
-        prev = _antisym_right(rep, i, j - 1)
-        mid = ctx.q ** (m - 1) * TensorOp.identity(rep.n, rep.k,
-                                                   ctx.field.one) \
-            - qnum(m - 1, ctx) * rep.image(j - 1)
-        out = (1 / den) * (prev * mid * prev)
+        coef = t ** (m - 1)
+        low = sign ** m * qnum(m - 1, ctx)      # [m-1]_t
+        prev = _window(rep, sign, i, j - 1)
+        out = (1 / den) * (prev * (coef * ident - low * rep.image(j - 1))
+                           * prev)
         # left-end recursion must agree
-        prev_l = _antisym_right(rep, i + 1, j) if m > 2 else \
-            TensorOp.identity(rep.n, rep.k, ctx.field.one)
-        mid_l = ctx.q ** (m - 1) * TensorOp.identity(rep.n, rep.k,
-                                                     ctx.field.one) \
-            - qnum(m - 1, ctx) * rep.image(i)
-        alt = (1 / den) * (prev_l * mid_l * prev_l)
+        prev_l = _window(rep, sign, i + 1, j)
+        alt = (1 / den) * (prev_l * (coef * ident - low * rep.image(i))
+                           * prev_l)
         if alt != out:
             raise DegenerateParameterError(
-                "window recursion mismatch at A(%d,%d): the generator "
-                "images do not satisfy the algebra relations" % (i, j))
+                "window recursion mismatch at %s(%d,%d): the generator "
+                "images do not satisfy the algebra relations"
+                % ("A" if sign > 0 else "S", i, j))
     memo[key] = out
     return out
 
@@ -238,32 +250,6 @@ def _antisym_right(rep, i, j):
 def antisym_tower(rep, up_to):
     """[A(1,1), A(1,2), ..., A(1,up_to)] as operator images."""
     return [antisym(rep, 1, j) for j in range(1, up_to + 1)]
-
-
-def symmetrizer(rep, j):
-    """The j-node symmetrizer: the antisymmetrizer recursion with q
-    replaced by -qbar (a convention; the two towers are distinguished
-    by which one terminates)."""
-    ctx = rep.ctx
-    qs = -ctx.qbar
-
-    def qnum_s(m):
-        if qs == 1 / qs:
-            return ctx.field.of(m) * qs ** ((m - 1) % 2)
-        return (qs**m - qs**-m) / (qs - 1 / qs)
-
-    def build(m):
-        if m == 1:
-            return TensorOp.identity(rep.n, rep.k, ctx.field.one)
-        prev = build(m - 1)
-        den = qnum_s(m)
-        if not den:
-            raise DegenerateParameterError("symmetrizer [%d] = 0" % m)
-        mid = qs ** (m - 1) * TensorOp.identity(rep.n, rep.k, ctx.field.one) \
-            - qnum_s(m - 1) * rep.image(m - 1)
-        return (1 / den) * (prev * mid * prev)
-
-    return build(j)
 
 
 def antisym_props_hold(rep, j):
@@ -408,7 +394,7 @@ def global_conjugation_equivalent(rep_dynamic, rep_local):
         def rebuilt(pp, i=i):
             return HeckeRep.dynamic(params, pp, k).image(i)
 
-        if multiset_dress(img, p, rebuilt) != rep_local.image(i):
+        if multiset_dress(img, p, rebuilt, sign=+1) != rep_local.image(i):
             return False
     return True
 
@@ -443,16 +429,3 @@ def classical_antisym_rank(n, j, k):
                 + Fraction(sign(perm), math.factorial(j))
     op = TensorOp(n, j, j, rows)
     return op.exact_rank() * n ** (k - j)
-
-
-def antisym_word(m, ctx):
-    """The m-node antisymmetrizer as an abstract element of H_m(q),
-    built by the two-sided recursion (exponentially many words; only
-    used for small m)."""
-    if m == 1:
-        return HeckeWord.one()
-    prev = antisym_word(m - 1, ctx)
-    mid = HeckeWord({(): ctx.q ** (m - 1)}) \
-        - qnum(m - 1, ctx) * HeckeWord.gen(m - 1)
-    den = qnum(m, ctx)
-    return (1 / den) * (prev * mid * prev)

@@ -29,10 +29,11 @@ E_[..](p) E^[..](p) = [n]!.
 
 import itertools
 
-from .scalars import DegenerateParameterError, qfact, qfact_base, qnum
-from .tensor import Echelon, TensorOp, flat_index
-from .hecke import HeckeRep
-from .rmatrix import check
+from .scalars import (DegenerateParameterError, qfact, qfact_base, qnum,
+                      qnum_base)
+from .tensor import DiagOp, Echelon, TensorOp, flat_index
+from .hecke import HeckeRep, HeckeWord
+from .rmatrix import check, dressed_block
 
 
 CO = "co"
@@ -81,10 +82,6 @@ class EpsTensor:
         return TensorOp(self.n, 0, self.n,
                         {0: {flat_index(t, self.n): v
                              for t, v in self.entries.items()}})
-
-    def scaled(self, s):
-        return EpsTensor(self.n, self.variance, self.kind,
-                         {t: s * v for t, v in self.entries.items()})
 
     def dump(self):
         from .scalars import fmt_scalar
@@ -180,7 +177,6 @@ def projector_from_eps(params_or_none, ket, bra, window, k, p=None,
         outer = (1 / qfact(n, the_ctx)) * (ket.as_ket() * bra.as_bra())
         return outer.embed(window, k)
     params = params_or_none
-    from .rmatrix import dressed_block
 
     def builder(pp):
         kt = build_eps_dyn(params, pp, CONTRA).as_ket()
@@ -207,12 +203,10 @@ class NKMatrices:
         self.kvals = list(kvals)
 
     def n_op(self):
-        return TensorOp(self.n, 1, 1,
-                        {i: {i: v} for i, v in enumerate(self.nvals) if v})
+        return DiagOp(self.n, 1, self.nvals).as_tensorop()
 
     def k_op(self):
-        return TensorOp(self.n, 1, 1,
-                        {i: {i: v} for i, v in enumerate(self.kvals) if v})
+        return DiagOp(self.n, 1, self.kvals).as_tensorop()
 
 
 def build_nk(params=None, p=None, n=None, ctx=None):
@@ -305,8 +299,8 @@ def window_shift_relations_const(n, ctx):
     one_site = TensorOp.identity(n, 1, ctx.field.one)
     nk = build_nk(n=n, ctx=ctx)
 
-    up = rep.apply(_word_up(n))
-    down = rep.apply(_word_down(n))
+    up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
+    down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))
 
     lhs = up * ket.kron(one_site)
     rhs = ctx.q * nk.n_op().kron(ket)
@@ -318,27 +312,13 @@ def window_shift_relations_const(n, ctx):
     return records
 
 
-def _word_up(n):
-    from .hecke import HeckeWord
-    return HeckeWord.word(tuple(range(1, n + 1)))
-
-
-def _word_down(n):
-    from .hecke import HeckeWord
-    return HeckeWord.word(tuple(range(n, 0, -1)))
-
-
 def dressed_bra_tensor(params, p):
     """The site-1-conjugated covariant tensor on sites 2..n+1: the row
     tensor T with T[i; j_1..j_{n+1}] = delta(i, j_1) E_[j_2..j_{n+1}]
     evaluated at p - v(i)."""
-    n = params.n
-    rows = {}
-    for i in range(1, n + 1):
-        bra = build_eps_dyn(params, p.shift(i, -1), CO)
-        for t, v in bra.entries.items():
-            rows.setdefault(i - 1, {})[flat_index((i,) + t, n)] = v
-    return TensorOp(n, 1, n + 1, rows)
+    return dressed_block(params.n,
+                         lambda pp: build_eps_dyn(params, pp, CO).as_bra(),
+                         1, p, sign=-1, side="prefix")
 
 
 def window_shift_relations_dyn(params, p):
@@ -358,12 +338,14 @@ def window_shift_relations_dyn(params, p):
     bra = build_eps_dyn(params, p, CO).as_bra()
     one_site = TensorOp.identity(n, 1, ctx.field.one)
     dressed = dressed_bra_tensor(params, p)
+    up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
+    down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))
 
-    lhs = bra.kron(one_site) * rep.apply(_word_down(n))
+    lhs = bra.kron(one_site) * down
     rhs = ctx.q * (nk.k_op() * dressed)
     check(records, "window-shift.dyn-down", lhs, rhs)
 
-    lhs = dressed * rep.apply(_word_up(n))
+    lhs = dressed * up
     rhs = ctx.q * bra.kron(nk.n_op())
     check(records, "window-shift.dyn-up", lhs, rhs)
     return records
@@ -437,7 +419,7 @@ def bruteforce_norm_identities(table, ctx, d=None, subsets=None):
                     prodb = prodb * btab[(l, r)]
             row = row + prod
             rowb = rowb + prodb
-        if row != qnum_base_checked(k, d, ctx) and wit_row is None:
+        if row != qnum_base(k, d, ctx) and wit_row is None:
             wit_row = (subset, row)
         if k >= 2 and rowb != ctx.lam ** (k - 1) and wit_b is None:
             wit_b = (subset, rowb)
@@ -445,11 +427,6 @@ def bruteforce_norm_identities(table, ctx, d=None, subsets=None):
     records.append(("perm-sum.row-sums", wit_row is None, wit_row))
     records.append(("perm-sum.b-row-sums", wit_b is None, wit_b))
     return records
-
-
-def qnum_base_checked(k, d, ctx):
-    from .scalars import qnum_base
-    return qnum_base(k, d, ctx)
 
 
 def xi_only_hypotheses_hold(table, ctx):

@@ -19,6 +19,14 @@ and its formal inverse.  Expressions are ordered factor words:
   crossing an a-slot in space s turns T(p) into the diagonal-in-s family
   T(p - v(i_s)), the concrete residue of X_s T X_s^(-1).
 
+A braid word (the `word` of a `rho` or `rho_dyn` factor) is a list of
+[coefficient, letters] terms, applied letter by letter in the Hecke
+representation on the factor's spaces, or {"antisym": m}, which
+resolves to hecke.antisym(rep, 1, m): the window antisymmetrizer from
+that representation's memo (keyed (sign, i, j)), equal to the image of
+the word-level recursion because the representation is linear and
+multiplicative on free words.
+
 A move rewrites a factor word soundly: the two defining relations and
 the det definition are axiomatic; every other rewrite is either verified
 numerically at the working sample points (tensor refactorings) or backed
@@ -42,7 +50,9 @@ slice of the difference of two canonical words lies in their span.
 A :class:`ReplayEngine` memoizes, for as long as it lives, the value of
 each p-dependent factor at each point (keyed by the factor's JSON, so
 its name and args must determine its tensor) and each relation span per
-(k, point); canonical words are evaluated afresh each time.
+(k, point); canonical words are evaluated afresh each time.  A dressed
+factor is assembled from its undressed blocks at the shifted points,
+which come from the same memo.
 """
 
 import itertools
@@ -52,7 +62,7 @@ from operator import itemgetter
 
 from .scalars import DegenerateParameterError, qfact, qnum
 from .tensor import Echelon, TensorOp
-from .hecke import HeckeRep, HeckeWord
+from .hecke import HeckeRep, HeckeWord, antisym
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
 from .rmatrix import build_dj
 
@@ -120,10 +130,6 @@ class SpacedTensor:
     def delta(cls, ket, bra, n, one):
         return cls((ket,), (bra,), {(((i,), (i,))): one
                                     for i in range(1, n + 1)})
-
-    def scale(self, s):
-        return SpacedTensor(self.kets, self.bras,
-                            {k: s * v for k, v in self.data.items()})
 
     def is_zero(self):
         return not self.data
@@ -434,17 +440,16 @@ class ReplayEngine:
         if name == "delta":
             return SpacedTensor.delta(args["ket"], args["bra"], n, one)
         if name == "eps_ket":
-            w = tuple(args["window"])
+            w = self._eps_window(name, args)
             op = build_eps_const(n, ctx, CONTRA).as_ket()
             return SpacedTensor.from_tensorop(op, w, ())
         if name == "eps_bra":
-            w = tuple(args["window"])
+            w = self._eps_window(name, args)
             op = build_eps_const(n, ctx, CO).as_bra()
             return SpacedTensor.from_tensorop(op, (), w)
         if name == "rho":
             spaces = tuple(args["spaces"])
-            word = word_from_json(args["word"], ctx)
-            op = self._const_rep(len(spaces)).apply(word)
+            op = rho_image(self._const_rep(len(spaces)), args["word"], name)
             return SpacedTensor.from_tensorop(op, spaces, spaces)
         if name == "sigma":
             s, t = args["spaces"]
@@ -463,6 +468,15 @@ class ReplayEngine:
                 raise MoveError("rhat power must be +-1")
             return SpacedTensor.from_tensorop(op, (s, t), (s, t))
         raise MoveError("unknown constant %r" % name)
+
+    def _eps_window(self, name, args):
+        """The window of an eps factor: exactly n spaces."""
+        w = tuple(args["window"])
+        if len(w) != self.n:
+            # a malformed script, not a failed move
+            raise ValueError("%s window %r must name n = %d spaces"
+                             % (name, list(w), self.n))
+        return w
 
     def _sym_value(self, sym):
         """Named q-dependent scalar constants used by the scripts."""
@@ -497,6 +511,7 @@ class ReplayEngine:
         if not dress:
             return self._build_p(fp.name, fp.args, p)
         n = self.n
+        bare = FP(fp.name, fp.args)
         out_data = {}
         out_kets = out_bras = None
         for assign in itertools.product(range(1, n + 1), repeat=len(dress)):
@@ -504,7 +519,7 @@ class ReplayEngine:
             for (s, sg), m in zip(dress, assign):
                 for _ in range(abs(sg)):
                     pp = pp.shift(m, 1 if sg > 0 else -1)
-            block = self._build_p(fp.name, fp.args, pp)
+            block = self.eval_p(bare, pp)
             kets = list(block.kets)
             bras = list(block.bras)
             restrict = []  # (position-in-kets, position-in-bras, value)
@@ -551,17 +566,16 @@ class ReplayEngine:
             sf = ShiftFunc.from_json(args["func"])
             return SpacedTensor.scalar(sf.eval(params, p))
         if name == "eps_bra_dyn":
-            w = tuple(args["window"])
+            w = self._eps_window(name, args)
             op = build_eps_dyn(params, p, CO).as_bra()
             return SpacedTensor.from_tensorop(op, (), w)
         if name == "eps_ket_dyn":
-            w = tuple(args["window"])
+            w = self._eps_window(name, args)
             op = build_eps_dyn(params, p, CONTRA).as_ket()
             return SpacedTensor.from_tensorop(op, w, ())
         if name == "rho_dyn":
             spaces = tuple(args["spaces"])
-            word = word_from_json(args["word"], ctx)
-            op = self._dyn_rep(len(spaces), p).apply(word)
+            op = rho_image(self._dyn_rep(len(spaces), p), args["word"], name)
             return SpacedTensor.from_tensorop(op, spaces, spaces)
         if name == "nk":
             nk = self._nk_at(p)
@@ -951,6 +965,10 @@ class ReplayEngine:
         builder = CERTIFICATES.get(name)
         if builder is None:
             raise MoveError("unknown lemma %r" % (name,))
+        if not isinstance(args, dict):
+            # a malformed script, not a failed move
+            raise ValueError("lemma %s args must map argument names to "
+                             "values, got %r" % (name, args))
         try:
             d = builder(self.n, args)
         except KeyError as e:
@@ -1067,18 +1085,28 @@ class ReplayEngine:
         return records
 
 
-def word_from_json(doc, ctx):
-    """[[coef-string, [letters]], ...] or {"antisym": m} -> HeckeWord."""
+def rho_image(rep, doc, name):
+    """The image in `rep` of the word of factor `name`: a JSON word
+    [[coef-string, [letters]], ...] is applied letter by letter, and
+    {"antisym": m} (alone or as the one entry of a list) is the window
+    antisymmetrizer A(1, m) from the rep's memo."""
+    if isinstance(doc, list) and len(doc) == 1 and isinstance(doc[0], dict):
+        doc = doc[0]
     if isinstance(doc, dict):
-        from .hecke import antisym_word
-        return antisym_word(doc["antisym"], ctx)
-    if len(doc) == 1 and isinstance(doc[0], dict):
-        from .hecke import antisym_word
-        return antisym_word(doc[0]["antisym"], ctx)
+        m = doc.get("antisym")
+        if not isinstance(m, int) or not 1 <= m <= rep.k:
+            # a malformed script, not a failed move
+            raise ValueError("%s word %r needs an antisym size from 1 to "
+                             "its %d spaces" % (name, doc, rep.k))
+        return antisym(rep, 1, m)
     w = HeckeWord()
     for coef, letters in doc:
-        w = w + HeckeWord({tuple(letters): ctx.field.of(str(coef))})
-    return w
+        if not all(isinstance(l, int) and 1 <= abs(l) < rep.k
+                   for l in letters):
+            raise ValueError("%s word letters %r are not generators of "
+                             "H_%d" % (name, letters, rep.k))
+        w = w + HeckeWord({tuple(letters): rep.ctx.field.of(str(coef))})
+    return rep.apply(w)
 
 
 def invert_word_json(doc):
@@ -1289,8 +1317,7 @@ def derivation_d3(n):
     ]
     end = [_nk("k", n + 1, 1), _slot(1), _delta(1, n + 1), _det(1)]
     return {"name": "det-slot-exchange-rule", "n": n, "start": start,
-            "moves": moves, "end": end, "end_moves": [],
-            "auto_end": True}
+            "moves": moves, "end": end, "end_moves": []}
 
 
 def derivation_inv_cancel_left(n, t, u, rest):
@@ -1560,13 +1587,11 @@ def relation_span(engine, k, p):
     const = engine._const_rep(k)
     span = Echelon()
     for j in range(1, k):
-        # coefficient functionals transform contravariantly
-        D = dyn.image(j).transpose()
+        # coefficient functionals transform contravariantly: D and C
+        # are the transposed images, and column r of D is row r of
+        # the image
+        dcols = dyn.image(j).rows
         C = const.image(j).transpose()
-        dcols = {}
-        for r, row in D.rows.items():
-            for c, v in row.items():
-                dcols.setdefault(c, {})[r] = v
         # (D E_rs)_{x y} = D_{x r} delta_{s y};
         # (E_rs C)_{x y} = delta_{x r} C_{s y}
         for r in range(dim):

@@ -105,7 +105,7 @@ class ModInt:
     def inverse(self):
         if self.v == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
-        return ModInt(pow(self.v, self.p - 2, self.p), self.p)
+        return ModInt(pow(self.v, -1, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, ModInt):

@@ -287,11 +287,6 @@ class DiagOp:
         """fn maps a 1-based multi-index tuple to a scalar."""
         return cls(n, k, [fn(multi_index(f, n, k)) for f in range(n**k)])
 
-    @classmethod
-    def site_values(cls, n, k, site, values):
-        """diag{values} acting at one site: entry = values[i_site - 1]."""
-        return cls.from_function(n, k, lambda m: values[m[site - 1] - 1])
-
     def __mul__(self, other):
         if isinstance(other, DiagOp):
             assert (self.n, self.k) == (other.n, other.k)

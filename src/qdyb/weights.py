@@ -62,17 +62,6 @@ class WeightPoint:
         self.n = n
         self.chain = chain
 
-    @classmethod
-    def from_pairs(cls, n, pairs):
-        """Build from a {(i,j): value} mapping; additivity is checked."""
-        chain = tuple(pairs[(i, i + 1)] for i in range(1, n))
-        w = cls(n, chain)
-        for (i, j), v in pairs.items():
-            if w.p(i, j) != v:
-                raise DegenerateParameterError(
-                    "inconsistent p_%d%d: additivity violated" % (i, j))
-        return w
-
     def p(self, i, j):
         if i == j:
             return 0

@@ -235,6 +235,25 @@ BAD_SCRIPTS = {
                    "args": {"t": 1}}],
         "end": [_slot(1)]},
         "lemma inv_cancel_left is missing argument 'u'"),
+    "eps-ket-one-space": ({
+        "start": [_const("eps_ket", window=[1])],
+        "end": [_slot(1)]},
+        "eps_ket window [1] must name n = 2 spaces"),
+    "lemma-args-list": ({
+        "start": [_slot(1)],
+        "moves": [{"move": "lemma", "at": 0, "name": "inv_cancel_left",
+                   "args": [1, 3, [2]]}],
+        "end": [_slot(1)]},
+        "lemma inv_cancel_left args must map argument names to values"),
+    "antisym-beyond-spaces": ({
+        "start": [_const("rho", spaces=[1, 2], word=[{"antisym": 3}])],
+        "end": [_slot(1)]},
+        "rho word {'antisym': 3} needs an antisym size from 1 to its "
+        "2 spaces"),
+    "letter-beyond-spaces": ({
+        "start": [_const("rho", spaces=[1, 2], word=[["1", [2]]])],
+        "end": [_slot(1)]},
+        "rho word letters [2] are not generators of H_2"),
 }
 
 

@@ -10,7 +10,8 @@ from qdyb.tensor import TensorOp
 from qdyb.hecke import (
     HeckeRep, HeckeWord, antisym, antisym_props_hold, antisym_tower,
     classical_antisym_rank, global_conjugation_equivalent, height,
-    inner_automorphism_check, locality_structure, top_vanish_equivalents,
+    inner_automorphism_check, locality_structure, symmetrizer,
+    top_vanish_equivalents,
 )
 from qdyb.weights import sample_params, sample_point
 
@@ -94,6 +95,21 @@ def test_tampered_image_raises_on_every_call():
                            match=r"window recursion mismatch at A\(1,3\)"):
             antisym(rep, 1, 3)
     assert antisym(rep, 1, 2) == antisym(good, 1, 2)
+
+
+def test_tampered_image_breaks_symmetrizer_on_every_call():
+    """The symmetrizer runs the same window recursion as the
+    antisymmetrizer, so it compares the same two routes and never
+    memoizes a window where they disagree."""
+    ctx = QContext(Fraction(3, 2), 2)
+    rep = HeckeRep.constant(2, ctx, 3)
+    good = HeckeRep.constant(2, ctx, 3)
+    rep._images[1] = 2 * rep._images[1]   # 2 g_2 breaks g^2 = 1 + lam g
+    for _ in range(2):
+        with pytest.raises(DegenerateParameterError,
+                           match=r"window recursion mismatch at S\(1,3\)"):
+            symmetrizer(rep, 3)
+    assert symmetrizer(rep, 2) == symmetrizer(good, 2)
 
 
 def test_height_and_top_vanish_in_either_order():
@@ -198,7 +214,6 @@ def test_localized_last_equivalence():
 
 
 def test_symmetrizer_tower_lightly():
-    from qdyb.hecke import symmetrizer
     rng = random.Random(53)
     ctx = QContext(Fraction(2), 2)
     rep = HeckeRep.constant(2, ctx, 2)

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 from qdyb.scalars import QContext, qfact, qnum
 from qdyb.hecke import HeckeRep, antisym
+from qdyb.rmatrix import dressed_block
+from qdyb.tensor import TensorOp
 from qdyb.levicivita import (
     CO, CONTRA, EpsTensor, b_table_from_xi, bruteforce_norm_identities,
-    build_eps_const, build_eps_dyn, build_nk, eigencheck, normalization_check,
+    build_eps_const, build_eps_dyn, build_nk, dressed_bra_tensor, eigencheck,
+    normalization_check,
     perm_sum, projector_from_eps, window_shift_relations_const,
     window_shift_relations_dyn, xi_only_hypotheses_hold, xi_table,
 )
@@ -134,6 +137,34 @@ def test_nk_dynamic_inverse_and_closed_form():
     p = WeightPoint(2, (2,))
     nk = build_nk(params, p)
     assert nk.nvals[0] == params.alpha(1, 2, 1) * params.xi(1, 2, 2)
+
+
+def test_dressed_block_on_bra_and_ket_blocks():
+    """A rectangular block is dressed on both sides: the bra on sites
+    2..n+1 dressed from site 1 is the row tensor
+    T[i; j_1..j_{n+1}] = delta(i, j_1) E_[j_2..j_{n+1}](p - v(i)), and the
+    ket dressed on a suffix site is E^[j_1..j_n](p + v(i)) (x) e_i."""
+    rng = random.Random(61)
+    for n in (2, 3):
+        params = sample_params(n, rng)
+        p = sample_point(params, rng, clearance=3)
+        bra_rows, ket_rows = [], []
+        for i in range(1, n + 1):
+            for t, v in build_eps_dyn(params, p.shift(i, -1), CO) \
+                    .entries.items():
+                bra_rows.append(((i,), (i,) + t, v))
+            for t, v in build_eps_dyn(params, p.shift(i, +1), CONTRA) \
+                    .entries.items():
+                ket_rows.append((t + (i,), (i,), v))
+        bra = TensorOp.from_entries(n, 1, n + 1, bra_rows)
+        ket = TensorOp.from_entries(n, n + 1, 1, ket_rows)
+        assert dressed_block(
+            n, lambda pp: build_eps_dyn(params, pp, CO).as_bra(), 1, p,
+            sign=-1, side="prefix") == bra
+        assert dressed_bra_tensor(params, p) == bra
+        assert dressed_block(
+            n, lambda pp: build_eps_dyn(params, pp, CONTRA).as_ket(), 1, p,
+            sign=+1, side="suffix") == ket
 
 
 def test_window_shift_relations():

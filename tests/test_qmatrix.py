@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from qdyb.scalars import RATIONAL, PrimeField, QContext
+from qdyb.scalars import RATIONAL, PrimeField, QContext, qnum
+from qdyb.hecke import HeckeWord
 from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
-    CERTIFICATES, MoveError, ReplayEngine, ShiftFunc, SpacedTensor,
+    CERTIFICATES, FP, MoveError, ReplayEngine, ShiftFunc, SpacedTensor,
     builtin_derivations, derivation_from_json, derivation_to_json,
     membership_oracle, oracle_confirm, _eps_bra, _eps_bra_dyn, _eps_ket,
     _gen_word, _mv, _rho, _rho_dyn, _slot, _sym,
@@ -27,6 +28,40 @@ def engine(n, rng, field=None, alpha="constant", npoints=3):
     params = sample_params(n, rng, ctx=ctx, alpha=alpha)
     pts = [sample_point(params, rng, clearance=6) for _ in range(npoints)]
     return ReplayEngine(params, pts)
+
+
+def _antisym_word(m, ctx):
+    """A(1, m) as a free combination of words, by the right-end window
+    recursion (exponentially many words; small m only)."""
+    if m == 1:
+        return HeckeWord.one()
+    prev = _antisym_word(m - 1, ctx)
+    mid = HeckeWord({(): ctx.q ** (m - 1)}) \
+        - qnum(m - 1, ctx) * HeckeWord.gen(m - 1)
+    return (1 / qnum(m, ctx)) * (prev * mid * prev)
+
+
+def test_antisym_word_is_the_window_antisymmetrizer():
+    """{"antisym": m} resolves to the rep's memoized A(1, m), which
+    equals the image of the word-level recursion, for the constant and
+    the dynamic flavor."""
+    rng = random.Random(71)
+    for n, k in ((2, 4), (3, 3)):
+        eng = engine(n, rng, npoints=1)
+        p = eng.points[0]
+        spaces = list(range(1, k + 1))
+        for m in range(1, k + 1):
+            word = _antisym_word(m, eng.ctx)
+            const = SpacedTensor.from_tensorop(
+                eng._const_rep(k).apply(word), spaces, spaces)
+            dyn = SpacedTensor.from_tensorop(
+                eng._dyn_rep(k, p).apply(word), spaces, spaces)
+            for doc in ({"antisym": m}, [{"antisym": m}]):
+                assert eng.const_factor("rho", word=doc,
+                                        spaces=spaces).st == const
+                assert eng.eval_p(FP("rho_dyn", {"word": doc,
+                                                 "spaces": spaces}),
+                                  p) == dyn
 
 
 def test_spaced_tensor_compose():

@@ -215,12 +215,16 @@ def test_canonical_shift_zero_and_integer():
     rng = random.Random(31)
     params = sample_params(3, rng)
     p = sample_point(params, rng, clearance=6)
-    ev = ShiftedEvaluation(params, (0, 0, 0))
-    assert ev.build(p) == build_dyn(params, p)
-    # integer offsets act as a weight relabeling
-    ev = ShiftedEvaluation(params, (1, 0, -1))
+    # integer offsets act as a weight relabeling, zero offsets as none
     shifted_point = WeightPoint(3, (p.chain[0] + 1, p.chain[1] + 1))
-    assert ev.build(p) == build_dyn(params, shifted_point)
+    for offsets, point in (((0, 0, 0), p), ((1, 0, -1), shifted_point)):
+        ev = ShiftedEvaluation(params, offsets)
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if i != j:
+                    assert ev.arg(i, j, p.p(i, j)) == point.p(i, j)
+                    assert ev.xi(i, j, p.p(i, j)) == \
+                        params.xi(i, j, point.p(i, j))
     with pytest.raises(DegenerateParameterError):
         ShiftedEvaluation(params, (1, 1, 0))
 

@@ -250,12 +250,6 @@ def test_dress_by_diagonal():
         op.dress(bad)
 
 
-def test_diag_site_values():
-    d = DiagOp.site_values(2, 3, 2, [Fraction(3), Fraction(7)])
-    assert d.vals[flat_index((1, 1, 2), 2)] == 3
-    assert d.vals[flat_index((1, 2, 1), 2)] == 7
-
-
 def test_dump_roundtrip_bit_exact():
     rng = random.Random(12)
     op = random_sparse(3, 2, rng)

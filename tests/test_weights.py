@@ -32,12 +32,6 @@ def test_weightpoint_additivity_and_shift():
         assert s.shift(m, -1) == w
 
 
-def test_weightpoint_from_pairs_checks_additivity():
-    WeightPoint.from_pairs(3, {(1, 2): 1, (2, 3): 2, (1, 3): 3})
-    with pytest.raises(DegenerateParameterError):
-        WeightPoint.from_pairs(3, {(1, 2): 1, (2, 3): 2, (1, 3): 0})
-
-
 def test_weightpoint_rejects_bad_chain():
     with pytest.raises(DegenerateParameterError, match="need n-1 = 2"):
         WeightPoint(3, (1,))
