@@ -17,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .checks import fold
 from .scalars import DegenerateParameterError, PoleError, QContext
 from .weights import SLnParams, WeightPoint, sample_point
 from . import rmatrix, levicivita, verify, wznw
@@ -164,15 +165,10 @@ def cmd_derive(args):
                 "unknown derivation %s in --builtin; known: %s"
                 % (", ".join(map(repr, unknown)), ", ".join(sorted(ds))))
         derivs = [ds[name] for name in names]
-    records = []
-    for d in derivs:
-        records.extend(eng.run(d))
+    records = [c for d in derivs for c in eng.run(d)]
     doc = {"schema": verify.SCHEMA, "suite": "derive",
-           "records": [
-               {"id": rid, "status": "pass" if ok else "fail",
-                **({} if ok else {"witness": repr(w)})}
-               for rid, ok, w in records],
-           "status": "pass" if all(ok for _, ok, _ in records) else "fail"}
+           "records": [c.to_json() for c in records],
+           "status": fold(c.status for c in records)}
     _emit(args, doc, text_summary=lambda d, out: [
         print("%-4s %s" % (r["status"].upper(), r["id"]), file=out)
         for r in d["records"]])
@@ -190,9 +186,7 @@ def cmd_wznw(args):
     }
     if params.ctx.root is not None:
         recs = wznw.det_normalization_check(params.n, params.ctx)
-        doc["normalization"] = [
-            {"id": rid, "status": "pass" if ok else "fail"}
-            for rid, ok, _ in recs]
+        doc["normalization"] = [c.to_json() for c in recs]
     _emit(args, doc)
     return 0
 

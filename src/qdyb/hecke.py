@@ -42,9 +42,10 @@ once per representation, by whichever check asks for it first.
 
 import itertools
 
+from .checks import Check, compare
 from .scalars import DegenerateParameterError, qnum
 from .tensor import TensorOp
-from .rmatrix import DynRMatrix, build_dj, check, dressed_block
+from .rmatrix import DynRMatrix, build_dj, dressed_block
 
 
 class HeckeWord:
@@ -308,7 +309,6 @@ def top_vanish_equivalents(rep, n):
     with s = (-1)^(n-1) q [n].
     """
     assert rep.k == n + 1
-    records = []
     ctx = rep.ctx
     A = antisym(rep, 1, n)
     B = antisym(rep, 2, n + 1)
@@ -316,13 +316,15 @@ def top_vanish_equivalents(rep, n):
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
     s = (-1) ** (n - 1) * ctx.q * qnum(n, ctx)
 
-    check(records, "top-vanish.a-then-down", A * down, s * (A * B))
-    check(records, "top-vanish.up-then-a", up * A, s * (B * A))
-    check(records, "top-vanish.down-then-b", down * B, s * (A * B))
-    check(records, "top-vanish.b-then-up", B * up, s * (B * A))
     inv2 = 1 / qnum(n, ctx) ** 2
-    check(records, "top-vanish.aba", A * B * A, inv2 * A)
-    check(records, "top-vanish.bab", B * A * B, inv2 * B)
+    records = [
+        compare("top-vanish.a-then-down", A * down, s * (A * B)),
+        compare("top-vanish.up-then-a", up * A, s * (B * A)),
+        compare("top-vanish.down-then-b", down * B, s * (A * B)),
+        compare("top-vanish.b-then-up", B * up, s * (B * A)),
+        compare("top-vanish.aba", A * B * A, inv2 * A),
+        compare("top-vanish.bab", B * A * B, inv2 * B),
+    ]
 
     # alternating expansion of the top antisymmetrizer
     alt = HeckeWord({(): ctx.q ** n})
@@ -331,9 +333,9 @@ def top_vanish_equivalents(rep, n):
         alt = alt + HeckeWord({word: (-1) ** m * ctx.q ** (n - m)})
     lhs = antisym(rep, 1, n + 1)
     rhs = (1 / qnum(n + 1, ctx)) * (A * rep.apply(alt))
-    check(records, "top-vanish.alternating-expansion", lhs, rhs)
-    check(records, "top-vanish.top-is-zero", lhs,
-          TensorOp.zero(rep.n, rep.k, rep.k))
+    records.append(compare("top-vanish.alternating-expansion", lhs, rhs))
+    records.append(compare("top-vanish.top-is-zero", lhs,
+                           TensorOp.zero(rep.n, rep.k, rep.k)))
     return records
 
 
@@ -341,20 +343,19 @@ def inner_automorphism_check(rep, i, r):
     """Conjugation by g_i g_{i+1} ... g_{r+i} maps the window subalgebra
     on sites i..r+i onto the one on sites i+1..r+i+1; checked on
     generators and on the window antisymmetrizers."""
-    records = []
     assert r + i + 1 <= rep.k
     W = rep.apply(HeckeWord.word(tuple(range(i, r + i + 1))))
     Winv = rep.apply(HeckeWord.word(tuple(-l for l in range(r + i, i - 1, -1))))
     ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field.one)
-    records.append(("inner-auto.invertible", W * Winv == ident, None))
+    records = [Check("inner-auto.invertible", W * Winv == ident)]
     ok = True
     for m in range(i, r + i):
         if W * rep.image(m) * Winv != rep.image(m + 1):
             ok = False
-    records.append(("inner-auto.generators", ok, None))
+    records.append(Check("inner-auto.generators", ok))
     lhs = W * antisym(rep, i, r + i) * Winv
-    records.append(("inner-auto.antisymmetrizer",
-                    lhs == antisym(rep, i + 1, r + i + 1), None))
+    records.append(Check("inner-auto.antisymmetrizer",
+                         lhs == antisym(rep, i + 1, r + i + 1)))
     return records
 
 

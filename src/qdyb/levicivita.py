@@ -29,11 +29,12 @@ E_[..](p) E^[..](p) = [n]!.
 
 import itertools
 
+from .checks import Check, compare
 from .scalars import (DegenerateParameterError, qfact, qfact_base, qnum,
                       qnum_base)
 from .tensor import DiagOp, Echelon, TensorOp, flat_index
 from .hecke import HeckeRep, HeckeWord
-from .rmatrix import check, dressed_block
+from .rmatrix import dressed_block
 
 
 CO = "co"
@@ -132,7 +133,6 @@ def build_eps_dyn(params, p, variance):
 def eigencheck(rep, ket, bra):
     """g_i * ket = -qbar * ket and bra * g_i = -qbar * bra for all i,
     plus exact one-dimensionality of the joint (-qbar)-eigenspace."""
-    records = []
     n = rep.n
     assert rep.k == n
     ctx = rep.ctx
@@ -147,8 +147,6 @@ def eigencheck(rep, ket, bra):
         db = br * g - (-ctx.qbar) * br
         if not db.is_zero() and wit_b is None:
             wit_b = (i,) + db.first_nonzero()
-    records.append(("eps.right-eigenvector", wit_k is None, wit_k))
-    records.append(("eps.left-eigenvector", wit_b is None, wit_b))
 
     ident = TensorOp.identity(n, n, ctx.field.one)
     stacked = []
@@ -156,9 +154,10 @@ def eigencheck(rep, ket, bra):
         op = rep.image(i) + ctx.qbar * ident
         stacked.extend(op.rows.values())
     kernel_dim = n**n - len(Echelon(stacked))
-    records.append(("eps.joint-eigenspace-dimension", kernel_dim == 1,
-                    kernel_dim))
-    return records
+    return [Check("eps.right-eigenvector", wit_k is None, wit_k),
+            Check("eps.left-eigenvector", wit_b is None, wit_b),
+            Check("eps.joint-eigenspace-dimension", kernel_dim == 1,
+                  kernel_dim)]
 
 
 # -- projectors ----------------------------------------------------------
@@ -293,7 +292,6 @@ def window_shift_relations_const(n, ctx):
         rho(g_n...g_1) eps^[2..n+1] = q eps^[1..n] K,
 
     with the constant N = K = identity."""
-    records = []
     rep = HeckeRep.constant(n, ctx, n + 1)
     ket = build_eps_const(n, ctx, CONTRA).as_ket()
     one_site = TensorOp.identity(n, 1, ctx.field.one)
@@ -302,14 +300,10 @@ def window_shift_relations_const(n, ctx):
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
     down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))
 
-    lhs = up * ket.kron(one_site)
-    rhs = ctx.q * nk.n_op().kron(ket)
-    check(records, "window-shift.const-up", lhs, rhs)
-
-    lhs = down * one_site.kron(ket)
-    rhs = ctx.q * ket.kron(nk.k_op())
-    check(records, "window-shift.const-down", lhs, rhs)
-    return records
+    return [compare("window-shift.const-up", up * ket.kron(one_site),
+                    ctx.q * nk.n_op().kron(ket)),
+            compare("window-shift.const-down", down * one_site.kron(ket),
+                    ctx.q * ket.kron(nk.k_op()))]
 
 
 def dressed_bra_tensor(params, p):
@@ -330,7 +324,6 @@ def window_shift_relations_dyn(params, p):
     where the conjugated bra is the explicit row tensor of
     :func:`dressed_bra_tensor` and N, K act between site n+1 and site 1.
     """
-    records = []
     n = params.n
     ctx = params.ctx
     rep = HeckeRep.dynamic(params, p, n + 1)
@@ -341,14 +334,10 @@ def window_shift_relations_dyn(params, p):
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
     down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))
 
-    lhs = bra.kron(one_site) * down
-    rhs = ctx.q * (nk.k_op() * dressed)
-    check(records, "window-shift.dyn-down", lhs, rhs)
-
-    lhs = dressed * up
-    rhs = ctx.q * bra.kron(nk.n_op())
-    check(records, "window-shift.dyn-up", lhs, rhs)
-    return records
+    return [compare("window-shift.dyn-down", bra.kron(one_site) * down,
+                    ctx.q * (nk.k_op() * dressed)),
+            compare("window-shift.dyn-up", dressed * up,
+                    ctx.q * bra.kron(nk.n_op()))]
 
 
 # -- brute-force permutation-sum identities -------------------------------
@@ -391,7 +380,6 @@ def bruteforce_norm_identities(table, ctx, d=None, subsets=None):
 
     With d omitted it defaults to q (the tensor-normalization case).
     """
-    records = []
     d = ctx.q if d is None else ctx.field.of(d)
     if subsets is None:
         idx = sorted({i for (i, _) in table})
@@ -423,10 +411,9 @@ def bruteforce_norm_identities(table, ctx, d=None, subsets=None):
             wit_row = (subset, row)
         if k >= 2 and rowb != ctx.lam ** (k - 1) and wit_b is None:
             wit_b = (subset, rowb)
-    records.append(("perm-sum.factorial", wit_perm is None, wit_perm))
-    records.append(("perm-sum.row-sums", wit_row is None, wit_row))
-    records.append(("perm-sum.b-row-sums", wit_b is None, wit_b))
-    return records
+    return [Check("perm-sum.factorial", wit_perm is None, wit_perm),
+            Check("perm-sum.row-sums", wit_row is None, wit_row),
+            Check("perm-sum.b-row-sums", wit_b is None, wit_b)]
 
 
 def xi_only_hypotheses_hold(table, ctx):
@@ -454,7 +441,6 @@ def xi_only_hypotheses_hold(table, ctx):
 def normalization_check(params, p):
     """E_[..](p) E^[..](p) = [n]! and the componentwise product formula
     E_[t](p) E^[t](p) = prod_{a<b} xi_{t_a t_b}."""
-    records = []
     n = params.n
     ket = build_eps_dyn(params, p, CONTRA)
     bra = build_eps_dyn(params, p, CO)
@@ -469,7 +455,6 @@ def normalization_check(params, p):
         if prod != expect:
             ok_comp = False
         total = total + prod
-    records.append(("eps.componentwise-product", ok_comp, None))
-    records.append(("eps.normalization-factorial",
-                    total == qfact(n, params.ctx), total))
-    return records
+    return [Check("eps.componentwise-product", ok_comp),
+            Check("eps.normalization-factorial",
+                  total == qfact(n, params.ctx), total)]

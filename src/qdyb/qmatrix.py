@@ -60,6 +60,7 @@ import json
 from fractions import Fraction
 from operator import itemgetter
 
+from .checks import Check, fold
 from .scalars import DegenerateParameterError, qfact, qnum
 from .tensor import Echelon, TensorOp
 from .hecke import HeckeRep, HeckeWord, antisym
@@ -390,6 +391,21 @@ class SlotExpr:
 # -- the replay engine ------------------------------------------------------
 
 
+def _arg(name, args, key):
+    """Argument `key` of a script factor; a malformed script, not a
+    failed move, when it is missing."""
+    if key not in args:
+        raise ValueError("%s factor lacks argument %r" % (name, key))
+    return args[key]
+
+
+def _two_spaces(name, args):
+    spaces = list(_arg(name, args, "spaces"))
+    if len(spaces) != 2:
+        raise ValueError("%s spaces %r must name 2 spaces" % (name, spaces))
+    return spaces
+
+
 class ReplayEngine:
     """Evaluates factors at the sample points, applies moves, replays
     derivations, caches soundness certificates (sub-replays).
@@ -438,7 +454,8 @@ class ReplayEngine:
                 return SpacedTensor.scalar(self._sym_value(args["sym"]))
             return SpacedTensor.scalar(ctx.field.of(str(args["value"])))
         if name == "delta":
-            return SpacedTensor.delta(args["ket"], args["bra"], n, one)
+            return SpacedTensor.delta(_arg(name, args, "ket"),
+                                      _arg(name, args, "bra"), n, one)
         if name == "eps_ket":
             w = self._eps_window(name, args)
             op = build_eps_const(n, ctx, CONTRA).as_ket()
@@ -448,17 +465,18 @@ class ReplayEngine:
             op = build_eps_const(n, ctx, CO).as_bra()
             return SpacedTensor.from_tensorop(op, (), w)
         if name == "rho":
-            spaces = tuple(args["spaces"])
-            op = rho_image(self._const_rep(len(spaces)), args["word"], name)
+            spaces = tuple(_arg(name, args, "spaces"))
+            op = rho_image(self._const_rep(len(spaces)),
+                           _arg(name, args, "word"), name)
             return SpacedTensor.from_tensorop(op, spaces, spaces)
         if name == "sigma":
-            s, t = args["spaces"]
+            s, t = _two_spaces(name, args)
             data = {(((i, j) if _label_key(s) < _label_key(t) else (j, i)),) * 2:
                     (ctx.q**2 if i == j else one)
                     for i in range(1, n + 1) for j in range(1, n + 1)}
             return SpacedTensor((s, t), (s, t), data)
         if name == "rhat":
-            s, t = args["spaces"]
+            s, t = _two_spaces(name, args)
             power = args.get("power", 1)
             op = build_dj(n, ctx)
             if power == -1:
@@ -471,7 +489,7 @@ class ReplayEngine:
 
     def _eps_window(self, name, args):
         """The window of an eps factor: exactly n spaces."""
-        w = tuple(args["window"])
+        w = tuple(_arg(name, args, "window"))
         if len(w) != self.n:
             # a malformed script, not a failed move
             raise ValueError("%s window %r must name n = %d spaces"
@@ -481,6 +499,12 @@ class ReplayEngine:
     def _sym_value(self, sym):
         """Named q-dependent scalar constants used by the scripts."""
         kind, m = sym[0], int(sym[1])
+        # [m]! exists for m >= 0 only, and cinv uses [m - 1]!
+        least = {"cinv": 1, "cinv_inv": 1, "qfact": 0,
+                 "qfact_inv": 0}.get(kind)
+        if least is not None and m < least:
+            raise ValueError("scalar sym %r needs m >= %d"
+                             % (list(sym), least))
         ctx = self.ctx
         if kind == "cinv":
             return ctx.field.of((-1) ** (m - 1)) / qfact(m - 1, ctx)
@@ -1052,15 +1076,14 @@ class ReplayEngine:
             raise MoveError("certificate %r failed" % (name,))
 
     def _establish(self, name, args):
-        return all(ok for _, ok, _ in
-                   self.run(CERTIFICATES[name](self.n, args)))
+        return fold(c.status for c in self.run(
+            CERTIFICATES[name](self.n, args))) == "pass"
 
     # -- replay -------------------------------------------------------
 
     def run(self, derivation):
-        """Replay a derivation; one record per phase, failures carry the
-        offending move index."""
-        records = []
+        """Replay a derivation into one record; a failed move's record
+        names the move's index."""
         name = derivation.get("name", "derivation")
         try:
             expr = self.expr(derivation["start"])
@@ -1068,21 +1091,17 @@ class ReplayEngine:
                 try:
                     expr = self.apply_move(expr, mv)
                 except MoveError as e:
-                    records.append(("%s.move[%d]" % (name, i), False, str(e)))
-                    return records
+                    return [Check("%s.move[%d]" % (name, i), False, str(e))]
             end = self.expr(derivation["end"])
             for i, mv in enumerate(derivation.get("end_moves", ())):
                 try:
                     end = self.apply_move(end, mv)
                 except MoveError as e:
-                    records.append(("%s.end-move[%d]" % (name, i), False,
-                                    str(e)))
-                    return records
-            ok, witness = self.exprs_equal(expr, end)
-            records.append((name, ok, witness))
+                    return [Check("%s.end-move[%d]" % (name, i), False,
+                                  str(e))]
+            return [Check(name, *self.exprs_equal(expr, end))]
         except (MoveError, DegenerateParameterError) as e:
-            records.append((name, False, str(e)))
-        return records
+            return [Check(name, False, str(e))]
 
 
 def rho_image(rep, doc, name):

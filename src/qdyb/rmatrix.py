@@ -27,6 +27,7 @@ D1 R(p) D2^(-1) = R(p)^(-1) sigma12.
 
 import itertools
 
+from .checks import Check, compare
 from .scalars import DegenerateParameterError
 from .tensor import DiagOp, TensorOp, flat_index, multi_index
 from .weights import BETA_INFINITY, GENERIC
@@ -185,22 +186,14 @@ def col_shifted_product(n, builder_a, builder_b, p, col_site, k, sign=+1):
 # -- verification -------------------------------------------------------
 
 
-def check(records, rec_id, lhs, rhs):
-    """Append a pass/fail record comparing two operators exactly."""
-    diff = lhs - rhs
-    ok = diff.is_zero()
-    records.append((rec_id, ok, None if ok else diff.first_nonzero()))
-    return ok
-
-
-def weight_conservation_check(params, p, records):
+def weight_conservation_check(rmx, p):
     """Nonzero entries only connect equal index multisets, and entries are
     unchanged under p -> p - v(i1) - v(i2) on their own support (the
-    concrete content of commutation with X1 X2)."""
-    rmx = DynRMatrix(params)
+    concrete content of commutation with X1 X2).  `rmx` is the caller's
+    :class:`DynRMatrix`, so no point is built twice."""
     R = rmx.at(p)
-    return check(records, "weight-conservation",
-                 multiset_dress(R, p, rmx.at, sign=-1), R)
+    return compare("weight-conservation",
+                   multiset_dress(R, p, rmx.at, sign=-1), R)
 
 
 def verify_qdybe(params, p):
@@ -228,17 +221,18 @@ def verify_qdybe(params, p):
 
     # the same factor through the generic dressing machinery
     mid_dressed = dressed_block(n, rmx.at, 1, p, sign=-1, side="prefix")
-    check(records, "qdybe.middle-construction-equivalence",
-          mid_explicit, mid_dressed)
+    records.append(compare("qdybe.middle-construction-equivalence",
+                           mid_explicit, mid_dressed))
 
     M = mid_explicit
-    check(records, "qdybe.braid.shifted-form", R12 * M * R12, M * R12 * M)
+    records.append(compare("qdybe.braid.shifted-form",
+                           R12 * M * R12, M * R12 * M))
 
     # variant with the shift conjugations pushed to site 3
     G = dressed_block(n, rmx.at, 1, p, sign=+1, side="suffix")
     R23 = R.embed(2, 3)
-    check(records, "qdybe.braid.site3-conjugated",
-          R23 * G * R23, G * R23 * G)
+    records.append(compare("qdybe.braid.site3-conjugated",
+                           R23 * G * R23, G * R23 * G))
 
     # variant with the outer sites exchanged; the middle factor acts on
     # sites (3,2) and its shift is keyed by the site-1 index
@@ -246,18 +240,18 @@ def verify_qdybe(params, p):
     R21 = (P * R * P).embed(1, 3)
     H = dressed_block(n, lambda pp: P * rmx.at(pp) * P, 1, p,
                       sign=+1, side="prefix")
-    check(records, "qdybe.braid.sites-exchanged",
-          R21 * H * R21, H * R21 * H)
+    records.append(compare("qdybe.braid.sites-exchanged",
+                           R21 * H * R21, H * R21 * H))
 
     ident = TensorOp.identity(n, 2, params.ctx.field.one)
-    check(records, "qdybe.hecke-condition", R * R,
-          ident + params.ctx.lam * R)
-    weight_conservation_check(params, p, records)
+    records.append(compare("qdybe.hecke-condition", R * R,
+                           ident + params.ctx.lam * R))
+    records.append(weight_conservation_check(rmx, p))
 
     inv = invert_dyn(params, p)
-    check(records, "qdybe.closed-form-inverse", R * inv, ident)
-    check(records, "qdybe.inverse-by-hecke",
-          inv, R - params.ctx.lam * ident)
+    records.append(compare("qdybe.closed-form-inverse", R * inv, ident))
+    records.append(compare("qdybe.inverse-by-hecke",
+                           inv, R - params.ctx.lam * ident))
     return records
 
 
@@ -302,7 +296,7 @@ def twist_checks(params, psi, p):
     twisted = params.twisted(psi)
     lhs = Fhat * build_dyn(params, p) * Fhat_inv
     rhs = P12 * build_dyn(twisted, p) * P12
-    check(records, "twist.flip-conjugation", lhs, rhs)
+    records.append(compare("twist.flip-conjugation", lhs, rhs))
 
     cyc = TensorOp.site_permutation(n, 3, (2, 3, 1), one)
 
@@ -311,7 +305,8 @@ def twist_checks(params, psi, p):
 
     R12 = build_dyn(params, p).embed(1, 3)
     R23 = build_dyn(params, p).embed(2, 3)
-    check(records, "twist.cyclic-intertwiner", R12 * ahat(p), ahat(p) * R23)
+    records.append(compare("twist.cyclic-intertwiner",
+                           R12 * ahat(p), ahat(p) * R23))
 
     if psi.kind == "constant":
         def fhat23(pp):
@@ -323,18 +318,18 @@ def twist_checks(params, psi, p):
 
         lhs = col_shifted_product(n, fhat12_inv, fhat23, p, 1, 3, sign=+1)
         rhs = col_shifted_product(n, ahat, ahat, p, 1, 3, sign=+1)
-        check(records, "twist.shift-hypothesis", lhs, rhs)
+        records.append(compare("twist.shift-hypothesis", lhs, rhs))
     else:
         # the displayed intertwiner satisfies the shift hypothesis only for
         # p-independent psi (exact counterexamples exist already at n = 3 on
         # the index triples with three distinct values); the twisted matrix
         # is instead certified by the conjugation and braid records above
-        records.append(("twist.shift-hypothesis", None,
-                        "skipped: p-dependent twist"))
+        records.append(Check("twist.shift-hypothesis", None,
+                             "skipped: p-dependent twist"))
 
-    bad = [r for r in verify_qdybe(twisted, p) if not r[1]]
-    records.append(("twist.preserves-braid-and-hecke", not bad,
-                    bad[0][2] if bad else None))
+    bad = [r for r in verify_qdybe(twisted, p) if not r.ok]
+    records.append(Check("twist.preserves-braid-and-hecke", not bad,
+                         bad[0].witness if bad else None))
 
     if params.beta_chain is not None:
         same_beta = all(
@@ -342,12 +337,12 @@ def twist_checks(params, psi, p):
             for i in range(1, n + 1) for j in range(1, n + 1))
     else:
         same_beta = twisted.beta_chain is None
-    records.append(("twist.preserves-beta", same_beta, None))
+    records.append(Check("twist.preserves-beta", same_beta))
 
     pattern = lambda op: {(r, c) for r, row in op.rows.items() for c in row}
-    records.append(("twist.preserves-pattern",
-                    pattern(build_dyn(params, p))
-                    == pattern(build_dyn(twisted, p)), None))
+    records.append(Check("twist.preserves-pattern",
+                         pattern(build_dyn(params, p))
+                         == pattern(build_dyn(twisted, p))))
     return records
 
 
@@ -452,7 +447,7 @@ def diag_inversion(params, p):
     R = build_dyn(params, p)
     lhs = D1 * (R * D2.inverse().as_tensorop())
     rhs = invert_dyn(params, p) * sigma.as_tensorop()
-    check(records, "diag-inversion.operator", lhs, rhs)
+    records.append(compare("diag-inversion.operator", lhs, rhs))
 
     ok_a = ok_b = True
     lam = ctx.lam
@@ -468,14 +463,13 @@ def diag_inversion(params, p):
                 bj = params.b_entry(j, i, -pij)
                 if dvals[i - 1] / dvals[j - 1] * b != -bj:
                     ok_b = False
-    records.append(("diag-inversion.swap-component", ok_a, None))
-    records.append(("diag-inversion.diagonal-component", ok_b, None))
+    records.append(Check("diag-inversion.swap-component", ok_a))
+    records.append(Check("diag-inversion.diagonal-component", ok_b))
     return D1, sigma, records
 
 
 def pi_ratio_check(params, p):
     """-(b_ji / b_ij) q^(2 p_ij) = pi_ij at the sampled point."""
-    records = []
     n = params.n
     ok = True
     for i in range(1, n + 1):
@@ -489,5 +483,4 @@ def pi_ratio_check(params, p):
                 continue
             if -(bji / bij) * params.ctx.qpow(2 * pij) != params.pi(i, j):
                 ok = False
-    records.append(("pi-from-b-ratio", ok, None))
-    return records
+    return [Check("pi-from-b-ratio", ok)]

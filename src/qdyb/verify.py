@@ -26,6 +26,7 @@ from .weights import (
     sample_q, sample_twist,
 )
 from . import rmatrix, hecke, levicivita, wznw
+from .checks import Check, fold, prefixed
 from .qmatrix import ReplayEngine, builtin_derivations, oracle_confirm
 
 SCHEMA = "qdyb-report/1"
@@ -112,20 +113,6 @@ class RunConfig:
         return sample_params(self.n, rng, ctx=ctx, alpha=kind)
 
 
-def _rec(rec_id, ok, witness=None):
-    status = "pass" if ok else ("skip" if ok is None else "fail")
-    out = {"id": rec_id, "anchor": rec_id, "status": status}
-    if status == "fail" and witness is not None:
-        out["witness"] = repr(witness)
-    elif status == "skip" and witness is not None:
-        out["note"] = str(witness)
-    return out
-
-
-def _from_triples(triples, prefix=""):
-    return [_rec(prefix + rid, ok, wit) for rid, ok, wit in triples]
-
-
 def _corrupt_beta(params):
     """Break the antisymmetry beta_ij + beta_ji = lam on one pair."""
     bad = dict(params._beta)
@@ -148,7 +135,7 @@ def suite_params(cfg):
         qnum(j, ctx) * qnum(k + 1, ctx) - qnum(j + 1, ctx) * qnum(k, ctx)
         == qnum(j - k, ctx)
         for j in range(-6, 7) for k in range(-6, 7))
-    records.append(_rec("params.qnum-consistency", ok))
+    records.append(Check("params.qnum-consistency", ok))
 
     # f recursion and the b fraction recursion
     ok_f = ok_b = True
@@ -168,8 +155,8 @@ def suite_params(cfg):
                         ok_b = False
             except ZeroDivisionError:
                 pass
-    records.append(_rec("params.f-recursion", ok_f))
-    records.append(_rec("params.b-fraction-recursion", ok_b))
+    records.append(Check("params.f-recursion", ok_f))
+    records.append(Check("params.b-fraction-recursion", ok_b))
 
     for d in range(cfg.draws):
         params = cfg.draw_params(rng)
@@ -206,16 +193,16 @@ def suite_params(cfg):
                 bji = bad.b_entry(j, i, -pij)
                 if bij + bji != lam or aij * aji - bij * bji != 1:
                     wit_ab = (i, j, aij * aji - bij * bji)
-        records.append(_rec("params.beta-antisymmetry[%d]" % d,
-                            wit_sym is None, wit_sym))
-        records.append(_rec("params.beta-triple-cycle[%d]" % d,
-                            wit_cyc is None, wit_cyc))
-        records.append(_rec("params.pi-inverse-pairs[%d]" % d, ok_pi))
-        records.append(_rec("params.alpha-pairing[%d]" % d, ok_alpha))
-        records.append(_rec("params.ab-quadratic[%d]" % d,
-                            wit_ab is None, wit_ab))
-        records.extend(_from_triples(
-            rmatrix.pi_ratio_check(params, p), "params.d%d." % d))
+        records.append(Check("params.beta-antisymmetry[%d]" % d,
+                             wit_sym is None, wit_sym))
+        records.append(Check("params.beta-triple-cycle[%d]" % d,
+                             wit_cyc is None, wit_cyc))
+        records.append(Check("params.pi-inverse-pairs[%d]" % d, ok_pi))
+        records.append(Check("params.alpha-pairing[%d]" % d, ok_alpha))
+        records.append(Check("params.ab-quadratic[%d]" % d,
+                             wit_ab is None, wit_ab))
+        records.extend(prefixed("params.d%d." % d,
+                                rmatrix.pi_ratio_check(params, p)))
 
     # prime backend agreement on scalar kernels
     F = PrimeField()
@@ -235,7 +222,7 @@ def suite_params(cfg):
             agree = False
         if F.of(qnum_base(4, qv + 1, cq)) != qnum_base(4, F.of(qv + 1), cf):
             agree = False
-    records.append(_rec("params.prime-backend-agreement", agree))
+    records.append(Check("params.prime-backend-agreement", agree))
     return records
 
 
@@ -259,17 +246,16 @@ def suite_qdybe(cfg):
         for t in range(cfg.points):
             p = sample_point(params, rng)
             pre = "qdybe.d%d.p%d." % (d, t)
-            records.extend(_from_triples(rmatrix.verify_qdybe(params, p),
-                                         pre))
+            records.extend(prefixed(pre, rmatrix.verify_qdybe(params, p)))
             if params.regime in (GENERIC, BETA_INFINITY):
                 _, _, recs = rmatrix.diag_inversion(params, p)
-                records.extend(_from_triples(recs, pre))
+                records.extend(prefixed(pre, recs))
         # twist and canonical-shift symmetries on the first point
         if params.regime == GENERIC:
             p = sample_point(params, rng)
             psi = sample_twist(cfg.n, rng, field=params.ctx.field)
-            records.extend(_from_triples(
-                rmatrix.twist_checks(params, psi, p), "qdybe.d%d." % d))
+            records.extend(prefixed("qdybe.d%d." % d,
+                                    rmatrix.twist_checks(params, psi, p)))
     # the beta-removing canonical shift, on a crafted pi = q^2 family
     ctx = cfg.context(rng)
     lam = ctx.lam
@@ -282,10 +268,10 @@ def suite_qdybe(cfg):
         ok = all(ev.xi(1, 2, pij)
                  == qnum(pij - 1, ctx) / qnum(pij, ctx)
                  for pij in range(2, 7))
-        records.append(_rec("qdybe.canonical-shift-removes-beta", ok))
+        records.append(Check("qdybe.canonical-shift-removes-beta", ok))
     except DegenerateParameterError as e:
-        records.append(_rec("qdybe.canonical-shift-removes-beta", None,
-                            str(e)))
+        records.append(Check("qdybe.canonical-shift-removes-beta", None,
+                             str(e)))
     return records
 
 
@@ -305,14 +291,14 @@ def suite_hecke(cfg):
 
     for label, rep in (("constant", crep), ("dynamic", drep),
                        ("localized-last", lrep)):
-        records.append(_rec("hecke.relations.%s" % label,
-                            rep.relations_hold()))
+        records.append(Check("hecke.relations.%s" % label,
+                             rep.relations_hold()))
         height = hecke.height(rep)
-        records.append(_rec("hecke.height.%s" % label, height == n, height))
-        records.extend(_from_triples(
-            hecke.top_vanish_equivalents(rep, n), "hecke.%s." % label))
-        records.append(_rec("hecke.antisym-props.%s" % label,
-                            hecke.antisym_props_hold(rep, min(n + 1, k))))
+        records.append(Check("hecke.height.%s" % label, height == n, height))
+        records.extend(prefixed("hecke.%s." % label,
+                                hecke.top_vanish_equivalents(rep, n)))
+        records.append(Check("hecke.antisym-props.%s" % label,
+                             hecke.antisym_props_hold(rep, min(n + 1, k))))
 
     # rank oracle against the undeformed antisymmetrizer
     ok_rank = True
@@ -322,17 +308,16 @@ def suite_hecke(cfg):
             ok_rank = False
         if hecke.antisym(drep, 1, j).exact_rank() != expected:
             ok_rank = False
-    records.append(_rec("hecke.rank-oracle", ok_rank))
+    records.append(Check("hecke.rank-oracle", ok_rank))
 
-    records.extend(_from_triples(
-        hecke.inner_automorphism_check(drep, 1, min(n - 1, k - 2)),
-        "hecke.dynamic."))
+    records.extend(prefixed("hecke.dynamic.", hecke.inner_automorphism_check(
+        drep, 1, min(n - 1, k - 2))))
     loc = hecke.locality_structure(drep)
-    records.append(_rec("hecke.nonlocality-pattern",
-                        loc[0] is True and all(x is False
-                                               for x in loc[1:])))
-    records.append(_rec("hecke.localized-last-equivalence",
-                        hecke.global_conjugation_equivalent(drep, lrep)))
+    records.append(Check("hecke.nonlocality-pattern",
+                         loc[0] is True and all(x is False
+                                                for x in loc[1:])))
+    records.append(Check("hecke.localized-last-equivalence",
+                         hecke.global_conjugation_equivalent(drep, lrep)))
     return records
 
 
@@ -351,10 +336,8 @@ def suite_epsilon(cfg):
         cket = levicivita.EpsTensor(n, levicivita.CONTRA, "constant",
                                     bad_entries)
     crep = hecke.HeckeRep.constant(n, ctx, n)
-    records.extend(_from_triples(
-        levicivita.eigencheck(crep, cket, cbra), "epsilon.const."))
-    records.extend(_from_triples(
-        levicivita.window_shift_relations_const(n, ctx), "epsilon.const."))
+    records.extend(prefixed("epsilon.const.", levicivita.eigencheck(
+        crep, cket, cbra) + levicivita.window_shift_relations_const(n, ctx)))
 
     for d in range(cfg.draws):
         params = cfg.draw_params(rng)
@@ -363,30 +346,28 @@ def suite_epsilon(cfg):
         drep = hecke.HeckeRep.dynamic(params, p, n)
         dket = levicivita.build_eps_dyn(params, p, levicivita.CONTRA)
         dbra = levicivita.build_eps_dyn(params, p, levicivita.CO)
-        records.extend(_from_triples(
-            levicivita.eigencheck(drep, dket, dbra), pre))
-        records.extend(_from_triples(
-            levicivita.normalization_check(params, p), pre))
-        records.extend(_from_triples(
-            levicivita.window_shift_relations_dyn(params, p), pre))
+        records.extend(prefixed(pre, levicivita.eigencheck(drep, dket, dbra)
+                                + levicivita.normalization_check(params, p)
+                                + levicivita.window_shift_relations_dyn(
+                                    params, p)))
         try:
             levicivita.build_nk(params, p)
-            records.append(_rec(pre + "nk-closed-form", True))
+            records.append(Check(pre + "nk-closed-form", True))
         except DegenerateParameterError as e:
-            records.append(_rec(pre + "nk-closed-form", False, str(e)))
+            records.append(Check(pre + "nk-closed-form", False, str(e)))
 
     # constant-regime reduction and N = K = identity
     cm = constant_multiparam(ctx)
     p0 = WeightPoint(n, tuple(1 for _ in range(n - 1)))
-    records.append(_rec(
+    records.append(Check(
         "epsilon.constant-regime-reduction",
         levicivita.build_eps_dyn(cm, p0, levicivita.CONTRA)
         == levicivita.build_eps_const(n, ctx, levicivita.CONTRA)
         and levicivita.build_eps_dyn(cm, p0, levicivita.CO)
         == levicivita.build_eps_const(n, ctx, levicivita.CO)))
     nk = levicivita.build_nk(n=n, ctx=ctx)
-    records.append(_rec("epsilon.constant-nk-identity",
-                        all(v == 1 for v in nk.nvals + nk.kvals)))
+    records.append(Check("epsilon.constant-nk-identity",
+                         all(v == 1 for v in nk.nvals + nk.kvals)))
 
     # projectors match the antisymmetrizer tower
     params = cfg.draw_params(rng)
@@ -400,7 +381,7 @@ def suite_epsilon(cfg):
         proj = levicivita.projector_from_eps(params, upd, dnd, w, k, p=p)
         if proj != hecke.antisym(drep, w, w + n - 1) or proj * proj != proj:
             ok = False
-    records.append(_rec("epsilon.projector-vs-antisymmetrizer", ok))
+    records.append(Check("epsilon.projector-vs-antisymmetrizer", ok))
     return records
 
 
@@ -416,18 +397,16 @@ def suite_appendix(cfg):
     if cfg.corrupt == "xi":
         table[(1, 2)] = table[(1, 2)] + 1
     subsets = [tuple(range(1, k + 1)) for k in range(1, 7)]
-    records.extend(_from_triples(
-        levicivita.bruteforce_norm_identities(table, params.ctx,
-                                              subsets=subsets),
-        "appendix.base-d-q."))
+    records.extend(prefixed("appendix.base-d-q.",
+                            levicivita.bruteforce_norm_identities(
+                                table, params.ctx, subsets=subsets)))
     d = params.ctx.field.of(Fraction(7, 3))
-    records.extend(_from_triples(
-        levicivita.bruteforce_norm_identities(table, params.ctx, d=d,
-                                              subsets=subsets),
-        "appendix.generic-d."))
-    records.append(_rec("appendix.xi-only-hypotheses",
-                        levicivita.xi_only_hypotheses_hold(table,
-                                                           params.ctx)))
+    records.extend(prefixed("appendix.generic-d.",
+                            levicivita.bruteforce_norm_identities(
+                                table, params.ctx, d=d, subsets=subsets)))
+    records.append(Check("appendix.xi-only-hypotheses",
+                         levicivita.xi_only_hypotheses_hold(table,
+                                                            params.ctx)))
 
     # cycle reversal up to length 5 and the pi ratio
     def b(i, j):
@@ -443,9 +422,8 @@ def suite_appendix(cfg):
             bwd = bwd * b(idx[(t + 1) % k], idx[t])
         if fwd != (-1) ** k * bwd:
             ok_cycle = False
-    records.append(_rec("appendix.cycle-reversal", ok_cycle))
-    records.extend(_from_triples(rmatrix.pi_ratio_check(params, p),
-                                 "appendix."))
+    records.append(Check("appendix.cycle-reversal", ok_cycle))
+    records.extend(prefixed("appendix.", rmatrix.pi_ratio_check(params, p)))
     return records
 
 
@@ -473,13 +451,15 @@ def suite_qmatrix(cfg):
             ds["D2"] = bad
         for name, deriv in sorted(ds.items()):
             recs = eng.run(deriv)
-            ok = all(okk for _, okk, _ in recs)
-            wit = None if ok else [r_ for r_ in recs if r_[1] is False]
-            records.append(_rec("qmatrix.d%d.%s" % (d, name), ok, wit))
+            status = fold(c.status for c in recs)
+            records.append(Check("qmatrix.d%d.%s" % (d, name),
+                                 None if status == "skip"
+                                 else status == "pass",
+                                 [c for c in recs if c.ok is False]))
         if n == 2 and field.exact and d == 0:
             for name, deriv in sorted(ds.items()):
                 verdict = oracle_confirm(eng, deriv)
-                records.append(_rec(
+                records.append(Check(
                     "qmatrix.oracle.%s" % name,
                     verdict == "equal" if verdict != "inconclusive"
                     else None,
@@ -499,21 +479,21 @@ def suite_wznw(cfg):
             wznw.dvec(w)
         except DegenerateParameterError:
             ok_routes = False
-    records.append(_rec("wznw.dimension-two-routes", ok_routes))
+    records.append(Check("wznw.dimension-two-routes", ok_routes))
 
     for n in (2, 3, 4):
         field = cfg.field()
         r = field.of(Fraction(3, 2))
         ctx = QContext(r**n, n, root=r, field=field)
-        records.extend(_from_triples(wznw.det_normalization_check(n, ctx),
-                                     "n%d." % n))
+        records.extend(prefixed("n%d." % n,
+                                wznw.det_normalization_check(n, ctx)))
         if cfg.corrupt == "scale":
             # renormalizing by root^(-2) instead must break the sign
             m_plus = n * (n + 1) // 2
             m_minus = n * (n - 1) // 2
             prod = (ctx.q / ctx.root**2) ** m_plus \
                 * (-ctx.qbar / ctx.root**2) ** m_minus
-            records.append(_rec(
+            records.append(Check(
                 "n%d.wznw.determinant-sign-wrong-scale" % n,
                 prod == field.of((-1) ** m_minus), prod))
 
@@ -523,17 +503,15 @@ def suite_wznw(cfg):
     ctx = QContext(r**2, 2, root=r, field=field)
     params = SLnParams(ctx, None)
     p = sample_point(params, rngg)
-    records.extend(_from_triples(wznw.reconcile_diag_gauge(params, p),
-                                 "beta-infinity."))
+    records.extend(prefixed("beta-infinity.",
+                            wznw.reconcile_diag_gauge(params, p)))
     gen = sample_params(cfg.n, rngg)
     p = sample_point(gen, rngg)
-    recs = wznw.reconcile_diag_gauge(gen, p)
-    for rid, ok, wit in recs:
-        if rid == "wznw.gauge-exact-match":
-            records.append(_rec("generic." + rid + ".mismatch-reported",
-                                not ok or gen.regime == BETA_INFINITY))
-        else:
-            records.append(_rec("generic." + rid, ok, wit))
+    for c in wznw.reconcile_diag_gauge(gen, p):
+        if c.id == "wznw.gauge-exact-match":
+            c = Check(c.id + ".mismatch-reported",
+                      not c.ok or gen.regime == BETA_INFINITY)
+        records.extend(prefixed("generic.", [c]))
     return records
 
 
@@ -549,21 +527,20 @@ def run_suite(name, cfg):
     try:
         records = fn(cfg)
     except (PoleError, DegenerateParameterError) as e:
-        records = [_rec("%s.setup" % name, False, str(e))]
-    records = sorted(records, key=lambda r: r["id"])
-    status = "pass" if all(r["status"] != "fail" for r in records) \
-        else "fail"
-    return {"schema": SCHEMA, "suite": name, "status": status,
+        records = [Check("%s.setup" % name, False, str(e))]
+    records = sorted(records, key=lambda c: c.id)
+    return {"schema": SCHEMA, "suite": name,
+            "status": fold(c.status for c in records),
             "config": cfg.to_json(), "backend": cfg.field().name,
-            "records": records, "time_ms": int(1000 * (time.time() - t0))}
+            "records": [c.to_json() for c in records],
+            "time_ms": int(1000 * (time.time() - t0))}
 
 
 def run(cfg, suite="all"):
     names = SUITES if suite == "all" else (suite,)
     reports = [run_suite(nm, cfg) for nm in names]
-    status = "pass" if all(r["status"] == "pass" for r in reports) \
-        else "fail"
-    return {"schema": SCHEMA, "suite": suite, "status": status,
+    return {"schema": SCHEMA, "suite": suite,
+            "status": fold(r["status"] for r in reports),
             "reports": reports}
 
 

@@ -20,6 +20,7 @@ rather than hidden.
 
 from fractions import Fraction
 
+from .checks import Check
 from .scalars import DegenerateParameterError
 from .tensor import TensorOp
 from .rmatrix import build_dj
@@ -95,7 +96,6 @@ def det_normalization_check(n, ctx):
 
     Multiplicities come from exact ranks of the two spectral projectors.
     """
-    records = []
     if ctx.root is None:
         raise DegenerateParameterError("normalization check needs ctx.root")
     R = build_dj(n, ctx)
@@ -105,23 +105,21 @@ def det_normalization_check(n, ctx):
     anti = (1 / two) * (ctx.q * ident - R)       # (-qbar)-eigenprojector
     ok_idem = sym * sym == sym and anti * anti == anti \
         and (sym + anti) == ident
-    records.append(("wznw.spectral-projectors", ok_idem, None))
 
     m_plus = sym.exact_rank()
     m_minus = anti.exact_rank()
     exp_plus = n * (n + 1) // 2
     exp_minus = n * (n - 1) // 2
-    records.append(("wznw.multiplicity-symmetric", m_plus == exp_plus,
-                    m_plus))
-    records.append(("wznw.multiplicity-antisymmetric",
-                    m_minus == exp_minus, m_minus))
 
     lam_plus = ctx.q / ctx.root
     lam_minus = -ctx.qbar / ctx.root
     product = lam_plus**m_plus * lam_minus**m_minus
     expected = ctx.field.of((-1) ** exp_minus)
-    records.append(("wznw.determinant-sign", product == expected, product))
-    return records
+    return [Check("wznw.spectral-projectors", ok_idem),
+            Check("wznw.multiplicity-symmetric", m_plus == exp_plus, m_plus),
+            Check("wznw.multiplicity-antisymmetric", m_minus == exp_minus,
+                  m_minus),
+            Check("wznw.determinant-sign", product == expected, product)]
 
 
 def reconcile_diag_gauge(params, point):
@@ -132,7 +130,6 @@ def reconcile_diag_gauge(params, point):
     beta -> oo regime.  In the generic regime the mismatch factors are
     reported, not absorbed.
     """
-    records = []
     if params.regime not in (GENERIC, BETA_INFINITY):
         raise DegenerateParameterError(
             "regime mismatch: pi undefined outside the generic family")
@@ -154,7 +151,6 @@ def reconcile_diag_gauge(params, point):
                 ok = False
             if ratio != ctx.field.one:
                 mismatch[(i, j)] = ratio
-    records.append(("wznw.gauge-ratio-is-pi", ok, None))
-    records.append(("wznw.gauge-exact-match", not mismatch,
-                    sorted(mismatch) if mismatch else None))
-    return records
+    return [Check("wznw.gauge-ratio-is-pi", ok),
+            Check("wznw.gauge-exact-match", not mismatch,
+                  sorted(mismatch) if mismatch else None)]

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import qdyb
+from qdyb import verify
+from qdyb.checks import Check
 from qdyb.cli import main
 from qdyb.scalars import QContext, qnum
 from qdyb.tensor import TensorOp
@@ -100,6 +102,27 @@ def test_verify_exit_codes(capsys):
     doc = json.loads(out)
     assert any(r["status"] == "fail"
                for rep in doc["reports"] for r in rep["records"])
+
+
+def test_verify_all_report_bytes_pinned():
+    """Refactors keep every report byte-identical under strip_timing."""
+    import hashlib
+    for backend, digest in (("rational", "44078402c459ade5"),
+                            ("prime", "eed0436d3126814e")):
+        doc = strip_timing(verify.run(RunConfig(n=2, seed=7,
+                                                backend=backend), "all"))
+        text = json.dumps(doc, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest, backend
+
+
+def test_suite_that_compares_nothing_is_skip(capsys, monkeypatch):
+    for records in ([], [Check("wznw.x", None, "no root"),
+                         Check("wznw.y", None, "no root")]):
+        monkeypatch.setattr(verify, "suite_wznw", lambda cfg: records)
+        code, out, _ = run_cli(capsys, "verify", "wznw")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "skip"
+        assert doc["reports"][0]["status"] == "skip"
 
 
 def test_report_determinism():
@@ -254,6 +277,19 @@ BAD_SCRIPTS = {
         "start": [_const("rho", spaces=[1, 2], word=[["1", [2]]])],
         "end": [_slot(1)]},
         "rho word letters [2] are not generators of H_2"),
+    "rhat-three-spaces": ({
+        "start": [_const("rhat", spaces=[1, 2, 3])],
+        "end": [_slot(1)]},
+        "rhat spaces [1, 2, 3] must name 2 spaces"),
+    "delta-without-bra": ({
+        "start": [_const("delta", ket=1)],
+        "end": [_slot(1)]},
+        "delta factor lacks argument 'bra'"),
+    # [-1]! does not exist; under -O its assert vanished and this passed
+    "qfact-negative": ({
+        "start": [_const("scalar", sym=["qfact", -1]), _slot(1)],
+        "end": [_slot(1)]},
+        "scalar sym ['qfact', -1] needs m >= 0"),
 }
 
 

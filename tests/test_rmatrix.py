@@ -9,7 +9,7 @@ from qdyb import rmatrix
 from qdyb.scalars import DegenerateParameterError, PoleError, QContext, qnum
 from qdyb.tensor import TensorOp
 from qdyb.rmatrix import (
-    ShiftedEvaluation, beta_removal_offsets, build_dj, build_dyn,
+    DynRMatrix, ShiftedEvaluation, beta_removal_offsets, build_dj, build_dyn,
     diag_inversion, invert_dyn, pi_ratio_check, twist_checks, verify_qdybe,
     weight_conservation_check,
 )
@@ -124,10 +124,28 @@ def test_weight_conservation_builds_once_per_multiset(monkeypatch):
         params = sample_params(n, rng, alpha="geometric")
         p = sample_point(params, rng)
         del calls[:]
-        records = []
-        assert weight_conservation_check(params, p, records)
-        assert records == [("weight-conservation", True, None)]
+        assert weight_conservation_check(DynRMatrix(params), p) \
+            == ("weight-conservation", True, None)
         assert len(calls) <= 1 + n * (n + 1) // 2
+
+
+def test_verify_qdybe_builds_each_point_once(monkeypatch):
+    """R(p) and every shifted matrix come from one evaluator, which the
+    weight-conservation check shares with the braid layouts."""
+    calls = []
+
+    def counted(params, p):
+        calls.append(p.chain)
+        return build_dyn(params, p)
+
+    monkeypatch.setattr(rmatrix, "build_dyn", counted)
+    rng = random.Random(49)
+    for n in (2, 3):
+        params = sample_params(n, rng)
+        p = sample_point(params, rng)
+        del calls[:]
+        all_pass(verify_qdybe(params, p))
+        assert calls and len(calls) == len(set(calls)), calls
 
 
 def test_weight_conservation_catches_chain_dependence(monkeypatch):
@@ -145,9 +163,8 @@ def test_weight_conservation_catches_chain_dependence(monkeypatch):
     for n in (2, 3):
         params = sample_params(n, rng)
         p = sample_point(params, rng)
-        records = []
-        assert not weight_conservation_check(params, p, records)
-        (rec_id, ok, witness), = records
+        rec_id, ok, witness = weight_conservation_check(DynRMatrix(params),
+                                                        p)
         assert rec_id == "weight-conservation" and ok is False
         assert witness[:2] == ((1, 1), (1, 1))
 
