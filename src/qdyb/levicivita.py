@@ -152,7 +152,7 @@ def eigencheck(rep, ket, bra):
     stacked = []
     for i in range(1, n):
         op = rep.image(i) + ctx.qbar * ident
-        stacked.extend(op.rows.values())
+        stacked.extend(op.field_rows().values())
     kernel_dim = n**n - len(Echelon(stacked))
     return [Check("eps.right-eigenvector", wit_k is None, wit_k),
             Check("eps.left-eigenvector", wit_b is None, wit_b),

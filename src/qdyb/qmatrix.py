@@ -498,7 +498,11 @@ class ReplayEngine:
 
     def _sym_value(self, sym):
         """Named q-dependent scalar constants used by the scripts."""
-        kind, m = sym[0], int(sym[1])
+        if not (isinstance(sym, (list, tuple)) and len(sym) == 2
+                and type(sym[1]) is int):
+            raise ValueError("scalar sym %r must be a [kind, m] pair with "
+                             "integer m" % (sym,))
+        kind, m = sym
         # [m]! exists for m >= 0 only, and cinv uses [m - 1]!
         least = {"cinv": 1, "cinv_inv": 1, "qfact": 0,
                  "qfact_inv": 0}.get(kind)
@@ -587,7 +591,7 @@ class ReplayEngine:
         n, ctx = self.n, self.ctx
         params = self.params
         if name == "func":
-            sf = ShiftFunc.from_json(args["func"])
+            sf = ShiftFunc.from_json(_arg(name, args, "func"))
             return SpacedTensor.scalar(sf.eval(params, p))
         if name == "eps_bra_dyn":
             w = self._eps_window(name, args)
@@ -598,31 +602,33 @@ class ReplayEngine:
             op = build_eps_dyn(params, p, CONTRA).as_ket()
             return SpacedTensor.from_tensorop(op, w, ())
         if name == "rho_dyn":
-            spaces = tuple(args["spaces"])
-            op = rho_image(self._dyn_rep(len(spaces), p), args["word"], name)
+            spaces = tuple(_arg(name, args, "spaces"))
+            op = rho_image(self._dyn_rep(len(spaces), p),
+                           _arg(name, args, "word"), name)
             return SpacedTensor.from_tensorop(op, spaces, spaces)
         if name == "nk":
             nk = self._nk_at(p)
-            vals = nk.nvals if args["which"] == "n" else nk.kvals
-            ket, bra = args["ket"], args["bra"]
+            vals = nk.nvals if _arg(name, args, "which") == "n" \
+                else nk.kvals
+            ket, bra = _arg(name, args, "ket"), _arg(name, args, "bra")
             return SpacedTensor((ket,), (bra,),
                                 {((i,), (i,)): vals[i - 1]
                                  for i in range(1, n + 1)})
         if name == "kdiag":
-            s = args["space"]
+            s = _arg(name, args, "space")
             pw = args.get("power", 1)
             nk = self._nk_at(p)
             return SpacedTensor((s,), (s,),
                                 {((i,), (i,)): nk.kvals[i - 1] ** pw
                                  for i in range(1, n + 1)})
         if name == "ddiag":
-            s = args["space"]
+            s = _arg(name, args, "space")
             vals = self._dvals(p)
             return SpacedTensor((s,), (s,),
                                 {((i,), (i,)): vals[i - 1]
                                  for i in range(1, n + 1)})
         if name == "dmat":
-            ket, bra = args["ket"], args["bra"]
+            ket, bra = _arg(name, args, "ket"), _arg(name, args, "bra")
             vals = self._dvals(p)
             return SpacedTensor((ket,), (bra,),
                                 {((i,), (i,)): vals[i - 1]
@@ -1609,8 +1615,8 @@ def relation_span(engine, k, p):
         # coefficient functionals transform contravariantly: D and C
         # are the transposed images, and column r of D is row r of
         # the image
-        dcols = dyn.image(j).rows
-        C = const.image(j).transpose()
+        dcols = dyn.image(j).field_rows()
+        crows = const.image(j).transpose().field_rows()
         # (D E_rs)_{x y} = D_{x r} delta_{s y};
         # (E_rs C)_{x y} = delta_{x r} C_{s y}
         for r in range(dim):
@@ -1619,7 +1625,7 @@ def relation_span(engine, k, p):
                 vec = {}
                 for x, v in dcol.items():
                     vec[x * dim + s] = v
-                for y, v in C.rows.get(s, {}).items():
+                for y, v in crows.get(s, {}).items():
                     idx = r * dim + y
                     vec[idx] = vec.get(idx, 0) - v
                 span.add(vec)

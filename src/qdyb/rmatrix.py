@@ -120,7 +120,7 @@ def dressed_block(n, builder, dress, p, sign=-1, side="prefix"):
         block = builder(p.shift_many(extra, sign))
         rk, ck = block.rk, block.ck
         e = flat_index(extra, n)
-        for r, row in block.rows.items():
+        for r, row in block.field_rows().items():
             for c, v in row.items():
                 if side == "prefix":
                     rr = e * n**rk + r
@@ -147,12 +147,12 @@ def multiset_dress(op, p, builder, sign):
     k = op.rk
     cache = {}
     rows = {}
-    for r, row in op.rows.items():
+    for r, row in op.field_rows().items():
         I = multi_index(r, n, k)
         key = tuple(sorted(I))
         if key not in cache:
-            cache[key] = builder(p.shift_many(I, sign))
-        src = cache[key].rows.get(r, {})
+            cache[key] = builder(p.shift_many(I, sign)).field_rows()
+        src = cache[key].get(r, {})
         for c in row:
             J = multi_index(c, n, k)
             if sorted(J) != sorted(I):
@@ -176,7 +176,7 @@ def col_shifted_product(n, builder_a, builder_b, p, col_site, k, sign=+1):
     rows = {}
     for c in range(1, n + 1):
         M = A * builder_b(p.shift(c, sign))
-        for r, row in M.rows.items():
+        for r, row in M.field_rows().items():
             for cc, v in row.items():
                 if multi_index(cc, n, k)[col_site - 1] == c:
                     rows.setdefault(r, {})[cc] = v
@@ -213,7 +213,7 @@ def verify_qdybe(params, p):
     mid_rows = {}
     for i1 in range(1, n + 1):
         block = rmx.at(p.shift(i1, -1))
-        for r, row in block.rows.items():
+        for r, row in block.field_rows().items():
             for c, v in row.items():
                 mid_rows.setdefault((i1 - 1) * n**2 + r, {})[
                     (i1 - 1) * n**2 + c] = v
@@ -339,7 +339,8 @@ def twist_checks(params, psi, p):
         same_beta = twisted.beta_chain is None
     records.append(Check("twist.preserves-beta", same_beta))
 
-    pattern = lambda op: {(r, c) for r, row in op.rows.items() for c in row}
+    pattern = lambda op: {(r, c) for r, row in op.field_rows().items()
+                          for c in row}
     records.append(Check("twist.preserves-pattern",
                          pattern(build_dyn(params, p))
                          == pattern(build_dyn(twisted, p))))

@@ -11,6 +11,26 @@ This convention is normative for every serialized matrix.  The sparse
 map never stores explicit zeros.  Operators are immutable after
 construction, so products of independent pairs can run in parallel.
 
+Stored values are plain ints, so the kernel (products, sums, scalar
+multiples, Kronecker products, transposes, equality and rank) does
+integer arithmetic only:
+
+* over Q, ``rows`` holds integer numerators over one common
+  denominator ``den`` (``p`` is None).  The form is normalized: den > 0
+  and the gcd of den and every numerator is 1.  A product multiplies
+  the two denominators and then divides everything by the gcd of the
+  result, in one pass.  Each operator has exactly one stored form, so
+  equality compares rows and den.
+* over F_p, ``rows`` holds residues in 1..p-1, ``p`` is the prime and
+  den is 1.  Each product sum is reduced once, at the end of its row.
+
+The entries an operator is built from fix its field: any ``ModInt``
+entry means F_p, anything else (ints, ``Fraction``s) means Q.  When a
+rational operator meets a prime one, its entries are lifted as
+num * den^(-1) mod p.  Field values -- reduced ``Fraction``s, or
+``ModInt``s -- appear only at the boundary: :meth:`TensorOp.entry`,
+``entries``, ``first_nonzero``, ``dump`` and ``field_rows``.
+
 Ranks and span membership share one eliminator, :class:`Echelon`: an
 incremental row echelon keyed by each row's leading (smallest) column.
 Rational rows are cleared to primitive integer vectors and reduced
@@ -46,25 +66,23 @@ def multi_index(flat, n, k):
 class TensorOp:
     """Sparse exact matrix between tensor powers of V = C^n."""
 
-    __slots__ = ("n", "rk", "ck", "rows")
+    __slots__ = ("n", "rk", "ck", "rows", "den", "p")
 
     def __init__(self, n, rk, ck, rows=None):
+        """rows: {row: {column: value}} with int, Fraction or ModInt
+        values; zeros and empty rows are dropped."""
         self.n = n
         self.rk = rk
         self.ck = ck
-        self.rows = {}
-        if rows:
-            for r, row in rows.items():
-                clean = {c: v for c, v in row.items() if v}
-                if clean:
-                    self.rows[r] = clean
+        self.rows, self.den, self.p = _stored_form(*_raw_form(rows or {}))
 
     @classmethod
-    def _adopt(cls, n, rk, ck, rows):
-        """An operator over `rows` as they are: every row must be
-        nonempty and free of zeros already."""
+    def _make(cls, n, rk, ck, rows, den=1, p=None):
+        """An operator over int rows: numerators over den when p is None,
+        else values mod p.  They are brought to the stored form."""
         op = cls.__new__(cls)
-        op.n, op.rk, op.ck, op.rows = n, rk, ck, rows
+        op.n, op.rk, op.ck = n, rk, ck
+        op.rows, op.den, op.p = _stored_form(rows, den, p)
         return op
 
     # -- constructors --------------------------------------------------
@@ -113,9 +131,23 @@ class TensorOp:
     def is_zero(self):
         return not self.rows
 
+    def _value(self, v):
+        """The field value of one stored entry."""
+        if self.p is None:
+            return Fraction(v, self.den)
+        return ModInt(v, self.p)
+
+    def field_rows(self):
+        """The rows as {row: {column: field value}}: a fresh dict of
+        reduced Fractions or ModInts on every call."""
+        value = self._value
+        return {r: {c: value(v) for c, v in row.items()}
+                for r, row in self.rows.items()}
+
     def entry(self, rmulti, cmulti):
         row = self.rows.get(flat_index(rmulti, self.n), {})
-        return row.get(flat_index(cmulti, self.n), 0)
+        v = row.get(flat_index(cmulti, self.n))
+        return 0 if v is None else self._value(v)
 
     def entries(self):
         """Iterate (row multi, col multi, value), sorted, 1-based."""
@@ -123,13 +155,15 @@ class TensorOp:
             row = self.rows[r]
             for c in sorted(row):
                 yield (multi_index(r, self.n, self.rk),
-                       multi_index(c, self.n, self.ck), row[c])
+                       multi_index(c, self.n, self.ck), self._value(row[c]))
 
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
             return NotImplemented
-        return (self.n, self.rk, self.ck) == (other.n, other.rk, other.ck) \
-            and self.rows == other.rows
+        if (self.n, self.rk, self.ck) != (other.n, other.rk, other.ck):
+            return False
+        a, b, _ = _common_field(self, other)
+        return a.den == b.den and a.rows == b.rows
 
     def __repr__(self):
         return "TensorOp(n=%d, %d->%d sites, nnz=%d)" % (
@@ -137,91 +171,113 @@ class TensorOp:
 
     def first_nonzero(self):
         """A witness entry (row multi, col multi, value), or None."""
-        for r in sorted(self.rows):
-            for c in sorted(self.rows[r]):
-                return (multi_index(r, self.n, self.rk),
-                        multi_index(c, self.n, self.ck), self.rows[r][c])
-        return None
+        return next(self.entries(), None)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        assert (self.n, self.rk, self.ck) == (other.n, other.rk, other.ck)
-        rows = {r: dict(row) for r, row in self.rows.items()}
-        for r, row in other.rows.items():
-            dst = rows.setdefault(r, {})
-            for c, v in row.items():
-                dst[c] = dst.get(c, 0) + v
-        return TensorOp(self.n, self.rk, self.ck, rows)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, on a common denominator or mod p."""
+        assert (self.n, self.rk, self.ck) == (other.n, other.rk, other.ck)
+        a, b, p = _common_field(self, other)
+        if p is None:
+            den = lcm(a.den, b.den)
+            ma, mb = den // a.den, sign * (den // b.den)
+        else:
+            den, ma, mb = 1, 1, sign
+        rows = {r: {c: v * ma for c, v in row.items()}
+                for r, row in a.rows.items()}
+        for r, row in b.rows.items():
+            dst = rows.get(r)
+            if dst is None:
+                rows[r] = {c: v * mb for c, v in row.items()}
+                continue
+            for c, v in row.items():
+                dst[c] = dst.get(c, 0) + v * mb
+        return TensorOp._make(self.n, self.rk, self.ck, rows, den, p)
 
     def __neg__(self):
         return (-1) * self
 
     def __rmul__(self, s):
-        if isinstance(s, TensorOp):
+        """A scalar multiple: s an int, Fraction or ModInt."""
+        if isinstance(s, ModInt):
+            op = self._over(s.p)
+        elif isinstance(s, (int, Fraction)):
+            op = self
+        else:
             return NotImplemented
-        if not s:
-            return TensorOp.zero(self.n, self.rk, self.ck)
-        rows = {r: {c: s * v for c, v in row.items()}
-                for r, row in self.rows.items()}
-        # over a field s * v vanishes for one nonzero v exactly when s is
-        # zero there (an int multiple of p, say), and then for every v
-        for row in rows.values():
-            if not next(iter(row.values())):
-                return TensorOp.zero(self.n, self.rk, self.ck)
-            break
-        return TensorOp._adopt(self.n, self.rk, self.ck, rows)
+        p, den = op.p, op.den
+        if p is None:
+            s, den = s.numerator, den * s.denominator
+        else:
+            s = _residue(s, p)
+        return TensorOp._make(self.n, self.rk, self.ck, {
+            r: {c: v * s for c, v in row.items()}
+            for r, row in op.rows.items()}, den, p)
 
     def __mul__(self, other):
         if not isinstance(other, TensorOp):
-            return other.__rmul__(self) if hasattr(other, "__rmul__") else NotImplemented
+            return self.__rmul__(other)     # scalars commute
         assert self.n == other.n and self.ck == other.rk, "shape mismatch"
+        a, b, p = _common_field(self, other)
+        brows = b.rows
         rows = {}
-        for r, row in self.rows.items():
+        for r, row in a.rows.items():
             acc = {}
-            for k, a in row.items():
-                brow = other.rows.get(k)
-                if not brow:
+            get = acc.get
+            for k, x in row.items():
+                brow = brows.get(k)
+                if brow is None:
                     continue
-                for c, b in brow.items():
-                    # the first term is stored as is: starting from int 0
-                    # would send it through the slow reflected add
-                    if c in acc:
-                        acc[c] += a * b
-                    else:
-                        acc[c] = a * b
-            acc = {c: v for c, v in acc.items() if v}
-            if acc:
-                rows[r] = acc
-        return TensorOp._adopt(self.n, self.rk, other.ck, rows)
+                for c, y in brow.items():
+                    acc[c] = get(c, 0) + x * y
+            rows[r] = acc
+        return TensorOp._make(self.n, self.rk, other.ck, rows,
+                              a.den * b.den, p)
 
     def kron(self, other):
         assert self.n == other.n
+        a, b, p = _common_field(self, other)
         n = self.n
         rk = self.rk + other.rk
         ck = self.ck + other.ck
         rmul = n**other.rk
         cmul = n**other.ck
         rows = {}
-        for r1, row1 in self.rows.items():
-            for r2, row2 in other.rows.items():
+        for r1, row1 in a.rows.items():
+            for r2, row2 in b.rows.items():
                 dst = {}
                 for c1, v1 in row1.items():
                     for c2, v2 in row2.items():
                         dst[c1 * cmul + c2] = v1 * v2
                 rows[r1 * rmul + r2] = dst
-        # a product of nonzeros is nonzero, so no row needs a filter
-        return TensorOp._adopt(n, rk, ck, rows)
+        return TensorOp._make(n, rk, ck, rows, a.den * b.den, p)
 
     def transpose(self):
         rows = {}
         for r, row in self.rows.items():
             for c, v in row.items():
                 rows.setdefault(c, {})[r] = v
-        return TensorOp(self.n, self.ck, self.rk, rows)
+        return TensorOp._make(self.n, self.ck, self.rk, rows, self.den,
+                              self.p)
+
+    def _over(self, p):
+        """This operator over F_p: itself when it is there already, else
+        its rational entries lifted as num * den^(-1) mod p."""
+        if p is None or self.p == p:
+            return self
+        if self.p is not None:
+            raise ValueError("mixed prime fields %d and %d" % (self.p, p))
+        inv = _residue(Fraction(1, self.den), p)
+        return TensorOp._make(self.n, self.rk, self.ck, {
+            r: {c: v * inv for c, v in row.items()}
+            for r, row in self.rows.items()}, 1, p)
 
     # -- structured operations -------------------------------------------
 
@@ -241,13 +297,13 @@ class TensorOp:
         assert self.is_square and diag.k == self.rk and diag.n == self.n
         inv = diag.inverse()
         rows = {}
-        for r, row in self.rows.items():
+        for r, row in self.field_rows().items():
             dr = diag.vals[r]
             rows[r] = {c: dr * v * inv.vals[c] for c, v in row.items()}
         return TensorOp(self.n, self.rk, self.ck, rows)
 
     def exact_rank(self):
-        return len(Echelon(self.rows.values()))
+        return len(Echelon.of_raw(self.rows.values(), self.p))
 
     # -- serialization -----------------------------------------------------
 
@@ -268,6 +324,63 @@ class TensorOp:
             n, rk, ck,
             [(tuple(rm), tuple(cm), field.of(str(v)))
              for rm, cm, v in doc["entries"]])
+
+
+# -- the raw form ------------------------------------------------------------
+
+
+def _raw_form(rows):
+    """(int rows, den, p) for rows of field values: residues mod p when
+    any value is a ModInt, else integer numerators over the lcm of the
+    denominators."""
+    p = next((v.p for row in rows.values() for v in row.values()
+              if isinstance(v, ModInt)), None)
+    if p is not None:
+        return {r: {c: _residue(v, p) for c, v in row.items()}
+                for r, row in rows.items()}, 1, p
+    den = lcm(*{v.denominator for row in rows.values()
+                for v in row.values()})
+    return {r: {c: v.numerator * (den // v.denominator)
+                for c, v in row.items()}
+            for r, row in rows.items()}, den, None
+
+
+def _residue(v, p):
+    """An int, Fraction or ModInt as a residue mod p."""
+    if isinstance(v, ModInt):
+        if v.p != p:
+            raise ValueError("mixed prime fields %d and %d" % (v.p, p))
+        return v.v
+    if v.denominator % p == 0:
+        raise ZeroDivisionError("denominator divisible by %d" % p)
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+def _stored_form(rows, den, p):
+    """(rows, den, p) with zeros and empty rows dropped, and then the
+    rows reduced mod p, or the rows and den > 0 divided by their gcd."""
+    out = {}
+    for r, row in rows.items():
+        row = ({c: v for c, v in row.items() if v} if p is None
+               else {c: m for c, v in row.items() if (m := v % p)})
+        if row:
+            out[r] = row
+    if p is not None:
+        return out, 1, p
+    g = den
+    for row in out.values():
+        g = gcd(g, *row.values())
+        if g == 1:
+            return out, den, None
+    return {r: {c: v // g for c, v in row.items()}
+            for r, row in out.items()}, den // g, None
+
+
+def _common_field(a, b):
+    """a and b over one field, with the rational one lifted to F_p when
+    the other is prime; returns (a, b, p)."""
+    p = a.p if a.p is not None else b.p
+    return a._over(p), b._over(p), p
 
 
 class DiagOp:
@@ -295,7 +408,7 @@ class DiagOp:
         if isinstance(other, TensorOp):
             assert other.rk == self.k and other.n == self.n
             rows = {r: {c: self.vals[r] * v for c, v in row.items()}
-                    for r, row in other.rows.items()}
+                    for r, row in other.field_rows().items()}
             return TensorOp(other.n, other.rk, other.ck, rows)
         return NotImplemented
 
@@ -337,23 +450,35 @@ class Echelon:
         for row in rows:
             self.add(row)
 
+    @classmethod
+    def of_raw(cls, rows, p):
+        """The echelon of rows in the raw form of a :class:`TensorOp`:
+        integer rows (at any common scale) when p is None, residues mod
+        p otherwise."""
+        ech = cls()
+        ech.p = p
+        for row in rows:
+            ech._insert(ech._eliminate(row if p else _primitive(row)))
+        return ech
+
     def __len__(self):
         return len(self.pivots)
 
     def add(self, row):
         """Insert a row; False when it already lies in the span."""
-        rest = self._reduce(row)
-        if rest:
-            self.pivots[min(rest)] = rest
-        return bool(rest)
+        return self._insert(self._reduce(row))
 
     def contains(self, row):
         """True when the row lies in the span of the rows added."""
         return not self._reduce(row)
 
+    def _insert(self, rest):
+        if rest:
+            self.pivots[min(rest)] = rest
+        return bool(rest)
+
     def _reduce(self, row):
-        """The row brought into the field, then cross-multiplied with
-        pivot rows until its leading column has no pivot: empty for a
+        """The row brought into the field, then eliminated: empty for a
         row in the span."""
         if not self.pivots:
             self.p = next((v.p for v in row.values()
@@ -366,6 +491,12 @@ class Echelon:
         else:
             zero = ModInt(0, p)
             row = {c: r for c, v in row.items() if (r := (zero + v).v)}
+        return self._eliminate(row)
+
+    def _eliminate(self, row):
+        """Cross-multiply a raw row with pivot rows until its leading
+        column has no pivot."""
+        p = self.p
         pivots = self.pivots
         while row:
             lead = min(row)

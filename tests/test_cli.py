@@ -226,6 +226,10 @@ def _const(name, **args):
     return {"kind": "const", "name": name, "args": args}
 
 
+def _pfactor(name, **args):
+    return {"kind": "p", "name": name, "args": args}
+
+
 # scripts that are malformed input: each must exit 2 with a message that
 # names what is wrong, also when python -O strips the asserts
 BAD_SCRIPTS = {
@@ -290,6 +294,18 @@ BAD_SCRIPTS = {
         "start": [_const("scalar", sym=["qfact", -1]), _slot(1)],
         "end": [_slot(1)]},
         "scalar sym ['qfact', -1] needs m >= 0"),
+    "qfact-without-m": ({
+        "start": [_const("scalar", sym=["qfact"]), _slot(1)],
+        "end": [_slot(1)]},
+        "scalar sym ['qfact'] must be a [kind, m] pair with integer m"),
+    "dmat-without-bra": ({
+        "start": [_pfactor("dmat", ket=1)],
+        "end": [_slot(1)]},
+        "dmat factor lacks argument 'bra'"),
+    "rho-dyn-without-word": ({
+        "start": [_pfactor("rho_dyn", spaces=[1, 2])],
+        "end": [_slot(1)]},
+        "rho_dyn factor lacks argument 'word'"),
 }
 
 

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from qdyb.scalars import RATIONAL, PrimeField, QContext
+from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext
 from qdyb.tensor import DiagOp, Echelon, TensorOp, flat_index, multi_index
 
 
@@ -143,7 +144,7 @@ def test_exact_rank_rational_vs_prime():
     for _ in range(6):
         op = random_sparse(2, 3, rng, 2)
         modrows = {r: {c: F.of(v) for c, v in row.items()}
-                   for r, row in op.rows.items()}
+                   for r, row in op.field_rows().items()}
         modop = TensorOp(2, 3, 3, modrows)
         assert op.exact_rank() == modop.exact_rank()
 
@@ -264,3 +265,160 @@ def test_dump_format_shape():
     doc = op.dump()
     assert doc["n"] == 2 and doc["k"] == 2
     assert doc["entries"] == [[[1, 2], [2, 1], "5/3"]]
+
+
+# -- the raw kernel against a reference over field values ------------------
+
+
+def assert_stored_form(op):
+    """Over Q: integer numerators over den > 0 with gcd 1; over F_p:
+    residues in 1..p-1 with den 1.  Never a zero or an empty row."""
+    values = [v for row in op.rows.values() for v in row.values()]
+    assert all(op.rows.values()) and all(values)
+    assert all(type(v) is int for v in values)
+    if op.p is None:
+        assert op.den > 0 and gcd(op.den, *values) == 1
+    else:
+        assert op.den == 1 and all(0 < v < op.p for v in values)
+
+
+def ref_entries(op):
+    """The operator as {(row, col): field value}, read at the boundary."""
+    return {(r, c): v for r, row in op.field_rows().items()
+            for c, v in row.items()}
+
+
+def from_ref(n, rk, ck, ref):
+    rows = {}
+    for (r, c), v in ref.items():
+        rows.setdefault(r, {})[c] = v
+    return TensorOp(n, rk, ck, rows)
+
+
+def ref_clean(ref):
+    return {key: v for key, v in ref.items() if v}
+
+
+def ref_plus(a, b, sign):
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) + sign * v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for (r, k), x in a.items():
+        for (k2, c), y in b.items():
+            if k == k2:
+                out[(r, c)] = out.get((r, c), 0) + x * y
+    return ref_clean(out)
+
+
+def ref_kron(a, b, n, b_rk, b_ck):
+    return {(r1 * n**b_rk + r2, c1 * n**b_ck + c2): x * y
+            for (r1, c1), x in a.items() for (r2, c2), y in b.items()}
+
+
+def random_ref(field, rng, n, rk, ck, density=0.5):
+    """Small entries with mixed denominators."""
+    return ref_clean({
+        (r, c): field.of(Fraction(rng.randint(-6, 6), rng.randint(1, 12)))
+        for r in range(n**rk) for c in range(n**ck)
+        if rng.random() < density})
+
+
+def cancelling(field, rng, ref):
+    """A reference that cancels ref on a random part of its support."""
+    out = random_ref(field, rng, 2, 2, 2, 0.3)
+    for key, v in ref.items():
+        if rng.random() < 0.5:
+            out[key] = -v
+    return out
+
+
+KERNEL_FIELDS = [RATIONAL, PrimeField(101), PrimeField()]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_kernel_matches_field_value_reference(field):
+    rng = random.Random(21)
+    n = 2
+    for _ in range(12):
+        ra = random_ref(field, rng, n, 2, 2)
+        rb = cancelling(field, rng, ra)
+        rc = random_ref(field, rng, n, 2, 1)
+        a, b, c = (from_ref(n, 2, 2, ra), from_ref(n, 2, 2, rb),
+                   from_ref(n, 2, 1, rc))
+        cases = [
+            (a, ra), (b, rb), (c, rc),
+            (a + b, ref_plus(ra, rb, 1)),
+            (a - b, ref_plus(ra, rb, -1)),
+            (a - a, {}),
+            (-a, ref_plus({}, ra, -1)),
+            (a * b, ref_mul(ra, rb)),
+            (b * a, ref_mul(rb, ra)),
+            (a * c, ref_mul(ra, rc)),
+            (a.kron(c), ref_kron(ra, rc, n, 2, 1)),
+            (c.kron(a), ref_kron(rc, ra, n, 2, 2)),
+            (c.transpose(), {(cc, r): v for (r, cc), v in rc.items()}),
+        ]
+        scalars = [0, 1, -3, 101, Fraction(5, 6), Fraction(-7, 4)]
+        if getattr(field, "p", 101) == 101:
+            scalars.append(PrimeField(101).of(3))   # lifts a rational a
+        for s in scalars:
+            ref = ref_clean({key: s * v for key, v in ra.items()})
+            cases += [(s * a, ref), (a * s, ref)]
+        for op, ref in cases:
+            assert_stored_form(op)
+            assert ref_entries(op) == ref_clean(ref), op
+            shape = (op.n, op.rk, op.ck)
+            assert op == from_ref(*shape, ref)
+            assert list(op.entries()) == list(from_ref(*shape, ref).entries())
+        assert a != a + from_ref(n, 2, 2, {(0, 0): field.one})
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_kernel_routes_to_one_stored_form(field):
+    rng = random.Random(22)
+    for _ in range(6):
+        a = from_ref(2, 2, 2, random_ref(field, rng, 2, 2, 2))
+        b = from_ref(2, 2, 2, random_ref(field, rng, 2, 2, 2))
+        ab = a * b
+        routed = (3 * ab) * Fraction(1, 3)
+        assert_stored_form(routed)
+        assert routed == ab
+        assert (routed.rows, routed.den, routed.p) == (ab.rows, ab.den, ab.p)
+        assert (a + b) - b == a and ((a + b) - b).den == a.den
+
+
+def test_mixed_fields_lift_rational_into_prime():
+    F = PrimeField(101)
+    rng = random.Random(23)
+    ra = random_ref(RATIONAL, rng, 2, 2, 2)
+    rb = random_ref(F, rng, 2, 2, 2)
+    a, b = from_ref(2, 2, 2, ra), from_ref(2, 2, 2, rb)
+    for op, ref in ((a + b, ref_plus(ra, rb, 1)), (b - a, ref_plus(rb, ra, -1)),
+                    (a * b, ref_mul(ra, rb)), (b * a, ref_mul(rb, ra)),
+                    (F.of(2) * a, {key: F.of(2) * v for key, v in ra.items()})):
+        assert op.p == F.p
+        assert_stored_form(op)
+        assert ref_entries(op) == ref_clean(ref)
+    lifted = from_ref(2, 2, 2, {key: F.of(v) for key, v in ra.items()})
+    assert a == lifted and lifted == a
+    with pytest.raises(ValueError):
+        b + from_ref(2, 2, 2, {(0, 0): PrimeField(103).one})
+
+
+def test_embed_keeps_the_prime_field():
+    F = PrimeField(101)
+    rng = random.Random(24)
+    ra = random_ref(F, rng, 2, 1, 1, 1.0)
+    op = from_ref(2, 1, 1, ra)
+    emb = op.embed(2, 3)
+    assert emb.p == F.p
+    assert_stored_form(emb)
+    assert all(isinstance(v, ModInt) for _, _, v in emb.entries())
+    ident = TensorOp.identity(2, 1, F.one)
+    assert emb == ident.kron(op).kron(ident)
+    assert emb.exact_rank() == 4 * op.exact_rank()
