@@ -115,21 +115,19 @@ def dressed_block(n, builder, dress, p, sign=-1, side="prefix"):
     """
     if dress == 0:
         return builder(p)
-    rows = {}
+
+    def placed(k, e):
+        """Indices on k sites -> on dress + k sites, extra index e."""
+        if side == "prefix":
+            return {x: e * n**k + x for x in range(n**k)}
+        return {x: x * n**dress + e for x in range(n**k)}
+
+    parts = []
     for extra in itertools.product(range(1, n + 1), repeat=dress):
         block = builder(p.shift_many(extra, sign))
-        rk, ck = block.rk, block.ck
         e = flat_index(extra, n)
-        for r, row in block.field_rows().items():
-            for c, v in row.items():
-                if side == "prefix":
-                    rr = e * n**rk + r
-                    cc = e * n**ck + c
-                else:
-                    rr = r * n**dress + e
-                    cc = c * n**dress + e
-                rows.setdefault(rr, {})[cc] = v
-    return TensorOp(n, dress + rk, dress + ck, rows)
+        parts.append((block, placed(block.rk, e), placed(block.ck, e)))
+    return TensorOp.assemble(n, dress + block.rk, dress + block.ck, parts)
 
 
 def multiset_dress(op, p, builder, sign):
@@ -146,21 +144,19 @@ def multiset_dress(op, p, builder, sign):
     n = op.n
     k = op.rk
     cache = {}
-    rows = {}
-    for r, row in op.field_rows().items():
+    parts = []
+    for r, cols in op.support():
         I = multi_index(r, n, k)
         key = tuple(sorted(I))
-        if key not in cache:
-            cache[key] = builder(p.shift_many(I, sign)).field_rows()
-        src = cache[key].get(r, {})
-        for c in row:
-            J = multi_index(c, n, k)
-            if sorted(J) != sorted(I):
+        src = cache.get(key)
+        if src is None:
+            src = cache[key] = builder(p.shift_many(I, sign))
+        for c in cols:
+            if tuple(sorted(multi_index(c, n, k))) != key:
                 raise DegenerateParameterError(
                     "operator does not conserve index multisets")
-            if c in src:
-                rows.setdefault(r, {})[c] = src[c]
-    return TensorOp(n, k, k, rows)
+        parts.append((src, {r: r}, {c: c for c in cols}))
+    return TensorOp.assemble(n, k, k, parts)
 
 
 def col_shifted_product(n, builder_a, builder_b, p, col_site, k, sign=+1):
@@ -173,14 +169,11 @@ def col_shifted_product(n, builder_a, builder_b, p, col_site, k, sign=+1):
     identity end in the same shift monomial, which cancels).
     """
     A = builder_a(p)
-    rows = {}
-    for c in range(1, n + 1):
-        M = A * builder_b(p.shift(c, sign))
-        for r, row in M.field_rows().items():
-            for cc, v in row.items():
-                if multi_index(cc, n, k)[col_site - 1] == c:
-                    rows.setdefault(r, {})[cc] = v
-    return TensorOp(n, k, k, rows)
+    every = {x: x for x in range(n**k)}
+    return TensorOp.assemble(n, k, k, [
+        (A * builder_b(p.shift(c, sign)), every,
+         {x: x for x in every if multi_index(x, n, k)[col_site - 1] == c})
+        for c in range(1, n + 1)])
 
 
 # -- verification -------------------------------------------------------
@@ -209,30 +202,30 @@ def verify_qdybe(params, p):
     R = rmx.at(p)
     R12 = R.embed(1, 3)
 
-    # middle factor, straight from the shifted-argument matrix elements
-    mid_rows = {}
+    # middle factor, straight from the shifted-argument matrix elements:
+    # its block at site-1 index i1 is R(p - v(i1))
+    parts = []
     for i1 in range(1, n + 1):
-        block = rmx.at(p.shift(i1, -1))
-        for r, row in block.field_rows().items():
-            for c, v in row.items():
-                mid_rows.setdefault((i1 - 1) * n**2 + r, {})[
-                    (i1 - 1) * n**2 + c] = v
-    mid_explicit = TensorOp(n, 3, 3, mid_rows)
+        at = {x: (i1 - 1) * n**2 + x for x in range(n**2)}
+        parts.append((rmx.at(p.shift(i1, -1)), at, at))
+    mid_explicit = TensorOp.assemble(n, 3, 3, parts)
 
     # the same factor through the generic dressing machinery
     mid_dressed = dressed_block(n, rmx.at, 1, p, sign=-1, side="prefix")
     records.append(compare("qdybe.middle-construction-equivalence",
                            mid_explicit, mid_dressed))
 
+    # each braid layout A M A = M A M is checked as X A = M X with the
+    # shared factor X = A M
     M = mid_explicit
-    records.append(compare("qdybe.braid.shifted-form",
-                           R12 * M * R12, M * R12 * M))
+    X = R12 * M
+    records.append(compare("qdybe.braid.shifted-form", X * R12, M * X))
 
     # variant with the shift conjugations pushed to site 3
     G = dressed_block(n, rmx.at, 1, p, sign=+1, side="suffix")
     R23 = R.embed(2, 3)
-    records.append(compare("qdybe.braid.site3-conjugated",
-                           R23 * G * R23, G * R23 * G))
+    X = R23 * G
+    records.append(compare("qdybe.braid.site3-conjugated", X * R23, G * X))
 
     # variant with the outer sites exchanged; the middle factor acts on
     # sites (3,2) and its shift is keyed by the site-1 index
@@ -240,8 +233,8 @@ def verify_qdybe(params, p):
     R21 = (P * R * P).embed(1, 3)
     H = dressed_block(n, lambda pp: P * rmx.at(pp) * P, 1, p,
                       sign=+1, side="prefix")
-    records.append(compare("qdybe.braid.sites-exchanged",
-                           R21 * H * R21, H * R21 * H))
+    X = R21 * H
+    records.append(compare("qdybe.braid.sites-exchanged", X * R21, H * X))
 
     ident = TensorOp.identity(n, 2, params.ctx.field.one)
     records.append(compare("qdybe.hecke-condition", R * R,
@@ -339,8 +332,7 @@ def twist_checks(params, psi, p):
         same_beta = twisted.beta_chain is None
     records.append(Check("twist.preserves-beta", same_beta))
 
-    pattern = lambda op: {(r, c) for r, row in op.field_rows().items()
-                          for c in row}
+    pattern = lambda op: {(r, c) for r, cols in op.support() for c in cols}
     records.append(Check("twist.preserves-pattern",
                          pattern(build_dyn(params, p))
                          == pattern(build_dyn(twisted, p))))

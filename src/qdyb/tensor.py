@@ -31,6 +31,15 @@ num * den^(-1) mod p.  Field values -- reduced ``Fraction``s, or
 ``ModInt``s -- appear only at the boundary: :meth:`TensorOp.entry`,
 ``entries``, ``first_nonzero``, ``dump`` and ``field_rows``.
 
+An operator made of pieces of others (a block-diagonal dressing, a
+selection of entries from several products) is built by
+:meth:`TensorOp.assemble`, which copies stored ints with their rows and
+columns mapped onto the lcm of the pieces' denominators, or mod p.
+Callers outside this module build from stored rows that way, and read
+a nonzero pattern through ``support``; they never take an operator
+apart through ``field_rows`` to build another one.  No operator shares
+a row dict with an operand or with a dict its caller passed in.
+
 Ranks and span membership share one eliminator, :class:`Echelon`: an
 incremental row echelon keyed by each row's leading (smallest) column.
 Rational rows are cleared to primitive integer vectors and reduced
@@ -79,7 +88,8 @@ class TensorOp:
     @classmethod
     def _make(cls, n, rk, ck, rows, den=1, p=None):
         """An operator over int rows: numerators over den when p is None,
-        else values mod p.  They are brought to the stored form."""
+        else values mod p.  They are brought to the stored form, which
+        may keep the row dicts: pass dicts that nothing else holds."""
         op = cls.__new__(cls)
         op.n, op.rk, op.ck = n, rk, ck
         op.rows, op.den, op.p = _stored_form(rows, den, p)
@@ -92,11 +102,42 @@ class TensorOp:
         """entries: iterable of (row multi, col multi, value), 1-based."""
         rows = {}
         for rm, cm, v in entries:
-            r = flat_index(rm, n)
+            row = rows.setdefault(flat_index(rm, n), {})
             c = flat_index(cm, n)
-            rows.setdefault(r, {})
-            rows[r][c] = rows[r].get(c, 0) + v
+            row[c] = row[c] + v if c in row else v
         return cls(n, rk, ck, rows)
+
+    @classmethod
+    def assemble(cls, n, rk, ck, parts):
+        """An operator made of the stored entries of others.
+
+        parts: iterable of (op, rmap, cmap), dicts {op row: row} and
+        {op column: column}.  Entry (r, c) of op is placed at
+        (rmap[r], cmap[c]); rows and columns missing from the maps are
+        left out.  Parts place their entries at distinct positions.
+        The result is over the lcm of the parts' denominators, or mod p
+        when any part is prime.
+        """
+        parts = list(parts)
+        p = next((op.p for op, _, _ in parts if op.p is not None), None)
+        den = 1 if p is not None else lcm(*(op.den for op, _, _ in parts))
+        rows = {}
+        for op, rmap, cmap in parts:
+            op = op._over(p)
+            scale = den // op.den
+            src = op.rows
+            for r, rr in rmap.items():
+                row = src.get(r)
+                if row is None:
+                    continue
+                dst = rows.get(rr)
+                if dst is None:
+                    dst = rows[rr] = {}
+                for c, v in row.items():
+                    cc = cmap.get(c)
+                    if cc is not None:
+                        dst[cc] = v * scale
+        return cls._make(n, rk, ck, rows, den, p)
 
     @classmethod
     def identity(cls, n, k, one=Fraction(1)):
@@ -136,6 +177,10 @@ class TensorOp:
         if self.p is None:
             return Fraction(v, self.den)
         return ModInt(v, self.p)
+
+    def support(self):
+        """Iterate (row, read-only view of its nonzero columns)."""
+        return ((r, row.keys()) for r, row in self.rows.items())
 
     def field_rows(self):
         """The rows as {row: {column: field value}}: a fresh dict of
@@ -358,15 +403,20 @@ def _residue(v, p):
 
 def _stored_form(rows, den, p):
     """(rows, den, p) with zeros and empty rows dropped, and then the
-    rows reduced mod p, or the rows and den > 0 divided by their gcd."""
+    rows reduced mod p, or the rows and den > 0 divided by their gcd.
+    Over Q a row without a zero is kept as the same dict."""
     out = {}
+    if p is not None:
+        for r, row in rows.items():
+            row = {c: m for c, v in row.items() if (m := v % p)}
+            if row:
+                out[r] = row
+        return out, 1, p
     for r, row in rows.items():
-        row = ({c: v for c, v in row.items() if v} if p is None
-               else {c: m for c, v in row.items() if (m := v % p)})
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
         if row:
             out[r] = row
-    if p is not None:
-        return out, 1, p
     g = den
     for row in out.values():
         g = gcd(g, *row.values())

@@ -113,6 +113,26 @@ class RunConfig:
         return sample_params(self.n, rng, ctx=ctx, alpha=kind)
 
 
+PARAM_DRAWS = 10
+
+
+def _params_and_point(rng, draw, clearance=4):
+    """Parameters from draw(rng) and a pole-free weight point for them.
+
+    Parameters with no pole-free point in the sampled range (a drawn
+    beta equal to q, say) are drawn again, at most PARAM_DRAWS times in
+    all.  A first draw that has such a point uses rng exactly as
+    draw(rng) followed by sample_point does.
+    """
+    for attempt in range(PARAM_DRAWS):
+        params = draw(rng)
+        try:
+            return params, sample_point(params, rng, clearance=clearance)
+        except DegenerateParameterError:
+            if attempt == PARAM_DRAWS - 1:
+                raise
+
+
 def _corrupt_beta(params):
     """Break the antisymmetry beta_ij + beta_ji = lam on one pair."""
     bad = dict(params._beta)
@@ -159,7 +179,7 @@ def suite_params(cfg):
     records.append(Check("params.b-fraction-recursion", ok_b))
 
     for d in range(cfg.draws):
-        params = cfg.draw_params(rng)
+        params, p = _params_and_point(rng, cfg.draw_params)
         bad = params if cfg.corrupt != "beta" else _corrupt_beta(params)
         lam = params.ctx.lam
         n = params.n
@@ -180,7 +200,6 @@ def suite_params(cfg):
             params.alpha(i, j, x) * params.alpha(j, i, -x) == 1
             for i in range(1, n + 1) for j in range(1, n + 1)
             for x in range(-6, 7) if i != j)
-        p = sample_point(params, rng)
         wit_ab = None
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -231,20 +250,26 @@ def suite_qdybe(cfg):
     records = []
     regimes = [GENERIC, GENERIC, BETA_INFINITY, CONSTANT_MULTIPARAM]
     for d in range(cfg.draws):
-        ctx = cfg.context(rng)
         regime = regimes[d % len(regimes)] if cfg.beta is None else None
-        if regime is None:
-            params = cfg.draw_params(rng)
-        elif regime == CONSTANT_MULTIPARAM:
-            params = constant_multiparam(ctx)
-        else:
-            alpha = ["unit", "constant", "geometric"][d % 3]
-            params = sample_params(cfg.n, rng, ctx=ctx, regime=regime,
-                                   alpha=alpha)
-        if cfg.corrupt == "beta" and params.beta_chain is not None:
-            params = _corrupt_beta(params)
+
+        def draw(rng):
+            ctx = cfg.context(rng)
+            if regime is None:
+                params = cfg.draw_params(rng)
+            elif regime == CONSTANT_MULTIPARAM:
+                params = constant_multiparam(ctx)
+            else:
+                alpha = ["unit", "constant", "geometric"][d % 3]
+                params = sample_params(cfg.n, rng, ctx=ctx, regime=regime,
+                                       alpha=alpha)
+            if cfg.corrupt == "beta" and params.beta_chain is not None:
+                params = _corrupt_beta(params)
+            return params
+
+        params, p = _params_and_point(rng, draw)
         for t in range(cfg.points):
-            p = sample_point(params, rng)
+            if t:
+                p = sample_point(params, rng)
             pre = "qdybe.d%d.p%d." % (d, t)
             records.extend(prefixed(pre, rmatrix.verify_qdybe(params, p)))
             if params.regime in (GENERIC, BETA_INFINITY):
@@ -282,10 +307,14 @@ def suite_hecke(cfg):
     k = n + 1
     ctx = cfg.context(rng)
     crep = hecke.HeckeRep.constant(n, ctx, k)
-    params = cfg.draw_params(rng)
-    if cfg.corrupt == "beta":
-        params = _corrupt_beta(params)
-    p = sample_point(params, rng, clearance=k)
+
+    def draw(rng):
+        params = cfg.draw_params(rng)
+        return _corrupt_beta(params) if cfg.corrupt == "beta" else params
+
+    # the global conjugation evaluates R at p + v(I), |I| = k, and the
+    # dynamic images dress that with up to k - 2 further shifts
+    params, p = _params_and_point(rng, draw, clearance=2 * k - 2)
     drep = hecke.HeckeRep.dynamic(params, p, k)
     lrep = hecke.HeckeRep.localized_last(params, p, k)
 
@@ -340,8 +369,7 @@ def suite_epsilon(cfg):
         crep, cket, cbra) + levicivita.window_shift_relations_const(n, ctx)))
 
     for d in range(cfg.draws):
-        params = cfg.draw_params(rng)
-        p = sample_point(params, rng)
+        params, p = _params_and_point(rng, cfg.draw_params)
         pre = "epsilon.d%d." % d
         drep = hecke.HeckeRep.dynamic(params, p, n)
         dket = levicivita.build_eps_dyn(params, p, levicivita.CONTRA)
@@ -370,8 +398,7 @@ def suite_epsilon(cfg):
                          all(v == 1 for v in nk.nvals + nk.kvals)))
 
     # projectors match the antisymmetrizer tower
-    params = cfg.draw_params(rng)
-    p = sample_point(params, rng, clearance=n + 1)
+    params, p = _params_and_point(rng, cfg.draw_params, clearance=n + 1)
     k = n + 1
     drep = hecke.HeckeRep.dynamic(params, p, k)
     ok = True
@@ -390,9 +417,8 @@ def suite_appendix(cfg):
     records = []
     size = max(6, cfg.n)
     ctx = cfg.context(rng)
-    params = sample_params(size, rng, ctx=QContext(ctx.q, size,
-                                                   field=ctx.field))
-    p = sample_point(params, rng)
+    params, p = _params_and_point(rng, lambda rng: sample_params(
+        size, rng, ctx=QContext(ctx.q, size, field=ctx.field)))
     table = levicivita.xi_table(params, p)
     if cfg.corrupt == "xi":
         table[(1, 2)] = table[(1, 2)] + 1
@@ -436,9 +462,12 @@ def suite_qmatrix(cfg):
     ctx = QContext(r**n, n, root=r, field=field)
     alphas = ["constant", "unit", "geometric"]
     for d in range(min(cfg.draws, 3)):
-        params = sample_params(n, rng, ctx=ctx, alpha=alphas[d % 3])
-        pts = [sample_point(params, rng, clearance=6)
-               for _ in range(max(2, cfg.points))]
+        params, first = _params_and_point(
+            rng, lambda rng: sample_params(n, rng, ctx=ctx,
+                                           alpha=alphas[d % 3]),
+            clearance=6)
+        pts = [first] + [sample_point(params, rng, clearance=6)
+                         for _ in range(max(2, cfg.points) - 1)]
         eng = ReplayEngine(params, pts)
         ds = builtin_derivations(n)
         if cfg.corrupt == "xunit":
@@ -505,8 +534,7 @@ def suite_wznw(cfg):
     p = sample_point(params, rngg)
     records.extend(prefixed("beta-infinity.",
                             wznw.reconcile_diag_gauge(params, p)))
-    gen = sample_params(cfg.n, rngg)
-    p = sample_point(gen, rngg)
+    gen, p = _params_and_point(rngg, lambda rng: sample_params(cfg.n, rng))
     for c in wznw.reconcile_diag_gauge(gen, p):
         if c.id == "wznw.gauge-exact-match":
             c = Check(c.id + ".mismatch-reported",

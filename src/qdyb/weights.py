@@ -264,11 +264,24 @@ def derive_beta(ctx, chain):
     return beta
 
 
+def _pair_memo(table, fn, i, j, pij):
+    """fn(i, j, pij), memoized in table."""
+    # one dict per pair, keyed by the bare p_ij: no key tuple is kept
+    # per entry, which cuts the memo's memory by a quarter
+    memo = table.get((i, j))
+    if memo is None:
+        memo = table[(i, j)] = {}
+    val = memo.get(pij)
+    if val is None:
+        val = memo[pij] = fn(i, j, pij)
+    return val
+
+
 class SLnParams:
     """One member of the SL(n)-type dynamical R-matrix family."""
 
     __slots__ = ("n", "ctx", "beta_chain", "alpha", "_beta", "_pi", "_regime",
-                 "_xi")
+                 "_xi", "_a", "_b")
 
     def __init__(self, ctx, beta_chain, alpha=None, _beta_override=None):
         n = ctx.n
@@ -292,6 +305,8 @@ class SLnParams:
         self._pi = None
         self._regime = None
         self._xi = {}
+        self._a = {}
+        self._b = {}
 
     # -- derived parameter tables ------------------------------------
 
@@ -343,19 +358,12 @@ class SLnParams:
     def xi(self, i, j, pij):
         """xi_ij(p_ij); xi_ii = q (matching a_ii = q).
 
-        Memoized per instance on (i, j, p_ij): the braid checks evaluate
-        the same few xi values at p and at its shifts many times over.
-        A pole is not stored, so it raises PoleError on every call.
+        Memoized per instance on (i, j, p_ij), like ``a_entry`` and
+        ``b_entry``: the braid checks evaluate the same few values at p
+        and at its shifts many times over.  A pole is not stored, so it
+        raises PoleError on every call.
         """
-        # one dict per pair, keyed by the bare p_ij: no key tuple is kept
-        # per entry, which cuts the memo's memory by a quarter
-        memo = self._xi.get((i, j))
-        if memo is None:
-            memo = self._xi[(i, j)] = {}
-        val = memo.get(pij)
-        if val is None:
-            val = memo[pij] = self._xi_uncached(i, j, pij)
-        return val
+        return _pair_memo(self._xi, self._xi_uncached, i, j, pij)
 
     def _xi_uncached(self, i, j, pij):
         if i == j:
@@ -380,11 +388,17 @@ class SLnParams:
     def a_entry(self, i, j, pij):
         if i == j:
             return self.ctx.q
+        return _pair_memo(self._a, self._a_uncached, i, j, pij)
+
+    def _a_uncached(self, i, j, pij):
         return self.alpha(i, j, pij) * self.xi(i, j, pij)
 
     def b_entry(self, i, j, pij):
         if i == j:
             return self.ctx.field.zero
+        return _pair_memo(self._b, self._b_uncached, i, j, pij)
+
+    def _b_uncached(self, i, j, pij):
         return self.ctx.q - self.xi(i, j, pij)
 
     def twisted(self, psi):

@@ -1,10 +1,16 @@
 """The check record and the status fold."""
 
+import hashlib
+import json
 from fractions import Fraction
+
+import pytest
 
 from qdyb.checks import Check, compare, fold, prefixed
 from qdyb.scalars import QContext
 from qdyb.rmatrix import build_dj
+from qdyb.tensor import TensorOp
+from qdyb.verify import RunConfig, run, strip_timing
 
 
 def test_to_json_matches_the_report_record_shape():
@@ -44,3 +50,38 @@ def test_compare_witness_is_first_nonzero_entry():
     rec = compare("differ", R, 2 * R)
     row, col, value = R.first_nonzero()
     assert rec.status == "fail" and rec.witness == (row, col, -value)
+
+
+def test_passing_compare_forms_no_difference(monkeypatch):
+    ctx = QContext(Fraction(2), 2)
+    R = build_dj(2, ctx)
+    calls = []
+    plus = TensorOp._plus
+
+    def counted(self, other, sign):
+        calls.append(sign)
+        return plus(self, other, sign)
+
+    monkeypatch.setattr(TensorOp, "_plus", counted)
+    assert compare("same", R, R * TensorOp.identity(2, 2)).ok
+    assert calls == []
+    assert not compare("differ", R, 2 * R).ok
+    assert calls == [-1]
+    # operators of different shapes do not compare: the subtraction raises
+    with pytest.raises(AssertionError):
+        compare("shapes", R, R.embed(1, 3))
+
+
+def test_corrupt_beta_records_pinned():
+    """`qdyb verify qdybe --n 2 --corrupt beta`: the failing ids and their
+    witnesses, as read before compare decided by stored form."""
+    doc = strip_timing(run(RunConfig(n=2, corrupt="beta"), "qdybe"))
+    fails = [(r["id"], r.get("witness")) for rep in doc["reports"]
+             for r in rep["records"] if r["status"] != "pass"]
+    assert len(fails) == 93
+    assert fails[1] == ("qdybe.d0.p0.diag-inversion.operator",
+                        "((1, 2), (1, 2), Fraction(6561, 72636421))")
+    assert fails[-2] == ("qdybe.d4.p2.qdybe.inverse-by-hecke",
+                         "((1, 2), (1, 2), Fraction(-62208, 44975245))")
+    text = json.dumps(fails).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == "80bf7a16fd2c9821"

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import qdyb
 from qdyb import verify
 from qdyb.checks import Check
@@ -113,6 +115,19 @@ def test_verify_all_report_bytes_pinned():
                                                 backend=backend), "all"))
         text = json.dumps(doc, sort_keys=True).encode()
         assert hashlib.sha256(text).hexdigest()[:16] == digest, backend
+
+
+@pytest.mark.parametrize("argv", [
+    # the qmatrix suite's first draw has beta = q: no point clears 6 steps
+    ("verify", "all", "--n", "2", "--seed", "6"),
+    # the hecke suite evaluates R up to 2k - 2 steps from its point
+    ("verify", "hecke", "--n", "3", "--backend", "prime", "--seed", "44"),
+])
+def test_suites_redraw_params_without_a_pole_free_point(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0, [r for rep in doc["reports"] for r in rep["records"]
+                       if r["status"] != "pass"]
 
 
 def test_suite_that_compares_nothing_is_skip(capsys, monkeypatch):

@@ -422,3 +422,105 @@ def test_embed_keeps_the_prime_field():
     ident = TensorOp.identity(2, 1, F.one)
     assert emb == ident.kron(op).kron(ident)
     assert emb.exact_rank() == 4 * op.exact_rank()
+
+
+# -- assembly from stored rows ----------------------------------------------
+
+
+def held_rows(op, *others):
+    """Row dicts of op that an operand or a caller's {row: dict} holds."""
+    held = {id(row) for o in others
+            for row in (o.rows if isinstance(o, TensorOp) else o).values()}
+    return [r for r, row in op.rows.items() if id(row) in held]
+
+
+def placed(n, k, e, side):
+    """Indices on k sites -> on 1 + k sites, with the extra index e."""
+    if side == "prefix":
+        return {x: e * n**k + x for x in range(n**k)}
+    return {x: x * n + e for x in range(n**k)}
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_assemble_matches_field_value_reference(field):
+    rng = random.Random(25)
+    n = 2
+    for _ in range(8):
+        # the second block of each pair is rational even over F_p: it is
+        # lifted, and over Q the two have mixed denominators
+        refs = [random_ref(field, rng, n, 2, 1),
+                random_ref(RATIONAL, rng, n, 2, 1)]
+        srefs = [random_ref(field, rng, n, 2, 2, 0.8),
+                 random_ref(RATIONAL, rng, n, 2, 2, 0.8)]
+        lift = [{key: field.of(v) for key, v in ref.items()}
+                for ref in refs + srefs]
+        blocks = [from_ref(n, 2, 1, ref) for ref in refs]
+        srcs = [from_ref(n, 2, 2, ref) for ref in srefs]
+        cases = []
+        for side in ("prefix", "suffix"):
+            maps = [(placed(n, 2, e, side), placed(n, 1, e, side))
+                    for e in range(n)]
+            parts = [(b, rm, cm) for b, (rm, cm) in zip(blocks, maps)]
+            ref = {(rm[r], cm[c]): v
+                   for vals, (rm, cm) in zip(lift, maps)
+                   for (r, c), v in vals.items()}
+            cases.append((TensorOp.assemble(n, 3, 2, parts), ref, parts))
+        # row picking: row r of source r % 2, on the columns of a pattern
+        pattern = {r: [c for c in range(n**2) if rng.random() < 0.6]
+                   for r in range(n**2)}
+        parts = [(srcs[r % 2], {r: r}, {c: c for c in cols})
+                 for r, cols in pattern.items()]
+        ref = {(r, c): lift[2 + r % 2][(r, c)]
+               for r, cols in pattern.items() for c in cols
+               if (r, c) in lift[2 + r % 2]}
+        cases.append((TensorOp.assemble(n, 2, 2, parts), ref, parts))
+        cases.append((TensorOp.assemble(n, 2, 2, []), {}, []))
+
+        for op, ref, parts in cases:
+            assert_stored_form(op)
+            assert ref_entries(op) == ref_clean(ref)
+            assert op == from_ref(op.n, op.rk, op.ck, ref)
+            if ref:
+                assert op.p == getattr(field, "p", None)
+            assert not held_rows(op, *(src for src, _, _ in parts))
+            before = ref_entries(op)
+            for _, rmap, cmap in parts:     # the caller's maps
+                for m in (rmap, cmap):
+                    for x in m:
+                        m[x] = 0
+            assert ref_entries(op) == before
+
+
+def test_assemble_normalizes_a_picked_part():
+    # only the entry 1/4 of a block over den 12 is picked
+    src = TensorOp(2, 1, 1, {0: {0: Fraction(1, 4)}, 1: {1: Fraction(1, 3)}})
+    op = TensorOp.assemble(2, 1, 1, [(src, {0: 1}, {0: 0})])
+    assert (op.rows, op.den) == ({1: {0: 1}}, 4)
+    assert dict(op.support()) == {1: {0: 1}.keys()}
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_operators_hold_rows_of_their_own(field):
+    rng = random.Random(26)
+    one = field.one
+    for _ in range(6):
+        ref = random_ref(field, rng, 2, 1, 1, 0.8)
+        rows = {r: {c: v for (rr, c), v in ref.items() if rr == r}
+                for r in range(2)}
+        a = TensorOp(2, 1, 1, rows)
+        b = from_ref(2, 1, 1, random_ref(field, rng, 2, 1, 1, 0.8))
+        assert not held_rows(a, rows)
+        before = ref_entries(a)
+        for row in rows.values():
+            row[0] = one
+        rows[1] = {1: 7 * one}
+        assert ref_entries(a) == before
+        for op in (a * b, a + b, a - b, -a, 1 * a, a * Fraction(1, 3),
+                   a.kron(b), a.transpose(), a + TensorOp.zero(2, 1, 1)):
+            assert not held_rows(op, a, b)
+    # repeated cells of from_entries add up; a cell that cancels is dropped
+    op = TensorOp.from_entries(1, 1, 1, [
+        ((1,), (1,), Fraction(1, 2)), ((1,), (1,), Fraction(1, 2))])
+    assert list(op.entries()) == [((1,), (1,), 1)]
+    assert TensorOp.from_entries(1, 1, 1, [
+        ((1,), (1,), Fraction(2)), ((1,), (1,), Fraction(-2))]).is_zero()
