@@ -11,7 +11,7 @@ from .weights import (
     SLnParams, WeightPoint, constant_multiparam, sample_params,
     sample_point, sample_twist,
 )
-from .tensor import DiagOp, TensorOp
+from .tensor import TensorOp
 from .rmatrix import (
     DynRMatrix, ShiftedEvaluation, beta_removal_offsets, build_dj,
     build_dyn, diag_inversion, invert_dyn, twist_checks, verify_qdybe,
@@ -21,8 +21,8 @@ from .hecke import (
     top_vanish_equivalents,
 )
 from .levicivita import (
-    CO, CONTRA, EpsTensor, build_eps_const, build_eps_dyn, build_nk,
-    eigencheck, projector_from_eps,
+    CO, CONTRA, build_eps_const, build_eps_dyn, build_nk, eigencheck,
+    eps_dump, projector_from_eps,
 )
 from .qmatrix import (
     ReplayEngine, SlotExpr, builtin_derivations, membership_oracle,

@@ -75,16 +75,16 @@ def cmd_build(args):
                   for i, c in enumerate(p.chain, 1)},
         "rhat_constant": rmatrix.build_dj(params.n, params.ctx).dump(),
         "rhat_dynamical": rmatrix.build_dyn(params, p).dump(),
-        "eps_contravariant":
+        "eps_contravariant": levicivita.eps_dump(
             levicivita.build_eps_const(params.n, params.ctx,
-                                       levicivita.CONTRA).dump(),
-        "eps_covariant":
+                                       levicivita.CONTRA)),
+        "eps_covariant": levicivita.eps_dump(
             levicivita.build_eps_const(params.n, params.ctx,
-                                       levicivita.CO).dump(),
-        "eps_dyn_contravariant":
-            levicivita.build_eps_dyn(params, p, levicivita.CONTRA).dump(),
-        "eps_dyn_covariant":
-            levicivita.build_eps_dyn(params, p, levicivita.CO).dump(),
+                                       levicivita.CO)),
+        "eps_dyn_contravariant": levicivita.eps_dump(
+            levicivita.build_eps_dyn(params, p, levicivita.CONTRA)),
+        "eps_dyn_covariant": levicivita.eps_dump(
+            levicivita.build_eps_dyn(params, p, levicivita.CO)),
     }
     from .hecke import HeckeRep, antisym
     rep = HeckeRep.dynamic(params, p, params.n)
@@ -104,9 +104,11 @@ def cmd_dump(args):
     elif name == "rhat-inverse":
         doc = rmatrix.invert_dyn(params, p).dump()
     elif name == "eps":
-        doc = levicivita.build_eps_dyn(params, p, levicivita.CONTRA).dump()
+        doc = levicivita.eps_dump(
+            levicivita.build_eps_dyn(params, p, levicivita.CONTRA))
     elif name == "eps-co":
-        doc = levicivita.build_eps_dyn(params, p, levicivita.CO).dump()
+        doc = levicivita.eps_dump(
+            levicivita.build_eps_dyn(params, p, levicivita.CO))
     elif name == "params":
         doc = params.to_json()
     else:

@@ -25,14 +25,18 @@ diagonal N/K matrices with their closed form, the window-shift
 relations transporting the tensors from sites 1..n to 2..n+1, and the
 brute-force permutation-sum identities behind the normalization
 E_[..](p) E^[..](p) = [n]!.
+
+A contravariant tensor is the ket :class:`~qdyb.tensor.TensorOp` from
+scalars into V^(x)n, a covariant one the bra from V^(x)n into scalars;
+component t is entry (t, ()) of a ket and ((), t) of a bra.
 """
 
 import itertools
 
 from .checks import Check, compare
-from .scalars import (DegenerateParameterError, qfact, qfact_base, qnum,
-                      qnum_base)
-from .tensor import DiagOp, Echelon, TensorOp, flat_index
+from .scalars import (DegenerateParameterError, fmt_scalar, qfact,
+                      qfact_base, qnum, qnum_base)
+from .tensor import TensorOp
 from .hecke import HeckeRep, HeckeWord
 from .rmatrix import dressed_block
 
@@ -53,64 +57,34 @@ def _length_and_inversions(tup):
     return length, inv
 
 
-class EpsTensor:
-    """A co- or contravariant tensor supported on distinct index tuples."""
+def _eps_op(n, variance, entries):
+    """The ket (CONTRA) or bra (CO) with the components of entries, a
+    list of (tuple, value)."""
+    if variance == CONTRA:
+        return TensorOp.from_entries(n, n, 0,
+                                     [(t, (), v) for t, v in entries])
+    return TensorOp.from_entries(n, 0, n, [((), t, v) for t, v in entries])
 
-    __slots__ = ("n", "variance", "kind", "entries")
 
-    def __init__(self, n, variance, kind, entries):
-        assert variance in (CO, CONTRA)
-        self.n = n
-        self.variance = variance
-        self.kind = kind
-        self.entries = {t: v for t, v in entries.items() if v}
-        for t in self.entries:
-            assert len(set(t)) == n, "support must be distinct tuples"
-
-    def __getitem__(self, tup):
-        return self.entries.get(tuple(tup), 0)
-
-    def as_ket(self):
-        """Column tensor: map from scalars into V^(x)n."""
-        assert self.variance == CONTRA
-        return TensorOp(self.n, self.n, 0,
-                        {flat_index(t, self.n): {0: v}
-                         for t, v in self.entries.items()})
-
-    def as_bra(self):
-        """Row tensor: map from V^(x)n into scalars."""
-        assert self.variance == CO
-        return TensorOp(self.n, 0, self.n,
-                        {0: {flat_index(t, self.n): v
-                             for t, v in self.entries.items()}})
-
-    def dump(self):
-        from .scalars import fmt_scalar
-        return {"".join(str(i) for i in t): fmt_scalar(v)
-                for t, v in sorted(self.entries.items())}
-
-    def __eq__(self, other):
-        return isinstance(other, EpsTensor) and self.entries == other.entries \
-            and (self.n, self.variance) == (other.n, other.variance)
-
-    def __repr__(self):
-        return "EpsTensor(n=%d, %s, %s, %d components)" % (
-            self.n, self.variance, self.kind, len(self.entries))
+def eps_dump(eps):
+    """The components of a ket or bra tensor as {"121": "num/den"}."""
+    return {"".join(str(i) for i in rm + cm): fmt_scalar(v)
+            for rm, cm, v in eps.entries()}
 
 
 def build_eps_const(n, ctx, variance):
-    entries = {}
+    entries = []
     pref = ctx.qbar ** (n * (n - 1) // 2)
     for t in itertools.permutations(range(1, n + 1)):
         length, _ = _length_and_inversions(t)
         v = (-ctx.q) ** length
-        entries[t] = pref * v if variance == CONTRA else v
-    return EpsTensor(n, variance, "constant", entries)
+        entries.append((t, pref * v if variance == CONTRA else v))
+    return _eps_op(n, variance, entries)
 
 
 def build_eps_dyn(params, p, variance):
     n = params.n
-    entries = {}
+    entries = []
     for t in itertools.permutations(range(1, n + 1)):
         length, inv = _length_and_inversions(t)
         v = params.ctx.field.of((-1) ** length)
@@ -123,8 +97,8 @@ def build_eps_dyn(params, p, variance):
         else:
             for (j, i) in inv:
                 v = v * params.alpha(i, j, p.p(i, j))
-        entries[t] = v
-    return EpsTensor(n, variance, "dynamic", entries)
+        entries.append((t, v))
+    return _eps_op(n, variance, entries)
 
 
 # -- eigenvector property and uniqueness ---------------------------------
@@ -136,24 +110,19 @@ def eigencheck(rep, ket, bra):
     n = rep.n
     assert rep.k == n
     ctx = rep.ctx
-    kt = ket.as_ket()
-    br = bra.as_bra()
     wit_k = wit_b = None
     for i in range(1, n):
         g = rep.image(i)
-        dk = g * kt - (-ctx.qbar) * kt
+        dk = g * ket - (-ctx.qbar) * ket
         if not dk.is_zero() and wit_k is None:
             wit_k = (i,) + dk.first_nonzero()
-        db = br * g - (-ctx.qbar) * br
+        db = bra * g - (-ctx.qbar) * bra
         if not db.is_zero() and wit_b is None:
             wit_b = (i,) + db.first_nonzero()
 
     ident = TensorOp.identity(n, n, ctx.field.one)
-    stacked = []
-    for i in range(1, n):
-        op = rep.image(i) + ctx.qbar * ident
-        stacked.extend(op.field_rows().values())
-    kernel_dim = n**n - len(Echelon(stacked))
+    kernel_dim = n**n - len(TensorOp.echelon(
+        rep.image(i) + ctx.qbar * ident for i in range(1, n)))
     return [Check("eps.right-eigenvector", wit_k is None, wit_k),
             Check("eps.left-eigenvector", wit_b is None, wit_b),
             Check("eps.joint-eigenspace-dimension", kernel_dim == 1,
@@ -166,20 +135,21 @@ def eigencheck(rep, ket, bra):
 def projector_from_eps(params_or_none, ket, bra, window, k, p=None,
                        ctx=None):
     """(1/[n]!) ket (x) bra placed at sites window..window+n-1, dressed by
-    the shift conjugation on the prefix sites for the dynamic kind."""
+    the shift conjugation on the prefix sites for the dynamic tensors,
+    which come with their params; the constant ones come with ctx."""
     n = ket.n
     the_ctx = ctx if ctx is not None else params_or_none.ctx
-    norm = bra.as_bra() * ket.as_ket()
+    norm = bra * ket
     if norm.is_zero():
         raise DegenerateParameterError("tensor pair normalization vanished")
-    if ket.kind == "constant":
-        outer = (1 / qfact(n, the_ctx)) * (ket.as_ket() * bra.as_bra())
+    if params_or_none is None:
+        outer = (1 / qfact(n, the_ctx)) * (ket * bra)
         return outer.embed(window, k)
     params = params_or_none
 
     def builder(pp):
-        kt = build_eps_dyn(params, pp, CONTRA).as_ket()
-        br = build_eps_dyn(params, pp, CO).as_bra()
+        kt = build_eps_dyn(params, pp, CONTRA)
+        br = build_eps_dyn(params, pp, CO)
         return (1 / qfact(n, the_ctx)) * (kt * br)
 
     block = dressed_block(params.n, builder, window - 1, p, sign=-1,
@@ -202,10 +172,10 @@ class NKMatrices:
         self.kvals = list(kvals)
 
     def n_op(self):
-        return DiagOp(self.n, 1, self.nvals).as_tensorop()
+        return TensorOp.diagonal(self.n, 1, lambda m: self.nvals[m[0] - 1])
 
     def k_op(self):
-        return DiagOp(self.n, 1, self.kvals).as_tensorop()
+        return TensorOp.diagonal(self.n, 1, lambda m: self.kvals[m[0] - 1])
 
 
 def build_nk(params=None, p=None, n=None, ctx=None):
@@ -254,8 +224,10 @@ def build_nk(params=None, p=None, n=None, ctx=None):
         acc_n = the_ctx.field.zero
         acc_k = the_ctx.field.zero
         for mid in itertools.permutations(others(i)):
-            acc_n = acc_n + bra_at(i)[mid + (i,)] * ket[(i,) + mid]
-            acc_k = acc_k + bra[(i,) + mid] * ket_at(i)[mid + (i,)]
+            acc_n = acc_n + bra_at(i).entry((), mid + (i,)) \
+                * ket.entry((i,) + mid, ())
+            acc_k = acc_k + bra.entry((), (i,) + mid) \
+                * ket_at(i).entry(mid + (i,), ())
         nvals.append(c * acc_n)
         kvals.append(c * acc_k)
 
@@ -293,7 +265,7 @@ def window_shift_relations_const(n, ctx):
 
     with the constant N = K = identity."""
     rep = HeckeRep.constant(n, ctx, n + 1)
-    ket = build_eps_const(n, ctx, CONTRA).as_ket()
+    ket = build_eps_const(n, ctx, CONTRA)
     one_site = TensorOp.identity(n, 1, ctx.field.one)
     nk = build_nk(n=n, ctx=ctx)
 
@@ -311,7 +283,7 @@ def dressed_bra_tensor(params, p):
     tensor T with T[i; j_1..j_{n+1}] = delta(i, j_1) E_[j_2..j_{n+1}]
     evaluated at p - v(i)."""
     return dressed_block(params.n,
-                         lambda pp: build_eps_dyn(params, pp, CO).as_bra(),
+                         lambda pp: build_eps_dyn(params, pp, CO),
                          1, p, sign=-1, side="prefix")
 
 
@@ -328,7 +300,7 @@ def window_shift_relations_dyn(params, p):
     ctx = params.ctx
     rep = HeckeRep.dynamic(params, p, n + 1)
     nk = build_nk(params, p)
-    bra = build_eps_dyn(params, p, CO).as_bra()
+    bra = build_eps_dyn(params, p, CO)
     one_site = TensorOp.identity(n, 1, ctx.field.one)
     dressed = dressed_bra_tensor(params, p)
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
@@ -447,7 +419,7 @@ def normalization_check(params, p):
     total = params.ctx.field.zero
     ok_comp = True
     for t in itertools.permutations(range(1, n + 1)):
-        prod = bra[t] * ket[t]
+        prod = bra.entry((), t) * ket.entry(t, ())
         expect = params.ctx.field.one
         for a in range(n):
             for b in range(a + 1, n):

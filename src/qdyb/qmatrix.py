@@ -62,7 +62,7 @@ from operator import itemgetter
 
 from .checks import Check, fold
 from .scalars import DegenerateParameterError, qfact, qnum
-from .tensor import Echelon, TensorOp
+from .tensor import TensorOp
 from .hecke import HeckeRep, HeckeWord, antisym
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
 from .rmatrix import build_dj
@@ -458,11 +458,11 @@ class ReplayEngine:
                                       _arg(name, args, "bra"), n, one)
         if name == "eps_ket":
             w = self._eps_window(name, args)
-            op = build_eps_const(n, ctx, CONTRA).as_ket()
+            op = build_eps_const(n, ctx, CONTRA)
             return SpacedTensor.from_tensorop(op, w, ())
         if name == "eps_bra":
             w = self._eps_window(name, args)
-            op = build_eps_const(n, ctx, CO).as_bra()
+            op = build_eps_const(n, ctx, CO)
             return SpacedTensor.from_tensorop(op, (), w)
         if name == "rho":
             spaces = tuple(_arg(name, args, "spaces"))
@@ -595,11 +595,11 @@ class ReplayEngine:
             return SpacedTensor.scalar(sf.eval(params, p))
         if name == "eps_bra_dyn":
             w = self._eps_window(name, args)
-            op = build_eps_dyn(params, p, CO).as_bra()
+            op = build_eps_dyn(params, p, CO)
             return SpacedTensor.from_tensorop(op, (), w)
         if name == "eps_ket_dyn":
             w = self._eps_window(name, args)
-            op = build_eps_dyn(params, p, CONTRA).as_ket()
+            op = build_eps_dyn(params, p, CONTRA)
             return SpacedTensor.from_tensorop(op, w, ())
         if name == "rho_dyn":
             spaces = tuple(_arg(name, args, "spaces"))
@@ -1607,29 +1607,16 @@ def relation_span(engine, k, p):
     """The echelonized span of the degree-k pair-exchange relation
     consequences { rho_dyn(g_j) M - M rho_const(g_j) } at the working
     point, over the coefficient space Mat(n^k, n^k)."""
-    dim = engine.n ** k
     dyn = engine._dyn_rep(k, p)
     const = engine._const_rep(k)
-    span = Echelon()
-    for j in range(1, k):
-        # coefficient functionals transform contravariantly: D and C
-        # are the transposed images, and column r of D is row r of
-        # the image
-        dcols = dyn.image(j).field_rows()
-        crows = const.image(j).transpose().field_rows()
-        # (D E_rs)_{x y} = D_{x r} delta_{s y};
-        # (E_rs C)_{x y} = delta_{x r} C_{s y}
-        for r in range(dim):
-            dcol = dcols.get(r, {})
-            for s in range(dim):
-                vec = {}
-                for x, v in dcol.items():
-                    vec[x * dim + s] = v
-                for y, v in crows.get(s, {}).items():
-                    idx = r * dim + y
-                    vec[idx] = vec.get(idx, 0) - v
-                span.add(vec)
-    return span
+    ident = TensorOp.identity(engine.n, k, engine.ctx.field.one)
+    # coefficient functionals transform contravariantly: with D and C the
+    # transposed images, (D E_rs)_{x y} = D_{x r} delta_{s y} and
+    # (E_rs C)_{x y} = delta_{x r} C_{s y}, so the consequence of E_rs is
+    # row r * n^k + s of D^T (x) I - I (x) C
+    return TensorOp.echelon(
+        dyn.image(j).kron(ident) - ident.kron(const.image(j).transpose())
+        for j in range(1, k))
 
 
 def membership_oracle(engine, expr_a, expr_b, max_dim=1100):

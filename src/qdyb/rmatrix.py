@@ -29,7 +29,7 @@ import itertools
 
 from .checks import Check, compare
 from .scalars import DegenerateParameterError
-from .tensor import DiagOp, TensorOp, flat_index, multi_index
+from .tensor import TensorOp, flat_index, multi_index
 from .weights import BETA_INFINITY, GENERIC
 
 
@@ -189,16 +189,17 @@ def weight_conservation_check(rmx, p):
                    multiset_dress(R, p, rmx.at, sign=-1), R)
 
 
-def verify_qdybe(params, p):
+def verify_qdybe(params, p, rmx=None):
     """All braid-relation layouts for the dynamical matrix at p.
 
     Returns the record list; every residual is compared to zero exactly.
     R(p) and each shifted matrix are built once and shared by every
-    layout (operators are immutable).
+    layout (operators are immutable); a caller that has built some of
+    them passes its :class:`DynRMatrix` of params as rmx.
     """
     records = []
     n = params.n
-    rmx = DynRMatrix(params)
+    rmx = rmx or DynRMatrix(params)
     R = rmx.at(p)
     R12 = R.embed(1, 3)
 
@@ -251,10 +252,13 @@ def verify_qdybe(params, p):
 # -- diagonal twist -----------------------------------------------------
 
 
-def twist_f_matrix(psi, p, n):
-    """The diagonal factor F with F[(i1,i2),(i1,i2)] = psi_{i1 i2}(p_{i1 i2})."""
-    return DiagOp.from_function(
-        n, 2, lambda m: psi(m[0], m[1], p.p(m[0], m[1])))
+def twist_f_matrix(psi, p, n, inverse=False):
+    """The diagonal factor F with F[(i1,i2),(i1,i2)] = psi_{i1 i2}(p_{i1 i2}),
+    or F^(-1) when inverse is set."""
+    def val(m):
+        v = psi(m[0], m[1], p.p(m[0], m[1]))
+        return 1 / v if inverse else v
+    return TensorOp.diagonal(n, 2, val)
 
 
 def twist_a_diag(psi, p, n):
@@ -265,10 +269,10 @@ def twist_a_diag(psi, p, n):
         if i != j:
             return psi(i, k, p.p(i, k)) * psi(j, k, p.p(j, k))
         return psi(i, k, p.p(i, k) + 1) ** 2
-    return DiagOp.from_function(n, 3, val)
+    return TensorOp.diagonal(n, 3, val)
 
 
-def twist_checks(params, psi, p):
+def twist_checks(params, psi, p, rmx=None):
     """Matrix-level verification of the diagonal twist at p:
 
     * F R(p) F^(-1) (with F = F12 * P12) equals the flipped matrix of the
@@ -277,18 +281,23 @@ def twist_checks(params, psi, p):
     * the shift-operator hypothesis, both sides reduced to the same
       residual layout,
     * braid relation and Hecke condition survive, beta values survive.
+
+    R(p) is built once for params (or taken from rmx, a caller's
+    :class:`DynRMatrix` of params) and once for the twisted set.
     """
     records = []
     n = params.n
     one = params.ctx.field.one
     P12 = TensorOp.site_permutation(n, 2, (2, 1), one)
-    F = twist_f_matrix(psi, p, n)
-    Fhat = F * P12
-    Fhat_inv = P12 * F.inverse().as_tensorop()
+    Fhat = twist_f_matrix(psi, p, n) * P12
+    Fhat_inv = P12 * twist_f_matrix(psi, p, n, inverse=True)
 
+    R = (rmx or DynRMatrix(params)).at(p)
     twisted = params.twisted(psi)
-    lhs = Fhat * build_dyn(params, p) * Fhat_inv
-    rhs = P12 * build_dyn(twisted, p) * P12
+    twisted_rmx = DynRMatrix(twisted)
+    R_twisted = twisted_rmx.at(p)
+    lhs = Fhat * R * Fhat_inv
+    rhs = P12 * R_twisted * P12
     records.append(compare("twist.flip-conjugation", lhs, rhs))
 
     cyc = TensorOp.site_permutation(n, 3, (2, 3, 1), one)
@@ -296,17 +305,15 @@ def twist_checks(params, psi, p):
     def ahat(pp):
         return twist_a_diag(psi, pp, n) * cyc
 
-    R12 = build_dyn(params, p).embed(1, 3)
-    R23 = build_dyn(params, p).embed(2, 3)
     records.append(compare("twist.cyclic-intertwiner",
-                           R12 * ahat(p), ahat(p) * R23))
+                           R.embed(1, 3) * ahat(p), ahat(p) * R.embed(2, 3)))
 
     if psi.kind == "constant":
         def fhat23(pp):
             return (twist_f_matrix(psi, pp, n) * P12).embed(2, 3)
 
         def fhat12_inv(pp):
-            return (P12 * twist_f_matrix(psi, pp, n).inverse().as_tensorop()
+            return (P12 * twist_f_matrix(psi, pp, n, inverse=True)
                     ).embed(1, 3)
 
         lhs = col_shifted_product(n, fhat12_inv, fhat23, p, 1, 3, sign=+1)
@@ -320,7 +327,7 @@ def twist_checks(params, psi, p):
         records.append(Check("twist.shift-hypothesis", None,
                              "skipped: p-dependent twist"))
 
-    bad = [r for r in verify_qdybe(twisted, p) if not r.ok]
+    bad = [r for r in verify_qdybe(twisted, p, twisted_rmx) if not r.ok]
     records.append(Check("twist.preserves-braid-and-hecke", not bad,
                          bad[0].witness if bad else None))
 
@@ -334,8 +341,7 @@ def twist_checks(params, psi, p):
 
     pattern = lambda op: {(r, c) for r, cols in op.support() for c in cols}
     records.append(Check("twist.preserves-pattern",
-                         pattern(build_dyn(params, p))
-                         == pattern(build_dyn(twisted, p))))
+                         pattern(R) == pattern(R_twisted)))
     return records
 
 
@@ -413,14 +419,15 @@ def beta_removal_offsets(params):
 # -- the diagonal-conjugation inversion identity ------------------------
 
 
-def diag_inversion(params, p):
+def diag_inversion(params, p, rmx=None):
     """Build D (D_i = q^(-2 p_in) pi_in, normalized D_n = 1) and sigma
     (q^2 on the diagonal pairs, 1 off), and verify exactly
 
         D1 R(p) D2^(-1) = R(p)^(-1) sigma12
 
     together with its two scalar components.  Needs pi, so the regime
-    must be generic (or beta -> oo, where pi = 1).
+    must be generic (or beta -> oo, where pi = 1).  R(p) is taken from
+    rmx, a caller's :class:`DynRMatrix` of params, when given.
     """
     records = []
     n = params.n
@@ -432,14 +439,14 @@ def diag_inversion(params, p):
     dvals = [ctx.qpow(-2 * p.p(i, n)) * params.pi(i, n)
              for i in range(1, n + 1)]
     assert dvals[n - 1] == ctx.field.one
-    D1 = DiagOp.from_function(n, 2, lambda m: dvals[m[0] - 1])
-    D2 = DiagOp.from_function(n, 2, lambda m: dvals[m[1] - 1])
-    sigma = DiagOp.from_function(
+    D1 = TensorOp.diagonal(n, 2, lambda m: dvals[m[0] - 1])
+    D2_inv = TensorOp.diagonal(n, 2, lambda m: 1 / dvals[m[1] - 1])
+    sigma = TensorOp.diagonal(
         n, 2, lambda m: ctx.q**2 if m[0] == m[1] else ctx.field.one)
 
-    R = build_dyn(params, p)
-    lhs = D1 * (R * D2.inverse().as_tensorop())
-    rhs = invert_dyn(params, p) * sigma.as_tensorop()
+    R = (rmx or DynRMatrix(params)).at(p)
+    lhs = D1 * (R * D2_inv)
+    rhs = invert_dyn(params, p) * sigma
     records.append(compare("diag-inversion.operator", lhs, rhs))
 
     ok_a = ok_b = True

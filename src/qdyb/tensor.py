@@ -28,8 +28,9 @@ The entries an operator is built from fix its field: any ``ModInt``
 entry means F_p, anything else (ints, ``Fraction``s) means Q.  When a
 rational operator meets a prime one, its entries are lifted as
 num * den^(-1) mod p.  Field values -- reduced ``Fraction``s, or
-``ModInt``s -- appear only at the boundary: :meth:`TensorOp.entry`,
-``entries``, ``first_nonzero``, ``dump`` and ``field_rows``.
+``ModInt``s -- go in through the constructor, ``from_entries`` and
+``diagonal``, and come out only through :meth:`TensorOp.entry`,
+``entries``, ``first_nonzero`` and ``dump``.
 
 An operator made of pieces of others (a block-diagonal dressing, a
 selection of entries from several products) is built by
@@ -37,11 +38,12 @@ selection of entries from several products) is built by
 columns mapped onto the lcm of the pieces' denominators, or mod p.
 Callers outside this module build from stored rows that way, and read
 a nonzero pattern through ``support``; they never take an operator
-apart through ``field_rows`` to build another one.  No operator shares
-a row dict with an operand or with a dict its caller passed in.
+apart into field values to build another one.  No operator shares a
+row dict with an operand or with a dict its caller passed in.
 
 Ranks and span membership share one eliminator, :class:`Echelon`: an
 incremental row echelon keyed by each row's leading (smallest) column.
+:meth:`TensorOp.echelon` builds one from the stored rows of operators.
 Rational rows are cleared to primitive integer vectors and reduced
 fraction-free, pv * row - rv * pivot_row followed by division by the
 gcd; prime-field rows are reduced by the same cross-multiplication on
@@ -140,6 +142,13 @@ class TensorOp:
         return cls._make(n, rk, ck, rows, den, p)
 
     @classmethod
+    def diagonal(cls, n, k, fn):
+        """The diagonal operator on k sites whose entry at the multi-index
+        m (1-based) is fn(m)."""
+        return cls(n, k, k, {f: {f: fn(multi_index(f, n, k))}
+                             for f in range(n**k)})
+
+    @classmethod
     def identity(cls, n, k, one=Fraction(1)):
         return cls(n, k, k, {r: {r: one} for r in range(n**k)})
 
@@ -181,13 +190,6 @@ class TensorOp:
     def support(self):
         """Iterate (row, read-only view of its nonzero columns)."""
         return ((r, row.keys()) for r, row in self.rows.items())
-
-    def field_rows(self):
-        """The rows as {row: {column: field value}}: a fresh dict of
-        reduced Fractions or ModInts on every call."""
-        value = self._value
-        return {r: {c: value(v) for c, v in row.items()}
-                for r, row in self.rows.items()}
 
     def entry(self, rmulti, cmulti):
         row = self.rows.get(flat_index(rmulti, self.n), {})
@@ -337,18 +339,17 @@ class TensorOp:
         right = TensorOp.identity(self.n, k - m - pos + 1)
         return left.kron(self).kron(right)
 
-    def dress(self, diag):
-        """Conjugate by an invertible diagonal: diag * self * diag^(-1)."""
-        assert self.is_square and diag.k == self.rk and diag.n == self.n
-        inv = diag.inverse()
-        rows = {}
-        for r, row in self.field_rows().items():
-            dr = diag.vals[r]
-            rows[r] = {c: dr * v * inv.vals[c] for c, v in row.items()}
-        return TensorOp(self.n, self.rk, self.ck, rows)
-
     def exact_rank(self):
-        return len(Echelon.of_raw(self.rows.values(), self.p))
+        return len(TensorOp.echelon([self]))
+
+    @staticmethod
+    def echelon(ops):
+        """The :class:`Echelon` of the rows of every op, reduced from their
+        stored ints; rational ops are lifted mod p when any op is prime."""
+        ops = list(ops)
+        p = next((op.p for op in ops if op.p is not None), None)
+        return Echelon.of_raw(
+            [row for op in ops for row in op._over(p).rows.values()], p)
 
     # -- serialization -----------------------------------------------------
 
@@ -431,56 +432,6 @@ def _common_field(a, b):
     the other is prime; returns (a, b, p)."""
     p = a.p if a.p is not None else b.p
     return a._over(p), b._over(p), p
-
-
-class DiagOp:
-    """A diagonal operator on V^(x k), stored as the dense value list."""
-
-    __slots__ = ("n", "k", "vals")
-
-    def __init__(self, n, k, vals):
-        vals = list(vals)
-        assert len(vals) == n**k
-        self.n = n
-        self.k = k
-        self.vals = vals
-
-    @classmethod
-    def from_function(cls, n, k, fn):
-        """fn maps a 1-based multi-index tuple to a scalar."""
-        return cls(n, k, [fn(multi_index(f, n, k)) for f in range(n**k)])
-
-    def __mul__(self, other):
-        if isinstance(other, DiagOp):
-            assert (self.n, self.k) == (other.n, other.k)
-            return DiagOp(self.n, self.k,
-                          [a * b for a, b in zip(self.vals, other.vals)])
-        if isinstance(other, TensorOp):
-            assert other.rk == self.k and other.n == self.n
-            rows = {r: {c: self.vals[r] * v for c, v in row.items()}
-                    for r, row in other.field_rows().items()}
-            return TensorOp(other.n, other.rk, other.ck, rows)
-        return NotImplemented
-
-    def inverse(self):
-        if any(not v for v in self.vals):
-            raise ZeroDivisionError("singular diagonal")
-        one = None
-        for v in self.vals:
-            one = v / v
-            break
-        return DiagOp(self.n, self.k, [one / v for v in self.vals])
-
-    def as_tensorop(self):
-        return TensorOp(self.n, self.k, self.k,
-                        {i: {i: v} for i, v in enumerate(self.vals) if v})
-
-    def __eq__(self, other):
-        return isinstance(other, DiagOp) and self.vals == other.vals \
-            and (self.n, self.k) == (other.n, other.k)
-
-    def __repr__(self):
-        return "DiagOp(n=%d, k=%d)" % (self.n, self.k)
 
 
 # -- exact elimination ----------------------------------------------------

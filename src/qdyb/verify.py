@@ -28,6 +28,7 @@ from .weights import (
 from . import rmatrix, hecke, levicivita, wznw
 from .checks import Check, fold, prefixed
 from .qmatrix import ReplayEngine, builtin_derivations, oracle_confirm
+from .tensor import TensorOp
 
 SCHEMA = "qdyb-report/1"
 
@@ -121,15 +122,18 @@ def _params_and_point(rng, draw, clearance=4):
 
     Parameters with no pole-free point in the sampled range (a drawn
     beta equal to q, say) are drawn again, at most PARAM_DRAWS times in
-    all.  A first draw that has such a point uses rng exactly as
-    draw(rng) followed by sample_point does.
+    all, unless draw(rng) used no randomness: fixed parameters would
+    come out the same every time.  A first draw that has such a point
+    uses rng exactly as draw(rng) followed by sample_point does.
     """
     for attempt in range(PARAM_DRAWS):
+        state = rng.getstate()
         params = draw(rng)
+        fixed = rng.getstate() == state
         try:
             return params, sample_point(params, rng, clearance=clearance)
         except DegenerateParameterError:
-            if attempt == PARAM_DRAWS - 1:
+            if fixed or attempt == PARAM_DRAWS - 1:
                 raise
 
 
@@ -267,20 +271,22 @@ def suite_qdybe(cfg):
             return params
 
         params, p = _params_and_point(rng, draw)
+        rmx = rmatrix.DynRMatrix(params)    # R(p) once per point
         for t in range(cfg.points):
             if t:
                 p = sample_point(params, rng)
             pre = "qdybe.d%d.p%d." % (d, t)
-            records.extend(prefixed(pre, rmatrix.verify_qdybe(params, p)))
+            records.extend(prefixed(
+                pre, rmatrix.verify_qdybe(params, p, rmx)))
             if params.regime in (GENERIC, BETA_INFINITY):
-                _, _, recs = rmatrix.diag_inversion(params, p)
+                _, _, recs = rmatrix.diag_inversion(params, p, rmx)
                 records.extend(prefixed(pre, recs))
         # twist and canonical-shift symmetries on the first point
         if params.regime == GENERIC:
             p = sample_point(params, rng)
             psi = sample_twist(cfg.n, rng, field=params.ctx.field)
-            records.extend(prefixed("qdybe.d%d." % d,
-                                    rmatrix.twist_checks(params, psi, p)))
+            records.extend(prefixed(
+                "qdybe.d%d." % d, rmatrix.twist_checks(params, psi, p, rmx)))
     # the beta-removing canonical shift, on a crafted pi = q^2 family
     ctx = cfg.context(rng)
     lam = ctx.lam
@@ -359,11 +365,9 @@ def suite_epsilon(cfg):
     cket = levicivita.build_eps_const(n, ctx, levicivita.CONTRA)
     cbra = levicivita.build_eps_const(n, ctx, levicivita.CO)
     if cfg.corrupt == "eps-sign":
-        t0 = next(iter(sorted(cket.entries)))
-        bad_entries = dict(cket.entries)
-        bad_entries[t0] = -bad_entries[t0]
-        cket = levicivita.EpsTensor(n, levicivita.CONTRA, "constant",
-                                    bad_entries)
+        # negate the first component
+        t0, _, v0 = cket.first_nonzero()
+        cket = cket - TensorOp.from_entries(n, n, 0, [(t0, (), 2 * v0)])
     crep = hecke.HeckeRep.constant(n, ctx, n)
     records.extend(prefixed("epsilon.const.", levicivita.eigencheck(
         crep, cket, cbra) + levicivita.window_shift_relations_const(n, ctx)))

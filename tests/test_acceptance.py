@@ -228,10 +228,9 @@ def test_criterion_8_diag_inversion():
             no_fail(records)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    idx = (i - 1) * n + (j - 1)
                     expect = params.ctx.q**2 if i == j \
                         else params.ctx.field.one
-                    assert sigma.vals[idx] == expect
+                    assert sigma.entry((i, j), (i, j)) == expect
     report("criterion-8 diag-inversion", t0)
 
 

@@ -345,3 +345,64 @@ def test_derive_same_under_python_optimize(tmp_path):
         assert plain[0] == 2 and not plain[1], (name, plain)
         assert message in plain[2], (name, plain)
         assert _derive_subprocess(True, "--script", str(path)) == plain, name
+
+
+def _digest(text):
+    import hashlib
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("build", "--n", "2", "--q", "5/2", "--beta", "3/2"), "1551af2c65bf9b1d"),
+    (("build", "--n", "3", "--q", "5/2", "--beta", "3/2,2/3"),
+     "df67540c17763e81"),
+    (("dump", "eps", "--n", "2", "--q", "5/2", "--beta", "3/2"),
+     "9dcf6689633daf45"),
+    (("dump", "eps-co", "--n", "2", "--q", "5/2", "--beta", "3/2"),
+     "9c7fc0a9b86e883a"),
+    (("dump", "eps", "--n", "3", "--q", "5/2", "--beta", "3/2,2/3"),
+     "b79c8dc0819efc9b"),
+    (("dump", "eps-co", "--n", "3", "--q", "5/2", "--beta", "3/2,2/3",
+      "--alpha", "standard"), "6d25bd49cea558eb"),
+])
+def test_build_and_eps_dumps_pinned(capsys, argv, digest):
+    """The stdout of `build` and `dump eps/eps-co`, as printed when the
+    Levi-Civita tensors had a container of their own."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _digest(out) == digest
+
+
+@pytest.mark.parametrize("n, backend, witness", [
+    (2, "rational", "(1, (1, 2), (), Fraction(-2, 1))"),
+    (3, "rational", "(1, (1, 2, 3), (), Fraction(-2, 9))"),
+    (3, "prime", "(1, (1, 2, 3), (), "
+                 "ModInt(2049638230412172395 mod 18446744073709551557))"),
+])
+def test_corrupt_eps_sign_records_pinned(n, backend, witness):
+    """`qdyb verify epsilon --corrupt eps-sign`: the failing ids and their
+    witnesses.  Only the first component is negated, so only the right
+    eigenvector check fails."""
+    doc = strip_timing(verify.run(RunConfig(n=n, backend=backend,
+                                            corrupt="eps-sign"), "epsilon"))
+    fails = [(r["id"], r.get("witness")) for rep in doc["reports"]
+             for r in rep["records"] if r["status"] != "pass"]
+    assert fails == [("epsilon.const.eps.right-eigenvector", witness)]
+
+
+def test_fixed_params_without_a_pole_free_point_are_drawn_once(monkeypatch):
+    """`qdyb verify hecke --n 3 --q 9/4 --beta 9/4,9/4` draws no random
+    parameters, so it gives up after one search for a point."""
+    calls = []
+    sample = verify.sample_point
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return sample(*args, **kw)
+
+    monkeypatch.setattr(verify, "sample_point", counted)
+    doc = strip_timing(verify.run(RunConfig(n=3, q="9/4",
+                                            beta=["9/4", "9/4"]), "hecke"))
+    assert len(calls) == 1
+    assert doc["status"] == "fail"
+    assert _digest(json.dumps(doc, sort_keys=True)) == "ef0d2e8c50484ef9"

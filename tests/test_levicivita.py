@@ -9,9 +9,9 @@ from qdyb.hecke import HeckeRep, antisym
 from qdyb.rmatrix import dressed_block
 from qdyb.tensor import TensorOp
 from qdyb.levicivita import (
-    CO, CONTRA, EpsTensor, b_table_from_xi, bruteforce_norm_identities,
+    CO, CONTRA, b_table_from_xi, bruteforce_norm_identities,
     build_eps_const, build_eps_dyn, build_nk, dressed_bra_tensor, eigencheck,
-    normalization_check,
+    eps_dump, normalization_check,
     perm_sum, projector_from_eps, window_shift_relations_const,
     window_shift_relations_dyn, xi_only_hypotheses_hold, xi_table,
 )
@@ -29,10 +29,10 @@ def test_constant_eps_n2_values():
     ctx = QContext(Fraction(2), 2)
     up = build_eps_const(2, ctx, CONTRA)
     dn = build_eps_const(2, ctx, CO)
-    assert up[(1, 2)] == ctx.qbar and up[(2, 1)] == -1
-    assert dn[(1, 2)] == 1 and dn[(2, 1)] == -ctx.q
+    assert up.entry((1, 2), ()) == ctx.qbar and up.entry((2, 1), ()) == -1
+    assert dn.entry((), (1, 2)) == 1 and dn.entry((), (2, 1)) == -ctx.q
     ctx1 = QContext(Fraction(2), 1)
-    assert build_eps_const(1, ctx1, CONTRA)[(1,)] == 1
+    assert build_eps_const(1, ctx1, CONTRA).entry((1,), ()) == 1
 
 
 def test_constant_contraction_is_qfactorial():
@@ -40,7 +40,7 @@ def test_constant_contraction_is_qfactorial():
         ctx = QContext(Fraction(3, 2), n)
         up = build_eps_const(n, ctx, CONTRA)
         dn = build_eps_const(n, ctx, CO)
-        total = sum((dn[t] * up[t] for t in
+        total = sum((dn.entry((), t) * up.entry(t, ()) for t in
                      itertools.permutations(range(1, n + 1))), Fraction(0))
         assert total == qfact(n, ctx)
 
@@ -60,12 +60,13 @@ def test_dyn_eps_n2_frozen_values():
     params = SLnParams(ctx, [Fraction(1)])
     p = WeightPoint(2, (2,))
     up = build_eps_dyn(params, p, CONTRA)
-    assert up[(1, 2)] == Fraction(6, 11)       # xi_12(2)
-    assert up[(2, 1)] == Fraction(-43, 22)     # -alpha_21 xi_21(-2)
+    assert up.entry((1, 2), ()) == Fraction(6, 11)     # xi_12(2)
+    assert up.entry((2, 1), ()) == Fraction(-43, 22)   # -alpha_21 xi_21(-2)
     dn = build_eps_dyn(params, p, CO)
-    assert dn[(1, 2)] == 1 and dn[(2, 1)] == -1
+    assert dn.entry((), (1, 2)) == 1 and dn.entry((), (2, 1)) == -1
     # contraction gives [2]
-    assert dn[(1, 2)] * up[(1, 2)] + dn[(2, 1)] * up[(2, 1)] == qnum(2, ctx)
+    assert dn.entry((), (1, 2)) * up.entry((1, 2), ()) \
+        + dn.entry((), (2, 1)) * up.entry((2, 1), ()) == qnum(2, ctx)
 
 
 def test_eigencheck_constant_and_dynamic():
@@ -86,8 +87,9 @@ def test_eigencheck_detects_wrong_sign():
     ctx = QContext(Fraction(2), 2)
     rep = HeckeRep.constant(2, ctx, 2)
     up = build_eps_const(2, ctx, CONTRA)
-    bad = EpsTensor(2, CONTRA, "constant",
-                    {(1, 2): up[(1, 2)], (2, 1): -up[(2, 1)]})
+    bad = TensorOp.from_entries(2, 2, 0, [
+        ((1, 2), (), up.entry((1, 2), ())),
+        ((2, 1), (), -up.entry((2, 1), ()))])
     records = eigencheck(rep, bad, build_eps_const(2, ctx, CO))
     assert any(r[1] is False for r in records)
 
@@ -150,20 +152,20 @@ def test_dressed_block_on_bra_and_ket_blocks():
         p = sample_point(params, rng, clearance=3)
         bra_rows, ket_rows = [], []
         for i in range(1, n + 1):
-            for t, v in build_eps_dyn(params, p.shift(i, -1), CO) \
-                    .entries.items():
+            for _, t, v in build_eps_dyn(params, p.shift(i, -1), CO) \
+                    .entries():
                 bra_rows.append(((i,), (i,) + t, v))
-            for t, v in build_eps_dyn(params, p.shift(i, +1), CONTRA) \
-                    .entries.items():
+            for t, _, v in build_eps_dyn(params, p.shift(i, +1), CONTRA) \
+                    .entries():
                 ket_rows.append((t + (i,), (i,), v))
         bra = TensorOp.from_entries(n, 1, n + 1, bra_rows)
         ket = TensorOp.from_entries(n, n + 1, 1, ket_rows)
         assert dressed_block(
-            n, lambda pp: build_eps_dyn(params, pp, CO).as_bra(), 1, p,
+            n, lambda pp: build_eps_dyn(params, pp, CO), 1, p,
             sign=-1, side="prefix") == bra
         assert dressed_bra_tensor(params, p) == bra
         assert dressed_block(
-            n, lambda pp: build_eps_dyn(params, pp, CONTRA).as_ket(), 1, p,
+            n, lambda pp: build_eps_dyn(params, pp, CONTRA), 1, p,
             sign=+1, side="suffix") == ket
 
 
@@ -227,5 +229,5 @@ def test_xi_only_hypotheses():
 
 def test_eps_dump_keys():
     ctx = QContext(Fraction(2), 2)
-    doc = build_eps_const(2, ctx, CO).dump()
+    doc = eps_dump(build_eps_const(2, ctx, CO))
     assert doc == {"12": "1", "21": "-2"}

@@ -277,7 +277,7 @@ def test_diag_inversion_identity():
             p = sample_point(params, rng)
             D, sigma, records = diag_inversion(params, p)
             all_pass(records)
-            assert sigma.vals[0] == params.ctx.q**2  # sigma_11 = q^2
+            assert sigma.entry((1, 1), (1, 1)) == params.ctx.q**2  # sigma_11
     # regime guard
     ctx = QContext(Fraction(2), 2)
     with pytest.raises(DegenerateParameterError):
@@ -289,3 +289,33 @@ def test_pi_ratio():
     params = sample_params(3, rng)
     p = sample_point(params, rng)
     all_pass(pi_ratio_check(params, p))
+
+
+def test_qdybe_suite_builds_r_once_per_params_and_point(monkeypatch):
+    """`qdyb verify qdybe --n 3`, twist checks included, builds R(p) once
+    for each parameter set (by identity) and weight point."""
+    from qdyb.verify import RunConfig, run_suite
+    calls = []
+    build = rmatrix.build_dyn
+
+    def counted(params, p):
+        calls.append((params, p.chain))    # keeps params alive
+        return build(params, p)
+
+    monkeypatch.setattr(rmatrix, "build_dyn", counted)
+    report = run_suite("qdybe", RunConfig(n=3))
+    assert report["status"] == "pass"
+    assert any(r["id"].endswith("twist.flip-conjugation")
+               for r in report["records"])
+    keys = [(id(params), chain) for params, chain in calls]
+    assert len(keys) == len(set(keys))
+
+    # one twist_checks call on its own: params and twisted once each at p
+    calls.clear()
+    rng = random.Random(6)
+    params = sample_params(3, rng, alpha="constant")
+    p = sample_point(params, rng)
+    all_pass(twist_checks(params, sample_twist(3, rng), p))
+    keys = [(id(params), chain) for params, chain in calls]
+    assert len(keys) == len(set(keys))
+    assert keys.count((id(params), p.chain)) == 1

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext
-from qdyb.tensor import DiagOp, Echelon, TensorOp, flat_index, multi_index
+from qdyb.tensor import Echelon, TensorOp, flat_index, multi_index
 
 
 def random_sparse(n, k, rng, density=5):
@@ -143,9 +143,8 @@ def test_exact_rank_rational_vs_prime():
     F = PrimeField()
     for _ in range(6):
         op = random_sparse(2, 3, rng, 2)
-        modrows = {r: {c: F.of(v) for c, v in row.items()}
-                   for r, row in op.field_rows().items()}
-        modop = TensorOp(2, 3, 3, modrows)
+        modop = TensorOp.from_entries(2, 3, 3, [
+            (rm, cm, F.of(v)) for rm, cm, v in op.entries()])
         assert op.exact_rank() == modop.exact_rank()
 
 
@@ -237,18 +236,52 @@ def test_projector_rank_complement():
     assert A.exact_rank() + (ident - A).exact_rank() == 4
 
 
-def test_dress_by_diagonal():
+def test_diagonal_scales_rows_and_inverts():
     rng = random.Random(10)
     op = random_sparse(2, 2, rng)
-    d = DiagOp(2, 2, [Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
-    dressed = op.dress(d)
-    undone = dressed.dress(d.inverse())
-    assert undone == op
-    diag_op = DiagOp(2, 2, [Fraction(2)] * 4).as_tensorop()
-    assert diag_op.dress(d) == diag_op  # diagonals commute
-    bad = DiagOp(2, 2, [Fraction(1), Fraction(0), Fraction(3), Fraction(5)])
+    vals = {(1, 1): Fraction(1), (1, 2): Fraction(2), (2, 1): Fraction(3),
+            (2, 2): Fraction(5)}
+    d = TensorOp.diagonal(2, 2, lambda m: vals[m])
+    d_inv = TensorOp.diagonal(2, 2, lambda m: 1 / vals[m])
+    assert all(d.entry(m, m) == v for m, v in vals.items()) and d.nnz() == 4
+    assert d * d_inv == TensorOp.identity(2, 2)
+    assert all((d * op).entry(rm, cm) == vals[rm] * v
+               for rm, cm, v in op.entries())
+    assert d_inv * (d * op * d_inv) * d == op
+    two = TensorOp.diagonal(2, 2, lambda m: Fraction(2))
+    assert d * two == two * d                   # diagonals commute
+    F = PrimeField()
+    dp = TensorOp.diagonal(2, 1, lambda m: F.of(m[0] + 1))
+    assert dp.p == F.p and dp.entry((2,), (2,)) == F.of(3)
+    with pytest.raises(ZeroDivisionError):      # the inverse of a zero
+        TensorOp.diagonal(2, 2, lambda m: 1 / (vals[m] - 1))
     with pytest.raises(ZeroDivisionError):
-        op.dress(bad)
+        TensorOp.diagonal(2, 1, lambda m: 1 / F.of(m[0] - 1))
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_echelon_of_operators_stacks_their_rows(field):
+    rng = random.Random(16)
+    for _ in range(10):
+        ops = [TensorOp.from_entries(2, 2, 2, [
+            (rm, cm, field.of(v * Fraction(1, rng.randint(1, 3))))
+            for rm, cm, v in random_sparse(2, 2, rng, 1).entries()])
+            for _ in range(rng.randint(1, 3))]
+        rows = [{flat_index(cm, 2): v for rm2, cm, v in op.entries()
+                 if rm2 == rm}
+                for op in ops for rm in {rm for rm, _, _ in op.entries()}]
+        ech = TensorOp.echelon(ops)
+        assert len(ech) == dense_rank(rows, 4, field.zero)
+        assert all(ech.contains(row) for row in rows)
+        assert [op.exact_rank() for op in ops] == \
+            [len(TensorOp.echelon([op])) for op in ops]
+    # a rational operator stacked with a prime one is lifted mod p, where
+    # an entry p is zero
+    F = PrimeField()
+    rational = TensorOp.diagonal(2, 1, lambda m: Fraction(F.p * (m[0] - 1)))
+    prime = TensorOp.from_entries(2, 1, 1, [((1,), (1,), F.one)])
+    ech = TensorOp.echelon([rational, prime])
+    assert ech.p == F.p and len(ech) == 1 and rational.exact_rank() == 1
 
 
 def test_dump_roundtrip_bit_exact():
@@ -284,8 +317,8 @@ def assert_stored_form(op):
 
 def ref_entries(op):
     """The operator as {(row, col): field value}, read at the boundary."""
-    return {(r, c): v for r, row in op.field_rows().items()
-            for c, v in row.items()}
+    return {(flat_index(rm, op.n), flat_index(cm, op.n)): v
+            for rm, cm, v in op.entries()}
 
 
 def from_ref(n, rk, ck, ref):
