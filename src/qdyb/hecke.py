@@ -226,11 +226,10 @@ def _window(rep, sign, i, j):
         out = ident
     else:
         m = j - i + 1
-        t = ctx.q if sign > 0 else -ctx.qbar
         den = sign ** (m + 1) * qnum(m, ctx)    # [m]_t
         if not den:
             raise DegenerateParameterError("[%d] = 0" % m)
-        coef = t ** (m - 1)
+        coef = sign ** (m - 1) * ctx.qpow(sign * (m - 1))   # t^(m-1)
         low = sign ** m * qnum(m - 1, ctx)      # [m-1]_t
         prev = _window(rep, sign, i, j - 1)
         out = (1 / den) * (prev * (coef * ident - low * rep.image(j - 1))
@@ -327,10 +326,10 @@ def top_vanish_equivalents(rep, n):
     ]
 
     # alternating expansion of the top antisymmetrizer
-    alt = HeckeWord({(): ctx.q ** n})
+    alt = HeckeWord({(): ctx.qpow(n)})
     for m in range(1, n + 1):
         word = tuple(range(n, n - m, -1))
-        alt = alt + HeckeWord({word: (-1) ** m * ctx.q ** (n - m)})
+        alt = alt + HeckeWord({word: (-1) ** m * ctx.qpow(n - m)})
     lhs = antisym(rep, 1, n + 1)
     rhs = (1 / qnum(n + 1, ctx)) * (A * rep.apply(alt))
     records.append(compare("top-vanish.alternating-expansion", lhs, rhs))
@@ -379,21 +378,30 @@ def locality_structure(rep):
     return out
 
 
-def global_conjugation_equivalent(rep_dynamic, rep_local):
+def global_conjugation_equivalent(rep_dynamic, rep_local, rmat=None):
     """The localized-last flavor equals the dynamic one conjugated by the
     full product X_1...X_k (entrywise weight shift on multiset-conserving
-    operators)."""
+    operators).
+
+    The dynamic representation is built once per shifted point, for all
+    generators, from rmat (a caller's :class:`DynRMatrix` of the
+    parameters) when given."""
     from .rmatrix import multiset_dress
     assert rep_dynamic.flavor == DYNAMIC and rep_local.flavor == LOCALIZED_LAST
     assert rep_dynamic.base == rep_local.base
     p = rep_dynamic.base
     params = rep_dynamic.params
     k = rep_dynamic.k
+    rmx = rmat if rmat is not None else DynRMatrix(params)
+    shifted = {}        # p.chain -> the dynamic representation at p
     for i in range(1, k):
         img = rep_dynamic.image(i)
 
         def rebuilt(pp, i=i):
-            return HeckeRep.dynamic(params, pp, k).image(i)
+            rep = shifted.get(pp.chain)
+            if rep is None:
+                rep = shifted[pp.chain] = HeckeRep.dynamic(params, pp, k, rmx)
+            return rep.image(i)
 
         if multiset_dress(img, p, rebuilt, sign=+1) != rep_local.image(i):
             return False

@@ -74,10 +74,10 @@ def eps_dump(eps):
 
 def build_eps_const(n, ctx, variance):
     entries = []
-    pref = ctx.qbar ** (n * (n - 1) // 2)
+    pref = ctx.qpow(-(n * (n - 1) // 2))
     for t in itertools.permutations(range(1, n + 1)):
         length, _ = _length_and_inversions(t)
-        v = (-ctx.q) ** length
+        v = (-1) ** length * ctx.qpow(length)
         entries.append((t, pref * v if variance == CONTRA else v))
     return _eps_op(n, variance, entries)
 
@@ -287,7 +287,7 @@ def dressed_bra_tensor(params, p):
                          1, p, sign=-1, side="prefix")
 
 
-def window_shift_relations_dyn(params, p):
+def window_shift_relations_dyn(params, p, rmat=None):
     """The dynamical transport relations on k = n + 1 sites:
 
         E_[1..n](p) rho(g_n...g_1) = q K(p) (X1 E_[2..n+1](p) X1^(-1)),
@@ -295,10 +295,12 @@ def window_shift_relations_dyn(params, p):
 
     where the conjugated bra is the explicit row tensor of
     :func:`dressed_bra_tensor` and N, K act between site n+1 and site 1.
+    R(p) is taken from rmat, a caller's :class:`DynRMatrix` of params,
+    when given.
     """
     n = params.n
     ctx = params.ctx
-    rep = HeckeRep.dynamic(params, p, n + 1)
+    rep = HeckeRep.dynamic(params, p, n + 1, rmat)
     nk = build_nk(params, p)
     bra = build_eps_dyn(params, p, CO)
     one_site = TensorOp.identity(n, 1, ctx.field.one)

@@ -65,7 +65,7 @@ from .scalars import DegenerateParameterError, qfact, qnum
 from .tensor import TensorOp
 from .hecke import HeckeRep, HeckeWord, antisym
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
-from .rmatrix import build_dj
+from .rmatrix import DynRMatrix, build_dj
 
 
 class MoveError(ValueError):
@@ -416,6 +416,7 @@ class ReplayEngine:
         self.n = params.n
         self.ctx = params.ctx
         self.points = list(points)
+        self._rmx = DynRMatrix(params)     # R at each point, for every k
         self._reps = {}
         self._nk = {}
         self._certs = {}
@@ -427,7 +428,7 @@ class ReplayEngine:
     def _dyn_rep(self, k, p):
         key = (k, p.chain)
         if key not in self._reps:
-            self._reps[key] = HeckeRep.dynamic(self.params, p, k)
+            self._reps[key] = HeckeRep.dynamic(self.params, p, k, self._rmx)
         return self._reps[key]
 
     def _const_rep(self, k):
@@ -472,7 +473,7 @@ class ReplayEngine:
         if name == "sigma":
             s, t = _two_spaces(name, args)
             data = {(((i, j) if _label_key(s) < _label_key(t) else (j, i)),) * 2:
-                    (ctx.q**2 if i == j else one)
+                    (ctx.qpow(2) if i == j else one)
                     for i in range(1, n + 1) for j in range(1, n + 1)}
             return SpacedTensor((s, t), (s, t), data)
         if name == "rhat":
@@ -519,11 +520,11 @@ class ReplayEngine:
         if kind == "qfact_inv":
             return 1 / qfact(m, ctx)
         if kind == "q":
-            return ctx.q ** m
+            return ctx.qpow(m)
         if kind == "rootpow":
             if ctx.root is None:
                 raise DegenerateParameterError("scalar needs ctx.root")
-            return ctx.root ** m
+            return ctx.qpow(Fraction(m, self.n))
         raise MoveError("unknown scalar symbol %r" % (sym,))
 
     def eval_p(self, fp, p):

@@ -442,7 +442,7 @@ def diag_inversion(params, p, rmx=None):
     D1 = TensorOp.diagonal(n, 2, lambda m: dvals[m[0] - 1])
     D2_inv = TensorOp.diagonal(n, 2, lambda m: 1 / dvals[m[1] - 1])
     sigma = TensorOp.diagonal(
-        n, 2, lambda m: ctx.q**2 if m[0] == m[1] else ctx.field.one)
+        n, 2, lambda m: ctx.qpow(2) if m[0] == m[1] else ctx.field.one)
 
     R = (rmx or DynRMatrix(params)).at(p)
     lhs = D1 * (R * D2_inv)
@@ -455,7 +455,7 @@ def diag_inversion(params, p, rmx=None):
         for j in range(1, n + 1):
             pij = p.p(i, j)
             a = params.a_entry(i, j, pij)
-            sig = ctx.q**2 if i == j else ctx.field.one
+            sig = ctx.qpow(2) if i == j else ctx.field.one
             if a != (a - (lam if i == j else 0)) * sig:
                 ok_a = False
             if i != j:

@@ -25,7 +25,10 @@ f(1) = qbar + beta.  Zeros of f are the dynamical poles of the theory;
 any evaluation that hits one raises :class:`PoleError` instead of
 silently substituting a limit.
 
-All values are immutable; nothing here keeps global mutable state.
+All values are immutable, and nothing here keeps global mutable state.
+A :class:`QContext` memoizes its powers of q and its q-integers in two
+tables of its own, filled on first use; they depend on q alone, so they
+change no value returned and are never shared between contexts.
 """
 
 from fractions import Fraction
@@ -226,9 +229,12 @@ class QContext:
 
     Genericity guard: [j] != 0 for 2 <= j <= n+1 is enforced on
     construction, which is what every antisymmetrizer denominator needs.
+
+    Each power of q and each q-integer is computed once per context, on
+    first use, and kept in the tables ``_pow`` and ``_qnum``.
     """
 
-    __slots__ = ("field", "q", "n", "root", "qbar", "lam")
+    __slots__ = ("field", "q", "n", "root", "qbar", "lam", "_pow", "_qnum")
 
     def __init__(self, q, n, root=None, field=RATIONAL):
         self.field = field
@@ -238,6 +244,8 @@ class QContext:
             raise DegenerateParameterError("q must be nonzero")
         self.qbar = field.one / self.q
         self.lam = self.q - self.qbar
+        self._pow = {}
+        self._qnum = {}
         self.root = None if root is None else field.of(root)
         if self.root is not None and self.root**n != self.q:
             raise DegenerateParameterError("root**n != q")
@@ -248,6 +256,12 @@ class QContext:
     def qpow(self, e):
         """q**e for integer e, or rational e with denominator dividing n
         (via the stored root)."""
+        v = self._pow.get(e)
+        if v is None:
+            v = self._pow[e] = self._qpow_uncached(e)
+        return v
+
+    def _qpow_uncached(self, e):
         if isinstance(e, Fraction) and e.denominator != 1:
             if self.root is None:
                 raise DegenerateParameterError(
@@ -267,11 +281,21 @@ class QContext:
 
 
 def qnum(j, ctx):
-    """The q-integer [j]; at q = +-1 the continuation j*q^(j-1)."""
-    q, qbar = ctx.q, ctx.qbar
-    if q == qbar:  # q = 1 or q = -1
-        return ctx.field.of(j) * q ** ((j - 1) % 2)
-    return (q**j - qbar**j) / (q - qbar)
+    """The q-integer [j] for integer j, or rational j with denominator
+    dividing n (through ``ctx.qpow``); at q = +-1 the continuation
+    j*q^(j-1), which exists for integer j only."""
+    v = ctx._qnum.get(j)
+    if v is None:
+        v = ctx._qnum[j] = _qnum_uncached(j, ctx)
+    return v
+
+
+def _qnum_uncached(j, ctx):
+    if ctx.lam:
+        return (ctx.qpow(j) - ctx.qpow(-j)) / ctx.lam
+    if isinstance(j, Fraction) and j.denominator != 1:  # q = 1 or q = -1
+        raise DegenerateParameterError("fractional q-integer at q = +-1")
+    return ctx.field.of(int(j)) * ctx.qpow((j - 1) % 2)
 
 
 def qfact(j, ctx):
@@ -310,16 +334,7 @@ def f_poly(p, beta, ctx):
     Accepts rational p with denominator dividing n when ctx has a root
     (used by canonical shifts).
     """
-    beta = ctx.field.of(beta)
-    if isinstance(p, Fraction) and p.denominator != 1:
-        qp = ctx.qpow(p)
-        qbp = ctx.field.one / qp
-        num = (qp - qbp) / ctx.lam if ctx.lam else None
-        if num is None:
-            raise DegenerateParameterError("fractional f at q = +-1")
-        return qbp + num * beta
-    p = int(p)
-    return ctx.qbar**p + qnum(p, ctx) * beta
+    return ctx.qpow(-p) + qnum(p, ctx) * ctx.field.of(beta)
 
 
 def xi_of_f(p, beta, ctx):

@@ -150,7 +150,9 @@ class TensorOp:
 
     @classmethod
     def identity(cls, n, k, one=Fraction(1)):
-        return cls(n, k, k, {r: {r: one} for r in range(n**k)})
+        """The identity on k sites, over the field of `one`."""
+        p = one.p if isinstance(one, ModInt) else None
+        return cls._make(n, k, k, {r: {r: 1} for r in range(n**k)}, 1, p)
 
     @classmethod
     def zero(cls, n, rk, ck):

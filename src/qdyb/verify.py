@@ -291,7 +291,7 @@ def suite_qdybe(cfg):
     ctx = cfg.context(rng)
     lam = ctx.lam
     try:
-        beta1 = lam / (1 - ctx.q**2)
+        beta1 = lam / (1 - ctx.qpow(2))
         chain = [beta1] + [ctx.field.of(Fraction(1))] * (cfg.n - 2)
         params = SLnParams(ctx, chain)
         offs = rmatrix.beta_removal_offsets(params)
@@ -321,8 +321,9 @@ def suite_hecke(cfg):
     # the global conjugation evaluates R at p + v(I), |I| = k, and the
     # dynamic images dress that with up to k - 2 further shifts
     params, p = _params_and_point(rng, draw, clearance=2 * k - 2)
-    drep = hecke.HeckeRep.dynamic(params, p, k)
-    lrep = hecke.HeckeRep.localized_last(params, p, k)
+    rmx = rmatrix.DynRMatrix(params)    # R at each point once
+    drep = hecke.HeckeRep.dynamic(params, p, k, rmx)
+    lrep = hecke.HeckeRep.localized_last(params, p, k, rmx)
 
     for label, rep in (("constant", crep), ("dynamic", drep),
                        ("localized-last", lrep)):
@@ -352,7 +353,8 @@ def suite_hecke(cfg):
                          loc[0] is True and all(x is False
                                                 for x in loc[1:])))
     records.append(Check("hecke.localized-last-equivalence",
-                         hecke.global_conjugation_equivalent(drep, lrep)))
+                         hecke.global_conjugation_equivalent(drep, lrep,
+                                                             rmx)))
     return records
 
 
@@ -375,13 +377,14 @@ def suite_epsilon(cfg):
     for d in range(cfg.draws):
         params, p = _params_and_point(rng, cfg.draw_params)
         pre = "epsilon.d%d." % d
-        drep = hecke.HeckeRep.dynamic(params, p, n)
+        rmx = rmatrix.DynRMatrix(params)    # R at each point once
+        drep = hecke.HeckeRep.dynamic(params, p, n, rmx)
         dket = levicivita.build_eps_dyn(params, p, levicivita.CONTRA)
         dbra = levicivita.build_eps_dyn(params, p, levicivita.CO)
         records.extend(prefixed(pre, levicivita.eigencheck(drep, dket, dbra)
                                 + levicivita.normalization_check(params, p)
                                 + levicivita.window_shift_relations_dyn(
-                                    params, p)))
+                                    params, p, rmx)))
         try:
             levicivita.build_nk(params, p)
             records.append(Check(pre + "nk-closed-form", True))
@@ -524,8 +527,8 @@ def suite_wznw(cfg):
             # renormalizing by root^(-2) instead must break the sign
             m_plus = n * (n + 1) // 2
             m_minus = n * (n - 1) // 2
-            prod = (ctx.q / ctx.root**2) ** m_plus \
-                * (-ctx.qbar / ctx.root**2) ** m_minus
+            root2 = ctx.qpow(Fraction(2, n))
+            prod = (ctx.q / root2) ** m_plus * (-ctx.qbar / root2) ** m_minus
             records.append(Check(
                 "n%d.wznw.determinant-sign-wrong-scale" % n,
                 prod == field.of((-1) ** m_minus), prod))

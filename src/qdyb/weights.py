@@ -235,13 +235,51 @@ class PairFamily:
 
     @classmethod
     def from_json(cls, n, d, field=RATIONAL):
-        if "preset" in d:
-            return d["preset"]  # resolved by the caller, needs ctx
-        parse = lambda s: {tuple(int(t) for t in k.split(",")): field.of(v)
-                           for k, v in s.items()}
-        if d["kind"] == "constant":
-            return cls.constant(n, parse(d["c"]), field)
-        return cls.geometric(n, parse(d["c"]), parse(d["w"]), field)
+        """The family of a params-JSON alpha block (not a preset); a
+        malformed block raises DegenerateParameterError naming its key."""
+        kind = d.get("kind")
+        if kind not in ("constant", "geometric"):
+            raise DegenerateParameterError(
+                "alpha kind %r must be 'constant' or 'geometric'" % (kind,))
+        c = _pair_values(n, d, "c", field)
+        if kind == "constant":
+            return cls.constant(n, c, field)
+        return cls.geometric(n, c, _pair_values(n, d, "w", field), field)
+
+
+def _pair_values(n, d, name, field):
+    """{(i, j): value} from the entry `name` of an alpha block: an object
+    with one nonzero value for each key "i,j", 1 <= i < j <= n."""
+    block = d.get(name)
+    if not isinstance(block, dict):
+        raise DegenerateParameterError(
+            "alpha %r must be an object with a key \"i,j\" for each pair "
+            "i < j" % name)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    out = {}
+    for key, v in block.items():
+        try:
+            pair = tuple(int(t) for t in key.split(","))
+        except ValueError:
+            pair = None
+        if pair not in pairs or pair in out:
+            raise DegenerateParameterError(
+                "alpha %s key %r must name a new pair \"i,j\" with "
+                "1 <= i < j <= %d" % (name, key, n))
+        try:
+            val = field.of(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            val = None
+        if not val:
+            raise DegenerateParameterError(
+                "alpha %s[%r] = %r must be a nonzero integer or \"num/den\" "
+                "string" % (name, key, v))
+        out[pair] = val
+    missing = ["%d,%d" % pair for pair in pairs if pair not in out]
+    if missing:
+        raise DegenerateParameterError(
+            "alpha %s lacks the pair(s) %s" % (name, ", ".join(missing)))
+    return out
 
 
 def derive_beta(ctx, chain):
@@ -369,21 +407,15 @@ class SLnParams:
         if i == j:
             return self.ctx.q
         if self.beta_chain is None:
-            den = self._frac_qnum(pij)
+            den = qnum(pij, self.ctx)
             if not den:
                 raise PoleError("dynamical pole: [p_%d%d] = 0" % (i, j))
-            return self._frac_qnum(pij - 1) / den
+            return qnum(pij - 1, self.ctx) / den
         den = self.f(i, j, pij)
         if not den:
             raise PoleError(
                 "dynamical pole: f(p_%d%d = %s, beta) = 0" % (i, j, pij))
         return self.f(i, j, pij - 1) / den
-
-    def _frac_qnum(self, p):
-        if isinstance(p, Fraction) and p.denominator != 1:
-            qp = self.ctx.qpow(p)
-            return (qp - 1 / qp) / self.ctx.lam
-        return qnum(int(p), self.ctx)
 
     def a_entry(self, i, j, pij):
         if i == j:
@@ -429,6 +461,9 @@ class SLnParams:
         beta = d.get("beta", "infinity")
         chain = None if beta == "infinity" else [field.of(str(b)) for b in beta]
         adata = d.get("alpha", {"preset": "unit"})
+        if not isinstance(adata, dict):
+            raise DegenerateParameterError(
+                "alpha must be an object, got %r" % (adata,))
         if "preset" in adata:
             name = adata["preset"]
             if name == "unit":

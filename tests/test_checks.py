@@ -85,3 +85,27 @@ def test_corrupt_beta_records_pinned():
                          "((1, 2), (1, 2), Fraction(-62208, 44975245))")
     text = json.dumps(fails).encode()
     assert hashlib.sha256(text).hexdigest()[:16] == "80bf7a16fd2c9821"
+
+
+def test_corrupt_beta_on_a_shared_context_fails_as_on_a_fresh_one():
+    """`--corrupt beta` keeps the context of the good parameters, whose
+    q-tables the point search has filled.  The tables depend on q only,
+    so the corrupt set fails with the same witnesses as on a context of
+    its own."""
+    import random
+    from qdyb.rmatrix import verify_qdybe
+    from qdyb.verify import _corrupt_beta
+    from qdyb.weights import SLnParams, sample_params, sample_point
+    rng = random.Random(7)
+    for n in (2, 3):
+        params = sample_params(n, rng)
+        p = sample_point(params, rng)
+        assert verify_qdybe(params, p) and params.ctx._qnum
+        bad = _corrupt_beta(params)
+        assert bad.ctx is params.ctx
+        fresh = QContext(params.ctx.q, n)
+        alone = SLnParams(fresh, params.beta_chain, params.alpha,
+                          _beta_override=bad._beta)
+        records = verify_qdybe(bad, p)
+        assert [r for r in records if r.ok is False]
+        assert records == verify_qdybe(alone, p)

@@ -406,3 +406,79 @@ def test_fixed_params_without_a_pole_free_point_are_drawn_once(monkeypatch):
     assert len(calls) == 1
     assert doc["status"] == "fail"
     assert _digest(json.dumps(doc, sort_keys=True)) == "ef0d2e8c50484ef9"
+
+
+@pytest.mark.parametrize("suite", ["hecke", "epsilon", "qmatrix"])
+def test_suite_builds_each_r_matrix_once(monkeypatch, suite):
+    """Every representation of one parameter set in a suite takes R from
+    one evaluator, so R(p) is built once per (parameters, point)."""
+    from qdyb import rmatrix
+    build = rmatrix.build_dyn
+    calls, held = [], []
+
+    def counted(params, p):
+        held.append(params)     # keeps each id unique during the run
+        calls.append((id(params), p.chain))
+        return build(params, p)
+
+    monkeypatch.setattr(rmatrix, "build_dyn", counted)
+    doc = verify.run(RunConfig(n=2, seed=7), suite)
+    assert doc["status"] == "pass"
+    assert calls and len(calls) == len(set(calls))
+
+
+_C3 = {"1,2": "2", "1,3": "3", "2,3": "5"}
+BAD_ALPHA = {
+    "reversed-pair": ({"kind": "constant", "c": dict(_C3, **{"2,1": "3"})},
+                      "alpha c key '2,1' must name a new pair"),
+    "missing-pair": ({"kind": "constant", "c": {"1,2": "2", "2,3": "5"}},
+                     "alpha c lacks the pair(s) 1,3"),
+    "geometric-without-w": ({"kind": "geometric", "c": _C3},
+                            "alpha 'w' must be an object"),
+    "unknown-kind": ({"kind": "affine", "c": _C3},
+                     "alpha kind 'affine' must be 'constant' or 'geometric'"),
+    "zero-c": ({"kind": "constant", "c": dict(_C3, **{"1,2": "0"})},
+               "alpha c['1,2'] = '0' must be a nonzero"),
+    "zero-w": ({"kind": "geometric", "c": _C3,
+                "w": dict(_C3, **{"2,3": 0})},
+               "alpha w['2,3'] = 0 must be a nonzero"),
+    "float-c": ({"kind": "constant", "c": dict(_C3, **{"1,3": 0.5})},
+                "alpha c['1,3'] = 0.5 must be a nonzero integer or"),
+    "not-an-object": ("unit", "alpha must be an object, got 'unit'"),
+}
+
+_BUILD_EACH = """
+import contextlib, io, json, sys
+from qdyb.cli import main
+out = []
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \\
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["build", "--params", path, "--p", "p12=1,p23=1"])
+    out.append([code, err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_bad_alpha_block_exits_2_naming_the_key(tmp_path, capsys):
+    """A malformed alpha block in params JSON exits 2 with a message that
+    names its key, also under python -O (no assert decides it)."""
+    paths = []
+    for name, (alpha, _) in BAD_ALPHA.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({"n": 3, "q": "3/2", "beta": ["1", "2"],
+                                    "alpha": alpha}))
+        paths.append(str(path))
+    plain = []
+    for path, (name, (_, message)) in zip(paths, BAD_ALPHA.items()):
+        code, out, err = run_cli(capsys, "build", "--params", path,
+                                 "--p", "p12=1,p23=1")
+        assert code == 2 and not out and message in err, (name, err)
+        plain.append([code, err])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(qdyb.__file__)))
+    res = subprocess.run([sys.executable, "-O", "-c", _BUILD_EACH] + paths,
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == plain

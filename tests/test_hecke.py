@@ -202,13 +202,23 @@ def test_nonlocality_pattern():
     assert all(locality_structure(crep))
 
 
-def test_localized_last_equivalence():
+def test_localized_last_equivalence(monkeypatch):
     rng = random.Random(43)
     params = sample_params(2, rng)
     p = sample_point(params, rng, clearance=4)
     drep = HeckeRep.dynamic(params, p, 3)
     lrep = HeckeRep.localized_last(params, p, 3)
+    built = []
+    dynamic = HeckeRep.dynamic
+
+    def counted(params, pp, k, rmat=None):
+        built.append(pp.chain)
+        return dynamic(params, pp, k, rmat)
+
+    monkeypatch.setattr(HeckeRep, "dynamic", counted)
     assert global_conjugation_equivalent(drep, lrep)
+    # each shifted representation is built once, for every generator
+    assert built and len(built) == len(set(built))
     # the last generator is localized in the second flavor
     assert locality_structure(lrep)[-1] is True
 

@@ -168,3 +168,69 @@ def test_prime_field_rejects_composite_moduli():
               DEFAULT_PRIME - 2, 2, 2**64):
         with pytest.raises(DegenerateParameterError):
             PrimeField(m)
+
+
+TABLE_FIELDS = [RATIONAL, PrimeField(101), PrimeField()]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS)
+def test_q_tables_match_direct_formulas(field):
+    """ctx.qpow and qnum read each value from the context's tables; first
+    and repeated reads equal the formulas, at integer exponents and at
+    exponents in (1/n)Z through the root."""
+    n = 3
+    r = field.of(Fraction(3, 2))
+    c = QContext(r**n, n, root=r, field=field)
+    q, qbar, lam = r**n, field.one / r**n, r**n - field.one / r**n
+    for _ in range(2):
+        for e in range(-8, 9):
+            assert c.qpow(e) == q**e == qbar**-e
+            assert qnum(e, c) == (q**e - qbar**e) / lam
+            assert c.qpow(Fraction(e, n)) == r**e
+            assert qnum(Fraction(e, n), c) == (r**e - r**-e) / lam
+            assert f_poly(Fraction(e, n), 3, c) == \
+                r**-e + (r**e - r**-e) / lam * 3
+    # each value is held once: reading it again returns the stored object
+    assert c._pow[-5] is c.qpow(-5) and c._qnum[7] is qnum(7, c)
+    assert c._pow[Fraction(2, 3)] is c.qpow(Fraction(2, 3))
+    # an integral Fraction exponent is the same entry as the int
+    assert c.qpow(Fraction(6, 3)) is c.qpow(2)
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS)
+@pytest.mark.parametrize("q", [1, -1])
+def test_q_tables_keep_the_unit_q_continuation(field, q):
+    """At q = +-1, [j] is the continuation j q^(j-1); a fractional
+    q-integer has none and raises, on every call."""
+    root = field.of(q)
+    c = QContext(root**3, 3, root=root, field=field)
+    for j in range(-8, 9):
+        assert qnum(j, c) == field.of(j) * field.of(q) ** ((j - 1) % 2)
+        assert c.qpow(j) == field.of(q) ** j
+    for _ in range(2):
+        with pytest.raises(DegenerateParameterError):
+            qnum(Fraction(1, 3), c)
+        with pytest.raises(DegenerateParameterError):
+            f_poly(Fraction(-2, 3), 1, c)
+    assert Fraction(1, 3) not in c._qnum
+
+
+def test_q_table_stores_no_pole():
+    """A vanishing f is a value of the tables' formula, never an entry:
+    the pole raises on every call, and the q-integers it read stay."""
+    c = ctx(q="2")
+    beta = -c.qbar**3 / qnum(3, c)
+    for _ in range(3):
+        with pytest.raises(PoleError):
+            xi_of_f(3, beta, c)
+    assert f_poly(3, beta, c) == 0 and qnum(3, c) == Fraction(21, 4)
+    assert xi_of_f(4, beta, c) == f_poly(3, beta, c) / f_poly(4, beta, c)
+
+
+def test_contexts_never_share_a_table():
+    a, b, same = ctx(q="2"), ctx(q="3"), ctx(q="2")
+    assert a.qpow(7) == 128 and b.qpow(7) == 2187
+    assert qnum(2, a) == Fraction(5, 2) and qnum(2, b) == Fraction(10, 3)
+    assert a._pow is not b._pow and a._qnum is not b._qnum
+    assert a._pow is not same._pow and a._qnum is not same._qnum
+    assert 7 not in same._pow

@@ -73,6 +73,20 @@ def test_identity_embed_and_product():
         small.embed(4, 3)
 
 
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7),
+                                   PrimeField()])
+def test_identity_equals_the_field_value_construction(field):
+    """identity() builds its stored ints directly; it equals the operator
+    built from field values, stored form included."""
+    for n, k in ((1, 1), (2, 1), (2, 3), (3, 2)):
+        ident = TensorOp.identity(n, k, field.one)
+        ref = TensorOp(n, k, k, {r: {r: field.one} for r in range(n**k)})
+        assert ident == ref
+        assert (ident.rows, ident.den, ident.p) == (ref.rows, ref.den, ref.p)
+        assert ident.entry((1,) * k, (1,) * k) == field.one
+    assert TensorOp.identity(2, 2) == TensorOp.identity(2, 2, RATIONAL.one)
+
+
 def test_permutation_cycles():
     # (P12 P23)^3 = 1 on three sites
     P12 = TensorOp.site_permutation(2, 3, (2, 1, 3))
