@@ -44,7 +44,7 @@ import itertools
 
 from .checks import Check, compare
 from .scalars import DegenerateParameterError, qnum
-from .tensor import TensorOp
+from .tensor import TensorOp, flat_index, multi_index
 from .rmatrix import DynRMatrix, build_dj, dressed_block
 
 
@@ -365,15 +365,11 @@ def locality_structure(rep):
     n, k = rep.n, rep.k
     for i in range(1, k):
         img = rep.image(i)
-        # extract the block where every spectator site carries index 1
-        sub = {}
-        for rm, cm, v in img.entries():
-            spect_r = rm[:i - 1] + rm[i + 1:]
-            spect_c = cm[:i - 1] + cm[i + 1:]
-            if spect_r == spect_c and all(x == 1 for x in spect_r):
-                sub[(rm[i - 1:i + 1], cm[i - 1:i + 1])] = v
-        two = TensorOp.from_entries(n, 2, 2,
-                                    [(rm, cm, v) for (rm, cm), v in sub.items()])
+        # the block where every spectator site carries index 1
+        left, right = (1,) * (i - 1), (1,) * (k - i - 1)
+        place = {flat_index(left + multi_index(t, n, 2) + right, n): t
+                 for t in range(n * n)}
+        two = TensorOp.assemble(n, 2, 2, [(img, place, place)])
         out.append(img == two.embed(i, k))
     return out
 

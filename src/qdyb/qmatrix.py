@@ -38,31 +38,40 @@ certificate proves: it matches the registered derivation's start word
 and puts its end word in its place (or the other way round, reversed).
 
 A canonical word has all p-dependence left of every slot and all det
-symbols at the right end; canonical words are compared entrywise at the
-samples, with slot sockets anonymized to their temporal positions.
+symbols at the right end.  At each sample it evaluates to a
+:class:`SpacedTensor`, with slot sockets anonymized to their temporal
+positions, whose ints are in the stored form of a
+:class:`~qdyb.tensor.TensorOp`: two words are equal when their sockets,
+den and int rows are (a rational tensor lifted to F_p against a prime
+one).  Field values are formed only for the witness of a difference.
 
 The independent check is a membership oracle: at each sample point it
 puts the degree-k pair-exchange consequences rho_dyn(g_j) M -
 M rho_const(g_j), one per coefficient basis matrix M, into the tensor
 layer's exact :class:`~qdyb.tensor.Echelon`, and asks whether every
-slice of the difference of two canonical words lies in their span.
+integer slice of the difference of two canonical words lies in their
+span.
 
-A :class:`ReplayEngine` memoizes, for as long as it lives, the value of
-each p-dependent factor at each point (keyed by the factor's JSON, so
-its name and args must determine its tensor) and each relation span per
-(k, point); canonical words are evaluated afresh each time.  A dressed
-factor is assembled from its undressed blocks at the shifted points,
-which come from the same memo.
+A :class:`ReplayEngine` memoizes, for as long as it lives, each relation
+span per (k, point) and, in the ``eval_p`` memo, the SpacedTensor of
+each p-dependent factor at each point, dressed or not, keyed by the
+factor's JSON (so its name and args must determine its tensor) and the
+point's chain.  A dressed factor is assembled, by row and column maps on
+stored ints, from its undressed blocks at the shifted points, which come
+from the same memo.  Canonical words are evaluated afresh each time.
 """
 
 import itertools
 import json
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .checks import Check, fold
-from .scalars import DegenerateParameterError, qfact, qnum
-from .tensor import TensorOp
+from .scalars import DegenerateParameterError, fmt_scalar, qfact, qnum
+from .tensor import (TensorOp, _assemble, _common_field, _raw_form,
+                     _rows_over, _stored_form, _value, flat_index,
+                     multi_index)
 from .hecke import HeckeRep, HeckeWord, antisym
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
 from .rmatrix import DynRMatrix, build_dj
@@ -80,8 +89,11 @@ def _sorted_labels(labels):
     return tuple(sorted(labels, key=_label_key))
 
 
-def _picker(positions):
-    """The map from a tuple to the tuple of its entries at `positions`."""
+def _picker(out, labels):
+    """The map from a tuple of indices, one per label of `labels`, to the
+    tuple of its indices at the labels `out` (the first of a repeated
+    label)."""
+    positions = [labels.index(s) for s in out]
     if len(positions) > 1:
         return itemgetter(*positions)
     if positions:
@@ -91,49 +103,59 @@ def _picker(positions):
 
 
 class SpacedTensor:
-    """A sparse tensor with labeled ket (row) and bra (column) sockets.
+    """A sparse exact tensor with labeled ket (row) and bra (column)
+    sockets.
 
     Labels are ints (matrix spaces) or ("sr", t)/("sc", t) pairs marking
-    the row/column of the t-th temporal a-slot in a canonical word.
+    the row/column of the t-th temporal a-slot in a canonical word.  The
+    labels are kept sorted, and ``rows`` maps a tuple of ket indices, one
+    per ket label in that order, to {tuple of bra indices: int}.  The
+    ints, ``den`` and ``p`` are in the stored form of a
+    :class:`~qdyb.tensor.TensorOp`.
     """
 
-    __slots__ = ("kets", "bras", "data")
+    __slots__ = ("kets", "bras", "rows", "den", "p")
 
-    def __init__(self, kets=(), bras=(), data=None):
+    def __init__(self, kets=(), bras=(), rows=None):
+        """rows: {ket tuple: {bra tuple: value}} with int, Fraction or
+        ModInt values, keyed in the sorted label order."""
         self.kets = _sorted_labels(kets)
         self.bras = _sorted_labels(bras)
-        self.data = {}
-        if data:
-            for key, v in data.items():
-                if v:
-                    self.data[key] = v
+        self.rows, self.den, self.p = _stored_form(*_raw_form(rows or {}))
+
+    @classmethod
+    def _make(cls, kets, bras, rows, den=1, p=None):
+        """A tensor over int rows, as :meth:`TensorOp._make`; kets and
+        bras are sorted already."""
+        st = cls.__new__(cls)
+        st.kets, st.bras = kets, bras
+        st.rows, st.den, st.p = _stored_form(rows, den, p)
+        return st
 
     @classmethod
     def scalar(cls, value):
-        return cls((), (), {((), ()): value})
+        return cls((), (), {(): {(): value}})
+
+    @classmethod
+    def diagonal(cls, ket, bra, values):
+        """The tensor sending bra index i to ket index i with values[i-1]."""
+        return cls((ket,), (bra,), {(i,): {(i,): v}
+                                    for i, v in enumerate(values, 1)})
 
     @classmethod
     def from_tensorop(cls, op, ket_labels, bra_labels):
         ket_labels = tuple(ket_labels)
         bra_labels = tuple(bra_labels)
         assert len(ket_labels) == op.rk and len(bra_labels) == op.ck
-        kperm = sorted(range(len(ket_labels)),
-                       key=lambda i: _label_key(ket_labels[i]))
-        bperm = sorted(range(len(bra_labels)),
-                       key=lambda i: _label_key(bra_labels[i]))
-        data = {}
-        for rm, cm, v in op.entries():
-            key = (tuple(rm[i] for i in kperm), tuple(cm[i] for i in bperm))
-            data[key] = v
-        return cls(ket_labels, bra_labels, data)
-
-    @classmethod
-    def delta(cls, ket, bra, n, one):
-        return cls((ket,), (bra,), {(((i,), (i,))): one
-                                    for i in range(1, n + 1)})
-
-    def is_zero(self):
-        return not self.data
+        kets = _sorted_labels(ket_labels)
+        bras = _sorted_labels(bra_labels)
+        ket_of = _picker(kets, ket_labels)
+        bra_of = _picker(bras, bra_labels)
+        n = op.n
+        cols = {c for row in op.rows.values() for c in row}
+        return cls._make(kets, bras, *_assemble([(
+            op, {r: ket_of(multi_index(r, n, op.rk)) for r in op.rows},
+            {c: bra_of(multi_index(c, n, op.ck)) for c in cols})]))
 
     def compose(self, other):
         """self * other: contract self's bras against other's kets on
@@ -152,47 +174,58 @@ class SpacedTensor:
             bras.append(s)
         out_kets = _sorted_labels(kets)
         out_bras = _sorted_labels(bras)
-        # index plans: the contraction key of each side, and each output
-        # socket's position in the concatenated ak + bk / ab + bb
-        a_key = _picker([self.bras.index(s) for s in shared])
-        b_key = _picker([other.kets.index(s) for s in shared])
-        nak, nab = len(self.kets), len(self.bras)
-        ket_of = _picker([self.kets.index(s) if s in self.kets
-                          else nak + other.kets.index(s) for s in out_kets])
-        bra_of = _picker([nab + other.bras.index(s) if s in other.bras
-                          else self.bras.index(s) for s in out_bras])
+        # index plans: the contraction key of each side, and the output
+        # sockets of ak + bk and of bb + ab (an open ket comes from self
+        # first, an open bra from other)
+        a_key = _picker(shared, self.bras)
+        b_key = _picker(shared, other.kets)
+        ket_of = _picker(out_kets, self.kets + other.kets)
+        bra_of = _picker(out_bras, other.bras + self.bras)
 
+        arows, aden, brows, bden, p = _common_field(self, other)
         grouped = {}
-        for (bk, bb), vb in other.data.items():
-            grouped.setdefault(b_key(bk), []).append((bk, bb, vb))
-        data = {}
-        for (ak, ab), va in self.data.items():
-            for bk, bb, vb in grouped.get(a_key(ab), ()):
-                kk = (ket_of(ak + bk), bra_of(ab + bb))
-                # the first term is stored as is: starting from int 0
-                # would send it through the slow reflected add
-                if kk in data:
-                    data[kk] += va * vb
-                else:
-                    data[kk] = va * vb
-        return SpacedTensor(out_kets, out_bras, data)
+        for bk, brow in brows.items():
+            grouped.setdefault(b_key(bk), []).append((bk, brow))
+        rows = {}
+        for ak, arow in arows.items():
+            for ab, va in arow.items():
+                for bk, brow in grouped.get(a_key(ab), ()):
+                    kk = ket_of(ak + bk)
+                    dst = rows.get(kk)
+                    if dst is None:
+                        dst = rows[kk] = {}
+                    get = dst.get
+                    for bb, vb in brow.items():
+                        kb = bra_of(bb + ab)
+                        dst[kb] = get(kb, 0) + va * vb
+        return SpacedTensor._make(out_kets, out_bras, rows, aden * bden, p)
 
     def __eq__(self, other):
-        return isinstance(other, SpacedTensor) and self.kets == other.kets \
-            and self.bras == other.bras and self.data == other.data
+        if not isinstance(other, SpacedTensor) or self.kets != other.kets \
+                or self.bras != other.bras:
+            return False
+        arows, aden, brows, bden, _ = _common_field(self, other)
+        return aden == bden and arows == brows
 
     def first_difference(self, other):
-        for key in set(self.data) | set(other.data):
-            if self.data.get(key) != other.data.get(key):
-                return (key, self.data.get(key), other.data.get(key))
+        """(key, value, value) at the first (ket, bra) key where the two
+        tensors differ, None for a value not stored; None when equal."""
+        arows, aden, brows, bden, p = _common_field(self, other)
+        va, vb = ({(k, b): _value(v, den, p)
+                   for k, row in rows.items() for b, v in row.items()}
+                  for rows, den in ((arows, aden), (brows, bden)))
+        for key in set(va) | set(vb):
+            if va.get(key) != vb.get(key):
+                return (key, va.get(key), vb.get(key))
         return None
 
     def __repr__(self):
         return "SpacedTensor(kets=%s, bras=%s, nnz=%d)" % (
-            list(self.kets), list(self.bras), len(self.data))
+            list(self.kets), list(self.bras),
+            sum(len(row) for row in self.rows.values()))
 
 
-UNIT = SpacedTensor.scalar(Fraction(1))
+UNIT = SpacedTensor.scalar(1)
 
 
 # -- shiftable scalar functions -------------------------------------------
@@ -243,16 +276,6 @@ class ShiftFunc:
                 raise DegenerateParameterError("unknown atom %r" % kind)
             v = v * a**e
         return v
-
-    def __mul__(self, other):
-        atoms = dict(self.atoms)
-        for k, e in other.atoms.items():
-            atoms[k] = atoms.get(k, 0) + e
-        return ShiftFunc(self.coef * other.coef, atoms)
-
-    def inverse(self):
-        return ShiftFunc(1 / self.coef,
-                         {k: -e for k, e in self.atoms.items()})
 
     def to_json(self):
         return {"coef": str(self.coef),
@@ -381,9 +404,6 @@ class SlotExpr:
     def slot_spaces(self):
         return [f.space for f in self.factors if isinstance(f, FSlot)]
 
-    def detpow(self):
-        return sum(f.power for f in self.factors if isinstance(f, FDet))
-
     def __repr__(self):
         return " . ".join(repr(f) for f in self.factors)
 
@@ -422,6 +442,7 @@ class ReplayEngine:
         self._certs = {}
         self._p_values = {}     # (factor JSON, p.chain) -> SpacedTensor
         self._spans = {}        # (k, p.chain) -> relation-span Echelon
+        self._prime = getattr(self.ctx.field, "p", None)
 
     # -- named tensor builders ------------------------------------
 
@@ -455,8 +476,8 @@ class ReplayEngine:
                 return SpacedTensor.scalar(self._sym_value(args["sym"]))
             return SpacedTensor.scalar(ctx.field.of(str(args["value"])))
         if name == "delta":
-            return SpacedTensor.delta(_arg(name, args, "ket"),
-                                      _arg(name, args, "bra"), n, one)
+            return SpacedTensor.diagonal(_arg(name, args, "ket"),
+                                         _arg(name, args, "bra"), [one] * n)
         if name == "eps_ket":
             w = self._eps_window(name, args)
             op = build_eps_const(n, ctx, CONTRA)
@@ -472,10 +493,9 @@ class ReplayEngine:
             return SpacedTensor.from_tensorop(op, spaces, spaces)
         if name == "sigma":
             s, t = _two_spaces(name, args)
-            data = {(((i, j) if _label_key(s) < _label_key(t) else (j, i)),) * 2:
-                    (ctx.qpow(2) if i == j else one)
-                    for i in range(1, n + 1) for j in range(1, n + 1)}
-            return SpacedTensor((s, t), (s, t), data)
+            op = TensorOp.diagonal(
+                n, 2, lambda m: ctx.qpow(2) if m[0] == m[1] else one)
+            return SpacedTensor.from_tensorop(op, (s, t), (s, t))
         if name == "rhat":
             s, t = _two_spaces(name, args)
             power = args.get("power", 1)
@@ -536,57 +556,51 @@ class ReplayEngine:
         return val
 
     def _eval_dressed(self, fp, p):
+        """A dressed factor: for each assignment m of the dress spaces,
+        the undressed block at p shifted by m, restricted to index m on
+        each dress space it has and extended by the index m on each it
+        lacks."""
         dress = fp.dress
         if not dress:
             return self._build_p(fp.name, fp.args, p)
-        n = self.n
+        spaces = [s for s, _ in dress]
+        if len(set(spaces)) < len(spaces):
+            raise ValueError("dressed factor %s repeats a space in %r"
+                             % (fp.name, spaces))
         bare = FP(fp.name, fp.args)
-        out_data = {}
-        out_kets = out_bras = None
-        for assign in itertools.product(range(1, n + 1), repeat=len(dress)):
+        blocks = []
+        for assign in itertools.product(range(1, self.n + 1),
+                                        repeat=len(dress)):
             pp = p
             for (s, sg), m in zip(dress, assign):
                 for _ in range(abs(sg)):
                     pp = pp.shift(m, 1 if sg > 0 else -1)
-            block = self.eval_p(bare, pp)
-            kets = list(block.kets)
-            bras = list(block.bras)
-            restrict = []  # (position-in-kets, position-in-bras, value)
-            extend = []
-            for (s, _), m in zip(dress, assign):
-                if s in block.kets and s in block.bras:
-                    restrict.append((block.kets.index(s),
-                                     block.bras.index(s), m))
-                elif s in block.kets or s in block.bras:
-                    raise ValueError(
-                        "dressed factor %s must be diagonal in space %r, "
-                        "but has only a %s there"
-                        % (fp.name, s, "ket" if s in block.kets else "bra"))
-                else:
-                    extend.append((s, m))
-                    kets.append(s)
-                    bras.append(s)
-            ket_order = _sorted_labels(kets)
-            bra_order = _sorted_labels(bras)
-            if out_kets is None:
-                out_kets, out_bras = ket_order, bra_order
-            for (bk, bb), v in block.data.items():
-                ok = True
-                for ki, bi, m in restrict:
-                    if bk[ki] != m or bb[bi] != m:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                kvals = dict(zip(block.kets, bk))
-                bvals = dict(zip(block.bras, bb))
-                for s, m in extend:
-                    kvals[s] = m
-                    bvals[s] = m
-                key = (tuple(kvals[s] for s in ket_order),
-                       tuple(bvals[s] for s in bra_order))
-                out_data[key] = out_data.get(key, 0) + v
-        return SpacedTensor(out_kets or (), out_bras or (), out_data)
+            blocks.append((assign, self.eval_p(bare, pp)))
+        # every block has the sockets of the undressed factor
+        bkets, bbras = blocks[0][1].kets, blocks[0][1].bras
+        for s in spaces:
+            if (s in bkets) != (s in bbras):
+                raise ValueError(
+                    "dressed factor %s must be diagonal in space %r, but "
+                    "has only a %s there"
+                    % (fp.name, s, "ket" if s in bkets else "bra"))
+        own = tuple(s for s in spaces if s in bkets)
+        ext = tuple(s for s in spaces if s not in bkets)
+        kets = _sorted_labels(bkets + ext)
+        bras = _sorted_labels(bbras + ext)
+        ket_of, bra_of = _picker(kets, bkets + ext), _picker(bras, bbras + ext)
+        ket_at, bra_at = _picker(own, bkets), _picker(own, bbras)
+        own_of, ext_of = _picker(own, spaces), _picker(ext, spaces)
+        parts = []
+        for assign, block in blocks:
+            want, extra = own_of(assign), ext_of(assign)
+            cols = {b for row in block.rows.values() for b in row}
+            parts.append((block,
+                          {k: ket_of(k + extra) for k in block.rows
+                           if ket_at(k) == want},
+                          {b: bra_of(b + extra) for b in cols
+                           if bra_at(b) == want}))
+        return SpacedTensor._make(kets, bras, *_assemble(parts))
 
     def _build_p(self, name, args, p):
         n, ctx = self.n, self.ctx
@@ -611,29 +625,20 @@ class ReplayEngine:
             nk = self._nk_at(p)
             vals = nk.nvals if _arg(name, args, "which") == "n" \
                 else nk.kvals
-            ket, bra = _arg(name, args, "ket"), _arg(name, args, "bra")
-            return SpacedTensor((ket,), (bra,),
-                                {((i,), (i,)): vals[i - 1]
-                                 for i in range(1, n + 1)})
+            return SpacedTensor.diagonal(_arg(name, args, "ket"),
+                                         _arg(name, args, "bra"), vals)
         if name == "kdiag":
             s = _arg(name, args, "space")
             pw = args.get("power", 1)
-            nk = self._nk_at(p)
-            return SpacedTensor((s,), (s,),
-                                {((i,), (i,)): nk.kvals[i - 1] ** pw
-                                 for i in range(1, n + 1)})
+            return SpacedTensor.diagonal(
+                s, s, [k ** pw for k in self._nk_at(p).kvals])
         if name == "ddiag":
             s = _arg(name, args, "space")
-            vals = self._dvals(p)
-            return SpacedTensor((s,), (s,),
-                                {((i,), (i,)): vals[i - 1]
-                                 for i in range(1, n + 1)})
+            return SpacedTensor.diagonal(s, s, self._dvals(p))
         if name == "dmat":
-            ket, bra = _arg(name, args, "ket"), _arg(name, args, "bra")
-            vals = self._dvals(p)
-            return SpacedTensor((ket,), (bra,),
-                                {((i,), (i,)): vals[i - 1]
-                                 for i in range(1, n + 1)})
+            return SpacedTensor.diagonal(_arg(name, args, "ket"),
+                                         _arg(name, args, "bra"),
+                                         self._dvals(p))
         raise MoveError("unknown p-factor %r" % name)
 
     def _dvals(self, p):
@@ -669,7 +674,6 @@ class ReplayEngine:
         det = 0
         seen_slot = False
         seen_det = False
-        one = self.ctx.field.one
         for f in expr.factors:
             if isinstance(f, FDet):
                 det += f.power
@@ -679,19 +683,15 @@ class ReplayEngine:
                     raise MoveError("slot to the right of a det symbol")
                 t += 1
                 s = f.space
-                slot = SpacedTensor(
-                    (s,), (s, ("sr", t), ("sc", t)),
-                    {((r,), tuple(x[1] for x in sorted(
-                        [(s, c), (("sr", t), r), (("sc", t), c)],
-                        key=lambda kv: _label_key(kv[0])))): one
-                     for r in range(1, self.n + 1)
-                     for c in range(1, self.n + 1)})
+                bras = _sorted_labels((s, ("sr", t), ("sc", t)))
+                at = _picker(bras, (s, ("sr", t), ("sc", t)))
+                slot = SpacedTensor._make((s,), bras, {
+                    (r,): {at((c, r, c)): 1 for c in range(1, self.n + 1)}
+                    for r in range(1, self.n + 1)}, 1, self._prime)
                 acc = acc.compose(slot)
                 seen_slot = True
             elif isinstance(f, FConst):
-                if seen_det:
-                    # dets commute with constants; fold it in regardless
-                    pass
+                # dets commute with constants
                 acc = acc.compose(f.st)
             elif isinstance(f, FP):
                 if seen_slot or seen_det:
@@ -735,17 +735,12 @@ class ReplayEngine:
             if isinstance(f, FConst):
                 return f.spaces
             if isinstance(f, FP):
-                out = set(s for s, _ in f.dress)
-                out |= self._p_spaces(f)
-                return out
+                return {s for s, _ in f.dress} | self._p_spaces(f)
             return None
         if isinstance(a, FDet) or isinstance(b, FDet):
             other = b if isinstance(a, FDet) else a
             return isinstance(other, FConst)
         if isinstance(a, FSlot) and isinstance(b, FSlot):
-            return False
-        if isinstance(a, FP) and isinstance(b, FDet) or \
-                isinstance(b, FP) and isinstance(a, FDet):
             return False
         sa, sb = spaces(a), spaces(b)
         if sa is None or sb is None:
@@ -905,19 +900,19 @@ class ReplayEngine:
         for f in list(olds) + payload:
             if isinstance(f, (FSlot, FDet)):
                 raise MoveError("refactor cannot touch slots or dets")
-        for p in self.points:
-            rhs = UNIT
-            for f in payload:
-                rhs = rhs.compose(f.st if isinstance(f, FConst)
+        def product(factors, p):
+            acc = UNIT
+            for f in factors:
+                acc = acc.compose(f.st if isinstance(f, FConst)
                                   else self.eval_p(f, p))
+            return acc
+        for p in self.points:
+            rhs = product(payload, p)
             if take == 0:
                 if not _is_identity(rhs, self.n):
                     raise MoveError("inserted factors are not an identity")
                 continue
-            lhs = UNIT
-            for f in olds:
-                lhs = lhs.compose(f.st if isinstance(f, FConst)
-                                  else self.eval_p(f, p))
+            lhs = product(olds, p)
             if lhs != rhs:
                 raise MoveError("refactor not verified: %r"
                                 % (lhs.first_difference(rhs),))
@@ -942,9 +937,8 @@ class ReplayEngine:
         return expr.replaced(at, 1, pieces + rest)
 
     def const_scalar(self, value):
-        st = SpacedTensor.scalar(value)
-        from .scalars import fmt_scalar
-        return FConst("scalar", {"value": fmt_scalar(value)}, st)
+        return FConst("scalar", {"value": fmt_scalar(value)},
+                      SpacedTensor.scalar(value))
 
     def _mv_fold_det(self, expr, move):
         at = move["at"]
@@ -1638,36 +1632,32 @@ def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
             return "inconclusive"
         if (k, d) != (k2, d2):
             return "unequal"
-        dim = engine.n ** k
         if set(ta.kets) != set(tb.kets) or set(ta.bras) != set(tb.bras):
             return "unequal"
-        frees_k = [s for s in ta.kets if not _is_slot_axis(s)]
-        frees_b = [s for s in ta.bras if not _is_slot_axis(s)]
-        slices = {}
-        for st, sign in ((ta, 1), (tb, -1)):
-            kpos = {s: i for i, s in enumerate(st.kets)}
-            bpos = {s: i for i, s in enumerate(st.bras)}
-            for (kv, bv), val in st.data.items():
-                fk = tuple(kv[kpos[s]] for s in frees_k)
-                fb = tuple(bv[bpos[s]] for s in frees_b)
-                rows = [0] * k
-                cols = [0] * k
-                for t in range(1, k + 1):
-                    rows[t - 1] = bv[bpos[("sr", t)]]
-                    cols[t - 1] = bv[bpos[("sc", t)]]
-                ridx = 0
-                for x in rows:
-                    ridx = ridx * engine.n + (x - 1)
-                cidx = 0
-                for x in cols:
-                    cidx = cidx * engine.n + (x - 1)
-                key = (fk, fb)
-                slices.setdefault(key, {})
-                idx = ridx * dim + cidx
-                slices[key][idx] = slices[key].get(idx, 0) + sign * val
         span = engine._spans.get((k, p.chain))
         if span is None:
             span = engine._spans[(k, p.chain)] = relation_span(engine, k, p)
+        # one integer slice per assignment of the free sockets, indexed
+        # row * n^k + column by the slot axes' flat index, on one scale
+        # or mod p (both tensors have the same sorted sockets)
+        den = 1 if span.p is not None else lcm(ta.den, tb.den)
+        free_k = _picker([s for s in ta.kets if not _is_slot_axis(s)],
+                         ta.kets)
+        free_b = _picker([s for s in ta.bras if not _is_slot_axis(s)],
+                         ta.bras)
+        slot_of = _picker([("sr", t) for t in range(1, k + 1)]
+                          + [("sc", t) for t in range(1, k + 1)], ta.bras)
+        slices = {}
+        for st, sign in ((ta, 1), (tb, -1)):
+            rows, sden = _rows_over(st, span.p)
+            scale = sign * (den // sden)
+            for kv, row in rows.items():
+                fk = free_k(kv)
+                for bv, v in row.items():
+                    vec = slices.setdefault((fk, free_b(bv)), {})
+                    idx = flat_index(slot_of(bv), engine.n)
+                    vec[idx] = vec.get(idx, 0) + scale * v
+        slices, _, _ = _stored_form(slices, 1, span.p)
         for vec in slices.values():
             if not span.contains(vec):
                 return "unequal"
@@ -1678,22 +1668,18 @@ def _is_slot_axis(label):
     return isinstance(label, tuple) and label and label[0] in ("sr", "sc")
 
 
-def _is_identity(st, n=None):
+def _is_identity(st, n):
     """True when the spaced tensor is the identity routing on its legs."""
-    if set(st.kets) != set(st.bras):
+    if set(st.kets) != set(st.bras) or st.den != 1:
         return False
     perm = [st.bras.index(s) for s in st.kets]
-    seen = set()
-    for (kv, bv), val in st.data.items():
-        if any(kv[i] != bv[perm[i]] for i in range(len(kv))):
-            return False
-        if val != 1:
-            return False
-        seen.add(kv)
-    if n is None and st.kets:
-        n = max(max(kv) for kv in seen) if seen else 0
-    expected = 1 if not st.kets else n ** len(st.kets)
-    return len(seen) == expected or (not st.kets and len(seen) == 1)
+    count = 0
+    for kv, row in st.rows.items():
+        for bv, val in row.items():
+            if val != 1 or any(kv[i] != bv[j] for i, j in enumerate(perm)):
+                return False
+            count += 1
+    return count == n ** len(st.kets)
 
 
 # -- script (de)serialization ------------------------------------------------

@@ -41,14 +41,21 @@ a nonzero pattern through ``support``; they never take an operator
 apart into field values to build another one.  No operator shares a
 row dict with an operand or with a dict its caller passed in.
 
+``qmatrix.SpacedTensor``, whose rows and columns are keyed by index
+tuples of labeled sockets, keeps its entries in this same stored form:
+``_stored_form`` normalizes both kinds of tensor, ``_rows_over`` lifts
+both to F_p, and ``_assemble`` (behind ``assemble``) places the stored
+entries of either.
+
 Ranks and span membership share one eliminator, :class:`Echelon`: an
 incremental row echelon keyed by each row's leading (smallest) column.
-:meth:`TensorOp.echelon` builds one from the stored rows of operators.
-Rational rows are cleared to primitive integer vectors and reduced
-fraction-free, pv * row - rv * pivot_row followed by division by the
-gcd; prime-field rows are reduced by the same cross-multiplication on
-their residues, with no inversion.  No numerical tie-breaking exists
-because arithmetic is exact.
+It takes rows of stored ints only, at any scale over Q or residues mod
+p; :meth:`TensorOp.echelon` builds one from the stored rows of
+operators.  Rational rows are made primitive and reduced fraction-free,
+pv * row - rv * pivot_row followed by division by the gcd; prime-field
+rows are reduced by the same cross-multiplication on their residues,
+with no inversion.  No numerical tie-breaking exists because arithmetic
+is exact.
 """
 
 from fractions import Fraction
@@ -111,35 +118,10 @@ class TensorOp:
 
     @classmethod
     def assemble(cls, n, rk, ck, parts):
-        """An operator made of the stored entries of others.
-
-        parts: iterable of (op, rmap, cmap), dicts {op row: row} and
-        {op column: column}.  Entry (r, c) of op is placed at
-        (rmap[r], cmap[c]); rows and columns missing from the maps are
-        left out.  Parts place their entries at distinct positions.
-        The result is over the lcm of the parts' denominators, or mod p
-        when any part is prime.
-        """
-        parts = list(parts)
-        p = next((op.p for op, _, _ in parts if op.p is not None), None)
-        den = 1 if p is not None else lcm(*(op.den for op, _, _ in parts))
-        rows = {}
-        for op, rmap, cmap in parts:
-            op = op._over(p)
-            scale = den // op.den
-            src = op.rows
-            for r, rr in rmap.items():
-                row = src.get(r)
-                if row is None:
-                    continue
-                dst = rows.get(rr)
-                if dst is None:
-                    dst = rows[rr] = {}
-                for c, v in row.items():
-                    cc = cmap.get(c)
-                    if cc is not None:
-                        dst[cc] = v * scale
-        return cls._make(n, rk, ck, rows, den, p)
+        """An operator made of the stored entries of others, placed by
+        :func:`_assemble`: parts is an iterable of (op, {op row: row},
+        {op column: column})."""
+        return cls._make(n, rk, ck, *_assemble(parts))
 
     @classmethod
     def diagonal(cls, n, k, fn):
@@ -183,12 +165,6 @@ class TensorOp:
     def is_zero(self):
         return not self.rows
 
-    def _value(self, v):
-        """The field value of one stored entry."""
-        if self.p is None:
-            return Fraction(v, self.den)
-        return ModInt(v, self.p)
-
     def support(self):
         """Iterate (row, read-only view of its nonzero columns)."""
         return ((r, row.keys()) for r, row in self.rows.items())
@@ -196,7 +172,7 @@ class TensorOp:
     def entry(self, rmulti, cmulti):
         row = self.rows.get(flat_index(rmulti, self.n), {})
         v = row.get(flat_index(cmulti, self.n))
-        return 0 if v is None else self._value(v)
+        return 0 if v is None else _value(v, self.den, self.p)
 
     def entries(self):
         """Iterate (row multi, col multi, value), sorted, 1-based."""
@@ -204,15 +180,16 @@ class TensorOp:
             row = self.rows[r]
             for c in sorted(row):
                 yield (multi_index(r, self.n, self.rk),
-                       multi_index(c, self.n, self.ck), self._value(row[c]))
+                       multi_index(c, self.n, self.ck),
+                       _value(row[c], self.den, self.p))
 
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
             return NotImplemented
         if (self.n, self.rk, self.ck) != (other.n, other.rk, other.ck):
             return False
-        a, b, _ = _common_field(self, other)
-        return a.den == b.den and a.rows == b.rows
+        arows, aden, brows, bden, _ = _common_field(self, other)
+        return aden == bden and arows == brows
 
     def __repr__(self):
         return "TensorOp(n=%d, %d->%d sites, nnz=%d)" % (
@@ -233,15 +210,15 @@ class TensorOp:
     def _plus(self, other, sign):
         """self + sign * other, on a common denominator or mod p."""
         assert (self.n, self.rk, self.ck) == (other.n, other.rk, other.ck)
-        a, b, p = _common_field(self, other)
+        arows, aden, brows, bden, p = _common_field(self, other)
         if p is None:
-            den = lcm(a.den, b.den)
-            ma, mb = den // a.den, sign * (den // b.den)
+            den = lcm(aden, bden)
+            ma, mb = den // aden, sign * (den // bden)
         else:
             den, ma, mb = 1, 1, sign
         rows = {r: {c: v * ma for c, v in row.items()}
-                for r, row in a.rows.items()}
-        for r, row in b.rows.items():
+                for r, row in arows.items()}
+        for r, row in brows.items():
             dst = rows.get(r)
             if dst is None:
                 rows[r] = {c: v * mb for c, v in row.items()}
@@ -255,29 +232,25 @@ class TensorOp:
 
     def __rmul__(self, s):
         """A scalar multiple: s an int, Fraction or ModInt."""
-        if isinstance(s, ModInt):
-            op = self._over(s.p)
-        elif isinstance(s, (int, Fraction)):
-            op = self
-        else:
+        if not isinstance(s, (int, Fraction, ModInt)):
             return NotImplemented
-        p, den = op.p, op.den
+        p = s.p if isinstance(s, ModInt) else self.p
+        rows, den = _rows_over(self, p)
         if p is None:
             s, den = s.numerator, den * s.denominator
         else:
             s = _residue(s, p)
         return TensorOp._make(self.n, self.rk, self.ck, {
             r: {c: v * s for c, v in row.items()}
-            for r, row in op.rows.items()}, den, p)
+            for r, row in rows.items()}, den, p)
 
     def __mul__(self, other):
         if not isinstance(other, TensorOp):
             return self.__rmul__(other)     # scalars commute
         assert self.n == other.n and self.ck == other.rk, "shape mismatch"
-        a, b, p = _common_field(self, other)
-        brows = b.rows
+        arows, aden, brows, bden, p = _common_field(self, other)
         rows = {}
-        for r, row in a.rows.items():
+        for r, row in arows.items():
             acc = {}
             get = acc.get
             for k, x in row.items():
@@ -287,26 +260,26 @@ class TensorOp:
                 for c, y in brow.items():
                     acc[c] = get(c, 0) + x * y
             rows[r] = acc
-        return TensorOp._make(self.n, self.rk, other.ck, rows,
-                              a.den * b.den, p)
+        return TensorOp._make(self.n, self.rk, other.ck, rows, aden * bden,
+                              p)
 
     def kron(self, other):
         assert self.n == other.n
-        a, b, p = _common_field(self, other)
+        arows, aden, brows, bden, p = _common_field(self, other)
         n = self.n
         rk = self.rk + other.rk
         ck = self.ck + other.ck
         rmul = n**other.rk
         cmul = n**other.ck
         rows = {}
-        for r1, row1 in a.rows.items():
-            for r2, row2 in b.rows.items():
+        for r1, row1 in arows.items():
+            for r2, row2 in brows.items():
                 dst = {}
                 for c1, v1 in row1.items():
                     for c2, v2 in row2.items():
                         dst[c1 * cmul + c2] = v1 * v2
                 rows[r1 * rmul + r2] = dst
-        return TensorOp._make(n, rk, ck, rows, a.den * b.den, p)
+        return TensorOp._make(n, rk, ck, rows, aden * bden, p)
 
     def transpose(self):
         rows = {}
@@ -315,18 +288,6 @@ class TensorOp:
                 rows.setdefault(c, {})[r] = v
         return TensorOp._make(self.n, self.ck, self.rk, rows, self.den,
                               self.p)
-
-    def _over(self, p):
-        """This operator over F_p: itself when it is there already, else
-        its rational entries lifted as num * den^(-1) mod p."""
-        if p is None or self.p == p:
-            return self
-        if self.p is not None:
-            raise ValueError("mixed prime fields %d and %d" % (self.p, p))
-        inv = _residue(Fraction(1, self.den), p)
-        return TensorOp._make(self.n, self.rk, self.ck, {
-            r: {c: v * inv for c, v in row.items()}
-            for r, row in self.rows.items()}, 1, p)
 
     # -- structured operations -------------------------------------------
 
@@ -350,8 +311,8 @@ class TensorOp:
         stored ints; rational ops are lifted mod p when any op is prime."""
         ops = list(ops)
         p = next((op.p for op in ops if op.p is not None), None)
-        return Echelon.of_raw(
-            [row for op in ops for row in op._over(p).rows.values()], p)
+        return Echelon(
+            [row for op in ops for row in _rows_over(op, p)[0].values()], p)
 
     # -- serialization -----------------------------------------------------
 
@@ -404,6 +365,52 @@ def _residue(v, p):
     return v.numerator * pow(v.denominator, -1, p) % p
 
 
+def _value(v, den, p):
+    """The field value of one stored int."""
+    return Fraction(v, den) if p is None else ModInt(v, p)
+
+
+def _rows_over(x, p):
+    """The stored (rows, den) of x -- a TensorOp or a qmatrix.SpacedTensor
+    -- over F_p: x's own when p is None or x is there already, else its
+    rational entries lifted as num * den^(-1) mod p."""
+    if p is None or x.p == p:
+        return x.rows, x.den
+    if x.p is not None:
+        raise ValueError("mixed prime fields %d and %d" % (x.p, p))
+    inv = _residue(Fraction(1, x.den), p)
+    return _stored_form({r: {c: v * inv for c, v in row.items()}
+                         for r, row in x.rows.items()}, 1, p)[:2]
+
+
+def _assemble(parts):
+    """(rows, den, p) of the stored entries of several tensors, whatever
+    their keys: parts is an iterable of (x, rmap, cmap), and entry (r, c)
+    of x goes to (rmap[r], cmap[c]), left out when r or c is missing from
+    its map.  Parts place their entries at distinct positions.  The rows
+    are over the lcm of the parts' denominators, or mod p when any part
+    is prime, and still to be brought to the stored form."""
+    parts = list(parts)
+    p = next((x.p for x, _, _ in parts if x.p is not None), None)
+    den = 1 if p is not None else lcm(*(x.den for x, _, _ in parts))
+    rows = {}
+    for x, rmap, cmap in parts:
+        src, xden = _rows_over(x, p)
+        scale = den // xden
+        for r, rr in rmap.items():
+            row = src.get(r)
+            if row is None:
+                continue
+            dst = rows.get(rr)
+            if dst is None:
+                dst = rows[rr] = {}
+            for c, v in row.items():
+                cc = cmap.get(c)
+                if cc is not None:
+                    dst[cc] = v * scale
+    return rows, den, p
+
+
 def _stored_form(rows, den, p):
     """(rows, den, p) with zeros and empty rows dropped, and then the
     rows reduced mod p, or the rows and den > 0 divided by their gcd.
@@ -430,77 +437,51 @@ def _stored_form(rows, den, p):
 
 
 def _common_field(a, b):
-    """a and b over one field, with the rational one lifted to F_p when
-    the other is prime; returns (a, b, p)."""
+    """(a rows, a den, b rows, b den, p): the stored forms of a and b (two
+    TensorOps, or two qmatrix.SpacedTensors) over one field, the rational
+    one lifted to F_p when the other is prime."""
     p = a.p if a.p is not None else b.p
-    return a._over(p), b._over(p), p
+    return _rows_over(a, p) + _rows_over(b, p) + (p,)
 
 
 # -- exact elimination ----------------------------------------------------
 
 
 class Echelon:
-    """An incremental row echelon of sparse {column: value} rows, each
-    stored row keyed by its leading (smallest) column; ``len`` is the
-    rank.  The first nonzero row fixes the field: residues mod p for
-    ``ModInt`` entries, primitive integer vectors otherwise."""
+    """An incremental row echelon of sparse {column: int} rows in the
+    stored form of a :class:`TensorOp`, each stored row keyed by its
+    leading (smallest) column; ``len`` is the rank.  Rows hold nonzero
+    integers, at any scale, when p is None, else residues in 1..p-1."""
 
     __slots__ = ("pivots", "p")
 
-    def __init__(self, rows=()):
+    def __init__(self, rows=(), p=None):
         self.pivots = {}
-        self.p = None
+        self.p = p
         for row in rows:
             self.add(row)
-
-    @classmethod
-    def of_raw(cls, rows, p):
-        """The echelon of rows in the raw form of a :class:`TensorOp`:
-        integer rows (at any common scale) when p is None, residues mod
-        p otherwise."""
-        ech = cls()
-        ech.p = p
-        for row in rows:
-            ech._insert(ech._eliminate(row if p else _primitive(row)))
-        return ech
 
     def __len__(self):
         return len(self.pivots)
 
     def add(self, row):
         """Insert a row; False when it already lies in the span."""
-        return self._insert(self._reduce(row))
-
-    def contains(self, row):
-        """True when the row lies in the span of the rows added."""
-        return not self._reduce(row)
-
-    def _insert(self, rest):
+        rest = self._eliminate(row)
         if rest:
             self.pivots[min(rest)] = rest
         return bool(rest)
 
-    def _reduce(self, row):
-        """The row brought into the field, then eliminated: empty for a
-        row in the span."""
-        if not self.pivots:
-            self.p = next((v.p for v in row.values()
-                           if isinstance(v, ModInt)), None)
-        p = self.p
-        if p is None:
-            mult = lcm(*(v.denominator for v in row.values()))
-            row = _primitive({c: v.numerator * (mult // v.denominator)
-                              for c, v in row.items() if v})
-        else:
-            zero = ModInt(0, p)
-            row = {c: r for c, v in row.items() if (r := (zero + v).v)}
-        return self._eliminate(row)
+    def contains(self, row):
+        """True when the row lies in the span of the rows added."""
+        return not self._eliminate(row)
 
     def _eliminate(self, row):
-        """Cross-multiply a raw row with pivot rows until its leading
-        column has no pivot."""
+        """Cross-multiply a row with pivot rows until its leading column
+        has no pivot: empty for a row in the span."""
         p = self.p
         pivots = self.pivots
+        if p is None:
+            row = _primitive(row)
         while row:
             lead = min(row)
             prow = pivots.get(lead)

@@ -266,20 +266,27 @@ def _pair_values(n, d, name, field):
             raise DegenerateParameterError(
                 "alpha %s key %r must name a new pair \"i,j\" with "
                 "1 <= i < j <= %d" % (name, key, n))
-        try:
-            val = field.of(v)
-        except (TypeError, ValueError, ZeroDivisionError):
-            val = None
-        if not val:
-            raise DegenerateParameterError(
-                "alpha %s[%r] = %r must be a nonzero integer or \"num/den\" "
-                "string" % (name, key, v))
-        out[pair] = val
+        out[pair] = _scalar("alpha %s[%r]" % (name, key), v, field, True)
     missing = ["%d,%d" % pair for pair in pairs if pair not in out]
     if missing:
         raise DegenerateParameterError(
             "alpha %s lacks the pair(s) %s" % (name, ", ".join(missing)))
     return out
+
+
+def _scalar(name, v, field, nonzero=False):
+    """The params-JSON scalar `name`: an integer or a "num/den" string,
+    and nonzero when asked."""
+    try:
+        val = field.of(str(v)) if type(v) is int or isinstance(v, str) \
+            else None
+    except (ValueError, ZeroDivisionError):
+        val = None
+    if val is None or nonzero and not val:
+        raise DegenerateParameterError(
+            "%s = %r must be %s integer or \"num/den\" string"
+            % (name, v, "a nonzero" if nonzero else "an"))
+    return val
 
 
 def derive_beta(ctx, chain):
@@ -453,13 +460,28 @@ class SLnParams:
 
     @classmethod
     def from_json(cls, d, field=RATIONAL):
-        n = d["n"]
-        ctx = QContext(field.of(str(d["q"])), n,
-                       root=None if d.get("root") is None
-                       else field.of(str(d["root"])),
+        """The parameter set of a params-JSON object; a malformed one
+        raises DegenerateParameterError naming its key."""
+        if not isinstance(d, dict):
+            raise DegenerateParameterError(
+                "params must be a JSON object, got %r" % (d,))
+        n = d.get("n")
+        if type(n) is not int or n < 2:     # identities relate pairs i < j
+            raise DegenerateParameterError(
+                "params n = %r must be an integer >= 2" % (n,))
+        root = d.get("root")
+        ctx = QContext(_scalar("params q", d.get("q"), field), n,
+                       root=None if root is None
+                       else _scalar("params root", root, field),
                        field=field)
         beta = d.get("beta", "infinity")
-        chain = None if beta == "infinity" else [field.of(str(b)) for b in beta]
+        if beta != "infinity" and not isinstance(beta, list):
+            raise DegenerateParameterError(
+                "params beta = %r must be \"infinity\" or a list of n - 1 "
+                "scalars" % (beta,))
+        chain = None if beta == "infinity" else [    # length checked below
+            _scalar("params beta[%d]" % i, b, field)
+            for i, b in enumerate(beta)]
         adata = d.get("alpha", {"preset": "unit"})
         if not isinstance(adata, dict):
             raise DegenerateParameterError(

@@ -181,6 +181,44 @@ def test_derive_builtin_and_script(tmp_path, capsys):
     assert "move[0]" in doc["records"][0]["id"]
 
 
+def _func_slot_word(coef):
+    return [{"kind": "p", "name": "func", "dress": [],
+             "args": {"func": {"coef": coef, "atoms": [["f", 1, 2, 0, 1]]}}},
+            {"kind": "slot", "space": 1}]
+
+
+ENTRY_WITNESS = {
+    "rational": "('entry', (3,), (((2,), (2, 2, 2)), Fraction(223147, 46656), "
+                "Fraction(223147, 23328)))",
+    "prime": "('entry', (3,), (((2,), (2, 2, 2)), "
+             "ModInt(14708447494128708584 mod 18446744073709551557), "
+             "ModInt(10970150914547865611 mod 18446744073709551557)))",
+}
+
+
+def test_false_derivation_names_its_entry_witness(tmp_path, capsys):
+    """A script whose end word is twice its start passes every move and
+    fails at the endpoint comparison: the witness names the point, the
+    (ket, bra) key and both field values, the same under any hash seed."""
+    script = tmp_path / "double.json"
+    script.write_text(json.dumps({"start": _func_slot_word("1"),
+                                  "end": _func_slot_word("2")}))
+    argv = ["derive", "--n", "2", "--points", "2", "--script", str(script)]
+    for backend, witness in ENTRY_WITNESS.items():
+        code, out, _ = run_cli(capsys, *argv, "--backend", backend)
+        assert code == 1
+        assert json.loads(out)["records"] == [
+            {"anchor": "script", "id": "script", "status": "fail",
+             "witness": witness}]
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.path.dirname(os.path.dirname(qdyb.__file__)))
+    res = subprocess.run([sys.executable, "-m", "qdyb.cli"] + argv,
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 1
+    assert json.loads(res.stdout)["records"][0]["witness"] == \
+        ENTRY_WITNESS["rational"]
+
+
 def test_wznw_command(capsys):
     code, out, _ = run_cli(capsys, "wznw", "--n", "2", "--q", "4",
                            "--root", "2", "--beta", "1", "--p", "p12=1")
@@ -461,17 +499,16 @@ print(json.dumps(out))
 """
 
 
-def test_bad_alpha_block_exits_2_naming_the_key(tmp_path, capsys):
-    """A malformed alpha block in params JSON exits 2 with a message that
-    names its key, also under python -O (no assert decides it)."""
+def _build_exits_2_naming(tmp_path, capsys, docs):
+    """`build --params F` exits 2 with the message of each params
+    document, also under python -O (no assert decides it)."""
     paths = []
-    for name, (alpha, _) in BAD_ALPHA.items():
+    for name, (doc, _) in docs.items():
         path = tmp_path / (name + ".json")
-        path.write_text(json.dumps({"n": 3, "q": "3/2", "beta": ["1", "2"],
-                                    "alpha": alpha}))
+        path.write_text(json.dumps(doc))
         paths.append(str(path))
     plain = []
-    for path, (name, (_, message)) in zip(paths, BAD_ALPHA.items()):
+    for path, (name, (_, message)) in zip(paths, docs.items()):
         code, out, err = run_cli(capsys, "build", "--params", path,
                                  "--p", "p12=1,p23=1")
         assert code == 2 and not out and message in err, (name, err)
@@ -482,3 +519,47 @@ def test_bad_alpha_block_exits_2_naming_the_key(tmp_path, capsys):
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == plain
+
+
+def test_bad_alpha_block_exits_2_naming_the_key(tmp_path, capsys):
+    """A malformed alpha block in params JSON exits 2 with a message that
+    names its key."""
+    _build_exits_2_naming(tmp_path, capsys, {
+        name: ({"n": 3, "q": "3/2", "beta": ["1", "2"], "alpha": alpha},
+               message)
+        for name, (alpha, message) in BAD_ALPHA.items()})
+
+
+BAD_PARAMS = {
+    "not-an-object": ([1, 2], "params must be a JSON object, got [1, 2]"),
+    "n-string": ({"n": "3", "q": "9/4"},
+                 "params n = '3' must be an integer >= 2"),
+    "n-one": ({"n": 1, "q": "9/4"}, "params n = 1 must be an integer >= 2"),
+    "n-missing": ({"q": "9/4"}, "params n = None must be an integer >= 2"),
+    "q-float": ({"n": 3, "q": 2.25},
+                "params q = 2.25 must be an integer or \"num/den\" string"),
+    "q-unparseable": ({"n": 3, "q": "9/0"},
+                      "params q = '9/0' must be an integer"),
+    "root-list": ({"n": 2, "q": "9/4", "root": ["3/2"]},
+                  "params root = ['3/2'] must be an integer"),
+    "beta-number": ({"n": 3, "q": "9/4", "beta": 5},
+                    "params beta = 5 must be \"infinity\" or a list of "
+                    "n - 1 scalars"),
+    "beta-short": ({"n": 3, "q": "9/4", "beta": ["1"]},
+                   "beta chain has 1 entries, need n-1 = 2"),
+    "beta-entry": ({"n": 3, "q": "9/4", "beta": ["1", None]},
+                   "params beta[1] = None must be an integer or \"num/den\" "
+                   "string"),
+}
+
+
+def test_bad_params_document_exits_2_naming_the_key(tmp_path, capsys):
+    """The document's shape, n, q, root and beta are validated like the
+    alpha block; a well-formed document still builds."""
+    _build_exits_2_naming(tmp_path, capsys, BAD_PARAMS)
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps({"n": 3, "q": "9/4", "root": None,
+                                "beta": [1, "2"]}))
+    code, out, _ = run_cli(capsys, "build", "--params", str(path),
+                           "--p", "p12=1,p23=1")
+    assert code == 0 and json.loads(out)["params"]["beta"] == ["1", "2"]

@@ -1,20 +1,22 @@
 """The word calculus: derivation replays, the membership oracle, scripts."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qdyb.scalars import RATIONAL, PrimeField, QContext, qnum
+from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext, qnum
 from qdyb.hecke import HeckeWord
 from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
-    CERTIFICATES, FP, MoveError, ReplayEngine, ShiftFunc, SpacedTensor,
+    CERTIFICATES, FP, UNIT, MoveError, ReplayEngine, ShiftFunc, SpacedTensor,
     builtin_derivations, derivation_from_json, derivation_to_json,
-    membership_oracle, oracle_confirm, _eps_bra, _eps_bra_dyn, _eps_ket,
-    _gen_word, _mv, _rho, _rho_dyn, _slot, _sym,
+    membership_oracle, oracle_confirm, _delta, _eps_bra, _eps_bra_dyn,
+    _eps_ket, _gen_word, _mv, _rho, _rho_dyn, _slot, _sym,
 )
+from test_tensor import assert_stored_form
 
 ALL = ["D1", "D1k", "D2", "D3", "D4", "D4r", "D5", "D5a", "D6c", "D6", "D6r"]
 
@@ -66,11 +68,14 @@ def test_antisym_word_is_the_window_antisymmetrizer():
 
 def test_spaced_tensor_compose():
     one = Fraction(1)
-    A = SpacedTensor((1,), (2,), {((i,), (i,)): one for i in (1, 2)})
-    B = SpacedTensor((2,), (3,), {((i,), (i,)): Fraction(i) for i in (1, 2)})
+    A = SpacedTensor((1,), (2,), {(i,): {(i,): one} for i in (1, 2)})
+    B = SpacedTensor((2,), (3,), {(i,): {(i,): Fraction(i)} for i in (1, 2)})
     C = A.compose(B)
     assert C.kets == (1,) and C.bras == (3,)
-    assert C.data[((2,), (2,))] == 2
+    assert C.rows[(2,)][(2,)] == 2 and C.den == 1
+    # equal numerators over different denominators differ
+    assert SpacedTensor.scalar(Fraction(1, 2)) != \
+        SpacedTensor.scalar(Fraction(1, 3))
     with pytest.raises(MoveError):
         A.compose(A)  # ket collision at space 1
 
@@ -78,33 +83,43 @@ def test_spaced_tensor_compose():
 LABELS = (1, 2, 3, 4, ("sr", 1), ("sc", 1), ("sr", 2))
 
 
+def values(st):
+    """The tensor as {(ket tuple, bra tuple): field value}, read from its
+    stored ints."""
+    def value(v):
+        return Fraction(v, st.den) if st.p is None else ModInt(v, st.p)
+    return {(kv, bv): value(v)
+            for kv, row in st.rows.items() for bv, v in row.items()}
+
+
 def random_spaced(rng, field, kets, bras, n=2, nnz=8):
-    """A random sparse SpacedTensor; its data keys follow the sorted
+    """A random sparse SpacedTensor; its rows are keyed in the sorted
     socket order the constructor gives."""
     shape = SpacedTensor(kets, bras)
-    data = {}
+    rows = {}
     for _ in range(nnz):
-        key = (tuple(rng.randint(1, n) for _ in shape.kets),
-               tuple(rng.randint(1, n) for _ in shape.bras))
-        data[key] = field.of(rng.randint(-2, 2))
-    return SpacedTensor(shape.kets, shape.bras, data)
+        kv = tuple(rng.randint(1, n) for _ in shape.kets)
+        bv = tuple(rng.randint(1, n) for _ in shape.bras)
+        rows.setdefault(kv, {})[bv] = field.of(
+            Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+    return SpacedTensor(shape.kets, shape.bras, rows)
 
 
 def by_label(st):
     """Entries keyed by their label -> index assignments, so that the
     comparison does not depend on the order of the sockets."""
     return {(frozenset(zip(st.kets, kv)), frozenset(zip(st.bras, bv))): v
-            for (kv, bv), v in st.data.items()}
+            for (kv, bv), v in values(st).items()}
 
 
 def reference_compose(a, b):
-    """a.compose(b) by brute force over every pair of entries: (the
+    """a.compose(b) by brute force over every pair of field values: (the
     entries, how many sums cancelled to zero)."""
     shared = set(a.bras) & set(b.kets)
     sums = {}
-    for (ak, ab), va in a.data.items():
+    for (ak, ab), va in values(a).items():
         a_kets, a_bras = dict(zip(a.kets, ak)), dict(zip(a.bras, ab))
-        for (bk, bb), vb in b.data.items():
+        for (bk, bb), vb in values(b).items():
             b_kets, b_bras = dict(zip(b.kets, bk)), dict(zip(b.bras, bb))
             if any(a_bras[s] != b_kets[s] for s in shared):
                 continue
@@ -144,12 +159,130 @@ def test_compose_matches_reference(field):
         cancelled += zeros
         assert set(c.kets) == set(a_kets) | (set(b_kets) - set(shared))
         assert set(c.bras) == (set(a_bras) - set(shared)) | set(b_bras)
-        # sockets come out sorted, and no zero is stored
+        # sockets come out sorted, and the stored form holds
         assert SpacedTensor(c.kets, c.bras).kets == c.kets
         assert SpacedTensor(c.kets, c.bras).bras == c.bras
-        assert all(c.data.values())
+        assert_stored_form(c)
         assert by_label(c) == expected, (a, b)
     assert cancelled > 0
+
+
+def test_rational_unit_composes_with_a_prime_factor():
+    """UNIT is rational; a prime factor lifts it to F_p on either side,
+    and two different primes do not mix."""
+    F = PrimeField()
+    st = random_spaced(random.Random(72), F, (1, 2), (3,))
+    for c in (UNIT.compose(st), st.compose(UNIT)):
+        assert c == st and c.p == F.p
+        assert (c.rows, c.den) == (st.rows, st.den)
+    assert UNIT.compose(UNIT) == UNIT and UNIT.p is None
+    other = random_spaced(random.Random(72), PrimeField(7), (), (1,))
+    with pytest.raises(ValueError, match="mixed prime fields"):
+        st.compose(other)
+
+
+def _row_dicts(st):
+    return {id(row) for row in st.rows.values()}
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_spaced_tensors_keep_the_stored_form(field):
+    """Every way to make a SpacedTensor gives ints in the stored form of a
+    TensorOp, and none shares a row dict with its operands."""
+    rng = random.Random(73)
+    for _ in range(30):
+        rows = {(rng.randint(1, 2),): {(rng.randint(1, 2),): field.of(
+            Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))))}
+            for _ in range(3)}
+        st = SpacedTensor((1,), (2,), rows)
+        assert_stored_form(st)
+        assert not _row_dicts(st) & {id(row) for row in rows.values()}
+        other = random_spaced(rng, field, (2,), (3, 4))
+        c = st.compose(other)
+        assert_stored_form(c)
+        assert not _row_dicts(c) & (_row_dicts(st) | _row_dicts(other))
+    eng = engine(2, rng, field=None if field is RATIONAL else field,
+                 npoints=1)
+    p = eng.points[0]
+    op = eng._dyn_rep(2, p).image(1)
+    st = SpacedTensor.from_tensorop(op, (1, 2), (1, 2))
+    assert_stored_form(st)
+    assert not _row_dicts(st) & {id(row) for row in op.rows.values()}
+    bare = FP("rho_dyn", {"word": _gen_word(1), "spaces": [1, 2]})
+    dressed = eng.eval_p(bare.shifted_across(1, -1).shifted_across(3, 1), p)
+    assert_stored_form(dressed)
+    for block in eng._p_values.values():
+        if block is not dressed:
+            assert not _row_dicts(dressed) & _row_dicts(block)
+
+
+def reference_dressed(eng, fp, p):
+    """A dressed factor built from the field values of its blocks: the
+    block at p shifted by each assignment m of the dress spaces, kept
+    where it has index m on a dress space and given index m on the dress
+    spaces it lacks."""
+    n = eng.n
+    bare = FP(fp.name, fp.args)
+    out = {}
+    for assign in itertools.product(range(1, n + 1), repeat=len(fp.dress)):
+        pp = p
+        for (s, sg), m in zip(fp.dress, assign):
+            for _ in range(abs(sg)):
+                pp = pp.shift(m, 1 if sg > 0 else -1)
+        block = eng.eval_p(bare, pp)
+        for (kv, bv), v in values(block).items():
+            kets, bras = dict(zip(block.kets, kv)), dict(zip(block.bras, bv))
+            for (s, _), m in zip(fp.dress, assign):
+                kets.setdefault(s, m)
+                bras.setdefault(s, m)
+            if all(kets[s] == m == bras[s]
+                   for (s, _), m in zip(fp.dress, assign)):
+                out[(frozenset(kets.items()), frozenset(bras.items()))] = v
+    return out
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_dressed_factors_match_a_field_value_build(field):
+    eng = engine(2, random.Random(74),
+                 field=None if field is RATIONAL else field, npoints=2)
+    g = _gen_word(1)
+    sf = ShiftFunc(Fraction(5, 3), {("f", 1, 2, 0): 1, ("qp", 1, 2, 1): -1})
+    factors = [
+        FP("func", {"func": sf.to_json()}, ((1, -1), (2, 1))),
+        FP("kdiag", {"space": 1, "power": -1}, ((1, -1),)),
+        FP("ddiag", {"space": 2}, ((1, -1), (3, -2))),
+        FP("rho_dyn", {"word": g, "spaces": [1, 2]}, ((3, -1), (4, 1))),
+        # restricted on a space the block is not diagonal in
+        FP("rho_dyn", {"word": g, "spaces": [1, 2]}, ((1, -1), (3, 1))),
+        FP("eps_bra_dyn", {"window": [2, 3]}, ((1, -1),)),
+    ]
+    for p in eng.points:
+        for fp in factors:
+            st = eng.eval_p(fp, p)
+            assert_stored_form(st)
+            assert by_label(st) == reference_dressed(eng, fp, p), fp
+            assert set(st.kets) == set(eng.eval_p(FP(fp.name, fp.args),
+                                                  p).kets) | {
+                s for s, _ in fp.dress}
+    bad = [(FP("dmat", {"ket": 1, "bra": 2}, ((1, -1),)), "only a ket"),
+           (FP("eps_bra_dyn", {"window": [1, 2]}, ((2, -1),)), "only a bra"),
+           (FP("ddiag", {"space": 1}, ((2, -1), (2, 1))), "repeats a space")]
+    for fp, message in bad:
+        with pytest.raises(ValueError, match=message) as err:
+            eng.eval_p(fp, eng.points[0])
+        assert not isinstance(err.value, MoveError)
+
+
+def test_refactor_inserts_only_an_identity():
+    eng = engine(2, random.Random(75), npoints=2)
+    zero = {"kind": "const", "name": "scalar", "args": {"value": "0"}}
+    refused = [("insert.move[0]", False,
+                "inserted factors are not an identity")]
+    for payload, recs in (([_delta(1, 1)], [("insert", True, None)]),
+                          ([zero], refused), ([_sym("q", 1)], refused)):
+        d = {"name": "insert", "start": [_slot(1)], "end": [_slot(1)],
+             "moves": [_mv("refactor", at=0, take=0, payload=payload)]}
+        assert eng.run(d) == recs, payload
 
 
 def test_shift_func():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -196,6 +196,16 @@ def random_rows(field, rng, nrows, ncols):
     return rows
 
 
+def raw(row):
+    """A row of field values in the form an Echelon takes: residues mod p,
+    or integer numerators over the lcm of the row's denominators."""
+    row = {c: v for c, v in row.items() if v}
+    if any(isinstance(v, ModInt) for v in row.values()):
+        return {c: v.v for c, v in row.items()}
+    m = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (m // v.denominator) for c, v in row.items()}
+
+
 def combination(field, rng, rows):
     out = {}
     for row in rng.sample(rows, min(3, len(rows))):
@@ -211,7 +221,8 @@ def test_echelon_rank_matches_dense_elimination(field):
     for _ in range(40):
         ncols = rng.randint(1, 12)
         rows = random_rows(field, rng, rng.randint(0, 12), ncols)
-        assert len(Echelon(rows)) == dense_rank(rows, ncols, field.zero)
+        ech = Echelon([raw(row) for row in rows], getattr(field, "p", None))
+        assert len(ech) == dense_rank(rows, ncols, field.zero)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
@@ -220,11 +231,11 @@ def test_echelon_membership(field):
     for _ in range(20):
         ncols = 10
         rows = random_rows(field, rng, 6, ncols)
-        ech = Echelon(rows)
+        ech = Echelon([raw(row) for row in rows], getattr(field, "p", None))
         rank = len(ech)
-        assert ech.contains({}) and ech.contains({3: field.zero})
+        assert ech.contains({}) and ech.contains(raw({3: field.zero}))
         for _ in range(5):
-            combo = combination(field, rng, rows)
+            combo = raw(combination(field, rng, rows))
             assert ech.contains(combo)
             assert not ech.add(combo)
         assert len(ech) == rank
@@ -234,9 +245,13 @@ def test_echelon_membership(field):
         row = {lead: field.one}
         for c in range(lead + 1, ncols):
             row[c] = field.of(rng.randint(-2, 2))
+        row = raw(row)
         assert not ech.contains(row)
         assert ech.add(row) and len(ech) == rank + 1
         assert ech.contains(row)
+        if field is RATIONAL:   # pivot rows are primitive integer vectors
+            assert all(gcd(*prow.values()) == 1
+                       for prow in ech.pivots.values())
 
 
 def test_projector_rank_complement():
@@ -286,7 +301,7 @@ def test_echelon_of_operators_stacks_their_rows(field):
                 for op in ops for rm in {rm for rm, _, _ in op.entries()}]
         ech = TensorOp.echelon(ops)
         assert len(ech) == dense_rank(rows, 4, field.zero)
-        assert all(ech.contains(row) for row in rows)
+        assert all(ech.contains(raw(row)) for row in rows)
         assert [op.exact_rank() for op in ops] == \
             [len(TensorOp.echelon([op])) for op in ops]
     # a rational operator stacked with a prime one is lifted mod p, where
