@@ -155,6 +155,7 @@ def cmd_derive(args):
     pts = [sample_point(params, rng, clearance=6)
            for _ in range(args.points)]
     eng = ReplayEngine(params, pts)
+    names = None
     if args.script:
         with open(args.script) as fh:
             derivs = [derivation_from_json(fh.read())]
@@ -169,6 +170,9 @@ def cmd_derive(args):
         derivs = [ds[name] for name in names]
     records = [c for d in derivs for c in eng.run(d)]
     doc = {"schema": verify.SCHEMA, "suite": "derive",
+           "config": {"n": args.n, "seed": args.seed, "points": args.points,
+                      "builtin": names},
+           "backend": field.name,
            "records": [c.to_json() for c in records],
            "status": fold(c.status for c in records)}
     _emit(args, doc, text_summary=lambda d, out: [

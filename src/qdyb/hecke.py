@@ -35,9 +35,29 @@ the antisymmetrizer A(i,j), t = -qbar the symmetrizer S(i,j), with
 at which the (n+1)-node antisymmetrizer vanishes while the n-node one
 keeps exactly one dimension per window (matrix rank n^(k-n) on V^(x)k).
 
-Each representation keeps one memo of its windows, keyed by
-(sign, i, j), so every window is built, and its two routes compared,
-once per representation, by whichever check asks for it first.
+Each generator is kept once, as its local block and the first site it
+acts on: g_i acts on sites i..i+1 in the constant flavor, on 1..i+1 in
+the dynamic one and on i..k in the localized-last one.  The k-site
+image of g_i is built from it on first use.  Every check on generators
+and windows works on the span of the generators involved (the sites
+from the first one any of them acts on to the last), and lifts the
+operands there by Kronecker products with identities.  The window
+W(i,j) lives on the span of g_i..g_{j-1} (the site i alone when i = j).
+The lift loses nothing, since for operators X, Y on the span and the
+identity 1 on the other sites
+
+    X (x) 1 = Y (x) 1  exactly when  X = Y,
+    (X (x) 1)(Y (x) 1) = XY (x) 1,
+    rank(X (x) 1_m) = rank(X) n^m,
+    X (x) 1 = 0  exactly when  X = 0,
+
+so relations, window recursions, vanishing and ranks decided on the
+span are those of the k-site images.
+
+Each representation keeps one memo of its windows on their spans,
+keyed by (sign, i, j), so every window is built, and its two routes
+compared, once per representation, by whichever check asks for it
+first; `antisym` and `symmetrizer` memoize the k-site lift.
 """
 
 import itertools
@@ -112,48 +132,73 @@ DYNAMIC = "dynamic"
 LOCALIZED_LAST = "localized-last"
 
 
-class HeckeRep:
-    """A representation of H_k(q) on V^(x)k with cached generator images."""
+def _lift(op, first, a, b):
+    """op, acting on the sites from `first` on, as an operator on sites
+    a..b: identities on the sites it does not act on."""
+    if first == a and op.rk == b - a + 1:
+        return op
+    return op.embed(first - a + 1, b - a + 1)
 
-    def __init__(self, k, ctx, images, flavor, params=None, base=None):
+
+class HeckeRep:
+    """A representation of H_k(q) on V^(x)k: each generator kept as its
+    local block and the first site it acts on."""
+
+    def __init__(self, k, ctx, blocks, starts, flavor, params=None,
+                 base=None):
         self.k = k
         self.ctx = ctx
-        self.n = images[0].n if images else ctx.n
+        self.n = blocks[0].n if blocks else ctx.n
         self.flavor = flavor
         self.params = params
         self.base = base
-        self._images = images          # images of g_1 .. g_{k-1}
-        self._inverses = [None] * len(images)
-        self._windows = {}             # (sign, i, j) -> A or S, built once
+        self._blocks = blocks          # local blocks of g_1 .. g_{k-1}
+        self._starts = starts          # the first site of each
+        self._images = [None] * len(blocks)     # k-site images, on use
+        self._inverses = [None] * len(blocks)
+        self._windows = {}             # (sign, i, j) -> A or S on its span
+        self._lifted = {}              # (sign, i, j) -> its k-site lift
 
     @classmethod
     def constant(cls, n, ctx, k, rmat=None):
         R = rmat if rmat is not None else build_dj(n, ctx)
-        return cls(k, ctx, [R.embed(i, k) for i in range(1, k)], CONSTANT)
+        return cls(k, ctx, [R] * (k - 1), list(range(1, k)), CONSTANT)
 
     @classmethod
     def dynamic(cls, params, p, k, rmat=None):
         rmx = rmat if rmat is not None else DynRMatrix(params)
-        n = params.n
-        images = []
-        for i in range(1, k):
-            block = dressed_block(n, rmx.at, i - 1, p, sign=-1, side="prefix")
-            images.append(block.embed(1, k) if block.rk < k else block)
-        return cls(k, params.ctx, images, DYNAMIC, params, p)
+        blocks = [dressed_block(params.n, rmx.at, i - 1, p, sign=-1,
+                                side="prefix") for i in range(1, k)]
+        return cls(k, params.ctx, blocks, [1] * (k - 1), DYNAMIC, params, p)
 
     @classmethod
     def localized_last(cls, params, p, k, rmat=None):
         rmx = rmat if rmat is not None else DynRMatrix(params)
-        n = params.n
-        images = []
-        for i in range(1, k):
-            block = dressed_block(n, rmx.at, k - i - 1, p, sign=+1,
-                                  side="suffix")
-            images.append(block.embed(i, k) if block.rk < k else block)
-        return cls(k, params.ctx, images, LOCALIZED_LAST, params, p)
+        blocks = [dressed_block(params.n, rmx.at, k - i - 1, p, sign=+1,
+                                side="suffix") for i in range(1, k)]
+        return cls(k, params.ctx, blocks, list(range(1, k)), LOCALIZED_LAST,
+                   params, p)
+
+    def span(self, gens):
+        """(first, last): the sites from the first one any generator g_l,
+        l in gens, acts on to the last one."""
+        return (min(self._starts[l - 1] for l in gens),
+                max(self._starts[l - 1] + self._blocks[l - 1].rk - 1
+                    for l in gens))
+
+    def window_span(self, i, j):
+        """The sites the window W(i, j) is kept on: the span of
+        g_i .. g_{j-1}, or the site i alone when i = j."""
+        return (i, i) if i == j else self.span(range(i, j))
+
+    def local(self, i, a, b):
+        """The image of g_i as an operator on sites a..b."""
+        return _lift(self._blocks[i - 1], self._starts[i - 1], a, b)
 
     def image(self, i):
         assert 1 <= i <= self.k - 1, "generator index out of range"
+        if self._images[i - 1] is None:
+            self._images[i - 1] = self.local(i, 1, self.k)
         return self._images[i - 1]
 
     def image_inv(self, i):
@@ -175,35 +220,44 @@ class HeckeRep:
             out = out + c * op
         return out
 
-    def relations_hold(self):
-        """Exact check of the braid, quadratic and locality relations."""
+    def relations(self):
+        """Yield (relation, lhs, rhs) for the braid, quadratic and
+        locality relations -- ("braid", i), ("quadratic", i) and
+        ("locality", i, j) -- each on the span of its generators and
+        formed only when it is reached."""
         lam = self.ctx.lam
-        ident = TensorOp.identity(self.n, self.k, self.ctx.field.one)
+        one = self.ctx.field.one
+
+        def on_span(*gens):
+            a, b = self.span(gens)
+            return [self.local(l, a, b) for l in gens]
+
         for i in range(1, self.k - 1):
-            a, b = self.image(i), self.image(i + 1)
-            if a * b * a != b * a * b:
-                return False
+            a, b = on_span(i, i + 1)
+            yield ("braid", i), a * b * a, b * a * b
         for i in range(1, self.k):
-            a = self.image(i)
-            if a * a != ident + lam * a:
-                return False
+            a = self._blocks[i - 1]         # on its own span
+            yield (("quadratic", i), a * a,
+                   TensorOp.identity(self.n, a.rk, one) + lam * a)
         for i in range(1, self.k - 1):
             for j in range(i + 2, self.k):
-                if self.image(i) * self.image(j) \
-                        != self.image(j) * self.image(i):
-                    return False
-        return True
+                a, b = on_span(i, j)
+                yield ("locality", i, j), a * b, b * a
+
+    def relations_hold(self):
+        """Exact check of the braid, quadratic and locality relations."""
+        return all(lhs == rhs for _, lhs, rhs in self.relations())
 
 
 def antisym(rep, i, j):
-    """Image of the window antisymmetrizer A(i, j) on sites i..j.
+    """Image of the window antisymmetrizer A(i, j) on V^(x)k.
 
     Both end-recursions are computed, and their agreement is checked,
     when a window is first built; the window then stays in the memo of
     `rep`.  A mismatch is never stored, so it raises on every call.
     """
     assert 1 <= i <= j <= rep.k
-    return _window(rep, +1, i, j)
+    return _lifted_window(rep, +1, i, j)
 
 
 def symmetrizer(rep, j):
@@ -211,33 +265,48 @@ def symmetrizer(rep, j):
     replaced by -qbar (a convention; the two towers are distinguished
     by which one terminates)."""
     assert 1 <= j <= rep.k
-    return _window(rep, -1, 1, j)
+    return _lifted_window(rep, -1, 1, j)
+
+
+def _lifted_window(rep, sign, i, j):
+    """The k-site lift of the window, built once per representation."""
+    key = (sign, i, j)
+    if key not in rep._lifted:
+        rep._lifted[key] = _window_on(rep, sign, i, j, 1, rep.k)
+    return rep._lifted[key]
+
+
+def _window_on(rep, sign, i, j, a, b):
+    """The window W(i, j) as an operator on sites a..b."""
+    return _lift(_window(rep, sign, i, j), rep.window_span(i, j)[0], a, b)
 
 
 def _window(rep, sign, i, j):
-    """The window recursion with t = q (sign +1) or t = -qbar (sign -1)."""
+    """The window recursion with t = q (sign +1) or t = -qbar (sign -1),
+    on the window's span, `rep.window_span(i, j)`."""
     memo = rep._windows
     key = (sign, i, j)
     if key in memo:
         return memo[key]
     ctx = rep.ctx
-    ident = TensorOp.identity(rep.n, rep.k, ctx.field.one)
     if i == j:
-        out = ident
+        out = TensorOp.identity(rep.n, 1, ctx.field.one)
     else:
+        a, b = rep.window_span(i, j)
+        ident = TensorOp.identity(rep.n, b - a + 1, ctx.field.one)
         m = j - i + 1
         den = sign ** (m + 1) * qnum(m, ctx)    # [m]_t
         if not den:
             raise DegenerateParameterError("[%d] = 0" % m)
         coef = sign ** (m - 1) * ctx.qpow(sign * (m - 1))   # t^(m-1)
         low = sign ** m * qnum(m - 1, ctx)      # [m-1]_t
-        prev = _window(rep, sign, i, j - 1)
-        out = (1 / den) * (prev * (coef * ident - low * rep.image(j - 1))
-                           * prev)
+        prev = _window_on(rep, sign, i, j - 1, a, b)
+        step = coef * ident - low * rep.local(j - 1, a, b)
+        out = (1 / den) * (prev * step * prev)
         # left-end recursion must agree
-        prev_l = _window(rep, sign, i + 1, j)
-        alt = (1 / den) * (prev_l * (coef * ident - low * rep.image(i))
-                           * prev_l)
+        prev_l = _window_on(rep, sign, i + 1, j, a, b)
+        step_l = coef * ident - low * rep.local(i, a, b)
+        alt = (1 / den) * (prev_l * step_l * prev_l)
         if alt != out:
             raise DegenerateParameterError(
                 "window recursion mismatch at %s(%d,%d): the generator "
@@ -254,17 +323,19 @@ def antisym_tower(rep, up_to):
 
 def antisym_props_hold(rep, j):
     """(g_i + qbar) A = A (g_i + qbar) = 0 for i < j, and absorption
-    A(1,j) A(i,l) = A(i,l) A(1,j) = A(1,j) for windows inside 1..j."""
-    A = antisym(rep, 1, j)
+    A(1,j) A(i,l) = A(i,l) A(1,j) = A(1,j) for windows inside 1..j,
+    on the span of A = A(1,j), which holds every such g_i and window."""
+    a, b = rep.window_span(1, j)
+    A = _window(rep, +1, 1, j)
     qbar = rep.ctx.qbar
-    ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field.one)
+    ident = TensorOp.identity(rep.n, A.rk, rep.ctx.field.one)
     for i in range(1, j):
-        t = rep.image(i) + qbar * ident
+        t = rep.local(i, a, b) + qbar * ident
         if not (t * A).is_zero() or not (A * t).is_zero():
             return False
     for i in range(1, j + 1):
         for l in range(i, j + 1):
-            W = antisym(rep, i, l)
+            W = _window_on(rep, +1, i, l, a, b)
             if A * W != A or W * A != A:
                 return False
     return True
@@ -276,21 +347,28 @@ def height(rep):
     On V^(x)k, the n-node window antisymmetrizers have matrix rank
     n^(k-n) (one dimension per window, identity on spectator sites);
     the (n+1)-node ones vanish.  Windowed variants are checked too.
+    Each window is decided on its span: it vanishes when its lift does,
+    and its lift has its rank times n per site outside the span.
     """
     k = rep.k
+
+    def rank(i, j):
+        W = _window(rep, +1, i, j)
+        return W.exact_rank() * rep.n ** (k - W.rk)
+
     for n in range(1, k + 1):
         if n == k:
-            if antisym(rep, 1, k).exact_rank() == 1:
+            if rank(1, k) == 1:
                 return n
             return None
         top_zero = all(
-            antisym(rep, i, n + i).is_zero()
+            _window(rep, +1, i, n + i).is_zero()
             for i in range(1, k - n + 1))
         if not top_zero:
             continue
         expected = rep.n ** (k - n)
         ranks_ok = all(
-            antisym(rep, j, n + j - 1).exact_rank() == expected
+            rank(j, n + j - 1) == expected
             for j in range(1, k - n + 2))
         return n if ranks_ok else None
     return None

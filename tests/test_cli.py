@@ -12,6 +12,7 @@ import qdyb
 from qdyb import verify
 from qdyb.checks import Check
 from qdyb.cli import main
+from qdyb.qmatrix import builtin_derivations
 from qdyb.scalars import QContext, qnum
 from qdyb.tensor import TensorOp
 from qdyb.verify import RunConfig, run_suite, strip_timing
@@ -162,7 +163,7 @@ def test_derive_builtin_and_script(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "pass" and len(doc["records"]) == 2
 
-    from qdyb.qmatrix import builtin_derivations, derivation_to_json
+    from qdyb.qmatrix import derivation_to_json
     script = tmp_path / "d4.json"
     script.write_text(derivation_to_json(builtin_derivations(2)["D4"]))
     code, out, _ = run_cli(capsys, "derive", "--n", "2", "--script",
@@ -179,6 +180,27 @@ def test_derive_builtin_and_script(tmp_path, capsys):
     assert code == 1
     doc = json.loads(out)
     assert "move[0]" in doc["records"][0]["id"]
+
+
+def test_derive_report_says_what_it_ran(capsys):
+    """A derive report carries its n, seed, points, builtin names and
+    backend, so runs that checked different things print different
+    documents."""
+    docs = []
+    for argv in (("--n", "2", "--points", "2"),
+                 ("--n", "3", "--points", "2", "--backend", "prime",
+                  "--seed", "5")):
+        code, out, _ = run_cli(capsys, "derive", *argv)
+        assert code == 0
+        docs.append(strip_timing(json.loads(out)))
+    small, large = docs
+    assert small["config"] == {"n": 2, "seed": 0, "points": 2,
+                               "builtin": sorted(builtin_derivations(2))}
+    assert small["backend"] == "rational"
+    assert large["config"]["n"] == 3 and large["config"]["seed"] == 5
+    assert large["backend"].startswith("prime")
+    assert _digest(json.dumps(small, sort_keys=True)) \
+        != _digest(json.dumps(large, sort_keys=True))
 
 
 def _func_slot_word(coef):
@@ -488,6 +510,7 @@ BAD_ALPHA = {
 _BUILD_EACH = """
 import contextlib, io, json, sys
 from qdyb.cli import main
+from qdyb.qmatrix import builtin_derivations
 out = []
 for path in sys.argv[1:]:
     err = io.StringIO()

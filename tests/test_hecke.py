@@ -13,6 +13,7 @@ from qdyb.hecke import (
     inner_automorphism_check, locality_structure, symmetrizer,
     top_vanish_equivalents,
 )
+from qdyb.rmatrix import DynRMatrix, build_dj, dressed_block
 from qdyb.weights import sample_params, sample_point
 
 
@@ -89,7 +90,7 @@ def test_tampered_image_raises_on_every_call():
     ctx = QContext(Fraction(3, 2), 2)
     rep = HeckeRep.constant(2, ctx, 3)
     good = HeckeRep.constant(2, ctx, 3)
-    rep._images[1] = 2 * rep._images[1]   # 2 g_2 breaks g^2 = 1 + lam g
+    rep._blocks[1] = 2 * rep._blocks[1]   # 2 g_2 breaks g^2 = 1 + lam g
     for _ in range(2):
         with pytest.raises(DegenerateParameterError,
                            match=r"window recursion mismatch at A\(1,3\)"):
@@ -104,12 +105,114 @@ def test_tampered_image_breaks_symmetrizer_on_every_call():
     ctx = QContext(Fraction(3, 2), 2)
     rep = HeckeRep.constant(2, ctx, 3)
     good = HeckeRep.constant(2, ctx, 3)
-    rep._images[1] = 2 * rep._images[1]   # 2 g_2 breaks g^2 = 1 + lam g
+    rep._blocks[1] = 2 * rep._blocks[1]   # 2 g_2 breaks g^2 = 1 + lam g
     for _ in range(2):
         with pytest.raises(DegenerateParameterError,
                            match=r"window recursion mismatch at S\(1,3\)"):
             symmetrizer(rep, 3)
     assert symmetrizer(rep, 2) == symmetrizer(good, 2)
+
+
+FLAVORS = ("constant", "dynamic", "localized-last")
+
+
+def flavor_builder(flavor, n, k, seed):
+    """A function building a fresh representation of the flavor, at
+    parameters and a point drawn once from the seed."""
+    if flavor == "constant":
+        ctx = QContext(Fraction(3, 2), n)
+        return lambda: HeckeRep.constant(n, ctx, k)
+    rng = random.Random(seed)
+    params = sample_params(n, rng)
+    p = sample_point(params, rng, clearance=k)
+    make = (HeckeRep.dynamic if flavor == "dynamic"
+            else HeckeRep.localized_last)
+    return lambda: make(params, p, k)
+
+
+def broken_relations(rep):
+    return {rel for rel, lhs, rhs in rep.relations() if lhs != rhs}
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_tampered_generator_breaks_its_relations(flavor):
+    """Doubling one generator's local block breaks its quadratic and
+    braid relations, decided on their spans; the locality relations are
+    homogeneous in each generator, so they still hold.  Putting g_2 in
+    the place of g_3 breaks the locality relation of g_1 and g_3 alone."""
+    k = 4
+    build = flavor_builder(flavor, 2, k, 59)
+    assert build().relations_hold()
+    for i in range(1, k):
+        rep = build()
+        rep._blocks[i - 1] = 2 * rep._blocks[i - 1]
+        assert not rep.relations_hold()
+        assert broken_relations(rep) == {("quadratic", i)} | {
+            ("braid", b) for b in (i - 1, i) if 1 <= b <= k - 2}
+    rep = build()
+    rep._blocks[2], rep._starts[2] = rep._blocks[1], rep._starts[1]
+    assert not rep.relations_hold()
+    assert broken_relations(rep) == {("locality", 1, 3)}
+
+
+def reference_window(rep, sign, i, j, memo):
+    """W(i, j) by the right-end recursion over the k-site images, with
+    t = q or -qbar and [m]_t = t^(m-1) + t^(m-3) + ... + t^(1-m)."""
+    if (sign, i, j) in memo:
+        return memo[sign, i, j]
+    ident = TensorOp.identity(rep.n, rep.k)
+    if i == j:
+        return ident
+    t = rep.ctx.q if sign > 0 else -rep.ctx.qbar
+
+    def qint(m):
+        return sum(t ** (m - 1 - 2 * r) for r in range(m))
+
+    m = j - i + 1
+    prev = reference_window(rep, sign, i, j - 1, memo)
+    step = t ** (m - 1) * ident - qint(m - 1) * rep.image(j - 1)
+    memo[sign, i, j] = (1 / qint(m)) * (prev * step * prev)
+    return memo[sign, i, j]
+
+
+def embedded_image(rep, i):
+    """g_i built from R(p) and embedded on all k sites, apart from the
+    representation's own storage."""
+    n, k = rep.n, rep.k
+    if rep.flavor == "constant":
+        return build_dj(n, rep.ctx).embed(i, k)
+    rmx = DynRMatrix(rep.params)
+    if rep.flavor == "dynamic":
+        return dressed_block(n, rmx.at, i - 1, rep.base, sign=-1,
+                             side="prefix").embed(1, k)
+    return dressed_block(n, rmx.at, k - i - 1, rep.base, sign=+1,
+                         side="suffix").embed(i, k)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("n, k", [(2, 3), (2, 4), (3, 4)])
+def test_windows_on_spans_equal_the_k_site_recursion(flavor, n, k):
+    """Generators, windows, ranks and heights decided on the spans of
+    the generators agree with the k-site images, and every memoized
+    window is kept on its generators' span, not on k sites."""
+    rep = flavor_builder(flavor, n, k, 61)()
+    for i in range(1, k):
+        assert rep.image(i) == embedded_image(rep, i)
+    memo = {}
+    for i in range(1, k + 1):
+        for j in range(i, k + 1):
+            ref = reference_window(rep, +1, i, j, memo)
+            assert antisym(rep, i, j) == ref
+            W = rep._windows[+1, i, j]
+            assert W.exact_rank() * n ** (k - W.rk) == ref.exact_rank()
+        assert symmetrizer(rep, i) == reference_window(rep, -1, 1, i, memo)
+    assert height(rep) == n
+    assert antisym_props_hold(rep, min(n + 1, k))
+    sites = {"constant": lambda i, j: j - i + 1,
+             "dynamic": lambda i, j: j,
+             "localized-last": lambda i, j: k - i + 1}[flavor]
+    for (_, i, j), W in rep._windows.items():
+        assert W.rk == (sites(i, j) if i < j else 1), (i, j)
 
 
 def test_height_and_top_vanish_in_either_order():
