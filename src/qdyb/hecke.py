@@ -135,8 +135,6 @@ LOCALIZED_LAST = "localized-last"
 def _lift(op, first, a, b):
     """op, acting on the sites from `first` on, as an operator on sites
     a..b: identities on the sites it does not act on."""
-    if first == a and op.rk == b - a + 1:
-        return op
     return op.embed(first - a + 1, b - a + 1)
 
 
@@ -209,14 +207,16 @@ class HeckeRep:
         return self._inverses[i - 1]
 
     def apply(self, elt):
-        """Image of a HeckeWord: multiplicative on words, linear overall."""
+        """Image of a HeckeWord: multiplicative on words, linear overall.
+        A word's product starts from its first letter's image; only the
+        empty word is the identity."""
         out = TensorOp.zero(self.n, self.k, self.k)
-        ident = TensorOp.identity(self.n, self.k, self.ctx.field.one)
         for w, c in elt.terms.items():
-            op = ident
-            for letter in w:
-                op = op * (self.image(letter) if letter > 0
-                           else self.image_inv(-letter))
+            ops = [self.image(l) if l > 0 else self.image_inv(-l) for l in w]
+            op = ops[0] if ops else TensorOp.identity(self.n, self.k,
+                                                      self.ctx.field.one)
+            for x in ops[1:]:
+                op = op * x
             out = out + c * op
         return out
 
@@ -300,14 +300,19 @@ def _window(rep, sign, i, j):
             raise DegenerateParameterError("[%d] = 0" % m)
         coef = sign ** (m - 1) * ctx.qpow(sign * (m - 1))   # t^(m-1)
         low = sign ** m * qnum(m - 1, ctx)      # [m-1]_t
-        prev = _window_on(rep, sign, i, j - 1, a, b)
-        step = coef * ident - low * rep.local(j - 1, a, b)
-        out = (1 / den) * (prev * step * prev)
-        # left-end recursion must agree
-        prev_l = _window_on(rep, sign, i + 1, j, a, b)
-        step_l = coef * ident - low * rep.local(i, a, b)
-        alt = (1 / den) * (prev_l * step_l * prev_l)
-        if alt != out:
+
+        def route(g, lo, hi):
+            """(1/[m]_t) W (t^(m-1) - [m-1]_t g) W with W = W(lo, hi),
+            whose products are left out when W is a one-site window: 1."""
+            step = coef * ident - low * rep.local(g, a, b)
+            if lo == hi:
+                return (1 / den) * step
+            prev = _window_on(rep, sign, lo, hi, a, b)
+            return (1 / den) * (prev * step * prev)
+
+        out = route(j - 1, i, j - 1)
+        # the left-end recursion must agree; at m = 2 it is the same route
+        if m > 2 and route(i, i + 1, j) != out:
             raise DegenerateParameterError(
                 "window recursion mismatch at %s(%d,%d): the generator "
                 "images do not satisfy the algebra relations"

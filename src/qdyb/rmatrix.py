@@ -45,21 +45,35 @@ def build_dj(n, ctx):
     return TensorOp.from_entries(n, 2, 2, entries)
 
 
+def dyn_entries(params, p, pairs):
+    """Yield the entries (row multi, col multi, value) of the rows
+    (i1, i2) in pairs of the dynamical braid matrix at p: a_{i1 i2} at
+    the swapped column, b_{i1 i2} at the same one, zeros left out."""
+    for i1, i2 in pairs:
+        pij = p.p(i1, i2)
+        a = params.a_entry(i1, i2, pij)
+        if a:
+            yield (i1, i2), (i2, i1), a
+        if i1 != i2:
+            b = params.b_entry(i1, i2, pij)
+            if b:
+                yield (i1, i2), (i1, i2), b
+
+
 def build_dyn(params, p):
     """The dynamical braid matrix evaluated at the weight point p."""
     n = params.n
-    entries = []
-    for i1 in range(1, n + 1):
-        for i2 in range(1, n + 1):
-            pij = p.p(i1, i2)
-            a = params.a_entry(i1, i2, pij)
-            if a:
-                entries.append(((i1, i2), (i2, i1), a))
-            if i1 != i2:
-                b = params.b_entry(i1, i2, pij)
-                if b:
-                    entries.append(((i1, i2), (i1, i2), b))
-    return TensorOp.from_entries(n, 2, 2, entries)
+    return TensorOp.from_entries(n, 2, 2, dyn_entries(
+        params, p, itertools.product(range(1, n + 1), repeat=2)))
+
+
+def flipped(op):
+    """P op P for the flip P of two sites: the stored entries of the
+    two-site operator op with the two site indices of every row and
+    column exchanged."""
+    n = op.n
+    swap = {a * n + b: b * n + a for a in range(n) for b in range(n)}
+    return TensorOp.assemble(n, 2, 2, [(op, swap, swap)])
 
 
 def invert_dyn(params, p):
@@ -138,8 +152,9 @@ def multiset_dress(op, p, builder, sign):
 
     Only meaningful when builder(p') agrees with op at p' = p; used for
     the equivalence between the last-generator-localized representation
-    and the global conjugation of the standard one, and for the weight
-    conservation of R(p).  builder runs once per index multiset.
+    and the global conjugation of the standard one.  builder runs once
+    per index multiset, and only the rows and columns of op's support
+    are kept of what it builds.
     """
     n = op.n
     k = op.rk
@@ -182,11 +197,28 @@ def col_shifted_product(n, builder_a, builder_b, p, col_site, k, sign=+1):
 def weight_conservation_check(rmx, p):
     """Nonzero entries only connect equal index multisets, and entries are
     unchanged under p -> p - v(i1) - v(i2) on their own support (the
-    concrete content of commutation with X1 X2).  `rmx` is the caller's
-    :class:`DynRMatrix`, so no point is built twice."""
+    concrete content of commutation with X1 X2).
+
+    `rmx` is the caller's :class:`DynRMatrix`, so R(p) is built once.
+    Each row (i1, i2) of its support is evaluated alone at its shifted
+    point, by the entry code of :func:`build_dyn`, and the rows are
+    compared with R(p) on its support, as the conjugation by the full
+    product X1 X2 of :func:`multiset_dress` would compare them."""
+    params = rmx.params
+    n = params.n
     R = rmx.at(p)
+    entries = []
+    for r, cols in R.support():
+        I = multi_index(r, n, 2)
+        key = sorted(I)
+        if any(sorted(multi_index(c, n, 2)) != key for c in cols):
+            raise DegenerateParameterError(
+                "operator does not conserve index multisets")
+        entries.extend(e for e in dyn_entries(params, p.shift_many(I, -1),
+                                               [I])
+                       if flat_index(e[1], n) in cols)
     return compare("weight-conservation",
-                   multiset_dress(R, p, rmx.at, sign=-1), R)
+                   TensorOp.from_entries(n, 2, 2, entries), R)
 
 
 def verify_qdybe(params, p, rmx=None):
@@ -195,7 +227,11 @@ def verify_qdybe(params, p, rmx=None):
     Returns the record list; every residual is compared to zero exactly.
     R(p) and each shifted matrix are built once and shared by every
     layout (operators are immutable); a caller that has built some of
-    them passes its :class:`DynRMatrix` of params as rmx.
+    them passes its :class:`DynRMatrix` of params as rmx.  No check
+    builds more than it compares: the sites-exchanged layout relabels
+    the stored entries of R (:func:`flipped`) instead of multiplying by
+    the flip, and the weight conservation evaluates only R(p)'s own
+    rows at their shifted points.
     """
     records = []
     n = params.n
@@ -230,9 +266,8 @@ def verify_qdybe(params, p, rmx=None):
 
     # variant with the outer sites exchanged; the middle factor acts on
     # sites (3,2) and its shift is keyed by the site-1 index
-    P = TensorOp.site_permutation(n, 2, (2, 1), params.ctx.field.one)
-    R21 = (P * R * P).embed(1, 3)
-    H = dressed_block(n, lambda pp: P * rmx.at(pp) * P, 1, p,
+    R21 = flipped(R).embed(1, 3)
+    H = dressed_block(n, lambda pp: flipped(rmx.at(pp)), 1, p,
                       sign=+1, side="prefix")
     X = R21 * H
     records.append(compare("qdybe.braid.sites-exchanged", X * R21, H * X))
@@ -297,7 +332,7 @@ def twist_checks(params, psi, p, rmx=None):
     twisted_rmx = DynRMatrix(twisted)
     R_twisted = twisted_rmx.at(p)
     lhs = Fhat * R * Fhat_inv
-    rhs = P12 * R_twisted * P12
+    rhs = flipped(R_twisted)
     records.append(compare("twist.flip-conjugation", lhs, rhs))
 
     cyc = TensorOp.site_permutation(n, 3, (2, 3, 1), one)

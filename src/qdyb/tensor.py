@@ -293,14 +293,19 @@ class TensorOp:
 
     def embed(self, pos, k):
         """Place a square m-site operator at sites pos..pos+m-1 of k sites,
-        acting as the identity elsewhere."""
+        acting as the identity elsewhere: one Kronecker product with an
+        identity per side that has sites, and the operator itself when
+        it fills all k."""
         assert self.is_square, "embed needs a square operator"
         m = self.rk
         if not (1 <= pos <= k - m + 1):
             raise ValueError("embed position out of range")
-        left = TensorOp.identity(self.n, pos - 1)
-        right = TensorOp.identity(self.n, k - m - pos + 1)
-        return left.kron(self).kron(right)
+        out = self
+        if pos > 1:
+            out = TensorOp.identity(self.n, pos - 1).kron(out)
+        if pos + m <= k:
+            out = out.kron(TensorOp.identity(self.n, k - m - pos + 1))
+        return out
 
     def exact_rank(self):
         return len(TensorOp.echelon([self]))

@@ -278,6 +278,43 @@ def test_top_vanish_battery():
     all_pass(top_vanish_equivalents(dyn_rep(3, 4, rng, alpha="constant"), 3))
 
 
+def is_identity(op):
+    return op.rk == op.ck and op.den == 1 and op.rows == {
+        r: {r: 1} for r in range(op.n ** op.rk)}
+
+
+def test_top_vanish_forms_no_identity_product(monkeypatch):
+    """A word's image starts from its first letter, and a two-node window
+    is its step alone, W(i, i) = 1 on either side left out: no product of
+    top_vanish_equivalents has an identity operand.  At the points of
+    the hecke-tower benchmark (seed 202) that is 20 products at n = 2 and
+    32 at n = 3, for both flavors, all records passing."""
+    mul = TensorOp.__mul__
+    operands = []
+
+    def counted(a, b):
+        if isinstance(b, TensorOp):
+            operands.append((a, b))
+        return mul(a, b)
+
+    rng = random.Random(202)
+    for n, products in ((2, 20), (3, 32)):
+        k = n + 1
+        ctx = QContext(Fraction(3, 2), n)
+        params = sample_params(n, rng, alpha="constant")
+        p = sample_point(params, rng, clearance=k)
+        for rep in (HeckeRep.constant(n, ctx, k),
+                    HeckeRep.dynamic(params, p, k)):
+            operands.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(TensorOp, "__mul__", counted)
+                records = top_vanish_equivalents(rep, n)
+            all_pass(records)
+            assert len(operands) == products
+            assert not any(is_identity(a) or is_identity(b)
+                           for a, b in operands)
+
+
 def test_top_vanish_n1_degenerate():
     # A(1) A(2,2) A(1) = [1]^(-2) A(1) reads identity = identity
     ctx = QContext(Fraction(2), 1)

@@ -6,16 +6,19 @@ from fractions import Fraction
 import pytest
 
 from qdyb import rmatrix
-from qdyb.scalars import DegenerateParameterError, PoleError, QContext, qnum
+from qdyb.checks import compare
+from qdyb.scalars import (
+    RATIONAL, DegenerateParameterError, PoleError, PrimeField, QContext, qnum,
+)
 from qdyb.tensor import TensorOp
 from qdyb.rmatrix import (
     DynRMatrix, ShiftedEvaluation, beta_removal_offsets, build_dj, build_dyn,
-    diag_inversion, invert_dyn, pi_ratio_check, twist_checks, verify_qdybe,
-    weight_conservation_check,
+    diag_inversion, flipped, invert_dyn, multiset_dress, pi_ratio_check,
+    twist_checks, verify_qdybe, weight_conservation_check,
 )
 from qdyb.weights import (
     PairFamily, SLnParams, WeightPoint, constant_multiparam, sample_params,
-    sample_point, sample_twist,
+    sample_point, sample_q, sample_twist,
 )
 
 
@@ -112,6 +115,8 @@ def test_qdybe_fails_on_broken_beta():
 
 
 def test_weight_conservation_builds_once_per_multiset(monkeypatch):
+    """R(p) is the only matrix built: the shifted points are evaluated
+    row by row, never as a full R."""
     calls = []
 
     def counted(params, p):
@@ -126,7 +131,7 @@ def test_weight_conservation_builds_once_per_multiset(monkeypatch):
         del calls[:]
         assert weight_conservation_check(DynRMatrix(params), p) \
             == ("weight-conservation", True, None)
-        assert len(calls) <= 1 + n * (n + 1) // 2
+        assert calls == [p]
 
 
 def test_verify_qdybe_builds_each_point_once(monkeypatch):
@@ -150,15 +155,20 @@ def test_verify_qdybe_builds_each_point_once(monkeypatch):
 
 def test_weight_conservation_catches_chain_dependence(monkeypatch):
     """Entries that read more of the point than p_{i1 i2} are not
-    invariant under p -> p - v(i1) - v(i2): the check must say where."""
-    def tampered(params, p):
-        # a_11 also reads p_1n, the sum of the whole chain, which moves
-        # by -2 under p -> p - 2 v(1)
-        extra = params.ctx.q * p.p(1, params.n)
-        return build_dyn(params, p) + TensorOp.from_entries(
-            params.n, 2, 2, [((1, 1), (1, 1), extra)])
+    invariant under p -> p - v(i1) - v(i2): the check must say where.
+    The entry code is shared by R(p) and its shifted rows, so the fault
+    is on both sides of the comparison."""
+    entries = rmatrix.dyn_entries
 
-    monkeypatch.setattr(rmatrix, "build_dyn", tampered)
+    def tampered(params, p, pairs):
+        for rm, cm, v in entries(params, p, pairs):
+            if rm == cm == (1, 1):
+                # a_11 also reads p_1n, the sum of the whole chain, which
+                # moves by -2 under p -> p - 2 v(1)
+                v = v + params.ctx.q * p.p(1, params.n)
+            yield rm, cm, v
+
+    monkeypatch.setattr(rmatrix, "dyn_entries", tampered)
     rng = random.Random(48)
     for n in (2, 3):
         params = sample_params(n, rng)
@@ -167,6 +177,82 @@ def test_weight_conservation_catches_chain_dependence(monkeypatch):
                                                         p)
         assert rec_id == "weight-conservation" and ok is False
         assert witness[:2] == ((1, 1), (1, 1))
+
+
+def drawn_on(field, n, rng):
+    """Parameters with geometric alpha and a point, over the field."""
+    ctx = QContext(sample_q(rng), n, field=field)
+    params = sample_params(n, rng, ctx=ctx, alpha="geometric")
+    return params, sample_point(params, rng)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_weight_conservation_rows_give_the_full_build_record(monkeypatch,
+                                                              field):
+    """The row-wise check gives the record of the full-build reference,
+    R(p) conjugated by X1 X2 through multiset_dress with one full R per
+    index multiset: untampered, and with one entry tampered at one
+    shifted point."""
+    entries = rmatrix.dyn_entries
+    rng = random.Random(50)
+    for n in (2, 3, 4):
+        params, p = drawn_on(field, n, rng)
+
+        def reference():
+            rmx = DynRMatrix(params)
+            R = rmx.at(p)
+            return compare("weight-conservation",
+                           multiset_dress(R, p, rmx.at, sign=-1), R)
+
+        good = reference()
+        assert good == ("weight-conservation", True, None)
+        assert weight_conservation_check(DynRMatrix(params), p) == good
+
+        # the a entry of row I, doubled at I's shifted point only (at
+        # n = 2, p - v(1) - v(2) is p itself)
+        I = (1, n) if n > 2 else (1, 1)
+        shifted = p.shift_many(I, -1)
+        assert shifted != p
+
+        def tampered(params, pp, pairs):
+            for rm, cm, v in entries(params, pp, pairs):
+                if pp == shifted and rm == I and cm == I[::-1]:
+                    v = 2 * v
+                yield rm, cm, v
+
+        with monkeypatch.context() as mp:
+            mp.setattr(rmatrix, "dyn_entries", tampered)
+            bad = reference()
+            assert bad.ok is False and bad.witness[:2] == (I, I[::-1])
+            assert weight_conservation_check(DynRMatrix(params), p) == bad
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_flipped_is_the_flip_conjugation(field):
+    """The relabeled matrix of the sites-exchanged layout is P R P."""
+    rng = random.Random(51)
+    for n in (2, 3, 4):
+        params, p = drawn_on(field, n, rng)
+        R = build_dyn(params, p)
+        P = TensorOp.site_permutation(n, 2, (2, 1), field.one)
+        F = flipped(R)
+        assert F == P * R * P and F.p == R.p
+        assert F != R and flipped(F) == R
+
+
+def test_sites_exchanged_layout_fails_on_broken_beta(tmp_path):
+    """`qdyb verify qdybe --n 2 --corrupt beta` exits 1, and the layout
+    on the flipped matrix fails with a witness."""
+    import json
+    from qdyb.cli import main
+    out = tmp_path / "report.json"
+    assert main(["verify", "qdybe", "--n", "2", "--corrupt", "beta",
+                 "--out", str(out)]) == 1
+    fails = [r for rep in json.loads(out.read_text())["reports"]
+             for r in rep["records"]
+             if r["id"].endswith("qdybe.braid.sites-exchanged")
+             and r["status"] == "fail"]
+    assert fails and all("witness" in r for r in fails)
 
 
 def test_dynamical_pole_raises():

@@ -486,6 +486,35 @@ def test_embed_keeps_the_prime_field():
     assert emb.exact_rank() == 4 * op.exact_rank()
 
 
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(101)])
+def test_embed_krons_only_identities_with_sites(monkeypatch, field):
+    """embed at every position equals the two-kron reference
+    1_(pos-1) (x) op (x) 1_(k-m-pos+1), and forms one Kronecker product
+    per side that has sites: none with a 0-site identity."""
+    rng = random.Random(26)
+    kron = TensorOp.kron
+    seen = []
+
+    def counted(a, b):
+        seen.append((a.rk, b.rk))
+        return kron(a, b)
+
+    for m in (1, 2):
+        op = from_ref(2, m, m, random_ref(field, rng, 2, m, m))
+        for k in range(m, 5):
+            for pos in range(1, k - m + 2):
+                ref = kron(kron(TensorOp.identity(2, pos - 1, field.one), op),
+                           TensorOp.identity(2, k - m - pos + 1, field.one))
+                seen.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(TensorOp, "kron", counted)
+                    emb = op.embed(pos, k)
+                assert emb == ref and emb.p == op.p
+                assert_stored_form(emb)
+                assert all(a and b for a, b in seen), seen
+                assert len(seen) == (pos > 1) + (pos + m <= k)
+
+
 # -- assembly from stored rows ----------------------------------------------
 
 
