@@ -328,7 +328,7 @@ def antisym_tower(rep, up_to):
 
 def antisym_props_hold(rep, j):
     """(g_i + qbar) A = A (g_i + qbar) = 0 for i < j, and absorption
-    A(1,j) A(i,l) = A(i,l) A(1,j) = A(1,j) for windows inside 1..j,
+    A(1,j) A(i,l) = A(i,l) A(1,j) = A(1,j) for windows i < l in 1..j,
     on the span of A = A(1,j), which holds every such g_i and window."""
     a, b = rep.window_span(1, j)
     A = _window(rep, +1, 1, j)
@@ -338,8 +338,8 @@ def antisym_props_hold(rep, j):
         t = rep.local(i, a, b) + qbar * ident
         if not (t * A).is_zero() or not (A * t).is_zero():
             return False
-    for i in range(1, j + 1):
-        for l in range(i, j + 1):
+    for i in range(1, j):
+        for l in range(i + 1, j + 1):
             W = _window_on(rep, +1, i, l, a, b)
             if A * W != A or W * A != A:
                 return False

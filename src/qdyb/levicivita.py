@@ -23,8 +23,8 @@ Everything downstream of the tensors lives here as well: the
 eigenspace, rank-one projectors (dressed on shifted windows), the
 diagonal N/K matrices with their closed form, the window-shift
 relations transporting the tensors from sites 1..n to 2..n+1, and the
-brute-force permutation-sum identities behind the normalization
-E_[..](p) E^[..](p) = [n]!.
+permutation-sum identities behind the normalization
+E_[..](p) E^[..](p) = [n]!, over every ordering, summed by subsets.
 
 A contravariant tensor is the ket :class:`~qdyb.tensor.TensorOp` from
 scalars into V^(x)n, a covariant one the bra from V^(x)n into scalars;
@@ -314,7 +314,7 @@ def window_shift_relations_dyn(params, p, rmat=None):
                     ctx.q * bra.kron(nk.n_op()))]
 
 
-# -- brute-force permutation-sum identities -------------------------------
+# -- permutation-sum identities ------------------------------------------
 
 
 def xi_table(params, p):
@@ -329,26 +329,30 @@ def b_table_from_xi(table, q):
 
 
 def perm_sum(table, subset):
-    """I_k = sum over orderings of `subset` of prod_{a<b} xi_{t_a t_b}."""
-    total = None
-    for t in itertools.permutations(subset):
-        prod = None
-        for a in range(len(t)):
-            for b in range(a + 1, len(t)):
-                v = table[(t[a], t[b])]
-                prod = v if prod is None else prod * v
-        if prod is None:
-            prod = 1
-        total = prod if total is None else total + prod
-    return total
+    """I_k = sum over every ordering t of `subset` of prod_{a<b}
+    xi_{t_a t_b}, summed by subsets: I(S) = sum_{r in S} I(S - r)
+    prod_{l in S - r} xi_{l r} (orderings ending in r), I(empty) = 1."""
+    k = len(subset)
+    sums = [1]      # I of the subset with bit mask m, at index m
+    for mask in range(1, 1 << k):
+        total = None
+        for r in range(k):
+            if mask >> r & 1:
+                term = sums[mask ^ 1 << r]
+                for l in range(k):
+                    if l != r and mask >> l & 1:
+                        term = term * table[(subset[l], subset[r])]
+                total = term if total is None else total + term
+        sums.append(total)
+    return sums[-1]
 
 
 def bruteforce_norm_identities(table, ctx, d=None, subsets=None):
     """The permutation-sum identities for a xi-table with
     xi_ij = d - b_ij, b_ij + b_ji = lam, b-triple products antisymmetric.
 
-    * I_k = [k]_d! over every requested subset (brute force over all k!
-      orderings);
+    * I_k = [k]_d! over every requested subset (all k! orderings,
+      summed by subsets);
     * the row-sum identity sum_r prod_{l != r} xi_{i_l i_r} = [k]_d;
     * the pure-b identity sum_r prod_{l != r} b_{i_l i_r} = lam^(m-1).
 

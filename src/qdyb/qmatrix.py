@@ -44,6 +44,12 @@ positions, whose ints are in the stored form of a
 :class:`~qdyb.tensor.TensorOp`: two words are equal when their sockets,
 den and int rows are (a rational tensor lifted to F_p against a prime
 one).  Field values are formed only for the witness of a difference.
+Factors left of the first slot are composed in turn.  The p-independent
+rest is cut into runs, each a block of slots and the constants after it;
+a run is composed on its own, then onto the word, so no slot broadcasts
+the whole word.  Value and errors are those of the left-to-right fold: a
+pass over the socket labels raises the fold's collisions, and a run ends
+early where it would meet twice a ket label that the fold contracts once.
 
 The independent check is a membership oracle: at each sample point it
 puts the degree-k pair-exchange consequences rho_dyn(g_j) M -
@@ -100,6 +106,24 @@ def _picker(out, labels):
         at = positions[0]
         return lambda t: (t[at],)
     return lambda t: ()
+
+
+def _composed_labels(kets, bras, other_kets, other_bras):
+    """(shared, kets, bras) of a composite, its open sockets sorted; an
+    open label met twice on one side raises the collision MoveError."""
+    shared = [s for s in bras if s in other_kets]
+    kets = list(kets)
+    for s in other_kets:
+        if s not in shared:
+            if s in kets:
+                raise MoveError("ket collision at %r" % (s,))
+            kets.append(s)
+    bras = [s for s in bras if s not in shared]
+    for s in other_bras:
+        if s in bras:
+            raise MoveError("bra collision at %r" % (s,))
+        bras.append(s)
+    return shared, _sorted_labels(kets), _sorted_labels(bras)
 
 
 class SpacedTensor:
@@ -160,20 +184,8 @@ class SpacedTensor:
     def compose(self, other):
         """self * other: contract self's bras against other's kets on
         matching labels; everything else stays open."""
-        shared = [s for s in self.bras if s in other.kets]
-        kets = list(self.kets)
-        for s in other.kets:
-            if s not in shared:
-                if s in kets:
-                    raise MoveError("ket collision at %r" % (s,))
-                kets.append(s)
-        bras = [s for s in self.bras if s not in shared]
-        for s in other.bras:
-            if s in bras:
-                raise MoveError("bra collision at %r" % (s,))
-            bras.append(s)
-        out_kets = _sorted_labels(kets)
-        out_bras = _sorted_labels(bras)
+        shared, out_kets, out_bras = _composed_labels(
+            self.kets, self.bras, other.kets, other.bras)
         # index plans: the contraction key of each side, and the output
         # sockets of ak + bk and of bb + ab (an open ket comes from self
         # first, an open bra from other)
@@ -435,7 +447,8 @@ class ReplayEngine:
         self.params = params
         self.n = params.n
         self.ctx = params.ctx
-        self.points = list(points)
+        # each point once, in first-seen order
+        self.points = list(dict.fromkeys(points))
         self._rmx = DynRMatrix(params)     # R at each point, for every k
         self._reps = {}
         self._nk = {}
@@ -668,39 +681,51 @@ class ReplayEngine:
 
     def canonical(self, expr, p):
         """(k, detpow, SpacedTensor) with slot sockets anonymized to
-        temporal axes; raises MoveError on non-canonical words."""
-        acc = UNIT
-        t = 0
-        det = 0
-        seen_slot = False
-        seen_det = False
+        temporal axes; raises MoveError on non-canonical words.
+
+        Value and errors are those of the left-to-right fold of `compose`,
+        evaluated by runs as the module docstring says."""
+        acc = run = UNIT        # run: slots, then the factors after them
+        t = det = 0
+        seen_slot = seen_det = False
+        tail = True             # the run has a factor after its slots
+        labels = ((), ())       # the fold's sockets
         for f in expr.factors:
             if isinstance(f, FDet):
                 det += f.power
                 seen_det = True
-            elif isinstance(f, FSlot):
+                continue
+            if isinstance(f, FSlot):
                 if seen_det:
                     raise MoveError("slot to the right of a det symbol")
                 t += 1
                 s = f.space
                 bras = _sorted_labels((s, ("sr", t), ("sc", t)))
                 at = _picker(bras, (s, ("sr", t), ("sc", t)))
-                slot = SpacedTensor._make((s,), bras, {
+                st = SpacedTensor._make((s,), bras, {
                     (r,): {at((c, r, c)): 1 for c in range(1, self.n + 1)}
                     for r in range(1, self.n + 1)}, 1, self._prime)
-                acc = acc.compose(slot)
                 seen_slot = True
             elif isinstance(f, FConst):
                 # dets commute with constants
-                acc = acc.compose(f.st)
+                st = f.st
             elif isinstance(f, FP):
                 if seen_slot or seen_det:
                     raise MoveError(
                         "p-dependent factor right of a slot or det")
-                acc = acc.compose(self.eval_p(f, p))
+                st = self.eval_p(f, p)
             else:
                 raise MoveError("unknown factor %r" % (f,))
-        return t, det, acc
+            labels = _composed_labels(*labels, st.kets, st.bras)[1:]
+            slot = isinstance(f, FSlot)
+            if not (tail and slot):
+                try:
+                    run, tail = run.compose(st), not slot
+                    continue
+                except MoveError:
+                    pass    # a ket label twice in the run, once in the fold
+            acc, run, tail = acc.compose(run), st, not slot
+        return t, det, acc.compose(run)
 
     def exprs_equal(self, e1, e2):
         """Exact comparison of canonical forms at every sample point."""

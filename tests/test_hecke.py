@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdyb import hecke
 from qdyb.scalars import DegenerateParameterError, QContext
 from qdyb.tensor import TensorOp
 from qdyb.hecke import (
@@ -315,6 +316,52 @@ def test_top_vanish_forms_no_identity_product(monkeypatch):
                            for a, b in operands)
 
 
+def test_antisym_props_form_no_identity_product(monkeypatch):
+    """Absorption is checked on the windows A(i, l) with i < l, since
+    A(i, i) is the identity: no product of antisym_props_hold has an
+    identity operand.  A doubled generator, or a doubled window in the
+    absorption, still fails the check."""
+    mul = TensorOp.__mul__
+    operands = []
+
+    def counted(a, b):
+        if isinstance(b, TensorOp):
+            operands.append((a, b))
+        return mul(a, b)
+
+    rng = random.Random(202)
+    for n in (2, 3):
+        k = n + 1
+        ctx = QContext(Fraction(3, 2), n)
+        params = sample_params(n, rng, alpha="constant")
+        p = sample_point(params, rng, clearance=k)
+        for build in (lambda: HeckeRep.constant(n, ctx, k),
+                      lambda: HeckeRep.dynamic(params, p, k)):
+            for j in (n, k):
+                rep = build()
+                operands.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(TensorOp, "__mul__", counted)
+                    assert antisym_props_hold(rep, j)
+                assert operands
+                assert not any(is_identity(a) or is_identity(b)
+                               for a, b in operands)
+            rep = build()
+            rep._blocks[0] = 2 * rep._blocks[0]
+            assert not antisym_props_hold(rep, 2)
+            rep = build()
+            assert antisym_props_hold(rep, n)
+            window_on = hecke._window_on
+
+            def doubled(rep, sign, i, l, a, b):
+                W = window_on(rep, sign, i, l, a, b)
+                return 2 * W if (i, l) == (n - 1, n) else W
+
+            with monkeypatch.context() as mp:
+                mp.setattr(hecke, "_window_on", doubled)
+                assert not antisym_props_hold(rep, n)
+
+
 def test_top_vanish_n1_degenerate():
     # A(1) A(2,2) A(1) = [1]^(-2) A(1) reads identity = identity
     ctx = QContext(Fraction(2), 1)
@@ -361,6 +408,27 @@ def test_localized_last_equivalence(monkeypatch):
     assert built and len(built) == len(set(built))
     # the last generator is localized in the second flavor
     assert locality_structure(lrep)[-1] is True
+
+
+def test_localized_last_equivalence_fails_on_a_tampered_entry():
+    """One entry of one localized-last image, off by one, and the
+    global conjugation no longer reproduces that flavor."""
+    rng = random.Random(43)
+    params = sample_params(2, rng)
+    p = sample_point(params, rng, clearance=4)
+    drep = HeckeRep.dynamic(params, p, 3)
+    for i in (1, 2):
+        lrep = HeckeRep.localized_last(params, p, 3)
+        assert global_conjugation_equivalent(drep, lrep)
+        img = lrep.image(i)
+        r, row = next(iter(sorted(img.rows.items())))
+        c = max(row)
+        rows = {x: dict(y) for x, y in img.rows.items()}
+        rows[r][c] += img.den
+        lrep._images[i - 1] = TensorOp._make(img.n, img.rk, img.ck, rows,
+                                             img.den, img.p)
+        assert lrep.image(i) != img
+        assert not global_conjugation_equivalent(drep, lrep)
 
 
 def test_symmetrizer_tower_lightly():

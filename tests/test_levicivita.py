@@ -4,7 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from qdyb.scalars import QContext, qfact, qnum
+import pytest
+
+from qdyb.scalars import RATIONAL, PrimeField, QContext, qfact, qnum
 from qdyb.hecke import HeckeRep, antisym
 from qdyb.rmatrix import dressed_block
 from qdyb.tensor import TensorOp
@@ -214,6 +216,52 @@ def test_perm_sum_identities_generic_d():
     assert perm_sum(base, (1, 2)) == 2 * d - ctx.lam
     assert perm_sum(table, (1, 2, 3, 4, 5)) == qfact(5, ctx)
     assert perm_sum(table, (2,)) == 1
+
+
+def reference_perm_sum(table, subset):
+    """I_k by its definition: each of the k! orderings t of `subset`,
+    a product over its C(k, 2) pairs a < b of xi_{t_a t_b}."""
+    total = 0
+    for t in itertools.permutations(subset):
+        prod = 1
+        for a, b in itertools.combinations(range(len(t)), 2):
+            prod = prod * table[(t[a], t[b])]
+        total = total + prod
+    return total
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_perm_sum_by_subsets_sums_every_ordering(field):
+    """On seeded tables with no structure at all, the sum by subsets
+    equals the literal sum over every ordering, for every k <= 6."""
+    rng = random.Random(84)
+    for _ in range(4):
+        table = {(i, j): field.of(Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 5)))
+                 for i in range(1, 7) for j in range(1, 7) if i != j}
+        for k in range(7):
+            subset = tuple(rng.sample(range(1, 7), k))
+            assert perm_sum(table, subset) == \
+                reference_perm_sum(table, subset), subset
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_perm_sum_corrupted_entry_fails_with_a_witness(field):
+    """One corrupted xi entry breaks I_k = [k]! on the first subset that
+    holds both of its indices, and the record names that subset and
+    its sum."""
+    rng = random.Random(85)
+    r = field.of(Fraction(3, 2))
+    ctx = QContext(r**6, 6, root=r, field=field)
+    params = sample_params(6, rng, ctx=ctx)
+    table = xi_table(params, sample_point(params, rng))
+    subsets = [tuple(range(1, k + 1)) for k in range(1, 7)]
+    all_pass(bruteforce_norm_identities(table, ctx, subsets=subsets))
+    table[(2, 5)] = table[(2, 5)] + 1
+    rec = bruteforce_norm_identities(table, ctx, subsets=subsets)[0]
+    assert rec.id == "perm-sum.factorial" and rec.ok is False
+    assert rec.witness == ((1, 2, 3, 4, 5),
+                           reference_perm_sum(table, (1, 2, 3, 4, 5)))
 
 
 def test_xi_only_hypotheses():

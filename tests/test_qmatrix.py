@@ -11,7 +11,8 @@ from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext, qnum
 from qdyb.hecke import HeckeWord
 from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
-    CERTIFICATES, FP, UNIT, MoveError, ReplayEngine, ShiftFunc, SpacedTensor,
+    CERTIFICATES, FConst, FDet, FP, FSlot, UNIT, MoveError, ReplayEngine,
+    ShiftFunc, SlotExpr, SpacedTensor,
     builtin_derivations, derivation_from_json, derivation_to_json,
     membership_oracle, oracle_confirm, _delta, _eps_bra, _eps_bra_dyn,
     _eps_ket, _gen_word, _mv, _rho, _rho_dyn, _slot, _sym,
@@ -179,6 +180,149 @@ def test_rational_unit_composes_with_a_prime_factor():
     other = random_spaced(random.Random(72), PrimeField(7), (), (1,))
     with pytest.raises(ValueError, match="mixed prime fields"):
         st.compose(other)
+
+
+def fold_canonical(eng, expr, p):
+    """ReplayEngine.canonical as the left-to-right fold of compose over
+    the factors, one factor at a time: the reference for the evaluation
+    by runs."""
+    acc = UNIT
+    t = det = 0
+    seen_slot = seen_det = False
+    one = eng.ctx.field.one
+    for f in expr.factors:
+        if isinstance(f, FDet):
+            det += f.power
+            seen_det = True
+        elif isinstance(f, FSlot):
+            if seen_det:
+                raise MoveError("slot to the right of a det symbol")
+            t += 1
+            # bras sorted: the space, ("sc", t), ("sr", t)
+            acc = acc.compose(SpacedTensor(
+                (f.space,), (f.space, ("sr", t), ("sc", t)),
+                {(r,): {(c, c, r): one for c in range(1, eng.n + 1)}
+                 for r in range(1, eng.n + 1)}))
+            seen_slot = True
+        elif isinstance(f, FConst):
+            acc = acc.compose(f.st)
+        elif isinstance(f, FP):
+            if seen_slot or seen_det:
+                raise MoveError("p-dependent factor right of a slot or det")
+            acc = acc.compose(eng.eval_p(f, p))
+        else:
+            raise MoveError("unknown factor %r" % (f,))
+    return t, det, acc
+
+
+def outcome(canonical, *args):
+    """(k, detpow, tensor) of a canonical evaluation, or the text of the
+    MoveError it raises."""
+    try:
+        return canonical(*args)
+    except MoveError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+@pytest.mark.parametrize("n", [2, 3])
+def test_canonical_by_runs_is_the_fold(monkeypatch, n, field):
+    """Every word a builtin replay evaluates, and every start and end
+    word, gives the fold's tensor or the fold's MoveError."""
+    eng = engine(n, random.Random(80 + n), field=field, npoints=2)
+    canonical = ReplayEngine.canonical
+    compared = []
+
+    def checked(self, expr, p):
+        got = outcome(canonical, self, expr, p)
+        assert got == outcome(fold_canonical, self, expr, p), expr
+        compared.append(isinstance(got, str))
+        if isinstance(got, str):
+            raise MoveError(got)
+        return got
+
+    monkeypatch.setattr(ReplayEngine, "canonical", checked)
+    for name, d in sorted(builtin_derivations(n).items()):
+        for words in (d["start"], d["end"]):
+            for p in eng.points:
+                outcome(eng.canonical, eng.expr(words), p)
+        assert all(ok for _, ok, _ in eng.run(d)), name
+    assert compared.count(False) > 2 * len(ALL) and True in compared
+
+
+def test_canonical_raises_the_collisions_of_the_fold():
+    """A run holds its own sockets only, so the labels of the whole word
+    decide the collisions, as in the fold; and a run ends where it would
+    meet a ket label twice that the fold contracts once."""
+    eng = engine(2, random.Random(81), npoints=1)
+    p = eng.points[0]
+    word = eng.expr([_delta(1, 5), _slot(2), _delta(3, 5), _delta(5, 4)])
+    for canonical in (fold_canonical, ReplayEngine.canonical):
+        with pytest.raises(MoveError, match="bra collision at 5"):
+            canonical(eng, word, p)
+    # the fold contracts the first ket 3 with the bra of delta(1, 3) and
+    # leaves the second open
+    word = eng.expr([_delta(1, 3), _slot(2), _delta(3, 5), _delta(3, 6)])
+    k, det, st = eng.canonical(word, p)
+    assert (k, det, st) == fold_canonical(eng, word, p)
+    assert st.kets == (1, 2, 3) and st.bras == (2, 5, 6, ("sc", 1),
+                                                ("sr", 1))
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_canonical_by_runs_on_random_words(field):
+    """Seeded words of slots, dets and random sparse constants on a few
+    labels: the same tensor or the same MoveError as the fold."""
+    rng = random.Random(82)
+    eng = engine(2, rng, field=field, npoints=1)
+    p = eng.points[0]
+    labels = (1, 2, 3, 4)
+    raised = 0
+    for _ in range(300):
+        factors = []
+        for _ in range(rng.randint(1, 7)):
+            x = rng.random()
+            if x < 0.35:
+                factors.append(FSlot(rng.choice(labels[:3])))
+            elif x < 0.4:
+                factors.append(FDet(1))
+            else:
+                st = random_spaced(rng, field,
+                                   rng.sample(labels, rng.randint(0, 2)),
+                                   rng.sample(labels, rng.randint(0, 2)))
+                factors.append(FConst("random", {}, st))
+        expr = SlotExpr(factors)
+        got = outcome(eng.canonical, expr, p)
+        assert got == outcome(fold_canonical, eng, expr, p), factors
+        raised += isinstance(got, str)
+    assert 50 < raised < 250
+
+
+def test_each_sample_point_is_evaluated_once(monkeypatch):
+    """An engine keeps its points once each, in first-seen order: given
+    (p, q, p) it evaluates as many words as given (p, q), with the same
+    records."""
+    base = engine(2, random.Random(83), npoints=2)
+    p, q = base.points
+    assert p.chain != q.chain
+    canonical = ReplayEngine.canonical
+    calls = []
+
+    def counted(self, expr, pt):
+        calls.append(pt.chain)
+        return canonical(self, expr, pt)
+
+    monkeypatch.setattr(ReplayEngine, "canonical", counted)
+    counts, records = [], []
+    for pts in ([p, q], [p, q, p]):
+        calls.clear()
+        eng = ReplayEngine(base.params, pts)
+        assert [pt.chain for pt in eng.points] == [p.chain, q.chain]
+        records.append([eng.run(d) for _, d in
+                        sorted(builtin_derivations(2).items())])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert records[0] == records[1]
 
 
 def _row_dicts(st):
