@@ -65,7 +65,7 @@ import itertools
 from .checks import Check, compare
 from .scalars import DegenerateParameterError, qnum
 from .tensor import TensorOp, flat_index, multi_index
-from .rmatrix import DynRMatrix, build_dj, dressed_block
+from .rmatrix import DynRMatrix, build_dj, dressed_block, dyn_entries
 
 
 class HeckeWord:
@@ -457,32 +457,28 @@ def locality_structure(rep):
     return out
 
 
-def global_conjugation_equivalent(rep_dynamic, rep_local, rmat=None):
+def global_conjugation_equivalent(rep_dynamic, rep_local):
     """The localized-last flavor equals the dynamic one conjugated by the
-    full product X_1...X_k (entrywise weight shift on multiset-conserving
-    operators).
-
-    The dynamic representation is built once per shifted point, for all
-    generators, from rmat (a caller's :class:`DynRMatrix` of the
-    parameters) when given."""
-    from .rmatrix import multiset_dress
+    full product X_1...X_k (entry (I, J) at p + v(I_1) + ... + v(I_k)).
+    Row I of g_i's support is the row (I_i, I_{i+1}) of R at
+    p + v(I_i) + ... + v(I_k), the prefix's shift cancelling the
+    dressing, evaluated alone by :func:`~qdyb.rmatrix.dyn_entries`."""
     assert rep_dynamic.flavor == DYNAMIC and rep_local.flavor == LOCALIZED_LAST
     assert rep_dynamic.base == rep_local.base
     p = rep_dynamic.base
     params = rep_dynamic.params
-    k = rep_dynamic.k
-    rmx = rmat if rmat is not None else DynRMatrix(params)
-    shifted = {}        # p.chain -> the dynamic representation at p
+    n, k = rep_dynamic.n, rep_dynamic.k
     for i in range(1, k):
-        img = rep_dynamic.image(i)
-
-        def rebuilt(pp, i=i):
-            rep = shifted.get(pp.chain)
-            if rep is None:
-                rep = shifted[pp.chain] = HeckeRep.dynamic(params, pp, k, rmx)
-            return rep.image(i)
-
-        if multiset_dress(img, p, rebuilt, sign=+1) != rep_local.image(i):
+        entries = []
+        for r, cols in rep_dynamic.image(i).support():
+            I = multi_index(r, n, k)
+            head, pair, tail = I[:i - 1], I[i - 1:i + 1], I[i + 1:]
+            for _, cm, v in dyn_entries(params, p.shift_many(pair + tail),
+                                        [pair]):
+                J = head + cm + tail
+                if flat_index(J, n) in cols:
+                    entries.append((I, J, v))
+        if TensorOp.from_entries(n, k, k, entries) != rep_local.image(i):
             return False
     return True
 

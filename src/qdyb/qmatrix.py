@@ -33,7 +33,8 @@ numerically at the working sample points (tensor refactorings) or backed
 by a certificate.  Every certificate is a derivation registered by name
 in CERTIFICATES (det commutation rules, window collapses, inverse
 cancellations, the weight push, the reflection exchange), replayed once
-per engine and argument set.  A `lemma` move splices exactly what its
+per engine and statement up to relabeling of spaces
+(:func:`statement_key`).  A `lemma` move splices exactly what its
 certificate proves: it matches the registered derivation's start word
 and puts its end word in its place (or the other way round, reversed).
 
@@ -56,10 +57,11 @@ puts the degree-k pair-exchange consequences rho_dyn(g_j) M -
 M rho_const(g_j), one per coefficient basis matrix M, into the tensor
 layer's exact :class:`~qdyb.tensor.Echelon`, and asks whether every
 integer slice of the difference of two canonical words lies in their
-span.
+span, decided block by block (see :func:`membership_oracle`).
 
-A :class:`ReplayEngine` memoizes, for as long as it lives, each relation
-span per (k, point) and, in the ``eval_p`` memo, the SpacedTensor of
+A :class:`ReplayEngine` memoizes, for as long as it lives, the keys of
+the statements it has proven, each weight block's relation span per
+(k, point, block) and, in the ``eval_p`` memo, the SpacedTensor of
 each p-dependent factor at each point, dressed or not, keyed by the
 factor's JSON (so its name and args must determine its tensor) and the
 point's chain.  A dressed factor is assembled, by row and column maps on
@@ -75,8 +77,8 @@ from operator import itemgetter
 
 from .checks import Check, fold
 from .scalars import DegenerateParameterError, fmt_scalar, qfact, qnum
-from .tensor import (TensorOp, _assemble, _common_field, _raw_form,
-                     _rows_over, _stored_form, _value, flat_index,
+from .tensor import (Echelon, TensorOp, _assemble, _common_field,
+                     _raw_form, _rows_over, _stored_form, _value, flat_index,
                      multi_index)
 from .hecke import HeckeRep, HeckeWord, antisym
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
@@ -387,6 +389,76 @@ class FP:
         return "%s%r%s" % (self.name, tuple(self.args.values()), d)
 
 
+# the fields of each factor that name matrix spaces, by factor name (a
+# slot's by its kind), in sorted order; "window" and "spaces" hold lists
+# of labels, and a p-dependent factor's dress pairs begin with one
+LABEL_FIELDS = {
+    "slot": ("space",), "det": (), "scalar": (), "func": (),
+    "eps_ket": ("window",), "eps_bra": ("window",),
+    "eps_ket_dyn": ("window",), "eps_bra_dyn": ("window",),
+    "delta": ("bra", "ket"), "nk": ("bra", "ket"), "dmat": ("bra", "ket"),
+    "rho": ("spaces",), "rho_dyn": ("spaces",), "sigma": ("spaces",),
+    "rhat": ("spaces",), "kdiag": ("space",), "ddiag": ("space",),
+}
+_LIST_FIELDS = ("window", "spaces")
+
+
+def _relabeled(doc, rename, where="factor"):
+    """The factor JSON doc with each space label s replaced by rename(s);
+    ValueError naming the field unless doc has a known kind and name,
+    args, and ints where LABEL_FIELDS puts spaces."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    own = kind in ("slot", "det")       # fields at the top level
+    name = kind if own else doc.get("name") if kind in ("const", "p") \
+        else None
+    args = doc if own else doc.get("args") if name else None
+    if name not in LABEL_FIELDS or (name in ("slot", "det")) != own \
+            or not isinstance(args, dict):
+        raise ValueError("%s = %r is no factor: it needs a known \"kind\" "
+                         "and \"name\", and \"args\"" % (where, doc))
+    if kind == "det" and type(doc.get("power")) is not int:
+        raise ValueError("%s det power = %r must be an integer"
+                         % (where, doc.get("power")))
+    out = fields = dict(doc)
+    if not own:
+        fields = out["args"] = dict(args)
+    for field in LABEL_FIELDS[name]:
+        if field not in args:
+            raise ValueError("%s: %s factor lacks argument %r"
+                             % (where, name, field))
+        v, many = args[field], field in _LIST_FIELDS
+        if not (isinstance(v, list) and all(type(s) is int for s in v)
+                if many else type(v) is int):
+            raise ValueError("%s %s %s = %r must be %s" % (
+                where, name, field, v,
+                "a list of integers" if many else "an integer"))
+        fields[field] = [rename(s) for s in v] if many else rename(v)
+    dress = doc.get("dress", [])
+    if not isinstance(dress, list) or not all(
+            isinstance(d, list) and len(d) == 2 and type(d[0]) is int
+            and type(d[1]) is int for d in dress):
+        raise ValueError("%s %s dress = %r must be a list of [integer "
+                         "space, integer sign] pairs" % (where, name, dress))
+    if "dress" in doc:
+        out["dress"] = [[rename(s), sg] for s, sg in dress]
+    return out
+
+
+def statement_key(derivation):
+    """The JSON of [start, end] with the space labels renamed 1, 2, ...
+    in order of first occurrence; None when a word is malformed.  Two
+    statements with one key differ by an injective renaming of spaces,
+    under which evaluation is equivariant (labels only name legs)."""
+    names = {}
+    try:
+        return json.dumps([[_relabeled(
+            f, lambda s: names.setdefault(s, len(names) + 1))
+            for f in derivation[key]] for key in ("start", "end")],
+            sort_keys=True)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def factor_from_json(doc):
     kind = doc["kind"]
     if kind == "slot":
@@ -453,8 +525,9 @@ class ReplayEngine:
         self._reps = {}
         self._nk = {}
         self._certs = {}
+        self._proven = set()    # statement keys of the runs that passed
         self._p_values = {}     # (factor JSON, p.chain) -> SpacedTensor
-        self._spans = {}        # (k, p.chain) -> relation-span Echelon
+        self._spans = {}        # (k, p.chain, block) -> its span's Echelon
         self._prime = getattr(self.ctx.field, "p", None)
 
     # -- named tensor builders ------------------------------------
@@ -1089,21 +1162,24 @@ class ReplayEngine:
     # -- certificates ------------------------------------------------
 
     def require_certificate(self, name, args=None):
+        """Replay the certificate unless its statement is proven; a
+        failure and the replay guard are keyed by name and args."""
         key = (name, json.dumps(args, sort_keys=True, default=str)
                if args else None)
         if key in self._certs:
             if self._certs[key] is not True:
                 raise MoveError("certificate %r previously failed" % (name,))
             return
+        derivation = CERTIFICATES[name](self.n, args)
+        statement = statement_key(derivation)
+        if statement is not None and statement in self._proven:
+            self._certs[key] = True
+            return
         self._certs[key] = "running"
-        ok = self._establish(name, args)
+        ok = fold(c.status for c in self.run(derivation)) == "pass"
         self._certs[key] = ok
         if ok is not True:
             raise MoveError("certificate %r failed" % (name,))
-
-    def _establish(self, name, args):
-        return fold(c.status for c in self.run(
-            CERTIFICATES[name](self.n, args))) == "pass"
 
     # -- replay -------------------------------------------------------
 
@@ -1125,7 +1201,10 @@ class ReplayEngine:
                 except MoveError as e:
                     return [Check("%s.end-move[%d]" % (name, i), False,
                                   str(e))]
-            return [Check(name, *self.exprs_equal(expr, end))]
+            check = Check(name, *self.exprs_equal(expr, end))
+            if check.ok:
+                self._proven.add(statement_key(derivation))
+            return [check]
         except (MoveError, DegenerateParameterError) as e:
             return [Check(name, False, str(e))]
 
@@ -1623,27 +1702,50 @@ CERTIFICATES = {
 # -- membership oracle -------------------------------------------------------
 
 
-def relation_span(engine, k, p):
+def _weights(n, k):
+    """The weight of each flat index on k sites: its sorted multi-index."""
+    return [tuple(sorted(multi_index(r, n, k))) for r in range(n**k)]
+
+
+def relation_span(engine, k, p, block):
     """The echelonized span of the degree-k pair-exchange relation
     consequences { rho_dyn(g_j) M - M rho_const(g_j) } at the working
-    point, over the coefficient space Mat(n^k, n^k)."""
+    point, over the coefficient space Mat(n^k, n^k), in one weight
+    block (wt r, wt s): the consequences of the E_rs there."""
     dyn = engine._dyn_rep(k, p)
     const = engine._const_rep(k)
-    ident = TensorOp.identity(engine.n, k, engine.ctx.field.one)
+    size = engine.n**k
+    wt = _weights(engine.n, k)
+    rs = [r for r in range(size) if wt[r] == block[0]]
+    ss = [s for s in range(size) if wt[s] == block[1]]
     # coefficient functionals transform contravariantly: with D and C the
     # transposed images, (D E_rs)_{x y} = D_{x r} delta_{s y} and
     # (E_rs C)_{x y} = delta_{x r} C_{s y}, so the consequence of E_rs is
-    # row r * n^k + s of D^T (x) I - I (x) C
-    return TensorOp.echelon(
-        dyn.image(j).kron(ident) - ident.kron(const.image(j).transpose())
-        for j in range(1, k))
+    # row r * n^k + s of D^T (x) I - I (x) C, formed here from the stored
+    # rows of the images on one common scale, or mod p
+    rows = {}
+    for j in range(1, k):
+        drows, dden, crows, cden, _ = _common_field(
+            dyn.image(j), const.image(j).transpose())
+        for r in rs:
+            for s in ss:
+                row = rows[j, r, s] = {x * size + s: cden * v
+                                       for x, v in drows.get(r, {}).items()}
+                for y, v in crows.get(s, {}).items():
+                    row[r * size + y] = row.get(r * size + y, 0) - dden * v
+    return Echelon(_stored_form(rows, 1, engine._prime)[0].values(),
+                   engine._prime)
 
 
 def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
     """Decide whether two canonical words are equal in the algebra, i.e.
     whether their coefficient difference lies in the relation span, at
     every sample point.  Returns 'equal', 'unequal' or 'inconclusive'.
-    """
+
+    Both representations conserve weights (index multisets), so the
+    consequence of E_rs lies in the block (wt r, wt s): the span is the
+    direct sum of its blocks, and a block's span is built only when a
+    difference first touches it."""
     if engine.n ** len(expr_a.slot_spaces()) > max_dim or \
             engine.n ** len(expr_b.slot_spaces()) > max_dim:
         return "inconclusive"
@@ -1659,13 +1761,13 @@ def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
             return "unequal"
         if set(ta.kets) != set(tb.kets) or set(ta.bras) != set(tb.bras):
             return "unequal"
-        span = engine._spans.get((k, p.chain))
-        if span is None:
-            span = engine._spans[(k, p.chain)] = relation_span(engine, k, p)
-        # one integer slice per assignment of the free sockets, indexed
-        # row * n^k + column by the slot axes' flat index, on one scale
-        # or mod p (both tensors have the same sorted sockets)
-        den = 1 if span.p is not None else lcm(ta.den, tb.den)
+        # one integer slice per assignment of the free sockets and weight
+        # block, indexed row * n^k + column by the slot axes' flat index,
+        # on one scale or mod p (both tensors have the same sorted sockets)
+        prime = engine._prime
+        den = 1 if prime is not None else lcm(ta.den, tb.den)
+        size = engine.n**k
+        wt = _weights(engine.n, k)
         free_k = _picker([s for s in ta.kets if not _is_slot_axis(s)],
                          ta.kets)
         free_b = _picker([s for s in ta.bras if not _is_slot_axis(s)],
@@ -1674,16 +1776,21 @@ def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
                           + [("sc", t) for t in range(1, k + 1)], ta.bras)
         slices = {}
         for st, sign in ((ta, 1), (tb, -1)):
-            rows, sden = _rows_over(st, span.p)
+            rows, sden = _rows_over(st, prime)
             scale = sign * (den // sden)
             for kv, row in rows.items():
                 fk = free_k(kv)
                 for bv, v in row.items():
-                    vec = slices.setdefault((fk, free_b(bv)), {})
                     idx = flat_index(slot_of(bv), engine.n)
+                    block = (wt[idx // size], wt[idx % size])
+                    vec = slices.setdefault((fk, free_b(bv), block), {})
                     vec[idx] = vec.get(idx, 0) + scale * v
-        slices, _, _ = _stored_form(slices, 1, span.p)
-        for vec in slices.values():
+        slices, _, _ = _stored_form(slices, 1, prime)
+        for (_, _, block), vec in slices.items():
+            key = (k, p.chain, block)
+            span = engine._spans.get(key)
+            if span is None:
+                span = engine._spans[key] = relation_span(engine, k, p, block)
             if not span.contains(vec):
                 return "unequal"
     return "equal"
@@ -1715,13 +1822,42 @@ def derivation_to_json(d):
 
 
 def derivation_from_json(text):
+    """A derivation script.  Before anything is replayed, each factor of
+    its words and refactor payloads is checked against LABEL_FIELDS, and
+    each move's `at` (every move but normalize) and `take` (refactor)
+    against ints: a malformed script raises ValueError naming the field."""
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError("a script must be a JSON object, got %r" % (d,))
     for key in ("start", "end"):
         if key not in d:
             raise MoveError("script missing %r" % key)
     d.setdefault("moves", [])
     d.setdefault("end_moves", [])
     d.setdefault("name", "script")
+    words = [(key, d[key]) for key in ("start", "end")]
+    for key in ("moves", "end_moves"):
+        if not isinstance(d[key], list):
+            raise ValueError("script %s must be a list of moves" % key)
+        for i, mv in enumerate(d[key]):
+            where = "%s[%d]" % (key, i)
+            if not isinstance(mv, dict) or not isinstance(mv.get("move"),
+                                                          str):
+                raise ValueError("script %s must be an object with a "
+                                 "\"move\" name, got %r" % (where, mv))
+            needs = [] if mv["move"] == "normalize" else ["at"]
+            if mv["move"] == "refactor":
+                needs.append("take")
+                words.append((where + ".payload", mv.get("payload")))
+            for field in needs:
+                if type(mv.get(field)) is not int:
+                    raise ValueError("script %s: %s must be an integer, in "
+                                     "%r" % (where, field, mv))
+    for where, word in words:
+        if not isinstance(word, list):
+            raise ValueError("script %s must be a list of factors" % where)
+        for i, doc in enumerate(word):
+            _relabeled(doc, lambda s: s, "script %s[%d]" % (where, i))
     return d
 
 

@@ -71,9 +71,7 @@ def flipped(op):
     """P op P for the flip P of two sites: the stored entries of the
     two-site operator op with the two site indices of every row and
     column exchanged."""
-    n = op.n
-    swap = {a * n + b: b * n + a for a in range(n) for b in range(n)}
-    return TensorOp.assemble(n, 2, 2, [(op, swap, swap)])
+    return op.permuted((2, 1), (2, 1))
 
 
 def invert_dyn(params, p):
@@ -144,36 +142,6 @@ def dressed_block(n, builder, dress, p, sign=-1, side="prefix"):
     return TensorOp.assemble(n, dress + block.rk, dress + block.ck, parts)
 
 
-def multiset_dress(op, p, builder, sign):
-    """Conjugation by the full product X_1...X_k (sign=+1) or by its
-    inverse (sign=-1) on an operator whose nonzero pattern preserves
-    index multisets: entry (I, J) gets the matrix of builder at
-    p + sign * (sum of v(I_s)).
-
-    Only meaningful when builder(p') agrees with op at p' = p; used for
-    the equivalence between the last-generator-localized representation
-    and the global conjugation of the standard one.  builder runs once
-    per index multiset, and only the rows and columns of op's support
-    are kept of what it builds.
-    """
-    n = op.n
-    k = op.rk
-    cache = {}
-    parts = []
-    for r, cols in op.support():
-        I = multi_index(r, n, k)
-        key = tuple(sorted(I))
-        src = cache.get(key)
-        if src is None:
-            src = cache[key] = builder(p.shift_many(I, sign))
-        for c in cols:
-            if tuple(sorted(multi_index(c, n, k))) != key:
-                raise DegenerateParameterError(
-                    "operator does not conserve index multisets")
-        parts.append((src, {r: r}, {c: c for c in cols}))
-    return TensorOp.assemble(n, k, k, parts)
-
-
 def col_shifted_product(n, builder_a, builder_b, p, col_site, k, sign=+1):
     """The matrix with entries
 
@@ -202,8 +170,8 @@ def weight_conservation_check(rmx, p):
     `rmx` is the caller's :class:`DynRMatrix`, so R(p) is built once.
     Each row (i1, i2) of its support is evaluated alone at its shifted
     point, by the entry code of :func:`build_dyn`, and the rows are
-    compared with R(p) on its support, as the conjugation by the full
-    product X1 X2 of :func:`multiset_dress` would compare them."""
+    compared with R(p) on its support, as the conjugation of R(p) by the
+    full product X1 X2 would compare them."""
     params = rmx.params
     n = params.n
     R = rmx.at(p)
@@ -318,14 +286,15 @@ def twist_checks(params, psi, p, rmx=None):
     * braid relation and Hecke condition survive, beta values survive.
 
     R(p) is built once for params (or taken from rmx, a caller's
-    :class:`DynRMatrix` of params) and once for the twisted set.
+    :class:`DynRMatrix` of params) and once for the twisted set.  The
+    flips and the cyclic permutation of the twist operators relabel
+    stored entries (:meth:`TensorOp.permuted`); no product has a
+    permutation operand.
     """
     records = []
     n = params.n
-    one = params.ctx.field.one
-    P12 = TensorOp.site_permutation(n, 2, (2, 1), one)
-    Fhat = twist_f_matrix(psi, p, n) * P12
-    Fhat_inv = P12 * twist_f_matrix(psi, p, n, inverse=True)
+    Fhat = twist_f_matrix(psi, p, n).permuted(right=(2, 1))
+    Fhat_inv = twist_f_matrix(psi, p, n, inverse=True).permuted((2, 1))
 
     R = (rmx or DynRMatrix(params)).at(p)
     twisted = params.twisted(psi)
@@ -335,21 +304,20 @@ def twist_checks(params, psi, p, rmx=None):
     rhs = flipped(R_twisted)
     records.append(compare("twist.flip-conjugation", lhs, rhs))
 
-    cyc = TensorOp.site_permutation(n, 3, (2, 3, 1), one)
-
     def ahat(pp):
-        return twist_a_diag(psi, pp, n) * cyc
+        return twist_a_diag(psi, pp, n).permuted(right=(2, 3, 1))
 
     records.append(compare("twist.cyclic-intertwiner",
                            R.embed(1, 3) * ahat(p), ahat(p) * R.embed(2, 3)))
 
     if psi.kind == "constant":
         def fhat23(pp):
-            return (twist_f_matrix(psi, pp, n) * P12).embed(2, 3)
+            return twist_f_matrix(psi, pp, n).permuted(
+                right=(2, 1)).embed(2, 3)
 
         def fhat12_inv(pp):
-            return (P12 * twist_f_matrix(psi, pp, n, inverse=True)
-                    ).embed(1, 3)
+            return twist_f_matrix(psi, pp, n, inverse=True).permuted(
+                (2, 1)).embed(1, 3)
 
         lhs = col_shifted_product(n, fhat12_inv, fhat23, p, 1, 3, sign=+1)
         rhs = col_shifted_product(n, ahat, ahat, p, 1, 3, sign=+1)

@@ -33,7 +33,8 @@ num * den^(-1) mod p.  Field values -- reduced ``Fraction``s, or
 ``entries``, ``first_nonzero`` and ``dump``.
 
 An operator made of pieces of others (a block-diagonal dressing, a
-selection of entries from several products) is built by
+selection of entries from several products, a product with site
+permutations: :meth:`TensorOp.permuted`) is built by
 :meth:`TensorOp.assemble`, which copies stored ints with their rows and
 columns mapped onto the lcm of the pieces' denominators, or mod p.
 Callers outside this module build from stored rows that way, and read
@@ -58,6 +59,7 @@ with no inversion.  No numerical tie-breaking exists because arithmetic
 is exact.
 """
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -146,12 +148,7 @@ class TensorOp:
         I_s = J_sigma(s); sigma is a 1-based tuple.  sigma = (2, 1) is the
         flip P with P(x (x) y) = y (x) x."""
         assert sorted(sigma) == list(range(1, k + 1))
-        rows = {}
-        for c in range(n**k):
-            J = multi_index(c, n, k)
-            I = tuple(J[sigma[s] - 1] for s in range(k))
-            rows.setdefault(flat_index(I, n), {})[c] = one
-        return cls(n, k, k, rows)
+        return cls.identity(n, k, one).permuted(sigma)
 
     # -- basic structure -----------------------------------------------
 
@@ -307,6 +304,15 @@ class TensorOp:
             out = out.kron(TensorOp.identity(self.n, k - m - pos + 1))
         return out
 
+    def permuted(self, left=None, right=None):
+        """P_left self P_right for site permutations P_sigma (1-based
+        tuples, None for the identity), without a product: the stored
+        entries, row J moved to the row P_left sends J to, column I to
+        the column P_right sends to I."""
+        cols = {i: j for j, i in _site_map(self.n, self.ck, right).items()}
+        return TensorOp.assemble(self.n, self.rk, self.ck, [
+            (self, _site_map(self.n, self.rk, left), cols)])
+
     def exact_rank(self):
         return len(TensorOp.echelon([self]))
 
@@ -338,6 +344,17 @@ class TensorOp:
             n, rk, ck,
             [(tuple(rm), tuple(cm), field.of(str(v)))
              for rm, cm, v in doc["entries"]])
+
+
+@functools.lru_cache(maxsize=64)
+def _site_map(n, k, sigma):
+    """{J: I} on flat indices for the site permutation P_sigma, which
+    sends column J to row I with I_s = J_sigma(s); the identity for
+    None.  Shared between callers: read it, never change it."""
+    if sigma is None:
+        return {x: x for x in range(n**k)}
+    return {c: flat_index(tuple(J[t - 1] for t in sigma), n)
+            for c, J in ((c, multi_index(c, n, k)) for c in range(n**k))}
 
 
 # -- the raw form ------------------------------------------------------------

@@ -22,7 +22,7 @@ from .scalars import (
 )
 from .weights import (
     BETA_INFINITY, CONSTANT_MULTIPARAM, GENERIC, PairFamily, SLnParams,
-    WeightPoint, constant_multiparam, sample_params, sample_point,
+    WeightPoint, _scalar, constant_multiparam, sample_params, sample_point,
     sample_q, sample_twist,
 )
 from . import rmatrix, hecke, levicivita, wznw
@@ -61,7 +61,18 @@ class RunConfig:
         self.seed = seed
         self.backend = backend
         self.corrupt = corrupt
-        self.field()  # an unknown backend or a bad modulus fails here
+        field = self.field()  # an unknown backend or a bad modulus fails here
+        # a bad user-given q, root or beta is a usage error, as in `build`;
+        # only the parameters the samplers draw fail as setup records
+        if q is not None or root is not None:
+            SLnParams.from_json({"n": n, "q": q, "root": root,
+                                 "beta": beta or "infinity"}, field)
+        elif isinstance(beta, list):
+            for i, b in enumerate(beta):
+                _scalar("beta[%d]" % i, b, field)
+            if len(beta) != n - 1:
+                raise DegenerateParameterError(
+                    "beta has %d entries, need n-1 = %d" % (len(beta), n - 1))
 
     def field(self):
         if self.backend == "rational":
@@ -353,8 +364,7 @@ def suite_hecke(cfg):
                          loc[0] is True and all(x is False
                                                 for x in loc[1:])))
     records.append(Check("hecke.localized-last-equivalence",
-                         hecke.global_conjugation_equivalent(drep, lrep,
-                                                             rmx)))
+                         hecke.global_conjugation_equivalent(drep, lrep)))
     return records
 
 

@@ -272,6 +272,22 @@ def test_verify_without_draws_exits_2(capsys):
     assert "draws" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--q", "5/2", "--beta", "3/2,1"), "beta chain has 2 entries"),
+    (("--beta", "3/2,1"), "beta has 2 entries, need n-1 = 1"),
+    (("--beta", "x"), "beta[0] = 'x' must be an integer"),
+    (("--q", "x"), "q = 'x' must be an integer"),
+    (("--q", "5/2", "--root", "2"), "root**n != q"),
+    (("--root", "2"), "q = None must be an integer"),
+])
+def test_bad_verify_flag_exits_2(capsys, flags, message):
+    """A user-given q, root or beta is checked as `build` checks it: a
+    bad one is a usage error, not a failed setup record."""
+    code, out, err = run_cli(capsys, "verify", "qdybe", "--n", "2", *flags)
+    assert code == 2 and not out
+    assert message in err
+
+
 def test_derive_without_points_exits_2(capsys):
     code, out, err = run_cli(capsys, "derive", "--n", "2", "--points", "0")
     assert code == 2 and not out
@@ -381,6 +397,25 @@ BAD_SCRIPTS = {
         "start": [_pfactor("rho_dyn", spaces=[1, 2])],
         "end": [_slot(1)]},
         "rho_dyn factor lacks argument 'word'"),
+    # the schema of a script's factors and moves is checked before replay
+    "at-as-string": ({
+        "start": [_slot(1), _slot(2)],
+        "moves": [{"move": "swap", "at": "0"}],
+        "end": [_slot(1), _slot(2)]},
+        "moves[0]: at must be an integer, in {'move': 'swap', 'at': '0'}"),
+    "slot-space-string": ({
+        "start": [_slot("x")],
+        "end": [_slot(1)]},
+        "start[0] slot space = 'x' must be an integer"),
+    "factor-without-kind": ({
+        "start": [_slot(1)],
+        "end": [{"space": 1}]},
+        "end[0] = {'space': 1} is no factor: it needs a known \"kind\""),
+    "swap-without-at": ({
+        "start": [_slot(1), _slot(2)],
+        "moves": [{"move": "swap"}],
+        "end": [_slot(1), _slot(2)]},
+        "moves[0]: at must be an integer, in {'move': 'swap'}"),
 }
 
 

@@ -16,6 +16,7 @@ from qdyb.hecke import (
 )
 from qdyb.rmatrix import DynRMatrix, build_dj, dressed_block
 from qdyb.weights import sample_params, sample_point
+from test_rmatrix import multiset_dress
 
 
 def all_pass(records):
@@ -390,6 +391,9 @@ def test_nonlocality_pattern():
 
 
 def test_localized_last_equivalence(monkeypatch):
+    """The row-wise check builds no representation at a shifted point,
+    and each localized-last image is the reference conjugation of the
+    dynamic one, with a full dynamic representation per shifted point."""
     rng = random.Random(43)
     params = sample_params(2, rng)
     p = sample_point(params, rng, clearance=4)
@@ -404,8 +408,11 @@ def test_localized_last_equivalence(monkeypatch):
 
     monkeypatch.setattr(HeckeRep, "dynamic", counted)
     assert global_conjugation_equivalent(drep, lrep)
-    # each shifted representation is built once, for every generator
-    assert built and len(built) == len(set(built))
+    assert built == []
+    for i in (1, 2):
+        rebuilt = lambda pp: HeckeRep.dynamic(params, pp, 3).image(i)
+        assert multiset_dress(drep.image(i), p, rebuilt, sign=+1) \
+            == lrep.image(i)
     # the last generator is localized in the second flavor
     assert locality_structure(lrep)[-1] is True
 

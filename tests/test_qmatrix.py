@@ -11,11 +11,12 @@ from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext, qnum
 from qdyb.hecke import HeckeWord
 from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
-    CERTIFICATES, FConst, FDet, FP, FSlot, UNIT, MoveError, ReplayEngine,
-    ShiftFunc, SlotExpr, SpacedTensor,
+    CERTIFICATES, LABEL_FIELDS, FConst, FDet, FP, FSlot, UNIT, MoveError,
+    ReplayEngine, ShiftFunc, SlotExpr, SpacedTensor,
     builtin_derivations, derivation_from_json, derivation_to_json,
-    membership_oracle, oracle_confirm, _delta, _eps_bra, _eps_bra_dyn,
-    _eps_ket, _gen_word, _mv, _rho, _rho_dyn, _slot, _sym,
+    membership_oracle, oracle_confirm, statement_key, _ddiag, _delta, _dmat,
+    _eps_bra, _eps_bra_dyn, _eps_ket, _eps_ket_dyn, _func, _gen_word, _kdiag,
+    _mv, _nk, _rho, _rho_dyn, _sigma, _slot, _sym,
 )
 from test_tensor import assert_stored_form
 
@@ -465,16 +466,17 @@ def test_oracle_confirms_all_endpoints_n2():
 
 
 def test_oracle_builds_each_relation_span_once(monkeypatch):
-    """The engine keeps each span per (k, point): the 11 confirmations
-    build every span once, with the verdicts of a cold engine, and a warm
-    engine still tells unequal and inconclusive words apart."""
+    """The engine keeps each span per (k, point, weight block): the 11
+    confirmations build every block span once, with the verdicts of a
+    cold engine, and a warm engine still tells unequal and inconclusive
+    words apart."""
     import qdyb.qmatrix as qm
     built = []
     real = qm.relation_span
 
-    def counting(engine, k, p):
-        built.append((k, p.chain))
-        return real(engine, k, p)
+    def counting(engine, k, p, block):
+        built.append((k, p.chain, block))
+        return real(engine, k, p, block)
 
     monkeypatch.setattr(qm, "relation_span", counting)
     rng = random.Random(43)
@@ -512,12 +514,15 @@ def test_oracle_basic_instances():
 
 
 def test_script_roundtrip_and_replay():
+    """Every builtin passes the script schema unchanged."""
     rng = random.Random(45)
     eng = engine(2, rng, npoints=2)
-    d = builtin_derivations(2)["D3"]
-    text = derivation_to_json(d)
-    back = derivation_from_json(text)
-    assert back == json.loads(text)
+    for n in (2, 3):
+        for d in builtin_derivations(n).values():
+            text = derivation_to_json(d)
+            assert derivation_from_json(text) == json.loads(text)
+    back = derivation_from_json(derivation_to_json(
+        builtin_derivations(2)["D3"]))
     recs = eng.run(back)
     assert all(ok for _, ok, _ in recs)
 
@@ -677,3 +682,160 @@ def test_bad_lemma_moves():
     d["moves"] = [_mv("lemma", at=0, name="nope", args={})]
     assert eng.run(d) == [("bad-lemma.move[0]", False,
                            "unknown lemma 'nope'")]
+
+
+# one factor per space field of LABEL_FIELDS (and the dress pairs), wired
+# through the labels a and c
+WIRED = {
+    "slot.space": lambda a, c: _slot(a),
+    "eps_ket.window": lambda a, c: _eps_ket((a, c)),
+    "eps_bra.window": lambda a, c: _eps_bra((a, c)),
+    "eps_ket_dyn.window": lambda a, c: _eps_ket_dyn((a, c)),
+    "eps_bra_dyn.window": lambda a, c: _eps_bra_dyn((a, c)),
+    "delta.ket": lambda a, c: _delta(a, c),
+    "delta.bra": lambda a, c: _delta(c, a),
+    "nk.ket": lambda a, c: _nk("k", a, c),
+    "nk.bra": lambda a, c: _nk("k", c, a),
+    "dmat.ket": lambda a, c: _dmat(a, c),
+    "dmat.bra": lambda a, c: _dmat(c, a),
+    "rho.spaces": lambda a, c: _rho(_gen_word(1), (a, c)),
+    "rho_dyn.spaces": lambda a, c: _rho_dyn(_gen_word(1), (a, c)),
+    "sigma.spaces": lambda a, c: _sigma(a, c),
+    "rhat.spaces": lambda a, c: {"kind": "const", "name": "rhat",
+                                 "args": {"spaces": [a, c], "power": -1}},
+    "kdiag.space": lambda a, c: _kdiag(a, power=2),
+    "ddiag.space": lambda a, c: _ddiag(a),
+    "dress": lambda a, c: _ddiag(c, dress=((a, -1),)),
+}
+
+
+def test_statement_key_is_the_statement_up_to_relabeling():
+    """Two statements that differ only in where one space field points
+    get different keys; a consistent renaming of every space keeps the
+    key; an unknown factor or a label that is not an int shares nothing."""
+    assert set(WIRED) == {"%s.%s" % (name, field)
+                          for name, fields in LABEL_FIELDS.items()
+                          for field in fields} | {"dress"}
+
+    def statement(factor, a, b, c):
+        return {"start": [_slot(a), _slot(b), factor(a, c)],
+                "end": [_slot(b), _slot(a), _func(ShiftFunc())]}
+
+    for field, factor in WIRED.items():
+        key = statement_key(statement(factor, 1, 2, 3))
+        assert key is not None, field
+        rewired = statement(factor, 1, 2, 3)
+        rewired["start"][2] = factor(2, 3)
+        assert statement_key(rewired) != key, field
+        assert statement_key(statement(factor, 9, 4, 7)) == key, field
+        assert statement_key(statement(factor, 2, 1, 3)) == key, field
+    d = statement(WIRED["delta.ket"], 1, 2, 3)
+    for bad in ({"kind": "const", "name": "nope", "args": {}},
+                _slot("x"), _slot(True), FSlot(1)):
+        assert statement_key(dict(d, end=[bad])) is None, bad
+
+
+def relabeled(d, m):
+    """The derivation d with every space renamed by m: in its words and
+    refactor payloads, the spaces and windows of its moves, and the
+    arguments of its lemmas, which all name spaces."""
+    def factor(doc):
+        doc = json.loads(json.dumps(doc))
+        if doc["kind"] == "slot":
+            doc["space"] = m[doc["space"]]
+        name = doc.get("name", doc["kind"])
+        for field in LABEL_FIELDS[name]:
+            if field in doc.get("args", {}):
+                v = doc["args"][field]
+                doc["args"][field] = [m[s] for s in v] \
+                    if isinstance(v, list) else m[v]
+        if "dress" in doc:
+            doc["dress"] = [[m[s], sg] for s, sg in doc["dress"]]
+        return doc
+
+    def move(mv):
+        mv = dict(mv)
+        for field in ("spaces", "window"):
+            if field in mv:
+                mv[field] = [m[s] for s in mv[field]]
+        if "payload" in mv:
+            mv["payload"] = [factor(f) for f in mv["payload"]]
+        if mv["move"] == "lemma":
+            mv["args"] = {k: [m[s] for s in v] if isinstance(v, list)
+                          else m[v] for k, v in mv["args"].items()}
+        return mv
+
+    return dict(d, start=[factor(f) for f in d["start"]],
+                end=[factor(f) for f in d["end"]],
+                moves=[move(mv) for mv in d["moves"]],
+                end_moves=[move(mv) for mv in d["end_moves"]])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_builtins_replay_after_a_random_relabeling(n):
+    """Evaluation is equivariant under an injective renaming of spaces:
+    every builtin, its spaces sent at random and out of order to
+    101..179, replays to a pass on an engine that has seen none of them
+    under their own labels."""
+    rng = random.Random(80 + n)
+    m = dict(zip(range(1, 60), rng.sample(range(101, 180), 59)))
+    eng = engine(n, rng, npoints=2)
+    for name, d in sorted(builtin_derivations(n).items()):
+        moved = relabeled(d, m)
+        assert statement_key(moved) == statement_key(d), name
+        assert eng.run(moved) == [(d["name"], True, None)], name
+
+
+def test_an_engine_proves_each_statement_once(monkeypatch):
+    """Certificates whose statement the engine has proven, up to
+    relabeling, are not replayed: the n = 2 qmatrix suite makes fewer
+    replays than with nothing shared, with the same records."""
+    import qdyb.qmatrix as qm
+    from qdyb import verify
+    names = []
+    run = ReplayEngine.run
+
+    def counted(self, d):
+        names.append(d["name"])
+        return run(self, d)
+
+    monkeypatch.setattr(ReplayEngine, "run", counted)
+    cfg = verify.RunConfig(n=2, seed=7, draws=1)
+    shared = verify.strip_timing(verify.run(cfg, "qmatrix"))
+    replays = len(names)
+    names.clear()
+    monkeypatch.setattr(qm, "statement_key", lambda d: None)
+    alone = verify.strip_timing(verify.run(cfg, "qmatrix"))
+    assert shared["status"] == "pass" and shared == alone
+    assert replays < len(names)
+
+
+def test_oracle_rejects_an_end_word_scaled_by_two():
+    rng = random.Random(43)
+    eng = engine(2, rng, npoints=2)
+    two = {"kind": "const", "name": "scalar", "args": {"value": "2"}}
+    for name, d in sorted(builtin_derivations(2).items()):
+        assert oracle_confirm(eng, dict(d, end=[two] + d["end"])) \
+            == "unequal", name
+
+
+def test_only_a_passing_replay_proves_its_statement(monkeypatch):
+    """A false statement whose replay fails at the end comparison, as a
+    run or as a certificate, proves nothing: a second certificate of the
+    same statement is replayed, and fails.  After a passing replay of a
+    statement, its certificate is not replayed."""
+    from qdyb.qmatrix import derivation_d2
+    good = derivation_d2(2)
+    wrong = dict(good, end=[_sym("q", 1)] + good["end"])
+    eng = engine(2, random.Random(54), npoints=2)
+    for name in ("det-func-commute", "det-slot-exchange"):
+        monkeypatch.setitem(CERTIFICATES, name, lambda n, args: wrong)
+    assert eng.run(wrong)[0].ok is False
+    for name in ("det-func-commute", "det-slot-exchange"):
+        with pytest.raises(MoveError, match="certificate %r failed" % name):
+            eng.require_certificate(name)
+    assert eng.run(good)[0].ok is True
+    monkeypatch.setitem(CERTIFICATES, "det-func-commute",
+                        lambda n, args: dict(good, moves=[]))
+    eng._certs.clear()
+    eng.require_certificate("det-func-commute")

@@ -10,10 +10,10 @@ from qdyb.checks import compare
 from qdyb.scalars import (
     RATIONAL, DegenerateParameterError, PoleError, PrimeField, QContext, qnum,
 )
-from qdyb.tensor import TensorOp
+from qdyb.tensor import TensorOp, multi_index
 from qdyb.rmatrix import (
     DynRMatrix, ShiftedEvaluation, beta_removal_offsets, build_dj, build_dyn,
-    diag_inversion, flipped, invert_dyn, multiset_dress, pi_ratio_check,
+    diag_inversion, flipped, invert_dyn, pi_ratio_check,
     twist_checks, verify_qdybe, weight_conservation_check,
 )
 from qdyb.weights import (
@@ -186,6 +186,30 @@ def drawn_on(field, n, rng):
     return params, sample_point(params, rng)
 
 
+def multiset_dress(op, p, builder, sign):
+    """Reference: conjugation by the full product X_1...X_k (sign=+1) or
+    by its inverse (sign=-1) of an operator whose nonzero pattern
+    preserves index multisets: entry (I, J) gets the matrix of builder at
+    p + sign * (sum of v(I_s)), one full build per index multiset, kept
+    on op's support."""
+    n = op.n
+    k = op.rk
+    cache = {}
+    parts = []
+    for r, cols in op.support():
+        I = multi_index(r, n, k)
+        key = tuple(sorted(I))
+        src = cache.get(key)
+        if src is None:
+            src = cache[key] = builder(p.shift_many(I, sign))
+        for c in cols:
+            if tuple(sorted(multi_index(c, n, k))) != key:
+                raise DegenerateParameterError(
+                    "operator does not conserve index multisets")
+        parts.append((src, {r: r}, {c: c for c in cols}))
+    return TensorOp.assemble(n, k, k, parts)
+
+
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
 def test_weight_conservation_rows_give_the_full_build_record(monkeypatch,
                                                               field):
@@ -229,7 +253,9 @@ def test_weight_conservation_rows_give_the_full_build_record(monkeypatch,
 
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
 def test_flipped_is_the_flip_conjugation(field):
-    """The relabeled matrix of the sites-exchanged layout is P R P."""
+    """The relabeled matrix of the sites-exchanged layout is P R P, and
+    any site relabeling of a three-site operator is its product with the
+    site permutations."""
     rng = random.Random(51)
     for n in (2, 3, 4):
         params, p = drawn_on(field, n, rng)
@@ -238,6 +264,50 @@ def test_flipped_is_the_flip_conjugation(field):
         F = flipped(R)
         assert F == P * R * P and F.p == R.p
         assert F != R and flipped(F) == R
+        X = R.embed(1, 3) * build_dyn(params, p.shift(1)).embed(2, 3)
+        perms = [None, (2, 1, 3), (2, 3, 1), (3, 1, 2)]
+        for left in perms:
+            for right in perms:
+                want = X
+                if left:
+                    want = TensorOp.site_permutation(n, 3, left,
+                                                     field.one) * want
+                if right:
+                    want = want * TensorOp.site_permutation(n, 3, right,
+                                                            field.one)
+                assert X.permuted(left, right) == want, (n, left, right)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_twist_checks_multiply_no_permutation(monkeypatch, field):
+    """The twist operators relabel stored entries: no product formed by
+    twist_checks has a permutation operand, and every record passes (the
+    shift hypothesis is skipped for a p-dependent twist)."""
+    rng = random.Random(52)
+    mul = TensorOp.__mul__
+    operands = []
+
+    def is_permutation(op):
+        return isinstance(op, TensorOp) and op.den == 1 \
+            and len(op.rows) == op.n**op.rk \
+            and all(list(row.values()) == [1] for row in op.rows.values()) \
+            and len({c for row in op.rows.values() for c in row}) \
+            == op.n**op.ck
+
+    def wrapped(a, b):
+        operands.append(is_permutation(a) or is_permutation(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(TensorOp, "__mul__", wrapped)
+    for n in (2, 3):
+        params, p = drawn_on(field, n, rng)
+        for geometric in (False, True):
+            psi = sample_twist(n, rng, field=field, geometric=geometric)
+            recs = twist_checks(params, psi, p)
+            skipped = "twist.shift-hypothesis" if geometric else None
+            assert [(c.id, c.ok) for c in recs if c.id != skipped] == [
+                (c.id, True) for c in recs if c.id != skipped], recs
+    assert operands and not any(operands)
 
 
 def test_sites_exchanged_layout_fails_on_broken_beta(tmp_path):
