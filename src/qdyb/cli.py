@@ -158,7 +158,7 @@ def cmd_derive(args):
     names = None
     if args.script:
         with open(args.script) as fh:
-            derivs = [derivation_from_json(fh.read())]
+            derivs = [derivation_from_json(fh.read(), args.n)]
     else:
         ds = builtin_derivations(args.n)
         names = args.builtin.split(",") if args.builtin else sorted(ds)

@@ -245,6 +245,16 @@ UNIT = SpacedTensor.scalar(1)
 # -- shiftable scalar functions -------------------------------------------
 
 
+# the value of each kind of atom at x = p_ij + offset
+ATOMS = {
+    "f": lambda params, i, j, x: params.f(i, j, x),
+    "alpha": lambda params, i, j, x: params.alpha(i, j, x),
+    "phi": lambda params, i, j, x: params.alpha.phi(i, j, x),
+    "qnum": lambda params, i, j, x: qnum(x, params.ctx),
+    "qp": lambda params, i, j, x: params.ctx.qpow(x),
+}
+
+
 class ShiftFunc:
     """A product of shiftable atoms times a constant.
 
@@ -275,20 +285,7 @@ class ShiftFunc:
     def eval(self, params, p):
         v = params.ctx.field.of(self.coef)
         for (kind, i, j, off), e in self.atoms.items():
-            x = p.p(i, j) + off
-            if kind == "f":
-                a = params.f(i, j, x)
-            elif kind == "alpha":
-                a = params.alpha(i, j, x)
-            elif kind == "phi":
-                a = params.alpha.phi(i, j, x)
-            elif kind == "qnum":
-                a = qnum(x, params.ctx)
-            elif kind == "qp":
-                a = params.ctx.qpow(x)
-            else:
-                raise DegenerateParameterError("unknown atom %r" % kind)
-            v = v * a**e
+            v = v * ATOMS[kind](params, i, j, p.p(i, j) + off)**e
         return v
 
     def to_json(self):
@@ -297,8 +294,36 @@ class ShiftFunc:
                           for k, e in sorted(self.atoms.items())]}
 
     @classmethod
-    def from_json(cls, doc):
-        return cls(Fraction(doc["coef"]),
+    def from_json(cls, doc, n=None, where="func"):
+        """The function of a func factor's argument; ValueError naming the
+        field unless it has a rational coef and atoms [kind, i, j, offset,
+        exponent] of a known kind with integer entries, and, given n, with
+        i and j in 1..n."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("atoms"),
+                                                       list):
+            raise ValueError("%s = %r must be an object with a \"coef\" "
+                             "and a list of \"atoms\"" % (where, doc))
+        coef = doc.get("coef")
+        try:
+            coef = Fraction(coef) if type(coef) is int \
+                or isinstance(coef, str) else None
+        except (ValueError, ZeroDivisionError):
+            coef = None
+        if coef is None:
+            raise ValueError("%s coef = %r must be an integer or a "
+                             "\"num/den\" string" % (where, doc.get("coef")))
+        for a in doc["atoms"]:
+            if not isinstance(a, list) or len(a) != 5 or a[0] not in ATOMS:
+                raise ValueError("%s atom %r must be [kind, i, j, offset, "
+                                 "exponent] with kind one of %s"
+                                 % (where, a, ", ".join(ATOMS)))
+            for field, v in zip(("i", "j", "offset", "exponent"), a[1:]):
+                label = field in ("i", "j") and n is not None
+                if type(v) is not int or label and not 1 <= v <= n:
+                    raise ValueError("%s atom %r: %s = %r must be an integer%s"
+                                     % (where, a, field, v, " in 1..n = %d"
+                                        % n if label else ""))
+        return cls(coef,
                    {(a[0], a[1], a[2], a[3]): a[4] for a in doc["atoms"]})
 
 
@@ -692,7 +717,7 @@ class ReplayEngine:
         n, ctx = self.n, self.ctx
         params = self.params
         if name == "func":
-            sf = ShiftFunc.from_json(_arg(name, args, "func"))
+            sf = ShiftFunc.from_json(_arg(name, args, "func"), n)
             return SpacedTensor.scalar(sf.eval(params, p))
         if name == "eps_bra_dyn":
             w = self._eps_window(name, args)
@@ -1733,8 +1758,10 @@ def relation_span(engine, k, p, block):
                                        for x, v in drows.get(r, {}).items()}
                 for y, v in crows.get(s, {}).items():
                     row[r * size + y] = row.get(r * size + y, 0) - dden * v
-    return Echelon(_stored_form(rows, 1, engine._prime)[0].values(),
-                   engine._prime)
+    # shortest rows first (a stable sort): the span is the same in any
+    # order, and short pivots keep the later eliminations short
+    return Echelon(sorted(_stored_form(rows, 1, engine._prime)[0].values(),
+                          key=len), engine._prime)
 
 
 def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
@@ -1821,11 +1848,13 @@ def derivation_to_json(d):
     return json.dumps(d, indent=1, sort_keys=True)
 
 
-def derivation_from_json(text):
+def derivation_from_json(text, n=None):
     """A derivation script.  Before anything is replayed, each factor of
-    its words and refactor payloads is checked against LABEL_FIELDS, and
-    each move's `at` (every move but normalize) and `take` (refactor)
-    against ints: a malformed script raises ValueError naming the field."""
+    its words and refactor payloads is checked against LABEL_FIELDS (a
+    func factor's atoms as ShiftFunc.from_json checks them, against n
+    when given), and each move's `at` (every move but normalize) and
+    `take` (refactor) against ints: a malformed script raises ValueError
+    naming the field."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("a script must be a JSON object, got %r" % (d,))
@@ -1857,7 +1886,10 @@ def derivation_from_json(text):
         if not isinstance(word, list):
             raise ValueError("script %s must be a list of factors" % where)
         for i, doc in enumerate(word):
-            _relabeled(doc, lambda s: s, "script %s[%d]" % (where, i))
+            at = "script %s[%d]" % (where, i)
+            _relabeled(doc, lambda s: s, at)
+            if doc["kind"] in ("const", "p") and doc["name"] == "func":
+                ShiftFunc.from_json(doc["args"].get("func"), n, at + " func")
     return d
 
 

@@ -27,8 +27,8 @@ R-matrix coefficients a_ij = alpha_ij * xi_ij, b_ij = q - xi_ij.
 
 Points and families are immutable values.  A parameter set is immutable
 in every field it exposes; it fills private memos of its derived tables
-(pi, the regime, xi) on first use, which changes no value it returns, so
-instances can still be shared freely.
+(pi, the regime, xi and its denominators) on first use, which changes no
+value it returns, so instances can still be shared freely.
 """
 
 from fractions import Fraction
@@ -326,7 +326,7 @@ class SLnParams:
     """One member of the SL(n)-type dynamical R-matrix family."""
 
     __slots__ = ("n", "ctx", "beta_chain", "alpha", "_beta", "_pi", "_regime",
-                 "_xi", "_a", "_b")
+                 "_den", "_xi", "_a", "_b")
 
     def __init__(self, ctx, beta_chain, alpha=None, _beta_override=None):
         n = ctx.n
@@ -344,11 +344,14 @@ class SLnParams:
                     "beta chain has %d entries, need n-1 = %d"
                     % (len(self.beta_chain), n - 1))
             if _beta_override is not None:
-                self._beta = dict(_beta_override)  # negative-control hook
+                # a table derived already (twisted, sample_params), or a
+                # negative control's tampered one
+                self._beta = dict(_beta_override)
             else:
                 self._beta = derive_beta(ctx, self.beta_chain)
         self._pi = None
         self._regime = None
+        self._den = {}
         self._xi = {}
         self._a = {}
         self._b = {}
@@ -410,19 +413,23 @@ class SLnParams:
         """
         return _pair_memo(self._xi, self._xi_uncached, i, j, pij)
 
+    def _xi_den(self, i, j, x):
+        """The denominator of xi_ij(x): f(x, beta_ij), or [x] at beta = oo;
+        memoized per pair and argument (i != j)."""
+        if self.beta_chain is None:
+            return qnum(x, self.ctx)    # the q-table of ctx keeps it
+        return _pair_memo(self._den, self.f, i, j, x)
+
     def _xi_uncached(self, i, j, pij):
         if i == j:
             return self.ctx.q
-        if self.beta_chain is None:
-            den = qnum(pij, self.ctx)
-            if not den:
-                raise PoleError("dynamical pole: [p_%d%d] = 0" % (i, j))
-            return qnum(pij - 1, self.ctx) / den
-        den = self.f(i, j, pij)
+        den = self._xi_den(i, j, pij)
         if not den:
             raise PoleError(
+                "dynamical pole: [p_%d%d] = 0" % (i, j)
+                if self.beta_chain is None else
                 "dynamical pole: f(p_%d%d = %s, beta) = 0" % (i, j, pij))
-        return self.f(i, j, pij - 1) / den
+        return self._xi_den(i, j, pij - 1) / den
 
     def a_entry(self, i, j, pij):
         if i == j:
@@ -544,6 +551,7 @@ def sample_params(n, rng, ctx=None, regime=GENERIC, alpha="unit"):
     if ctx is None:
         ctx = QContext(sample_q(rng), n, field=field)
     lam = ctx.lam
+    beta = None
     if regime == BETA_INFINITY:
         chain = None
     elif regime == CONSTANT_MULTIPARAM:
@@ -577,7 +585,7 @@ def sample_params(n, rng, ctx=None, regime=GENERIC, alpha="unit"):
             field)
     else:
         raise ValueError("unknown alpha sampler %r" % alpha)
-    return SLnParams(ctx, chain, fam)
+    return SLnParams(ctx, chain, fam, _beta_override=beta)
 
 
 def sample_twist(n, rng, field=RATIONAL, geometric=False):
@@ -591,16 +599,15 @@ def sample_twist(n, rng, field=RATIONAL, geometric=False):
 
 def pole_free(params, point, clearance):
     """True when no f-zero (or vanishing q-integer at beta = oo) occurs
-    within `clearance` integer steps of any p_ij.  The xi values it
-    evaluates stay in the memo of `params`."""
+    within `clearance` integer steps of any p_ij, in either direction.
+    It forms no xi: the denominators it evaluates stay in the memo of
+    `params`, where xi finds them."""
     for i in range(1, params.n + 1):
         for j in range(i + 1, params.n + 1):
             pij = point.p(i, j)
             for t in range(-clearance, clearance + 1):
-                try:
-                    params.xi(i, j, pij + t)
-                    params.xi(j, i, -pij + t)
-                except PoleError:
+                if not (params._xi_den(i, j, pij + t)
+                        and params._xi_den(j, i, -pij + t)):
                     return False
     return True
 

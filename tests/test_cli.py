@@ -321,6 +321,10 @@ def _pfactor(name, **args):
     return {"kind": "p", "name": name, "args": args}
 
 
+def _func(atoms, coef="1"):
+    return _pfactor("func", func={"coef": coef, "atoms": atoms})
+
+
 # scripts that are malformed input: each must exit 2 with a message that
 # names what is wrong, also when python -O strips the asserts
 BAD_SCRIPTS = {
@@ -416,30 +420,78 @@ BAD_SCRIPTS = {
         "moves": [{"move": "swap"}],
         "end": [_slot(1), _slot(2)]},
         "moves[0]: at must be an integer, in {'move': 'swap'}"),
+    # a func atom is checked too; it was read as a failed identity, a
+    # traceback, and (at j > n) as p_12
+    "func-unknown-kind": ({
+        "start": [_func([["zz", 1, 2, 0, 1]])],
+        "end": [_func([["zz", 1, 2, 0, 1]])]},
+        "start[0] func atom ['zz', 1, 2, 0, 1] must be [kind, i, j, offset, "
+        "exponent] with kind one of f, alpha, phi, qnum, qp"),
+    "func-offset-string": ({
+        "start": [_func([["qnum", 1, 2, "0", 1]])],
+        "end": [_func([["qnum", 1, 2, "0", 1]])]},
+        "start[0] func atom ['qnum', 1, 2, '0', 1]: offset = '0' must be "
+        "an integer"),
+    "func-beyond-n": ({
+        "start": [_func([["qnum", 1, 5, 0, 1]])],
+        "end": [_func([["qnum", 1, 2, 0, 1]])]},
+        "start[0] func atom ['qnum', 1, 5, 0, 1]: j = 5 must be an integer "
+        "in 1..n = 2"),
 }
 
 
-def _derive_subprocess(optimize, *argv):
+# run in one interpreter: each argv of the JSON list on stdin goes through
+# qdyb.cli.main as `python -m qdyb.cli` would run it, and the exit code (1
+# for a traceback), stdout and stderr of each are printed as one JSON list
+_DERIVE_IN_PROCESS = """
+import contextlib, io, json, sys, traceback
+from qdyb import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _derive_runs(optimize, argvs):
+    """(exit code, stdout, stderr) of `qdyb derive --n 2 --points 2` with
+    each of the extra argvs, all in one interpreter (under -O if asked)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(qdyb.__file__)))
     cmd = [sys.executable] + (["-O"] if optimize else []) + \
-        ["-m", "qdyb.cli", "derive", "--n", "2", "--points", "2"] + list(argv)
-    out = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    return out.returncode, out.stdout, out.stderr
+        ["-c", _DERIVE_IN_PROCESS]
+    base = ["derive", "--n", "2", "--points", "2"]
+    proc = subprocess.run(cmd, input=json.dumps([base + a for a in argvs]),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(r) for r in json.loads(proc.stdout)]
 
 
 def test_derive_same_under_python_optimize(tmp_path):
     """Asserts vanish under python -O; no check of a derivation may."""
-    code, out, err = _derive_subprocess(False)
-    assert code == 0 and json.loads(out)["status"] == "pass"
-    assert _derive_subprocess(True) == (code, out, err)
+    argvs = [[]]
     for name, (script, message) in BAD_SCRIPTS.items():
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(dict(script, name=name)))
-        plain = _derive_subprocess(False, "--script", str(path))
-        assert plain[0] == 2 and not plain[1], (name, plain)
-        assert message in plain[2], (name, plain)
-        assert _derive_subprocess(True, "--script", str(path)) == plain, name
+        argvs.append(["--script", str(path)])
+    plain, optimized = _derive_runs(False, argvs), _derive_runs(True, argvs)
+    code, out, err = plain[0]
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert optimized[0] == (code, out, err)
+    for name, got, got_o in zip(BAD_SCRIPTS, plain[1:], optimized[1:]):
+        message = BAD_SCRIPTS[name][1]
+        assert got[0] == 2 and not got[1], (name, got)
+        assert message in got[2], (name, got)
+        assert got_o == got, name
 
 
 def _digest(text):

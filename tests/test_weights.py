@@ -300,3 +300,132 @@ def test_xi_pole_raises_on_every_call():
                 params.xi(1, 2, pij)
         assert params.xi(1, 2, pij + 1) == \
             _xi_reference(params, 1, 2, pij + 1)
+
+
+def _pole_free_by_xi(params, point, clearance):
+    """pole_free as it was decided from xi: every xi_ij within `clearance`
+    of p_ij, both directions, formed and checked for a PoleError."""
+    for i in range(1, params.n + 1):
+        for j in range(i + 1, params.n + 1):
+            pij = point.p(i, j)
+            for t in range(-clearance, clearance + 1):
+                try:
+                    params.xi(i, j, pij + t)
+                    params.xi(j, i, -pij + t)
+                except PoleError:
+                    return False
+    return True
+
+
+def _pole_cases(field):
+    """Parameter sets of every regime and alpha kind over `field`, each
+    with the p_12 at which a pole is planted, if one is."""
+    rng = random.Random(31)
+    r = field.of(Fraction(3, 2))
+    ctx2 = QContext(r**2, 2, root=r, field=field)
+    ctx3 = QContext(r**3, 3, root=r, field=field)
+    planted = -ctx2.qbar**3 / qnum(3, ctx2)        # f(3, planted) = 0
+    cases = [(SLnParams(ctx2, [planted], alpha), 3) for alpha in (
+        PairFamily.unit(2, field), PairFamily.standard(2, ctx2),
+        sample_params(2, rng, ctx=ctx2, alpha="geometric").alpha)]
+    # f(3, beta_21) = 0: the pole of the reverse direction, at p_12 = -3
+    cases.append((SLnParams(ctx2, [ctx2.lam - planted]), -3))
+    cases.append((SLnParams(ctx2, None), 0))                # [0] = 0
+    cases += [(sample_params(3, rng, ctx=ctx3, alpha=alpha), None)
+              for alpha in ("unit", "constant", "geometric")]
+    cases.append((constant_multiparam(ctx3), None))
+    cases.append((SLnParams(ctx3, [field.zero, field.of(5)]), None))
+    return cases
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()],
+                         ids=["rational", "prime"])
+def test_pole_free_agrees_with_xi(field):
+    """pole_free forms no xi, and decides as the xi-based scan does in
+    every regime: False for a pole inside the clearance, True for one just
+    outside it."""
+    regimes = set()
+    rng = random.Random(5)
+    for params, pole in _pole_cases(field):
+        regimes.add(params.regime)
+        n, clearance = params.n, 3
+        points = [WeightPoint(n, [rng.randint(-6, 6) for _ in range(n - 1)])
+                  for _ in range(12)]
+        if pole is not None:        # p_12 = pole + t for t = -c..c
+            inside = [WeightPoint(2, (pole + t,))
+                      for t in range(-clearance, clearance + 1)]
+            outside = [WeightPoint(2, (pole - clearance - 1,)),
+                       WeightPoint(2, (pole + clearance + 1,))]
+            assert not any(pole_free(params, w, clearance) for w in inside)
+            assert all(pole_free(params, w, clearance) for w in outside)
+            points += inside + outside
+        fresh = SLnParams(params.ctx, params.beta_chain, params.alpha)
+        for w in points:
+            assert pole_free(params, w, clearance) == \
+                _pole_free_by_xi(fresh, w, clearance), (params, w)
+        assert not params._xi
+    assert regimes == {GENERIC, BETA_INFINITY, CONSTANT_MULTIPARAM,
+                       INTERMEDIATE}
+
+
+def test_sample_point_forms_no_xi_and_each_f_once(monkeypatch):
+    """The pole scan of sample_point fills only the denominator memo, and
+    computes f once per pair and argument."""
+    from qdyb import weights
+    calls = {}
+    f_poly = weights.f_poly
+
+    def counted(x, beta, ctx):
+        calls[x, beta] = calls.get((x, beta), 0) + 1
+        return f_poly(x, beta, ctx)
+
+    monkeypatch.setattr(weights, "f_poly", counted)
+    rng = random.Random(41)
+    for draw in range(12):
+        n = 2 + draw % 3
+        params = sample_params(n, rng, alpha=("unit", "geometric")[draw % 2])
+        calls.clear()
+        p = sample_point(params, rng, clearance=4)
+        assert not params._xi
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                 if i != j]
+        scanned = {(i, j, x) for (i, j), memo in params._den.items()
+                   for x in memo}
+        assert {(i, j, p.p(i, j) + t) for i, j in pairs
+                for t in range(-4, 5)} <= scanned
+        # one call per (pair, argument): pairs with equal beta share keys
+        for (x, beta), count in calls.items():
+            assert count == sum((i, j, x) in scanned for i, j in pairs
+                                if params.beta(i, j) == beta)
+        assert sum(calls.values()) == len(scanned)
+
+
+@pytest.mark.parametrize("regime, derived", [
+    (GENERIC, "sampler"), (BETA_INFINITY, None),
+    (CONSTANT_MULTIPARAM, "init")])
+def test_sample_params_derives_beta_once(monkeypatch, regime, derived):
+    """The beta table that validated the drawn chain is the parameter
+    set's own: derive_beta runs once per chain tried, never again for
+    the chain kept."""
+    from qdyb import weights
+    chains = []
+
+    def counted(ctx, chain):
+        chains.append(tuple(chain))
+        return derive_beta(ctx, chain)
+
+    monkeypatch.setattr(weights, "derive_beta", counted)
+    rng = random.Random(43)
+    for draw in range(20):
+        n = 2 + draw % 3
+        chains.clear()
+        params = sample_params(n, rng, regime=regime,
+                               alpha=("unit", "constant")[draw % 2])
+        if derived is None:
+            assert not chains and params.beta_chain is None
+            continue
+        assert chains[-1] == params.beta_chain
+        assert chains.count(params.beta_chain) == 1
+        if derived == "init":
+            assert chains == [params.beta_chain]
+        assert params._beta == derive_beta(params.ctx, params.beta_chain)
