@@ -52,7 +52,9 @@ identity 1 on the other sites
     X (x) 1 = 0  exactly when  X = 0,
 
 so relations, window recursions, vanishing and ranks decided on the
-span are those of the k-site images.
+span are those of the k-site images.  The braid and locality relations,
+homogeneous in the generators, are formed on integer multiples of them
+(:meth:`TensorOp.cleared`).
 
 Each representation keeps one memo of its windows on their spans,
 keyed by (sign, i, j), so every window is built, and its two routes
@@ -224,7 +226,12 @@ class HeckeRep:
         """Yield (relation, lhs, rhs) for the braid, quadratic and
         locality relations -- ("braid", i), ("quadratic", i) and
         ("locality", i, j) -- each on the span of its generators and
-        formed only when it is reached."""
+        formed only when it is reached.  The braid and locality
+        relations are homogeneous (of degree 3 and 2), so their lhs and
+        rhs are formed on the integer multiples of
+        :meth:`TensorOp.cleared` and are D^3 and D^2 times the products
+        of the generators; the quadratic relation is not, and its sides
+        are the rational ones."""
         lam = self.ctx.lam
         one = self.ctx.field.one
 
@@ -233,7 +240,7 @@ class HeckeRep:
             return [self.local(l, a, b) for l in gens]
 
         for i in range(1, self.k - 1):
-            a, b = on_span(i, i + 1)
+            a, b = TensorOp.cleared(*on_span(i, i + 1))
             yield ("braid", i), a * b * a, b * a * b
         for i in range(1, self.k):
             a = self._blocks[i - 1]         # on its own span
@@ -241,7 +248,7 @@ class HeckeRep:
                    TensorOp.identity(self.n, a.rk, one) + lam * a)
         for i in range(1, self.k - 1):
             for j in range(i + 2, self.k):
-                a, b = on_span(i, j)
+                a, b = TensorOp.cleared(*on_span(i, j))
                 yield ("locality", i, j), a * b, b * a
 
     def relations_hold(self):

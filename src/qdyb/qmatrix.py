@@ -847,6 +847,20 @@ class ReplayEngine:
             raise MoveError("unknown move %r" % kind)
         return handler(expr, move)
 
+    @staticmethod
+    def _at(expr, move, width=1):
+        """The move's `at`, checked against the word: the move reads the
+        `width` factors from there, or inserts there when width is 0."""
+        at, size = move["at"], len(expr.factors)
+        if not 0 <= at <= size - width:
+            if width:
+                need = "factors %d..%d" % (at, at + width - 1)
+            else:
+                need = "a position 0..%d" % size
+            raise MoveError("%s at %d needs %s of a %d-factor word"
+                            % (move["move"], at, need, size))
+        return at
+
     def _trivially_commute(self, a, b):
         if isinstance(a, FConst) and a.st.kets == () and a.st.bras == ():
             return True
@@ -888,7 +902,7 @@ class ReplayEngine:
         raise MoveError("unknown p-factor %r" % fp.name)
 
     def _mv_swap(self, expr, move):
-        at = move["at"]
+        at = self._at(expr, move, 2)
         a, b = expr.factors[at], expr.factors[at + 1]
         if not self._trivially_commute(a, b):
             raise MoveError("factors %r and %r do not commute freely"
@@ -896,7 +910,7 @@ class ReplayEngine:
         return expr.replaced(at, 2, [b, a])
 
     def _mv_scalar_shift(self, expr, move):
-        at = move["at"]
+        at = self._at(expr, move)
         direction = move.get("dir", "left")
         f = expr.factors[at]
         if not isinstance(f, FP):
@@ -925,7 +939,7 @@ class ReplayEngine:
                             % (s,))
 
     def _mv_det_step(self, expr, move):
-        at = move["at"]
+        at = self._at(expr, move)
         f = expr.factors[at]
         if not isinstance(f, FDet):
             raise MoveError("det_step needs a det symbol")
@@ -948,7 +962,7 @@ class ReplayEngine:
 
     def _mv_det_pull(self, expr, move):
         """[a_s, det^m] -> [det^m, K_s^(-m), a_s]."""
-        at = move["at"]
+        at = self._at(expr, move)
         f = expr.factors[at]
         if not isinstance(f, FSlot):
             raise MoveError("det_pull starts at a slot")
@@ -963,11 +977,11 @@ class ReplayEngine:
 
     def _mv_det_pair_insert(self, expr, move):
         """Insert det det^(-1) = 1 (the completion axiom)."""
-        at = move["at"]
+        at = self._at(expr, move, 0)
         return expr.replaced(at, 0, [FDet(1), FDet(-1)])
 
     def _mv_intertwine(self, expr, move):
-        at = move["at"]
+        at = self._at(expr, move)
         direction = move.get("dir", "lr")
         f = expr.factors[at]
         if direction == "lr":
@@ -1002,8 +1016,8 @@ class ReplayEngine:
         return True
 
     def _mv_braid_insert(self, expr, move):
-        at = move["at"]
         spaces = tuple(move["spaces"])
+        at = self._at(expr, move, len(spaces))
         self._slot_run(expr, at, spaces)
         word = move["word"]
         inv_word = invert_word_json(word)
@@ -1017,7 +1031,10 @@ class ReplayEngine:
         """Replace a contiguous slot-free run by an equal one; equality
         is verified entrywise at every sample (exactly, for constants).
         With take=0 the payload must compose to an identity tensor."""
-        at, take = move["at"], move["take"]
+        take = move["take"]
+        if take < 0:
+            raise MoveError("refactor take %d must be >= 0" % take)
+        at = self._at(expr, move, take)
         payload = [self.resolve(s) for s in move["payload"]]
         olds = expr.factors[at:at + take]
         for f in list(olds) + payload:
@@ -1042,7 +1059,7 @@ class ReplayEngine:
         return expr.replaced(at, take, payload)
 
     def _mv_expand_det(self, expr, move):
-        at = move["at"]
+        at = self._at(expr, move)
         f = expr.factors[at]
         if not isinstance(f, FDet) or f.power < 1:
             raise MoveError("expand_det needs det^m with m >= 1")
@@ -1064,13 +1081,14 @@ class ReplayEngine:
                       SpacedTensor.scalar(value))
 
     def _mv_fold_det(self, expr, move):
-        at = move["at"]
+        at = self._at(expr, move)
         f = expr.factors[at]
         if not (isinstance(f, FP) and f.name == "eps_bra_dyn"
                 and not f.dress):
             raise MoveError("fold_det needs an undressed dynamic bra")
         w = tuple(f.args["window"])
         self._slot_run(expr, at + 1, w)
+        self._at(expr, move, len(w) + 2)
         ket = expr.factors[at + 1 + len(w)]
         if not (isinstance(ket, FConst) and ket.name == "eps_ket"
                 and tuple(ket.args["window"]) == w):
@@ -1080,7 +1098,7 @@ class ReplayEngine:
                               FDet(1)])
 
     def _mv_collapse(self, expr, move):
-        at = move["at"]
+        at = self._at(expr, move)
         form = move["form"]
         if form == "bra":
             f = expr.factors[at]
@@ -1096,6 +1114,7 @@ class ReplayEngine:
         if form == "ket":
             w = tuple(move["window"])
             self._slot_run(expr, at, w)
+            self._at(expr, move, len(w) + 1)
             ket = expr.factors[at + len(w)]
             if not (isinstance(ket, FConst) and ket.name == "eps_ket"
                     and tuple(ket.args["window"]) == w):
@@ -1107,7 +1126,7 @@ class ReplayEngine:
         raise MoveError("unknown collapse form %r" % form)
 
     def _mv_lemma(self, expr, move):
-        at = move["at"]
+        at = self._at(expr, move, 0)
         name = move["name"]
         args = move.get("args", {})
         builder = CERTIFICATES.get(name)
@@ -1254,7 +1273,12 @@ def rho_image(rep, doc, name):
                    for l in letters):
             raise ValueError("%s word letters %r are not generators of "
                              "H_%d" % (name, letters, rep.k))
-        w = w + HeckeWord({tuple(letters): rep.ctx.field.of(str(coef))})
+        try:
+            value = Fraction(str(coef))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("%s word term %r: coefficient %r must be a "
+                             "number" % (name, [coef, letters], coef)) from None
+        w = w + HeckeWord({tuple(letters): rep.ctx.field.of(value)})
     return rep.apply(w)
 
 
@@ -1852,9 +1876,10 @@ def derivation_from_json(text, n=None):
     """A derivation script.  Before anything is replayed, each factor of
     its words and refactor payloads is checked against LABEL_FIELDS (a
     func factor's atoms as ShiftFunc.from_json checks them, against n
-    when given), and each move's `at` (every move but normalize) and
-    `take` (refactor) against ints: a malformed script raises ValueError
-    naming the field."""
+    when given), each move's `at` (every move but normalize) and `take`
+    (refactor) against ints, and each value of a lemma's args against
+    ints and lists of ints: a malformed script raises ValueError naming
+    the field."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("a script must be a JSON object, got %r" % (d,))
@@ -1882,6 +1907,13 @@ def derivation_from_json(text, n=None):
                 if type(mv.get(field)) is not int:
                     raise ValueError("script %s: %s must be an integer, in "
                                      "%r" % (where, field, mv))
+            args = mv.get("args") if mv["move"] == "lemma" else None
+            for arg, v in (args.items() if isinstance(args, dict) else ()):
+                if not (type(v) is int or isinstance(v, list)
+                        and all(type(x) is int for x in v)):
+                    raise ValueError("script %s: lemma %s arg %s = %r must "
+                                     "be an integer or a list of integers"
+                                     % (where, mv.get("name"), arg, v))
     for where, word in words:
         if not isinstance(word, list):
             raise ValueError("script %s must be a list of factors" % where)

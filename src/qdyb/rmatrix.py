@@ -26,6 +26,7 @@ D1 R(p) D2^(-1) = R(p)^(-1) sigma12.
 """
 
 import itertools
+from math import lcm
 
 from .checks import Check, compare
 from .scalars import DegenerateParameterError
@@ -189,6 +190,24 @@ def weight_conservation_check(rmx, p):
                    TensorOp.from_entries(n, 2, 2, entries), R)
 
 
+def _braid(rec_id, A, M):
+    """The braid layout A M A = M A M, checked as X A = M X with the
+    shared factor X = A M, on the integer multiples D A and D M of
+    :meth:`TensorOp.cleared`: the relation is homogeneous of degree 3,
+    so both sides are D^3 times those on A and M.  A fail's witness is
+    the first entry of their difference divided by D^3, as compared on
+    A and M."""
+    a, m = TensorOp.cleared(A, M)
+    x = a * m
+    lhs, rhs = x * a, m * x
+    if lhs == rhs:
+        return Check(rec_id, True)
+    rm, cm, v = (lhs - rhs).first_nonzero()
+    if a is not A:
+        v /= lcm(A.den, M.den)**3
+    return Check(rec_id, False, (rm, cm, v))
+
+
 def verify_qdybe(params, p, rmx=None):
     """All braid-relation layouts for the dynamical matrix at p.
 
@@ -200,12 +219,18 @@ def verify_qdybe(params, p, rmx=None):
     the stored entries of R (:func:`flipped`) instead of multiplying by
     the flip, and the weight conservation evaluates only R(p)'s own
     rows at their shifted points.
+
+    The three braid layouts are homogeneous of degree 3 in their
+    operands, so each is decided by :func:`_braid` on integer multiples
+    of them: its lhs and rhs are D^3 times A M A and M A M, with no
+    rational content pass in any product.  The Hecke condition, the
+    inverses and the middle-factor comparison are not homogeneous and
+    stay on the rational operators.
     """
     records = []
     n = params.n
     rmx = rmx or DynRMatrix(params)
     R = rmx.at(p)
-    R12 = R.embed(1, 3)
 
     # middle factor, straight from the shifted-argument matrix elements:
     # its block at site-1 index i1 is R(p - v(i1))
@@ -220,25 +245,19 @@ def verify_qdybe(params, p, rmx=None):
     records.append(compare("qdybe.middle-construction-equivalence",
                            mid_explicit, mid_dressed))
 
-    # each braid layout A M A = M A M is checked as X A = M X with the
-    # shared factor X = A M
-    M = mid_explicit
-    X = R12 * M
-    records.append(compare("qdybe.braid.shifted-form", X * R12, M * X))
+    records.append(_braid("qdybe.braid.shifted-form", R.embed(1, 3),
+                          mid_explicit))
 
     # variant with the shift conjugations pushed to site 3
     G = dressed_block(n, rmx.at, 1, p, sign=+1, side="suffix")
-    R23 = R.embed(2, 3)
-    X = R23 * G
-    records.append(compare("qdybe.braid.site3-conjugated", X * R23, G * X))
+    records.append(_braid("qdybe.braid.site3-conjugated", R.embed(2, 3), G))
 
     # variant with the outer sites exchanged; the middle factor acts on
     # sites (3,2) and its shift is keyed by the site-1 index
-    R21 = flipped(R).embed(1, 3)
     H = dressed_block(n, lambda pp: flipped(rmx.at(pp)), 1, p,
                       sign=+1, side="prefix")
-    X = R21 * H
-    records.append(compare("qdybe.braid.sites-exchanged", X * R21, H * X))
+    records.append(_braid("qdybe.braid.sites-exchanged",
+                          flipped(R).embed(1, 3), H))
 
     ident = TensorOp.identity(n, 2, params.ctx.field.one)
     records.append(compare("qdybe.hecke-condition", R * R,

@@ -20,7 +20,12 @@ integer arithmetic only:
   and the gcd of den and every numerator is 1.  A product multiplies
   the two denominators and then divides everything by the gcd of the
   result, in one pass.  Each operator has exactly one stored form, so
-  equality compares rows and den.
+  equality compares rows and den.  An integer operator's stored form is
+  its ints over den 1, and a product of two of them skips that pass:
+  its gcd scan stops at the first row.  So an identity homogeneous in
+  its operands (both sides of degree d) may be decided on
+  :meth:`TensorOp.cleared` operands, D times each over one lcm D of
+  their denominators: both sides scale by D^d, and exactness is kept.
 * over F_p, ``rows`` holds residues in 1..p-1, ``p`` is the prime and
   den is 1.  Each product sum is reduced once, at the end of its row.
 
@@ -124,6 +129,24 @@ class TensorOp:
         :func:`_assemble`: parts is an iterable of (op, {op row: row},
         {op column: column})."""
         return cls._make(n, rk, ck, *_assemble(parts))
+
+    @staticmethod
+    def cleared(*ops):
+        """Rational ops as integer operators: each op times D, the lcm of
+        their denominators, with den 1.  The ops come back unchanged when
+        any is prime or D is 1."""
+        if any(op.p is not None for op in ops):
+            return ops
+        d = lcm(*(op.den for op in ops))
+        if d == 1:
+            return ops
+        out = []
+        for op in ops:
+            s = d // op.den
+            out.append(TensorOp._make(op.n, op.rk, op.ck, {
+                r: {c: v * s for c, v in row.items()}
+                for r, row in op.rows.items()}))
+        return tuple(out)
 
     @classmethod
     def diagonal(cls, n, k, fn):

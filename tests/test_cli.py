@@ -301,6 +301,23 @@ def test_composite_prime_backend_exits_2(capsys):
     assert "not an odd prime" in err
 
 
+def test_derive_move_beyond_the_word_fails_its_record(tmp_path, capsys):
+    """A move whose `at` window leaves the word is a failed move, named
+    in its record, not a traceback."""
+    script = tmp_path / "swap.json"
+    script.write_text(json.dumps({
+        "start": [_slot(1), _slot(2)],
+        "moves": [{"move": "swap", "at": 99}],
+        "end": [_slot(1), _slot(2)]}))
+    code, out, _ = run_cli(capsys, "derive", "--n", "2", "--points", "2",
+                           "--script", str(script))
+    assert code == 1
+    (rec,) = json.loads(out)["records"]
+    assert rec["id"] == "script.move[0]" and rec["status"] == "fail"
+    assert "swap at 99 needs factors 99..100 of a 2-factor word" \
+        in rec["witness"]
+
+
 def test_derive_unknown_builtin_exits_2(capsys):
     code, out, err = run_cli(capsys, "derive", "--n", "2", "--builtin",
                              "D1,NOPE")
@@ -437,6 +454,19 @@ BAD_SCRIPTS = {
         "end": [_func([["qnum", 1, 2, 0, 1]])]},
         "start[0] func atom ['qnum', 1, 5, 0, 1]: j = 5 must be an integer "
         "in 1..n = 2"),
+    # a lemma arg is a label: a string one was a traceback in the
+    # certificate's socket sort
+    "lemma-arg-string": ({
+        "start": [_slot(1)],
+        "moves": [{"move": "lemma", "at": 0, "name": "inv_cancel_left",
+                   "args": {"t": "1", "u": 2, "rest": [3]}}],
+        "end": [_slot(1)]},
+        "moves[0]: lemma inv_cancel_left arg t = '1' must be an integer or "
+        "a list of integers"),
+    "rho-coefficient-not-a-number": ({
+        "start": [_const("rho", spaces=[1, 2], word=[["x", [1]]])],
+        "end": [_slot(1)]},
+        "rho word term ['x', [1]]: coefficient 'x' must be a number"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -155,6 +156,29 @@ def test_tampered_generator_breaks_its_relations(flavor):
     rep._blocks[2], rep._starts[2] = rep._blocks[1], rep._starts[1]
     assert not rep.relations_hold()
     assert broken_relations(rep) == {("locality", 1, 3)}
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_braid_and_locality_sides_are_integer_multiples(flavor):
+    """The braid and locality relations are homogeneous, so relations()
+    forms their sides on cleared generators: integer operators, D^3 and
+    D^2 times the products of the rational ones, D the lcm of their
+    denominators.  The quadratic relation's sides stay rational."""
+    rep = flavor_builder(flavor, 2, 5, 59)()
+    kinds = set()
+    for rel, lhs, rhs in rep.relations():
+        kinds.add(rel[0])
+        if rel[0] == "quadratic":
+            continue
+        gens = (rel[1], rel[1] + 1) if rel[0] == "braid" else rel[1:]
+        a, b = (rep.local(g, *rep.span(gens)) for g in gens)
+        d = lcm(a.den, b.den)
+        assert d > 1 and lhs.den == rhs.den == 1
+        if rel[0] == "braid":
+            assert (lhs, rhs) == (d**3 * (a * b * a), d**3 * (b * a * b))
+        else:
+            assert (lhs, rhs) == (d**2 * (a * b), d**2 * (b * a))
+    assert kinds == {"braid", "quadratic", "locality"}
 
 
 def reference_window(rep, sign, i, j, memo):

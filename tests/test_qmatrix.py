@@ -430,6 +430,35 @@ def test_refactor_inserts_only_an_identity():
         assert eng.run(d) == recs, payload
 
 
+def test_moves_check_their_at_window():
+    """A move whose `at` window leaves the current word fails its record,
+    naming the move, `at` and the word's length; none reads past the
+    end, or from the end at a negative `at`."""
+    eng = engine(2, random.Random(76), npoints=1)
+    two = [_slot(1), _slot(2)]
+    fold = [_eps_bra_dyn((1, 2)), _slot(1), _slot(2)]
+    for start, move, message in (
+            (two, _mv("swap", at=99), "swap at 99 needs factors 99..100 of "
+             "a 2-factor word"),
+            (two, _mv("swap", at=1), "swap at 1 needs factors 1..2"),
+            (two, _mv("swap", at=-2), "swap at -2 needs factors -2..-1"),
+            (two, _mv("det_step", at=2), "det_step at 2 needs factors 2..2"),
+            (two, _mv("det_pair_insert", at=3), "det_pair_insert at 3 needs "
+             "a position 0..2 of a 2-factor word"),
+            (two, _mv("refactor", at=1, take=2, payload=[]),
+             "refactor at 1 needs factors 1..2"),
+            (two, _mv("refactor", at=0, take=-1, payload=[]),
+             "refactor take -1 must be >= 0"),
+            (fold, _mv("fold_det", at=0), "fold_det at 0 needs factors 0..3 "
+             "of a 3-factor word"),
+            (two, _mv("collapse", at=0, form="ket", window=[1, 2]),
+             "collapse at 0 needs factors 0..2 of a 2-factor word")):
+        d = {"name": "w", "start": start, "end": start, "moves": [move]}
+        (rec,) = eng.run(d)
+        assert rec.id == "w.move[0]" and rec.ok is False, move
+        assert message in rec.witness, (move, rec.witness)
+
+
 def test_shift_func():
     sf = ShiftFunc(Fraction(3), {("f", 1, 2, 0): 1, ("qp", 1, 2, 1): -2})
     sh = sf.shifted(1, -1)  # p_12 -> p_12 - 1

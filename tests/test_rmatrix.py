@@ -475,3 +475,72 @@ def test_qdybe_suite_builds_r_once_per_params_and_point(monkeypatch):
     keys = [(id(params), chain) for params, chain in calls]
     assert len(keys) == len(set(keys))
     assert keys.count((id(params), p.chain)) == 1
+
+
+BRAID_IDS = ("qdybe.braid.shifted-form", "qdybe.braid.site3-conjugated",
+             "qdybe.braid.sites-exchanged")
+
+
+def test_braid_layouts_multiply_integer_operators(monkeypatch):
+    """Each braid layout is homogeneous of degree 3, so verify_qdybe
+    forms its three-site products on integer multiples of R(p) and the
+    middle factor: every operand has den 1 on the rational backend."""
+    dens = []
+    mul = TensorOp.__mul__
+
+    def recorded(a, b):
+        if isinstance(b, TensorOp) and a.rk == 3:
+            dens.append((a.den, b.den))
+        return mul(a, b)
+
+    monkeypatch.setattr(TensorOp, "__mul__", recorded)
+    rng = random.Random(61)
+    for n in (2, 3, 4):
+        params = sample_params(n, rng, alpha="geometric")
+        p = sample_point(params, rng)
+        del dens[:]
+        all_pass(verify_qdybe(params, p))
+        assert len(dens) == 3 * 3 and set(dens) == {(1, 1)}, (n, dens)
+
+
+def test_braid_layout_records_match_the_rational_comparison(monkeypatch):
+    """A layout decided on cleared operands gives the record that
+    comparing A M A with M A M on the rational operators gives: the
+    same status, and on a fail the same witness entry."""
+    from qdyb.verify import _corrupt_beta
+    seen = []
+    braid = rmatrix._braid
+
+    def recorded(rec_id, A, M):
+        rec = braid(rec_id, A, M)
+        seen.append((rec, compare(rec_id, A * M * A, M * A * M)))
+        return rec
+
+    monkeypatch.setattr(rmatrix, "_braid", recorded)
+    rng = random.Random(7)
+    for n in (2, 3):
+        params = sample_params(n, rng)
+        p = sample_point(params, rng)
+        verify_qdybe(params, p)
+        verify_qdybe(_corrupt_beta(params), p)
+    assert [rec.id for rec, _ in seen] == list(BRAID_IDS) * 4
+    assert any(rec.ok is False for rec, _ in seen)
+    for rec, ref in seen:
+        assert rec == ref and repr(rec.witness) == repr(ref.witness)
+
+
+def test_clearing_one_operand_fails_each_layout(monkeypatch):
+    """A mutant cleared() that scales only the first operand leaves the
+    two sides at different powers of D: every braid layout fails."""
+    cleared = TensorOp.cleared
+
+    def one_sided(*ops):
+        return (cleared(*ops)[0],) + ops[1:]
+
+    monkeypatch.setattr(TensorOp, "cleared", staticmethod(one_sided))
+    rng = random.Random(62)
+    for n in (2, 3):
+        params = sample_params(n, rng)
+        p = sample_point(params, rng)
+        status = {rec.id: rec.ok for rec in verify_qdybe(params, p)}
+        assert [status[i] for i in BRAID_IDS] == [False] * 3

@@ -615,3 +615,39 @@ def test_operators_hold_rows_of_their_own(field):
     assert list(op.entries()) == [((1,), (1,), 1)]
     assert TensorOp.from_entries(1, 1, 1, [
         ((1,), (1,), Fraction(2)), ((1,), (1,), Fraction(-2))]).is_zero()
+
+
+def test_cleared_scales_rational_ops_onto_one_integer_form():
+    """cleared(*ops) is D times each op, D the lcm of their denominators,
+    each an integer operator (den 1) in stored form with rows of its
+    own; a den-1 op among others is scaled too."""
+    rng = random.Random(27)
+    ops = [from_ref(2, 2, 2, random_ref(RATIONAL, rng, 2, 2, 2))
+           for _ in range(3)]
+    ops.append(TensorOp(2, 2, 2, {0: {1: Fraction(3)}, 2: {2: Fraction(-1)}}))
+    d = lcm(*(op.den for op in ops))
+    assert d > 1 and ops[-1].den == 1 and len({op.den for op in ops}) > 2
+    out = TensorOp.cleared(*ops)
+    assert len(out) == len(ops)
+    for op, got in zip(ops, out):
+        assert got.den == 1 and got.p is None
+        assert_stored_form(got)
+        assert got == d * op
+        assert not held_rows(got, op)
+    # products of cleared ops are D^2 times the rational product
+    a, b = out[:2]
+    assert a * b == d**2 * (ops[0] * ops[1]) and (a * b).den == 1
+
+
+def test_cleared_leaves_integer_prime_and_mixed_ops_alone():
+    rng = random.Random(28)
+    ints = [TensorOp(2, 1, 1, {0: {0: Fraction(2), 1: Fraction(-3)}}),
+            TensorOp.identity(2, 1)]
+    F = PrimeField(101)
+    rat = from_ref(2, 1, 1, {(0, 0): Fraction(1, 3), (1, 0): Fraction(2, 5)})
+    prime = from_ref(2, 1, 1, random_ref(F, rng, 2, 1, 1, 0.8))
+    for ops in (ints, [prime, TensorOp.identity(2, 1, F.one)],
+                [rat, prime], [prime, rat]):
+        out = TensorOp.cleared(*ops)
+        assert len(out) == len(ops)
+        assert all(got is op for got, op in zip(out, ops))
