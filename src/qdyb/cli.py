@@ -19,13 +19,17 @@ from fractions import Fraction
 
 from .checks import fold
 from .scalars import DegenerateParameterError, PoleError, QContext
-from .weights import SLnParams, WeightPoint, sample_point
+from .weights import SLnParams, WeightPoint, sample_point, sample_points
 from . import rmatrix, levicivita, verify, wznw
 from .qmatrix import (ReplayEngine, builtin_derivations,
                       derivation_from_json)
 
 USAGE_ERROR = 2
 FAIL = 1
+POINTS_HELP = ("sample points per draw; on a prime field where ord(3/2) "
+               ">= n * 2^56, a replay engine (derive, the qmatrix suite) "
+               "whose alpha is not geometric takes one wide point instead: "
+               "the error bound, not --points, sets the count")
 
 
 def _params_from_args(args):
@@ -152,9 +156,8 @@ def cmd_derive(args):
     from .weights import sample_params
     rng = random.Random(args.seed)
     params = sample_params(args.n, rng, ctx=ctx, alpha="constant")
-    pts = [sample_point(params, rng, clearance=6)
-           for _ in range(args.points)]
-    eng = ReplayEngine(params, pts)
+    eng = ReplayEngine(params, sample_points(params, rng, args.points,
+                                             clearance=6))
     names = None
     if args.script:
         with open(args.script) as fh:
@@ -247,7 +250,7 @@ def main(argv=None):
     v.add_argument("suite", choices=list(verify.SUITES) + ["all"])
     _common(v, point=False)
     v.add_argument("--draws", type=int, default=5)
-    v.add_argument("--points", type=int, default=3)
+    v.add_argument("--points", type=int, default=3, help=POINTS_HELP)
     v.add_argument("--backend", default="rational")
     v.add_argument("--corrupt",
                    choices=["beta", "eps-sign", "xi", "xunit", "scale"])
@@ -256,7 +259,7 @@ def main(argv=None):
     r = subs.add_parser("derive", help="replay derivations")
     r.add_argument("--n", type=int, default=2)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--points", type=int, default=3)
+    r.add_argument("--points", type=int, default=3, help=POINTS_HELP)
     r.add_argument("--backend", default="rational")
     r.add_argument("--builtin", help="comma list, e.g. D1,D3")
     r.add_argument("--script", help="derivation JSON file")

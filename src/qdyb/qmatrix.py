@@ -520,6 +520,16 @@ class SlotExpr:
 # -- the replay engine ------------------------------------------------------
 
 
+def _direction(move, choices):
+    """A move's `dir`, the first of `choices` when absent; a malformed
+    script, not a failed move, when it is none of them."""
+    direction = move.get("dir", choices[0])
+    if direction not in choices:
+        raise ValueError("%s dir %r must be %s" % (
+            move["move"], direction, " or ".join(map(repr, choices))))
+    return direction
+
+
 def _arg(name, args, key):
     """Argument `key` of a script factor; a malformed script, not a
     failed move, when it is missing."""
@@ -585,7 +595,13 @@ class ReplayEngine:
         if name == "scalar":
             if "sym" in args:
                 return SpacedTensor.scalar(self._sym_value(args["sym"]))
-            return SpacedTensor.scalar(ctx.field.of(str(args["value"])))
+            value = _arg(name, args, "value")
+            try:
+                return SpacedTensor.scalar(ctx.field.of(Fraction(str(value))))
+            except (ValueError, ZeroDivisionError):
+                # a malformed script, not a failed move
+                raise ValueError("scalar value %r must be a number"
+                                 % (value,)) from None
         if name == "delta":
             return SpacedTensor.diagonal(_arg(name, args, "ket"),
                                          _arg(name, args, "bra"), [one] * n)
@@ -911,7 +927,7 @@ class ReplayEngine:
 
     def _mv_scalar_shift(self, expr, move):
         at = self._at(expr, move)
-        direction = move.get("dir", "left")
+        direction = _direction(move, ("left", "right"))
         f = expr.factors[at]
         if not isinstance(f, FP):
             raise MoveError("scalar_shift needs a p-dependent factor")
@@ -982,7 +998,7 @@ class ReplayEngine:
 
     def _mv_intertwine(self, expr, move):
         at = self._at(expr, move)
-        direction = move.get("dir", "lr")
+        direction = _direction(move, ("lr", "rl"))
         f = expr.factors[at]
         if direction == "lr":
             if not (isinstance(f, FP) and f.name == "rho_dyn"
@@ -1268,28 +1284,44 @@ def rho_image(rep, doc, name):
                              "its %d spaces" % (name, doc, rep.k))
         return antisym(rep, 1, m)
     w = HeckeWord()
-    for coef, letters in doc:
-        if not all(isinstance(l, int) and 1 <= abs(l) < rep.k
-                   for l in letters):
+    for value, letters in _word_terms(doc, name):
+        if not all(1 <= abs(l) < rep.k for l in letters):
             raise ValueError("%s word letters %r are not generators of "
                              "H_%d" % (name, letters, rep.k))
-        try:
-            value = Fraction(str(coef))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError("%s word term %r: coefficient %r must be a "
-                             "number" % (name, [coef, letters], coef)) from None
         w = w + HeckeWord({tuple(letters): rep.ctx.field.of(value)})
     return rep.apply(w)
 
 
+def _word_terms(doc, name):
+    """The (coefficient, letters) terms of the JSON braid word of factor
+    or move `name`; a malformed script, not a failed move, unless each
+    term is a [number, list of integer letters] pair."""
+    if not isinstance(doc, list):
+        raise ValueError("%s word %r must be a list of [coef, letters] "
+                         "terms" % (name, doc))
+    terms = []
+    for term in doc:
+        if not (isinstance(term, list) and len(term) == 2
+                and isinstance(term[1], list)
+                and all(isinstance(l, int) for l in term[1])):
+            raise ValueError("%s word term %r must be a [coef, letters] "
+                             "pair with integer letters" % (name, term))
+        try:
+            terms.append((Fraction(str(term[0])), term[1]))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("%s word term %r: coefficient %r must be a "
+                             "number" % (name, term, term[0])) from None
+    return terms
+
+
 def invert_word_json(doc):
     """Inverse of a single-word element given as JSON."""
-    if not (isinstance(doc, list) and len(doc) == 1
-            and isinstance(doc[0], list) and Fraction(str(doc[0][0])) == 1):
+    terms = _word_terms(doc, "braid_insert")
+    if len(terms) != 1 or terms[0][0] != 1:
         # a malformed script, not a failed move
         raise ValueError("only plain words invert syntactically, got %r"
                          % (doc,))
-    return [["1", [-l for l in reversed(doc[0][1])]]]
+    return [["1", [-l for l in reversed(terms[0][1])]]]
 
 
 # -- expression fragments ----------------------------------------------------
@@ -1868,21 +1900,21 @@ def _is_identity(st, n):
 # -- script (de)serialization ------------------------------------------------
 
 
-def derivation_to_json(d):
-    return json.dumps(d, indent=1, sort_keys=True)
-
-
 def derivation_from_json(text, n=None):
-    """A derivation script.  Before anything is replayed, each factor of
-    its words and refactor payloads is checked against LABEL_FIELDS (a
-    func factor's atoms as ShiftFunc.from_json checks them, against n
-    when given), each move's `at` (every move but normalize) and `take`
+    """A derivation script.  Before anything is replayed, its top-level
+    n (when it has one) is checked against n (when given), each factor of
+    its words and refactor payloads against LABEL_FIELDS (a func factor's
+    atoms as ShiftFunc.from_json checks them, against n when given), each
+    move's `at` (every move but normalize) and `take`
     (refactor) against ints, and each value of a lemma's args against
     ints and lists of ints: a malformed script raises ValueError naming
     the field."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("a script must be a JSON object, got %r" % (d,))
+    if n is not None and d.get("n", n) != n:
+        raise ValueError("script n = %r differs from the run's n = %d"
+                         % (d["n"], n))
     for key in ("start", "end"):
         if key not in d:
             raise MoveError("script missing %r" % key)

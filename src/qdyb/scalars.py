@@ -32,6 +32,7 @@ change no value returned and are never shared between contexts.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class PoleError(ArithmeticError):
@@ -180,6 +181,55 @@ def _is_prime(m):
         else:
             return False
     return True
+
+
+def _factor(m):
+    """The prime factorization {prime: exponent} of 1 <= m < 2**64: trial
+    division up to 2**12, then Pollard's rho on what is left."""
+    out = {}
+    d = 2
+    while d < 1 << 12 and d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    rest = [m] if m > 1 else []
+    while rest:
+        x = rest.pop()
+        if _is_prime(x):
+            out[x] = out.get(x, 0) + 1
+        else:
+            f = _rho_factor(x)
+            rest += [f, x // f]
+    return out
+
+
+def _rho_factor(m):
+    """A proper factor of the composite m, which has no factor below 2**12
+    (Pollard's rho with x -> x^2 + c, for c = 1, 2, ... in turn)."""
+    c = 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            d = gcd(x - y, m)
+        if d != m:
+            return d
+        c += 1
+
+
+def multiplicative_order(x):
+    """The order of a nonzero x in F_p^*: p - 1 with each prime factor
+    divided out while x still raises to 1."""
+    p = x.p
+    order = p - 1
+    for f in _factor(p - 1):
+        while order % f == 0 and pow(x.v, order // f, p) == 1:
+            order //= f
+    return order
 
 
 class PrimeField:
@@ -335,14 +385,6 @@ def f_poly(p, beta, ctx):
     (used by canonical shifts).
     """
     return ctx.qpow(-p) + qnum(p, ctx) * ctx.field.of(beta)
-
-
-def xi_of_f(p, beta, ctx):
-    """xi(p) = f(p-1, beta)/f(p, beta), raising PoleError at f(p) = 0."""
-    den = f_poly(p, beta, ctx)
-    if not den:
-        raise PoleError("dynamical pole: f(%s, %s) = 0" % (p, beta))
-    return f_poly(p - 1, beta, ctx) / den
 
 
 def fmt_scalar(x):

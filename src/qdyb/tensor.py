@@ -165,14 +165,6 @@ class TensorOp:
     def zero(cls, n, rk, ck):
         return cls(n, rk, ck)
 
-    @classmethod
-    def site_permutation(cls, n, k, sigma, one=Fraction(1)):
-        """The operator sending the column index J to the row index I with
-        I_s = J_sigma(s); sigma is a 1-based tuple.  sigma = (2, 1) is the
-        flip P with P(x (x) y) = y (x) x."""
-        assert sorted(sigma) == list(range(1, k + 1))
-        return cls.identity(n, k, one).permuted(sigma)
-
     # -- basic structure -----------------------------------------------
 
     @property

@@ -23,7 +23,7 @@ from .scalars import (
 from .weights import (
     BETA_INFINITY, CONSTANT_MULTIPARAM, GENERIC, PairFamily, SLnParams,
     WeightPoint, _scalar, constant_multiparam, sample_params, sample_point,
-    sample_q, sample_twist,
+    sample_points, sample_q, sample_twist,
 )
 from . import rmatrix, hecke, levicivita, wznw
 from .checks import Check, fold, prefixed
@@ -483,9 +483,8 @@ def suite_qmatrix(cfg):
             rng, lambda rng: sample_params(n, rng, ctx=ctx,
                                            alpha=alphas[d % 3]),
             clearance=6)
-        pts = [first] + [sample_point(params, rng, clearance=6)
-                         for _ in range(max(2, cfg.points) - 1)]
-        eng = ReplayEngine(params, pts)
+        eng = ReplayEngine(params, sample_points(
+            params, rng, max(2, cfg.points), clearance=6, first=first))
         ds = builtin_derivations(n)
         if cfg.corrupt == "xunit":
             # sabotage the weight-commute script: drop one shift move so

@@ -31,11 +31,12 @@ in every field it exposes; it fills private memos of its derived tables
 value it returns, so instances can still be shared freely.
 """
 
+import random
 from fractions import Fraction
 
 from .scalars import (
     RATIONAL, DegenerateParameterError, PoleError, QContext, f_poly,
-    fmt_scalar, qnum,
+    fmt_scalar, multiplicative_order, qnum,
 )
 
 GENERIC = "generic"
@@ -626,3 +627,74 @@ def sample_point(params, rng, clearance=4, lo=-5, hi=5):
         if pole_free(params, w, clearance):
             return w
     raise DegenerateParameterError("could not find a pole-free point")
+
+
+#: a wide point's chain entries are uniform in [-WIDE, WIDE)
+WIDE = 2**55
+
+
+def takes_wide_point(params):
+    """True when a replay engine for `params` samples one wide point: on
+    a prime field, with a finite beta chain, alpha not geometric, and a
+    root r of q of order at least n * 2 * WIDE, so that r^c and
+    q^c = r^(nc) each take 2 * WIDE distinct values as c runs over
+    [-WIDE, WIDE).  At the default prime
+    P = 2^64 - 59, P - 1 = 2^2 * 11 * 137 * 547 * 5594472617641 and
+    r = 3/2 has order 838,488,366,986,797,798 (about 2^59.5), so every
+    n <= 11 qualifies."""
+    ctx = params.ctx
+    if getattr(ctx.field, "p", None) is None or ctx.root is None \
+            or params.beta_chain is None or params.alpha.kind == "geometric":
+        return False
+    return multiplicative_order(ctx.root) >= ctx.n * 2 * WIDE
+
+
+def sample_points(params, rng, count, clearance=4, first=None):
+    """The sample points of a replay engine: `first` (when given) and
+    sample_point draws up to `count` points, or, when
+    takes_wide_point(params), one pole-free point with each chain entry
+    uniform in [-WIDE, WIDE) in their place.  The narrow points are drawn
+    from rng either way and the wide one from a copy of its state, so
+    rng goes on to yield what it yields without the wide point.
+
+    The error bound of the wide point (Schwartz 1980; Zippel 1979).  At
+    the chain (c_1, ..., c_{n-1}) every value a replay forms is a
+    rational function of X_k = r^(c_k): q^(p_ij) = (X_i ... X_{j-1})^n and
+    r^(-2 sum_j p_ij) are monomials, and q, beta, a constant alpha and
+    [m] are constants.  A false statement L = R makes the numerator of
+    L - R, times a monomial, a nonzero polynomial of total degree D.  As
+    each X_k is uniform over 2^56 distinct values, the wide point passes
+    it with probability at most D / 2^56; rejecting poles changes that by
+    a factor below 1 + 2^-45 at n <= 3.  D is at most the sum, over the
+    p-dependent factors of both words, of a factor's numerator degree
+    plus n^s times its denominator degree, s the number of its dress
+    spaces (each dress block is the factor at a shifted point, with
+    denominators of its own).  With u_ij = n |i - j|, the degree of
+    q^(p_ij), and S = n (n^2 - 1) / 6, the sum of j - i over i < j:
+
+    * func: an atom with exponent e > 0 adds e w to the numerator, one
+      with e < 0 adds |e| w to the denominator, where w is u_ij for qp,
+      2 u_ij for f and qnum, and 0 for alpha and phi;
+    * ddiag, dmat: n (n - 1), a monomial, over 0;
+    * eps_bra_dyn: 0 over 0; eps_ket_dyn: 2 n S over 4 n S;
+    * nk, and kdiag to the power m: 4 n S over 4 n S, and |m| times both;
+    * rho_dyn on k spaces: 2 L n (n - 1) over L (2k - 3) 4 n S.
+
+    A rho_dyn on k spaces has terms of at most L letters (A(1, m):
+    L = 2^(m-1) - 1 from its recursion), each R(p) at a point at most
+    k - 2 steps away.  A phi atom c^(p_ij + t) counts 0 when both words
+    carry the same net phi exponent per pair, as every builtin does: the
+    common c^(p_ij) cancels.  Under this table every statement the
+    builtins replay at n <= 3 (endpoints, certificates and refactors)
+    has D <= 852 < 2^16, so each pass errs with probability at most
+    2^-40.  Geometric alpha adds a second base w^(p_ij) and gets no
+    bound, nor does a phi atom with unequal net exponents.
+    """
+    points = [] if first is None else [first]
+    points += [sample_point(params, rng, clearance)
+               for _ in range(count - len(points))]
+    if not takes_wide_point(params):
+        return points
+    wide = random.Random()
+    wide.setstate(rng.getstate())
+    return [sample_point(params, wide, clearance, lo=-WIDE, hi=WIDE - 1)]

@@ -118,6 +118,18 @@ def test_verify_all_report_bytes_pinned():
         assert hashlib.sha256(text).hexdigest()[:16] == digest, backend
 
 
+def test_verify_all_n3_prime_report_bytes_pinned(capsys):
+    """perfbench's n = 3 verify-all argv: one wide point per qualifying
+    engine leaves its report byte-identical under strip_timing."""
+    import hashlib
+    code, out, _ = run_cli(capsys, "verify", "all", "--n", "3", "--backend",
+                           "prime", "--draws", "1", "--seed", "7")
+    assert code == 0
+    text = json.dumps(strip_timing(json.loads(out)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        "781e8007a97c4f5a"
+
+
 @pytest.mark.parametrize("argv", [
     # the qmatrix suite's first draw has beta = q: no point clears 6 steps
     ("verify", "all", "--n", "2", "--seed", "6"),
@@ -163,9 +175,8 @@ def test_derive_builtin_and_script(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "pass" and len(doc["records"]) == 2
 
-    from qdyb.qmatrix import derivation_to_json
     script = tmp_path / "d4.json"
-    script.write_text(derivation_to_json(builtin_derivations(2)["D4"]))
+    script.write_text(json.dumps(builtin_derivations(2)["D4"]))
     code, out, _ = run_cli(capsys, "derive", "--n", "2", "--script",
                            str(script), "--points", "2")
     assert code == 0
@@ -174,7 +185,7 @@ def test_derive_builtin_and_script(tmp_path, capsys):
     d = builtin_derivations(2)["D4"]
     d = dict(d)
     d["moves"] = [{"move": "intertwine", "at": 0, "dir": "lr"}]
-    bad.write_text(derivation_to_json(d))
+    bad.write_text(json.dumps(d))
     code, out, _ = run_cli(capsys, "derive", "--n", "2", "--script",
                            str(bad), "--points", "2")
     assert code == 1
@@ -212,9 +223,10 @@ def _func_slot_word(coef):
 ENTRY_WITNESS = {
     "rational": "('entry', (3,), (((2,), (2, 2, 2)), Fraction(223147, 46656), "
                 "Fraction(223147, 23328)))",
-    "prime": "('entry', (3,), (((2,), (2, 2, 2)), "
-             "ModInt(14708447494128708584 mod 18446744073709551557), "
-             "ModInt(10970150914547865611 mod 18446744073709551557)))",
+    # on the default prime the engine's one point is a wide one
+    "prime": "('entry', (15571556302471684,), (((2,), (2, 2, 2)), "
+             "ModInt(6709766465482232058 mod 18446744073709551557), "
+             "ModInt(13419532930964464116 mod 18446744073709551557)))",
 }
 
 
@@ -467,6 +479,42 @@ BAD_SCRIPTS = {
         "start": [_const("rho", spaces=[1, 2], word=[["x", [1]]])],
         "end": [_slot(1)]},
         "rho word term ['x', [1]]: coefficient 'x' must be a number"),
+    # each of these was the bare text of a Fraction literal or of a
+    # tuple unpacking, naming neither factor nor field
+    "scalar-value-not-a-number": ({
+        "start": [_const("scalar", value="x"), _slot(1)],
+        "end": [_slot(1)]},
+        "scalar value 'x' must be a number"),
+    "braid-insert-coefficient-not-a-number": ({
+        "start": [_slot(1), _slot(2)],
+        "moves": [{"move": "braid_insert", "at": 0, "spaces": [1, 2],
+                   "word": [["x", [1]]]}],
+        "end": [_slot(1), _slot(2)]},
+        "braid_insert word term ['x', [1]]: coefficient 'x' must be a "
+        "number"),
+    "rho-term-a-string": ({
+        "start": [_const("rho", spaces=[1, 2], word=["xyz"])],
+        "end": [_slot(1)]},
+        "rho word term 'xyz' must be a [coef, letters] pair"),
+    "rho-term-without-letters": ({
+        "start": [_const("rho", spaces=[1, 2], word=[[1]])],
+        "end": [_slot(1)]},
+        "rho word term [1] must be a [coef, letters] pair"),
+    # misread input: each ran as something else
+    "intertwine-dir-unknown": ({
+        "start": [_slot(1), _slot(2), _const("rho", spaces=[1, 2],
+                                             word=[["1", [1]]])],
+        "moves": [{"move": "intertwine", "at": 2, "dir": "up"}],
+        "end": [_slot(1), _slot(2)]},
+        "intertwine dir 'up' must be 'lr' or 'rl'"),
+    "scalar-shift-dir-unknown": ({
+        "start": [_slot(1), _func([["qnum", 1, 2, 0, 1]])],
+        "moves": [{"move": "scalar_shift", "at": 1, "dir": "up"}],
+        "end": [_slot(1)]},
+        "scalar_shift dir 'up' must be 'left' or 'right'"),
+    "script-n-other-than-the-run": ({
+        "n": 3, "start": [_slot(1)], "end": [_slot(1)]},
+        "script n = 3 differs from the run's n = 2"),
 }
 
 
@@ -703,3 +751,65 @@ def test_bad_params_document_exits_2_naming_the_key(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "build", "--params", str(path),
                            "--p", "p12=1,p23=1")
     assert code == 0 and json.loads(out)["params"]["beta"] == ["1", "2"]
+
+
+def _vanishing_product(n, spliced):
+    """prod_{v=-5..5} [p12 - v] a_1 = 0: false, yet zero at every p12 in
+    -5..5.  Whole, the endpoints compare; spliced, a refactor move
+    compares the product with 0 first."""
+    product = _func([["qnum", 1, 2, -v, 1] for v in range(-5, 6)])
+    zero = _func([], coef="0")
+    if not spliced:
+        return {"n": n, "start": [product, _slot(1)], "end": [zero, _slot(1)]}
+    return {"n": n, "start": [product, _slot(1)],
+            "moves": [{"move": "refactor", "at": 0, "take": 1,
+                       "payload": [zero]}],
+            "end": [zero, _slot(1)]}
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (2, 3), (2, 99),
+                                     (3, 7), (3, 11)])
+@pytest.mark.parametrize("spliced", [False, True])
+def test_vanishing_product_fails_on_the_default_prime(
+        tmp_path, capsys, monkeypatch, n, seed, spliced):
+    """One wide point decides what three points in -5..5 passed: derive
+    and the qmatrix suite both fail the false script."""
+    script = _vanishing_product(n, spliced)
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps(script))
+    code, out, _ = run_cli(capsys, "derive", "--n", str(n), "--seed",
+                           str(seed), "--backend", "prime", "--script",
+                           str(path))
+    (rec,) = json.loads(out)["records"]
+    assert code == 1 and rec["status"] == "fail"
+    assert rec["id"] == ("script.move[0]" if spliced else "script")
+    monkeypatch.setattr(verify, "builtin_derivations",
+                        lambda n: {"V": dict(script, name="vanishing")})
+    rep = run_suite("qmatrix", RunConfig(n=n, seed=seed, draws=1,
+                                         backend="prime"))
+    assert [r["status"] for r in rep["records"]] == ["fail"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_builtin_passes_at_one_wide_point(capsys, monkeypatch, n):
+    """derive and the qmatrix suite on the default prime: each engine
+    with constant or unit alpha replays at one wide point, the geometric
+    one at its narrow points, and every builtin passes."""
+    from qdyb.qmatrix import ReplayEngine
+    counts = []
+    init = ReplayEngine.__init__
+
+    def counting(self, params, points):
+        init(self, params, points)
+        counts.append((params.alpha.kind, len(self.points)))
+
+    monkeypatch.setattr(ReplayEngine, "__init__", counting)
+    for seed in (0, 7):
+        code, out, _ = run_cli(capsys, "derive", "--n", str(n), "--seed",
+                               str(seed), "--backend", "prime")
+        assert code == 0 and json.loads(out)["status"] == "pass"
+    rep = run_suite("qmatrix", RunConfig(n=n, seed=3, draws=3,
+                                         backend="prime"))
+    assert rep["status"] == "pass"
+    # derive draws constant alpha; the suite constant, unit, geometric
+    assert counts == [("constant", 1)] * 4 + [("geometric", 3)]

@@ -13,12 +13,18 @@ from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
     CERTIFICATES, LABEL_FIELDS, FConst, FDet, FP, FSlot, UNIT, MoveError,
     ReplayEngine, ShiftFunc, SlotExpr, SpacedTensor,
-    builtin_derivations, derivation_from_json, derivation_to_json,
+    builtin_derivations, derivation_from_json,
     membership_oracle, oracle_confirm, statement_key, _ddiag, _delta, _dmat,
     _eps_bra, _eps_bra_dyn, _eps_ket, _eps_ket_dyn, _func, _gen_word, _kdiag,
     _mv, _nk, _rho, _rho_dyn, _sigma, _slot, _sym,
 )
 from test_tensor import assert_stored_form
+
+
+
+def derivation_to_json(d):
+    return json.dumps(d, indent=1, sort_keys=True)
+
 
 ALL = ["D1", "D1k", "D2", "D3", "D4", "D4r", "D5", "D5a", "D6c", "D6", "D6r"]
 
@@ -868,3 +874,81 @@ def test_only_a_passing_replay_proves_its_statement(monkeypatch):
                         lambda n, args: dict(good, moves=[]))
     eng._certs.clear()
     eng.require_certificate("det-func-commute")
+
+
+def _factor_degree(f, n):
+    """The degree bound of a p-dependent factor, by the table in
+    weights.takes_wide_point: its numerator degree plus n^(dress spaces)
+    times its denominators' degree."""
+    s = n * (n * n - 1) // 6
+    a = f.args
+    if f.name == "func":
+        weight = {"qp": 1, "f": 2, "qnum": 2, "alpha": 0, "phi": 0}
+        num = den = 0
+        for kind, i, j, _, e in a["func"]["atoms"]:
+            deg = abs(e) * weight[kind] * n * abs(i - j)
+            num, den = (num + deg, den) if e > 0 else (num, den + deg)
+    elif f.name in ("ddiag", "dmat"):
+        num, den = n * (n - 1), 0
+    elif f.name == "eps_bra_dyn":
+        num, den = 0, 0
+    elif f.name == "eps_ket_dyn":
+        num, den = 2 * n * s, 4 * n * s
+    elif f.name in ("nk", "kdiag"):
+        num = den = abs(a.get("power", 1)) * 4 * n * s
+    else:
+        assert f.name == "rho_dyn"
+        k, word = len(a["spaces"]), a["word"]
+        word = word[0] if isinstance(word[0], dict) else word
+        letters = 2 ** (word["antisym"] - 1) - 1 if isinstance(word, dict) \
+            else max(len(t[1]) for t in word)
+        num = 2 * letters * n * (n - 1)
+        den = letters * (2 * k - 3) * 4 * n * s
+    return num + n ** len(f.dress) * den
+
+
+def _net_phi(factors):
+    """The net phi exponent of each pair i < j over a word's funcs."""
+    net = {}
+    for f in factors:
+        if isinstance(f, FP) and f.name == "func":
+            for kind, i, j, _, e in f.args["func"]["atoms"]:
+                if kind == "phi":
+                    key = (min(i, j), max(i, j))
+                    net[key] = net.get(key, 0) + e
+    return {k: e for k, e in net.items() if e}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_builtin_statements_have_degree_at_most_2_to_16(n, monkeypatch):
+    """Every identity a builtin replay decides -- endpoints, certificates
+    and refactors -- has D <= 2^16 under the per-factor table of
+    takes_wide_point, and both words carry the same net phi exponent per
+    pair: one wide point errs with probability at most 2^-40."""
+    compared = []
+    equal, refactor = ReplayEngine.exprs_equal, ReplayEngine._mv_refactor
+
+    def record_equal(self, e1, e2):
+        compared.append(e1.factors + e2.factors)
+        compared.append((_net_phi(e1.factors), _net_phi(e2.factors)))
+        return equal(self, e1, e2)
+
+    def record_refactor(self, expr, move):
+        at, take = move["at"], move["take"]
+        payload = tuple(self.resolve(s) for s in move["payload"])
+        compared.append(expr.factors[at:at + take] + payload)
+        compared.append((_net_phi(expr.factors[at:at + take]),
+                         _net_phi(payload)))
+        return refactor(self, expr, move)
+
+    monkeypatch.setattr(ReplayEngine, "exprs_equal", record_equal)
+    monkeypatch.setattr(ReplayEngine, "_mv_refactor", record_refactor)
+    eng = engine(n, random.Random(7), field=PrimeField(), npoints=1)
+    for name in ALL:
+        assert all(ok for _, ok, _ in eng.run(builtin_derivations(n)[name]))
+    words, phis = compared[0::2], compared[1::2]
+    assert len(words) > 30
+    assert all(left == right for left, right in phis)
+    degrees = [sum(_factor_degree(f, n) for f in w if isinstance(f, FP))
+               for w in words]
+    assert max(degrees) == {2: 72, 3: 852}[n] <= 2**16

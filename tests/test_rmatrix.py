@@ -20,6 +20,7 @@ from qdyb.weights import (
     PairFamily, SLnParams, WeightPoint, constant_multiparam, sample_params,
     sample_point, sample_q, sample_twist,
 )
+from test_tensor import site_permutation
 
 
 def all_pass(records):
@@ -52,7 +53,7 @@ def test_dj_braid_and_hecke():
 
 def test_dj_at_q_one_is_permutation():
     ctx = QContext(Fraction(1), 3)
-    assert build_dj(3, ctx) == TensorOp.site_permutation(
+    assert build_dj(3, ctx) == site_permutation(
         3, 2, (2, 1), Fraction(1))
 
 
@@ -260,7 +261,7 @@ def test_flipped_is_the_flip_conjugation(field):
     for n in (2, 3, 4):
         params, p = drawn_on(field, n, rng)
         R = build_dyn(params, p)
-        P = TensorOp.site_permutation(n, 2, (2, 1), field.one)
+        P = site_permutation(n, 2, (2, 1), field.one)
         F = flipped(R)
         assert F == P * R * P and F.p == R.p
         assert F != R and flipped(F) == R
@@ -270,10 +271,10 @@ def test_flipped_is_the_flip_conjugation(field):
             for right in perms:
                 want = X
                 if left:
-                    want = TensorOp.site_permutation(n, 3, left,
+                    want = site_permutation(n, 3, left,
                                                      field.one) * want
                 if right:
-                    want = want * TensorOp.site_permutation(n, 3, right,
+                    want = want * site_permutation(n, 3, right,
                                                             field.one)
                 assert X.permuted(left, right) == want, (n, left, right)
 

@@ -7,8 +7,17 @@ import pytest
 
 from qdyb.scalars import (
     DEFAULT_PRIME, RATIONAL, DegenerateParameterError, PoleError,
-    PrimeField, QContext, f_poly, qfact, qfact_base, qnum, qnum_base, xi_of_f,
+    PrimeField, QContext, _factor, _is_prime, f_poly, multiplicative_order,
+    qfact, qfact_base, qnum, qnum_base,
 )
+
+
+def xi_of_f(p, beta, ctx):
+    """xi(p) = f(p-1, beta)/f(p, beta), raising PoleError at f(p) = 0."""
+    den = f_poly(p, beta, ctx)
+    if not den:
+        raise PoleError("dynamical pole: f(%s, %s) = 0" % (p, beta))
+    return f_poly(p - 1, beta, ctx) / den
 
 
 def ctx(q="2", n=3, root=None):
@@ -234,3 +243,44 @@ def test_contexts_never_share_a_table():
     assert a._pow is not b._pow and a._qnum is not b._qnum
     assert a._pow is not same._pow and a._qnum is not same._qnum
     assert 7 not in same._pow
+
+
+def test_default_prime_minus_one_factors_and_the_order_of_three_halves():
+    """P - 1 = 2^2 * 11 * 137 * 547 * 5594472617641, and 3/2 has order
+    838,488,366,986,797,798 in F_P: at least n * 2^56 for n <= 11."""
+    factors = _factor(DEFAULT_PRIME - 1)
+    assert factors == {2: 2, 11: 1, 137: 1, 547: 1, 5594472617641: 1}
+    product = 1
+    for f, e in factors.items():
+        assert _is_prime(f)
+        product *= f**e
+    assert product == DEFAULT_PRIME - 1
+    F = PrimeField()
+    r = F.of(Fraction(3, 2))
+    order = multiplicative_order(r)
+    assert order == 838488366986797798
+    assert r**order == F.one
+    assert all(r**(order // f) != F.one for f in factors)
+    assert 11 * 2**56 <= order < 12 * 2**56
+
+
+@pytest.mark.parametrize("p", [3, 101, 1009, 7919])
+def test_multiplicative_order_matches_brute_force(p):
+    F = PrimeField(p)
+    for v in range(1, p, max(1, p // 60)):
+        x, order, y = F.of(v), 1, F.of(v)
+        while y != F.one:
+            y, order = y * x, order + 1
+        assert multiplicative_order(x) == order, (p, v)
+
+
+@pytest.mark.parametrize("m", [
+    2**61 - 2, 18446744073709551533 - 1, 4294967311 * 4294967357,
+    65521**2 * 7, 1])
+def test_factor_multiplies_back_into_primes(m):
+    factors = _factor(m)
+    product = 1
+    for f, e in factors.items():
+        assert _is_prime(f) and e >= 1
+        product *= f**e
+    assert product == m

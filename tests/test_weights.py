@@ -8,13 +8,15 @@ import pytest
 from qdyb.rmatrix import ShiftedEvaluation
 from qdyb.scalars import (
     RATIONAL, DegenerateParameterError, PoleError, PrimeField, QContext,
-    qnum, xi_of_f,
+    qnum,
 )
 from qdyb.weights import (
     BETA_INFINITY, CONSTANT_MULTIPARAM, GENERIC, INTERMEDIATE, PairFamily,
     SLnParams, WeightPoint, constant_multiparam, derive_beta, pole_free,
-    sample_params, sample_point, sample_q,
+    WIDE, sample_params, sample_point, sample_points, sample_q,
+    takes_wide_point,
 )
+from test_scalars import xi_of_f
 
 
 def test_weightpoint_additivity_and_shift():
@@ -429,3 +431,54 @@ def test_sample_params_derives_beta_once(monkeypatch, regime, derived):
         if derived == "init":
             assert chains == [params.beta_chain]
         assert params._beta == derive_beta(params.ctx, params.beta_chain)
+
+
+def _qmatrix_params(n, field, rng, alpha="constant"):
+    r = field.of(Fraction(3, 2))
+    ctx = QContext(r**n, n, root=r, field=field)
+    return sample_params(n, rng, ctx=ctx, alpha=alpha)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("alpha", ["constant", "unit"])
+def test_sample_points_take_one_wide_point_on_the_default_prime(n, alpha):
+    """One pole-free point in [-WIDE, WIDE)^(n-1) replaces the narrow
+    ones, and rng goes on as after the narrow draws."""
+    for seed in (0, 1, 7):
+        rng, twin = random.Random(seed), random.Random(seed)
+        params = _qmatrix_params(n, PrimeField(), rng, alpha)
+        _qmatrix_params(n, PrimeField(), twin, alpha)
+        assert takes_wide_point(params)
+        pts = sample_points(params, rng, 3, clearance=6)
+        narrow = [sample_point(params, twin, clearance=6) for _ in range(3)]
+        assert rng.getstate() == twin.getstate()
+        (p,) = pts
+        assert all(-WIDE <= c < WIDE for c in p.chain)
+        assert max(abs(c) for c in p.chain) > 2**40
+        assert pole_free(params, p, 6) and p not in narrow
+
+
+@pytest.mark.parametrize("field, alpha", [
+    (RATIONAL, "constant"), (RATIONAL, "geometric"),
+    (PrimeField(), "geometric"), (PrimeField(1000003), "constant")])
+def test_sample_points_stay_narrow_elsewhere(field, alpha):
+    """The rational backend, geometric alpha and a prime whose 3/2 has a
+    small order keep the narrow points sample_point draws."""
+    for n in (2, 3):
+        rng, twin = random.Random(5), random.Random(5)
+        params = _qmatrix_params(n, field, rng, alpha)
+        _qmatrix_params(n, field, twin, alpha)
+        assert not takes_wide_point(params)
+        first = sample_point(params, rng, clearance=6)
+        want = [sample_point(params, twin, clearance=6) for _ in range(2)]
+        assert sample_points(params, rng, 2, clearance=6, first=first) \
+            == want
+        assert sample_points(params, rng, 1) == [sample_point(params, twin)]
+
+
+def test_beta_infinity_keeps_narrow_points():
+    F = PrimeField()
+    r = F.of(Fraction(3, 2))
+    params = SLnParams(QContext(r**2, 2, root=r, field=F), None)
+    assert not takes_wide_point(params)
+    assert len(sample_points(params, random.Random(3), 2)) == 2
