@@ -53,14 +53,17 @@ pass over the socket labels raises the fold's collisions, and a run ends
 early where it would meet twice a ket label that the fold contracts once.
 
 The independent check is a membership oracle: at each sample point it
-puts the degree-k pair-exchange consequences rho_dyn(g_j) M -
-M rho_const(g_j), one per coefficient basis matrix M, into the tensor
-layer's exact :class:`~qdyb.tensor.Echelon`, and asks whether every
-integer slice of the difference of two canonical words lies in their
-span, decided block by block (see :func:`membership_oracle`).
+asks whether every integer slice of the difference of two canonical
+words lies in the span of the degree-k pair-exchange consequences
+rho_dyn(g_j) M - M rho_const(g_j), one per coefficient basis matrix M.
+It decides each weight block on its own, by pairing the slice with a
+basis of the block's intertwiners, the annihilator of that span, which
+a nullspace of at most a dozen unknowns and one pass over the block's
+columns build (see :func:`block_intertwiners` and
+:func:`membership_oracle`).
 
 A :class:`ReplayEngine` memoizes, for as long as it lives, the keys of
-the statements it has proven, each weight block's relation span per
+the statements it has proven, each weight block's intertwiner basis per
 (k, point, block) and, in the ``eval_p`` memo, the SpacedTensor of
 each p-dependent factor at each point, dressed or not, keyed by the
 factor's JSON (so its name and args must determine its tensor) and the
@@ -69,6 +72,7 @@ stored ints, from its undressed blocks at the shifted points, which come
 from the same memo.  Canonical words are evaluated afresh each time.
 """
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -437,6 +441,8 @@ def _relabeled(doc, rename, where="factor"):
     name = kind if own else doc.get("name") if kind in ("const", "p") \
         else None
     args = doc if own else doc.get("args") if name else None
+    if not own and name is not None and not isinstance(name, str):
+        raise ValueError("%s name = %r must be a string" % (where, name))
     if name not in LABEL_FIELDS or (name in ("slot", "det")) != own \
             or not isinstance(args, dict):
         raise ValueError("%s = %r is no factor: it needs a known \"kind\" "
@@ -562,7 +568,8 @@ class ReplayEngine:
         self._certs = {}
         self._proven = set()    # statement keys of the runs that passed
         self._p_values = {}     # (factor JSON, p.chain) -> SpacedTensor
-        self._spans = {}        # (k, p.chain, block) -> its span's Echelon
+        # (k, p.chain, block) -> its intertwiner basis, or None
+        self._spans = {}
         self._prime = getattr(self.ctx.field, "p", None)
 
     # -- named tensor builders ------------------------------------
@@ -578,6 +585,16 @@ class ReplayEngine:
         if key not in self._reps:
             self._reps[key] = HeckeRep.constant(self.n, self.ctx, k,
                                                 rmat=build_dj(self.n, self.ctx))
+        return self._reps[key]
+
+    def _const_columns(self, k):
+        """The stored (rows, den) of each transposed constant image
+        C_i^T, i < k: column s of C_i is row s of C_i^T."""
+        key = ("const columns", k)
+        if key not in self._reps:
+            self._reps[key] = [
+                _rows_over(self._const_rep(k).image(i).transpose(),
+                           self._prime) for i in range(1, k)]
         return self._reps[key]
 
     def _nk_at(self, p):
@@ -1783,52 +1800,151 @@ CERTIFICATES = {
 # -- membership oracle -------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _weights(n, k):
     """The weight of each flat index on k sites: its sorted multi-index."""
-    return [tuple(sorted(multi_index(r, n, k))) for r in range(n**k)]
+    return tuple(tuple(sorted(multi_index(r, n, k))) for r in range(n**k))
 
 
-def relation_span(engine, k, p, block):
-    """The echelonized span of the degree-k pair-exchange relation
-    consequences { rho_dyn(g_j) M - M rho_const(g_j) } at the working
-    point, over the coefficient space Mat(n^k, n^k), in one weight
-    block (wt r, wt s): the consequences of the E_rs there."""
+def _inversions(m):
+    return sum(a > b for a, b in itertools.combinations(m, 2))
+
+
+def block_intertwiners(engine, k, p, block):
+    """A basis of the intertwiners of one weight block (A, B) = (wt r,
+    wt s) at the working point: the maps Phi from V_B to V_A with
+    D_j Phi = Phi C_j for j < k, D_j and C_j the images of g_j in the
+    dynamic and the constant representation.  They span the annihilator
+    of the block's relation span { D_j M - M C_j }, so a coefficient
+    slice of the block lies in the span exactly when it pairs to zero
+    with each.  Each Phi is {r * n^k + s: int} on one scale, or mod p.
+    None when the representations lack the structure below, or a D_i
+    maps V_A out of itself.
+
+    The weight space V_B of the constant (Drinfeld-Jimbo) representation
+    is the q-permutation module generated by e_v0, v0 the sorted
+    multi-index of B (Dipper-James 1986; Jimbo 1986): C_i e_v0 = q e_v0
+    for i in J = {i : v0_i = v0_(i+1)}, and for s in B with a descent at
+    i, C_i e_src = c1 e_s + c2 e_src, src being s with sites i and i + 1
+    swapped (c1 = 1, c2 = q - qbar).  Both are checked.  An intertwiner
+    is then fixed by w = Phi e_v0, which lies in N, the common kernel of
+    the D_i - q on V_A over i in J, and gives each column in order of
+    inversion count as Phi e_s = (D_i - c2) Phi e_src / c1.  So each w
+    of a basis of N gives one Phi_w, and every intertwiner is a
+    combination of them (by Frobenius reciprocity each Phi_w is one,
+    which :func:`membership_oracle` checks before it relies on it).
+    Columns are built as ints over a den of their own, or mod p."""
+    n, prime = engine.n, engine._prime
+    size = n**k
+    wt = _weights(n, k)
+    in_a = {r for r in range(size) if wt[r] == block[0]}
     dyn = engine._dyn_rep(k, p)
-    const = engine._const_rep(k)
+    ccols = engine._const_columns(k)
+    # the rows of V_A of each D_i, which must not leave V_A
+    on_a = []
+    for i in range(1, k):
+        drows, dden = _rows_over(dyn.image(i), prime)
+        rows = {x: drows.get(x, {}) for x in in_a}
+        if any(y not in in_a for row in rows.values() for y in row):
+            return None
+        on_a.append((rows, dden))
+    v0 = block[1]
+    s0 = flat_index(v0, n)
+    # N: each row of (D_i - q) dden cden, q = C_i[v0, v0] over cden
+    kernel = Echelon(p=prime)
+    for i in range(1, k):
+        if v0[i - 1] != v0[i]:
+            continue
+        col, cden = ccols[i - 1]
+        q = col.get(s0, {})
+        if q.keys() != {s0} or _value(q[s0], cden, prime) != engine.ctx.q:
+            return None
+        rows, dden = on_a[i - 1]
+        for x, row in rows.items():
+            eq = {y: cden * v for y, v in row.items()}
+            eq[x] = eq.get(x, 0) - dden * q[s0]
+            kernel.add(_nonzero(eq, prime))
+    # each s of B from src, one descent i lower, with the coefficients
+    # c1 = C_i[s, src] and c2 = C_i[src, src] over C's den
+    steps = []
+    for m in sorted((multi_index(s, n, k) for s in range(size)
+                     if wt[s] == v0), key=_inversions)[1:]:
+        i = next(i for i in range(1, k) if m[i - 1] > m[i])
+        src = flat_index(m[:i - 1] + (m[i], m[i - 1]) + m[i + 1:], n)
+        s = flat_index(m, n)
+        col, cden = ccols[i - 1]
+        c = col.get(src, {})
+        if s not in c or not c.keys() <= {s, src}:
+            return None
+        steps.append((s, i, src, c[s], c.get(src, 0), cden))
+    basis = []
+    for w in kernel.kernel(sorted(in_a)):
+        cols = {s0: (w, 1)}
+        for s, i, src, c1, c2, cden in steps:
+            # Phi e_s = (cden D_i u - c2 dden u) / (c1 dden du), u / du
+            # being Phi e_src
+            u, du = cols[src]
+            rows, dden = on_a[i - 1]
+            col = {x: cden * sum(v * u[y] for y, v in row.items() if y in u)
+                   - c2 * dden * u.get(x, 0) for x, row in rows.items()}
+            if prime is not None:
+                inv = pow(c1, -1, prime)
+                cols[s] = _nonzero({x: v * inv for x, v in col.items()},
+                                   prime), 1
+            else:
+                col, den, _ = _stored_form({0: col}, c1 * dden * du, None)
+                cols[s] = col.get(0, {}), den
+        scale = lcm(*(den for _, den in cols.values()))
+        basis.append({x * size + s: v * (scale // den)
+                      for s, (col, den) in cols.items()
+                      for x, v in col.items()})
+    return basis
+
+
+def _nonzero(vec, p):
+    """vec without its zeros, reduced mod p when p is set."""
+    if p is not None:
+        return {i: r for i, v in vec.items() if (r := v % p)}
+    return {i: v for i, v in vec.items() if v}
+
+
+def _pairing(phi, vec, p):
+    total = sum(v * phi[i] for i, v in vec.items() if i in phi)
+    return total % p if p is not None else total
+
+
+def _unintertwined(engine, k, p, basis):
+    """The first j for which D_j Phi = Phi C_j fails on a Phi of the
+    basis, as operators on V^(x)k, or None."""
     size = engine.n**k
-    wt = _weights(engine.n, k)
-    rs = [r for r in range(size) if wt[r] == block[0]]
-    ss = [s for s in range(size) if wt[s] == block[1]]
-    # coefficient functionals transform contravariantly: with D and C the
-    # transposed images, (D E_rs)_{x y} = D_{x r} delta_{s y} and
-    # (E_rs C)_{x y} = delta_{x r} C_{s y}, so the consequence of E_rs is
-    # row r * n^k + s of D^T (x) I - I (x) C, formed here from the stored
-    # rows of the images on one common scale, or mod p
-    rows = {}
-    for j in range(1, k):
-        drows, dden, crows, cden, _ = _common_field(
-            dyn.image(j), const.image(j).transpose())
-        for r in rs:
-            for s in ss:
-                row = rows[j, r, s] = {x * size + s: cden * v
-                                       for x, v in drows.get(r, {}).items()}
-                for y, v in crows.get(s, {}).items():
-                    row[r * size + y] = row.get(r * size + y, 0) - dden * v
-    # shortest rows first (a stable sort): the span is the same in any
-    # order, and short pivots keep the later eliminations short
-    return Echelon(sorted(_stored_form(rows, 1, engine._prime)[0].values(),
-                          key=len), engine._prime)
+    dyn, const = engine._dyn_rep(k, p), engine._const_rep(k)
+    for phi in basis:
+        rows = {}
+        for idx, v in phi.items():
+            rows.setdefault(idx // size, {})[idx % size] = v
+        op = TensorOp._make(engine.n, k, k, rows, 1, engine._prime)
+        for j in range(1, k):
+            if dyn.image(j) * op != op * const.image(j):
+                return j
+    return None
 
 
 def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
     """Decide whether two canonical words are equal in the algebra, i.e.
     whether their coefficient difference lies in the relation span, at
-    every sample point.  Returns 'equal', 'unequal' or 'inconclusive'.
+    every sample point.  Returns 'equal', 'unequal', 'inconclusive', or
+    a 'failed: ...' verdict naming (k, point, block) when the
+    intertwiners of a block that tells the words apart are not
+    intertwiners after all.
 
     Both representations conserve weights (index multisets), so the
     consequence of E_rs lies in the block (wt r, wt s): the span is the
-    direct sum of its blocks, and a block's span is built only when a
-    difference first touches it."""
+    direct sum of its blocks.  A block's slice lies in its span exactly
+    when it pairs to zero with each of the block's intertwiners
+    (:func:`block_intertwiners`), built only when a difference first
+    touches the block.  Zero pairings prove 'equal' whatever the
+    dynamic images are; a nonzero one proves 'unequal' once the basis is
+    checked to intertwine every generator."""
     if engine.n ** len(expr_a.slot_spaces()) > max_dim or \
             engine.n ** len(expr_b.slot_spaces()) > max_dim:
         return "inconclusive"
@@ -1844,39 +1960,49 @@ def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
             return "unequal"
         if set(ta.kets) != set(tb.kets) or set(ta.bras) != set(tb.bras):
             return "unequal"
-        # one integer slice per assignment of the free sockets and weight
-        # block, indexed row * n^k + column by the slot axes' flat index,
-        # on one scale or mod p (both tensors have the same sorted sockets)
-        prime = engine._prime
-        den = 1 if prime is not None else lcm(ta.den, tb.den)
-        size = engine.n**k
-        wt = _weights(engine.n, k)
-        free_k = _picker([s for s in ta.kets if not _is_slot_axis(s)],
-                         ta.kets)
-        free_b = _picker([s for s in ta.bras if not _is_slot_axis(s)],
-                         ta.bras)
-        slot_of = _picker([("sr", t) for t in range(1, k + 1)]
-                          + [("sc", t) for t in range(1, k + 1)], ta.bras)
-        slices = {}
-        for st, sign in ((ta, 1), (tb, -1)):
-            rows, sden = _rows_over(st, prime)
-            scale = sign * (den // sden)
-            for kv, row in rows.items():
-                fk = free_k(kv)
-                for bv, v in row.items():
-                    idx = flat_index(slot_of(bv), engine.n)
-                    block = (wt[idx // size], wt[idx % size])
-                    vec = slices.setdefault((fk, free_b(bv), block), {})
-                    vec[idx] = vec.get(idx, 0) + scale * v
-        slices, _, _ = _stored_form(slices, 1, prime)
-        for (_, _, block), vec in slices.items():
+        for (_, _, block), vec in oracle_slices(engine, k, ta, tb).items():
             key = (k, p.chain, block)
-            span = engine._spans.get(key)
-            if span is None:
-                span = engine._spans[key] = relation_span(engine, k, p, block)
-            if not span.contains(vec):
+            if key not in engine._spans:
+                engine._spans[key] = block_intertwiners(engine, k, p, block)
+            basis = engine._spans[key]
+            if basis is None:
+                return "inconclusive"
+            if any(_pairing(phi, vec, engine._prime) for phi in basis):
+                j = _unintertwined(engine, k, p, basis)
+                if j is not None:
+                    return ("failed: the intertwiners of block %r at k = %d,"
+                            " point %r, miss D_%d Phi = Phi C_%d"
+                            % (block, k, p.chain, j, j))
                 return "unequal"
     return "equal"
+
+
+def oracle_slices(engine, k, ta, tb):
+    """The difference of two canonical tensors of k slots (with the same
+    sockets) as integer slices, one per assignment of the free sockets
+    and weight block, keyed (free kets, free bras, block): each indexed
+    row * n^k + column by the slot axes' flat index, on one scale or mod
+    p, with no zero entry and no empty slice."""
+    prime = engine._prime
+    den = 1 if prime is not None else lcm(ta.den, tb.den)
+    size = engine.n**k
+    wt = _weights(engine.n, k)
+    free_k = _picker([s for s in ta.kets if not _is_slot_axis(s)], ta.kets)
+    free_b = _picker([s for s in ta.bras if not _is_slot_axis(s)], ta.bras)
+    slot_of = _picker([("sr", t) for t in range(1, k + 1)]
+                      + [("sc", t) for t in range(1, k + 1)], ta.bras)
+    slices = {}
+    for st, sign in ((ta, 1), (tb, -1)):
+        rows, sden = _rows_over(st, prime)
+        scale = sign * (den // sden)
+        for kv, row in rows.items():
+            fk = free_k(kv)
+            for bv, v in row.items():
+                idx = flat_index(slot_of(bv), engine.n)
+                block = (wt[idx // size], wt[idx % size])
+                vec = slices.setdefault((fk, free_b(bv), block), {})
+                vec[idx] = vec.get(idx, 0) + scale * v
+    return _stored_form(slices, 1, prime)[0]
 
 
 def _is_slot_axis(label):
@@ -1906,9 +2032,10 @@ def derivation_from_json(text, n=None):
     its words and refactor payloads against LABEL_FIELDS (a func factor's
     atoms as ShiftFunc.from_json checks them, against n when given), each
     move's `at` (every move but normalize) and `take`
-    (refactor) against ints, and each value of a lemma's args against
-    ints and lists of ints: a malformed script raises ValueError naming
-    the field."""
+    (refactor) against ints, the `window` of an expand_det and of a ket
+    collapse and each value of a lemma's args against lists of ints (a
+    lemma arg may be an int): a malformed script raises ValueError
+    naming the field."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("a script must be a JSON object, got %r" % (d,))
@@ -1939,6 +2066,13 @@ def derivation_from_json(text, n=None):
                 if type(mv.get(field)) is not int:
                     raise ValueError("script %s: %s must be an integer, in "
                                      "%r" % (where, field, mv))
+            window = mv.get("window")
+            if (mv["move"] == "expand_det" or mv["move"] == "collapse"
+                    and mv.get("form") == "ket") and not (
+                    isinstance(window, list)
+                    and all(type(s) is int for s in window)):
+                raise ValueError("script %s: window must be a list of "
+                                 "integers, in %r" % (where, mv))
             args = mv.get("args") if mv["move"] == "lemma" else None
             for arg, v in (args.items() if isinstance(args, dict) else ()):
                 if not (type(v) is int or isinstance(v, list)
@@ -2031,10 +2165,20 @@ def _max_space(expr):
 
 
 def oracle_confirm(engine, derivation, max_dim=1100):
-    """Check a derivation's endpoint equality independently: strip the
-    det symbols (multiplying both sides by det where needed, expanding
-    the rest through the definition at fresh windows), normalize
-    mechanically, and decide equality modulo the relation span."""
+    """Check a derivation's endpoint equality independently: decide the
+    equality of its det-free sides (:func:`oracle_sides`) modulo the
+    relation span."""
+    sides = oracle_sides(engine, derivation)
+    if sides is None:
+        return "inconclusive"
+    return membership_oracle(engine, *sides, max_dim=max_dim)
+
+
+def oracle_sides(engine, derivation):
+    """A derivation's start and end words with the det symbols stripped
+    (multiplying both sides by det where needed, expanding the rest
+    through the definition at fresh windows), normalized mechanically;
+    None when the stripping does not end."""
     sides = []
     nets = []
     for key in ("start", "end"):
@@ -2051,13 +2195,13 @@ def oracle_confirm(engine, derivation, max_dim=1100):
         while True:
             guard += 1
             if guard > 50:
-                return "inconclusive"
+                return None
             det_at = next((i for i, f in enumerate(expr.factors)
                            if isinstance(f, FDet)), None)
             if det_at is None:
                 break
             if expr.factors[det_at].power < 1:
-                return "inconclusive"
+                return None
             base = max(_max_space(expr),
                        max(engine.n + 1, 0)) + 1
             window = list(range(base, base + engine.n))
@@ -2065,4 +2209,4 @@ def oracle_confirm(engine, derivation, max_dim=1100):
                                             "at": det_at, "window": window})
             expr = engine.apply_move(expr, {"move": "normalize"})
         sides.append(expr)
-    return membership_oracle(engine, sides[0], sides[1], max_dim=max_dim)
+    return sides

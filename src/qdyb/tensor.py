@@ -53,11 +53,12 @@ tuples of labeled sockets, keeps its entries in this same stored form:
 both to F_p, and ``_assemble`` (behind ``assemble``) places the stored
 entries of either.
 
-Ranks and span membership share one eliminator, :class:`Echelon`: an
-incremental row echelon keyed by each row's leading (smallest) column.
-It takes rows of stored ints only, at any scale over Q or residues mod
-p; :meth:`TensorOp.echelon` builds one from the stored rows of
-operators.  Rational rows are made primitive and reduced fraction-free,
+Ranks and kernels share one eliminator, :class:`Echelon`: an
+incremental row echelon keyed by each row's leading (smallest) column,
+whose ``add`` tells whether a row was new (so span membership) and whose
+``kernel`` solves the rows by back-substitution.  It takes rows of
+stored ints only, at any scale over Q or residues mod p;
+:meth:`TensorOp.echelon` builds one from the stored rows of operators.  Rational rows are made primitive and reduced fraction-free,
 pv * row - rv * pivot_row followed by division by the gcd; prime-field
 rows are reduced by the same cross-multiplication on their residues,
 with no inversion.  No numerical tie-breaking exists because arithmetic
@@ -508,9 +509,34 @@ class Echelon:
             self.pivots[min(rest)] = rest
         return bool(rest)
 
-    def contains(self, row):
-        """True when the row lies in the span of the rows added."""
-        return not self._eliminate(row)
+    def kernel(self, columns):
+        """A basis of the vectors x on columns (which hold every column
+        of the rows added) with row . x = 0 for each row: one x per
+        column without a pivot, nonzero there and zero at the other such
+        columns, solved by back-substitution from the last pivot.  Each
+        is a {column: int} row in the stored form of the rows added:
+        primitive over Q, residues mod p."""
+        p = self.p
+        leads = sorted(self.pivots, reverse=True)
+        out = []
+        for free in columns:
+            if free in self.pivots:
+                continue
+            x = {free: 1}
+            for lead in leads:
+                prow = self.pivots[lead]
+                s = sum(v * x[c] for c, v in prow.items() if c in x)
+                if p is not None:
+                    x[lead] = -s * pow(prow[lead], -1, p) % p
+                    continue
+                g = gcd(prow[lead], s)
+                m = prow[lead] // g
+                if m != 1:
+                    x = {c: m * v for c, v in x.items()}
+                x[lead] = -s // g
+            out.append(_primitive({c: v for c, v in x.items() if v})
+                       if p is None else {c: v for c, v in x.items() if v})
+        return out
 
     def _eliminate(self, row):
         """Cross-multiply a row with pivot rows until its leading column

@@ -484,7 +484,7 @@ def suite_qmatrix(cfg):
                                            alpha=alphas[d % 3]),
             clearance=6)
         eng = ReplayEngine(params, sample_points(
-            params, rng, max(2, cfg.points), clearance=6, first=first))
+            params, rng, cfg.points, clearance=6, first=first))
         ds = builtin_derivations(n)
         if cfg.corrupt == "xunit":
             # sabotage the weight-commute script: drop one shift move so

@@ -515,6 +515,25 @@ BAD_SCRIPTS = {
     "script-n-other-than-the-run": ({
         "n": 3, "start": [_slot(1)], "end": [_slot(1)]},
         "script n = 3 differs from the run's n = 2"),
+    # each of these was a TypeError traceback: an unhashable factor name,
+    # and a window that is no list
+    "factor-name-a-list": ({
+        "start": [{"kind": "const", "name": ["x"], "args": {}}],
+        "end": [_slot(1)]},
+        "script start[0] name = ['x'] must be a string"),
+    "expand-det-window-an-int": ({
+        "start": [{"kind": "det", "power": 1}],
+        "moves": [{"move": "expand_det", "at": 0, "window": 3}],
+        "end": [{"kind": "det", "power": 1}]},
+        "script moves[0]: window must be a list of integers, in "
+        "{'move': 'expand_det', 'at': 0, 'window': 3}"),
+    "collapse-ket-window-an-int": ({
+        "start": [_slot(1), _slot(2), _const("eps_ket", window=[1, 2])],
+        "moves": [{"move": "collapse", "at": 0, "form": "ket",
+                   "window": 1}],
+        "end": [_slot(1), _slot(2), _const("eps_ket", window=[1, 2])]},
+        "script moves[0]: window must be a list of integers, in "
+        "{'move': 'collapse', 'at': 0, 'form': 'ket', 'window': 1}"),
 }
 
 

@@ -13,11 +13,13 @@ from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
     CERTIFICATES, LABEL_FIELDS, FConst, FDet, FP, FSlot, UNIT, MoveError,
     ReplayEngine, ShiftFunc, SlotExpr, SpacedTensor,
-    builtin_derivations, derivation_from_json,
-    membership_oracle, oracle_confirm, statement_key, _ddiag, _delta, _dmat,
+    block_intertwiners, builtin_derivations, derivation_from_json,
+    membership_oracle, oracle_confirm, oracle_sides, oracle_slices,
+    statement_key, _ddiag, _delta, _dmat, _pairing, _weights,
     _eps_bra, _eps_bra_dyn, _eps_ket, _eps_ket_dyn, _func, _gen_word, _kdiag,
     _mv, _nk, _rho, _rho_dyn, _sigma, _slot, _sym,
 )
+from qdyb.tensor import Echelon, TensorOp, _common_field, _stored_form
 from test_tensor import assert_stored_form
 
 
@@ -500,20 +502,20 @@ def test_oracle_confirms_all_endpoints_n2():
         assert oracle_confirm(eng, ds[name]) == "equal", name
 
 
-def test_oracle_builds_each_relation_span_once(monkeypatch):
-    """The engine keeps each span per (k, point, weight block): the 11
-    confirmations build every block span once, with the verdicts of a
-    cold engine, and a warm engine still tells unequal and inconclusive
-    words apart."""
+def test_oracle_builds_each_block_basis_once(monkeypatch):
+    """The engine keeps each intertwiner basis per (k, point, weight
+    block): the 11 confirmations build every block's basis once, with
+    the verdicts of a cold engine, and a warm engine still tells unequal
+    and inconclusive words apart."""
     import qdyb.qmatrix as qm
     built = []
-    real = qm.relation_span
+    real = qm.block_intertwiners
 
     def counting(engine, k, p, block):
         built.append((k, p.chain, block))
         return real(engine, k, p, block)
 
-    monkeypatch.setattr(qm, "relation_span", counting)
+    monkeypatch.setattr(qm, "block_intertwiners", counting)
     rng = random.Random(43)
     eng = engine(2, rng, npoints=2)
     ds = builtin_derivations(2)
@@ -527,6 +529,157 @@ def test_oracle_builds_each_relation_span_once(monkeypatch):
     big = eng.expr([_slot(s) for s in range(1, 12)])
     assert membership_oracle(eng, big, big, max_dim=100) == "inconclusive"
     assert len(built) == len(set(built))
+
+
+def _reference_span(engine, k, p, block):
+    """The echelonized span of the degree-k pair-exchange consequences
+    { D_j M - M C_j } in one weight block (wt r, wt s), one row per
+    (j, r, s), and the block's dimension |A| |B|: the span the
+    intertwiner bases replaced in the oracle, kept as their reference."""
+    dyn, const = engine._dyn_rep(k, p), engine._const_rep(k)
+    size = engine.n**k
+    wt = _weights(engine.n, k)
+    rs = [r for r in range(size) if wt[r] == block[0]]
+    ss = [s for s in range(size) if wt[s] == block[1]]
+    # the consequence of E_rs is row r * n^k + s of D^T (x) I - I (x) C
+    rows = {}
+    for j in range(1, k):
+        drows, dden, crows, cden, _ = _common_field(
+            dyn.image(j), const.image(j).transpose())
+        for r in rs:
+            for s in ss:
+                row = rows[j, r, s] = {x * size + s: cden * v
+                                       for x, v in drows.get(r, {}).items()}
+                for y, v in crows.get(s, {}).items():
+                    row[r * size + y] = row.get(r * size + y, 0) - dden * v
+    return (Echelon(_stored_form(rows, 1, engine._prime)[0].values(),
+                    engine._prime), len(rs) * len(ss))
+
+
+def _in_span(ech, vec):
+    probe = Echelon(p=ech.p)
+    probe.pivots = dict(ech.pivots)
+    return not probe.add(vec)
+
+
+def _pairs_to_zero(basis, vec, p):
+    return not any(_pairing(phi, vec, p) for phi in basis)
+
+
+@pytest.mark.parametrize("n, names, npoints, field", [
+    (2, ALL, 2, None), (3, ["D6"], 1, PrimeField())])
+def test_block_intertwiners_match_the_echelon_span(n, names, npoints, field):
+    """On every block the oracle builds for these builtins, the basis has
+    |A| |B| minus the rank of the echelonized span, and a slice pairs to
+    zero with it exactly when the echelon holds the slice: each builtin
+    slice, and the slice with one entry raised by 1."""
+    eng = engine(n, random.Random(43), field=field, npoints=npoints)
+    ds = builtin_derivations(n)
+    checked = set()
+    for name in names:
+        a, b = oracle_sides(eng, ds[name])
+        assert membership_oracle(eng, a, b) == "equal", name
+        for p in eng.points:
+            k, _, ta = eng.canonical(a, p)
+            tb = eng.canonical(b, p)[2]
+            for (_, _, block), vec in oracle_slices(eng, k, ta, tb).items():
+                basis = eng._spans[k, p.chain, block]
+                ech, dim = _reference_span(eng, k, p, block)
+                assert len(basis) == dim - len(ech), (name, k, block)
+                bumped = dict(vec)
+                bumped[min(vec)] += 1
+                bumped = {i: v for i, v in bumped.items() if v}
+                for v in (vec, bumped):
+                    assert _pairs_to_zero(basis, v, eng._prime) == \
+                        _in_span(ech, v), (name, k, block)
+                checked.add((k, p.chain, block))
+    assert checked == set(eng._spans)
+
+
+def _kostka(shape, content):
+    """The number of semistandard tableaux of the shape with the content
+    (how often each of 1..n occurs), by brute force over fillings."""
+    n = len(content)
+    cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
+    count = 0
+    for fill in itertools.product(range(1, n + 1), repeat=len(cells)):
+        t = dict(zip(cells, fill))
+        if all(t[i, j] <= t[i, j + 1] for i, j in cells if (i, j + 1) in t) \
+                and all(t[i, j] < t[i + 1, j] for i, j in cells
+                        if (i + 1, j) in t) \
+                and all(fill.count(a + 1) == c
+                        for a, c in enumerate(content)):
+            count += 1
+    return count
+
+
+def _partitions(k, rows):
+    if k == 0:
+        return [()]
+    return [(first,) + rest for first in range(k, 0, -1)
+            for rest in _partitions(k - first, rows - 1)
+            if rows > 0 and (not rest or rest[0] <= first)]
+
+
+@pytest.mark.parametrize("n, top", [(2, 5), (3, 4)])
+def test_block_intertwiners_have_the_kostka_count(n, top):
+    """Every weight block (A, B) of V^(x)k has sum over lambda of
+    K_(lambda, A) K_(lambda, B) intertwiners (q-Schur-Weyl), lambda
+    running over the partitions of k with at most n rows."""
+    eng = engine(n, random.Random(46), npoints=1)
+    p = eng.points[0]
+    for k in range(1, top + 1):
+        weights = sorted(set(_weights(n, k)))
+        content = {w: tuple(w.count(a) for a in range(1, n + 1))
+                   for w in weights}
+        shapes = _partitions(k, n)
+        kostka = {(lam, w): _kostka(lam, content[w])
+                  for lam in shapes for w in weights}
+        for a in weights:
+            for b in weights:
+                basis = block_intertwiners(eng, k, p, (a, b))
+                assert len(basis) == sum(kostka[lam, a] * kostka[lam, b]
+                                         for lam in shapes), (k, a, b)
+
+
+def test_tampered_dynamic_image_fails_naming_its_block():
+    """A dynamic image that breaks the Hecke relation on the weight block
+    (1, 2): the zero pairings that prove 'equal' are sound whatever the
+    images are, but a nonzero one meets intertwiners that are none, and
+    the verdict fails naming the block, on the word and its double, which
+    differ in that block alone."""
+    eng = engine(2, random.Random(44), npoints=2)
+    p = eng.points[0]
+    rep = eng._dyn_rep(2, p)
+    d1 = rep.image(1)
+    d = rep._images[0] = d1 + TensorOp.from_entries(
+        2, 2, 2, [((1, 2), (2, 1), d1.entry((1, 2), (2, 1)))])
+    assert d * d != TensorOp.identity(2, 2, eng.ctx.field.one) \
+        + eng.ctx.lam * d
+    word = [_eps_bra_dyn((1, 2)), _slot(1), _slot(2), _eps_ket((1, 2))]
+    two = {"kind": "const", "name": "scalar", "args": {"value": "2"}}
+    verdict = membership_oracle(eng, eng.expr(word), eng.expr([two] + word))
+    assert verdict == ("failed: the intertwiners of block ((1, 2), (1, 2)) "
+                       "at k = 2, point %r, miss D_1 Phi = Phi C_1"
+                       % (p.chain,))
+
+
+def test_constant_image_without_its_module_structure_is_inconclusive():
+    """A constant image with C_1 e_v0 != q e_v0 (twice the DJ matrix),
+    or with a column src holding an entry off {s, src}, leaves its blocks
+    without a basis: the verdict is 'inconclusive', never 'equal'."""
+    eng = engine(2, random.Random(44), npoints=1)
+    rep = eng._const_rep(2)
+    rep._images[0] = 2 * rep.image(1) + TensorOp.from_entries(
+        2, 2, 2, [((1, 1), (1, 2), eng.ctx.field.one)])
+    p = eng.points[0]
+    weights = [(1, 1), (1, 2), (2, 2)]
+    assert all(block_intertwiners(eng, 2, p, (a, b)) is None
+               for a in weights for b in weights)
+    word = [_slot(1), _slot(2)]
+    two = {"kind": "const", "name": "scalar", "args": {"value": "2"}}
+    assert membership_oracle(eng, eng.expr(word), eng.expr([two] + word)) \
+        == "inconclusive"
 
 
 def test_oracle_basic_instances():
@@ -843,6 +996,25 @@ def test_an_engine_proves_each_statement_once(monkeypatch):
     alone = verify.strip_timing(verify.run(cfg, "qmatrix"))
     assert shared["status"] == "pass" and shared == alone
     assert replays < len(names)
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_qmatrix_suite_replays_at_the_configured_points(monkeypatch, points):
+    """Each narrow-point engine of the qmatrix suite replays at --points
+    points, the count the report's config echoes."""
+    from qdyb import verify
+    counts = []
+
+    class Counted(ReplayEngine):
+        def __init__(self, params, pts):
+            super().__init__(params, pts)
+            counts.append(len(self.points))
+
+    monkeypatch.setattr(verify, "ReplayEngine", Counted)
+    doc = verify.run_suite("qmatrix", verify.RunConfig(
+        n=2, seed=0, draws=3, points=points))
+    assert doc["status"] == "pass" and doc["config"]["points"] == points
+    assert counts == [points] * 3
 
 
 def test_oracle_rejects_an_end_word_scaled_by_two():

@@ -241,10 +241,9 @@ def test_echelon_membership(field):
         rows = random_rows(field, rng, 6, ncols)
         ech = Echelon([raw(row) for row in rows], getattr(field, "p", None))
         rank = len(ech)
-        assert ech.contains({}) and ech.contains(raw({3: field.zero}))
+        assert not ech.add({}) and not ech.add(raw({3: field.zero}))
         for _ in range(5):
             combo = raw(combination(field, rng, rows))
-            assert ech.contains(combo)
             assert not ech.add(combo)
         assert len(ech) == rank
         # a row led by a column without a pivot lies outside the span
@@ -254,12 +253,37 @@ def test_echelon_membership(field):
         for c in range(lead + 1, ncols):
             row[c] = field.of(rng.randint(-2, 2))
         row = raw(row)
-        assert not ech.contains(row)
         assert ech.add(row) and len(ech) == rank + 1
-        assert ech.contains(row)
+        assert not ech.add(row)
         if field is RATIONAL:   # pivot rows are primitive integer vectors
             assert all(gcd(*prow.values()) == 1
                        for prow in ech.pivots.values())
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_echelon_kernel_matches_dense_rank(field):
+    """The kernel has one vector per column without a pivot, each
+    annihilated by every row, and the vectors are independent: stacked,
+    their rank is their number."""
+    rng = random.Random(17)
+    p = getattr(field, "p", None)
+    for _ in range(40):
+        ncols = rng.randint(1, 12)
+        rows = [raw(row) for row in
+                random_rows(field, rng, rng.randint(0, 12), ncols)]
+        ech = Echelon(rows, p)
+        kernel = ech.kernel(range(ncols))
+        assert len(kernel) == ncols - len(ech)
+        for x in kernel:
+            assert x and set(x) <= set(range(ncols))
+            for row in rows:
+                dot = sum(v * x.get(c, 0) for c, v in row.items())
+                assert (dot % p if p else dot) == 0
+        assert len(Echelon(kernel, p)) == len(kernel)
+        if p is None:       # primitive integer vectors
+            assert all(gcd(*x.values()) == 1 for x in kernel)
+        else:
+            assert all(0 < v < p for x in kernel for v in x.values())
 
 
 def test_projector_rank_complement():
@@ -309,7 +333,7 @@ def test_echelon_of_operators_stacks_their_rows(field):
                 for op in ops for rm in {rm for rm, _, _ in op.entries()}]
         ech = TensorOp.echelon(ops)
         assert len(ech) == dense_rank(rows, 4, field.zero)
-        assert all(ech.contains(raw(row)) for row in rows)
+        assert not any(ech.add(raw(row)) for row in rows)
         assert [op.exact_rank() for op in ops] == \
             [len(TensorOp.echelon([op])) for op in ops]
     # a rational operator stacked with a prime one is lifted mod p, where
