@@ -317,7 +317,8 @@ class ShiftFunc:
             raise ValueError("%s coef = %r must be an integer or a "
                              "\"num/den\" string" % (where, doc.get("coef")))
         for a in doc["atoms"]:
-            if not isinstance(a, list) or len(a) != 5 or a[0] not in ATOMS:
+            if not (isinstance(a, list) and len(a) == 5
+                    and isinstance(a[0], str) and a[0] in ATOMS):
                 raise ValueError("%s atom %r must be [kind, i, j, offset, "
                                  "exponent] with kind one of %s"
                                  % (where, a, ", ".join(ATOMS)))
@@ -664,7 +665,7 @@ class ReplayEngine:
     def _sym_value(self, sym):
         """Named q-dependent scalar constants used by the scripts."""
         if not (isinstance(sym, (list, tuple)) and len(sym) == 2
-                and type(sym[1]) is int):
+                and isinstance(sym[0], str) and type(sym[1]) is int):
             raise ValueError("scalar sym %r must be a [kind, m] pair with "
                              "integer m" % (sym,))
         kind, m = sym
@@ -2032,10 +2033,10 @@ def derivation_from_json(text, n=None):
     its words and refactor payloads against LABEL_FIELDS (a func factor's
     atoms as ShiftFunc.from_json checks them, against n when given), each
     move's `at` (every move but normalize) and `take`
-    (refactor) against ints, the `window` of an expand_det and of a ket
-    collapse and each value of a lemma's args against lists of ints (a
-    lemma arg may be an int): a malformed script raises ValueError
-    naming the field."""
+    (refactor) against ints, a collapse's `form` against bra and ket,
+    the `window` of an expand_det and of a ket collapse and each value
+    of a lemma's args against lists of ints (a lemma arg may be an
+    int): a malformed script raises ValueError naming the field."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("a script must be a JSON object, got %r" % (d,))
@@ -2066,6 +2067,10 @@ def derivation_from_json(text, n=None):
                 if type(mv.get(field)) is not int:
                     raise ValueError("script %s: %s must be an integer, in "
                                      "%r" % (where, field, mv))
+            if mv["move"] == "collapse" and mv.get("form") not in ("bra",
+                                                                   "ket"):
+                raise ValueError("script %s: collapse form %r must be 'bra' "
+                                 "or 'ket'" % (where, mv.get("form")))
             window = mv.get("window")
             if (mv["move"] == "expand_det" or mv["move"] == "collapse"
                     and mv.get("form") == "ket") and not (

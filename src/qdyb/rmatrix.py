@@ -14,10 +14,12 @@ with a_ij = alpha_ij xi_ij and b_ij = q - xi_ij.
 
 The dynamical braid relation is checked in several equivalent layouts:
 with the middle factor written via the shifted-argument matrix elements,
-via the generic conjugation machinery (the two must agree entrywise,
-which pins the index conventions), and in the two rearranged variants
-obtained by pushing the shift conjugations to site 3 or by exchanging
-the outer sites.
+and in the two rearranged variants obtained by pushing the shift
+conjugations to site 3 or by exchanging the outer sites.  Each layout's
+operands are placed as integers straight from R's entries
+(:func:`braid_operands`); the placed middle factor must agree entrywise
+with the generic conjugation machinery (:func:`dressed_block`), which
+pins the index conventions.
 
 Also here: the closed-form inverse, the Hecke condition, diagonal
 twists (with their two operator hypotheses), canonical shifts of the
@@ -26,6 +28,7 @@ D1 R(p) D2^(-1) = R(p)^(-1) sigma12.
 """
 
 import itertools
+from fractions import Fraction
 from math import lcm
 
 from .checks import Check, compare
@@ -190,21 +193,104 @@ def weight_conservation_check(rmx, p):
                    TensorOp.from_entries(n, 2, 2, entries), R)
 
 
-def _braid(rec_id, A, M):
-    """The braid layout A M A = M A M, checked as X A = M X with the
-    shared factor X = A M, on the integer multiples D A and D M of
-    :meth:`TensorOp.cleared`: the relation is homogeneous of degree 3,
+BRAID_LAYOUTS = ("qdybe.braid.shifted-form", "qdybe.braid.site3-conjugated",
+                 "qdybe.braid.sites-exchanged")
+
+
+def braid_operands(params, p):
+    """The operand pairs of the three braid layouts, as (rec_id, D, a, m):
+    integer operators on three sites with a = D A and m = D M, where D is
+    the lcm of the denominators of A's and M's entries (residues and
+    D = 1 over F_p).  Each layout is A M A = M A M with
+
+    * shifted-form: A = R(p)_12, and M the middle factor, whose block at
+      site-1 index e is R(p - v(e)) on sites 2, 3;
+    * site3-conjugated: A = R(p)_23, and M = G, whose block at site-3
+      index e is R(p + v(e)) on sites 1, 2 (the shift conjugations pushed
+      to site 3);
+    * sites-exchanged: A = (P R(p) P)_12, and M = H, whose block at
+      site-1 index e is P R(p + v(e)) P on sites 2, 3 (the outer sites
+      exchanged: the middle factor acts on sites (3, 2), its shift keyed
+      by the site-1 index).
+
+    The rows of R at p and at p -/+ v(e), e = 1..n, are read through
+    :func:`dyn_entries`, the entry code of :func:`build_dyn`, and each
+    entry is scaled once, onto one D for all three layouts: the matrices
+    at the points p - v(e) hold the entries of those at the points
+    p + v(e) (either way each pair (i, j) is read at p_ij - 1, p_ij + 1
+    and, for n > 2, p_ij), so D is the lcm of each layout's pair.  The
+    ints are copied straight to their three-site positions: no operator
+    is built, embedded, relabeled or assembled on the way."""
+    n = params.n
+    prime = getattr(params.ctx.field, "p", None)
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    flat = {pair: x for x, pair in enumerate(pairs)}
+
+    def block_at(pp):
+        return [(flat[rm], flat[cm], v)
+                for rm, cm, v in dyn_entries(params, pp, pairs)]
+
+    D, (R, *shifted) = _scaled([block_at(p)] + [
+        block_at(p.shift(e, sign)) for sign in (-1, +1)
+        for e in range(1, n + 1)], prime)
+    minus, plus = shifted[:n], shifted[n:]
+    flip = [(x % n) * n + x // n for x in range(n * n)]
+
+    def flipped_block(block):
+        return [(flip[r], flip[c], v) for r, c, v in block]
+
+    def placed(blocks, site):
+        """The three-site operator diagonal in `site` (1 or 3), whose
+        block at its index e + 1 is blocks[e] on the other two sites."""
+        rows = {}
+        for e, block in enumerate(blocks):
+            for r, c, v in block:
+                if site == 1:
+                    r, c = e * n * n + r, e * n * n + c
+                else:
+                    r, c = r * n + e, c * n + e
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {c: v}
+                else:
+                    row[c] = v
+        return TensorOp._make(n, 3, 3, rows, 1, prime)
+
+    operands = [(placed([R] * n, 3), placed(minus, 1)),
+                (placed([R] * n, 1), placed(plus, 3)),
+                (placed([flipped_block(R)] * n, 3),
+                 placed([flipped_block(b) for b in plus], 1))]
+    return [(rec_id, D, a, m)
+            for rec_id, (a, m) in zip(BRAID_LAYOUTS, operands)]
+
+
+def _scaled(blocks, prime):
+    """(D, int blocks) for blocks of two-site entries (row, column, field
+    value): each value as an int over D, the lcm of every denominator,
+    or as its residue mod the prime (not None) with D = 1."""
+    if prime is not None:
+        return 1, [[(r, c, v.v) for r, c, v in block] for block in blocks]
+    ratios = [[(r, c) + v.as_integer_ratio() for r, c, v in block]
+              for block in blocks]
+    D = lcm(*{d for block in ratios for _, _, _, d in block})
+    return D, [[(r, c, num * (D // d)) for r, c, num, d in block]
+               for block in ratios]
+
+
+def _braid(rec_id, D, a, m):
+    """The braid layout A M A = M A M, checked as X a = m X with the
+    shared factor X = a m, on the integer multiples a = D A and m = D M
+    of :func:`braid_operands`: the relation is homogeneous of degree 3,
     so both sides are D^3 times those on A and M.  A fail's witness is
     the first entry of their difference divided by D^3, as compared on
     A and M."""
-    a, m = TensorOp.cleared(A, M)
     x = a * m
     lhs, rhs = x * a, m * x
     if lhs == rhs:
         return Check(rec_id, True)
     rm, cm, v = (lhs - rhs).first_nonzero()
-    if a is not A:
-        v /= lcm(A.den, M.den)**3
+    if D != 1:
+        v /= D**3
     return Check(rec_id, False, (rm, cm, v))
 
 
@@ -212,52 +298,37 @@ def verify_qdybe(params, p, rmx=None):
     """All braid-relation layouts for the dynamical matrix at p.
 
     Returns the record list; every residual is compared to zero exactly.
-    R(p) and each shifted matrix are built once and shared by every
-    layout (operators are immutable); a caller that has built some of
-    them passes its :class:`DynRMatrix` of params as rmx.  No check
-    builds more than it compares: the sites-exchanged layout relabels
-    the stored entries of R (:func:`flipped`) instead of multiplying by
-    the flip, and the weight conservation evaluates only R(p)'s own
-    rows at their shifted points.
+    R(p) and the matrices at p - v(e) are built once, by the caller's
+    :class:`DynRMatrix` of params when it passes one as rmx (operators
+    are immutable).  No check builds more than it compares: the three
+    braid layouts are decided on the integer operands that
+    :func:`braid_operands` places straight from R's entries at p and
+    p -/+ v(e), with no embedding, relabeling or assembly, and the
+    weight conservation evaluates only R(p)'s own rows at their shifted
+    points.
 
-    The three braid layouts are homogeneous of degree 3 in their
-    operands, so each is decided by :func:`_braid` on integer multiples
-    of them: its lhs and rhs are D^3 times A M A and M A M, with no
-    rational content pass in any product.  The Hecke condition, the
-    inverses and the middle-factor comparison are not homogeneous and
-    stay on the rational operators.
+    The braid layouts are homogeneous of degree 3 in their operands, so
+    each is decided by :func:`_braid` on integer multiples of them: its
+    lhs and rhs are D^3 times A M A and M A M, with no rational content
+    pass in any product.  The placed middle factor, over D, is compared
+    with the generic construction of :func:`dressed_block`, which pins
+    the index conventions of the placement.  The Hecke condition, the
+    inverses and that comparison are not homogeneous and stay on the
+    rational operators.
     """
     records = []
     n = params.n
     rmx = rmx or DynRMatrix(params)
     R = rmx.at(p)
+    layouts = braid_operands(params, p)
 
-    # middle factor, straight from the shifted-argument matrix elements:
-    # its block at site-1 index i1 is R(p - v(i1))
-    parts = []
-    for i1 in range(1, n + 1):
-        at = {x: (i1 - 1) * n**2 + x for x in range(n**2)}
-        parts.append((rmx.at(p.shift(i1, -1)), at, at))
-    mid_explicit = TensorOp.assemble(n, 3, 3, parts)
-
-    # the same factor through the generic dressing machinery
-    mid_dressed = dressed_block(n, rmx.at, 1, p, sign=-1, side="prefix")
-    records.append(compare("qdybe.middle-construction-equivalence",
-                           mid_explicit, mid_dressed))
-
-    records.append(_braid("qdybe.braid.shifted-form", R.embed(1, 3),
-                          mid_explicit))
-
-    # variant with the shift conjugations pushed to site 3
-    G = dressed_block(n, rmx.at, 1, p, sign=+1, side="suffix")
-    records.append(_braid("qdybe.braid.site3-conjugated", R.embed(2, 3), G))
-
-    # variant with the outer sites exchanged; the middle factor acts on
-    # sites (3,2) and its shift is keyed by the site-1 index
-    H = dressed_block(n, lambda pp: flipped(rmx.at(pp)), 1, p,
-                      sign=+1, side="prefix")
-    records.append(_braid("qdybe.braid.sites-exchanged",
-                          flipped(R).embed(1, 3), H))
+    # the middle factor, placed from the shifted-argument matrix elements,
+    # against the same factor through the generic dressing machinery
+    _, D, _, mid = layouts[0]
+    records.append(compare(
+        "qdybe.middle-construction-equivalence", Fraction(1, D) * mid,
+        dressed_block(n, rmx.at, 1, p, sign=-1, side="prefix")))
+    records.extend(_braid(*layout) for layout in layouts)
 
     ident = TensorOp.identity(n, 2, params.ctx.field.one)
     records.append(compare("qdybe.hecke-condition", R * R,
@@ -378,7 +449,6 @@ class ShiftedEvaluation:
     """
 
     def __init__(self, params, offsets):
-        from fractions import Fraction
         offsets = tuple(Fraction(c) for c in offsets)
         assert len(offsets) == params.n
         if sum(offsets) != 0:
@@ -387,7 +457,6 @@ class ShiftedEvaluation:
         self.offsets = offsets
 
     def arg(self, i, j, pij):
-        from fractions import Fraction
         d = self.offsets[i - 1] - self.offsets[j - 1]
         v = pij + d
         return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
@@ -403,7 +472,6 @@ def beta_removal_offsets(params):
     Requires every chain pi to be an exact power of q (or of ctx.root);
     raises otherwise.
     """
-    from fractions import Fraction
     ctx = params.ctx
     n = params.n
     base = ctx.root if ctx.root is not None else ctx.q

@@ -534,6 +534,22 @@ BAD_SCRIPTS = {
         "end": [_slot(1), _slot(2), _const("eps_ket", window=[1, 2])]},
         "script moves[0]: window must be a list of integers, in "
         "{'move': 'collapse', 'at': 0, 'form': 'ket', 'window': 1}"),
+    # a misread form was replayed as a failed identity (exit 1), and a
+    # list where a kind name belongs was a TypeError traceback
+    "collapse-form-unknown": ({
+        "start": [_slot(1), _slot(2)],
+        "moves": [{"move": "collapse", "at": 0, "form": "kt"}],
+        "end": [_slot(1), _slot(2)]},
+        "script moves[0]: collapse form 'kt' must be 'bra' or 'ket'"),
+    "func-kind-a-list": ({
+        "start": [_func([[["f"], 1, 2, 0, 1]])],
+        "end": [_func([["f", 1, 2, 0, 1]])]},
+        "start[0] func atom [['f'], 1, 2, 0, 1] must be [kind, i, j, offset, "
+        "exponent] with kind one of f, alpha, phi, qnum, qp"),
+    "scalar-sym-kind-a-list": ({
+        "start": [_const("scalar", sym=[["qfact"], 2]), _slot(1)],
+        "end": [_slot(1)]},
+        "scalar sym [['qfact'], 2] must be a [kind, m] pair with integer m"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,13 +13,14 @@ from qdyb.scalars import (
 )
 from qdyb.tensor import TensorOp, multi_index
 from qdyb.rmatrix import (
-    DynRMatrix, ShiftedEvaluation, beta_removal_offsets, build_dj, build_dyn,
-    diag_inversion, flipped, invert_dyn, pi_ratio_check,
-    twist_checks, verify_qdybe, weight_conservation_check,
+    BRAID_LAYOUTS, DynRMatrix, ShiftedEvaluation, beta_removal_offsets,
+    braid_operands, build_dj, build_dyn, diag_inversion, dressed_block,
+    flipped, invert_dyn, pi_ratio_check, twist_checks, verify_qdybe,
+    weight_conservation_check,
 )
 from qdyb.weights import (
-    PairFamily, SLnParams, WeightPoint, constant_multiparam, sample_params,
-    sample_point, sample_q, sample_twist,
+    BETA_INFINITY, GENERIC, PairFamily, SLnParams, WeightPoint,
+    constant_multiparam, sample_params, sample_point, sample_q, sample_twist,
 )
 from test_tensor import site_permutation
 
@@ -136,8 +138,10 @@ def test_weight_conservation_builds_once_per_multiset(monkeypatch):
 
 
 def test_verify_qdybe_builds_each_point_once(monkeypatch):
-    """R(p) and every shifted matrix come from one evaluator, which the
-    weight-conservation check shares with the braid layouts."""
+    """R(p) and the matrices at p - v(e) come from one evaluator, which
+    the weight-conservation check shares with the middle-factor
+    comparison: 1 + n builds per call.  The braid layouts read their
+    shifted rows through dyn_entries and build no matrix."""
     calls = []
 
     def counted(params, p):
@@ -146,12 +150,13 @@ def test_verify_qdybe_builds_each_point_once(monkeypatch):
 
     monkeypatch.setattr(rmatrix, "build_dyn", counted)
     rng = random.Random(49)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         params = sample_params(n, rng)
         p = sample_point(params, rng)
         del calls[:]
         all_pass(verify_qdybe(params, p))
-        assert calls and len(calls) == len(set(calls)), calls
+        want = [p.chain] + [p.shift(e, -1).chain for e in range(1, n + 1)]
+        assert sorted(calls) == sorted(want), (n, calls)
 
 
 def test_weight_conservation_catches_chain_dependence(monkeypatch):
@@ -482,6 +487,116 @@ BRAID_IDS = ("qdybe.braid.shifted-form", "qdybe.braid.site3-conjugated",
              "qdybe.braid.sites-exchanged")
 
 
+def reference_operands(params, p):
+    """The braid layouts' (rec_id, D, a, m) through the generic machinery:
+    R(p) embedded by kron (R_12, R_23, and the flipped R_12), the middle
+    factor assembled from the matrices at p - v(e), G and H dressed by
+    dressed_block (H from flipped matrices), and each pair cleared onto
+    the lcm D of its denominators (D = 1 over F_p)."""
+    n = params.n
+    rmx = DynRMatrix(params)
+    R = rmx.at(p)
+    parts = []
+    for e in range(1, n + 1):
+        at = {x: (e - 1) * n**2 + x for x in range(n**2)}
+        parts.append((rmx.at(p.shift(e, -1)), at, at))
+    pairs = [
+        (R.embed(1, 3), TensorOp.assemble(n, 3, 3, parts)),
+        (R.embed(2, 3),
+         dressed_block(n, rmx.at, 1, p, sign=+1, side="suffix")),
+        (flipped(R).embed(1, 3),
+         dressed_block(n, lambda pp: flipped(rmx.at(pp)), 1, p, sign=+1,
+                       side="prefix")),
+    ]
+    return [(rec_id, 1 if A.p is not None else lcm(A.den, M.den))
+            + tuple(TensorOp.cleared(A, M))
+            for rec_id, (A, M) in zip(BRAID_IDS, pairs)]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_braid_operands_match_the_generic_construction(field):
+    """braid_operands places each layout's integer operands straight from
+    R's entries; they and D equal what embedding, assembling, dressing,
+    flipping and clearing give, over 18 draws per field: n = 2..4, the
+    generic regime and beta = oo, unit, constant and geometric alpha."""
+    assert BRAID_LAYOUTS == BRAID_IDS
+    rng = random.Random(63)
+    dens = set()
+    for n in (2, 3, 4):
+        for d in range(6):
+            ctx = QContext(sample_q(rng), n, field=field)
+            params = sample_params(
+                n, rng, ctx=ctx, regime=(GENERIC, BETA_INFINITY)[d % 2],
+                alpha=("unit", "constant", "geometric")[d % 3])
+            p = sample_point(params, rng)
+            got = braid_operands(params, p)
+            want = reference_operands(params, p)
+            assert [g[:2] for g in got] == [w[:2] for w in want], (n, d)
+            for (rec_id, D, a, m), (_, _, ra, rm) in zip(got, want):
+                assert a == ra and m == rm, (n, d, rec_id)
+                assert (a.den, m.den, a.p, m.p) == (1, 1, ra.p, rm.p)
+                dens.add(D)
+    if field is RATIONAL:
+        assert len(dens) > 10       # the draws clear many denominators
+    else:
+        assert dens == {1}
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_entry_tampered_at_a_shifted_point_fails_the_layouts(monkeypatch,
+                                                            field):
+    """An a entry doubled at p + v(1) only, in the one entry code, fails
+    the two layouts that read that point, each with a witness, and every
+    braid record is the one the generic construction gives."""
+    entries = rmatrix.dyn_entries
+    rng = random.Random(64)
+    for n in (2, 3, 4):
+        params, p = drawn_on(field, n, rng)
+        shifted = p.shift(1, +1)
+
+        def tampered(params, pp, pairs):
+            for rm, cm, v in entries(params, pp, pairs):
+                if pp == shifted and rm == (1, 2) and cm == (2, 1):
+                    v = 2 * v
+                yield rm, cm, v
+
+        with monkeypatch.context() as mp:
+            mp.setattr(rmatrix, "dyn_entries", tampered)
+            got = {rec.id: rec for rec in verify_qdybe(params, p)}
+            want = [rmatrix._braid(*layout)
+                    for layout in reference_operands(params, p)]
+        assert [got[rec.id] for rec in want] == want
+        assert [repr(got[rec.id].witness) for rec in want] \
+            == [repr(rec.witness) for rec in want]
+        for rec_id in BRAID_IDS[1:]:
+            assert got[rec_id].ok is False and got[rec_id].witness, (n,
+                                                                     rec_id)
+
+
+def test_braid_path_embeds_relabels_and_assembles_nothing(monkeypatch):
+    """braid_operands and _braid call no kron, embed, permuted, assemble,
+    cleared, dressed_block or flipped: the operands are placed from R's
+    entries, and the products are the only operators formed from them."""
+    def forbidden(name):
+        def fail(*args, **kw):
+            raise AssertionError(name + " called on the braid path")
+        return fail
+
+    for name in ("kron", "embed", "permuted", "assemble"):
+        monkeypatch.setattr(TensorOp, name, forbidden(name))
+    monkeypatch.setattr(TensorOp, "cleared", staticmethod(
+        forbidden("cleared")))
+    for name in ("dressed_block", "flipped", "build_dyn"):
+        monkeypatch.setattr(rmatrix, name, forbidden(name))
+    rng = random.Random(65)
+    for n in (2, 3, 4):
+        params = sample_params(n, rng, alpha="geometric")
+        p = sample_point(params, rng)
+        assert [rmatrix._braid(*layout) for layout in
+                braid_operands(params, p)] == [(i, True, None)
+                                               for i in BRAID_IDS]
+
+
 def test_braid_layouts_multiply_integer_operators(monkeypatch):
     """Each braid layout is homogeneous of degree 3, so verify_qdybe
     forms its three-site products on integer multiples of R(p) and the
@@ -505,15 +620,17 @@ def test_braid_layouts_multiply_integer_operators(monkeypatch):
 
 
 def test_braid_layout_records_match_the_rational_comparison(monkeypatch):
-    """A layout decided on cleared operands gives the record that
-    comparing A M A with M A M on the rational operators gives: the
-    same status, and on a fail the same witness entry."""
+    """A layout decided on integer operands gives the record that
+    comparing A M A with M A M on the rational operators A = a / D and
+    M = m / D gives: the same status, and on a fail the same witness
+    entry."""
     from qdyb.verify import _corrupt_beta
     seen = []
     braid = rmatrix._braid
 
-    def recorded(rec_id, A, M):
-        rec = braid(rec_id, A, M)
+    def recorded(rec_id, D, a, m):
+        rec = braid(rec_id, D, a, m)
+        A, M = Fraction(1, D) * a, Fraction(1, D) * m
         seen.append((rec, compare(rec_id, A * M * A, M * A * M)))
         return rec
 
@@ -531,14 +648,16 @@ def test_braid_layout_records_match_the_rational_comparison(monkeypatch):
 
 
 def test_clearing_one_operand_fails_each_layout(monkeypatch):
-    """A mutant cleared() that scales only the first operand leaves the
-    two sides at different powers of D: every braid layout fails."""
-    cleared = TensorOp.cleared
+    """A mutant braid_operands that leaves the second operand over its
+    denominator (m / D, not m) puts the two sides at different powers of
+    D: every braid layout fails."""
+    operands = rmatrix.braid_operands
 
-    def one_sided(*ops):
-        return (cleared(*ops)[0],) + ops[1:]
+    def one_sided(params, p):
+        return [(rec_id, D, a, Fraction(1, D) * m)
+                for rec_id, D, a, m in operands(params, p)]
 
-    monkeypatch.setattr(TensorOp, "cleared", staticmethod(one_sided))
+    monkeypatch.setattr(rmatrix, "braid_operands", one_sided)
     rng = random.Random(62)
     for n in (2, 3):
         params = sample_params(n, rng)
