@@ -24,7 +24,7 @@ class Check(collections.namedtuple("Check", "id ok witness",
         out = {"id": self.id, "anchor": self.id, "status": status}
         if self.witness is not None:
             if status == "fail":
-                out["witness"] = repr(self.witness)
+                out["witness"] = witness_repr(self.witness)
             elif status == "skip":
                 out["note"] = str(self.witness)
         return out
@@ -32,6 +32,14 @@ class Check(collections.namedtuple("Check", "id ok witness",
     def __repr__(self):
         # a plain tuple, so a witness that lists records reads as before
         return repr(tuple(self))
+
+
+def witness_repr(witness):
+    """repr(witness), or a note when it holds an int too long to print."""
+    try:
+        return repr(witness)
+    except ValueError:
+        return "<a %s too long to print>" % type(witness).__name__
 
 
 def prefixed(prefix, checks):

@@ -27,6 +27,10 @@ that representation's memo (keyed (sign, i, j)), equal to the image of
 the word-level recursion because the representation is linear and
 multiplicative on free words.
 
+A script is checked before any replay against one declared schema,
+FACTORS, MOVES and SIGNATURES (:func:`derivation_from_json`); replay
+reads scripts and the builtins as well formed.
+
 A move rewrites a factor word soundly: the two defining relations and
 the det definition are axiomatic; every other rewrite is either verified
 numerically at the working sample points (tensor refactorings) or backed
@@ -76,10 +80,10 @@ import functools
 import itertools
 import json
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from operator import itemgetter
 
-from .checks import Check, fold
+from .checks import Check, fold, witness_repr
 from .scalars import DegenerateParameterError, fmt_scalar, qfact, qnum
 from .tensor import (Echelon, TensorOp, _assemble, _common_field,
                      _raw_form, _rows_over, _stored_form, _value, flat_index,
@@ -298,37 +302,9 @@ class ShiftFunc:
                           for k, e in sorted(self.atoms.items())]}
 
     @classmethod
-    def from_json(cls, doc, n=None, where="func"):
-        """The function of a func factor's argument; ValueError naming the
-        field unless it has a rational coef and atoms [kind, i, j, offset,
-        exponent] of a known kind with integer entries, and, given n, with
-        i and j in 1..n."""
-        if not isinstance(doc, dict) or not isinstance(doc.get("atoms"),
-                                                       list):
-            raise ValueError("%s = %r must be an object with a \"coef\" "
-                             "and a list of \"atoms\"" % (where, doc))
-        coef = doc.get("coef")
-        try:
-            coef = Fraction(coef) if type(coef) is int \
-                or isinstance(coef, str) else None
-        except (ValueError, ZeroDivisionError):
-            coef = None
-        if coef is None:
-            raise ValueError("%s coef = %r must be an integer or a "
-                             "\"num/den\" string" % (where, doc.get("coef")))
-        for a in doc["atoms"]:
-            if not (isinstance(a, list) and len(a) == 5
-                    and isinstance(a[0], str) and a[0] in ATOMS):
-                raise ValueError("%s atom %r must be [kind, i, j, offset, "
-                                 "exponent] with kind one of %s"
-                                 % (where, a, ", ".join(ATOMS)))
-            for field, v in zip(("i", "j", "offset", "exponent"), a[1:]):
-                label = field in ("i", "j") and n is not None
-                if type(v) is not int or label and not 1 <= v <= n:
-                    raise ValueError("%s atom %r: %s = %r must be an integer%s"
-                                     % (where, a, field, v, " in 1..n = %d"
-                                        % n if label else ""))
-        return cls(coef,
+    def from_json(cls, doc):
+        """The function of a func factor's argument, as FACTORS types it."""
+        return cls(Fraction(doc["coef"]),
                    {(a[0], a[1], a[2], a[3]): a[4] for a in doc["atoms"]})
 
 
@@ -370,10 +346,6 @@ class FConst:
         self.name = name
         self.args = args
         self.st = st
-
-    @property
-    def spaces(self):
-        return set(self.st.kets) | set(self.st.bras)
 
     def to_json(self):
         return {"kind": "const", "name": self.name, "args": self.args}
@@ -419,60 +391,128 @@ class FP:
         return "%s%r%s" % (self.name, tuple(self.args.values()), d)
 
 
-# the fields of each factor that name matrix spaces, by factor name (a
-# slot's by its kind), in sorted order; "window" and "spaces" hold lists
-# of labels, and a p-dependent factor's dress pairs begin with one
-LABEL_FIELDS = {
-    "slot": ("space",), "det": (), "scalar": (), "func": (),
-    "eps_ket": ("window",), "eps_bra": ("window",),
-    "eps_ket_dyn": ("window",), "eps_bra_dyn": ("window",),
-    "delta": ("bra", "ket"), "nk": ("bra", "ket"), "dmat": ("bra", "ket"),
-    "rho": ("spaces",), "rho_dyn": ("spaces",), "sigma": ("spaces",),
-    "rhat": ("spaces",), "kdiag": ("space",), "ddiag": ("space",),
+# -- the script schema -------------------------------------------------------
+
+# each factor's arguments and their types, by kind and name (a slot's or
+# det's name is its kind, its arguments at the top level).  A key ending
+# in "?" may be absent (a factor whose keys all may takes one); a tuple is
+# an enum.  Spaces are named by an int "label" or a list of "labels", n of
+# them ("window"), n - 1 ("rest") or 2 ("pair"), of the factor's kets and
+# bras unless marked "ket" or "bra".  A p factor's "dress" pairs [space,
+# sign] have distinct spaces, each both a ket and a bra or neither.
+FACTORS = {
+    "slot": {"slot": {"space": "label"}},
+    "det": {"det": {"power": "int"}},
+    "const": {
+        "scalar": {"sym?": "sym", "value?": "number"},
+        "delta": {"ket": "ket label", "bra": "bra label"},
+        "eps_ket": {"window": "ket window"},
+        "eps_bra": {"window": "bra window"},
+        "rho": {"spaces": "labels", "word": "word"},
+        "sigma": {"spaces": "pair"},
+        "rhat": {"spaces": "pair", "power?": (1, -1)},
+    },
+    "p": {
+        "func": {"func": "func"},
+        "eps_ket_dyn": {"window": "ket window"},
+        "eps_bra_dyn": {"window": "bra window"},
+        "rho_dyn": {"spaces": "labels", "word": "word"},
+        "nk": {"which": ("n", "k"), "ket": "ket label", "bra": "bra label"},
+        "kdiag": {"space": "label", "power?": "int"},
+        "ddiag": {"space": "label"},
+        "dmat": {"ket": "ket label", "bra": "bra label"},
+    },
 }
-_LIST_FIELDS = ("window", "spaces")
+
+# the args each certificate takes as a lemma, typed as in FACTORS (a
+# collapse certificate's window comes from the move that requires it)
+_ICR = {"t": "label", "u": "label", "rest": "rest"}
+SIGNATURES = {
+    "det-func-commute": {}, "det-slot-exchange": {},
+    "collapse-bra": {}, "collapse-ket": {},
+    "inv_cancel_left": _ICR, "inv_cancel_right": _ICR,
+    "inv_cancel_right_detfree": _ICR,
+    "cancel_braided": dict(_ICR, w="label"),
+    "dpush": {"x": "label", "w": "label", "u2": "label", "rest2": "rest"},
+    "m4b": {"x": "label", "w": "label", "transport?": "label",
+            "u_l": "label", "rest_l": "rest", "u_r": "label",
+            "rest_r": "rest"},
+}
+
+# each move's keys beside "move", typed as in FACTORS ("index" an int >= 0,
+# "word" a braid word on the move's spaces, "plain" of one term of
+# coefficient 1); an absent enum is its first value, and a dict enum maps
+# each value to the keys it needs.  Lemma args fit SIGNATURES.
+MOVES = {
+    "swap": {"at": "index"}, "det_step": {"at": "index"},
+    "det_pull": {"at": "index"}, "det_pair_insert": {"at": "index"},
+    "scalar_shift": {"at": "index", "dir?": ("left", "right")},
+    "intertwine": {"at": "index", "dir?": ("lr", "rl")},
+    "braid_insert": {"at": "index", "spaces": "labels", "word": "plain word"},
+    "refactor": {"at": "index", "take": "index", "payload": "factors"},
+    "expand_det": {"at": "index", "window": "window"},
+    "fold_det": {"at": "index"},
+    "collapse": {"at": "index", "form": {"bra": (), "ket": ("window",)},
+                 "window?": "window"},
+    "lemma": {"at": "index", "name": tuple(SIGNATURES), "args?": "args",
+              "reverse?": (False, True)},
+    "normalize": {},
+}
+
+# each "sym" [kind, m]: the least m it exists for, and its value
+SYMS = {
+    "cinv": (1, lambda ctx, n, m: (-1) ** (m - 1) / qfact(m - 1, ctx)),
+    "cinv_inv": (1, lambda ctx, n, m: qfact(m - 1, ctx) * (-1) ** (m - 1)),
+    "qfact": (0, lambda ctx, n, m: qfact(m, ctx)),
+    "qfact_inv": (0, lambda ctx, n, m: 1 / qfact(m, ctx)),
+    "q": (-inf, lambda ctx, n, m: ctx.qpow(m)),
+    "rootpow": (-inf, lambda ctx, n, m: ctx.qpow(Fraction(m, n))),
+}
+
+_LABELS = ("label", "labels", "window", "rest", "pair")
 
 
-def _relabeled(doc, rename, where="factor"):
-    """The factor JSON doc with each space label s replaced by rename(s);
-    ValueError naming the field unless doc has a known kind and name,
-    args, and ints where LABEL_FIELDS puts spaces."""
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    own = kind in ("slot", "det")       # fields at the top level
-    name = kind if own else doc.get("name") if kind in ("const", "p") \
-        else None
-    args = doc if own else doc.get("args") if name else None
-    if not own and name is not None and not isinstance(name, str):
-        raise ValueError("%s name = %r must be a string" % (where, name))
-    if name not in LABEL_FIELDS or (name in ("slot", "det")) != own \
-            or not isinstance(args, dict):
-        raise ValueError("%s = %r is no factor: it needs a known \"kind\" "
-                         "and \"name\", and \"args\"" % (where, doc))
-    if kind == "det" and type(doc.get("power")) is not int:
-        raise ValueError("%s det power = %r must be an integer"
-                         % (where, doc.get("power")))
-    out = fields = dict(doc)
-    if not own:
-        fields = out["args"] = dict(args)
-    for field in LABEL_FIELDS[name]:
-        if field not in args:
-            raise ValueError("%s: %s factor lacks argument %r"
-                             % (where, name, field))
-        v, many = args[field], field in _LIST_FIELDS
-        if not (isinstance(v, list) and all(type(s) is int for s in v)
-                if many else type(v) is int):
-            raise ValueError("%s %s %s = %r must be %s" % (
-                where, name, field, v,
-                "a list of integers" if many else "an integer"))
-        fields[field] = [rename(s) for s in v] if many else rename(v)
-    dress = doc.get("dress", [])
-    if not isinstance(dress, list) or not all(
-            isinstance(d, list) and len(d) == 2 and type(d[0]) is int
-            and type(d[1]) is int for d in dress):
-        raise ValueError("%s %s dress = %r must be a list of [integer "
-                         "space, integer sign] pairs" % (where, name, dress))
+def _label_fields(spec):
+    """The (key, type) of each field of a FACTORS entry that names spaces."""
+    return [(key.rstrip("?"), t) for key, t in spec.items()
+            if isinstance(t, str) and t.split()[-1] in _LABELS]
+
+
+def _sides(spec, args):
+    """The spaces of the kets and of the bras that a factor's args name."""
+    kets, bras = set(), set()
+    for key, t in _label_fields(spec):
+        labels = args[key] if isinstance(args[key], list) else [args[key]]
+        if not t.startswith("bra"):
+            kets.update(labels)
+        if not t.startswith("ket"):
+            bras.update(labels)
+    return kets, bras
+
+
+def _spaces(f):
+    """The spaces a factor names: by FACTORS, and a p factor's dress."""
+    if isinstance(f, FSlot):
+        return {f.space}
+    if isinstance(f, FDet):
+        return set()
+    kind, dress = ("p", f.dress) if isinstance(f, FP) else ("const", ())
+    return set().union(*_sides(FACTORS[kind][f.name], f.args),
+                       (s for s, _ in dress))
+
+
+def _relabeled(doc, rename):
+    """The factor JSON doc, well formed, with each space s as rename(s)."""
+    kind = doc["kind"]
+    out = args = dict(doc)
+    if kind in ("const", "p"):
+        args = out["args"] = dict(doc["args"])
+    for key, _ in _label_fields(FACTORS[kind][doc.get("name", kind)]):
+        v = args[key]
+        args[key] = [rename(s) for s in v] if isinstance(v, list) \
+            else rename(v)
     if "dress" in doc:
-        out["dress"] = [[rename(s), sg] for s, sg in dress]
+        out["dress"] = [[rename(s), sg] for s, sg in doc["dress"]]
     return out
 
 
@@ -482,27 +522,16 @@ def statement_key(derivation):
     statements with one key differ by an injective renaming of spaces,
     under which evaluation is equivariant (labels only name legs)."""
     names = {}
+
+    def rename(s):
+        if type(s) is not int:
+            raise TypeError("space label %r" % (s,))
+        return names.setdefault(s, len(names) + 1)
     try:
-        return json.dumps([[_relabeled(
-            f, lambda s: names.setdefault(s, len(names) + 1))
-            for f in derivation[key]] for key in ("start", "end")],
-            sort_keys=True)
+        return json.dumps([[_relabeled(f, rename) for f in derivation[key]]
+                           for key in ("start", "end")], sort_keys=True)
     except (KeyError, TypeError, ValueError):
         return None
-
-
-def factor_from_json(doc):
-    kind = doc["kind"]
-    if kind == "slot":
-        return FSlot(doc["space"])
-    if kind == "det":
-        return FDet(doc["power"])
-    if kind == "const":
-        return ("const", doc["name"], doc["args"])  # resolved by engine
-    if kind == "p":
-        return FP(doc["name"], doc["args"],
-                  tuple((s, sg) for s, sg in doc.get("dress", ())))
-    raise MoveError("bad factor %r" % doc)
 
 
 class SlotExpr:
@@ -525,31 +554,6 @@ class SlotExpr:
 
 
 # -- the replay engine ------------------------------------------------------
-
-
-def _direction(move, choices):
-    """A move's `dir`, the first of `choices` when absent; a malformed
-    script, not a failed move, when it is none of them."""
-    direction = move.get("dir", choices[0])
-    if direction not in choices:
-        raise ValueError("%s dir %r must be %s" % (
-            move["move"], direction, " or ".join(map(repr, choices))))
-    return direction
-
-
-def _arg(name, args, key):
-    """Argument `key` of a script factor; a malformed script, not a
-    failed move, when it is missing."""
-    if key not in args:
-        raise ValueError("%s factor lacks argument %r" % (name, key))
-    return args[key]
-
-
-def _two_spaces(name, args):
-    spaces = list(_arg(name, args, "spaces"))
-    if len(spaces) != 2:
-        raise ValueError("%s spaces %r must name 2 spaces" % (name, spaces))
-    return spaces
 
 
 class ReplayEngine:
@@ -612,85 +616,29 @@ class ReplayEngine:
         one = ctx.field.one
         if name == "scalar":
             if "sym" in args:
-                return SpacedTensor.scalar(self._sym_value(args["sym"]))
-            value = _arg(name, args, "value")
-            try:
-                return SpacedTensor.scalar(ctx.field.of(Fraction(str(value))))
-            except (ValueError, ZeroDivisionError):
-                # a malformed script, not a failed move
-                raise ValueError("scalar value %r must be a number"
-                                 % (value,)) from None
+                kind, m = args["sym"]
+                return SpacedTensor.scalar(SYMS[kind][1](ctx, n, m))
+            return SpacedTensor.scalar(
+                ctx.field.of(Fraction(str(args["value"]))))
         if name == "delta":
-            return SpacedTensor.diagonal(_arg(name, args, "ket"),
-                                         _arg(name, args, "bra"), [one] * n)
+            return SpacedTensor.diagonal(args["ket"], args["bra"], [one] * n)
         if name == "eps_ket":
-            w = self._eps_window(name, args)
             op = build_eps_const(n, ctx, CONTRA)
-            return SpacedTensor.from_tensorop(op, w, ())
+            return SpacedTensor.from_tensorop(op, args["window"], ())
         if name == "eps_bra":
-            w = self._eps_window(name, args)
             op = build_eps_const(n, ctx, CO)
-            return SpacedTensor.from_tensorop(op, (), w)
+            return SpacedTensor.from_tensorop(op, (), args["window"])
+        spaces = args["spaces"]         # rho, sigma and rhat
         if name == "rho":
-            spaces = tuple(_arg(name, args, "spaces"))
-            op = rho_image(self._const_rep(len(spaces)),
-                           _arg(name, args, "word"), name)
-            return SpacedTensor.from_tensorop(op, spaces, spaces)
-        if name == "sigma":
-            s, t = _two_spaces(name, args)
+            op = rho_image(self._const_rep(len(spaces)), args["word"])
+        elif name == "sigma":
             op = TensorOp.diagonal(
                 n, 2, lambda m: ctx.qpow(2) if m[0] == m[1] else one)
-            return SpacedTensor.from_tensorop(op, (s, t), (s, t))
-        if name == "rhat":
-            s, t = _two_spaces(name, args)
-            power = args.get("power", 1)
+        else:
             op = build_dj(n, ctx)
-            if power == -1:
-                lam = ctx.lam
-                op = op - lam * TensorOp.identity(n, 2, one)
-            elif power != 1:
-                raise MoveError("rhat power must be +-1")
-            return SpacedTensor.from_tensorop(op, (s, t), (s, t))
-        raise MoveError("unknown constant %r" % name)
-
-    def _eps_window(self, name, args):
-        """The window of an eps factor: exactly n spaces."""
-        w = tuple(_arg(name, args, "window"))
-        if len(w) != self.n:
-            # a malformed script, not a failed move
-            raise ValueError("%s window %r must name n = %d spaces"
-                             % (name, list(w), self.n))
-        return w
-
-    def _sym_value(self, sym):
-        """Named q-dependent scalar constants used by the scripts."""
-        if not (isinstance(sym, (list, tuple)) and len(sym) == 2
-                and isinstance(sym[0], str) and type(sym[1]) is int):
-            raise ValueError("scalar sym %r must be a [kind, m] pair with "
-                             "integer m" % (sym,))
-        kind, m = sym
-        # [m]! exists for m >= 0 only, and cinv uses [m - 1]!
-        least = {"cinv": 1, "cinv_inv": 1, "qfact": 0,
-                 "qfact_inv": 0}.get(kind)
-        if least is not None and m < least:
-            raise ValueError("scalar sym %r needs m >= %d"
-                             % (list(sym), least))
-        ctx = self.ctx
-        if kind == "cinv":
-            return ctx.field.of((-1) ** (m - 1)) / qfact(m - 1, ctx)
-        if kind == "cinv_inv":
-            return qfact(m - 1, ctx) * ctx.field.of((-1) ** (m - 1))
-        if kind == "qfact":
-            return qfact(m, ctx)
-        if kind == "qfact_inv":
-            return 1 / qfact(m, ctx)
-        if kind == "q":
-            return ctx.qpow(m)
-        if kind == "rootpow":
-            if ctx.root is None:
-                raise DegenerateParameterError("scalar needs ctx.root")
-            return ctx.qpow(Fraction(m, self.n))
-        raise MoveError("unknown scalar symbol %r" % (sym,))
+            if args.get("power", 1) == -1:
+                op = op - ctx.lam * TensorOp.identity(n, 2, one)
+        return SpacedTensor.from_tensorop(op, spaces, spaces)
 
     def eval_p(self, fp, p):
         """Evaluate a p-dependent factor (with dressings) at p."""
@@ -709,9 +657,6 @@ class ReplayEngine:
         if not dress:
             return self._build_p(fp.name, fp.args, p)
         spaces = [s for s, _ in dress]
-        if len(set(spaces)) < len(spaces):
-            raise ValueError("dressed factor %s repeats a space in %r"
-                             % (fp.name, spaces))
         bare = FP(fp.name, fp.args)
         blocks = []
         for assign in itertools.product(range(1, self.n + 1),
@@ -723,12 +668,6 @@ class ReplayEngine:
             blocks.append((assign, self.eval_p(bare, pp)))
         # every block has the sockets of the undressed factor
         bkets, bbras = blocks[0][1].kets, blocks[0][1].bras
-        for s in spaces:
-            if (s in bkets) != (s in bbras):
-                raise ValueError(
-                    "dressed factor %s must be diagonal in space %r, but "
-                    "has only a %s there"
-                    % (fp.name, s, "ket" if s in bkets else "bra"))
         own = tuple(s for s in spaces if s in bkets)
         ext = tuple(s for s in spaces if s not in bkets)
         kets = _sorted_labels(bkets + ext)
@@ -748,43 +687,35 @@ class ReplayEngine:
         return SpacedTensor._make(kets, bras, *_assemble(parts))
 
     def _build_p(self, name, args, p):
-        n, ctx = self.n, self.ctx
         params = self.params
         if name == "func":
-            sf = ShiftFunc.from_json(_arg(name, args, "func"), n)
+            sf = ShiftFunc.from_json(args["func"])
             return SpacedTensor.scalar(sf.eval(params, p))
         if name == "eps_bra_dyn":
-            w = self._eps_window(name, args)
             op = build_eps_dyn(params, p, CO)
-            return SpacedTensor.from_tensorop(op, (), w)
+            return SpacedTensor.from_tensorop(op, (), args["window"])
         if name == "eps_ket_dyn":
-            w = self._eps_window(name, args)
             op = build_eps_dyn(params, p, CONTRA)
-            return SpacedTensor.from_tensorop(op, w, ())
+            return SpacedTensor.from_tensorop(op, args["window"], ())
         if name == "rho_dyn":
-            spaces = tuple(_arg(name, args, "spaces"))
-            op = rho_image(self._dyn_rep(len(spaces), p),
-                           _arg(name, args, "word"), name)
+            spaces = args["spaces"]
+            op = rho_image(self._dyn_rep(len(spaces), p), args["word"])
             return SpacedTensor.from_tensorop(op, spaces, spaces)
         if name == "nk":
             nk = self._nk_at(p)
-            vals = nk.nvals if _arg(name, args, "which") == "n" \
-                else nk.kvals
-            return SpacedTensor.diagonal(_arg(name, args, "ket"),
-                                         _arg(name, args, "bra"), vals)
+            vals = nk.nvals if args["which"] == "n" else nk.kvals
+            return SpacedTensor.diagonal(args["ket"], args["bra"], vals)
         if name == "kdiag":
-            s = _arg(name, args, "space")
+            s = args["space"]
             pw = args.get("power", 1)
             return SpacedTensor.diagonal(
                 s, s, [k ** pw for k in self._nk_at(p).kvals])
         if name == "ddiag":
-            s = _arg(name, args, "space")
+            s = args["space"]
             return SpacedTensor.diagonal(s, s, self._dvals(p))
         if name == "dmat":
-            return SpacedTensor.diagonal(_arg(name, args, "ket"),
-                                         _arg(name, args, "bra"),
+            return SpacedTensor.diagonal(args["ket"], args["bra"],
                                          self._dvals(p))
-        raise MoveError("unknown p-factor %r" % name)
 
     def _dvals(self, p):
         """Diagonal of the root-gauge weight matrix: pi_in q^(-2 p_i)."""
@@ -797,14 +728,17 @@ class ReplayEngine:
         return vals
 
     def resolve(self, spec):
-        """Factor from a JSON-ish spec (tuples from factor_from_json)."""
-        if isinstance(spec, (FSlot, FDet, FConst, FP)):
+        """The factor of a JSON factor spec; a factor is its own."""
+        if not isinstance(spec, dict):
             return spec
-        if isinstance(spec, dict):
-            spec = factor_from_json(spec)
-        if isinstance(spec, tuple) and spec and spec[0] == "const":
-            return self.const_factor(spec[1], **spec[2])
-        return spec
+        if spec["kind"] == "slot":
+            return FSlot(spec["space"])
+        if spec["kind"] == "det":
+            return FDet(spec["power"])
+        if spec["kind"] == "const":
+            return self.const_factor(spec["name"], **spec["args"])
+        return FP(spec["name"], spec["args"],
+                  tuple((s, sg) for s, sg in spec.get("dress", ())))
 
     def expr(self, specs):
         return SlotExpr([self.resolve(s) for s in specs])
@@ -875,11 +809,7 @@ class ReplayEngine:
     # -- moves ------------------------------------------------------
 
     def apply_move(self, expr, move):
-        kind = move["move"]
-        handler = getattr(self, "_mv_" + kind, None)
-        if handler is None:
-            raise MoveError("unknown move %r" % kind)
-        return handler(expr, move)
+        return getattr(self, "_mv_" + move["move"])(expr, move)
 
     @staticmethod
     def _at(expr, move, width=1):
@@ -896,44 +826,19 @@ class ReplayEngine:
         return at
 
     def _trivially_commute(self, a, b):
-        if isinstance(a, FConst) and a.st.kets == () and a.st.bras == ():
+        if any(isinstance(f, FConst) and not (f.st.kets or f.st.bras)
+               for f in (a, b)):
             return True
-        if isinstance(b, FConst) and b.st.kets == () and b.st.bras == ():
-            return True
-        def spaces(f):
-            if isinstance(f, FSlot):
-                return {f.space}
-            if isinstance(f, FConst):
-                return f.spaces
-            if isinstance(f, FP):
-                return {s for s, _ in f.dress} | self._p_spaces(f)
-            return None
         if isinstance(a, FDet) or isinstance(b, FDet):
             other = b if isinstance(a, FDet) else a
             return isinstance(other, FConst)
         if isinstance(a, FSlot) and isinstance(b, FSlot):
             return False
-        sa, sb = spaces(a), spaces(b)
-        if sa is None or sb is None:
-            return False
+        sa, sb = _spaces(a), _spaces(b)
         if (isinstance(a, FP) and isinstance(b, FSlot)) or \
                 (isinstance(b, FP) and isinstance(a, FSlot)):
             return False  # shifting, not swapping
         return not (sa & sb)
-
-    def _p_spaces(self, fp):
-        args = fp.args
-        if fp.name == "func":
-            return set()
-        if fp.name in ("eps_bra_dyn", "eps_ket_dyn"):
-            return set(args["window"])
-        if fp.name == "rho_dyn":
-            return set(args["spaces"])
-        if fp.name in ("nk", "dmat"):
-            return {args["ket"], args["bra"]}
-        if fp.name in ("kdiag", "ddiag"):
-            return {args["space"]}
-        raise MoveError("unknown p-factor %r" % fp.name)
 
     def _mv_swap(self, expr, move):
         at = self._at(expr, move, 2)
@@ -945,11 +850,10 @@ class ReplayEngine:
 
     def _mv_scalar_shift(self, expr, move):
         at = self._at(expr, move)
-        direction = _direction(move, ("left", "right"))
         f = expr.factors[at]
         if not isinstance(f, FP):
             raise MoveError("scalar_shift needs a p-dependent factor")
-        if direction == "left":
+        if move.get("dir", "left") == "left":
             if at == 0 or not isinstance(expr.factors[at - 1], FSlot):
                 raise MoveError("no slot immediately left")
             s = expr.factors[at - 1].space
@@ -964,7 +868,7 @@ class ReplayEngine:
         return expr.replaced(at, 2, [FSlot(s), f.shifted_across(s, +1)])
 
     def _shift_legal(self, f, s):
-        base = self._p_spaces(f)
+        base = _spaces(FP(f.name, f.args))
         if s in base and f.name not in ("kdiag", "ddiag", "nk", "func"):
             raise MoveError("cannot shift a non-diagonal factor across its "
                             "own space")
@@ -1016,9 +920,8 @@ class ReplayEngine:
 
     def _mv_intertwine(self, expr, move):
         at = self._at(expr, move)
-        direction = _direction(move, ("lr", "rl"))
         f = expr.factors[at]
-        if direction == "lr":
+        if move.get("dir", "lr") == "lr":
             if not (isinstance(f, FP) and f.name == "rho_dyn"
                     and not f.dress):
                 raise MoveError("intertwine lr needs an undressed rho_dyn")
@@ -1054,7 +957,7 @@ class ReplayEngine:
         at = self._at(expr, move, len(spaces))
         self._slot_run(expr, at, spaces)
         word = move["word"]
-        inv_word = invert_word_json(word)
+        inv_word = [["1", [-l for l in reversed(word[0][1])]]]  # plain
         dyn = FP("rho_dyn", {"word": word, "spaces": list(spaces)})
         const = self.const_factor("rho", word=inv_word, spaces=list(spaces))
         return expr.replaced(at, len(spaces),
@@ -1066,8 +969,6 @@ class ReplayEngine:
         is verified entrywise at every sample (exactly, for constants).
         With take=0 the payload must compose to an identity tensor."""
         take = move["take"]
-        if take < 0:
-            raise MoveError("refactor take %d must be >= 0" % take)
         at = self._at(expr, move, take)
         payload = [self.resolve(s) for s in move["payload"]]
         olds = expr.factors[at:at + take]
@@ -1088,8 +989,8 @@ class ReplayEngine:
                 continue
             lhs = product(olds, p)
             if lhs != rhs:
-                raise MoveError("refactor not verified: %r"
-                                % (lhs.first_difference(rhs),))
+                raise MoveError("refactor not verified: %s"
+                                % witness_repr(lhs.first_difference(rhs)))
         return expr.replaced(at, take, payload)
 
     def _mv_expand_det(self, expr, move):
@@ -1098,8 +999,6 @@ class ReplayEngine:
         if not isinstance(f, FDet) or f.power < 1:
             raise MoveError("expand_det needs det^m with m >= 1")
         w = tuple(move["window"])
-        if len(w) != self.n:
-            raise MoveError("window must have n spaces")
         used = set(expr.slot_spaces())
         if used & set(w):
             raise MoveError("window spaces already used by slots")
@@ -1133,8 +1032,7 @@ class ReplayEngine:
 
     def _mv_collapse(self, expr, move):
         at = self._at(expr, move)
-        form = move["form"]
-        if form == "bra":
+        if move["form"] == "bra":
             f = expr.factors[at]
             if not (isinstance(f, FP) and f.name == "eps_bra_dyn"
                     and not f.dress):
@@ -1145,37 +1043,23 @@ class ReplayEngine:
             return expr.replaced(at, 1 + len(w),
                                  [FDet(1),
                                   self.const_factor("eps_bra", window=list(w))])
-        if form == "ket":
-            w = tuple(move["window"])
-            self._slot_run(expr, at, w)
-            self._at(expr, move, len(w) + 1)
-            ket = expr.factors[at + len(w)]
-            if not (isinstance(ket, FConst) and ket.name == "eps_ket"
-                    and tuple(ket.args["window"]) == w):
-                raise MoveError("collapse ket needs the constant ket")
-            self.require_certificate("collapse-ket", w)
-            return expr.replaced(at, len(w) + 1,
-                                 [FP("eps_ket_dyn", {"window": list(w)}),
-                                  FDet(1)])
-        raise MoveError("unknown collapse form %r" % form)
+        w = tuple(move["window"])
+        self._slot_run(expr, at, w)
+        self._at(expr, move, len(w) + 1)
+        ket = expr.factors[at + len(w)]
+        if not (isinstance(ket, FConst) and ket.name == "eps_ket"
+                and tuple(ket.args["window"]) == w):
+            raise MoveError("collapse ket needs the constant ket")
+        self.require_certificate("collapse-ket", w)
+        return expr.replaced(at, len(w) + 1,
+                             [FP("eps_ket_dyn", {"window": list(w)}), FDet(1)])
 
     def _mv_lemma(self, expr, move):
         at = self._at(expr, move, 0)
-        name = move["name"]
-        args = move.get("args", {})
-        builder = CERTIFICATES.get(name)
-        if builder is None:
+        name, args = move["name"], move.get("args", {})
+        if name not in CERTIFICATES:
             raise MoveError("unknown lemma %r" % (name,))
-        if not isinstance(args, dict):
-            # a malformed script, not a failed move
-            raise ValueError("lemma %s args must map argument names to "
-                             "values, got %r" % (name, args))
-        try:
-            d = builder(self.n, args)
-        except KeyError as e:
-            # a malformed script, not a failed move
-            raise ValueError("lemma %s is missing argument %s"
-                             % (name, e)) from None
+        d = CERTIFICATES[name](self.n, args)
         lhs, rhs = self.expr(d["start"]), self.expr(d["end"])
         if move.get("reverse"):
             lhs, rhs = rhs, lhs
@@ -1287,59 +1171,16 @@ class ReplayEngine:
             return [Check(name, False, str(e))]
 
 
-def rho_image(rep, doc, name):
-    """The image in `rep` of the word of factor `name`: a JSON word
-    [[coef-string, [letters]], ...] is applied letter by letter, and
-    {"antisym": m} (alone or as the one entry of a list) is the window
-    antisymmetrizer A(1, m) from the rep's memo."""
-    if isinstance(doc, list) and len(doc) == 1 and isinstance(doc[0], dict):
-        doc = doc[0]
-    if isinstance(doc, dict):
-        m = doc.get("antisym")
-        if not isinstance(m, int) or not 1 <= m <= rep.k:
-            # a malformed script, not a failed move
-            raise ValueError("%s word %r needs an antisym size from 1 to "
-                             "its %d spaces" % (name, doc, rep.k))
-        return antisym(rep, 1, m)
-    w = HeckeWord()
-    for value, letters in _word_terms(doc, name):
-        if not all(1 <= abs(l) < rep.k for l in letters):
-            raise ValueError("%s word letters %r are not generators of "
-                             "H_%d" % (name, letters, rep.k))
-        w = w + HeckeWord({tuple(letters): rep.ctx.field.of(value)})
-    return rep.apply(w)
-
-
-def _word_terms(doc, name):
-    """The (coefficient, letters) terms of the JSON braid word of factor
-    or move `name`; a malformed script, not a failed move, unless each
-    term is a [number, list of integer letters] pair."""
-    if not isinstance(doc, list):
-        raise ValueError("%s word %r must be a list of [coef, letters] "
-                         "terms" % (name, doc))
-    terms = []
-    for term in doc:
-        if not (isinstance(term, list) and len(term) == 2
-                and isinstance(term[1], list)
-                and all(isinstance(l, int) for l in term[1])):
-            raise ValueError("%s word term %r must be a [coef, letters] "
-                             "pair with integer letters" % (name, term))
-        try:
-            terms.append((Fraction(str(term[0])), term[1]))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError("%s word term %r: coefficient %r must be a "
-                             "number" % (name, term, term[0])) from None
-    return terms
-
-
-def invert_word_json(doc):
-    """Inverse of a single-word element given as JSON."""
-    terms = _word_terms(doc, "braid_insert")
-    if len(terms) != 1 or terms[0][0] != 1:
-        # a malformed script, not a failed move
-        raise ValueError("only plain words invert syntactically, got %r"
-                         % (doc,))
-    return [["1", [-l for l in reversed(terms[0][1])]]]
+def rho_image(rep, word):
+    """The image in `rep` of a braid word, read as the module docstring
+    says."""
+    if isinstance(word, list) and len(word) == 1 and isinstance(word[0],
+                                                                dict):
+        word = word[0]
+    if isinstance(word, dict):
+        return antisym(rep, 1, word["antisym"])
+    return rep.apply(sum((HeckeWord({tuple(letters): rep.ctx.field.of(
+        Fraction(str(coef)))}) for coef, letters in word), HeckeWord()))
 
 
 # -- expression fragments ----------------------------------------------------
@@ -1701,15 +1542,16 @@ def derivation_d6_commute(n):
             "end": end, "end_moves": [_mv("normalize")]}
 
 
-def derivation_d6_exchange(n, x=1, w=2, transport=None, u=None, rest=None,
-                           u3=None, rest3=None):
+def derivation_d6_exchange(n, x=1, w=2, transport=None, u_l=None,
+                           rest_l=None, u_r=None, rest_r=None):
     """det M_x a_w = q^(2/n) det a_w R^(-1) M_w R^(-1); the reflection
     exchange relation, det-multiplied.  With `transport`, the outer slot
     lives on w but its column socket is routed to the transport space,
-    and the constant braid factors act on (x, transport).  `u`/`rest`
-    and `u3`/`rest3` are the aux spaces of M_x (start) and M_w (end);
+    and the constant braid factors act on (x, transport).  `u_l`/`rest_l`
+    and `u_r`/`rest_r` are the aux spaces of M_x (start) and M_w (end);
     by default they begin just above n + 2, x, w and transport, and 2n
     labels later."""
+    u, rest, u3, rest3 = u_l, rest_l, u_r, rest_r
     base = max(n + 3, x + 1, w + 1, (transport or 0) + 1)
     if u is None:
         u, rest = base, range(base + 1, base + n)
@@ -1782,20 +1624,15 @@ CERTIFICATES = {
     "det-slot-exchange": lambda n, args: derivation_d3(n),
     "collapse-bra": derivation_d1_bra,
     "collapse-ket": derivation_d1_ket,
-    "inv_cancel_left": lambda n, a: derivation_inv_cancel_left(
-        n, a["t"], a["u"], a["rest"]),
-    "inv_cancel_right": lambda n, a: derivation_inv_cancel_right(
-        n, a["t"], a["u"], a["rest"]),
+    "inv_cancel_left": lambda n, a: derivation_inv_cancel_left(n, **a),
+    "inv_cancel_right": lambda n, a: derivation_inv_cancel_right(n, **a),
     "inv_cancel_right_detfree": lambda n, a:
-        derivation_inv_cancel_right_detfree(n, a["t"], a["u"], a["rest"]),
-    "cancel_braided": lambda n, a: derivation_cancel_braided(
-        n, a["t"], a["u"], a["w"], a["rest"]),
-    "dpush": lambda n, a: derivation_dpush(
-        n, a["x"], a["w"], a["u2"], a["rest2"]),
-    "m4b": lambda n, a: derivation_d6_exchange(
-        n, a["x"], a["w"], a.get("transport"),
-        a["u_l"], a["rest_l"], a["u_r"], a["rest_r"]),
+        derivation_inv_cancel_right_detfree(n, **a),
+    "cancel_braided": lambda n, a: derivation_cancel_braided(n, **a),
+    "dpush": lambda n, a: derivation_dpush(n, **a),
+    "m4b": lambda n, a: derivation_d6_exchange(n, **a),
 }
+
 
 
 # -- membership oracle -------------------------------------------------------
@@ -2027,72 +1864,240 @@ def _is_identity(st, n):
 # -- script (de)serialization ------------------------------------------------
 
 
-def derivation_from_json(text, n=None):
-    """A derivation script.  Before anything is replayed, its top-level
-    n (when it has one) is checked against n (when given), each factor of
-    its words and refactor payloads against LABEL_FIELDS (a func factor's
-    atoms as ShiftFunc.from_json checks them, against n when given), each
-    move's `at` (every move but normalize) and `take`
-    (refactor) against ints, a collapse's `form` against bra and ket,
-    the `window` of an expand_det and of a ket collapse and each value
-    of a lemma's args against lists of ints (a lemma arg may be an
-    int): a malformed script raises ValueError naming the field."""
-    d = json.loads(text)
+def _fault(kind, v, n, owner=None):
+    """What is wrong with v as a value of schema type `kind` at n (None:
+    unknown), or None: (True, what v must be) for a wrong JSON type, else
+    (False, a complaint that shows v).  A braid word acts on the (checked)
+    "spaces" of its owner."""
+    if not isinstance(kind, str):       # an enum
+        if any(v == c and type(v) is type(c) for c in kind):
+            return None
+        return False, "%r must be %s" % (v, " or ".join(map(repr, kind)))
+    base = kind.split()[-1]
+    if base in ("int", "index", "label"):
+        if type(v) is not int:
+            return True, "an integer"
+        if base == "index" and v < 0:
+            return False, "%d must be >= 0" % v
+    elif base in _LABELS:
+        if not (isinstance(v, list) and all(type(s) is int for s in v)):
+            return True, "a list of integers"
+        size = {"window": n, "rest": n and n - 1, "pair": 2}.get(base)
+        if size is not None and len(v) != size:
+            return False, "%r must name %s%d spaces" % (v, {
+                "window": "n = ", "rest": "n - 1 = "}.get(base, ""), size)
+    elif base == "number":
+        try:
+            Fraction(str(v))
+        except (ValueError, ZeroDivisionError):
+            return False, "%r must be a number" % (v,)
+    elif base == "sym":
+        if not (isinstance(v, list) and len(v) == 2 and isinstance(v[0], str)
+                and v[0] in SYMS and type(v[1]) is int):
+            return False, "%r must be a [kind, m] pair with integer m and " \
+                "kind one of %s" % (v, ", ".join(SYMS))
+        if v[1] < SYMS[v[0]][0]:
+            return False, "%r needs m >= %d" % (v, SYMS[v[0]][0])
+    elif base == "func":
+        return _func_fault(v, n)
+    else:
+        return _word_fault(v, len(owner["spaces"]), kind == "plain word")
+    return None
+
+
+def _func_fault(v, n):
+    """What is wrong with v as the argument of a func factor, or None."""
+    if not (isinstance(v, dict) and isinstance(v.get("atoms"), list)):
+        return True, "an object with a \"coef\" and a list of \"atoms\""
+    coef = v.get("coef")
+    if type(coef) is not int and not isinstance(coef, str) \
+            or _fault("number", coef, n):
+        return False, "coef = %r must be an integer or a \"num/den\" " \
+            "string" % (coef,)
+    for a in v["atoms"]:
+        if not (isinstance(a, list) and len(a) == 5
+                and isinstance(a[0], str) and a[0] in ATOMS):
+            return False, "atom %r must be [kind, i, j, offset, exponent] " \
+                "with kind one of %s" % (a, ", ".join(ATOMS))
+        for field, x in zip(("i", "j", "offset", "exponent"), a[1:]):
+            label = field in ("i", "j") and n is not None
+            if type(x) is not int or label and not 1 <= x <= n:
+                return False, "atom %r: %s = %r must be an integer%s" % (
+                    a, field, x, " in 1..n = %d" % n if label else "")
+    return None
+
+
+def _word_fault(v, k, plain):
+    """What is wrong with v as a braid word on k spaces, or None; a plain
+    word is one term of coefficient 1."""
+    w = v[0] if isinstance(v, list) and len(v) == 1 \
+        and isinstance(v[0], dict) else v
+    if isinstance(w, dict):
+        if set(w) != {"antisym"} or type(w["antisym"]) is not int \
+                or not 1 <= w["antisym"] <= k:
+            return False, "%r needs an antisym size from 1 to its %d " \
+                "spaces" % (w, k)
+    elif not isinstance(w, list):
+        return False, "%r must be a list of [coef, letters] terms" % (w,)
+    for term in w if isinstance(w, list) else ():
+        if not (isinstance(term, list) and len(term) == 2
+                and isinstance(term[1], list)
+                and all(type(l) is int for l in term[1])):
+            return False, "term %r must be a [coef, letters] pair with " \
+                "integer letters" % (term,)
+        if _fault("number", term[0], None):
+            return False, "term %r: coefficient %r must be a number" % (
+                term, term[0])
+        if not all(1 <= abs(l) < k for l in term[1]):
+            return False, "letters %r are not generators of H_%d" % (
+                term[1], k)
+    if plain and (isinstance(w, dict) or len(w) != 1
+                  or Fraction(str(w[0][0])) != 1):
+        return False, "%r: only plain words invert syntactically" % (v,)
+    return None
+
+
+def _check_args(args, spec, n, where, lacks, field):
+    """ValueError unless args has the keys of spec, or lacks only those
+    it marks "?", with values of their types; field(key) names one."""
+    for key in args:
+        if key not in spec and key + "?" not in spec:
+            raise ValueError("%s has no argument %r" % (where, key))
+    for key, t in spec.items():
+        key, optional = key.rstrip("?"), key.endswith("?")
+        if key not in args and not optional:
+            raise ValueError("%s %s %r" % (where, lacks, key))
+        fault = key in args and _fault(t, args[key], n, args)
+        if fault:
+            raise ValueError("%s %s" % (field(key), "= %r must be %s" % (
+                args[key], fault[1]) if fault[0] else fault[1]))
+
+
+def _check_factor(doc, where, n):
+    """ValueError naming the field unless the factor JSON doc fits
+    FACTORS at n."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    own = kind in ("slot", "det")      # their arguments sit at the top
+    name = kind if own else doc.get("name") if kind in ("const", "p") \
+        else None
+    if kind in ("const", "p") and not isinstance(name, str):
+        raise ValueError("%s name = %r must be a string" % (where, name))
+    args = {k: v for k, v in doc.items() if k != "kind"} if own \
+        else doc.get("args") if name else None
+    if name is None or name not in FACTORS[kind] or not isinstance(args,
+                                                                   dict):
+        raise ValueError("%s = %r is no factor: it needs a known \"kind\" "
+                         "and \"name\", and \"args\"" % (where, doc))
+    spec = FACTORS[kind][name]
+    top = {"kind", "name", "args"} | ({"dress"} if kind == "p" else set())
+    for key in () if own else [k for k in doc if k not in top]:
+        raise ValueError("%s %s factor has no key %r" % (where, name, key))
+    if spec and all(key.endswith("?") for key in spec) and len(args) != 1:
+        raise ValueError("%s %s factor takes one of the arguments %s" % (
+            where, name, ", ".join(repr(key[:-1]) for key in spec)))
+    _check_args(args, spec, n, "%s %s factor" % (where, name),
+                "lacks argument", lambda key: " ".join(
+                    dict.fromkeys((where, name, key))))
+    dress = doc.get("dress", [])
+    if not isinstance(dress, list) or not all(
+            isinstance(d, list) and list(map(type, d)) == [int, int]
+            for d in dress):
+        raise ValueError("%s %s dress = %r must be a list of [integer "
+                         "space, integer sign] pairs" % (where, name, dress))
+    spaces = [s for s, _ in dress]
+    if len(set(spaces)) < len(spaces):
+        raise ValueError("%s dressed factor %s repeats a space in %r"
+                         % (where, name, spaces))
+    kets, bras = _sides(spec, args)
+    for s in spaces:
+        if (s in kets) != (s in bras):
+            raise ValueError("%s dressed factor %s must be diagonal in "
+                             "space %r, but has only a %s there" % (
+                                 where, name, s, ("bra", "ket")[s in kets]))
+
+
+def _check_word(word, where, n):
+    if not isinstance(word, list):
+        raise ValueError("%s must be a list of factors" % where)
+    for i, doc in enumerate(word):
+        _check_factor(doc, "%s[%d]" % (where, i), n)
+
+
+def _check_moves(moves, where, n):
+    if not isinstance(moves, list):
+        raise ValueError("%s must be a list of moves" % where)
+    for i, mv in enumerate(moves):
+        at = "%s[%d]" % (where, i)
+        fault = _fault(tuple(MOVES), mv.get("move") if isinstance(
+            mv, dict) else None, n)
+        if fault:
+            raise ValueError("%s: move %s, in %r" % (at, fault[1], mv))
+        spec = MOVES[mv["move"]]
+        for key in mv:
+            if key != "move" and key not in spec and key + "?" not in spec:
+                raise ValueError("%s: %s has no key %r, in %r"
+                                 % (at, mv["move"], key, mv))
+        needs = set()
+        for key, t in spec.items():
+            key, optional = key.rstrip("?"), key.endswith("?")
+            if optional and key not in mv and key not in needs:
+                continue
+            if t == "factors":
+                _check_word(mv.get(key), "%s.%s" % (at, key), n)
+                continue
+            fault = t != "args" and _fault(t, mv.get(key), n, mv)
+            if fault:
+                raise ValueError("%s: %s must be %s, in %r" % (
+                    at, key, fault[1], mv) if fault[0] else "%s: %s %s %s"
+                    % (at, mv["move"], key, fault[1]))
+            if isinstance(t, dict):
+                needs.update(t[mv[key]])
+        if mv["move"] != "lemma":
+            continue
+        # its args fit its signature and build a derivation of the schema
+        args, lemma = mv.get("args", {}), "%s: lemma %s" % (at, mv["name"])
+        if not isinstance(args, dict):
+            raise ValueError("%s args must map argument names to values, "
+                             "got %r" % (lemma, args))
+        for key, v in args.items():
+            if not (type(v) is int or isinstance(v, list)
+                    and all(type(x) is int for x in v)):
+                raise ValueError("%s arg %s = %r must be an integer or a "
+                                 "list of integers" % (lemma, key, v))
+        _check_args(args, SIGNATURES[mv["name"]], n, lemma,
+                    "is missing argument", lambda key: "%s arg %s" % (
+                        lemma, key))
+        if n is not None:
+            _check_script(CERTIFICATES[mv["name"]](n, args),
+                          "%s with args %r:" % (lemma, args), n)
+
+
+def _check_script(d, where, n):
+    """ValueError naming the field unless the derivation d fits FACTORS
+    and MOVES at n (lengths and lemma derivations unchecked at n = None)."""
     if not isinstance(d, dict):
         raise ValueError("a script must be a JSON object, got %r" % (d,))
+    for key in d:
+        if key not in ("name", "n", "start", "moves", "end", "end_moves"):
+            raise ValueError("%s has no key %r" % (where, key))
     if n is not None and d.get("n", n) != n:
-        raise ValueError("script n = %r differs from the run's n = %d"
-                         % (d["n"], n))
+        raise ValueError("%s n = %r differs from the run's n = %d"
+                         % (where, d["n"], n))
+    if not isinstance(d.get("name", ""), str):
+        raise ValueError("%s name = %r must be a string" % (where, d["name"]))
     for key in ("start", "end"):
-        if key not in d:
-            raise MoveError("script missing %r" % key)
-    d.setdefault("moves", [])
-    d.setdefault("end_moves", [])
-    d.setdefault("name", "script")
-    words = [(key, d[key]) for key in ("start", "end")]
+        _check_word(d.get(key), "%s %s" % (where, key), n)
     for key in ("moves", "end_moves"):
-        if not isinstance(d[key], list):
-            raise ValueError("script %s must be a list of moves" % key)
-        for i, mv in enumerate(d[key]):
-            where = "%s[%d]" % (key, i)
-            if not isinstance(mv, dict) or not isinstance(mv.get("move"),
-                                                          str):
-                raise ValueError("script %s must be an object with a "
-                                 "\"move\" name, got %r" % (where, mv))
-            needs = [] if mv["move"] == "normalize" else ["at"]
-            if mv["move"] == "refactor":
-                needs.append("take")
-                words.append((where + ".payload", mv.get("payload")))
-            for field in needs:
-                if type(mv.get(field)) is not int:
-                    raise ValueError("script %s: %s must be an integer, in "
-                                     "%r" % (where, field, mv))
-            if mv["move"] == "collapse" and mv.get("form") not in ("bra",
-                                                                   "ket"):
-                raise ValueError("script %s: collapse form %r must be 'bra' "
-                                 "or 'ket'" % (where, mv.get("form")))
-            window = mv.get("window")
-            if (mv["move"] == "expand_det" or mv["move"] == "collapse"
-                    and mv.get("form") == "ket") and not (
-                    isinstance(window, list)
-                    and all(type(s) is int for s in window)):
-                raise ValueError("script %s: window must be a list of "
-                                 "integers, in %r" % (where, mv))
-            args = mv.get("args") if mv["move"] == "lemma" else None
-            for arg, v in (args.items() if isinstance(args, dict) else ()):
-                if not (type(v) is int or isinstance(v, list)
-                        and all(type(x) is int for x in v)):
-                    raise ValueError("script %s: lemma %s arg %s = %r must "
-                                     "be an integer or a list of integers"
-                                     % (where, mv.get("name"), arg, v))
-    for where, word in words:
-        if not isinstance(word, list):
-            raise ValueError("script %s must be a list of factors" % where)
-        for i, doc in enumerate(word):
-            at = "script %s[%d]" % (where, i)
-            _relabeled(doc, lambda s: s, at)
-            if doc["kind"] in ("const", "p") and doc["name"] == "func":
-                ShiftFunc.from_json(doc["args"].get("func"), n, at + " func")
+        _check_moves(d.get(key, []), "%s %s" % (where, key), n)
+
+
+def derivation_from_json(text, n=None):
+    """A derivation script, checked against FACTORS, MOVES and SIGNATURES
+    (and, given n, its top-level n and each lemma's derivation) before
+    any replay: a malformed script raises ValueError naming the field."""
+    d = json.loads(text)
+    _check_script(d, "script", n)
+    d.setdefault("name", "script")
     return d
 
 
@@ -2156,19 +2161,6 @@ def derivation_d6_reflection(n):
             "moves": moves, "end": end, "end_moves": end_moves}
 
 
-def _max_space(expr):
-    top = 0
-    for f in expr.factors:
-        if isinstance(f, FSlot):
-            top = max(top, f.space)
-        elif isinstance(f, FConst):
-            top = max([top] + [s for s in f.spaces if isinstance(s, int)])
-        elif isinstance(f, FP):
-            spaces = [s for s, _ in f.dress]
-            top = max([top] + [s for s in spaces if isinstance(s, int)])
-    return top
-
-
 def oracle_confirm(engine, derivation, max_dim=1100):
     """Check a derivation's endpoint equality independently: decide the
     equality of its det-free sides (:func:`oracle_sides`) modulo the
@@ -2207,8 +2199,8 @@ def oracle_sides(engine, derivation):
                 break
             if expr.factors[det_at].power < 1:
                 return None
-            base = max(_max_space(expr),
-                       max(engine.n + 1, 0)) + 1
+            base = 1 + max([engine.n + 1] + [
+                s for f in expr.factors for s in _spaces(f)])
             window = list(range(base, base + engine.n))
             expr = engine.apply_move(expr, {"move": "expand_det",
                                             "at": det_at, "window": window})

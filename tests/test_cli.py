@@ -354,6 +354,12 @@ def _func(atoms, coef="1"):
     return _pfactor("func", func={"coef": coef, "atoms": atoms})
 
 
+def _lemma_script(name, args):
+    return {"start": [_slot(1)], "end": [_slot(1)],
+            "moves": [{"move": "lemma", "at": 0, "name": name,
+                       "args": args}]}
+
+
 # scripts that are malformed input: each must exit 2 with a message that
 # names what is wrong, also when python -O strips the asserts
 BAD_SCRIPTS = {
@@ -550,6 +556,59 @@ BAD_SCRIPTS = {
         "start": [_const("scalar", sym=[["qfact"], 2]), _slot(1)],
         "end": [_slot(1)]},
         "scalar sym [['qfact'], 2] must be a [kind, m] pair with integer m"),
+    # each of these was a TypeError traceback: a lemma name that is no
+    # string, and a lemma arg of the wrong shape for its certificate
+    "lemma-name-a-list": (_lemma_script(["x"], {}),
+                          "script moves[0]: lemma name ['x'] must be "
+                          "'det-func-commute' or"),
+    "lemma-name-an-object": (_lemma_script({"a": 1}, {}),
+                             "script moves[0]: lemma name {'a': 1} must be "
+                             "'det-func-commute' or"),
+    "lemma-rest-an-int": (_lemma_script("inv_cancel_left",
+                                        {"t": 1, "u": 3, "rest": 2}),
+                          "script moves[0]: lemma inv_cancel_left arg rest = "
+                          "2 must be a list of integers"),
+    "lemma-rest2-an-int": (_lemma_script("dpush", {"x": 1, "w": 2, "u2": 3,
+                                                   "rest2": 4}),
+                           "script moves[0]: lemma dpush arg rest2 = 4 must "
+                           "be a list of integers"),
+    "lemma-w-a-list": (_lemma_script("cancel_braided", {"t": 1, "u": 3,
+                                                        "w": [4],
+                                                        "rest": [2]}),
+                       "script moves[0]: lemma cancel_braided arg w = [4] "
+                       "must be an integer"),
+    "lemma-u_r-a-list": (_lemma_script("m4b", {
+        "x": 1, "w": 2, "u_l": 7, "rest_l": [8], "u_r": [5],
+        "rest_r": [6]}),
+        "script moves[0]: lemma m4b arg u_r = [5] must be an integer"),
+    "braid-insert-spaces-an-int": ({
+        "start": [_slot(1), _slot(2)],
+        "moves": [{"move": "braid_insert", "at": 0, "spaces": 5,
+                   "word": [["1", [1]]]}],
+        "end": [_slot(1), _slot(2)]},
+        "script moves[0]: spaces must be a list of integers, in "
+        "{'move': 'braid_insert', 'at': 0, 'spaces': 5,"),
+    # misread input: each was replayed as a failed identity, or read as
+    # something else
+    "refactor-take-negative": ({
+        "start": [_slot(1), _slot(2)],
+        "moves": [{"move": "refactor", "at": 0, "take": -1, "payload": []}],
+        "end": [_slot(1), _slot(2)]},
+        "script moves[0]: refactor take -1 must be >= 0"),
+    "rhat-power-not-a-sign": ({
+        "start": [_const("rhat", spaces=[1, 2], power="x")],
+        "end": [_slot(1)]},
+        "script start[0] rhat power 'x' must be 1 or -1"),
+    "lemma-reverse-misspelled": (dict(_lemma_script(
+        "inv_cancel_left", {"t": 1, "u": 3, "rest": [2]}), moves=[{
+            "move": "lemma", "at": 0, "name": "inv_cancel_left",
+            "args": {"t": 1, "u": 3, "rest": [2]}, "revrese": True}]),
+        "script moves[0]: lemma has no key 'revrese'"),
+    "lemma-reverse-a-string": (dict(_lemma_script(
+        "inv_cancel_left", {"t": 1, "u": 3, "rest": [2]}), moves=[{
+            "move": "lemma", "at": 0, "name": "inv_cancel_left",
+            "args": {"t": 1, "u": 3, "rest": [2]}, "reverse": "yes"}]),
+        "script moves[0]: lemma reverse 'yes' must be False or True"),
 }
 
 

@@ -2,20 +2,27 @@
 
 import itertools
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import qdyb
 
 from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext, qnum
 from qdyb.hecke import HeckeWord
 from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
-    CERTIFICATES, LABEL_FIELDS, FConst, FDet, FP, FSlot, UNIT, MoveError,
-    ReplayEngine, ShiftFunc, SlotExpr, SpacedTensor,
+    CERTIFICATES, FACTORS, SIGNATURES, FConst, FDet, FP, FSlot, UNIT,
+    MoveError, ReplayEngine, ShiftFunc, SlotExpr, SpacedTensor,
     block_intertwiners, builtin_derivations, derivation_from_json,
     membership_oracle, oracle_confirm, oracle_sides, oracle_slices,
-    statement_key, _ddiag, _delta, _dmat, _pairing, _weights,
+    statement_key, _label_fields, _sides, _ddiag, _delta, _dmat, _pairing,
+    _weights,
     _eps_bra, _eps_bra_dyn, _eps_ket, _eps_ket_dyn, _func, _gen_word, _kdiag,
     _mv, _nk, _rho, _rho_dyn, _sigma, _slot, _sym,
 )
@@ -421,8 +428,9 @@ def test_dressed_factors_match_a_field_value_build(field):
            (FP("eps_bra_dyn", {"window": [1, 2]}, ((2, -1),)), "only a bra"),
            (FP("ddiag", {"space": 1}, ((2, -1), (2, 1))), "repeats a space")]
     for fp, message in bad:
+        script = json.dumps({"start": [fp.to_json()], "end": []})
         with pytest.raises(ValueError, match=message) as err:
-            eng.eval_p(fp, eng.points[0])
+            derivation_from_json(script, 2)
         assert not isinstance(err.value, MoveError)
 
 
@@ -455,8 +463,6 @@ def test_moves_check_their_at_window():
              "a position 0..2 of a 2-factor word"),
             (two, _mv("refactor", at=1, take=2, payload=[]),
              "refactor at 1 needs factors 1..2"),
-            (two, _mv("refactor", at=0, take=-1, payload=[]),
-             "refactor take -1 must be >= 0"),
             (fold, _mv("fold_det", at=0), "fold_det at 0 needs factors 0..3 "
              "of a 3-factor word"),
             (two, _mv("collapse", at=0, form="ket", window=[1, 2]),
@@ -465,6 +471,11 @@ def test_moves_check_their_at_window():
         (rec,) = eng.run(d)
         assert rec.id == "w.move[0]" and rec.ok is False, move
         assert message in rec.witness, (move, rec.witness)
+    # a negative take is no window at all: the script is malformed
+    d = {"name": "w", "start": two, "end": two,
+         "moves": [_mv("refactor", at=0, take=-1, payload=[])]}
+    with pytest.raises(ValueError, match="refactor take -1 must be >= 0"):
+        derivation_from_json(json.dumps(d), 2)
 
 
 def test_shift_func():
@@ -715,6 +726,124 @@ def test_script_roundtrip_and_replay():
     assert all(ok for _, ok, _ in recs)
 
 
+def _with_certificates(n):
+    """The builtins at n, each certificate that moves require, and the
+    derivation of every lemma move among them, built from its args."""
+    out = list(builtin_derivations(n).values())
+    out += [CERTIFICATES[name](n, None) for name in (
+        "det-func-commute", "det-slot-exchange", "collapse-bra",
+        "collapse-ket")]
+    for d in out:       # a worklist: certificates hold lemma moves too
+        out += [CERTIFICATES[mv["name"]](n, mv["args"])
+                for mv in d["moves"] + d["end_moves"]
+                if mv["move"] == "lemma"]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tables_admit_the_builtins_and_their_certificates(n):
+    """The schema is pinned to what the builtins use, so they need no
+    check at run time: every builtin, every certificate a move requires
+    and every lemma's derivation fits it at n, and the ket and bra marks
+    of FACTORS are the sockets of each of their factors, as built."""
+    ds = _with_certificates(n)
+    assert set(SIGNATURES) == set(CERTIFICATES)
+    assert {mv["name"] for d in ds for mv in d["moves"] + d["end_moves"]
+            if mv["move"] == "lemma"} == set(SIGNATURES) - {
+        "det-func-commute", "det-slot-exchange", "collapse-bra",
+        "collapse-ket"}
+    eng = engine(n, random.Random(90 + n), npoints=1)
+    for d in ds:
+        text = json.dumps(d)
+        assert derivation_from_json(text, n) == json.loads(text), d["name"]
+        for doc in d["start"] + d["end"]:
+            if doc["kind"] in ("const", "p"):
+                f = eng.resolve(dict(doc, dress=[]))
+                st = f.st if isinstance(f, FConst) else \
+                    eng.eval_p(f, eng.points[0])
+                kets, bras = _sides(FACTORS[doc["kind"]][doc["name"]],
+                                    doc["args"])
+                assert (set(st.kets), set(st.bras)) == (kets, bras), doc
+
+
+# each case sets one field of a builtin's JSON at n = 2 to one of these,
+# replays the result on one engine and prints its records, or the message
+# of the ValueError that refused it, as one JSON list
+FUZZ_JUNK = [None, True, False, -1, 0, 1, 3, 99, 2.5, "x", "", "1", [], [1],
+             [1, 2, 3], ["x"], [[1]], {}, {"a": 1}, [1, "x"]]
+_FUZZ = """
+import json, random, sys
+from fractions import Fraction
+from qdyb.qmatrix import (ReplayEngine, builtin_derivations,
+                          derivation_from_json)
+from qdyb.scalars import QContext
+from qdyb.weights import sample_params, sample_point
+
+def paths(doc, at=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \\
+        if isinstance(doc, list) else ()
+    for key, v in items:
+        yield at + (key,)
+        yield from paths(v, at + (key,))
+
+seed, count, junk = json.loads(sys.argv[1])
+rng = random.Random(seed)
+ds = builtin_derivations(2)
+r = Fraction(3, 2)
+params = sample_params(2, random.Random(seed), ctx=QContext(r**2, 2, root=r),
+                       alpha="constant")
+eng = ReplayEngine(params, [sample_point(params, rng, clearance=6)])
+out = []
+for _ in range(count):
+    d = json.loads(json.dumps(ds[rng.choice(sorted(ds))]))
+    path = rng.choice(list(paths(d)))
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = rng.choice(junk)
+    try:
+        recs = eng.run(derivation_from_json(json.dumps(d), 2))
+        out.append([path, [c.to_json() for c in recs]])
+    except ValueError as e:
+        out.append([path, str(e)])
+json.dump(out, sys.stdout)
+"""
+
+
+def _names_field(path, message):
+    """The message names the item the path enters at the top of the
+    script, start[3] say, and a key below it; args are also named as an
+    argument or arg."""
+    at = path[0] if len(path) < 2 or not isinstance(path[1], int) \
+        else "%s[%d]" % tuple(path[:2])
+    keys = {key for key in path[2:] if isinstance(key, str)}
+    keys |= {"arg", "argument"} if "args" in keys else set()
+    words = set(re.findall(r"\w+", message))
+    return "script %s" % at in message and (not keys or keys & words)
+
+
+def test_seeded_fuzz_cases_end_in_a_record_or_a_named_error():
+    """1,000 scripts, each a builtin with one field set to junk, end in a
+    record or in a ValueError that names the field, never a traceback,
+    and the same under python -O."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=":".join(
+        [os.path.dirname(os.path.dirname(qdyb.__file__))] + sys.path))
+    argv = ["-c", _FUZZ, json.dumps([11, 1000, FUZZ_JUNK])]
+    runs = [subprocess.Popen([sys.executable] + flags + argv, env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True) for flags in ([], ["-O"])]
+    (plain, err), (optimized, err_o) = [run.communicate(timeout=60)
+                                        for run in runs]
+    assert not err and not err_o, err or err_o
+    assert plain == optimized
+    cases = json.loads(plain)
+    assert len(cases) == 1000
+    errors = [(path, out) for path, out in cases if isinstance(out, str)]
+    assert 0 < len(errors) < 1000
+    for path, message in errors:
+        assert _names_field(path, message), (path, message)
+
+
 def test_empty_script_trivially_passes():
     rng = random.Random(46)
     eng = engine(2, rng, npoints=2)
@@ -865,14 +994,20 @@ def test_bad_lemma_moves():
          "moves": [_mv("lemma", at=0, name="inv_cancel_left",
                        args={"t": 1})]}
     with pytest.raises(ValueError, match="inv_cancel_left .*'u'") as err:
-        eng.run(d)
+        derivation_from_json(json.dumps(d), 2)
     assert not isinstance(err.value, MoveError)
     d["moves"] = [_mv("lemma", at=0, name="nope", args={})]
     assert eng.run(d) == [("bad-lemma.move[0]", False,
                            "unknown lemma 'nope'")]
 
 
-# one factor per space field of LABEL_FIELDS (and the dress pairs), wired
+def label_fields(name):
+    """The fields of factor `name` that FACTORS says name spaces."""
+    spec = next(names[name] for names in FACTORS.values() if name in names)
+    return [key for key, _ in _label_fields(spec)]
+
+
+# one factor per space field of FACTORS (and the dress pairs), wired
 # through the labels a and c
 WIRED = {
     "slot.space": lambda a, c: _slot(a),
@@ -902,8 +1037,8 @@ def test_statement_key_is_the_statement_up_to_relabeling():
     get different keys; a consistent renaming of every space keeps the
     key; an unknown factor or a label that is not an int shares nothing."""
     assert set(WIRED) == {"%s.%s" % (name, field)
-                          for name, fields in LABEL_FIELDS.items()
-                          for field in fields} | {"dress"}
+                          for names in FACTORS.values() for name in names
+                          for field in label_fields(name)} | {"dress"}
 
     def statement(factor, a, b, c):
         return {"start": [_slot(a), _slot(b), factor(a, c)],
@@ -932,7 +1067,7 @@ def relabeled(d, m):
         if doc["kind"] == "slot":
             doc["space"] = m[doc["space"]]
         name = doc.get("name", doc["kind"])
-        for field in LABEL_FIELDS[name]:
+        for field in label_fields(name):
             if field in doc.get("args", {}):
                 v = doc["args"][field]
                 doc["args"][field] = [m[s] for s in v] \
