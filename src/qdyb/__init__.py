@@ -17,7 +17,7 @@ from .rmatrix import (
     build_dyn, diag_inversion, invert_dyn, twist_checks, verify_qdybe,
 )
 from .hecke import (
-    HeckeRep, HeckeWord, antisym, antisym_tower, height,
+    HeckeRep, HeckeWord, antisym, height,
     top_vanish_equivalents,
 )
 from .levicivita import (
@@ -29,6 +29,3 @@ from .qmatrix import (
     oracle_confirm,
 )
 from .wznw import WeightVector, casimir, det_normalization_check, dvec
-
-AlphaSpec = PairFamily
-TwistSpec = PairFamily

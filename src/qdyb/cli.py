@@ -60,7 +60,11 @@ def _point_from_args(args, params):
                 raise DegenerateParameterError(
                     "unknown weight %r in --p; expected one of %s"
                     % (key, ", ".join(keys)))
-            chain[keys[key]] = int(val)
+            try:
+                chain[keys[key]] = int(val)
+            except ValueError:
+                raise DegenerateParameterError(
+                    "--p %s = %r must be an integer" % (key, val)) from None
         missing = [key for key, i in keys.items() if i not in chain]
         if missing:
             raise DegenerateParameterError(

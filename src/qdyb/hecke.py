@@ -160,8 +160,8 @@ class HeckeRep:
         self._lifted = {}              # (sign, i, j) -> its k-site lift
 
     @classmethod
-    def constant(cls, n, ctx, k, rmat=None):
-        R = rmat if rmat is not None else build_dj(n, ctx)
+    def constant(cls, n, ctx, k):
+        R = build_dj(n, ctx)
         return cls(k, ctx, [R] * (k - 1), list(range(1, k)), CONSTANT)
 
     @classmethod
@@ -326,11 +326,6 @@ def _window(rep, sign, i, j):
                 % ("A" if sign > 0 else "S", i, j))
     memo[key] = out
     return out
-
-
-def antisym_tower(rep, up_to):
-    """[A(1,1), A(1,2), ..., A(1,up_to)] as operator images."""
-    return [antisym(rep, 1, j) for j in range(1, up_to + 1)]
 
 
 def antisym_props_hold(rep, j):

@@ -132,28 +132,22 @@ def eigencheck(rep, ket, bra):
 # -- projectors ----------------------------------------------------------
 
 
-def projector_from_eps(params_or_none, ket, bra, window, k, p=None,
-                       ctx=None):
-    """(1/[n]!) ket (x) bra placed at sites window..window+n-1, dressed by
-    the shift conjugation on the prefix sites for the dynamic tensors,
-    which come with their params; the constant ones come with ctx."""
-    n = ket.n
-    the_ctx = ctx if ctx is not None else params_or_none.ctx
-    norm = bra * ket
-    if norm.is_zero():
+def projector_from_eps(params, p, window, k):
+    """(1/[n]!) E^[..] (x) E_[..] placed at sites window..window+n-1 of
+    k, dressed by the shift conjugation on the prefix sites: the block at
+    prefix indices (i_1..i_{window-1}) is built from the tensors at
+    p - v(i_1) - ... - v(i_{window-1})."""
+    n = params.n
+    inv_fact = 1 / qfact(n, params.ctx)
+    if (build_eps_dyn(params, p, CO)
+            * build_eps_dyn(params, p, CONTRA)).is_zero():
         raise DegenerateParameterError("tensor pair normalization vanished")
-    if params_or_none is None:
-        outer = (1 / qfact(n, the_ctx)) * (ket * bra)
-        return outer.embed(window, k)
-    params = params_or_none
 
     def builder(pp):
-        kt = build_eps_dyn(params, pp, CONTRA)
-        br = build_eps_dyn(params, pp, CO)
-        return (1 / qfact(n, the_ctx)) * (kt * br)
+        return inv_fact * (build_eps_dyn(params, pp, CONTRA)
+                           * build_eps_dyn(params, pp, CO))
 
-    block = dressed_block(params.n, builder, window - 1, p, sign=-1,
-                          side="prefix")
+    block = dressed_block(n, builder, window - 1, p, sign=-1, side="prefix")
     return block.embed(1, k) if block.rk < k else block
 
 
@@ -163,11 +157,10 @@ def projector_from_eps(params_or_none, ket, bra, window, k, p=None,
 class NKMatrices:
     """Diagonal transport matrices with K N = N K = 1."""
 
-    __slots__ = ("n", "kind", "nvals", "kvals")
+    __slots__ = ("n", "nvals", "kvals")
 
-    def __init__(self, n, kind, nvals, kvals):
+    def __init__(self, n, nvals, kvals):
         self.n = n
-        self.kind = kind
         self.nvals = list(nvals)
         self.kvals = list(kvals)
 
@@ -200,34 +193,32 @@ def build_nk(params=None, p=None, n=None, ctx=None):
         ket = build_eps_const(the_n, the_ctx, CONTRA)
         bra = build_eps_const(the_n, the_ctx, CO)
 
-        def bra_at(i):
-            return bra
-
-        def ket_at(i):
-            return ket
+        def shifted(i):
+            return ket, bra
     else:
         the_n, the_ctx = params.n, params.ctx
         ket = build_eps_dyn(params, p, CONTRA)
         bra = build_eps_dyn(params, p, CO)
 
-        def bra_at(i):
-            return build_eps_dyn(params, p.shift(i, -1), CO)
-
-        def ket_at(i):
-            return build_eps_dyn(params, p.shift(i, -1), CONTRA)
+        def shifted(i):
+            """The ket and the bra at p - v(i)."""
+            pi = p.shift(i, -1)
+            return (build_eps_dyn(params, pi, CONTRA),
+                    build_eps_dyn(params, pi, CO))
 
     c = the_ctx.field.of((-1) ** (the_n - 1)) / qfact(the_n - 1, the_ctx)
     nvals = []
     kvals = []
     others = lambda i: [x for x in range(1, the_n + 1) if x != i]
     for i in range(1, the_n + 1):
+        ket_i, bra_i = shifted(i)
         acc_n = the_ctx.field.zero
         acc_k = the_ctx.field.zero
         for mid in itertools.permutations(others(i)):
-            acc_n = acc_n + bra_at(i).entry((), mid + (i,)) \
+            acc_n = acc_n + bra_i.entry((), mid + (i,)) \
                 * ket.entry((i,) + mid, ())
             acc_k = acc_k + bra.entry((), (i,) + mid) \
-                * ket_at(i).entry(mid + (i,), ())
+                * ket_i.entry(mid + (i,), ())
         nvals.append(c * acc_n)
         kvals.append(c * acc_k)
 
@@ -250,8 +241,7 @@ def build_nk(params=None, p=None, n=None, ctx=None):
         for v in nvals:
             if v != the_ctx.field.one:
                 raise DegenerateParameterError("constant N must be identity")
-    return NKMatrices(the_n, "constant" if params is None else "dynamic",
-                      nvals, kvals)
+    return NKMatrices(the_n, nvals, kvals)
 
 
 # -- window-shift relations ----------------------------------------------
@@ -347,7 +337,7 @@ def perm_sum(table, subset):
     return sums[-1]
 
 
-def bruteforce_norm_identities(table, ctx, d=None, subsets=None):
+def bruteforce_norm_identities(table, ctx, subsets, d=None):
     """The permutation-sum identities for a xi-table with
     xi_ij = d - b_ij, b_ij + b_ji = lam, b-triple products antisymmetric.
 
@@ -359,9 +349,6 @@ def bruteforce_norm_identities(table, ctx, d=None, subsets=None):
     With d omitted it defaults to q (the tensor-normalization case).
     """
     d = ctx.q if d is None else ctx.field.of(d)
-    if subsets is None:
-        idx = sorted({i for (i, _) in table})
-        subsets = [tuple(idx[:k]) for k in range(1, len(idx) + 1)]
     if d != ctx.q:
         base = {(i, j): d - (ctx.q - v) for (i, j), v in table.items()}
     else:

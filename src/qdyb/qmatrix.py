@@ -84,7 +84,8 @@ from math import inf, lcm
 from operator import itemgetter
 
 from .checks import Check, fold, witness_repr
-from .scalars import DegenerateParameterError, fmt_scalar, qfact, qnum
+from .scalars import (DegenerateParameterError, fmt_scalar, parse_scalar,
+                      qfact, qnum)
 from .tensor import (Echelon, TensorOp, _assemble, _common_field,
                      _raw_form, _rows_over, _stored_form, _value, flat_index,
                      multi_index)
@@ -304,7 +305,7 @@ class ShiftFunc:
     @classmethod
     def from_json(cls, doc):
         """The function of a func factor's argument, as FACTORS types it."""
-        return cls(Fraction(doc["coef"]),
+        return cls(parse_scalar("func coef", doc["coef"]),
                    {(a[0], a[1], a[2], a[3]): a[4] for a in doc["atoms"]})
 
 
@@ -588,8 +589,7 @@ class ReplayEngine:
     def _const_rep(self, k):
         key = ("const", k)
         if key not in self._reps:
-            self._reps[key] = HeckeRep.constant(self.n, self.ctx, k,
-                                                rmat=build_dj(self.n, self.ctx))
+            self._reps[key] = HeckeRep.constant(self.n, self.ctx, k)
         return self._reps[key]
 
     def _const_columns(self, k):
@@ -619,7 +619,7 @@ class ReplayEngine:
                 kind, m = args["sym"]
                 return SpacedTensor.scalar(SYMS[kind][1](ctx, n, m))
             return SpacedTensor.scalar(
-                ctx.field.of(Fraction(str(args["value"]))))
+                parse_scalar("scalar value", args["value"], ctx.field))
         if name == "delta":
             return SpacedTensor.diagonal(args["ket"], args["bra"], [one] * n)
         if name == "eps_ket":
@@ -1179,8 +1179,9 @@ def rho_image(rep, word):
         word = word[0]
     if isinstance(word, dict):
         return antisym(rep, 1, word["antisym"])
-    return rep.apply(sum((HeckeWord({tuple(letters): rep.ctx.field.of(
-        Fraction(str(coef)))}) for coef, letters in word), HeckeWord()))
+    return rep.apply(sum((HeckeWord({tuple(letters): parse_scalar(
+        "word coefficient", coef, rep.ctx.field)})
+        for coef, letters in word), HeckeWord()))
 
 
 # -- expression fragments ----------------------------------------------------
@@ -1767,7 +1768,12 @@ def _unintertwined(engine, k, p, basis):
     return None
 
 
-def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
+# the largest slot space n^k the oracle decides; a wider word is
+# 'inconclusive'
+ORACLE_MAX_DIM = 1100
+
+
+def membership_oracle(engine, expr_a, expr_b):
     """Decide whether two canonical words are equal in the algebra, i.e.
     whether their coefficient difference lies in the relation span, at
     every sample point.  Returns 'equal', 'unequal', 'inconclusive', or
@@ -1783,8 +1789,8 @@ def membership_oracle(engine, expr_a, expr_b, max_dim=1100):
     touches the block.  Zero pairings prove 'equal' whatever the
     dynamic images are; a nonzero one proves 'unequal' once the basis is
     checked to intertwine every generator."""
-    if engine.n ** len(expr_a.slot_spaces()) > max_dim or \
-            engine.n ** len(expr_b.slot_spaces()) > max_dim:
+    if engine.n ** len(expr_a.slot_spaces()) > ORACLE_MAX_DIM or \
+            engine.n ** len(expr_b.slot_spaces()) > ORACLE_MAX_DIM:
         return "inconclusive"
     for p in engine.points:
         try:
@@ -1888,9 +1894,10 @@ def _fault(kind, v, n, owner=None):
                 "window": "n = ", "rest": "n - 1 = "}.get(base, ""), size)
     elif base == "number":
         try:
-            Fraction(str(v))
-        except (ValueError, ZeroDivisionError):
-            return False, "%r must be a number" % (v,)
+            parse_scalar("number", v)
+        except DegenerateParameterError:
+            return False, "%r must be a number: an integer or a \"num/den\" " \
+                "string" % (v,)
     elif base == "sym":
         if not (isinstance(v, list) and len(v) == 2 and isinstance(v[0], str)
                 and v[0] in SYMS and type(v[1]) is int):
@@ -1910,8 +1917,7 @@ def _func_fault(v, n):
     if not (isinstance(v, dict) and isinstance(v.get("atoms"), list)):
         return True, "an object with a \"coef\" and a list of \"atoms\""
     coef = v.get("coef")
-    if type(coef) is not int and not isinstance(coef, str) \
-            or _fault("number", coef, n):
+    if _fault("number", coef, n):
         return False, "coef = %r must be an integer or a \"num/den\" " \
             "string" % (coef,)
     for a in v["atoms"]:
@@ -1946,13 +1952,13 @@ def _word_fault(v, k, plain):
             return False, "term %r must be a [coef, letters] pair with " \
                 "integer letters" % (term,)
         if _fault("number", term[0], None):
-            return False, "term %r: coefficient %r must be a number" % (
-                term, term[0])
+            return False, "term %r: coefficient %r must be a number: an " \
+                "integer or a \"num/den\" string" % (term, term[0])
         if not all(1 <= abs(l) < k for l in term[1]):
             return False, "letters %r are not generators of H_%d" % (
                 term[1], k)
     if plain and (isinstance(w, dict) or len(w) != 1
-                  or Fraction(str(w[0][0])) != 1):
+                  or parse_scalar("coefficient", w[0][0]) != 1):
         return False, "%r: only plain words invert syntactically" % (v,)
     return None
 
@@ -2161,14 +2167,14 @@ def derivation_d6_reflection(n):
             "moves": moves, "end": end, "end_moves": end_moves}
 
 
-def oracle_confirm(engine, derivation, max_dim=1100):
+def oracle_confirm(engine, derivation):
     """Check a derivation's endpoint equality independently: decide the
     equality of its det-free sides (:func:`oracle_sides`) modulo the
     relation span."""
     sides = oracle_sides(engine, derivation)
     if sides is None:
         return "inconclusive"
-    return membership_oracle(engine, *sides, max_dim=max_dim)
+    return membership_oracle(engine, *sides)
 
 
 def oracle_sides(engine, derivation):

@@ -146,23 +146,6 @@ def dressed_block(n, builder, dress, p, sign=-1, side="prefix"):
     return TensorOp.assemble(n, dress + block.rk, dress + block.ck, parts)
 
 
-def col_shifted_product(n, builder_a, builder_b, p, col_site, k, sign=+1):
-    """The matrix with entries
-
-        M[I, J] = sum_K A(p)[I, K] * B(p + sign*v(J_colsite))[K, J],
-
-    the concrete residue of an operator product A * Xs^(-1) * B after
-    the shift operators are pushed to the right (both sides of such an
-    identity end in the same shift monomial, which cancels).
-    """
-    A = builder_a(p)
-    every = {x: x for x in range(n**k)}
-    return TensorOp.assemble(n, k, k, [
-        (A * builder_b(p.shift(c, sign)), every,
-         {x: x for x in every if multi_index(x, n, k)[col_site - 1] == c})
-        for c in range(1, n + 1)])
-
-
 # -- verification -------------------------------------------------------
 
 
@@ -371,8 +354,9 @@ def twist_checks(params, psi, p, rmx=None):
     * F R(p) F^(-1) (with F = F12 * P12) equals the flipped matrix of the
       twisted parameter set,
     * the cyclic operator A P23 P12 intertwines R(p)_12 with R(p)_23,
-    * the shift-operator hypothesis, both sides reduced to the same
-      residual layout,
+    * the shift-operator hypothesis, for a constant psi (whose factors
+      do not depend on p, so the shifts act trivially) the products
+      F12^(-1) F23 and A A at p,
     * braid relation and Hecke condition survive, beta values survive.
 
     R(p) is built once for params (or taken from rmx, a caller's
@@ -394,24 +378,14 @@ def twist_checks(params, psi, p, rmx=None):
     rhs = flipped(R_twisted)
     records.append(compare("twist.flip-conjugation", lhs, rhs))
 
-    def ahat(pp):
-        return twist_a_diag(psi, pp, n).permuted(right=(2, 3, 1))
-
+    Ahat = twist_a_diag(psi, p, n).permuted(right=(2, 3, 1))
     records.append(compare("twist.cyclic-intertwiner",
-                           R.embed(1, 3) * ahat(p), ahat(p) * R.embed(2, 3)))
+                           R.embed(1, 3) * Ahat, Ahat * R.embed(2, 3)))
 
     if psi.kind == "constant":
-        def fhat23(pp):
-            return twist_f_matrix(psi, pp, n).permuted(
-                right=(2, 1)).embed(2, 3)
-
-        def fhat12_inv(pp):
-            return twist_f_matrix(psi, pp, n, inverse=True).permuted(
-                (2, 1)).embed(1, 3)
-
-        lhs = col_shifted_product(n, fhat12_inv, fhat23, p, 1, 3, sign=+1)
-        rhs = col_shifted_product(n, ahat, ahat, p, 1, 3, sign=+1)
-        records.append(compare("twist.shift-hypothesis", lhs, rhs))
+        records.append(compare("twist.shift-hypothesis",
+                               Fhat_inv.embed(1, 3) * Fhat.embed(2, 3),
+                               Ahat * Ahat))
     else:
         # the displayed intertwiner satisfies the shift hypothesis only for
         # p-independent psi (exact counterexamples exist already at n = 3 on

@@ -31,6 +31,8 @@ tables of its own, filled on first use; they depend on q alone, so they
 change no value returned and are never shared between contexts.
 """
 
+import re
+import reprlib
 from fractions import Fraction
 from math import gcd
 
@@ -271,6 +273,31 @@ class PrimeField:
 
 
 RATIONAL = RationalField()
+
+
+_SCALAR_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_scalar(name, v, field=RATIONAL, nonzero=False):
+    """The scalar `name` read from outside the program (params JSON, a
+    flag, a derivation script or a dump) as an element of field: an int,
+    or a string "num" or "num/den" of decimal digits, nonzero when asked.
+    Anything else raises DegenerateParameterError naming it.  No decimal
+    exponent is read, so no input makes the parse slow."""
+    m = _SCALAR_TEXT.fullmatch(v.strip()) if isinstance(v, str) else None
+    val = None
+    try:
+        if type(v) is int:
+            val = field.of(v)
+        elif m:
+            val = field.of(Fraction(int(m[1]), int(m[2] or 1)))
+    except (ValueError, ZeroDivisionError):     # > 4300 digits, den 0
+        pass
+    if val is None or nonzero and not val:
+        raise DegenerateParameterError(
+            "%s = %s must be %s integer or \"num/den\" string"
+            % (name, reprlib.repr(v), "a nonzero" if nonzero else "an"))
+    return val
 
 
 class QContext:

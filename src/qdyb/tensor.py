@@ -69,7 +69,7 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import ModInt
+from .scalars import RATIONAL, ModInt, parse_scalar
 
 
 def flat_index(multi, n):
@@ -350,15 +350,14 @@ class TensorOp:
                             for rm, cm, v in self.entries()]}
 
     @classmethod
-    def load(cls, doc, field=None):
-        from .scalars import RATIONAL
-        field = field or RATIONAL
+    def load(cls, doc, field=RATIONAL):
         n = doc["n"]
         k = doc["k"]
         rk, ck = (k, k) if isinstance(k, int) else k
         return cls.from_entries(
             n, rk, ck,
-            [(tuple(rm), tuple(cm), field.of(str(v)))
+            [(tuple(rm), tuple(cm), parse_scalar(
+                "entry %r %r" % (rm, cm), v, field))
              for rm, cm, v in doc["entries"]])
 
 
@@ -380,13 +379,16 @@ def _raw_form(rows):
     """(int rows, den, p) for rows of field values: residues mod p when
     any value is a ModInt, else integer numerators over the lcm of the
     denominators."""
-    p = next((v.p for row in rows.values() for v in row.values()
-              if isinstance(v, ModInt)), None)
-    if p is not None:
+    try:
+        den = lcm(*{v.denominator for row in rows.values()
+                    for v in row.values()})
+    except AttributeError:      # a ModInt has no denominator
+        p = next((v.p for row in rows.values() for v in row.values()
+                  if isinstance(v, ModInt)), None)
+        if p is None:
+            raise
         return {r: {c: _residue(v, p) for c, v in row.items()}
                 for r, row in rows.items()}, 1, p
-    den = lcm(*{v.denominator for row in rows.values()
-                for v in row.values()})
     return {r: {c: v.numerator * (den // v.denominator)
                 for c, v in row.items()}
             for r, row in rows.items()}, den, None

@@ -18,11 +18,11 @@ from fractions import Fraction
 
 from .scalars import (
     DegenerateParameterError, PoleError, PrimeField, QContext, RATIONAL,
-    f_poly, qfact, qnum, qnum_base,
+    f_poly, parse_scalar, qfact, qnum, qnum_base,
 )
 from .weights import (
     BETA_INFINITY, CONSTANT_MULTIPARAM, GENERIC, PairFamily, SLnParams,
-    WeightPoint, _scalar, constant_multiparam, sample_params, sample_point,
+    WeightPoint, constant_multiparam, sample_params, sample_point,
     sample_points, sample_q, sample_twist,
 )
 from . import rmatrix, hecke, levicivita, wznw
@@ -69,7 +69,7 @@ class RunConfig:
                                  "beta": beta or "infinity"}, field)
         elif isinstance(beta, list):
             for i, b in enumerate(beta):
-                _scalar("beta[%d]" % i, b, field)
+                parse_scalar("beta[%d]" % i, b, field)
             if len(beta) != n - 1:
                 raise DegenerateParameterError(
                     "beta has %d entries, need n-1 = %d" % (len(beta), n - 1))
@@ -77,22 +77,19 @@ class RunConfig:
     def field(self):
         if self.backend == "rational":
             return RATIONAL
-        if self.backend.startswith("prime"):
-            if ":" in self.backend:
-                return PrimeField(int(self.backend.split(":", 1)[1]))
+        if self.backend == "prime":
             return PrimeField()
-        raise DegenerateParameterError("unknown backend %r" % self.backend)
+        name, _, modulus = self.backend.partition(":")
+        if name == "prime" and modulus.isascii() and modulus.isdigit():
+            return PrimeField(int(modulus))
+        raise DegenerateParameterError(
+            "unknown backend %r: use rational, prime or prime:P with P "
+            "in decimal digits" % self.backend)
 
     def to_json(self):
         return {k: getattr(self, k) for k in
                 ("n", "q", "root", "beta", "alpha", "draws", "points",
                  "seed", "backend", "corrupt")}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(**{k: doc[k] for k in doc if k in
-                      ("n", "q", "root", "beta", "alpha", "draws", "points",
-                       "seed", "backend", "corrupt")})
 
     def rng(self):
         return random.Random(self.seed)
@@ -100,8 +97,9 @@ class RunConfig:
     def context(self, rng, need_root=False):
         field = self.field()
         if self.q is not None:
-            q = field.of(str(self.q))
-            root = None if self.root is None else field.of(str(self.root))
+            q = parse_scalar("q", self.q, field)
+            root = None if self.root is None \
+                else parse_scalar("root", self.root, field)
             return QContext(q, self.n, root=root, field=field)
         if need_root:
             r = field.of(sample_q(rng))
@@ -115,7 +113,8 @@ class RunConfig:
             fam = PairFamily.unit(self.n, ctx.field)
             return SLnParams(ctx, None, fam)
         if self.beta is not None:
-            chain = [ctx.field.of(str(b)) for b in self.beta]
+            chain = [parse_scalar("beta[%d]" % i, b, ctx.field)
+                     for i, b in enumerate(self.beta)]
             fam = (PairFamily.standard(self.n, ctx)
                    if alpha == "standard"
                    else PairFamily.unit(self.n, ctx.field))
@@ -419,10 +418,8 @@ def suite_epsilon(cfg):
     k = n + 1
     drep = hecke.HeckeRep.dynamic(params, p, k)
     ok = True
-    upd = levicivita.build_eps_dyn(params, p, levicivita.CONTRA)
-    dnd = levicivita.build_eps_dyn(params, p, levicivita.CO)
     for w in (1, 2):
-        proj = levicivita.projector_from_eps(params, upd, dnd, w, k, p=p)
+        proj = levicivita.projector_from_eps(params, p, w, k)
         if proj != hecke.antisym(drep, w, w + n - 1) or proj * proj != proj:
             ok = False
     records.append(Check("epsilon.projector-vs-antisymmetrizer", ok))

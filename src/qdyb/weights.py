@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .scalars import (
     RATIONAL, DegenerateParameterError, PoleError, QContext, f_poly,
-    fmt_scalar, multiplicative_order, qnum,
+    fmt_scalar, multiplicative_order, parse_scalar, qnum,
 )
 
 GENERIC = "generic"
@@ -267,27 +267,13 @@ def _pair_values(n, d, name, field):
             raise DegenerateParameterError(
                 "alpha %s key %r must name a new pair \"i,j\" with "
                 "1 <= i < j <= %d" % (name, key, n))
-        out[pair] = _scalar("alpha %s[%r]" % (name, key), v, field, True)
+        out[pair] = parse_scalar("alpha %s[%r]" % (name, key), v, field,
+                                 nonzero=True)
     missing = ["%d,%d" % pair for pair in pairs if pair not in out]
     if missing:
         raise DegenerateParameterError(
             "alpha %s lacks the pair(s) %s" % (name, ", ".join(missing)))
     return out
-
-
-def _scalar(name, v, field, nonzero=False):
-    """The params-JSON scalar `name`: an integer or a "num/den" string,
-    and nonzero when asked."""
-    try:
-        val = field.of(str(v)) if type(v) is int or isinstance(v, str) \
-            else None
-    except (ValueError, ZeroDivisionError):
-        val = None
-    if val is None or nonzero and not val:
-        raise DegenerateParameterError(
-            "%s = %r must be %s integer or \"num/den\" string"
-            % (name, v, "a nonzero" if nonzero else "an"))
-    return val
 
 
 def derive_beta(ctx, chain):
@@ -478,9 +464,9 @@ class SLnParams:
             raise DegenerateParameterError(
                 "params n = %r must be an integer >= 2" % (n,))
         root = d.get("root")
-        ctx = QContext(_scalar("params q", d.get("q"), field), n,
+        ctx = QContext(parse_scalar("params q", d.get("q"), field), n,
                        root=None if root is None
-                       else _scalar("params root", root, field),
+                       else parse_scalar("params root", root, field),
                        field=field)
         beta = d.get("beta", "infinity")
         if beta != "infinity" and not isinstance(beta, list):
@@ -488,7 +474,7 @@ class SLnParams:
                 "params beta = %r must be \"infinity\" or a list of n - 1 "
                 "scalars" % (beta,))
         chain = None if beta == "infinity" else [    # length checked below
-            _scalar("params beta[%d]" % i, b, field)
+            parse_scalar("params beta[%d]" % i, b, field)
             for i, b in enumerate(beta)]
         adata = d.get("alpha", {"preset": "unit"})
         if not isinstance(adata, dict):
@@ -517,13 +503,11 @@ class SLnParams:
             self.regime)
 
 
-def constant_multiparam(ctx, standard_alpha=True):
-    """The degenerate regime beta_i = lam with the standard (or unit)
-    alpha choice; p-independent, reproducing a constant R-matrix."""
-    chain = [ctx.lam] * (ctx.n - 1)
-    alpha = PairFamily.standard(ctx.n, ctx) if standard_alpha \
-        else PairFamily.unit(ctx.n, ctx.field)
-    return SLnParams(ctx, chain, alpha)
+def constant_multiparam(ctx):
+    """The degenerate regime beta_i = lam with the standard alpha choice;
+    p-independent, reproducing the Drinfeld-Jimbo matrix."""
+    return SLnParams(ctx, [ctx.lam] * (ctx.n - 1),
+                     PairFamily.standard(ctx.n, ctx))
 
 
 # -- deterministic sampling -------------------------------------------

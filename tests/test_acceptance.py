@@ -139,7 +139,7 @@ def test_criterion_5_constant_limits():
     t0 = time.time()
     for n in (2, 3, 4):
         ctx = QContext(Fraction(7, 3), n)
-        params = constant_multiparam(ctx, standard_alpha=True)
+        params = constant_multiparam(ctx)
         p = WeightPoint(n, tuple(range(1, n)))
         assert rmatrix.build_dyn(params, p) == rmatrix.build_dj(n, ctx)
         p2 = WeightPoint(n, tuple([3] * (n - 1)))

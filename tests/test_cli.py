@@ -71,6 +71,8 @@ def test_bad_usage_exits_2(capsys):
              "unknown weight 'p1'"),
             (("dump", "rhat", "--n", "3", "--q", "2", "--p", "p12=1"),
              "lacks p23"),
+            (("dump", "rhat", "--n", "2", "--q", "2", "--p", "p12=1e5"),
+             "--p p12 = '1e5' must be an integer"),
             (("dump", "rhat", "--n", "3", "--q", "2", "--beta", "1",
               "--p", "p12=1,p23=1"), "beta chain has 1 entries"),
             (("verify", "qdybe", "--n", "1"), "n must be at least 2"),
@@ -274,7 +276,7 @@ def test_runconfig_roundtrip():
     cfg = RunConfig(n=3, q="5/2", beta=["1", "2"], alpha="unit", draws=4,
                     points=2, seed=9, backend="prime", corrupt=None)
     doc = cfg.to_json()
-    back = RunConfig.from_json(doc)
+    back = RunConfig(**doc)
     assert back.to_json() == doc
 
 
@@ -311,6 +313,12 @@ def test_composite_prime_backend_exits_2(capsys):
                              "--backend", "prime:4")
     assert code == 2 and not out
     assert "not an odd prime" in err
+    # a backend name is read exactly: a misspelling names no field
+    for backend in ("primex", "prime:x", "prime:1e9", "prime:"):
+        code, out, err = run_cli(capsys, "verify", "qdybe", "--n", "2",
+                                 "--backend", backend)
+        assert code == 2 and not out
+        assert "unknown backend %r" % backend in err
 
 
 def test_derive_move_beyond_the_word_fails_its_record(tmp_path, capsys):
@@ -907,3 +915,208 @@ def test_every_builtin_passes_at_one_wide_point(capsys, monkeypatch, n):
     assert rep["status"] == "pass"
     # derive draws constant alpha; the suite constant, unit, geometric
     assert counts == [("constant", 1)] * 4 + [("geometric", 3)]
+
+
+# the fuzz over argv and params JSON: each case runs one command line
+# in-process with one flag, or one field of its params document, junked
+CLI_JUNK = [None, True, False, -1, 0, 1, 2.5, "", " ", "x", "-", "0", "-1",
+            "1e10000000", "-1e10000000", "1e-7", "2.5", ".5", "9/0", "0/0",
+            "3/2/1", "nan", "inf", "1_000", "\u0663", "0x10", "+-1",
+            "99999999999999999999", [], ["1"], [1, "x"], {},
+            {"preset": "standard"}, {"kind": "x"}, "infinity", "p12=",
+            "p12=1e5", "p12=1,p12=2", "prime:9", "prime:x", "prime:1e10000000"]
+_CLI_FUZZ = r"""
+import contextlib, io, json, os, random, sys, traceback
+from qdyb.cli import main
+
+seed, count, tmp, junk = json.loads(sys.argv[1])
+DOC = {"n": 3, "q": "27/8", "root": "3/2", "beta": ["1", "-2/3"],
+       "alpha": {"kind": "geometric",
+                 "c": {"1,2": "2", "1,3": "-3", "2,3": "5/4"},
+                 "w": {"1,2": "3/2", "1,3": "3/2", "2,3": "3/2"}}}
+ON_DOC = [["build", "--p", "p12=1,p23=2"],
+          ["dump", "rhat-inverse", "--p", "p12=2,p23=-1"],
+          ["wznw", "--p", "p12=1,p23=1"], ["dump", "params"]]
+ARGVS = [
+    ["build", "--n", "2", "--q", "9/4", "--root", "3/2", "--beta", "1/3",
+     "--alpha", "standard", "--p", "p12=2", "--seed", "3"],
+    ["dump", "eps", "--n", "3", "--q", "2", "--beta", "1,2", "--seed", "5",
+     "--format", "json"],
+    ["verify", "params", "--n", "2", "--draws", "1", "--points", "1", "--q",
+     "9/4", "--beta", "1", "--backend", "prime", "--seed", "2"],
+    ["verify", "wznw", "--n", "3", "--draws", "1", "--points", "1", "--seed",
+     "4", "--format", "text"],
+    ["derive", "--n", "2", "--points", "1", "--builtin", "D1", "--seed", "4",
+     "--backend", "prime"],
+    ["wznw", "--n", "3", "--q", "8", "--root", "2", "--beta", "infinity",
+     "--p", "p12=1,p23=-1"]]
+TEXTS = ["", "{", "[1,", "1e10000000", '{"n": 2, "q": 1%s}' % ("0" * 5000),
+         "\ufeff{}", "null"]
+# an int above 3 for n, draws or points is a long run, not bad input
+COUNTS = ("--n", "--draws", "--points")
+
+def large(v):
+    try:
+        return int(v) > 3
+    except (TypeError, ValueError):
+        return False
+
+def paths(doc, at=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, v in items:
+        yield at + (key,)
+        yield from paths(v, at + (key,))
+
+def junk_for(key):
+    while True:
+        v = rng.choice(junk)
+        if not (key in COUNTS or key == ("n",)) or not large(v):
+            return v
+
+def text(v):
+    return v if isinstance(v, str) else json.dumps(v)
+
+def params_case(i):
+    doc = json.loads(json.dumps(DOC))
+    kind = rng.choice(["field", "field", "field", "drop", "doc", "text"])
+    if kind in ("field", "drop"):
+        path = rng.choice(list(paths(doc)))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if kind == "drop":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = junk_for(path)
+        label, body = "%s %s" % (kind, path), json.dumps(doc)
+    elif kind == "doc":
+        body = json.dumps(rng.choice(junk))
+        label = "doc " + body
+    else:
+        body = rng.choice(TEXTS)
+        label = "text %.20r" % body
+    path = os.path.join(tmp, "case%d.json" % i)
+    with open(path, "w") as fh:
+        fh.write(body)
+    argv = list(rng.choice(ON_DOC))
+    return label, argv[:1] + ["--params", path] + argv[1:]
+
+def argv_case():
+    argv = list(rng.choice(ARGVS))
+    kind = rng.choice(["value", "value", "value", "drop", "bare", "extra"])
+    at = rng.randrange(1, len(argv))
+    if argv[at].startswith("--") and kind != "extra":
+        at += 1         # the flag's value
+    flag = argv[at - 1] if argv[at - 1].startswith("--") else None
+    if kind == "value" or flag is None and kind != "extra":
+        argv[at] = text(junk_for(flag))
+    elif kind == "drop":
+        del argv[at - 1:at + 1]
+    elif kind == "bare":
+        del argv[at]
+    else:
+        extra = rng.choice(["--zz", "--draws", "--corrupt", "--out",
+                            "--script", "--backend", "--format"])
+        value = os.path.join(tmp, "missing", "x.json") \
+            if extra in ("--out", "--script") else text(junk_for(extra))
+        argv += [extra, value]
+    return kind + " " + " ".join(argv[1:]), argv
+
+rng = random.Random(seed)
+out = []
+for i in range(count):
+    label, argv = params_case(i) if rng.random() < 0.4 else argv_case()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as e:       # argparse's usage errors
+            code = e.code
+        except Exception:
+            code = "traceback"
+            traceback.print_exc()
+    out.append([label, code, stderr.getvalue(), bool(stdout.getvalue())])
+json.dump(out, sys.stdout)
+"""
+
+
+def test_seeded_fuzz_over_argv_and_params_json(tmp_path):
+    """520 command lines, each with one flag or one params-JSON field
+    junked (exponent strings included), end in exit 0 or 1 with a report
+    or in exit 2 with a message, never a traceback, and the same under
+    python -O."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(qdyb.__file__)))
+    dirs = [tmp_path / "plain", tmp_path / "optimized"]
+    runs = []
+    for flags, tmp in zip(([], ["-O"]), dirs):
+        tmp.mkdir()
+        argv = ["-c", _CLI_FUZZ, json.dumps([25, 520, str(tmp), CLI_JUNK])]
+        runs.append(subprocess.Popen(
+            [sys.executable] + flags + argv, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True))
+    (plain, err), (optimized, err_o) = [run.communicate(timeout=120)
+                                        for run in runs]
+    assert not err and not err_o, err or err_o
+    cases = json.loads(plain)
+    assert len(cases) == 520
+    for label, code, stderr, printed in cases:
+        assert code in (0, 1, 2), (label, code, stderr)
+        assert "Traceback" not in stderr, (label, stderr)
+        assert (stderr.strip() if code == 2 else printed), (label, code)
+    assert {code for _, code, _, _ in cases} >= {0, 2}
+    assert json.loads(optimized.replace(str(dirs[1]), str(dirs[0]))) \
+        == cases
+
+
+def _scalar_walk(doc):
+    """Every script scalar in doc: each const `value`, `func` coef and
+    braid-word coefficient."""
+    if isinstance(doc, dict):
+        for key, v in doc.items():
+            if key in ("value", "coef"):
+                yield v
+            elif key == "word" and isinstance(v, list):
+                yield from (t[0] for t in v if isinstance(t, list))
+            else:
+                yield from _scalar_walk(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _scalar_walk(v)
+
+
+def test_exponent_scalars_exit_2_fast(tmp_path, capsys):
+    """A decimal exponent is no scalar: params JSON, --q, --beta and a
+    script value, word coefficient or func coef holding "1e10000000"
+    exit 2 within a second, naming the field, and every builtin's
+    scalars are integers or "num/den" strings."""
+    import time
+    from qdyb.scalars import parse_scalar
+    big = "1e10000000"
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n": 2, "q": big}))
+    cases = [(("dump", "params", "--params", str(params)), "params q"),
+             (("dump", "params", "--n", "2", "--q", big), "params q"),
+             (("build", "--n", "2", "--q", "2", "--beta", big,
+               "--p", "p12=1"), "params beta[0]"),
+             (("verify", "params", "--n", "2", "--q", big), "params q")]
+    for name, factor in (
+            ("value", _const("scalar", value=big)),
+            ("coefficient", _const("rho", spaces=[1, 2], word=[[big, [1]]])),
+            ("coef", _func([["qnum", 1, 2, 0, 1]], coef=big))):
+        script = tmp_path / (name + ".json")
+        script.write_text(json.dumps({"start": [factor, _slot(1)],
+                                      "end": [_slot(1)]}))
+        cases.append((("derive", "--n", "2", "--points", "1", "--script",
+                       str(script)), name))
+    for argv, field in cases:
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert code == 2 and not out, (argv, err)
+        assert field in err and repr(big) in err, (argv, err)
+    for n in (2, 3):
+        for d in builtin_derivations(n).values():
+            for v in _scalar_walk(json.loads(json.dumps(d))):
+                parse_scalar("builtin scalar", v)

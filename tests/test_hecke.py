@@ -10,7 +10,7 @@ from qdyb import hecke
 from qdyb.scalars import DegenerateParameterError, QContext
 from qdyb.tensor import TensorOp
 from qdyb.hecke import (
-    HeckeRep, HeckeWord, antisym, antisym_props_hold, antisym_tower,
+    HeckeRep, HeckeWord, antisym, antisym_props_hold,
     classical_antisym_rank, global_conjugation_equivalent, height,
     inner_automorphism_check, locality_structure, symmetrizer,
     top_vanish_equivalents,
@@ -77,13 +77,12 @@ def test_antisym_props_and_tower():
     ctx = QContext(Fraction(5, 3), 3)
     rep = HeckeRep.constant(3, ctx, 4)
     assert antisym_props_hold(rep, 3)
-    tower = antisym_tower(rep, 4)
-    for A in tower:
-        assert A * A == A
     drep = dyn_rep(3, 4, rng)
     assert antisym_props_hold(drep, 3)
-    for A in antisym_tower(drep, 4):
-        assert A * A == A
+    for r in (rep, drep):
+        for j in range(1, 5):       # the tower A(1,1) .. A(1,4)
+            A = antisym(r, 1, j)
+            assert A * A == A
 
 
 def test_tampered_image_raises_on_every_call():
@@ -264,7 +263,8 @@ def test_rank_complement_for_idempotents():
     rng = random.Random(19)
     rep = dyn_rep(2, 3, rng)
     ident = TensorOp.identity(2, 3)
-    for A in antisym_tower(rep, 3):
+    for j in range(1, 4):
+        A = antisym(rep, 1, j)
         assert A.exact_rank() + (ident - A).exact_rank() == 8
 
 
@@ -291,8 +291,7 @@ def test_height_constant_and_dynamic():
     assert height(dyn_rep(3, 4, rng)) == 3
     # one-dimensional V: everything scalar, height 1
     ctx1 = QContext(Fraction(2), 1)
-    from qdyb.rmatrix import build_dj
-    rep1 = HeckeRep.constant(1, ctx1, 3, rmat=build_dj(1, ctx1))
+    rep1 = HeckeRep.constant(1, ctx1, 3)
     assert height(rep1) == 1
 
 
@@ -390,8 +389,7 @@ def test_antisym_props_form_no_identity_product(monkeypatch):
 def test_top_vanish_n1_degenerate():
     # A(1) A(2,2) A(1) = [1]^(-2) A(1) reads identity = identity
     ctx = QContext(Fraction(2), 1)
-    from qdyb.rmatrix import build_dj
-    rep = HeckeRep.constant(1, ctx, 2, rmat=build_dj(1, ctx))
+    rep = HeckeRep.constant(1, ctx, 2)
     all_pass(top_vanish_equivalents(rep, 1))
 
 

@@ -50,7 +50,7 @@ def test_constant_contraction_is_qfactorial():
 def test_dyn_eps_reduces_to_constant():
     for n in (2, 3):
         ctx = QContext(Fraction(5, 2), n)
-        params = constant_multiparam(ctx, standard_alpha=True)
+        params = constant_multiparam(ctx)
         p = WeightPoint(n, tuple(2 for _ in range(n - 1)))
         assert build_eps_dyn(params, p, CONTRA) == \
             build_eps_const(n, ctx, CONTRA)
@@ -105,16 +105,15 @@ def test_projector_matches_antisymmetrizer():
         up = build_eps_const(n, ctx, CONTRA)
         dn = build_eps_const(n, ctx, CO)
         for w in (1, 2):
-            proj = projector_from_eps(None, up, dn, w, k, ctx=ctx)
+            # the constant projector (1/[n]!) eps^ (x) eps_ at w..w+n-1
+            proj = ((1 / qfact(n, ctx)) * (up * dn)).embed(w, k)
             assert proj == antisym(rep, w, w + n - 1)
             assert proj * proj == proj
         params = sample_params(n, rng, alpha="constant")
         p = sample_point(params, rng, clearance=4)
         drep = HeckeRep.dynamic(params, p, k)
-        upd = build_eps_dyn(params, p, CONTRA)
-        dnd = build_eps_dyn(params, p, CO)
         for w in (1, 2):
-            proj = projector_from_eps(params, upd, dnd, w, k, p=p)
+            proj = projector_from_eps(params, p, w, k)
             assert proj == antisym(drep, w, w + n - 1)
             assert proj * proj == proj
 
@@ -125,6 +124,28 @@ def test_nk_constant_is_identity():
         nk = build_nk(n=n, ctx=ctx)
         assert all(v == 1 for v in nk.nvals)
         assert all(v == 1 for v in nk.kvals)
+
+
+def test_nk_builds_each_shifted_tensor_once(monkeypatch):
+    """build_nk forms E^ and E_ at p and once at each p - v(i): 2 + 2n
+    builds (8 at n = 3, where one build per `mid` ordering made 14)."""
+    from qdyb import levicivita
+    rng = random.Random(71)
+    build = levicivita.build_eps_dyn
+    for n in (2, 3):
+        params = sample_params(n, rng, alpha="constant")
+        p = sample_point(params, rng)
+        built = []
+
+        def counted(params, pp, variance):
+            built.append((pp.chain, variance))
+            return build(params, pp, variance)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(levicivita, "build_eps_dyn", counted)
+            nk = build_nk(params, p)
+        assert len(built) == len(set(built)) == 2 + 2 * n
+        assert all(nv * kv == 1 for nv, kv in zip(nk.nvals, nk.kvals))
 
 
 def test_nk_dynamic_inverse_and_closed_form():

@@ -17,7 +17,8 @@ from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext, qnum
 from qdyb.hecke import HeckeWord
 from qdyb.weights import sample_params, sample_point
 from qdyb.qmatrix import (
-    CERTIFICATES, FACTORS, SIGNATURES, FConst, FDet, FP, FSlot, UNIT,
+    CERTIFICATES, FACTORS, ORACLE_MAX_DIM, SIGNATURES, FConst, FDet, FP,
+    FSlot, UNIT,
     MoveError, ReplayEngine, ShiftFunc, SlotExpr, SpacedTensor,
     block_intertwiners, builtin_derivations, derivation_from_json,
     membership_oracle, oracle_confirm, oracle_sides, oracle_slices,
@@ -538,7 +539,8 @@ def test_oracle_builds_each_block_basis_once(monkeypatch):
                   _slot(1), _slot(2), _eps_ket((1, 2)), _eps_bra((1, 2))])
     assert membership_oracle(eng, X, Y) == "unequal"
     big = eng.expr([_slot(s) for s in range(1, 12)])
-    assert membership_oracle(eng, big, big, max_dim=100) == "inconclusive"
+    assert 2 ** 11 > ORACLE_MAX_DIM
+    assert membership_oracle(eng, big, big) == "inconclusive"
     assert len(built) == len(set(built))
 
 
@@ -709,7 +711,8 @@ def test_oracle_basic_instances():
     assert membership_oracle(eng, X, Y) == "unequal"
     # size guard
     big = eng.expr([_slot(s) for s in range(1, 12)])
-    assert membership_oracle(eng, big, big, max_dim=100) == "inconclusive"
+    assert 2 ** 11 > ORACLE_MAX_DIM
+    assert membership_oracle(eng, big, big) == "inconclusive"
 
 
 def test_script_roundtrip_and_replay():

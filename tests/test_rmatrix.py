@@ -62,7 +62,7 @@ def test_dj_at_q_one_is_permutation():
 def test_constant_multiparam_reproduces_dj():
     for n in (2, 3, 4):
         ctx = QContext(Fraction(5, 2), n)
-        params = constant_multiparam(ctx, standard_alpha=True)
+        params = constant_multiparam(ctx)
         p = WeightPoint(n, tuple(range(1, n)))
         assert build_dyn(params, p) == build_dj(n, ctx)
         # p-independence

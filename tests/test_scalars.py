@@ -8,7 +8,7 @@ import pytest
 from qdyb.scalars import (
     DEFAULT_PRIME, RATIONAL, DegenerateParameterError, PoleError,
     PrimeField, QContext, _factor, _is_prime, f_poly, multiplicative_order,
-    qfact, qfact_base, qnum, qnum_base,
+    parse_scalar, qfact, qfact_base, qnum, qnum_base,
 )
 
 
@@ -284,3 +284,24 @@ def test_factor_multiplies_back_into_primes(m):
         assert _is_prime(f) and e >= 1
         product *= f**e
     assert product == m
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_parse_scalar_reads_integers_and_num_den_strings_only(field):
+    """An int or a "num"/"num/den" string is read exactly; anything else,
+    a decimal exponent or a fraction of zero denominator included, is a
+    DegenerateParameterError that names the field and shows the value."""
+    for v, want in ((3, 3), ("3", 3), ("-7/4", Fraction(-7, 4)),
+                    (" +9/6 ", Fraction(3, 2)), ("0", 0)):
+        assert parse_scalar("x", v, field) == field.of(want)
+    for v in ("1e10000000", "1e-7", "2.5", 2.5, True, None, [1], "",
+              "9/0", "3/2/1", "1_000", "0x10", "nan", "\u0663"):
+        with pytest.raises(DegenerateParameterError,
+                           match=r"^beta\[1\] = .* must be an integer"):
+            parse_scalar("beta[1]", v, field)
+    with pytest.raises(DegenerateParameterError, match="a nonzero integer"):
+        parse_scalar("c", "0/5", field, nonzero=True)
+    # a long value is shown cut short
+    with pytest.raises(DegenerateParameterError) as err:
+        parse_scalar("q", "1" * 5000 + "e5", field)
+    assert len(str(err.value)) < 100

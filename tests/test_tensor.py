@@ -6,8 +6,10 @@ from math import gcd, lcm
 
 import pytest
 
-from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext
-from qdyb.tensor import Echelon, TensorOp, flat_index, multi_index
+from qdyb.scalars import (RATIONAL, DegenerateParameterError, ModInt,
+                          PrimeField, QContext)
+from qdyb.tensor import (Echelon, TensorOp, _raw_form, _residue, flat_index,
+                         multi_index)
 
 
 def site_permutation(n, k, sigma, one=Fraction(1)):
@@ -354,6 +356,19 @@ def test_dump_roundtrip_bit_exact():
     assert back.dump() == doc
 
 
+def test_load_names_a_bad_entry():
+    """A dump entry is read as a scalar from outside: a decimal exponent
+    or a float is refused, naming the entry, without being expanded."""
+    for v in ("1e10000000", 2.5):
+        doc = {"n": 2, "k": 1, "entries": [[[1], [2], "3/2"], [[2], [1], v]]}
+        with pytest.raises(DegenerateParameterError,
+                           match=r"entry \[2\] \[1\] = .* must be"):
+            TensorOp.load(doc)
+    back = TensorOp.load({"n": 2, "k": 1, "entries": [[[2], [1], "5"]]},
+                         PrimeField(7))
+    assert back.p == 7 and back.entry((2,), (1,)) == 5
+
+
 def test_dump_format_shape():
     op = TensorOp.from_entries(2, 2, 2, [((1, 2), (2, 1), Fraction(5, 3))])
     doc = op.dump()
@@ -484,6 +499,40 @@ def test_kernel_routes_to_one_stored_form(field):
         assert routed == ab
         assert (routed.rows, routed.den, routed.p) == (ab.rows, ab.den, ab.p)
         assert (a + b) - b == a and ((a + b) - b).den == a.den
+
+
+def _reference_raw_form(rows):
+    """The raw form by a scan for a ModInt ahead of the denominators."""
+    p = next((v.p for row in rows.values() for v in row.values()
+              if isinstance(v, ModInt)), None)
+    if p is not None:
+        return {r: {c: _residue(v, p) for c, v in row.items()}
+                for r, row in rows.items()}, 1, p
+    den = lcm(*{v.denominator for row in rows.values()
+                for v in row.values()})
+    return {r: {c: v.numerator * (den // v.denominator)
+                for c, v in row.items()}
+            for r, row in rows.items()}, den, None
+
+
+def test_raw_form_finds_a_modint_in_the_denominator_pass():
+    """One pass collects the denominators and meets any ModInt: the raw
+    form equals the scan-first one on rational, integer, prime and mixed
+    rows, a ModInt in the last row included."""
+    F = PrimeField(101)
+    rng = random.Random(29)
+    for _ in range(20):
+        rows = {r: {c: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for c in rng.sample(range(9), 3)}
+                for r in rng.sample(range(9), 4)}
+        rows[9] = {0: rng.randint(-5, 5)}
+        assert _raw_form(rows) == _reference_raw_form(rows)
+        rows[10] = {3: F.of(rng.randint(1, 100))}
+        assert _raw_form(rows) == _reference_raw_form(rows)
+        assert _raw_form(rows)[2] == 101
+    assert _raw_form({}) == _reference_raw_form({}) == ({}, 1, None)
+    with pytest.raises(AttributeError):
+        _raw_form({0: {0: 1.5}})
 
 
 def test_mixed_fields_lift_rational_into_prime():
