@@ -13,6 +13,7 @@ randomness is seeded and reports are deterministic modulo timing.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -26,6 +27,9 @@ from .qmatrix import (ReplayEngine, builtin_derivations,
 
 USAGE_ERROR = 2
 FAIL = 1
+#: the largest |p_ij| of a --p point: entries hold q^(p_ij) exactly, and
+#: at n = 4 a point with every |p_ij| <= 100 builds in about a second
+MAX_WEIGHT = 100
 POINTS_HELP = ("sample points per draw; on a prime field where ord(3/2) "
                ">= n * 2^56, a replay engine (derive, the qmatrix suite) "
                "whose alpha is not geometric takes one wide point instead: "
@@ -69,7 +73,14 @@ def _point_from_args(args, params):
         if missing:
             raise DegenerateParameterError(
                 "--p lacks %s" % ", ".join(missing))
-        return WeightPoint(params.n, [chain[i] for i in range(1, params.n)])
+        w = WeightPoint(params.n, [chain[i] for i in range(1, params.n)])
+        for i, j in itertools.combinations(range(1, params.n + 1), 2):
+            pij = w.p(i, j)
+            if abs(pij) > MAX_WEIGHT:
+                raise DegenerateParameterError(
+                    "--p makes p%d%d = %d; each |p_ij| must be at most %d"
+                    % (i, j, pij, MAX_WEIGHT))
+        return w
     import random
     return sample_point(params, random.Random(args.seed))
 

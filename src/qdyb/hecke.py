@@ -241,7 +241,7 @@ class HeckeRep:
 
         for i in range(1, self.k - 1):
             a, b = TensorOp.cleared(*on_span(i, i + 1))
-            yield ("braid", i), a * b * a, b * a * b
+            yield ("braid", i), *_braid_sides(a, b)
         for i in range(1, self.k):
             a = self._blocks[i - 1]         # on its own span
             yield (("quadratic", i), a * a,
@@ -254,6 +254,12 @@ class HeckeRep:
     def relations_hold(self):
         """Exact check of the braid, quadratic and locality relations."""
         return all(lhs == rhs for _, lhs, rhs in self.relations())
+
+
+def _braid_sides(a, b):
+    """(aba, bab) as (x a, b x) with x = a b: 3 products."""
+    x = a * b
+    return x * a, b * x
 
 
 def antisym(rep, i, j):

@@ -66,14 +66,25 @@ a nullspace of at most a dozen unknowns and one pass over the block's
 columns build (see :func:`block_intertwiners` and
 :func:`membership_oracle`).
 
+What depends only on socket labels is planned once per process:
+:meth:`SpacedTensor.compose` reads its output sockets and index maps
+from a bounded cache keyed by the four label tuples, and the label pass
+of ``canonical`` reads the bounded cache of composite sockets behind it.
+A collision is never cached, so it raises on every call.
+
 A :class:`ReplayEngine` memoizes, for as long as it lives, the keys of
 the statements it has proven, each weight block's intertwiner basis per
-(k, point, block) and, in the ``eval_p`` memo, the SpacedTensor of
-each p-dependent factor at each point, dressed or not, keyed by the
-factor's JSON (so its name and args must determine its tensor) and the
-point's chain.  A dressed factor is assembled, by row and column maps on
-stored ints, from its undressed blocks at the shifted points, which come
-from the same memo.  Canonical words are evaluated afresh each time.
+(k, point, block), the tensor of each constant factor keyed by its name
+and JSON args, the tensor of each a-slot per (space, t) and, in the
+``eval_p`` memo, the SpacedTensor of each p-dependent factor at each
+point, dressed or not, keyed by the factor's JSON (formed once per
+factor, so its name and args must determine its tensor) and the point's
+chain.  A dressed factor is assembled, by row and column maps on stored
+ints, from its undressed blocks at the shifted points, which come from
+the same memo.  Memoized tensors are shared: read them, never change
+them.  Canonical words are evaluated afresh each time.  Each fold, in
+``canonical`` and in a refactor's check, starts from its first factor,
+so no product with the unit is formed; only the empty word is UNIT.
 """
 
 import functools
@@ -113,16 +124,21 @@ def _picker(out, labels):
     positions = [labels.index(s) for s in out]
     if len(positions) > 1:
         return itemgetter(*positions)
-    if positions:
-        at = positions[0]
-        return lambda t: (t[at],)
-    return lambda t: ()
+    at = positions[0] if positions else 0
+    return itemgetter(slice(at, at + len(positions)))   # a 1- or 0-tuple
 
 
+#: entries of each socket-label cache; ``qdyb verify all`` at n = 2 and
+#: 3 meets about 300 distinct plans and 500 composite sockets
+PLAN_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _composed_labels(kets, bras, other_kets, other_bras):
     """(shared, kets, bras) of a composite, its open sockets sorted; an
-    open label met twice on one side raises the collision MoveError."""
-    shared = [s for s in bras if s in other_kets]
+    open label met twice on one side raises the collision MoveError (not
+    cached, so it raises on every call)."""
+    shared = tuple(s for s in bras if s in other_kets)
     kets = list(kets)
     for s in other_kets:
         if s not in shared:
@@ -135,6 +151,19 @@ def _composed_labels(kets, bras, other_kets, other_bras):
             raise MoveError("bra collision at %r" % (s,))
         bras.append(s)
     return shared, _sorted_labels(kets), _sorted_labels(bras)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(kets, bras, other_kets, other_bras):
+    """The index plan of a composite: its sorted (kets, bras), the
+    contraction key of each side, and the output sockets of ak + bk and
+    of bb + ab (an open ket comes from the left side first, an open bra
+    from the right)."""
+    shared, out_kets, out_bras = _composed_labels(
+        kets, bras, other_kets, other_bras)
+    return (out_kets, out_bras, _picker(shared, bras),
+            _picker(shared, other_kets), _picker(out_kets, kets + other_kets),
+            _picker(out_bras, other_bras + bras))
 
 
 class SpacedTensor:
@@ -195,16 +224,8 @@ class SpacedTensor:
     def compose(self, other):
         """self * other: contract self's bras against other's kets on
         matching labels; everything else stays open."""
-        shared, out_kets, out_bras = _composed_labels(
+        out_kets, out_bras, a_key, b_key, ket_of, bra_of = _plan(
             self.kets, self.bras, other.kets, other.bras)
-        # index plans: the contraction key of each side, and the output
-        # sockets of ak + bk and of bb + ab (an open ket comes from self
-        # first, an open bra from other)
-        a_key = _picker(shared, self.bras)
-        b_key = _picker(shared, other.kets)
-        ket_of = _picker(out_kets, self.kets + other.kets)
-        bra_of = _picker(out_bras, other.bras + self.bras)
-
         arows, aden, brows, bden, p = _common_field(self, other)
         grouped = {}
         for bk, brow in brows.items():
@@ -363,12 +384,13 @@ class FP:
     residue of the weight-shift relation.
     """
 
-    __slots__ = ("name", "args", "dress")
+    __slots__ = ("name", "args", "dress", "_key")
 
     def __init__(self, name, args, dress=()):
         self.name = name
         self.args = args
         self.dress = tuple(dress)
+        self._key = None
 
     def shifted_across(self, space, sign):
         out = []
@@ -386,6 +408,14 @@ class FP:
     def to_json(self):
         return {"kind": "p", "name": self.name, "args": self.args,
                 "dress": [list(t) for t in self.dress]}
+
+    @property
+    def key(self):
+        """The factor's JSON, formed on first use: its key in an
+        engine's memo of tensors."""
+        if self._key is None:
+            self._key = json.dumps(self.to_json(), sort_keys=True)
+        return self._key
 
     def __repr__(self):
         d = "".join("~%s" % (s,) for s, _ in self.dress)
@@ -574,6 +604,8 @@ class ReplayEngine:
         self._certs = {}
         self._proven = set()    # statement keys of the runs that passed
         self._p_values = {}     # (factor JSON, p.chain) -> SpacedTensor
+        self._consts = {}       # (name, args JSON) -> SpacedTensor
+        self._slots = {}        # (space, t) -> the t-th slot's tensor
         # (k, p.chain, block) -> its intertwiner basis, or None
         self._spans = {}
         self._prime = getattr(self.ctx.field, "p", None)
@@ -608,7 +640,10 @@ class ReplayEngine:
         return self._nk[p.chain]
 
     def const_factor(self, name, **args):
-        st = self._build_const(name, args)
+        key = (name, json.dumps(args, sort_keys=True))
+        st = self._consts.get(key)
+        if st is None:
+            st = self._consts[key] = self._build_const(name, args)
         return FConst(name, args, st)
 
     def _build_const(self, name, args):
@@ -642,7 +677,7 @@ class ReplayEngine:
 
     def eval_p(self, fp, p):
         """Evaluate a p-dependent factor (with dressings) at p."""
-        key = (json.dumps(fp.to_json(), sort_keys=True), p.chain)
+        key = (fp.key, p.chain)
         val = self._p_values.get(key)
         if val is None:
             val = self._p_values[key] = self._eval_dressed(fp, p)
@@ -751,7 +786,7 @@ class ReplayEngine:
 
         Value and errors are those of the left-to-right fold of `compose`,
         evaluated by runs as the module docstring says."""
-        acc = run = UNIT        # run: slots, then the factors after them
+        acc = run = None        # run: slots, then the factors after them
         t = det = 0
         seen_slot = seen_det = False
         tail = True             # the run has a factor after its slots
@@ -765,12 +800,7 @@ class ReplayEngine:
                 if seen_det:
                     raise MoveError("slot to the right of a det symbol")
                 t += 1
-                s = f.space
-                bras = _sorted_labels((s, ("sr", t), ("sc", t)))
-                at = _picker(bras, (s, ("sr", t), ("sc", t)))
-                st = SpacedTensor._make((s,), bras, {
-                    (r,): {at((c, r, c)): 1 for c in range(1, self.n + 1)}
-                    for r in range(1, self.n + 1)}, 1, self._prime)
+                st = self._slot_tensor(f.space, t)
                 seen_slot = True
             elif isinstance(f, FConst):
                 # dets commute with constants
@@ -784,14 +814,34 @@ class ReplayEngine:
                 raise MoveError("unknown factor %r" % (f,))
             labels = _composed_labels(*labels, st.kets, st.bras)[1:]
             slot = isinstance(f, FSlot)
+            if run is None:
+                run, tail = st, not slot
+                continue
             if not (tail and slot):
                 try:
                     run, tail = run.compose(st), not slot
                     continue
                 except MoveError:
                     pass    # a ket label twice in the run, once in the fold
-            acc, run, tail = acc.compose(run), st, not slot
-        return t, det, acc.compose(run)
+            acc = run if acc is None else acc.compose(run)
+            run, tail = st, not slot
+        if run is None:
+            return t, det, UNIT
+        return t, det, run if acc is None else acc.compose(run)
+
+    def _slot_tensor(self, s, t):
+        """The t-th a-slot of a canonical word, in space s: 1 at ket
+        s = r and bras s = c, ("sr", t) = r, ("sc", t) = c, for each r
+        and c."""
+        key = (s, t)
+        st = self._slots.get(key)
+        if st is None:
+            bras = _sorted_labels((s, ("sr", t), ("sc", t)))
+            at = _picker(bras, (s, ("sr", t), ("sc", t)))
+            st = self._slots[key] = SpacedTensor._make((s,), bras, {
+                (r,): {at((c, r, c)): 1 for c in range(1, self.n + 1)}
+                for r in range(1, self.n + 1)}, 1, self._prime)
+        return st
 
     def exprs_equal(self, e1, e2):
         """Exact comparison of canonical forms at every sample point."""
@@ -976,11 +1026,10 @@ class ReplayEngine:
             if isinstance(f, (FSlot, FDet)):
                 raise MoveError("refactor cannot touch slots or dets")
         def product(factors, p):
-            acc = UNIT
-            for f in factors:
-                acc = acc.compose(f.st if isinstance(f, FConst)
-                                  else self.eval_p(f, p))
-            return acc
+            sts = [f.st if isinstance(f, FConst) else self.eval_p(f, p)
+                   for f in factors]
+            return functools.reduce(SpacedTensor.compose, sts) if sts \
+                else UNIT
         for p in self.points:
             rhs = product(payload, p)
             if take == 0:

@@ -276,6 +276,9 @@ RATIONAL = RationalField()
 
 
 _SCALAR_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+#: the most decimal digits of a scalar's numerator or denominator: its
+#: powers are held exactly, and Python prints no int past 4300 digits
+MAX_SCALAR_DIGITS = 1000
 
 
 def parse_scalar(name, v, field=RATIONAL, nonzero=False):
@@ -283,15 +286,25 @@ def parse_scalar(name, v, field=RATIONAL, nonzero=False):
     flag, a derivation script or a dump) as an element of field: an int,
     or a string "num" or "num/den" of decimal digits, nonzero when asked.
     Anything else raises DegenerateParameterError naming it.  No decimal
-    exponent is read, so no input makes the parse slow."""
+    exponent is read, so no input makes the parse slow, and no numerator
+    or denominator has more than MAX_SCALAR_DIGITS digits."""
     m = _SCALAR_TEXT.fullmatch(v.strip()) if isinstance(v, str) else None
+    if type(v) is int:
+        wide = abs(v) >= 10 ** MAX_SCALAR_DIGITS
+    else:
+        wide = m is not None and max(len(m[1].lstrip("+-")),
+                                     len(m[2] or "")) > MAX_SCALAR_DIGITS
+    if wide:
+        raise DegenerateParameterError(
+            "%s = %s has more than %d digits"
+            % (name, reprlib.repr(v), MAX_SCALAR_DIGITS))
     val = None
     try:
         if type(v) is int:
             val = field.of(v)
         elif m:
             val = field.of(Fraction(int(m[1]), int(m[2] or 1)))
-    except (ValueError, ZeroDivisionError):     # > 4300 digits, den 0
+    except ZeroDivisionError:                   # den 0, in Q or in F_p
         pass
     if val is None or nonzero and not val:
         raise DegenerateParameterError(

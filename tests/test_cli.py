@@ -82,6 +82,63 @@ def test_bad_usage_exits_2(capsys):
         assert message in err, (argv, err)
 
 
+def test_weight_beyond_the_bound_exits_2_at_once(capsys):
+    """A --p weight past MAX_WEIGHT, given or summed along the chain, is
+    refused by name before anything is built; at the bound it builds."""
+    import time
+    from qdyb.cli import MAX_WEIGHT
+    assert MAX_WEIGHT == 100
+    for argv, message in (
+            (("dump", "rhat", "--n", "2", "--q", "9/4", "--beta", "1",
+              "--p", "p12=100000"), "p12 = 100000"),
+            (("wznw", "--n", "3", "--q", "9/4", "--p", "p12=60,p23=41"),
+             "p13 = 101"),
+            (("build", "--n", "2", "--q", "2", "--p", "p12=-101"),
+             "p12 = -101")):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert code == 2 and not out, (argv, err)
+        assert message in err and "at most 100" in err, (argv, err)
+    code, _, _ = run_cli(capsys, "dump", "rhat", "--n", "3", "--q", "9/4",
+                         "--beta", "1,1", "--p", "p12=60,p23=40")
+    assert code == 0
+
+
+def test_scalar_beyond_the_digit_bound_exits_2_at_once(tmp_path, capsys):
+    """A params q of 4,000 digits is refused by name, as is an int or a
+    denominator past MAX_SCALAR_DIGITS; a scalar of that many digits
+    still parses."""
+    import time
+    from qdyb.scalars import (MAX_SCALAR_DIGITS, DegenerateParameterError,
+                              parse_scalar)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n": 2, "q": "1" * 4000 + "/3"}))
+    for argv in (("build", "--params", str(params)),
+                 ("dump", "params", "--params", str(params))):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert code == 2 and not out, (argv, err)
+        assert "params q" in err and "more than 1000 digits" in err, err
+    wide = 10 ** MAX_SCALAR_DIGITS
+    for v in (wide, -wide, "1/%d" % wide, "+%d" % wide):
+        with pytest.raises(DegenerateParameterError, match="digits"):
+            parse_scalar("x", v)
+    assert parse_scalar("x", "-%d/7" % (wide - 1)) == Fraction(1 - wide, 7)
+    assert parse_scalar("x", wide - 1) == wide - 1
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qdyb.__file__)))
+    res = subprocess.run([sys.executable, "-m", "qdyb", "verify", "params",
+                          "--n", "2"], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["status"] == "pass"
+
+
 def test_point_keys_with_multi_digit_indices(capsys):
     chain = list(range(-4, 5))
     spec = ",".join("p%d%d=%d" % (i, i + 1, c)

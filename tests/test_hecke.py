@@ -180,6 +180,27 @@ def test_braid_and_locality_sides_are_integer_multiples(flavor):
     assert kinds == {"braid", "quadratic", "locality"}
 
 
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_each_relation_forms_its_fewest_products(flavor, monkeypatch):
+    """The braid relation aba = bab is formed as x a = b x with x = a b:
+    3 products, as the locality relation takes 2 and the quadratic 1."""
+    mul = TensorOp.__mul__
+    count = [0]
+
+    def counted(a, b):
+        count[0] += isinstance(b, TensorOp)
+        return mul(a, b)
+
+    monkeypatch.setattr(TensorOp, "__mul__", counted)
+    rep = flavor_builder(flavor, 2, 5, 60)()
+    formed = {}
+    for rel, _, _ in rep.relations():
+        formed[rel[0]] = formed.get(rel[0], 0) + count[0]
+        count[0] = 0
+    assert formed == {"braid": 3 * 3, "quadratic": 4, "locality": 2 * 3}
+    assert rep.relations_hold()
+
+
 def reference_window(rep, sign, i, j, memo):
     """W(i, j) by the right-end recursion over the k-site images, with
     t = q or -qbar and [m]_t = t^(m-1) + t^(m-3) + ... + t^(1-m)."""

@@ -22,8 +22,8 @@ from qdyb.qmatrix import (
     MoveError, ReplayEngine, ShiftFunc, SlotExpr, SpacedTensor,
     block_intertwiners, builtin_derivations, derivation_from_json,
     membership_oracle, oracle_confirm, oracle_sides, oracle_slices,
-    statement_key, _label_fields, _sides, _ddiag, _delta, _dmat, _pairing,
-    _weights,
+    statement_key, _composed_labels, _label_fields, _plan, _sides,
+    _sorted_labels, _ddiag, _delta, _dmat, _pairing, _weights,
     _eps_bra, _eps_bra_dyn, _eps_ket, _eps_ket_dyn, _func, _gen_word, _kdiag,
     _mv, _nk, _rho, _rho_dyn, _sigma, _slot, _sym,
 )
@@ -182,6 +182,9 @@ def test_compose_matches_reference(field):
         assert SpacedTensor(c.kets, c.bras).bras == c.bras
         assert_stored_form(c)
         assert by_label(c) == expected, (a, b)
+        ref = unplanned_compose(a, b)
+        assert (ref.kets, ref.bras, ref.rows, ref.den, ref.p) == \
+            (c.kets, c.bras, c.rows, c.den, c.p)
     assert cancelled > 0
 
 
@@ -199,10 +202,98 @@ def test_rational_unit_composes_with_a_prime_factor():
         st.compose(other)
 
 
+def unplanned_compose(a, b):
+    """a.compose(b) with its sockets derived on the call and every index
+    read by label: the reference for the cached contraction plans."""
+    shared = [s for s in a.bras if s in b.kets]
+    kets = list(a.kets)
+    for s in b.kets:
+        if s not in shared:
+            if s in kets:
+                raise MoveError("ket collision at %r" % (s,))
+            kets.append(s)
+    bras = [s for s in a.bras if s not in shared]
+    for s in b.bras:
+        if s in bras:
+            raise MoveError("bra collision at %r" % (s,))
+        bras.append(s)
+    kets, bras = _sorted_labels(kets), _sorted_labels(bras)
+    arows, aden, brows, bden, p = _common_field(a, b)
+    grouped = {}
+    for bk, brow in brows.items():
+        at = dict(zip(b.kets, bk))
+        grouped.setdefault(tuple(at[s] for s in shared), []).append(
+            (at, brow))
+    rows = {}
+    for ak, arow in arows.items():
+        for ab, va in arow.items():
+            a_bras = dict(zip(a.bras, ab))
+            for b_kets, brow in grouped.get(
+                    tuple(a_bras[s] for s in shared), ()):
+                # an open ket comes from a first, an open bra from b
+                at = dict(b_kets)
+                at.update(zip(a.kets, ak))
+                dst = rows.setdefault(tuple(at[s] for s in kets), {})
+                for bb, vb in brow.items():
+                    to = dict(a_bras)
+                    to.update(zip(b.bras, bb))
+                    kb = tuple(to[s] for s in bras)
+                    dst[kb] = dst.get(kb, 0) + va * vb
+    return SpacedTensor._make(kets, bras, rows, aden * bden, p)
+
+
+def test_plan_collisions_raise_on_every_call():
+    """A cached plan keeps no exception: a ket or a bra collision raises
+    the same MoveError on every call, as the unplanned compose does; and
+    both socket caches are bounded."""
+    a = SpacedTensor((1,), (2,), {(1,): {(1,): 1}})
+    b = SpacedTensor((), (2,), {(): {(1,): 1}})
+    for other, text in ((a, "ket collision at 1"), (b, "bra collision at 2")):
+        for compose in (SpacedTensor.compose, unplanned_compose):
+            for _ in range(3):
+                with pytest.raises(MoveError) as e:
+                    compose(a, other)
+                assert str(e.value) == text
+    for cache in (_plan, _composed_labels):
+        assert isinstance(cache.cache_info().maxsize, int)
+
+
+def test_replays_compose_no_unit(monkeypatch):
+    """canonical and refactor start each fold from its first factor: no
+    compose of a builtin replay has UNIT as an operand, and the empty
+    word is UNIT."""
+    compose = SpacedTensor.compose
+    operands = []
+
+    def counted(a, b):
+        operands.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(SpacedTensor, "compose", counted)
+    eng = engine(2, random.Random(84), npoints=2)
+    for name, d in sorted(builtin_derivations(2).items()):
+        assert all(ok for _, ok, _ in eng.run(d)), name
+    assert operands and not any(a is UNIT or b is UNIT for a, b in operands)
+    assert eng.canonical(SlotExpr([]), eng.points[0]) == (0, 0, UNIT)
+
+
+def test_engine_keeps_constant_and_slot_tensors():
+    """An engine builds each constant factor and each slot tensor once,
+    and another engine builds its own."""
+    rng = random.Random(85)
+    eng, other = engine(2, rng, npoints=1), engine(2, rng, npoints=1)
+    spec = _rho(_gen_word(1), [1, 2])
+    st = eng.resolve(spec).st
+    assert eng.resolve(json.loads(json.dumps(spec))).st is st
+    assert other.resolve(spec).st is not st and other.resolve(spec).st == st
+    assert eng._slot_tensor(1, 1) is eng._slot_tensor(1, 1)
+    assert other._slot_tensor(1, 1) is not eng._slot_tensor(1, 1)
+
+
 def fold_canonical(eng, expr, p):
-    """ReplayEngine.canonical as the left-to-right fold of compose over
-    the factors, one factor at a time: the reference for the evaluation
-    by runs."""
+    """ReplayEngine.canonical as the left-to-right fold over the factors,
+    one factor at a time, from UNIT, with :func:`unplanned_compose`: the
+    reference for the evaluation by runs and its cached plans."""
     acc = UNIT
     t = det = 0
     seen_slot = seen_det = False
@@ -216,17 +307,17 @@ def fold_canonical(eng, expr, p):
                 raise MoveError("slot to the right of a det symbol")
             t += 1
             # bras sorted: the space, ("sc", t), ("sr", t)
-            acc = acc.compose(SpacedTensor(
+            acc = unplanned_compose(acc, SpacedTensor(
                 (f.space,), (f.space, ("sr", t), ("sc", t)),
                 {(r,): {(c, c, r): one for c in range(1, eng.n + 1)}
                  for r in range(1, eng.n + 1)}))
             seen_slot = True
         elif isinstance(f, FConst):
-            acc = acc.compose(f.st)
+            acc = unplanned_compose(acc, f.st)
         elif isinstance(f, FP):
             if seen_slot or seen_det:
                 raise MoveError("p-dependent factor right of a slot or det")
-            acc = acc.compose(eng.eval_p(f, p))
+            acc = unplanned_compose(acc, eng.eval_p(f, p))
         else:
             raise MoveError("unknown factor %r" % (f,))
     return t, det, acc
