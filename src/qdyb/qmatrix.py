@@ -1199,20 +1199,18 @@ class ReplayEngine:
         names the move's index."""
         name = derivation.get("name", "derivation")
         try:
-            expr = self.expr(derivation["start"])
-            for i, mv in enumerate(derivation.get("moves", ())):
-                try:
-                    expr = self.apply_move(expr, mv)
-                except MoveError as e:
-                    return [Check("%s.move[%d]" % (name, i), False, str(e))]
-            end = self.expr(derivation["end"])
-            for i, mv in enumerate(derivation.get("end_moves", ())):
-                try:
-                    end = self.apply_move(end, mv)
-                except MoveError as e:
-                    return [Check("%s.end-move[%d]" % (name, i), False,
-                                  str(e))]
-            check = Check(name, *self.exprs_equal(expr, end))
+            sides = []
+            for word, key, label in (("start", "moves", "move"),
+                                     ("end", "end_moves", "end-move")):
+                expr = self.expr(derivation[word])
+                for i, mv in enumerate(derivation.get(key, ())):
+                    try:
+                        expr = self.apply_move(expr, mv)
+                    except MoveError as e:
+                        return [Check("%s.%s[%d]" % (name, label, i), False,
+                                      str(e))]
+                sides.append(expr)
+            check = Check(name, *self.exprs_equal(*sides))
             if check.ok:
                 self._proven.add(statement_key(derivation))
             return [check]
@@ -1384,12 +1382,13 @@ def derivation_d1_ket(n, window=None):
             "moves": moves, "end": end, "end_moves": []}
 
 
-def derivation_d2(n, hfunc=None):
+# the weight function of the builtin D2 and of its certificate
+D2_FUNC = ShiftFunc(Fraction(1), {("f", 1, 2, 0): 1, ("qp", 1, 2, 1): 1})
+
+
+def derivation_d2(n, hfunc):
     """det(a) commutes with every shiftable weight function."""
     w = tuple(range(1, n + 1))
-    if hfunc is None:
-        hfunc = ShiftFunc(Fraction(1),
-                          {("f", 1, 2, 0): 1, ("qp", 1, 2, 1): 1})
     start = [_det(1), _func(hfunc)]
     moves = [_mv("expand_det", at=0, window=list(w)),
              _mv("swap", at=n + 2)]
@@ -1426,8 +1425,6 @@ def derivation_d3(n):
         _mv("swap", at=4 + n + 1),  # constant ket up against the slot run
         _mv("collapse", at=5, form="ket", window=list(w2)),
         _mv("scalar_shift", at=5, dir="left"),
-        _mv("refactor", at=3, take=2,
-            payload=[_sym("qfact", n), _delta(1, 1)]),
     ]
     end = [_nk("k", n + 1, 1), _slot(1), _delta(1, n + 1), _det(1)]
     return {"name": "det-slot-exchange-rule", "n": n, "start": start,
@@ -1456,18 +1453,15 @@ def derivation_d4a(n):
     moves = [
         _mv("swap", at=3 + len(rest)),
         _mv("collapse", at=2, form="bra"),
-        _mv("det_step", at=1),
     ]
     end = [_delta(t, u)]
     return {"name": "inverse-left", "n": n, "start": start,
             "moves": moves, "end": end, "end_moves": []}
 
 
-def derivation_inv_cancel_right(n, t=None, u=None, rest=None):
+def derivation_inv_cancel_right(n, t, u, rest):
     """a * a^(-1) = transport (right inverse), det^(-1) carried."""
-    t = 1 if t is None else t
-    u = n + 1 if u is None else u
-    rest = tuple(range(2, n + 1)) if rest is None else tuple(rest)
+    rest = tuple(rest)
     start = [_slot(t), _sym("cinv", n), _det(-1),
              _eps_bra_dyn(rest + (u,))] + [_slot(s) for s in rest] + \
         [_eps_ket((t,) + rest)]
@@ -1478,10 +1472,6 @@ def derivation_inv_cancel_right(n, t=None, u=None, rest=None):
         _mv("scalar_shift", at=4, dir="left"),
         _mv("collapse", at=4, form="ket", window=[t] + list(rest)),
         # [cinv, det(-1), kdiag(t), dressed-bra, eps_ket_dyn, det(1)]
-        _mv("refactor", at=3, take=2,
-            payload=[_sym("cinv_inv", n), _nk("n", t, u)]),
-        _mv("swap", at=2),
-        _mv("refactor", at=3, take=2, payload=[_delta(t, u)]),
         _mv("normalize"),
     ]
     end = [_delta(t, u)]
@@ -1515,7 +1505,6 @@ def derivation_cancel_braided(n, t, u, w, rest):
         _mv("intertwine", at=2 + len(rest) + 1, dir="lr"),
         _mv("lemma", at=0, name="inv_cancel_left",
             args={"t": t, "u": u, "rest": list(rest)}),
-        _mv("swap", at=1),  # delta(t,u) past slot(w)
         _mv("normalize"),
     ]
     end = [_det(1), _slot(w), _delta(t, u), _rho(_gen_word(1, -1), (u, w))]
@@ -1538,7 +1527,7 @@ def derivation_dpush(n, x, w, u2, rest2):
         _mv("normalize"),
     ]
     return {"name": "weight-push", "n": n, "start": start,
-            "moves": [_mv("normalize")], "end": end, "end_moves": end_moves}
+            "moves": [], "end": end, "end_moves": end_moves}
 
 
 def derivation_d5_scalar(n):
@@ -1546,7 +1535,7 @@ def derivation_d5_scalar(n):
     U = central_u(n)
     h = ShiftFunc(Fraction(1), {("qp", 1, 2, 1): 1, ("f", 1, 2, 1): 1})
     start = [_det(1), _func(U), _func(h)]
-    moves = [_mv("swap", at=1), _mv("det_step", at=0), _mv("det_step", at=1)]
+    moves = [_mv("det_step", at=0), _mv("det_step", at=1)]
     end = [_func(h), _det(1), _func(U)]
     end_moves = [_mv("det_step", at=1)]
     return {"name": "central-weight-commute", "n": n, "start": start,
@@ -1565,14 +1554,13 @@ def central_u(n):
 
 def derivation_d5_slot(n):
     """det(a) U(p) commutes with the generators themselves; the ratio
-    condition U(p - v(i)) = U(p) K^i_i(p) enters as the last rewrite."""
+    condition U(p - v(i)) = U(p) K^i_i(p) is what makes the two sides'
+    evaluations agree."""
     U = central_u(n)
     start = [_det(1), _func(U), _slot(1)]
     moves = [
         _mv("det_step", at=0),
         _mv("det_step", at=1),
-        _mv("refactor", at=0, take=2,
-            payload=[_func(U, dress=((1, -1),))]),
     ]
     end = [_slot(1), _det(1), _func(U)]
     end_moves = [_mv("normalize")]
@@ -1592,22 +1580,21 @@ def derivation_d6_commute(n):
             "end": end, "end_moves": [_mv("normalize")]}
 
 
-def derivation_d6_exchange(n, x=1, w=2, transport=None, u_l=None,
-                           rest_l=None, u_r=None, rest_r=None):
+def d6_aux(n):
+    """The aux spaces (u_l, rest_l, u_r, rest_r) of the builtin D6: the
+    first just above its n + 2 labels in use, the second 2n later."""
+    return (n + 3, tuple(range(n + 4, 2 * n + 3)),
+            3 * n + 3, tuple(range(3 * n + 4, 4 * n + 3)))
+
+
+def derivation_d6_exchange(n, x, w, u_l, rest_l, u_r, rest_r,
+                           transport=None):
     """det M_x a_w = q^(2/n) det a_w R^(-1) M_w R^(-1); the reflection
     exchange relation, det-multiplied.  With `transport`, the outer slot
     lives on w but its column socket is routed to the transport space,
     and the constant braid factors act on (x, transport).  `u_l`/`rest_l`
-    and `u_r`/`rest_r` are the aux spaces of M_x (start) and M_w (end);
-    by default they begin just above n + 2, x, w and transport, and 2n
-    labels later."""
-    u, rest, u3, rest3 = u_l, rest_l, u_r, rest_r
-    base = max(n + 3, x + 1, w + 1, (transport or 0) + 1)
-    if u is None:
-        u, rest = base, range(base + 1, base + n)
-    if u3 is None:
-        u3, rest3 = base + 2 * n, range(base + 2 * n + 1, base + 3 * n)
-    rest, rest3 = tuple(rest), tuple(rest3)
+    and `u_r`/`rest_r` are the aux spaces of M_x (start) and M_w (end)."""
+    u, rest, u3, rest3 = u_l, tuple(rest_l), u_r, tuple(rest_r)
     # the weight push's inner pair lies above every label in use
     u2 = 1 + max((x, w, transport or 0, u, u3) + rest + rest3)
     rest2 = tuple(range(u2 + 1, u2 + n))
@@ -1654,14 +1641,14 @@ def builtin_derivations(n):
     out = {
         "D1": derivation_d1_bra(n),
         "D1k": derivation_d1_ket(n),
-        "D2": derivation_d2(n),
+        "D2": derivation_d2(n, D2_FUNC),
         "D3": derivation_d3(n),
         "D4": derivation_d4a(n),
-        "D4r": derivation_inv_cancel_right(n),
+        "D4r": derivation_inv_cancel_right(n, 1, n + 1, range(2, n + 1)),
         "D5": derivation_d5_scalar(n),
         "D5a": derivation_d5_slot(n),
         "D6c": derivation_d6_commute(n),
-        "D6": derivation_d6_exchange(n),
+        "D6": derivation_d6_exchange(n, 1, 2, *d6_aux(n)),
         "D6r": derivation_d6_reflection(n),
     }
     return out
@@ -1670,7 +1657,7 @@ def builtin_derivations(n):
 # every certificate, by name: builder(n, args) -> derivation; a lemma
 # move with that name rewrites the derivation's start word into its end
 CERTIFICATES = {
-    "det-func-commute": lambda n, args: derivation_d2(n),
+    "det-func-commute": lambda n, args: derivation_d2(n, D2_FUNC),
     "det-slot-exchange": lambda n, args: derivation_d3(n),
     "collapse-bra": derivation_d1_bra,
     "collapse-ket": derivation_d1_ket,
@@ -2048,8 +2035,9 @@ def _check_factor(doc, where, n):
     for key in () if own else [k for k in doc if k not in top]:
         raise ValueError("%s %s factor has no key %r" % (where, name, key))
     if spec and all(key.endswith("?") for key in spec) and len(args) != 1:
-        raise ValueError("%s %s factor takes one of the arguments %s" % (
-            where, name, ", ".join(repr(key[:-1]) for key in spec)))
+        raise ValueError("%s %s factor takes one argument of %s, got %d" % (
+            where, name, ", ".join(repr(key[:-1]) for key in spec),
+            len(args)))
     _check_args(args, spec, n, "%s %s factor" % (where, name),
                 "lacks argument", lambda key: " ".join(
                     dict.fromkeys((where, name, key))))
@@ -2172,8 +2160,7 @@ def derivation_d6_reflection(n):
     # the end side's exchange uses the builtin D6's aux labels: its
     # certificate is then that derivation, whose sub-certificates an
     # engine that ran D6 already holds
-    u7, r7 = n + 3, tuple(range(n + 4, 2 * n + 3))
-    u4, r4 = 3 * n + 3, tuple(range(3 * n + 4, 4 * n + 3))
+    u7, r7, u4, r4 = d6_aux(n)
 
     start = [_slot(2), _det(1)] + m_guts(n, 2, u2, r2) + [rinv] + \
         m_guts(n, 2, u3, r3) + [rinv]
@@ -2187,8 +2174,7 @@ def derivation_d6_reflection(n):
         _mv("det_step", at=1),
         _mv("refactor", at=3, take=0,
             payload=[_sym("rootpow", 2), _sym("rootpow", -2)]),
-        _mv("swap", at=3), _mv("swap", at=2), _mv("swap", at=1),
-        _mv("swap", at=0),
+        _mv("swap", at=3), _mv("swap", at=2),
         _mv("lemma", at=3, name="m4b", reverse=True,
             args={"x": 1, "w": u2, "transport": 2,
                   "u_l": u6, "rest_l": list(r6),
@@ -2202,7 +2188,7 @@ def derivation_d6_reflection(n):
         _mv("det_step", at=0),
         _mv("refactor", at=2, take=0,
             payload=[_sym("rootpow", 2), _sym("rootpow", -2)]),
-        _mv("swap", at=2), _mv("swap", at=1), _mv("swap", at=0),
+        _mv("swap", at=2), _mv("swap", at=1),
         _mv("lemma", at=2, name="m4b", reverse=True,
             args={"x": 1, "w": 2,
                   "u_l": u7, "rest_l": list(r7),

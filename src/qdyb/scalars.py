@@ -33,8 +33,9 @@ change no value returned and are never shared between contexts.
 
 import re
 import reprlib
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 
 
 class PoleError(ArithmeticError):
@@ -428,7 +429,20 @@ def f_poly(p, beta, ctx):
 
 
 def fmt_scalar(x):
-    """Serialize a scalar as 'num/den' (rational) or a residue string."""
+    """Serialize a scalar as 'num/den' (rational) or a residue string; a
+    rational whose numerator or denominator Python will not print (past
+    sys.get_int_max_str_digits()) raises DegenerateParameterError naming
+    its digit count."""
     if isinstance(x, ModInt):
         return str(x.v)
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        v = max(abs(x.numerator), x.denominator)
+        digits = int(v.bit_length() * log10(2)) + 1
+        digits -= 10 ** (digits - 1) > v
+        raise DegenerateParameterError(
+            "a value of %d digits is past the print limit of %d digits: "
+            "use smaller scalars" % (digits, sys.get_int_max_str_digits())
+        ) from None

@@ -94,21 +94,17 @@ class RunConfig:
     def rng(self):
         return random.Random(self.seed)
 
-    def context(self, rng, need_root=False):
+    def context(self, rng):
         field = self.field()
         if self.q is not None:
             q = parse_scalar("q", self.q, field)
             root = None if self.root is None \
                 else parse_scalar("root", self.root, field)
             return QContext(q, self.n, root=root, field=field)
-        if need_root:
-            r = field.of(sample_q(rng))
-            return QContext(r**self.n, self.n, root=r, field=field)
         return QContext(field.of(sample_q(rng)), self.n, field=field)
 
-    def draw_params(self, rng, need_root=False, alpha=None):
-        ctx = self.context(rng, need_root=need_root)
-        alpha = alpha if alpha is not None else self.alpha
+    def draw_params(self, rng):
+        ctx = self.context(rng)
         if self.beta == "infinity":
             fam = PairFamily.unit(self.n, ctx.field)
             return SLnParams(ctx, None, fam)
@@ -116,11 +112,11 @@ class RunConfig:
             chain = [parse_scalar("beta[%d]" % i, b, ctx.field)
                      for i, b in enumerate(self.beta)]
             fam = (PairFamily.standard(self.n, ctx)
-                   if alpha == "standard"
+                   if self.alpha == "standard"
                    else PairFamily.unit(self.n, ctx.field))
             return SLnParams(ctx, chain, fam)
-        kind = alpha if alpha in ("unit", "standard", "constant",
-                                  "geometric") else "unit"
+        kind = self.alpha if self.alpha in ("unit", "standard", "constant",
+                                            "geometric") else "unit"
         return sample_params(self.n, rng, ctx=ctx, alpha=kind)
 
 

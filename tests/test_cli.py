@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -127,6 +128,26 @@ def test_scalar_beyond_the_digit_bound_exits_2_at_once(tmp_path, capsys):
             parse_scalar("x", v)
     assert parse_scalar("x", "-%d/7" % (wide - 1)) == Fraction(1 - wide, 7)
     assert parse_scalar("x", wide - 1) == wide - 1
+
+
+def test_values_past_the_print_limit_exit_2_by_name(tmp_path, capsys):
+    """A q within the digit bound whose powers Python will not print
+    exits 2 naming the value's digit count and the print limit."""
+    from qdyb.scalars import DegenerateParameterError, fmt_scalar
+    params = tmp_path / "params.json"
+    for digits, seed in ((600, 0), (300, 1)):
+        params.write_text(json.dumps({"n": 3, "q": "1" * digits + "/3"}))
+        code, out, err = run_cli(capsys, "build", "--params", str(params),
+                                 "--seed", str(seed))
+        assert code == 2 and not out, err
+        assert re.search(r"a value of \d+ digits is past the print limit "
+                         r"of %d digits" % sys.get_int_max_str_digits(),
+                         err), err
+    for v, digits in ((10 ** 5000, 5001), (1 - 10 ** 5000, 5000),
+                      (Fraction(1, 10 ** 4400), 4401)):
+        with pytest.raises(DegenerateParameterError,
+                           match="a value of %d digits" % digits):
+            fmt_scalar(v)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -515,6 +536,11 @@ BAD_SCRIPTS = {
         "start": [_slot(1)],
         "end": [{"space": 1}]},
         "end[0] = {'space': 1} is no factor: it needs a known \"kind\""),
+    "scalar-with-two-arguments": ({
+        "start": [_const("scalar", sym=["q", 1], value="2")],
+        "end": [_slot(1)]},
+        "start[0] scalar factor takes one argument of 'sym', 'value', "
+        "got 2"),
     "swap-without-at": ({
         "start": [_slot(1), _slot(2)],
         "moves": [{"move": "swap"}],

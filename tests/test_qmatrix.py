@@ -1,5 +1,7 @@
 """The word calculus: derivation replays, the membership oracle, scripts."""
 
+import functools
+import hashlib
 import itertools
 import json
 import os
@@ -15,7 +17,7 @@ import qdyb
 
 from qdyb.scalars import RATIONAL, ModInt, PrimeField, QContext, qnum
 from qdyb.hecke import HeckeWord
-from qdyb.weights import sample_params, sample_point
+from qdyb.weights import sample_params, sample_point, sample_points
 from qdyb.qmatrix import (
     CERTIFICATES, FACTORS, ORACLE_MAX_DIM, SIGNATURES, FConst, FDet, FP,
     FSlot, UNIT,
@@ -860,6 +862,154 @@ def test_tables_admit_the_builtins_and_their_certificates(n):
                 assert (set(st.kets), set(st.bras)) == (kets, bras), doc
 
 
+@functools.lru_cache(maxsize=None)
+def _reached(n, backend):
+    """An engine at n on the backend (seed 7, constant alpha, one point,
+    wide on F_P) that has replayed every builtin, and {label: derivation}
+    for the builtins, by alias, and for each certificate instance their
+    replays required, as "name args-JSON"."""
+    field = PrimeField() if backend == "prime" else RATIONAL
+    r = field.of(Fraction(3, 2))
+    rng = random.Random(7)
+    params = sample_params(n, rng, ctx=QContext(r**n, n, root=r, field=field),
+                           alpha="constant")
+    eng = ReplayEngine(params, sample_points(params, rng, 1, clearance=6))
+    ds = builtin_derivations(n)
+
+    def record(name, args=None):
+        label = "%s %s" % (name, json.dumps(args, sort_keys=True))
+        ds[label] = CERTIFICATES[name](n, args)
+        return ReplayEngine.require_certificate(eng, name, args)
+    eng.require_certificate = record
+    for name in sorted(ds):
+        assert eng.run(ds[name])[0].ok is True, name
+    del eng.require_certificate
+    return eng, ds
+
+
+@pytest.mark.parametrize("n, backend",
+                         [(2, "rational"), (2, "prime"), (3, "prime")])
+def test_every_move_of_the_builtins_and_their_certificates_is_needed(
+        n, backend):
+    """Drop-one mutants (mutation analysis, DeMillo, Lipton and Sayward
+    1978): each builtin, and each certificate instance the builtins
+    reach, fails replay when any one of its moves is dropped, so no
+    proof keeps a move it does not use."""
+    eng, ds = _reached(n, backend)
+    assert len(ds) == 11 + 17
+    survivors = []
+    for label, d in sorted(ds.items()):
+        for key in ("moves", "end_moves"):
+            for i in range(len(d[key])):
+                mutant = dict(d, **{key: d[key][:i] + d[key][i + 1:]})
+                if eng.run(mutant)[0].ok is not False:
+                    survivors.append((label, key, i, d[key][i]["move"]))
+    assert not survivors
+
+
+# sha256 of statement_key, its first 10 hex digits, of each builtin and of
+# each certificate instance that the builtins reach at n, grouped by
+# statement; recorded before the builtins lost their unused moves
+STATEMENTS = {
+    2: {
+        "8957e019c6": ['D1', 'collapse-bra [2, 3]', 'collapse-bra [6, 5]'],
+        "100d556010": ['D1k', 'collapse-ket [1, 2]', 'collapse-ket [2, 3]'],
+        "7ce78e03eb": ['D2', 'det-func-commute null'],
+        "0819c765ec": ['D3', 'det-slot-exchange null'],
+        "7f18ed2429": ['D4'],
+        "c794b38516": [
+            'D4r',
+            'inv_cancel_right {"rest": [12], "t": 2, "u": 11}',
+            'inv_cancel_right {"rest": [13], "t": 2, "u": 12}',
+            'inv_cancel_right {"rest": [19], "t": 2, "u": 18}',
+        ],
+        "d627d8cc5c": ['D5'],
+        "5362944fa7": ['D5a'],
+        "4aeca626a3": [
+            'D6',
+            'm4b {"rest_l": [6], "rest_r": [10], '
+            '"u_l": 5, "u_r": 9, "w": 2, "x": 1}',
+        ],
+        "97cbdeded3": ['D6c'],
+        "a5adef3a90": ['D6r'],
+        "8500dd369f": [
+            'cancel_braided {"rest": [21], "t": 1, "u": 20, "w": 12}',
+            'cancel_braided {"rest": [6], "t": 1, "u": 5, "w": 2}',
+        ],
+        "e3306487e2": [
+            'dpush {"rest2": [12], "u2": 11, "w": 2, "x": 5}',
+            'dpush {"rest2": [23], "u2": 22, "w": 12, "x": 20}',
+        ],
+        "b71373f84e": ['inv_cancel_left {"rest": [6], "t": 1, "u": 5}'],
+        "297f919051": [
+            'inv_cancel_right_detfree {"rest": [13], "t": 2, "u": 12}',
+        ],
+        "af36e97948": [
+            'm4b {"rest_l": [21], "rest_r": [15], "transport": 2, '
+            '"u_l": 20, "u_r": 14, "w": 12, "x": 1}',
+        ],
+    },
+    3: {
+        "6d18ba2462": [
+            'D1',
+            'collapse-bra [2, 3, 4]',
+            'collapse-bra [7, 8, 6]',
+        ],
+        "5ab603af40": [
+            'D1k',
+            'collapse-ket [1, 2, 3]',
+            'collapse-ket [2, 3, 4]',
+        ],
+        "7ce78e03eb": ['D2', 'det-func-commute null'],
+        "0819c765ec": ['D3', 'det-slot-exchange null'],
+        "679b680f9e": ['D4'],
+        "f6dd7d654f": [
+            'D4r',
+            'inv_cancel_right {"rest": [16, 17], "t": 2, "u": 15}',
+            'inv_cancel_right {"rest": [17, 18], "t": 2, "u": 16}',
+            'inv_cancel_right {"rest": [26, 27], "t": 2, "u": 25}',
+        ],
+        "8b705e2bdd": ['D5'],
+        "1f6683e79d": ['D5a'],
+        "74c973d63e": [
+            'D6',
+            'm4b {"rest_l": [7, 8], "rest_r": [13, 14], '
+            '"u_l": 6, "u_r": 12, "w": 2, "x": 1}',
+        ],
+        "bd3defa914": ['D6c'],
+        "1663cd79f1": ['D6r'],
+        "f9b802e8b6": [
+            'cancel_braided {"rest": [29, 30], "t": 1, "u": 28, "w": 16}',
+            'cancel_braided {"rest": [7, 8], "t": 1, "u": 6, "w": 2}',
+        ],
+        "ad76e8614b": [
+            'dpush {"rest2": [16, 17], "u2": 15, "w": 2, "x": 6}',
+            'dpush {"rest2": [32, 33], "u2": 31, "w": 16, "x": 28}',
+        ],
+        "f8954d29f1": ['inv_cancel_left {"rest": [7, 8], "t": 1, "u": 6}'],
+        "92f215a3c9": [
+            'inv_cancel_right_detfree {"rest": [17, 18], "t": 2, "u": 16}',
+        ],
+        "23703bca3f": [
+            'm4b {"rest_l": [29, 30], "rest_r": [20, 21], "transport": 2, '
+            '"u_l": 28, "u_r": 19, "w": 16, "x": 1}',
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("n, backend", [(2, "rational"), (3, "prime")])
+def test_statements_of_the_builtins_and_their_certificates_are_pinned(
+        n, backend):
+    """Dropping moves and passing builder arguments explicitly change no
+    statement, so each engine still proves each one once."""
+    got = {}
+    for label, d in _reached(n, backend)[1].items():
+        digest = hashlib.sha256(statement_key(d).encode()).hexdigest()[:10]
+        got.setdefault(digest, set()).add(label)
+    assert got == {k: set(v) for k, v in STATEMENTS[n].items()}
+
+
 # each case sets one field of a builtin's JSON at n = 2 to one of these,
 # replays the result on one engine and prints its records, or the message
 # of the ValueError that refused it, as one JSON list
@@ -961,10 +1111,10 @@ def test_inapplicable_move_names_step():
 def test_non_unimodular_dressing_rejected():
     """Dropping one slot from the weight-commute window (a stand-in for
     a non-unimodular shift matrix) must break the refactor step."""
-    from qdyb.qmatrix import derivation_d2
+    from qdyb.qmatrix import D2_FUNC, derivation_d2
     rng = random.Random(48)
     eng = engine(2, rng, npoints=2)
-    d = derivation_d2(2)
+    d = derivation_d2(2, D2_FUNC)
     # corrupt: the dressed function is compared against the undressed one
     # after crossing only one of the two slots
     bad = dict(d)
@@ -1260,8 +1410,8 @@ def test_only_a_passing_replay_proves_its_statement(monkeypatch):
     run or as a certificate, proves nothing: a second certificate of the
     same statement is replayed, and fails.  After a passing replay of a
     statement, its certificate is not replayed."""
-    from qdyb.qmatrix import derivation_d2
-    good = derivation_d2(2)
+    from qdyb.qmatrix import D2_FUNC, derivation_d2
+    good = derivation_d2(2, D2_FUNC)
     wrong = dict(good, end=[_sym("q", 1)] + good["end"])
     eng = engine(2, random.Random(54), npoints=2)
     for name in ("det-func-commute", "det-slot-exchange"):
