@@ -16,14 +16,12 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 
 from .checks import fold
-from .scalars import DegenerateParameterError, PoleError, QContext
-from .weights import SLnParams, WeightPoint, sample_point, sample_points
+from .scalars import RATIONAL, DegenerateParameterError, PoleError
+from .weights import SLnParams, WeightPoint, sample_point
 from . import rmatrix, levicivita, verify, wznw
-from .qmatrix import (ReplayEngine, builtin_derivations,
-                      derivation_from_json)
+from .qmatrix import builtin_derivations, derivation_from_json
 
 USAGE_ERROR = 2
 FAIL = 1
@@ -36,20 +34,22 @@ POINTS_HELP = ("sample points per draw; on a prime field where ord(3/2) "
                "the error bound, not --points, sets the count")
 
 
+def _beta_value(text):
+    """--beta text as a params-JSON "beta" value; None when not given."""
+    if text in ("inf", "infinity"):
+        return "infinity"
+    return text.split(",") if text else None
+
+
 def _params_from_args(args):
-    if getattr(args, "params", None):
+    if args.params:
         with open(args.params) as fh:
             return SLnParams.from_json(json.load(fh))
     if args.q is None:
         raise DegenerateParameterError("need --params or --q")
-    doc = {"n": args.n, "q": args.q,
-           "beta": ("infinity" if args.beta in ("inf", "infinity")
-                    else (args.beta.split(",") if args.beta else
-                          ["1"] * (args.n - 1))),
-           "alpha": {"preset": args.alpha}}
-    if args.root:
-        doc["root"] = args.root
-    return SLnParams.from_json(doc)
+    return verify.fixed_params(
+        args.n, args.q, args.root,
+        _beta_value(args.beta) or ["1"] * (args.n - 1), args.alpha, RATIONAL)
 
 
 def _point_from_args(args, params):
@@ -64,6 +64,8 @@ def _point_from_args(args, params):
                 raise DegenerateParameterError(
                     "unknown weight %r in --p; expected one of %s"
                     % (key, ", ".join(keys)))
+            if keys[key] in chain:
+                raise DegenerateParameterError("--p repeats %s" % key)
             try:
                 chain[keys[key]] = int(val)
             except ValueError:
@@ -139,10 +141,7 @@ def cmd_dump(args):
 
 def cmd_verify(args):
     cfg = verify.RunConfig(
-        n=args.n, q=args.q, root=args.root,
-        beta=(args.beta.split(",") if args.beta and
-              args.beta not in ("inf", "infinity")
-              else ("infinity" if args.beta else None)),
+        n=args.n, q=args.q, root=args.root, beta=_beta_value(args.beta),
         alpha=args.alpha, draws=args.draws, points=args.points,
         seed=args.seed, backend=args.backend, corrupt=args.corrupt)
     doc = verify.run(cfg, args.suite)
@@ -160,19 +159,9 @@ def _verify_summary(doc, out):
 
 
 def cmd_derive(args):
-    import random
-    if args.points < 1:
-        # with no point every comparison is vacuous, and must not pass
-        raise DegenerateParameterError(
-            "points must be at least 1, got %d" % args.points)
-    field = verify.RunConfig(n=args.n, backend=args.backend).field()
-    r = field.of(Fraction(3, 2))
-    ctx = QContext(r**args.n, args.n, root=r, field=field)
-    from .weights import sample_params
-    rng = random.Random(args.seed)
-    params = sample_params(args.n, rng, ctx=ctx, alpha="constant")
-    eng = ReplayEngine(params, sample_points(params, rng, args.points,
-                                             clearance=6))
+    cfg = verify.RunConfig(n=args.n, draws=1, points=args.points,
+                           seed=args.seed, backend=args.backend)
+    (eng,) = verify.replay_engines(cfg)
     names = None
     if args.script:
         with open(args.script) as fh:
@@ -190,7 +179,7 @@ def cmd_derive(args):
     doc = {"schema": verify.SCHEMA, "suite": "derive",
            "config": {"n": args.n, "seed": args.seed, "points": args.points,
                       "builtin": names},
-           "backend": field.name,
+           "backend": cfg.field().name,
            "records": [c.to_json() for c in records],
            "status": fold(c.status for c in records)}
     _emit(args, doc, text_summary=lambda d, out: [
@@ -228,18 +217,18 @@ def _emit(args, doc, text_summary=None):
         text_summary(doc, sys.stdout)
 
 
-def _common(sub, point=True):
-    sub.add_argument("--params", help="parameter JSON file")
+def _common(sub, fixed):
+    # build, dump and wznw read one parameter set (or file) at one point
     sub.add_argument("--n", type=int, default=2)
     sub.add_argument("--q", help="q as num/den")
     sub.add_argument("--root", help="exact n-th root of q")
     sub.add_argument("--beta", help="comma list or 'infinity'")
-    sub.add_argument("--alpha", default="unit",
-                     choices=["unit", "standard"])
+    sub.add_argument("--alpha", default="unit", choices=verify.ALPHAS)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", default="json", choices=["json", "text"])
     sub.add_argument("--out")
-    if point:
+    if fixed:
+        sub.add_argument("--params", help="parameter JSON file")
         sub.add_argument("--p", help="weight point, e.g. 'p12=2,p23=1'")
 
 
@@ -251,11 +240,11 @@ def main(argv=None):
     subs = ap.add_subparsers(dest="command", required=True)
 
     b = subs.add_parser("build", help="write object dumps")
-    _common(b)
+    _common(b, fixed=True)
     b.set_defaults(fn=cmd_build)
 
     d = subs.add_parser("dump", help="dump one object")
-    _common(d)
+    _common(d, fixed=True)
     d.add_argument("object",
                    choices=["rhat", "rhat-constant", "rhat-inverse",
                             "eps", "eps-co", "params"])
@@ -263,7 +252,7 @@ def main(argv=None):
 
     v = subs.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=list(verify.SUITES) + ["all"])
-    _common(v, point=False)
+    _common(v, fixed=False)
     v.add_argument("--draws", type=int, default=5)
     v.add_argument("--points", type=int, default=3, help=POINTS_HELP)
     v.add_argument("--backend", default="rational")
@@ -283,7 +272,7 @@ def main(argv=None):
     r.set_defaults(fn=cmd_derive)
 
     w = subs.add_parser("wznw", help="Casimir and dimension report")
-    _common(w)
+    _common(w, fixed=True)
     w.set_defaults(fn=cmd_wznw)
 
     args = ap.parse_args(argv)

@@ -1907,10 +1907,10 @@ def _is_identity(st, n):
 
 
 def _fault(kind, v, n, owner=None):
-    """What is wrong with v as a value of schema type `kind` at n (None:
-    unknown), or None: (True, what v must be) for a wrong JSON type, else
-    (False, a complaint that shows v).  A braid word acts on the (checked)
-    "spaces" of its owner."""
+    """What is wrong with v as a value of schema type `kind` at n, or
+    None: (True, what v must be) for a wrong JSON type, else (False, a
+    complaint that shows v).  A braid word acts on the (checked) "spaces"
+    of its owner."""
     if not isinstance(kind, str):       # an enum
         if any(v == c and type(v) is type(c) for c in kind):
             return None
@@ -1924,7 +1924,7 @@ def _fault(kind, v, n, owner=None):
     elif base in _LABELS:
         if not (isinstance(v, list) and all(type(s) is int for s in v)):
             return True, "a list of integers"
-        size = {"window": n, "rest": n and n - 1, "pair": 2}.get(base)
+        size = {"window": n, "rest": n - 1, "pair": 2}.get(base)
         if size is not None and len(v) != size:
             return False, "%r must name %s%d spaces" % (v, {
                 "window": "n = ", "rest": "n - 1 = "}.get(base, ""), size)
@@ -1962,7 +1962,7 @@ def _func_fault(v, n):
             return False, "atom %r must be [kind, i, j, offset, exponent] " \
                 "with kind one of %s" % (a, ", ".join(ATOMS))
         for field, x in zip(("i", "j", "offset", "exponent"), a[1:]):
-            label = field in ("i", "j") and n is not None
+            label = field in ("i", "j")
             if type(x) is not int or label and not 1 <= x <= n:
                 return False, "atom %r: %s = %r must be an integer%s" % (
                     a, field, x, " in 1..n = %d" % n if label else "")
@@ -2110,20 +2110,19 @@ def _check_moves(moves, where, n):
         _check_args(args, SIGNATURES[mv["name"]], n, lemma,
                     "is missing argument", lambda key: "%s arg %s" % (
                         lemma, key))
-        if n is not None:
-            _check_script(CERTIFICATES[mv["name"]](n, args),
-                          "%s with args %r:" % (lemma, args), n)
+        _check_script(CERTIFICATES[mv["name"]](n, args),
+                      "%s with args %r:" % (lemma, args), n)
 
 
 def _check_script(d, where, n):
     """ValueError naming the field unless the derivation d fits FACTORS
-    and MOVES at n (lengths and lemma derivations unchecked at n = None)."""
+    and MOVES at n."""
     if not isinstance(d, dict):
         raise ValueError("a script must be a JSON object, got %r" % (d,))
     for key in d:
         if key not in ("name", "n", "start", "moves", "end", "end_moves"):
             raise ValueError("%s has no key %r" % (where, key))
-    if n is not None and d.get("n", n) != n:
+    if d.get("n", n) != n:
         raise ValueError("%s n = %r differs from the run's n = %d"
                          % (where, d["n"], n))
     if not isinstance(d.get("name", ""), str):
@@ -2134,9 +2133,9 @@ def _check_script(d, where, n):
         _check_moves(d.get(key, []), "%s %s" % (where, key), n)
 
 
-def derivation_from_json(text, n=None):
-    """A derivation script, checked against FACTORS, MOVES and SIGNATURES
-    (and, given n, its top-level n and each lemma's derivation) before
+def derivation_from_json(text, n):
+    """A derivation script, checked at n against FACTORS, MOVES and
+    SIGNATURES (its top-level n and each lemma's derivation too) before
     any replay: a malformed script raises ValueError naming the field."""
     d = json.loads(text)
     _check_script(d, "script", n)

@@ -18,11 +18,11 @@ from fractions import Fraction
 
 from .scalars import (
     DegenerateParameterError, PoleError, PrimeField, QContext, RATIONAL,
-    f_poly, parse_scalar, qfact, qnum, qnum_base,
+    f_poly, fmt_scalar, qnum, qnum_base,
 )
 from .weights import (
-    BETA_INFINITY, CONSTANT_MULTIPARAM, GENERIC, PairFamily, SLnParams,
-    WeightPoint, constant_multiparam, sample_params, sample_point,
+    BETA_INFINITY, CONSTANT_MULTIPARAM, GENERIC, SLnParams, WeightPoint,
+    constant_multiparam, parse_beta_chain, sample_params, sample_point,
     sample_points, sample_q, sample_twist,
 )
 from . import rmatrix, hecke, levicivita, wznw
@@ -34,6 +34,15 @@ SCHEMA = "qdyb-report/1"
 
 SUITES = ("params", "qdybe", "hecke", "epsilon", "appendix", "qmatrix",
           "wznw")
+
+ALPHAS = ("unit", "standard")
+
+
+def fixed_params(n, q, root, beta, alpha, field):
+    """The flags --q, --root, --beta (a list or "infinity") and --alpha
+    at n, read as a params file is: `build` and `verify` read them alike."""
+    return SLnParams.from_json({"n": n, "q": q, "root": root, "beta": beta,
+                                "alpha": {"preset": alpha}}, field)
 
 
 class RunConfig:
@@ -51,6 +60,9 @@ class RunConfig:
             raise DegenerateParameterError(
                 "draws and points must be at least 1, got draws=%d "
                 "points=%d" % (draws, points))
+        if alpha not in ALPHAS:
+            raise DegenerateParameterError(
+                "alpha %r must be one of %s" % (alpha, ", ".join(ALPHAS)))
         self.n = n
         self.q = q
         self.root = root
@@ -65,14 +77,9 @@ class RunConfig:
         # a bad user-given q, root or beta is a usage error, as in `build`;
         # only the parameters the samplers draw fail as setup records
         if q is not None or root is not None:
-            SLnParams.from_json({"n": n, "q": q, "root": root,
-                                 "beta": beta or "infinity"}, field)
-        elif isinstance(beta, list):
-            for i, b in enumerate(beta):
-                parse_scalar("beta[%d]" % i, b, field)
-            if len(beta) != n - 1:
-                raise DegenerateParameterError(
-                    "beta has %d entries, need n-1 = %d" % (len(beta), n - 1))
+            fixed_params(n, q, root, beta or "infinity", alpha, field)
+        elif beta is not None:
+            parse_beta_chain(beta, n, field)
 
     def field(self):
         if self.backend == "rational":
@@ -97,27 +104,18 @@ class RunConfig:
     def context(self, rng):
         field = self.field()
         if self.q is not None:
-            q = parse_scalar("q", self.q, field)
-            root = None if self.root is None \
-                else parse_scalar("root", self.root, field)
-            return QContext(q, self.n, root=root, field=field)
+            return fixed_params(self.n, self.q, self.root, "infinity",
+                                "unit", field).ctx
         return QContext(field.of(sample_q(rng)), self.n, field=field)
 
     def draw_params(self, rng):
-        ctx = self.context(rng)
-        if self.beta == "infinity":
-            fam = PairFamily.unit(self.n, ctx.field)
-            return SLnParams(ctx, None, fam)
-        if self.beta is not None:
-            chain = [parse_scalar("beta[%d]" % i, b, ctx.field)
-                     for i, b in enumerate(self.beta)]
-            fam = (PairFamily.standard(self.n, ctx)
-                   if self.alpha == "standard"
-                   else PairFamily.unit(self.n, ctx.field))
-            return SLnParams(ctx, chain, fam)
-        kind = self.alpha if self.alpha in ("unit", "standard", "constant",
-                                            "geometric") else "unit"
-        return sample_params(self.n, rng, ctx=ctx, alpha=kind)
+        if self.beta is None:
+            return sample_params(self.n, rng, ctx=self.context(rng),
+                                 alpha=self.alpha)
+        # read as `build` reads the flags, at a drawn q if none is given
+        q = fmt_scalar(self.context(rng).q) if self.q is None else self.q
+        return fixed_params(self.n, q, self.root, self.beta, self.alpha,
+                            self.field())
 
 
 PARAM_DRAWS = 10
@@ -141,6 +139,23 @@ def _params_and_point(rng, draw, clearance=4):
         except DegenerateParameterError:
             if fixed or attempt == PARAM_DRAWS - 1:
                 raise
+
+
+def replay_engines(cfg):
+    """The replay engines of the qmatrix suite and of `derive`, one per
+    draw up to three: at q = (3/2)^n with root 3/2, alpha constant, unit,
+    geometric, with points 6 steps clear of any pole."""
+    rng = cfg.rng()
+    n = cfg.n
+    field = cfg.field()
+    r = field.of(Fraction(3, 2))
+    ctx = QContext(r**n, n, root=r, field=field)
+    for alpha in ("constant", "unit", "geometric")[:cfg.draws]:
+        params, first = _params_and_point(
+            rng, lambda rng: sample_params(n, rng, ctx=ctx, alpha=alpha),
+            clearance=6)
+        yield ReplayEngine(params, sample_points(
+            params, rng, cfg.points, clearance=6, first=first))
 
 
 def _corrupt_beta(params):
@@ -464,21 +479,9 @@ def suite_appendix(cfg):
 
 
 def suite_qmatrix(cfg):
-    rng = cfg.rng()
     records = []
-    n = cfg.n
-    field = cfg.field()
-    r = field.of(Fraction(3, 2))
-    ctx = QContext(r**n, n, root=r, field=field)
-    alphas = ["constant", "unit", "geometric"]
-    for d in range(min(cfg.draws, 3)):
-        params, first = _params_and_point(
-            rng, lambda rng: sample_params(n, rng, ctx=ctx,
-                                           alpha=alphas[d % 3]),
-            clearance=6)
-        eng = ReplayEngine(params, sample_points(
-            params, rng, cfg.points, clearance=6, first=first))
-        ds = builtin_derivations(n)
+    for d, eng in enumerate(replay_engines(cfg)):
+        ds = builtin_derivations(cfg.n)
         if cfg.corrupt == "xunit":
             # sabotage the weight-commute script: drop one shift move so
             # the dressing no longer telescopes (a non-unimodular X)
@@ -494,7 +497,7 @@ def suite_qmatrix(cfg):
                                  None if status == "skip"
                                  else status == "pass",
                                  [c for c in recs if c.ok is False]))
-        if n == 2 and field.exact and d == 0:
+        if cfg.n == 2 and cfg.field().exact and d == 0:
             for name, deriv in sorted(ds.items()):
                 verdict = oracle_confirm(eng, deriv)
                 records.append(Check(
@@ -536,10 +539,7 @@ def suite_wznw(cfg):
                 prod == field.of((-1) ** m_minus), prod))
 
     rngg = random.Random(cfg.seed + 7)
-    field = cfg.field()
-    r = field.of(Fraction(2))
-    ctx = QContext(r**2, 2, root=r, field=field)
-    params = SLnParams(ctx, None)
+    params = fixed_params(2, 4, 2, "infinity", "unit", cfg.field())
     p = sample_point(params, rngg)
     records.extend(prefixed("beta-infinity.",
                             wznw.reconcile_diag_gauge(params, p)))

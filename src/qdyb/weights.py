@@ -296,6 +296,23 @@ def derive_beta(ctx, chain):
     return beta
 
 
+def parse_beta_chain(beta, n, field):
+    """The beta chain of a params-JSON "beta" value: None for "infinity",
+    else its n - 1 scalars; a malformed value raises an error naming it."""
+    if beta == "infinity":
+        return None
+    if not isinstance(beta, list):
+        raise DegenerateParameterError(
+            "params beta = %r must be \"infinity\" or a list of n - 1 "
+            "scalars" % (beta,))
+    chain = [parse_scalar("params beta[%d]" % i, b, field)
+             for i, b in enumerate(beta)]
+    if len(chain) != n - 1:
+        raise DegenerateParameterError(
+            "beta chain has %d entries, need n-1 = %d" % (len(chain), n - 1))
+    return chain
+
+
 def _pair_memo(table, fn, i, j, pij):
     """fn(i, j, pij), memoized in table."""
     # one dict per pair, keyed by the bare p_ij: no key tuple is kept
@@ -468,14 +485,7 @@ class SLnParams:
                        root=None if root is None
                        else parse_scalar("params root", root, field),
                        field=field)
-        beta = d.get("beta", "infinity")
-        if beta != "infinity" and not isinstance(beta, list):
-            raise DegenerateParameterError(
-                "params beta = %r must be \"infinity\" or a list of n - 1 "
-                "scalars" % (beta,))
-        chain = None if beta == "infinity" else [    # length checked below
-            parse_scalar("params beta[%d]" % i, b, field)
-            for i, b in enumerate(beta)]
+        chain = parse_beta_chain(d.get("beta", "infinity"), n, field)
         adata = d.get("alpha", {"preset": "unit"})
         if not isinstance(adata, dict):
             raise DegenerateParameterError(

@@ -14,7 +14,7 @@ from qdyb import verify
 from qdyb.checks import Check
 from qdyb.cli import main
 from qdyb.qmatrix import builtin_derivations
-from qdyb.scalars import QContext, qnum
+from qdyb.scalars import DegenerateParameterError, QContext, qnum
 from qdyb.tensor import TensorOp
 from qdyb.verify import RunConfig, run_suite, strip_timing
 from qdyb.weights import SLnParams
@@ -366,7 +366,7 @@ def test_verify_without_draws_exits_2(capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (("--q", "5/2", "--beta", "3/2,1"), "beta chain has 2 entries"),
-    (("--beta", "3/2,1"), "beta has 2 entries, need n-1 = 1"),
+    (("--beta", "3/2,1"), "beta chain has 2 entries, need n-1 = 1"),
     (("--beta", "x"), "beta[0] = 'x' must be an integer"),
     (("--q", "x"), "q = 'x' must be an integer"),
     (("--q", "5/2", "--root", "2"), "root**n != q"),
@@ -378,6 +378,59 @@ def test_bad_verify_flag_exits_2(capsys, flags, message):
     code, out, err = run_cli(capsys, "verify", "qdybe", "--n", "2", *flags)
     assert code == 2 and not out
     assert message in err
+
+
+def test_verify_takes_no_params_file(tmp_path, capsys):
+    """verify draws its own parameters: a params file it would not read
+    is a usage error, whether or not the file exists."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"n": 2, "q": "2", "beta": ["1"]}))
+    for path in (tmp_path / "missing.json", good):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", "--params", str(path)])
+        assert exc.value.code == 2
+        assert not capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["rational", "prime"])
+def test_derive_redraws_params_without_a_pole_free_point(capsys, backend):
+    """derive draws its engine as the qmatrix suite does: at these seeds
+    the first drawn parameters have no point 6 steps clear of a pole."""
+    for seed in ("136", "142"):
+        code, out, err = run_cli(capsys, "derive", "--n", "2", "--seed",
+                                 seed, "--backend", backend)
+        assert code == 0, err
+        assert {r["status"] for r in json.loads(out)["records"]} == {"pass"}
+
+
+def test_verify_reads_fixed_flags_as_dump_does(capsys):
+    """A given beta, q and alpha name the same parameter set to verify
+    as to `dump params`."""
+    import random
+    flag_sets = [(2, "5/2", beta, alpha) for beta in ("1/3", "infinity")
+                 for alpha in ("unit", "standard")]
+    flag_sets.append((3, "5/2", "1,3", "standard"))
+    for n, q, beta, alpha in flag_sets:
+        code, out, _ = run_cli(capsys, "dump", "params", "--n", str(n),
+                               "--q", q, "--beta", beta, "--alpha", alpha)
+        assert code == 0
+        cfg = RunConfig(n=n, q=q, alpha=alpha, beta=beta if beta ==
+                        "infinity" else beta.split(","))
+        assert cfg.draw_params(random.Random(0)).to_json() == \
+            json.loads(out), (n, beta, alpha)
+
+
+def test_runconfig_takes_only_the_cli_alpha_names():
+    for alpha in ("geometric", "bogus"):
+        with pytest.raises(DegenerateParameterError, match="alpha %r" % alpha):
+            RunConfig(n=2, alpha=alpha)
+
+
+def test_repeated_weight_exits_2(capsys):
+    code, out, err = run_cli(capsys, "build", "--n", "3", "--q", "2",
+                             "--beta", "1,3", "--p", "p12=1,p23=2,p12=5")
+    assert code == 2 and not out
+    assert "--p repeats p12" in err
 
 
 def test_derive_without_points_exits_2(capsys):

@@ -815,9 +815,9 @@ def test_script_roundtrip_and_replay():
     for n in (2, 3):
         for d in builtin_derivations(n).values():
             text = derivation_to_json(d)
-            assert derivation_from_json(text) == json.loads(text)
+            assert derivation_from_json(text, n) == json.loads(text)
     back = derivation_from_json(derivation_to_json(
-        builtin_derivations(2)["D3"]))
+        builtin_derivations(2)["D3"]), 2)
     recs = eng.run(back)
     assert all(ok for _, ok, _ in recs)
 
@@ -1200,7 +1200,7 @@ def lemma_script(name, args, reverse=False, end=None):
                             reverse=reverse), _mv("normalize")],
               "end": stop if end is None else end,
               "end_moves": [_mv("normalize")]}
-    return derivation_from_json(derivation_to_json(script))
+    return derivation_from_json(derivation_to_json(script), 2)
 
 
 def test_each_lemma_replays_as_a_script():
