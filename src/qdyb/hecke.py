@@ -407,13 +407,14 @@ def top_vanish_equivalents(rep, n):
     s = (-1) ** (n - 1) * ctx.q * qnum(n, ctx)
 
     inv2 = 1 / qnum(n, ctx) ** 2
+    AB, BA = A * B, B * A
     records = [
-        compare("top-vanish.a-then-down", A * down, s * (A * B)),
-        compare("top-vanish.up-then-a", up * A, s * (B * A)),
-        compare("top-vanish.down-then-b", down * B, s * (A * B)),
-        compare("top-vanish.b-then-up", B * up, s * (B * A)),
-        compare("top-vanish.aba", A * B * A, inv2 * A),
-        compare("top-vanish.bab", B * A * B, inv2 * B),
+        compare("top-vanish.a-then-down", A * down, s * AB),
+        compare("top-vanish.up-then-a", up * A, s * BA),
+        compare("top-vanish.down-then-b", down * B, s * AB),
+        compare("top-vanish.b-then-up", B * up, s * BA),
+        compare("top-vanish.aba", AB * A, inv2 * A),
+        compare("top-vanish.bab", BA * B, inv2 * B),
     ]
 
     # alternating expansion of the top antisymmetrizer

@@ -14,9 +14,9 @@ with a_ij = alpha_ij xi_ij and b_ij = q - xi_ij.
 
 The dynamical braid relation is checked in several equivalent layouts:
 with the middle factor written via the shifted-argument matrix elements,
-and in the two rearranged variants obtained by pushing the shift
-conjugations to site 3 or by exchanging the outer sites.  Each layout's
-operands are placed as integers straight from R's entries
+pushing the shift conjugations to site 3, and exchanging the outer sites,
+the site reversal of the site-3 form, decided by the same comparison.
+The operands are placed as integers straight from R's entries
 (:func:`braid_operands`); the placed middle factor must agree entrywise
 with the generic conjugation machinery (:func:`dressed_block`), which
 pins the index conventions.
@@ -181,29 +181,30 @@ BRAID_LAYOUTS = ("qdybe.braid.shifted-form", "qdybe.braid.site3-conjugated",
 
 
 def braid_operands(params, p):
-    """The operand pairs of the three braid layouts, as (rec_id, D, a, m):
-    integer operators on three sites with a = D A and m = D M, where D is
-    the lcm of the denominators of A's and M's entries (residues and
-    D = 1 over F_p).  Each layout is A M A = M A M with
+    """(D, [(a, m), (a, m)]): the operand pairs of the shifted-form and
+    site3-conjugated braid layouts, integer operators on three sites with
+    a = D A and m = D M, where D is the lcm of the denominators of A's and
+    M's entries (residues and D = 1 over F_p).  Each layout is
+    A M A = M A M with
 
     * shifted-form: A = R(p)_12, and M the middle factor, whose block at
       site-1 index e is R(p - v(e)) on sites 2, 3;
     * site3-conjugated: A = R(p)_23, and M = G, whose block at site-3
       index e is R(p + v(e)) on sites 1, 2 (the shift conjugations pushed
-      to site 3);
-    * sites-exchanged: A = (P R(p) P)_12, and M = H, whose block at
-      site-1 index e is P R(p + v(e)) P on sites 2, 3 (the outer sites
-      exchanged: the middle factor acts on sites (3, 2), its shift keyed
-      by the site-1 index).
+      to site 3).
+
+    The sites-exchanged layout, A = (P R(p) P)_12 and M = H with block
+    P R(p + v(e)) P on sites 2, 3 at site-1 index e, is the site reversal
+    of the site3-conjugated one: J A J and J G J on the same D, for the
+    reversal J of (1, 2, 3).  It needs no operands of its own.
 
     The rows of R at p and at p -/+ v(e), e = 1..n, are read through
     :func:`dyn_entries`, the entry code of :func:`build_dyn`, and each
-    entry is scaled once, onto one D for all three layouts: the matrices
-    at the points p - v(e) hold the entries of those at the points
-    p + v(e) (either way each pair (i, j) is read at p_ij - 1, p_ij + 1
-    and, for n > 2, p_ij), so D is the lcm of each layout's pair.  The
-    ints are copied straight to their three-site positions: no operator
-    is built, embedded, relabeled or assembled on the way."""
+    entry is scaled once, onto one D for both pairs: the matrices at the
+    points p - v(e) hold the entries of those at the points p + v(e)
+    (either way each pair (i, j) is read at p_ij - 1, p_ij + 1 and, for
+    n > 2, p_ij).  The ints are copied straight to their three-site
+    positions: no operator is built, embedded, relabeled or assembled."""
     n = params.n
     prime = getattr(params.ctx.field, "p", None)
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
@@ -217,10 +218,6 @@ def braid_operands(params, p):
         block_at(p.shift(e, sign)) for sign in (-1, +1)
         for e in range(1, n + 1)], prime)
     minus, plus = shifted[:n], shifted[n:]
-    flip = [(x % n) * n + x // n for x in range(n * n)]
-
-    def flipped_block(block):
-        return [(flip[r], flip[c], v) for r, c, v in block]
 
     def placed(blocks, site):
         """The three-site operator diagonal in `site` (1 or 3), whose
@@ -232,19 +229,11 @@ def braid_operands(params, p):
                     r, c = e * n * n + r, e * n * n + c
                 else:
                     r, c = r * n + e, c * n + e
-                row = rows.get(r)
-                if row is None:
-                    rows[r] = {c: v}
-                else:
-                    row[c] = v
+                rows.setdefault(r, {})[c] = v
         return TensorOp._make(n, 3, 3, rows, 1, prime)
 
-    operands = [(placed([R] * n, 3), placed(minus, 1)),
-                (placed([R] * n, 1), placed(plus, 3)),
-                (placed([flipped_block(R)] * n, 3),
-                 placed([flipped_block(b) for b in plus], 1))]
-    return [(rec_id, D, a, m)
-            for rec_id, (a, m) in zip(BRAID_LAYOUTS, operands)]
+    return D, [(placed([R] * n, 3), placed(minus, 1)),
+               (placed([R] * n, 1), placed(plus, 3))]
 
 
 def _scaled(blocks, prime):
@@ -260,21 +249,24 @@ def _scaled(blocks, prime):
                for block in ratios]
 
 
-def _braid(rec_id, D, a, m):
-    """The braid layout A M A = M A M, checked as X a = m X with the
-    shared factor X = a m, on the integer multiples a = D A and m = D M
-    of :func:`braid_operands`: the relation is homogeneous of degree 3,
-    so both sides are D^3 times those on A and M.  A fail's witness is
-    the first entry of their difference divided by D^3, as compared on
-    A and M."""
+def _braid(a, m):
+    """The residual X a - m X of the braid layout A M A = M A M, or None
+    when it vanishes, with the shared factor X = a m, on the integer
+    multiples a = D A and m = D M of :func:`braid_operands`: the relation
+    is homogeneous of degree 3, so it is D^3 times that on A and M."""
     x = a * m
     lhs, rhs = x * a, m * x
-    if lhs == rhs:
+    return None if lhs == rhs else lhs - rhs
+
+
+def _braid_record(rec_id, D, residual):
+    """The record of a braid layout from its :func:`_braid` residual: a
+    fail's witness is the residual's first entry divided by D^3, as
+    compared on A and M."""
+    if residual is None:
         return Check(rec_id, True)
-    rm, cm, v = (lhs - rhs).first_nonzero()
-    if D != 1:
-        v /= D**3
-    return Check(rec_id, False, (rm, cm, v))
+    rm, cm, v = residual.first_nonzero()
+    return Check(rec_id, False, (rm, cm, v / D**3 if D != 1 else v))
 
 
 def verify_qdybe(params, p, rmx=None):
@@ -283,8 +275,8 @@ def verify_qdybe(params, p, rmx=None):
     Returns the record list; every residual is compared to zero exactly.
     R(p) and the matrices at p - v(e) are built once, by the caller's
     :class:`DynRMatrix` of params when it passes one as rmx (operators
-    are immutable).  No check builds more than it compares: the three
-    braid layouts are decided on the integer operands that
+    are immutable).  No check builds more than it compares: the braid
+    layouts are decided on the integer operands that
     :func:`braid_operands` places straight from R's entries at p and
     p -/+ v(e), with no embedding, relabeling or assembly, and the
     weight conservation evaluates only R(p)'s own rows at their shifted
@@ -293,9 +285,12 @@ def verify_qdybe(params, p, rmx=None):
     The braid layouts are homogeneous of degree 3 in their operands, so
     each is decided by :func:`_braid` on integer multiples of them: its
     lhs and rhs are D^3 times A M A and M A M, with no rational content
-    pass in any product.  The placed middle factor, over D, is compared
-    with the generic construction of :func:`dressed_block`, which pins
-    the index conventions of the placement.  The Hecke condition, the
+    pass in any product.  The sites-exchanged layout is the site reversal
+    J of the site3-conjugated one, with sides J lhs J and J rhs J on the
+    same D, so it is decided by the same comparison, its residual
+    relabeled by J.  The placed middle factor, over D, is compared with
+    the generic construction of :func:`dressed_block`, which pins the
+    index conventions of the placement.  The Hecke condition, the
     inverses and that comparison are not homogeneous and stay on the
     rational operators.
     """
@@ -303,15 +298,19 @@ def verify_qdybe(params, p, rmx=None):
     n = params.n
     rmx = rmx or DynRMatrix(params)
     R = rmx.at(p)
-    layouts = braid_operands(params, p)
+    D, layouts = braid_operands(params, p)
 
     # the middle factor, placed from the shifted-argument matrix elements,
     # against the same factor through the generic dressing machinery
-    _, D, _, mid = layouts[0]
     records.append(compare(
-        "qdybe.middle-construction-equivalence", Fraction(1, D) * mid,
+        "qdybe.middle-construction-equivalence",
+        Fraction(1, D) * layouts[0][1],
         dressed_block(n, rmx.at, 1, p, sign=-1, side="prefix")))
-    records.extend(_braid(*layout) for layout in layouts)
+    shifted, conjugated = (_braid(a, m) for a, m in layouts)
+    exchanged = None if conjugated is None else conjugated.permuted(
+        (3, 2, 1), (3, 2, 1))
+    records.extend(_braid_record(rec_id, D, residual) for rec_id, residual
+                   in zip(BRAID_LAYOUTS, (shifted, conjugated, exchanged)))
 
     ident = TensorOp.identity(n, 2, params.ctx.field.one)
     records.append(compare("qdybe.hecke-condition", R * R,

@@ -278,15 +278,14 @@ def suite_qdybe(cfg):
         regime = regimes[d % len(regimes)] if cfg.beta is None else None
 
         def draw(rng):
-            ctx = cfg.context(rng)
             if regime is None:
                 params = cfg.draw_params(rng)
             elif regime == CONSTANT_MULTIPARAM:
-                params = constant_multiparam(ctx)
+                params = constant_multiparam(cfg.context(rng))
             else:
                 alpha = ["unit", "constant", "geometric"][d % 3]
-                params = sample_params(cfg.n, rng, ctx=ctx, regime=regime,
-                                       alpha=alpha)
+                params = sample_params(cfg.n, rng, ctx=cfg.context(rng),
+                                       regime=regime, alpha=alpha)
             if cfg.corrupt == "beta" and params.beta_chain is not None:
                 params = _corrupt_beta(params)
             return params

@@ -242,6 +242,25 @@ def test_report_determinism():
         == json.dumps(b, sort_keys=True, default=str)
 
 
+def test_qdybe_suite_draws_one_q_per_draw_with_beta(monkeypatch):
+    """A beta chain given without q draws one q per parameter draw, as
+    the sampled regimes do: 2 draws and the canonical-shift family take
+    3 sample_q calls either way."""
+    calls = []
+    draw_q = verify.sample_q
+
+    def counted(rng):
+        calls.append(rng)
+        return draw_q(rng)
+
+    monkeypatch.setattr(verify, "sample_q", counted)
+    for beta in (None, ["1"]):
+        calls.clear()
+        rep = run_suite("qdybe", RunConfig(n=2, draws=2, points=1,
+                                           beta=beta))
+        assert rep["status"] == "pass" and len(calls) == 3, (beta, rep)
+
+
 def test_report_records_sorted():
     rep = run_suite("params", RunConfig(n=2, draws=2, seed=5))
     ids = [r["id"] for r in rep["records"]]

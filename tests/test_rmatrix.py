@@ -513,12 +513,30 @@ def reference_operands(params, p):
             for rec_id, (A, M) in zip(BRAID_IDS, pairs)]
 
 
+def reference_records(params, p):
+    """The three braid records through the generic machinery, each layout
+    compared in full: A M A against M A M on A = a / D and M = m / D of
+    reference_operands, over their field."""
+    records = []
+    for rec_id, D, a, m in reference_operands(params, p):
+        A, M = Fraction(1, D) * a, Fraction(1, D) * m
+        records.append(compare(rec_id, A * M * A, M * A * M))
+    return records
+
+
+REVERSAL = (3, 2, 1)
+
+
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
 def test_braid_operands_match_the_generic_construction(field):
-    """braid_operands places each layout's integer operands straight from
-    R's entries; they and D equal what embedding, assembling, dressing,
-    flipping and clearing give, over 18 draws per field: n = 2..4, the
-    generic regime and beta = oo, unit, constant and geometric alpha."""
+    """braid_operands places the shifted-form and site3-conjugated integer
+    operands straight from R's entries; they and D equal what embedding,
+    assembling, dressing and clearing give, over 18 draws per field:
+    n = 2..4, the generic regime and beta = oo, unit, constant and
+    geometric alpha.  On every draw the generic sites-exchanged operands,
+    built from flipped matrices, are the site3-conjugated ones with the
+    three sites reversed, on the same D: the identity that lets
+    verify_qdybe decide that layout without operands of its own."""
     assert BRAID_LAYOUTS == BRAID_IDS
     rng = random.Random(63)
     dens = set()
@@ -529,13 +547,17 @@ def test_braid_operands_match_the_generic_construction(field):
                 n, rng, ctx=ctx, regime=(GENERIC, BETA_INFINITY)[d % 2],
                 alpha=("unit", "constant", "geometric")[d % 3])
             p = sample_point(params, rng)
-            got = braid_operands(params, p)
+            D, got = braid_operands(params, p)
             want = reference_operands(params, p)
-            assert [g[:2] for g in got] == [w[:2] for w in want], (n, d)
-            for (rec_id, D, a, m), (_, _, ra, rm) in zip(got, want):
+            assert len(got) == 2 and [w[1] for w in want] == [D] * 3, (n, d)
+            for (a, m), (rec_id, _, ra, rm) in zip(got, want):
                 assert a == ra and m == rm, (n, d, rec_id)
                 assert (a.den, m.den, a.p, m.p) == (1, 1, ra.p, rm.p)
-                dens.add(D)
+            (_, _, a2, m2), (_, _, a3, m3) = want[1:]
+            assert a3 == a2.permuted(REVERSAL, REVERSAL), (n, d)
+            assert m3 == m2.permuted(REVERSAL, REVERSAL), (n, d)
+            assert a3 != a2 and m3 != m2, (n, d)
+            dens.add(D)
     if field is RATIONAL:
         assert len(dens) > 10       # the draws clear many denominators
     else:
@@ -547,7 +569,8 @@ def test_entry_tampered_at_a_shifted_point_fails_the_layouts(monkeypatch,
                                                             field):
     """An a entry doubled at p + v(1) only, in the one entry code, fails
     the two layouts that read that point, each with a witness, and every
-    braid record is the one the generic construction gives."""
+    braid record, witness repr included, is the one the generic
+    construction gives when it compares all three layouts in full."""
     entries = rmatrix.dyn_entries
     rng = random.Random(64)
     for n in (2, 3, 4):
@@ -563,8 +586,7 @@ def test_entry_tampered_at_a_shifted_point_fails_the_layouts(monkeypatch,
         with monkeypatch.context() as mp:
             mp.setattr(rmatrix, "dyn_entries", tampered)
             got = {rec.id: rec for rec in verify_qdybe(params, p)}
-            want = [rmatrix._braid(*layout)
-                    for layout in reference_operands(params, p)]
+            want = reference_records(params, p)
         assert [got[rec.id] for rec in want] == want
         assert [repr(got[rec.id].witness) for rec in want] \
             == [repr(rec.witness) for rec in want]
@@ -576,31 +598,37 @@ def test_entry_tampered_at_a_shifted_point_fails_the_layouts(monkeypatch,
 def test_braid_path_embeds_relabels_and_assembles_nothing(monkeypatch):
     """braid_operands and _braid call no kron, embed, permuted, assemble,
     cleared, dressed_block or flipped: the operands are placed from R's
-    entries, and the products are the only operators formed from them."""
+    entries, and the products are the only operators formed from them.
+    A passing verify_qdybe relabels nothing either: the sites-exchanged
+    residual is relabeled on a fail only."""
     def forbidden(name):
         def fail(*args, **kw):
             raise AssertionError(name + " called on the braid path")
         return fail
 
-    for name in ("kron", "embed", "permuted", "assemble"):
-        monkeypatch.setattr(TensorOp, name, forbidden(name))
-    monkeypatch.setattr(TensorOp, "cleared", staticmethod(
-        forbidden("cleared")))
-    for name in ("dressed_block", "flipped", "build_dyn"):
-        monkeypatch.setattr(rmatrix, name, forbidden(name))
     rng = random.Random(65)
+    with monkeypatch.context() as mp:
+        for name in ("kron", "embed", "permuted", "assemble"):
+            mp.setattr(TensorOp, name, forbidden(name))
+        mp.setattr(TensorOp, "cleared", staticmethod(forbidden("cleared")))
+        for name in ("dressed_block", "flipped", "build_dyn"):
+            mp.setattr(rmatrix, name, forbidden(name))
+        for n in (2, 3, 4):
+            params = sample_params(n, rng, alpha="geometric")
+            p = sample_point(params, rng)
+            _, layouts = braid_operands(params, p)
+            assert [rmatrix._braid(a, m) for a, m in layouts] == [None] * 2
+    monkeypatch.setattr(TensorOp, "permuted", forbidden("permuted"))
     for n in (2, 3, 4):
         params = sample_params(n, rng, alpha="geometric")
-        p = sample_point(params, rng)
-        assert [rmatrix._braid(*layout) for layout in
-                braid_operands(params, p)] == [(i, True, None)
-                                               for i in BRAID_IDS]
+        all_pass(verify_qdybe(params, sample_point(params, rng)))
 
 
 def test_braid_layouts_multiply_integer_operators(monkeypatch):
     """Each braid layout is homogeneous of degree 3, so verify_qdybe
     forms its three-site products on integer multiples of R(p) and the
-    middle factor: every operand has den 1 on the rational backend."""
+    middle factor: every operand has den 1 on the rational backend, and
+    there are 6 of them, 3 for each of the two layouts it compares."""
     dens = []
     mul = TensorOp.__mul__
 
@@ -616,35 +644,50 @@ def test_braid_layouts_multiply_integer_operators(monkeypatch):
         p = sample_point(params, rng)
         del dens[:]
         all_pass(verify_qdybe(params, p))
-        assert len(dens) == 3 * 3 and set(dens) == {(1, 1)}, (n, dens)
+        assert len(dens) == 2 * 3 and set(dens) == {(1, 1)}, (n, dens)
 
 
-def test_braid_layout_records_match_the_rational_comparison(monkeypatch):
-    """A layout decided on integer operands gives the record that
-    comparing A M A with M A M on the rational operators A = a / D and
-    M = m / D gives: the same status, and on a fail the same witness
-    entry."""
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
+def test_verify_qdybe_forms_eight_products(monkeypatch, field):
+    """One verify_qdybe call forms 8 operator products at n = 2, 3, 4: 3
+    for each of the two braid layouts it compares, R R for the Hecke
+    condition and R R^(-1) for the closed-form inverse."""
+    mul = TensorOp.__mul__
+    products = []
+
+    def counted(a, b):
+        if isinstance(b, TensorOp):
+            products.append((a.rk, b.ck))
+        return mul(a, b)
+
+    rng = random.Random(66)
+    for n in (2, 3, 4):
+        params, p = drawn_on(field, n, rng)
+        products.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(TensorOp, "__mul__", counted)
+            all_pass(verify_qdybe(params, p))
+        assert sorted(products) == [(2, 2)] * 2 + [(3, 3)] * 6, (n, products)
+
+
+def test_braid_layout_records_match_the_rational_comparison():
+    """Layouts decided on integer operands, the sites-exchanged one by
+    relabeling the site3-conjugated residual, give the records that
+    comparing A M A with M A M on the rational operators of every layout
+    gives: the same status, and on a fail the same witness entry."""
     from qdyb.verify import _corrupt_beta
-    seen = []
-    braid = rmatrix._braid
-
-    def recorded(rec_id, D, a, m):
-        rec = braid(rec_id, D, a, m)
-        A, M = Fraction(1, D) * a, Fraction(1, D) * m
-        seen.append((rec, compare(rec_id, A * M * A, M * A * M)))
-        return rec
-
-    monkeypatch.setattr(rmatrix, "_braid", recorded)
     rng = random.Random(7)
+    seen = 0
     for n in (2, 3):
         params = sample_params(n, rng)
         p = sample_point(params, rng)
-        verify_qdybe(params, p)
-        verify_qdybe(_corrupt_beta(params), p)
-    assert [rec.id for rec, _ in seen] == list(BRAID_IDS) * 4
-    assert any(rec.ok is False for rec, _ in seen)
-    for rec, ref in seen:
-        assert rec == ref and repr(rec.witness) == repr(ref.witness)
+        for checked in (params, _corrupt_beta(params)):
+            got = {rec.id: rec for rec in verify_qdybe(checked, p)}
+            for ref in reference_records(checked, p):
+                rec = got[ref.id]
+                assert rec == ref and repr(rec.witness) == repr(ref.witness)
+                seen += rec.ok is False
+    assert seen == 2 * 3        # every layout fails on the broken beta
 
 
 def test_clearing_one_operand_fails_each_layout(monkeypatch):
@@ -654,8 +697,8 @@ def test_clearing_one_operand_fails_each_layout(monkeypatch):
     operands = rmatrix.braid_operands
 
     def one_sided(params, p):
-        return [(rec_id, D, a, Fraction(1, D) * m)
-                for rec_id, D, a, m in operands(params, p)]
+        D, layouts = operands(params, p)
+        return D, [(a, Fraction(1, D) * m) for a, m in layouts]
 
     monkeypatch.setattr(rmatrix, "braid_operands", one_sided)
     rng = random.Random(62)
