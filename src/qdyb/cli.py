@@ -44,7 +44,7 @@ def _beta_value(text):
 def _params_from_args(args):
     if args.params:
         with open(args.params) as fh:
-            return SLnParams.from_json(json.load(fh))
+            return SLnParams.from_json(json.load(fh), RATIONAL)
     if args.q is None:
         raise DegenerateParameterError("need --params or --q")
     return verify.fixed_params(

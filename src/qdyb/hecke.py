@@ -204,22 +204,24 @@ class HeckeRep:
     def image_inv(self, i):
         if self._inverses[i - 1] is None:
             lam = self.ctx.lam
-            ident = TensorOp.identity(self.n, self.k, self.ctx.field.one)
+            ident = TensorOp.identity(self.n, self.k, self.ctx.field)
             self._inverses[i - 1] = self.image(i) - lam * ident
         return self._inverses[i - 1]
 
     def apply(self, elt):
         """Image of a HeckeWord: multiplicative on words, linear overall.
-        A word's product starts from its first letter's image; only the
-        empty word is the identity."""
-        out = TensorOp.zero(self.n, self.k, self.k)
+        A word's product starts from its first letter's image and the sum
+        from its first term; only the empty word is the identity."""
+        out = None
         for w, c in elt.terms.items():
             ops = [self.image(l) if l > 0 else self.image_inv(-l) for l in w]
             op = ops[0] if ops else TensorOp.identity(self.n, self.k,
-                                                      self.ctx.field.one)
+                                                      self.ctx.field)
             for x in ops[1:]:
                 op = op * x
-            out = out + c * op
+            out = c * op if out is None else out + c * op
+        if out is None:
+            return TensorOp.zero(self.n, self.k, self.k, self.ctx.field)
         return out
 
     def relations(self):
@@ -233,7 +235,6 @@ class HeckeRep:
         of the generators; the quadratic relation is not, and its sides
         are the rational ones."""
         lam = self.ctx.lam
-        one = self.ctx.field.one
 
         def on_span(*gens):
             a, b = self.span(gens)
@@ -245,7 +246,7 @@ class HeckeRep:
         for i in range(1, self.k):
             a = self._blocks[i - 1]         # on its own span
             yield (("quadratic", i), a * a,
-                   TensorOp.identity(self.n, a.rk, one) + lam * a)
+                   TensorOp.identity(self.n, a.rk, self.ctx.field) + lam * a)
         for i in range(1, self.k - 1):
             for j in range(i + 2, self.k):
                 a, b = TensorOp.cleared(*on_span(i, j))
@@ -303,10 +304,10 @@ def _window(rep, sign, i, j):
         return memo[key]
     ctx = rep.ctx
     if i == j:
-        out = TensorOp.identity(rep.n, 1, ctx.field.one)
+        out = TensorOp.identity(rep.n, 1, ctx.field)
     else:
         a, b = rep.window_span(i, j)
-        ident = TensorOp.identity(rep.n, b - a + 1, ctx.field.one)
+        ident = TensorOp.identity(rep.n, b - a + 1, ctx.field)
         m = j - i + 1
         den = sign ** (m + 1) * qnum(m, ctx)    # [m]_t
         if not den:
@@ -341,7 +342,7 @@ def antisym_props_hold(rep, j):
     a, b = rep.window_span(1, j)
     A = _window(rep, +1, 1, j)
     qbar = rep.ctx.qbar
-    ident = TensorOp.identity(rep.n, A.rk, rep.ctx.field.one)
+    ident = TensorOp.identity(rep.n, A.rk, rep.ctx.field)
     for i in range(1, j):
         t = rep.local(i, a, b) + qbar * ident
         if not (t * A).is_zero() or not (A * t).is_zero():
@@ -426,7 +427,7 @@ def top_vanish_equivalents(rep, n):
     rhs = (1 / qnum(n + 1, ctx)) * (A * rep.apply(alt))
     records.append(compare("top-vanish.alternating-expansion", lhs, rhs))
     records.append(compare("top-vanish.top-is-zero", lhs,
-                           TensorOp.zero(rep.n, rep.k, rep.k)))
+                           TensorOp.zero(rep.n, rep.k, rep.k, ctx.field)))
     return records
 
 
@@ -437,7 +438,7 @@ def inner_automorphism_check(rep, i, r):
     assert r + i + 1 <= rep.k
     W = rep.apply(HeckeWord.word(tuple(range(i, r + i + 1))))
     Winv = rep.apply(HeckeWord.word(tuple(-l for l in range(r + i, i - 1, -1))))
-    ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field.one)
+    ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field)
     records = [Check("inner-auto.invertible", W * Winv == ident)]
     ok = True
     for m in range(i, r + i):

@@ -120,7 +120,7 @@ def eigencheck(rep, ket, bra):
         if not db.is_zero() and wit_b is None:
             wit_b = (i,) + db.first_nonzero()
 
-    ident = TensorOp.identity(n, n, ctx.field.one)
+    ident = TensorOp.identity(n, n, ctx.field)
     kernel_dim = n**n - len(TensorOp.echelon(
         rep.image(i) + ctx.qbar * ident for i in range(1, n)))
     return [Check("eps.right-eigenvector", wit_k is None, wit_k),
@@ -256,7 +256,7 @@ def window_shift_relations_const(n, ctx):
     with the constant N = K = identity."""
     rep = HeckeRep.constant(n, ctx, n + 1)
     ket = build_eps_const(n, ctx, CONTRA)
-    one_site = TensorOp.identity(n, 1, ctx.field.one)
+    one_site = TensorOp.identity(n, 1, ctx.field)
     nk = build_nk(n=n, ctx=ctx)
 
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
@@ -293,7 +293,7 @@ def window_shift_relations_dyn(params, p, rmat=None):
     rep = HeckeRep.dynamic(params, p, n + 1, rmat)
     nk = build_nk(params, p)
     bra = build_eps_dyn(params, p, CO)
-    one_site = TensorOp.identity(n, 1, ctx.field.one)
+    one_site = TensorOp.identity(n, 1, ctx.field)
     dressed = dressed_bra_tensor(params, p)
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
     down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))

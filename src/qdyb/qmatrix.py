@@ -47,8 +47,8 @@ symbols at the right end.  At each sample it evaluates to a
 :class:`SpacedTensor`, with slot sockets anonymized to their temporal
 positions, whose ints are in the stored form of a
 :class:`~qdyb.tensor.TensorOp`: two words are equal when their sockets,
-den and int rows are (a rational tensor lifted to F_p against a prime
-one).  Field values are formed only for the witness of a difference.
+den and int rows are, each over the engine's field.  Field values are
+formed only for the witness of a difference.
 Factors left of the first slot are composed in turn.  The p-independent
 rest is cut into runs, each a block of slots and the constants after it;
 a run is composed on its own, then onto the word, so no slot broadcasts
@@ -84,7 +84,7 @@ ints, from its undressed blocks at the shifted points, which come from
 the same memo.  Memoized tensors are shared: read them, never change
 them.  Canonical words are evaluated afresh each time.  Each fold, in
 ``canonical`` and in a refactor's check, starts from its first factor,
-so no product with the unit is formed; only the empty word is UNIT.
+so no product with the unit is formed; only the empty word is the unit.
 """
 
 import functools
@@ -95,10 +95,10 @@ from math import inf, lcm
 from operator import itemgetter
 
 from .checks import Check, fold, witness_repr
-from .scalars import (DegenerateParameterError, fmt_scalar, parse_scalar,
-                      qfact, qnum)
+from .scalars import (RATIONAL, DegenerateParameterError, fmt_scalar,
+                      parse_scalar, qfact, qnum)
 from .tensor import (Echelon, TensorOp, _assemble, _common_field,
-                     _raw_form, _rows_over, _stored_form, _value, flat_index,
+                     _raw_form, _stored_form, _value, flat_index,
                      multi_index)
 from .hecke import HeckeRep, HeckeWord, antisym
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
@@ -269,9 +269,6 @@ class SpacedTensor:
             sum(len(row) for row in self.rows.values()))
 
 
-UNIT = SpacedTensor.scalar(1)
-
-
 # -- shiftable scalar functions -------------------------------------------
 
 
@@ -326,7 +323,7 @@ class ShiftFunc:
     @classmethod
     def from_json(cls, doc):
         """The function of a func factor's argument, as FACTORS types it."""
-        return cls(parse_scalar("func coef", doc["coef"]),
+        return cls(parse_scalar("func coef", doc["coef"], RATIONAL),
                    {(a[0], a[1], a[2], a[3]): a[4] for a in doc["atoms"]})
 
 
@@ -608,7 +605,8 @@ class ReplayEngine:
         self._slots = {}        # (space, t) -> the t-th slot's tensor
         # (k, p.chain, block) -> its intertwiner basis, or None
         self._spans = {}
-        self._prime = getattr(self.ctx.field, "p", None)
+        self._prime = self.ctx.field.p
+        self._unit = SpacedTensor.scalar(self.ctx.field.one)
 
     # -- named tensor builders ------------------------------------
 
@@ -629,9 +627,9 @@ class ReplayEngine:
         C_i^T, i < k: column s of C_i is row s of C_i^T."""
         key = ("const columns", k)
         if key not in self._reps:
-            self._reps[key] = [
-                _rows_over(self._const_rep(k).image(i).transpose(),
-                           self._prime) for i in range(1, k)]
+            transposed = [self._const_rep(k).image(i).transpose()
+                          for i in range(1, k)]
+            self._reps[key] = [(t.rows, t.den) for t in transposed]
         return self._reps[key]
 
     def _nk_at(self, p):
@@ -672,7 +670,7 @@ class ReplayEngine:
         else:
             op = build_dj(n, ctx)
             if args.get("power", 1) == -1:
-                op = op - ctx.lam * TensorOp.identity(n, 2, one)
+                op = op - ctx.lam * TensorOp.identity(n, 2, ctx.field)
         return SpacedTensor.from_tensorop(op, spaces, spaces)
 
     def eval_p(self, fp, p):
@@ -826,7 +824,7 @@ class ReplayEngine:
             acc = run if acc is None else acc.compose(run)
             run, tail = st, not slot
         if run is None:
-            return t, det, UNIT
+            return t, det, self._unit
         return t, det, run if acc is None else acc.compose(run)
 
     def _slot_tensor(self, s, t):
@@ -1029,7 +1027,7 @@ class ReplayEngine:
             sts = [f.st if isinstance(f, FConst) else self.eval_p(f, p)
                    for f in factors]
             return functools.reduce(SpacedTensor.compose, sts) if sts \
-                else UNIT
+                else self._unit
         for p in self.points:
             rhs = product(payload, p)
             if take == 0:
@@ -1718,7 +1716,8 @@ def block_intertwiners(engine, k, p, block):
     # the rows of V_A of each D_i, which must not leave V_A
     on_a = []
     for i in range(1, k):
-        drows, dden = _rows_over(dyn.image(i), prime)
+        image = dyn.image(i)
+        drows, dden = image.rows, image.den
         rows = {x: drows.get(x, {}) for x in in_a}
         if any(y not in in_a for row in rows.values() for y in row):
             return None
@@ -1863,8 +1862,7 @@ def oracle_slices(engine, k, ta, tb):
     and weight block, keyed (free kets, free bras, block): each indexed
     row * n^k + column by the slot axes' flat index, on one scale or mod
     p, with no zero entry and no empty slice."""
-    prime = engine._prime
-    den = 1 if prime is not None else lcm(ta.den, tb.den)
+    den = lcm(ta.den, tb.den)
     size = engine.n**k
     wt = _weights(engine.n, k)
     free_k = _picker([s for s in ta.kets if not _is_slot_axis(s)], ta.kets)
@@ -1873,8 +1871,7 @@ def oracle_slices(engine, k, ta, tb):
                       + [("sc", t) for t in range(1, k + 1)], ta.bras)
     slices = {}
     for st, sign in ((ta, 1), (tb, -1)):
-        rows, sden = _rows_over(st, prime)
-        scale = sign * (den // sden)
+        rows, scale = st.rows, sign * (den // st.den)
         for kv, row in rows.items():
             fk = free_k(kv)
             for bv, v in row.items():
@@ -1882,7 +1879,7 @@ def oracle_slices(engine, k, ta, tb):
                 block = (wt[idx // size], wt[idx % size])
                 vec = slices.setdefault((fk, free_b(bv), block), {})
                 vec[idx] = vec.get(idx, 0) + scale * v
-    return _stored_form(slices, 1, prime)[0]
+    return _stored_form(slices, 1, engine._prime)[0]
 
 
 def _is_slot_axis(label):
@@ -1930,7 +1927,7 @@ def _fault(kind, v, n, owner=None):
                 "window": "n = ", "rest": "n - 1 = "}.get(base, ""), size)
     elif base == "number":
         try:
-            parse_scalar("number", v)
+            parse_scalar("number", v, RATIONAL)
         except DegenerateParameterError:
             return False, "%r must be a number: an integer or a \"num/den\" " \
                 "string" % (v,)
@@ -1994,7 +1991,7 @@ def _word_fault(v, k, plain):
             return False, "letters %r are not generators of H_%d" % (
                 term[1], k)
     if plain and (isinstance(w, dict) or len(w) != 1
-                  or parse_scalar("coefficient", w[0][0]) != 1):
+                  or parse_scalar("coefficient", w[0][0], RATIONAL) != 1):
         return False, "%r: only plain words invert syntactically" % (v,)
     return None
 

@@ -206,7 +206,7 @@ def braid_operands(params, p):
     n > 2, p_ij).  The ints are copied straight to their three-site
     positions: no operator is built, embedded, relabeled or assembled."""
     n = params.n
-    prime = getattr(params.ctx.field, "p", None)
+    prime = params.ctx.field.p
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
     flat = {pair: x for x, pair in enumerate(pairs)}
 
@@ -304,7 +304,7 @@ def verify_qdybe(params, p, rmx=None):
     # against the same factor through the generic dressing machinery
     records.append(compare(
         "qdybe.middle-construction-equivalence",
-        Fraction(1, D) * layouts[0][1],
+        params.ctx.field.one / D * layouts[0][1],
         dressed_block(n, rmx.at, 1, p, sign=-1, side="prefix")))
     shifted, conjugated = (_braid(a, m) for a, m in layouts)
     exchanged = None if conjugated is None else conjugated.permuted(
@@ -312,7 +312,7 @@ def verify_qdybe(params, p, rmx=None):
     records.extend(_braid_record(rec_id, D, residual) for rec_id, residual
                    in zip(BRAID_LAYOUTS, (shifted, conjugated, exchanged)))
 
-    ident = TensorOp.identity(n, 2, params.ctx.field.one)
+    ident = TensorOp.identity(n, 2, params.ctx.field)
     records.append(compare("qdybe.hecke-condition", R * R,
                            ident + params.ctx.lam * R))
     records.append(weight_conservation_check(rmx, p))

@@ -60,13 +60,13 @@ class ModInt:
         self.p = p
 
     def _lift(self, other):
+        """other in F_p: a ModInt of p or an int, not a Fraction (see of)."""
         if isinstance(other, ModInt):
-            assert other.p == self.p, "mixed prime fields"
+            if other.p != self.p:
+                raise mixed_fields(self.p, other.p)
             return other
         if isinstance(other, int):
             return ModInt(other, self.p)
-        if isinstance(other, Fraction):
-            return ModInt(other.numerator, self.p) / ModInt(other.denominator, self.p)
         return NotImplemented
 
     def __add__(self, other):
@@ -119,8 +119,6 @@ class ModInt:
             return self.v == other.v and self.p == other.p
         if isinstance(other, int):
             return self.v == other % self.p
-        if isinstance(other, Fraction):
-            return self == self._lift(other)
         return NotImplemented
 
     def __bool__(self):
@@ -133,18 +131,22 @@ class ModInt:
         return "ModInt(%d mod %d)" % (self.v, self.p)
 
 
+def mixed_fields(p, p2):
+    """The error of an operation on values of F_p and F_p2 (None: Q)."""
+    return ValueError("mixed fields %s and %s" % tuple(
+        "rational" if x is None else "prime(%d)" % x for x in (p, p2)))
+
+
 class RationalField:
     """The field Q.  Identity checks over it are proofs at the sample point."""
 
     name = "rational"
-    exact = True
+    p = None        # no prime, as a rational operator's p
 
     def of(self, x):
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
             return Fraction(x)
         raise TypeError("cannot coerce %r into Q" % (x,))
 
@@ -239,8 +241,6 @@ class PrimeField:
     """F_p for a fixed odd prime p < 2**64.  Identity checks are
     probabilistic."""
 
-    exact = False
-
     def __init__(self, p=DEFAULT_PRIME):
         if not (2 < p < 2**64 and _is_prime(p)):
             raise DegenerateParameterError(
@@ -252,15 +252,15 @@ class PrimeField:
         self.name = "prime(%d)" % p
 
     def of(self, x):
+        """x in F_p: the one way a Fraction enters F_p (text: parse_scalar)."""
         if isinstance(x, ModInt):
-            assert x.p == self.p
+            if x.p != self.p:
+                raise mixed_fields(self.p, x.p)
             return x
         if isinstance(x, int):
             return ModInt(x, self.p)
         if isinstance(x, Fraction):
             return ModInt(x.numerator, self.p) / ModInt(x.denominator, self.p)
-        if isinstance(x, str):
-            return self.of(Fraction(x))
         raise TypeError("cannot coerce %r into F_p" % (x,))
 
     def __repr__(self):
@@ -282,7 +282,7 @@ _SCALAR_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 MAX_SCALAR_DIGITS = 1000
 
 
-def parse_scalar(name, v, field=RATIONAL, nonzero=False):
+def parse_scalar(name, v, field, nonzero=False):
     """The scalar `name` read from outside the program (params JSON, a
     flag, a derivation script or a dump) as an element of field: an int,
     or a string "num" or "num/den" of decimal digits, nonzero when asked.

@@ -30,9 +30,10 @@ integer arithmetic only:
   den is 1.  Each product sum is reduced once, at the end of its row.
 
 The entries an operator is built from fix its field: any ``ModInt``
-entry means F_p, anything else (ints, ``Fraction``s) means Q.  When a
-rational operator meets a prime one, its entries are lifted as
-num * den^(-1) mod p.  Field values -- reduced ``Fraction``s, or
+entry means F_p, anything else (ints, ``Fraction``s) means Q, and
+``identity`` and ``zero`` take theirs.  A kernel operation on two fields
+raises :func:`~qdyb.scalars.mixed_fields`, naming both: nothing is
+lifted to F_p here.  Field values -- reduced ``Fraction``s, or
 ``ModInt``s -- go in through the constructor, ``from_entries`` and
 ``diagonal``, and come out only through :meth:`TensorOp.entry`,
 ``entries``, ``first_nonzero`` and ``dump``.
@@ -49,16 +50,17 @@ row dict with an operand or with a dict its caller passed in.
 
 ``qmatrix.SpacedTensor``, whose rows and columns are keyed by index
 tuples of labeled sockets, keeps its entries in this same stored form:
-``_stored_form`` normalizes both kinds of tensor, ``_rows_over`` lifts
-both to F_p, and ``_assemble`` (behind ``assemble``) places the stored
-entries of either.
+``_stored_form`` normalizes both kinds of tensor, ``_common_field``
+checks that two of either kind share one field, and ``_assemble``
+(behind ``assemble``) places the stored entries of either.
 
 Ranks and kernels share one eliminator, :class:`Echelon`: an
 incremental row echelon keyed by each row's leading (smallest) column,
 whose ``add`` tells whether a row was new (so span membership) and whose
 ``kernel`` solves the rows by back-substitution.  It takes rows of
 stored ints only, at any scale over Q or residues mod p;
-:meth:`TensorOp.echelon` builds one from the stored rows of operators.  Rational rows are made primitive and reduced fraction-free,
+:meth:`TensorOp.echelon` builds one from the stored rows of operators.
+Rational rows are made primitive and reduced fraction-free,
 pv * row - rv * pivot_row followed by division by the gcd; prime-field
 rows are reduced by the same cross-multiplication on their residues,
 with no inversion.  No numerical tie-breaking exists because arithmetic
@@ -69,7 +71,7 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import RATIONAL, ModInt, parse_scalar
+from .scalars import ModInt, mixed_fields, parse_scalar
 
 
 def flat_index(multi, n):
@@ -157,14 +159,15 @@ class TensorOp:
                              for f in range(n**k)})
 
     @classmethod
-    def identity(cls, n, k, one=Fraction(1)):
-        """The identity on k sites, over the field of `one`."""
-        p = one.p if isinstance(one, ModInt) else None
-        return cls._make(n, k, k, {r: {r: 1} for r in range(n**k)}, 1, p)
+    def identity(cls, n, k, field):
+        """The identity on k sites over field (or an operator's field)."""
+        return cls._make(n, k, k, {r: {r: 1} for r in range(n**k)}, 1,
+                         field.p)
 
     @classmethod
-    def zero(cls, n, rk, ck):
-        return cls(n, rk, ck)
+    def zero(cls, n, rk, ck, field):
+        """The zero map from ck to rk sites over field."""
+        return cls._make(n, rk, ck, {}, 1, field.p)
 
     # -- basic structure -----------------------------------------------
 
@@ -244,18 +247,19 @@ class TensorOp:
         return (-1) * self
 
     def __rmul__(self, s):
-        """A scalar multiple: s an int, Fraction or ModInt."""
-        if not isinstance(s, (int, Fraction, ModInt)):
-            return NotImplemented
-        p = s.p if isinstance(s, ModInt) else self.p
-        rows, den = _rows_over(self, p)
-        if p is None:
+        """A scalar multiple: s an int or a value of the operator's field."""
+        den = self.den
+        if isinstance(s, Fraction):
+            if self.p is not None:
+                raise mixed_fields(self.p, None)
             s, den = s.numerator, den * s.denominator
-        else:
-            s = _residue(s, p)
+        elif isinstance(s, ModInt):
+            s = _residue(s, self.p)
+        elif not isinstance(s, int):
+            return NotImplemented
         return TensorOp._make(self.n, self.rk, self.ck, {
             r: {c: v * s for c, v in row.items()}
-            for r, row in rows.items()}, den, p)
+            for r, row in self.rows.items()}, den, self.p)
 
     def __mul__(self, other):
         if not isinstance(other, TensorOp):
@@ -307,17 +311,17 @@ class TensorOp:
     def embed(self, pos, k):
         """Place a square m-site operator at sites pos..pos+m-1 of k sites,
         acting as the identity elsewhere: one Kronecker product with an
-        identity per side that has sites, and the operator itself when
-        it fills all k."""
+        identity over the operator's field per side that has sites, and
+        the operator itself when it fills all k."""
         assert self.is_square, "embed needs a square operator"
         m = self.rk
         if not (1 <= pos <= k - m + 1):
             raise ValueError("embed position out of range")
         out = self
         if pos > 1:
-            out = TensorOp.identity(self.n, pos - 1).kron(out)
+            out = TensorOp.identity(self.n, pos - 1, self).kron(out)
         if pos + m <= k:
-            out = out.kron(TensorOp.identity(self.n, k - m - pos + 1))
+            out = out.kron(TensorOp.identity(self.n, k - m - pos + 1, self))
         return out
 
     def permuted(self, left=None, right=None):
@@ -335,11 +339,10 @@ class TensorOp:
     @staticmethod
     def echelon(ops):
         """The :class:`Echelon` of the rows of every op, reduced from their
-        stored ints; rational ops are lifted mod p when any op is prime."""
+        stored ints; the ops share one field."""
         ops = list(ops)
-        p = next((op.p for op in ops if op.p is not None), None)
-        return Echelon(
-            [row for op in ops for row in _rows_over(op, p)[0].values()], p)
+        p = _shared_p(ops)
+        return Echelon([row for op in ops for row in op.rows.values()], p)
 
     # -- serialization -----------------------------------------------------
 
@@ -350,7 +353,7 @@ class TensorOp:
                             for rm, cm, v in self.entries()]}
 
     @classmethod
-    def load(cls, doc, field=RATIONAL):
+    def load(cls, doc, field):
         n = doc["n"]
         k = doc["k"]
         rk, ck = (k, k) if isinstance(k, int) else k
@@ -395,14 +398,14 @@ def _raw_form(rows):
 
 
 def _residue(v, p):
-    """An int, Fraction or ModInt as a residue mod p."""
+    """An int or a ModInt of F_p as a residue mod p."""
     if isinstance(v, ModInt):
         if v.p != p:
-            raise ValueError("mixed prime fields %d and %d" % (v.p, p))
+            raise mixed_fields(p, v.p)
         return v.v
-    if v.denominator % p == 0:
-        raise ZeroDivisionError("denominator divisible by %d" % p)
-    return v.numerator * pow(v.denominator, -1, p) % p
+    if isinstance(v, int):
+        return v % p
+    raise mixed_fields(p, None)
 
 
 def _value(v, den, p):
@@ -410,33 +413,28 @@ def _value(v, den, p):
     return Fraction(v, den) if p is None else ModInt(v, p)
 
 
-def _rows_over(x, p):
-    """The stored (rows, den) of x -- a TensorOp or a qmatrix.SpacedTensor
-    -- over F_p: x's own when p is None or x is there already, else its
-    rational entries lifted as num * den^(-1) mod p."""
-    if p is None or x.p == p:
-        return x.rows, x.den
-    if x.p is not None:
-        raise ValueError("mixed prime fields %d and %d" % (x.p, p))
-    inv = _residue(Fraction(1, x.den), p)
-    return _stored_form({r: {c: v * inv for c, v in row.items()}
-                         for r, row in x.rows.items()}, 1, p)[:2]
+def _shared_p(xs):
+    """The p of tensors of one field (None for Q, or for no tensor)."""
+    p = xs[0].p if xs else None
+    for x in xs:
+        if x.p != p:
+            raise mixed_fields(p, x.p)
+    return p
 
 
 def _assemble(parts):
     """(rows, den, p) of the stored entries of several tensors, whatever
     their keys: parts is an iterable of (x, rmap, cmap), and entry (r, c)
     of x goes to (rmap[r], cmap[c]), left out when r or c is missing from
-    its map.  Parts place their entries at distinct positions.  The rows
-    are over the lcm of the parts' denominators, or mod p when any part
-    is prime, and still to be brought to the stored form."""
+    its map.  Parts place their entries at distinct positions and share
+    one field.  The rows are over the lcm of the parts' denominators, or
+    mod p, and still to be brought to the stored form."""
     parts = list(parts)
-    p = next((x.p for x, _, _ in parts if x.p is not None), None)
-    den = 1 if p is not None else lcm(*(x.den for x, _, _ in parts))
+    p = _shared_p([x for x, _, _ in parts])
+    den = lcm(*(x.den for x, _, _ in parts))
     rows = {}
     for x, rmap, cmap in parts:
-        src, xden = _rows_over(x, p)
-        scale = den // xden
+        src, scale = x.rows, den // x.den
         for r, rr in rmap.items():
             row = src.get(r)
             if row is None:
@@ -478,10 +476,8 @@ def _stored_form(rows, den, p):
 
 def _common_field(a, b):
     """(a rows, a den, b rows, b den, p): the stored forms of a and b (two
-    TensorOps, or two qmatrix.SpacedTensors) over one field, the rational
-    one lifted to F_p when the other is prime."""
-    p = a.p if a.p is not None else b.p
-    return _rows_over(a, p) + _rows_over(b, p) + (p,)
+    TensorOps, or two qmatrix.SpacedTensors) of one field."""
+    return a.rows, a.den, b.rows, b.den, _shared_p([a, b])
 
 
 # -- exact elimination ----------------------------------------------------

@@ -35,7 +35,7 @@ import random
 from fractions import Fraction
 
 from .scalars import (
-    RATIONAL, DegenerateParameterError, PoleError, QContext, f_poly,
+    DegenerateParameterError, PoleError, QContext, f_poly,
     fmt_scalar, multiplicative_order, parse_scalar, qnum,
 )
 
@@ -140,7 +140,7 @@ class PairFamily:
                             "geometric ratio must be shared within a pair")
 
     @classmethod
-    def unit(cls, n, field=RATIONAL):
+    def unit(cls, n, field):
         c = {(i, j): field.one
              for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
         return cls(n, "constant", c)
@@ -159,7 +159,7 @@ class PairFamily:
         return cls(n, "constant", c)
 
     @classmethod
-    def constant(cls, n, upper, field=RATIONAL):
+    def constant(cls, n, upper, field):
         """From values on the pairs i < j; the lower triangle is 1/c."""
         c = {}
         for (i, j), v in upper.items():
@@ -170,7 +170,7 @@ class PairFamily:
         return cls(n, "constant", c)
 
     @classmethod
-    def geometric(cls, n, upper_c, ratio_w, field=RATIONAL):
+    def geometric(cls, n, upper_c, ratio_w, field):
         c = {}
         w = {}
         for (i, j), v in upper_c.items():
@@ -235,7 +235,7 @@ class PairFamily:
         return d
 
     @classmethod
-    def from_json(cls, n, d, field=RATIONAL):
+    def from_json(cls, n, d, field):
         """The family of a params-JSON alpha block (not a preset); a
         malformed block raises DegenerateParameterError naming its key."""
         kind = d.get("kind")
@@ -470,7 +470,7 @@ class SLnParams:
         return d
 
     @classmethod
-    def from_json(cls, d, field=RATIONAL):
+    def from_json(cls, d, field):
         """The parameter set of a params-JSON object; a malformed one
         raises DegenerateParameterError naming its key."""
         if not isinstance(d, dict):
@@ -542,9 +542,9 @@ def sample_params(n, rng, ctx=None, regime=GENERIC, alpha="unit"):
 
     alpha: 'unit', 'standard', 'constant' (random), 'geometric' (random).
     """
-    field = ctx.field if ctx is not None else RATIONAL
     if ctx is None:
-        ctx = QContext(sample_q(rng), n, field=field)
+        ctx = QContext(sample_q(rng), n)
+    field = ctx.field
     lam = ctx.lam
     beta = None
     if regime == BETA_INFINITY:
@@ -583,7 +583,7 @@ def sample_params(n, rng, ctx=None, regime=GENERIC, alpha="unit"):
     return SLnParams(ctx, chain, fam, _beta_override=beta)
 
 
-def sample_twist(n, rng, field=RATIONAL, geometric=False):
+def sample_twist(n, rng, field, geometric=False):
     ij = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     c = {k: field.of(rand_fraction(rng)) for k in ij}
     if not geometric:
@@ -637,7 +637,7 @@ def takes_wide_point(params):
     r = 3/2 has order 838,488,366,986,797,798 (about 2^59.5), so every
     n <= 11 qualifies."""
     ctx = params.ctx
-    if getattr(ctx.field, "p", None) is None or ctx.root is None \
+    if ctx.field.p is None or ctx.root is None \
             or params.beta_chain is None or params.alpha.kind == "geometric":
         return False
     return multiplicative_order(ctx.root) >= ctx.n * 2 * WIDE

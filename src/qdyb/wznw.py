@@ -99,7 +99,7 @@ def det_normalization_check(n, ctx):
     if ctx.root is None:
         raise DegenerateParameterError("normalization check needs ctx.root")
     R = build_dj(n, ctx)
-    ident = TensorOp.identity(n, 2, ctx.field.one)
+    ident = TensorOp.identity(n, 2, ctx.field)
     two = ctx.q + ctx.qbar
     sym = (1 / two) * (R + ctx.qbar * ident)     # q-eigenprojector
     anti = (1 / two) * (ctx.q * ident - R)       # (-qbar)-eigenprojector

@@ -159,7 +159,7 @@ def test_criterion_6_twist_and_shift():
     for n in (2, 3):
         params = sample_params(n, rng, alpha="constant")
         p = sample_point(params, rng)
-        psi = sample_twist(n, rng)
+        psi = sample_twist(n, rng, params.ctx.field)
         records = rmatrix.twist_checks(params, psi, p)
         no_fail(records)
         assert not any(ok is None for _, ok, _ in records)  # none skipped
@@ -171,7 +171,7 @@ def test_criterion_6_twist_and_shift():
                         assert twisted.alpha(i, j, x) == \
                             params.alpha(i, j, x) * psi(j, i, -x) ** 2
         # geometric twists: conclusion verified, hypothesis recorded skip
-        psig = sample_twist(n, rng, geometric=True)
+        psig = sample_twist(n, rng, params.ctx.field, geometric=True)
         no_fail(rmatrix.twist_checks(params, psig, p))
 
     # canonical shift onto the beta -> oo form, exactly

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qdyb.checks import Check, compare, fold, prefixed
-from qdyb.scalars import QContext
+from qdyb.scalars import RATIONAL, QContext
 from qdyb.rmatrix import build_dj
 from qdyb.tensor import TensorOp
 from qdyb.verify import RunConfig, run, strip_timing
@@ -63,7 +63,7 @@ def test_passing_compare_forms_no_difference(monkeypatch):
         return plus(self, other, sign)
 
     monkeypatch.setattr(TensorOp, "_plus", counted)
-    assert compare("same", R, R * TensorOp.identity(2, 2)).ok
+    assert compare("same", R, R * TensorOp.identity(2, 2, RATIONAL)).ok
     assert calls == []
     assert not compare("differ", R, 2 * R).ok
     assert calls == [-1]

@@ -14,7 +14,8 @@ from qdyb import verify
 from qdyb.checks import Check
 from qdyb.cli import main
 from qdyb.qmatrix import builtin_derivations
-from qdyb.scalars import DegenerateParameterError, QContext, qnum
+from qdyb.scalars import (RATIONAL, DegenerateParameterError, PrimeField,
+                          QContext, qnum)
 from qdyb.tensor import TensorOp
 from qdyb.verify import RunConfig, run_suite, strip_timing
 from qdyb.weights import SLnParams
@@ -31,7 +32,7 @@ def test_build_and_dump_roundtrip(tmp_path, capsys):
                            "--beta", "1", "--p", "p12=2")
     assert code == 0
     doc = json.loads(out)
-    R = TensorOp.load(doc["rhat_dynamical"])
+    R = TensorOp.load(doc["rhat_dynamical"], RATIONAL)
     assert R.entry((1, 2), (2, 1)) == Fraction(6, 11)
     assert R.dump() == doc["rhat_dynamical"]
 
@@ -41,7 +42,7 @@ def test_build_and_dump_roundtrip(tmp_path, capsys):
     doc = json.loads(out)
     ctx = QContext(Fraction(5, 2), 3)
     from qdyb.rmatrix import build_dj
-    assert TensorOp.load(doc) == build_dj(3, ctx)
+    assert TensorOp.load(doc, RATIONAL) == build_dj(3, ctx)
 
 
 def test_params_file_flow(tmp_path, capsys):
@@ -125,9 +126,10 @@ def test_scalar_beyond_the_digit_bound_exits_2_at_once(tmp_path, capsys):
     wide = 10 ** MAX_SCALAR_DIGITS
     for v in (wide, -wide, "1/%d" % wide, "+%d" % wide):
         with pytest.raises(DegenerateParameterError, match="digits"):
-            parse_scalar("x", v)
-    assert parse_scalar("x", "-%d/7" % (wide - 1)) == Fraction(1 - wide, 7)
-    assert parse_scalar("x", wide - 1) == wide - 1
+            parse_scalar("x", v, RATIONAL)
+    assert parse_scalar("x", "-%d/7" % (wide - 1), RATIONAL) == \
+        Fraction(1 - wide, 7)
+    assert parse_scalar("x", wide - 1, RATIONAL) == wide - 1
 
 
 def test_values_past_the_print_limit_exit_2_by_name(tmp_path, capsys):
@@ -375,6 +377,27 @@ def test_runconfig_roundtrip():
     doc = cfg.to_json()
     back = RunConfig(**doc)
     assert back.to_json() == doc
+
+
+@pytest.mark.parametrize("backend, built", [("prime", 2), ("rational", 1)])
+def test_a_run_builds_its_field_once(monkeypatch, capsys, backend, built):
+    """RunConfig builds the run's field once, and cfg.field() returns
+    that object: `verify all` builds it and the params suite's
+    default-prime agreement field, and no other PrimeField (each build
+    runs Miller-Rabin)."""
+    init = PrimeField.__init__
+    fields = []
+
+    def counted(self, *args):
+        fields.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(PrimeField, "__init__", counted)
+    code, _, _ = run_cli(capsys, "verify", "all", "--n", "3", "--backend",
+                         backend, "--draws", "1", "--seed", "7")
+    assert code == 0 and len(fields) == built
+    cfg = RunConfig(backend=backend)
+    assert cfg.field() is cfg.field()
 
 
 def test_verify_without_draws_exits_2(capsys):
@@ -1274,4 +1297,4 @@ def test_exponent_scalars_exit_2_fast(tmp_path, capsys):
     for n in (2, 3):
         for d in builtin_derivations(n).values():
             for v in _scalar_walk(json.loads(json.dumps(d))):
-                parse_scalar("builtin scalar", v)
+                parse_scalar("builtin scalar", v, RATIONAL)

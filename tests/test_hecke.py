@@ -52,7 +52,7 @@ def test_relations_constant_and_dynamic():
 def test_generator_inverse_and_quadratic():
     rng = random.Random(13)
     rep = dyn_rep(2, 3, rng)
-    ident = TensorOp.identity(2, 3)
+    ident = TensorOp.identity(2, 3, rep.ctx.field)
     for i in (1, 2):
         assert rep.image(i) * rep.image_inv(i) == ident
         # g_i g_i = 1 + lam * g_i
@@ -67,7 +67,7 @@ def test_antisym_small_and_idempotent():
     A2 = antisym(rep, 1, 2)
     # A(2) = (q - g_1)/[2]
     expect = (1 / (ctx.q + ctx.qbar)) * (
-        ctx.q * TensorOp.identity(2, 2) - rep.image(1))
+        ctx.q * TensorOp.identity(2, 2, ctx.field) - rep.image(1))
     assert A2 == expect
     assert A2 * A2 == A2
 
@@ -206,7 +206,7 @@ def reference_window(rep, sign, i, j, memo):
     t = q or -qbar and [m]_t = t^(m-1) + t^(m-3) + ... + t^(1-m)."""
     if (sign, i, j) in memo:
         return memo[sign, i, j]
-    ident = TensorOp.identity(rep.n, rep.k)
+    ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field)
     if i == j:
         return ident
     t = rep.ctx.q if sign > 0 else -rep.ctx.qbar
@@ -283,7 +283,7 @@ def test_height_and_top_vanish_in_either_order():
 def test_rank_complement_for_idempotents():
     rng = random.Random(19)
     rep = dyn_rep(2, 3, rng)
-    ident = TensorOp.identity(2, 3)
+    ident = TensorOp.identity(2, 3, rep.ctx.field)
     for j in range(1, 4):
         A = antisym(rep, 1, j)
         assert A.exact_rank() + (ident - A).exact_rank() == 8
@@ -490,7 +490,7 @@ def test_symmetrizer_tower_lightly():
     assert S * S == S
     assert S.exact_rank() == 3          # symmetric square of C^2
     A = antisym(rep, 1, 2)
-    assert S + A == TensorOp.identity(2, 2)
+    assert S + A == TensorOp.identity(2, 2, ctx.field)
     drep = dyn_rep(2, 3, rng)
     S3 = symmetrizer(drep, 3)
     assert S3 * S3 == S3

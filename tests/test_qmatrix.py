@@ -20,7 +20,7 @@ from qdyb.hecke import HeckeWord
 from qdyb.weights import sample_params, sample_point, sample_points
 from qdyb.qmatrix import (
     CERTIFICATES, FACTORS, ORACLE_MAX_DIM, SIGNATURES, FConst, FDet, FP,
-    FSlot, UNIT,
+    FSlot,
     MoveError, ReplayEngine, ShiftFunc, SlotExpr, SpacedTensor,
     block_intertwiners, builtin_derivations, derivation_from_json,
     membership_oracle, oracle_confirm, oracle_sides, oracle_slices,
@@ -190,20 +190,6 @@ def test_compose_matches_reference(field):
     assert cancelled > 0
 
 
-def test_rational_unit_composes_with_a_prime_factor():
-    """UNIT is rational; a prime factor lifts it to F_p on either side,
-    and two different primes do not mix."""
-    F = PrimeField()
-    st = random_spaced(random.Random(72), F, (1, 2), (3,))
-    for c in (UNIT.compose(st), st.compose(UNIT)):
-        assert c == st and c.p == F.p
-        assert (c.rows, c.den) == (st.rows, st.den)
-    assert UNIT.compose(UNIT) == UNIT and UNIT.p is None
-    other = random_spaced(random.Random(72), PrimeField(7), (), (1,))
-    with pytest.raises(ValueError, match="mixed prime fields"):
-        st.compose(other)
-
-
 def unplanned_compose(a, b):
     """a.compose(b) with its sockets derived on the call and every index
     read by label: the reference for the cached contraction plans."""
@@ -262,8 +248,8 @@ def test_plan_collisions_raise_on_every_call():
 
 def test_replays_compose_no_unit(monkeypatch):
     """canonical and refactor start each fold from its first factor: no
-    compose of a builtin replay has UNIT as an operand, and the empty
-    word is UNIT."""
+    compose of a builtin replay has the engine's unit as an operand, and
+    the empty word is that unit, the scalar 1 of the engine's field."""
     compose = SpacedTensor.compose
     operands = []
 
@@ -275,8 +261,14 @@ def test_replays_compose_no_unit(monkeypatch):
     eng = engine(2, random.Random(84), npoints=2)
     for name, d in sorted(builtin_derivations(2).items()):
         assert all(ok for _, ok, _ in eng.run(d)), name
-    assert operands and not any(a is UNIT or b is UNIT for a, b in operands)
-    assert eng.canonical(SlotExpr([]), eng.points[0]) == (0, 0, UNIT)
+    unit = eng._unit
+    assert operands and not any(a is unit or b is unit for a, b in operands)
+    assert eng.canonical(SlotExpr([]), eng.points[0]) == (0, 0, unit)
+    assert (unit.kets, unit.bras, unit.rows, unit.den, unit.p) == \
+        ((), (), {(): {(): 1}}, 1, None)
+    F = PrimeField()
+    prime = engine(2, random.Random(84), F, npoints=1)
+    assert prime._unit.p == F.p and prime._unit.rows == {(): {(): 1}}
 
 
 def test_engine_keeps_constant_and_slot_tensors():
@@ -294,9 +286,10 @@ def test_engine_keeps_constant_and_slot_tensors():
 
 def fold_canonical(eng, expr, p):
     """ReplayEngine.canonical as the left-to-right fold over the factors,
-    one factor at a time, from UNIT, with :func:`unplanned_compose`: the
-    reference for the evaluation by runs and its cached plans."""
-    acc = UNIT
+    one factor at a time, from the engine's unit, with
+    :func:`unplanned_compose`: the reference for the evaluation by runs
+    and its cached plans."""
+    acc = eng._unit
     t = det = 0
     seen_slot = seen_det = False
     one = eng.ctx.field.one
@@ -760,7 +753,7 @@ def test_tampered_dynamic_image_fails_naming_its_block():
     d1 = rep.image(1)
     d = rep._images[0] = d1 + TensorOp.from_entries(
         2, 2, 2, [((1, 2), (2, 1), d1.entry((1, 2), (2, 1)))])
-    assert d * d != TensorOp.identity(2, 2, eng.ctx.field.one) \
+    assert d * d != TensorOp.identity(2, 2, eng.ctx.field) \
         + eng.ctx.lam * d
     word = [_eps_bra_dyn((1, 2)), _slot(1), _slot(2), _eps_ket((1, 2))]
     two = {"kind": "const", "name": "scalar", "args": {"value": "2"}}

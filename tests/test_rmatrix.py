@@ -49,14 +49,13 @@ def test_dj_braid_and_hecke():
         R12 = R.embed(1, 3)
         R23 = R.embed(2, 3)
         assert R12 * R23 * R12 == R23 * R12 * R23
-        ident = TensorOp.identity(n, 2)
+        ident = TensorOp.identity(n, 2, ctx.field)
         assert R * R == ident + ctx.lam * R
 
 
 def test_dj_at_q_one_is_permutation():
     ctx = QContext(Fraction(1), 3)
-    assert build_dj(3, ctx) == site_permutation(
-        3, 2, (2, 1), Fraction(1))
+    assert build_dj(3, ctx) == site_permutation(3, 2, (2, 1), ctx.field)
 
 
 def test_constant_multiparam_reproduces_dj():
@@ -266,7 +265,7 @@ def test_flipped_is_the_flip_conjugation(field):
     for n in (2, 3, 4):
         params, p = drawn_on(field, n, rng)
         R = build_dyn(params, p)
-        P = site_permutation(n, 2, (2, 1), field.one)
+        P = site_permutation(n, 2, (2, 1), field)
         F = flipped(R)
         assert F == P * R * P and F.p == R.p
         assert F != R and flipped(F) == R
@@ -276,11 +275,9 @@ def test_flipped_is_the_flip_conjugation(field):
             for right in perms:
                 want = X
                 if left:
-                    want = site_permutation(n, 3, left,
-                                                     field.one) * want
+                    want = site_permutation(n, 3, left, field) * want
                 if right:
-                    want = want * site_permutation(n, 3, right,
-                                                            field.one)
+                    want = want * site_permutation(n, 3, right, field)
                 assert X.permuted(left, right) == want, (n, left, right)
 
 
@@ -346,7 +343,7 @@ def test_inverse_closed_form():
         p = sample_point(params, rng)
         R = build_dyn(params, p)
         inv = invert_dyn(params, p)
-        ident = TensorOp.identity(n, 2)
+        ident = TensorOp.identity(n, 2, params.ctx.field)
         assert R * inv == ident and inv * R == ident
         assert inv == R - params.ctx.lam * ident
     # constant limit matches the inverse of the constant matrix
@@ -354,24 +351,24 @@ def test_inverse_closed_form():
     params = constant_multiparam(ctx)
     R = build_dj(2, ctx)
     assert invert_dyn(params, WeightPoint(2, (1,))) * R \
-        == TensorOp.identity(2, 2)
+        == TensorOp.identity(2, 2, ctx.field)
 
 
 def test_twist_checks_and_alpha_cancellation():
     rng = random.Random(19)
     for n in (2, 3):
         params = sample_params(n, rng, alpha="constant")
-        psi = sample_twist(n, rng)
+        psi = sample_twist(n, rng, params.ctx.field)
         p = sample_point(params, rng)
         all_pass(twist_checks(params, psi, p))
         # geometric twist too
-        psig = sample_twist(n, rng, geometric=True)
+        psig = sample_twist(n, rng, params.ctx.field, geometric=True)
         all_pass(twist_checks(params, psig, p))
 
     # a twist cancelling a constant alpha: psi_ji = alpha_ij^(-1/2) needs
     # square roots, so build alpha = (twist of unit) and undo it
     params = sample_params(3, rng, alpha="unit")
-    psi = sample_twist(3, rng)
+    psi = sample_twist(3, rng, params.ctx.field)
     twisted = params.twisted(psi)
     inv_psi = PairFamily(3, "constant",
                          {k: 1 / v for k, v in psi.c.items()})
@@ -385,7 +382,7 @@ def test_twist_checks_and_alpha_cancellation():
 def test_trivial_twist_is_identity():
     rng = random.Random(3)
     params = sample_params(2, rng, alpha="constant")
-    psi = PairFamily.unit(2)
+    psi = PairFamily.unit(2, params.ctx.field)
     p = sample_point(params, rng)
     assert build_dyn(params.twisted(psi), p) == build_dyn(params, p)
 
@@ -477,7 +474,8 @@ def test_qdybe_suite_builds_r_once_per_params_and_point(monkeypatch):
     rng = random.Random(6)
     params = sample_params(3, rng, alpha="constant")
     p = sample_point(params, rng)
-    all_pass(twist_checks(params, sample_twist(3, rng), p))
+    all_pass(twist_checks(params, sample_twist(3, rng, params.ctx.field),
+                         p))
     keys = [(id(params), chain) for params, chain in calls]
     assert len(keys) == len(set(keys))
     assert keys.count((id(params), p.chain)) == 1
@@ -519,7 +517,8 @@ def reference_records(params, p):
     reference_operands, over their field."""
     records = []
     for rec_id, D, a, m in reference_operands(params, p):
-        A, M = Fraction(1, D) * a, Fraction(1, D) * m
+        inv_d = params.ctx.field.one / D
+        A, M = inv_d * a, inv_d * m
         records.append(compare(rec_id, A * M * A, M * A * M))
     return records
 

@@ -167,6 +167,33 @@ def test_modint_field_axioms():
     assert F.of(Fraction(3, 7)) * 7 == 3
 
 
+def test_mixed_prime_fields_raise_naming_both():
+    """A residue of one prime meets one of another, in arithmetic or in
+    PrimeField.of: a ValueError naming both fields, which `python -O`
+    keeps, as it would not keep an assert."""
+    F, G = PrimeField(101), PrimeField(103)
+    match = r"mixed fields prime\(101\) and prime\(103\)"
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(ValueError, match=match):
+            op(F.of(2), G.of(3))
+    with pytest.raises(ValueError, match=match):
+        F.of(G.of(3))
+    assert F.of(F.of(3)) == 3 and F.of(Fraction(1, 2)) * 2 == F.one
+
+
+def test_a_fraction_is_no_modint_operand():
+    """A rational enters F_p only through PrimeField.of: ModInt takes no
+    Fraction operand."""
+    F = PrimeField(101)
+    with pytest.raises(TypeError):
+        F.of(3) + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * F.of(3)
+    assert F.of(2) * 3 == 6 and F.of(Fraction(1, 2)) * 2 == 1
+    assert RATIONAL.p is None and F.p == 101
+
+
 def test_prime_field_rejects_composite_moduli():
     assert PrimeField(DEFAULT_PRIME).p == DEFAULT_PRIME
     assert PrimeField(2**61 - 1).p == 2**61 - 1

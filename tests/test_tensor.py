@@ -1,6 +1,7 @@
 """Exact sparse tensor operators: structure, products, ranks, dumps."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -8,16 +9,17 @@ import pytest
 
 from qdyb.scalars import (RATIONAL, DegenerateParameterError, ModInt,
                           PrimeField, QContext)
+from qdyb.qmatrix import SpacedTensor
 from qdyb.tensor import (Echelon, TensorOp, _raw_form, _residue, flat_index,
                          multi_index)
 
 
-def site_permutation(n, k, sigma, one=Fraction(1)):
-    """The operator sending the column index J to the row index I with
-    I_s = J_sigma(s); sigma is a 1-based tuple.  sigma = (2, 1) is the
-    flip P with P(x (x) y) = y (x) x."""
+def site_permutation(n, k, sigma, field=RATIONAL):
+    """The operator over field sending the column index J to the row
+    index I with I_s = J_sigma(s); sigma is a 1-based tuple.
+    sigma = (2, 1) is the flip P with P(x (x) y) = y (x) x."""
     assert sorted(sigma) == list(range(1, k + 1))
-    return TensorOp.identity(n, k, one).permuted(sigma)
+    return TensorOp.identity(n, k, field).permuted(sigma)
 
 
 def random_sparse(n, k, rng, density=5):
@@ -75,9 +77,9 @@ def test_products_store_no_zeros(field):
 
 
 def test_identity_embed_and_product():
-    ident = TensorOp.identity(2, 3)
+    ident = TensorOp.identity(2, 3, RATIONAL)
     assert ident * ident == ident
-    small = TensorOp.identity(2, 1)
+    small = TensorOp.identity(2, 1, RATIONAL)
     assert small.embed(2, 3) == ident
     with pytest.raises(ValueError):
         small.embed(4, 3)
@@ -87,14 +89,17 @@ def test_identity_embed_and_product():
                                    PrimeField()])
 def test_identity_equals_the_field_value_construction(field):
     """identity() builds its stored ints directly; it equals the operator
-    built from field values, stored form included."""
+    built from field values, stored form included.  zero() is over its
+    field too."""
     for n, k in ((1, 1), (2, 1), (2, 3), (3, 2)):
-        ident = TensorOp.identity(n, k, field.one)
+        ident = TensorOp.identity(n, k, field)
         ref = TensorOp(n, k, k, {r: {r: field.one} for r in range(n**k)})
         assert ident == ref
         assert (ident.rows, ident.den, ident.p) == (ref.rows, ref.den, ref.p)
         assert ident.entry((1,) * k, (1,) * k) == field.one
-    assert TensorOp.identity(2, 2) == TensorOp.identity(2, 2, RATIONAL.one)
+        zero = TensorOp.zero(n, k, 1, field)
+        assert zero.is_zero() and zero.p == field.p
+        assert ident * zero == zero
 
 
 def test_permutation_cycles():
@@ -102,7 +107,7 @@ def test_permutation_cycles():
     P12 = site_permutation(2, 3, (2, 1, 3))
     P23 = site_permutation(2, 3, (1, 3, 2))
     A = P12 * P23
-    assert A * A * A == TensorOp.identity(2, 3)
+    assert A * A * A == TensorOp.identity(2, 3, RATIONAL)
     # the composite matches the three-cycle built directly
     assert P23 * P12 == site_permutation(2, 3, (2, 3, 1))
 
@@ -112,7 +117,7 @@ def test_permutation_action():
     P = site_permutation(3, 2, (2, 1))
     assert P.entry((2, 1), (1, 2)) == 1
     assert P.entry((1, 2), (1, 2)) == 0
-    assert P * P == TensorOp.identity(3, 2)
+    assert P * P == TensorOp.identity(3, 2, RATIONAL)
 
 
 def test_embed_respects_composition():
@@ -134,7 +139,7 @@ def test_product_associative_smoke():
 
 def test_kron_rectangular():
     ket = TensorOp(2, 1, 0, {0: {0: Fraction(2)}, 1: {0: Fraction(3)}})
-    ident = TensorOp.identity(2, 1)
+    ident = TensorOp.identity(2, 1, RATIONAL)
     emb = ket.kron(ident)
     assert emb.rk == 2 and emb.ck == 1
     assert emb.entry((1, 1), (1,)) == 2
@@ -154,8 +159,8 @@ def test_transpose():
 
 
 def test_exact_rank_basics():
-    assert TensorOp.zero(2, 2, 2).exact_rank() == 0
-    assert TensorOp.identity(2, 3).exact_rank() == 8
+    assert TensorOp.zero(2, 2, 2, RATIONAL).exact_rank() == 0
+    assert TensorOp.identity(2, 3, RATIONAL).exact_rank() == 8
     # rank-1 outer product
     rows = {r: {c: Fraction((r + 1) * (c + 2)) for c in range(4)}
             for r in range(4)}
@@ -231,7 +236,7 @@ def test_echelon_rank_matches_dense_elimination(field):
     for _ in range(40):
         ncols = rng.randint(1, 12)
         rows = random_rows(field, rng, rng.randint(0, 12), ncols)
-        ech = Echelon([raw(row) for row in rows], getattr(field, "p", None))
+        ech = Echelon([raw(row) for row in rows], field.p)
         assert len(ech) == dense_rank(rows, ncols, field.zero)
 
 
@@ -241,7 +246,7 @@ def test_echelon_membership(field):
     for _ in range(20):
         ncols = 10
         rows = random_rows(field, rng, 6, ncols)
-        ech = Echelon([raw(row) for row in rows], getattr(field, "p", None))
+        ech = Echelon([raw(row) for row in rows], field.p)
         rank = len(ech)
         assert not ech.add({}) and not ech.add(raw({3: field.zero}))
         for _ in range(5):
@@ -268,7 +273,7 @@ def test_echelon_kernel_matches_dense_rank(field):
     annihilated by every row, and the vectors are independent: stacked,
     their rank is their number."""
     rng = random.Random(17)
-    p = getattr(field, "p", None)
+    p = field.p
     for _ in range(40):
         ncols = rng.randint(1, 12)
         rows = [raw(row) for row in
@@ -293,9 +298,9 @@ def test_projector_rank_complement():
     ctx = QContext(Fraction(2), 2)
     from qdyb.rmatrix import build_dj
     R = build_dj(2, ctx)
-    A = Fraction(1) / (ctx.q + ctx.qbar) * (ctx.q * TensorOp.identity(2, 2) - R)
+    ident = TensorOp.identity(2, 2, ctx.field)
+    A = Fraction(1) / (ctx.q + ctx.qbar) * (ctx.q * ident - R)
     assert A * A == A
-    ident = TensorOp.identity(2, 2)
     assert A.exact_rank() + (ident - A).exact_rank() == 4
 
 
@@ -307,7 +312,7 @@ def test_diagonal_scales_rows_and_inverts():
     d = TensorOp.diagonal(2, 2, lambda m: vals[m])
     d_inv = TensorOp.diagonal(2, 2, lambda m: 1 / vals[m])
     assert all(d.entry(m, m) == v for m, v in vals.items()) and d.nnz() == 4
-    assert d * d_inv == TensorOp.identity(2, 2)
+    assert d * d_inv == TensorOp.identity(2, 2, RATIONAL)
     assert all((d * op).entry(rm, cm) == vals[rm] * v
                for rm, cm, v in op.entries())
     assert d_inv * (d * op * d_inv) * d == op
@@ -338,20 +343,14 @@ def test_echelon_of_operators_stacks_their_rows(field):
         assert not any(ech.add(raw(row)) for row in rows)
         assert [op.exact_rank() for op in ops] == \
             [len(TensorOp.echelon([op])) for op in ops]
-    # a rational operator stacked with a prime one is lifted mod p, where
-    # an entry p is zero
-    F = PrimeField()
-    rational = TensorOp.diagonal(2, 1, lambda m: Fraction(F.p * (m[0] - 1)))
-    prime = TensorOp.from_entries(2, 1, 1, [((1,), (1,), F.one)])
-    ech = TensorOp.echelon([rational, prime])
-    assert ech.p == F.p and len(ech) == 1 and rational.exact_rank() == 1
+        assert ech.p == field.p
 
 
 def test_dump_roundtrip_bit_exact():
     rng = random.Random(12)
     op = random_sparse(3, 2, rng)
     doc = op.dump()
-    back = TensorOp.load(doc)
+    back = TensorOp.load(doc, RATIONAL)
     assert back == op
     assert back.dump() == doc
 
@@ -363,7 +362,7 @@ def test_load_names_a_bad_entry():
         doc = {"n": 2, "k": 1, "entries": [[[1], [2], "3/2"], [[2], [1], v]]}
         with pytest.raises(DegenerateParameterError,
                            match=r"entry \[2\] \[1\] = .* must be"):
-            TensorOp.load(doc)
+            TensorOp.load(doc, RATIONAL)
     back = TensorOp.load({"n": 2, "k": 1, "entries": [[[2], [1], "5"]]},
                          PrimeField(7))
     assert back.p == 7 and back.entry((2,), (1,)) == 5
@@ -397,10 +396,13 @@ def ref_entries(op):
             for rm, cm, v in op.entries()}
 
 
-def from_ref(n, rk, ck, ref):
+def from_ref(n, rk, ck, ref, field):
+    """The operator over field of a reference."""
     rows = {}
     for (r, c), v in ref.items():
         rows.setdefault(r, {})[c] = v
+    if not rows:
+        return TensorOp.zero(n, rk, ck, field)
     return TensorOp(n, rk, ck, rows)
 
 
@@ -457,8 +459,8 @@ def test_kernel_matches_field_value_reference(field):
         ra = random_ref(field, rng, n, 2, 2)
         rb = cancelling(field, rng, ra)
         rc = random_ref(field, rng, n, 2, 1)
-        a, b, c = (from_ref(n, 2, 2, ra), from_ref(n, 2, 2, rb),
-                   from_ref(n, 2, 1, rc))
+        a, b, c = (from_ref(n, 2, 2, ra, field),
+                   from_ref(n, 2, 2, rb, field), from_ref(n, 2, 1, rc, field))
         cases = [
             (a, ra), (b, rb), (c, rc),
             (a + b, ref_plus(ra, rb, 1)),
@@ -472,29 +474,28 @@ def test_kernel_matches_field_value_reference(field):
             (c.kron(a), ref_kron(rc, ra, n, 2, 2)),
             (c.transpose(), {(cc, r): v for (r, cc), v in rc.items()}),
         ]
-        scalars = [0, 1, -3, 101, Fraction(5, 6), Fraction(-7, 4)]
-        if getattr(field, "p", 101) == 101:
-            scalars.append(PrimeField(101).of(3))   # lifts a rational a
-        for s in scalars:
+        for s in (0, 1, -3, 101, field.of(Fraction(5, 6)),
+                  field.of(Fraction(-7, 4))):
             ref = ref_clean({key: s * v for key, v in ra.items()})
             cases += [(s * a, ref), (a * s, ref)]
         for op, ref in cases:
             assert_stored_form(op)
             assert ref_entries(op) == ref_clean(ref), op
             shape = (op.n, op.rk, op.ck)
-            assert op == from_ref(*shape, ref)
-            assert list(op.entries()) == list(from_ref(*shape, ref).entries())
-        assert a != a + from_ref(n, 2, 2, {(0, 0): field.one})
+            want = from_ref(*shape, ref, field)
+            assert op == want
+            assert list(op.entries()) == list(want.entries())
+        assert a != a + from_ref(n, 2, 2, {(0, 0): field.one}, field)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_kernel_routes_to_one_stored_form(field):
     rng = random.Random(22)
     for _ in range(6):
-        a = from_ref(2, 2, 2, random_ref(field, rng, 2, 2, 2))
-        b = from_ref(2, 2, 2, random_ref(field, rng, 2, 2, 2))
+        a = from_ref(2, 2, 2, random_ref(field, rng, 2, 2, 2), field)
+        b = from_ref(2, 2, 2, random_ref(field, rng, 2, 2, 2), field)
         ab = a * b
-        routed = (3 * ab) * Fraction(1, 3)
+        routed = (3 * ab) * field.of(Fraction(1, 3))
         assert_stored_form(routed)
         assert routed == ab
         assert (routed.rows, routed.den, routed.p) == (ab.rows, ab.den, ab.p)
@@ -517,8 +518,9 @@ def _reference_raw_form(rows):
 
 def test_raw_form_finds_a_modint_in_the_denominator_pass():
     """One pass collects the denominators and meets any ModInt: the raw
-    form equals the scan-first one on rational, integer, prime and mixed
-    rows, a ModInt in the last row included."""
+    form equals the scan-first one on rational, integer and prime rows, a
+    ModInt in the last row included, and raises naming both fields on
+    rows of rationals and residues."""
     F = PrimeField(101)
     rng = random.Random(29)
     for _ in range(20):
@@ -527,44 +529,53 @@ def test_raw_form_finds_a_modint_in_the_denominator_pass():
                 for r in rng.sample(range(9), 4)}
         rows[9] = {0: rng.randint(-5, 5)}
         assert _raw_form(rows) == _reference_raw_form(rows)
-        rows[10] = {3: F.of(rng.randint(1, 100))}
-        assert _raw_form(rows) == _reference_raw_form(rows)
-        assert _raw_form(rows)[2] == 101
+        prime = {r: {c: F.of(v) for c, v in row.items()}
+                 for r, row in rows.items()}
+        prime[9] = {0: rng.randint(-5, 5)}
+        prime[10] = {3: F.of(rng.randint(1, 100))}
+        assert _raw_form(prime) == _reference_raw_form(prime)
+        assert _raw_form(prime)[2] == 101
+        rows[10] = prime[10]
+        with pytest.raises(ValueError,
+                           match=r"prime\(101\) and rational"):
+            _raw_form(rows)
     assert _raw_form({}) == _reference_raw_form({}) == ({}, 1, None)
     with pytest.raises(AttributeError):
         _raw_form({0: {0: 1.5}})
 
 
-def test_mixed_fields_lift_rational_into_prime():
+def _spaced(op):
+    return SpacedTensor.from_tensorop(op, (1,), (1,))
+
+
+#: each kernel operation on two operands a and b of different fields
+MIXED_OPERATIONS = {
+    "*": lambda a, b: a * b,
+    "+": lambda a, b: b + a,
+    "==": lambda a, b: a == b,
+    "kron": lambda a, b: b.kron(a),
+    "assemble": lambda a, b: TensorOp.assemble(2, 1, 1, [
+        (a, {0: 0}, {0: 0}), (b, {1: 1}, {1: 1})]),
+    "echelon": lambda a, b: TensorOp.echelon([a, b]),
+    "compose": lambda a, b: _spaced(a).compose(_spaced(b)),
+    "scalar": lambda a, b: b.entry((1,), (1,)) * a,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_OPERATIONS))
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(103)])
+def test_mixed_fields_raise_naming_both(name, field):
+    """No kernel operation carries a value into another field: on an
+    operand over Q or F_103 and one over F_101 each raises ValueError
+    naming both fields."""
     F = PrimeField(101)
     rng = random.Random(23)
-    ra = random_ref(RATIONAL, rng, 2, 2, 2)
-    rb = random_ref(F, rng, 2, 2, 2)
-    a, b = from_ref(2, 2, 2, ra), from_ref(2, 2, 2, rb)
-    for op, ref in ((a + b, ref_plus(ra, rb, 1)), (b - a, ref_plus(rb, ra, -1)),
-                    (a * b, ref_mul(ra, rb)), (b * a, ref_mul(rb, ra)),
-                    (F.of(2) * a, {key: F.of(2) * v for key, v in ra.items()})):
-        assert op.p == F.p
-        assert_stored_form(op)
-        assert ref_entries(op) == ref_clean(ref)
-    lifted = from_ref(2, 2, 2, {key: F.of(v) for key, v in ra.items()})
-    assert a == lifted and lifted == a
-    with pytest.raises(ValueError):
-        b + from_ref(2, 2, 2, {(0, 0): PrimeField(103).one})
-
-
-def test_embed_keeps_the_prime_field():
-    F = PrimeField(101)
-    rng = random.Random(24)
-    ra = random_ref(F, rng, 2, 1, 1, 1.0)
-    op = from_ref(2, 1, 1, ra)
-    emb = op.embed(2, 3)
-    assert emb.p == F.p
-    assert_stored_form(emb)
-    assert all(isinstance(v, ModInt) for _, _, v in emb.entries())
-    ident = TensorOp.identity(2, 1, F.one)
-    assert emb == ident.kron(op).kron(ident)
-    assert emb.exact_rank() == 4 * op.exact_rank()
+    a = from_ref(2, 1, 1, random_ref(field, rng, 2, 1, 1, 1.0), field)
+    b = from_ref(2, 1, 1, random_ref(F, rng, 2, 1, 1, 1.0), F)
+    names = re.escape(field.name), re.escape(F.name)
+    with pytest.raises(ValueError, match="mixed fields (%s and %s|%s and %s)"
+                       % (names + names[::-1])):
+        MIXED_OPERATIONS[name](a, b)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField(101)])
@@ -581,11 +592,11 @@ def test_embed_krons_only_identities_with_sites(monkeypatch, field):
         return kron(a, b)
 
     for m in (1, 2):
-        op = from_ref(2, m, m, random_ref(field, rng, 2, m, m))
+        op = from_ref(2, m, m, random_ref(field, rng, 2, m, m), field)
         for k in range(m, 5):
             for pos in range(1, k - m + 2):
-                ref = kron(kron(TensorOp.identity(2, pos - 1, field.one), op),
-                           TensorOp.identity(2, k - m - pos + 1, field.one))
+                ref = kron(kron(TensorOp.identity(2, pos - 1, field), op),
+                           TensorOp.identity(2, k - m - pos + 1, field))
                 seen.clear()
                 with monkeypatch.context() as mp:
                     mp.setattr(TensorOp, "kron", counted)
@@ -618,23 +629,19 @@ def test_assemble_matches_field_value_reference(field):
     rng = random.Random(25)
     n = 2
     for _ in range(8):
-        # the second block of each pair is rational even over F_p: it is
-        # lifted, and over Q the two have mixed denominators
-        refs = [random_ref(field, rng, n, 2, 1),
-                random_ref(RATIONAL, rng, n, 2, 1)]
-        srefs = [random_ref(field, rng, n, 2, 2, 0.8),
-                 random_ref(RATIONAL, rng, n, 2, 2, 0.8)]
-        lift = [{key: field.of(v) for key, v in ref.items()}
-                for ref in refs + srefs]
-        blocks = [from_ref(n, 2, 1, ref) for ref in refs]
-        srcs = [from_ref(n, 2, 2, ref) for ref in srefs]
+        # over Q the blocks of each pair have mixed denominators
+        refs = [random_ref(field, rng, n, 2, 1) for _ in range(2)]
+        srefs = [random_ref(field, rng, n, 2, 2, 0.8) for _ in range(2)]
+        values = refs + srefs
+        blocks = [from_ref(n, 2, 1, ref, field) for ref in refs]
+        srcs = [from_ref(n, 2, 2, ref, field) for ref in srefs]
         cases = []
         for side in ("prefix", "suffix"):
             maps = [(placed(n, 2, e, side), placed(n, 1, e, side))
                     for e in range(n)]
             parts = [(b, rm, cm) for b, (rm, cm) in zip(blocks, maps)]
             ref = {(rm[r], cm[c]): v
-                   for vals, (rm, cm) in zip(lift, maps)
+                   for vals, (rm, cm) in zip(values, maps)
                    for (r, c), v in vals.items()}
             cases.append((TensorOp.assemble(n, 3, 2, parts), ref, parts))
         # row picking: row r of source r % 2, on the columns of a pattern
@@ -642,18 +649,20 @@ def test_assemble_matches_field_value_reference(field):
                    for r in range(n**2)}
         parts = [(srcs[r % 2], {r: r}, {c: c for c in cols})
                  for r, cols in pattern.items()]
-        ref = {(r, c): lift[2 + r % 2][(r, c)]
+        ref = {(r, c): values[2 + r % 2][(r, c)]
                for r, cols in pattern.items() for c in cols
-               if (r, c) in lift[2 + r % 2]}
+               if (r, c) in values[2 + r % 2]}
         cases.append((TensorOp.assemble(n, 2, 2, parts), ref, parts))
         cases.append((TensorOp.assemble(n, 2, 2, []), {}, []))
 
         for op, ref, parts in cases:
             assert_stored_form(op)
             assert ref_entries(op) == ref_clean(ref)
-            assert op == from_ref(op.n, op.rk, op.ck, ref)
-            if ref:
-                assert op.p == getattr(field, "p", None)
+            # no part, no field: the empty assembly is the rational zero
+            assert op == from_ref(op.n, op.rk, op.ck, ref,
+                                  field if parts else RATIONAL)
+            if parts:
+                assert op.p == field.p
             assert not held_rows(op, *(src for src, _, _ in parts))
             before = ref_entries(op)
             for _, rmap, cmap in parts:     # the caller's maps
@@ -680,15 +689,16 @@ def test_operators_hold_rows_of_their_own(field):
         rows = {r: {c: v for (rr, c), v in ref.items() if rr == r}
                 for r in range(2)}
         a = TensorOp(2, 1, 1, rows)
-        b = from_ref(2, 1, 1, random_ref(field, rng, 2, 1, 1, 0.8))
+        b = from_ref(2, 1, 1, random_ref(field, rng, 2, 1, 1, 0.8), field)
         assert not held_rows(a, rows)
         before = ref_entries(a)
         for row in rows.values():
             row[0] = one
         rows[1] = {1: 7 * one}
         assert ref_entries(a) == before
-        for op in (a * b, a + b, a - b, -a, 1 * a, a * Fraction(1, 3),
-                   a.kron(b), a.transpose(), a + TensorOp.zero(2, 1, 1)):
+        third = field.of(Fraction(1, 3))
+        for op in (a * b, a + b, a - b, -a, 1 * a, a * third, a.kron(b),
+                   a.transpose(), a + TensorOp.zero(2, 1, 1, field)):
             assert not held_rows(op, a, b)
     # repeated cells of from_entries add up; a cell that cancels is dropped
     op = TensorOp.from_entries(1, 1, 1, [
@@ -703,7 +713,8 @@ def test_cleared_scales_rational_ops_onto_one_integer_form():
     each an integer operator (den 1) in stored form with rows of its
     own; a den-1 op among others is scaled too."""
     rng = random.Random(27)
-    ops = [from_ref(2, 2, 2, random_ref(RATIONAL, rng, 2, 2, 2))
+    ops = [from_ref(2, 2, 2, random_ref(RATIONAL, rng, 2, 2, 2),
+                    RATIONAL)
            for _ in range(3)]
     ops.append(TensorOp(2, 2, 2, {0: {1: Fraction(3)}, 2: {2: Fraction(-1)}}))
     d = lcm(*(op.den for op in ops))
@@ -723,11 +734,12 @@ def test_cleared_scales_rational_ops_onto_one_integer_form():
 def test_cleared_leaves_integer_prime_and_mixed_ops_alone():
     rng = random.Random(28)
     ints = [TensorOp(2, 1, 1, {0: {0: Fraction(2), 1: Fraction(-3)}}),
-            TensorOp.identity(2, 1)]
+            TensorOp.identity(2, 1, RATIONAL)]
     F = PrimeField(101)
-    rat = from_ref(2, 1, 1, {(0, 0): Fraction(1, 3), (1, 0): Fraction(2, 5)})
-    prime = from_ref(2, 1, 1, random_ref(F, rng, 2, 1, 1, 0.8))
-    for ops in (ints, [prime, TensorOp.identity(2, 1, F.one)],
+    rat = from_ref(2, 1, 1, {(0, 0): Fraction(1, 3), (1, 0): Fraction(2, 5)},
+                   RATIONAL)
+    prime = from_ref(2, 1, 1, random_ref(F, rng, 2, 1, 1, 0.8), F)
+    for ops in (ints, [prime, TensorOp.identity(2, 1, F)],
                 [rat, prime], [prime, rat]):
         out = TensorOp.cleared(*ops)
         assert len(out) == len(ops)

@@ -165,7 +165,8 @@ def test_alpha_constraint_and_twist():
     rng = random.Random(9)
     fam = PairFamily.geometric(
         3, {(1, 2): Fraction(2), (1, 3): Fraction(3, 2), (2, 3): Fraction(5)},
-        {(1, 2): Fraction(2), (1, 3): Fraction(3), (2, 3): Fraction(1, 2)})
+        {(1, 2): Fraction(2), (1, 3): Fraction(3), (2, 3): Fraction(1, 2)},
+        RATIONAL)
     for i in range(1, 4):
         for j in range(1, 4):
             for x in range(-6, 7):
@@ -173,7 +174,7 @@ def test_alpha_constraint_and_twist():
                     assert fam(i, j, x) * fam(j, i, -x) == 1
             assert fam(i, i, 3) == 1
     psi = PairFamily.constant(3, {(1, 2): Fraction(7), (1, 3): Fraction(1, 3),
-                                  (2, 3): Fraction(2)})
+                                  (2, 3): Fraction(2)}, RATIONAL)
     tw = fam.twisted(psi)
     for i in range(1, 4):
         for j in range(1, 4):
@@ -187,14 +188,14 @@ def test_alpha_constraint_and_twist():
 def test_twist_can_cancel_constant_alpha():
     # psi chosen as c_ji^(1/2)-free trick: pick alpha = psi-squared twist of 1
     rng = random.Random(1)
-    base = PairFamily.unit(3)
+    base = PairFamily.unit(3, RATIONAL)
     psi = PairFamily.constant(3, {(1, 2): Fraction(2), (1, 3): Fraction(5),
-                                  (2, 3): Fraction(1, 7)})
+                                  (2, 3): Fraction(1, 7)}, RATIONAL)
     fam = base.twisted(psi)
     # twisting back by the inverse family restores alpha = 1
     inv = PairFamily.constant(3, {(1, 2): Fraction(1, 2),
                                   (1, 3): Fraction(1, 5),
-                                  (2, 3): Fraction(7)})
+                                  (2, 3): Fraction(7)}, RATIONAL)
     back = fam.twisted(inv)
     for i in range(1, 4):
         for j in range(1, 4):
@@ -204,7 +205,7 @@ def test_twist_can_cancel_constant_alpha():
 
 def test_phi_is_discrete_antiderivative():
     fam = PairFamily.geometric(2, {(1, 2): Fraction(3)},
-                               {(1, 2): Fraction(2)})
+                               {(1, 2): Fraction(2)}, RATIONAL)
     for x in range(-5, 6):
         assert fam.phi(1, 2, x + 1) == fam(1, 2, x) * fam.phi(1, 2, x)
         assert fam.phi(2, 1, x + 1) == fam(2, 1, x) * fam.phi(2, 1, x)
@@ -235,11 +236,11 @@ def test_params_json_roundtrip():
     for alpha in ("unit", "standard", "constant", "geometric"):
         params = sample_params(3, rng, alpha=alpha)
         doc = params.to_json()
-        back = SLnParams.from_json(doc)
+        back = SLnParams.from_json(doc, RATIONAL)
         assert back.to_json() == doc
         assert back.regime == params.regime
     inf = SLnParams(QContext(Fraction(2), 2), None)
-    assert SLnParams.from_json(inf.to_json()).beta_chain is None
+    assert SLnParams.from_json(inf.to_json(), RATIONAL).beta_chain is None
 
 
 def test_sample_point_is_pole_free():
