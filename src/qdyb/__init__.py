@@ -21,8 +21,8 @@ from .hecke import (
     top_vanish_equivalents,
 )
 from .levicivita import (
-    CO, CONTRA, build_eps_const, build_eps_dyn, build_nk, eigencheck,
-    eps_dump, projector_from_eps,
+    CO, CONTRA, build_eps_const, build_eps_dyn, build_nk, build_nk_const,
+    eigencheck, eps_dump, projector_from_eps,
 )
 from .qmatrix import (
     ReplayEngine, SlotExpr, builtin_derivations, membership_oracle,

@@ -65,7 +65,7 @@ first; `antisym` and `symmetrizer` memoize the k-site lift.
 import itertools
 
 from .checks import Check, compare
-from .scalars import DegenerateParameterError, qnum
+from .scalars import RATIONAL, DegenerateParameterError, qnum
 from .tensor import TensorOp, flat_index, multi_index
 from .rmatrix import DynRMatrix, build_dj, dressed_block, dyn_entries
 
@@ -462,7 +462,7 @@ def locality_structure(rep):
         left, right = (1,) * (i - 1), (1,) * (k - i - 1)
         place = {flat_index(left + multi_index(t, n, 2) + right, n): t
                  for t in range(n * n)}
-        two = TensorOp.assemble(n, 2, 2, [(img, place, place)])
+        two = TensorOp.assemble(n, 2, 2, [(img, place, place)], img)
         out.append(img == two.embed(i, k))
     return out
 
@@ -488,7 +488,8 @@ def global_conjugation_equivalent(rep_dynamic, rep_local):
                 J = head + cm + tail
                 if flat_index(J, n) in cols:
                     entries.append((I, J, v))
-        if TensorOp.from_entries(n, k, k, entries) != rep_local.image(i):
+        if TensorOp.from_entries(n, k, k, entries, params.ctx.field) \
+                != rep_local.image(i):
             return False
     return True
 
@@ -498,28 +499,11 @@ def classical_antisym_rank(n, j, k):
     on (C^n)^(x)k, i.e. C(n, j) * n^(k - j), via explicit alternation."""
     import math
     from fractions import Fraction
-    perms = list(itertools.permutations(range(j)))
-
-    def sign(perm):
-        s = 1
-        for a in range(len(perm)):
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    s = -s
-        return s
-
-    rows = {}
-    for col in itertools.product(range(1, n + 1), repeat=j):
-        for perm in perms:
-            row = tuple(col[perm[t]] for t in range(j))
-            r = 0
-            for x in row:
-                r = r * n + (x - 1)
-            c = 0
-            for x in col:
-                c = c * n + (x - 1)
-            rows.setdefault(r, {})
-            rows[r][c] = rows[r].get(c, Fraction(0)) \
-                + Fraction(sign(perm), math.factorial(j))
-    op = TensorOp(n, j, j, rows)
+    inversions = {perm: sum(a > b for a, b in itertools.combinations(perm, 2))
+                  for perm in itertools.permutations(range(j))}
+    op = TensorOp.from_entries(n, j, j, [
+        (tuple(col[t] for t in perm), col,
+         Fraction((-1) ** inv, math.factorial(j)))
+        for col in itertools.product(range(1, n + 1), repeat=j)
+        for perm, inv in inversions.items()], RATIONAL)
     return op.exact_rank() * n ** (k - j)

@@ -57,13 +57,14 @@ def _length_and_inversions(tup):
     return length, inv
 
 
-def _eps_op(n, variance, entries):
-    """The ket (CONTRA) or bra (CO) with the components of entries, a
-    list of (tuple, value)."""
+def _eps_op(n, variance, entries, field):
+    """The ket (CONTRA) or bra (CO) over field with the components of
+    entries, a list of (tuple, value)."""
     if variance == CONTRA:
         return TensorOp.from_entries(n, n, 0,
-                                     [(t, (), v) for t, v in entries])
-    return TensorOp.from_entries(n, 0, n, [((), t, v) for t, v in entries])
+                                     [(t, (), v) for t, v in entries], field)
+    return TensorOp.from_entries(n, 0, n, [((), t, v) for t, v in entries],
+                                 field)
 
 
 def eps_dump(eps):
@@ -79,7 +80,7 @@ def build_eps_const(n, ctx, variance):
         length, _ = _length_and_inversions(t)
         v = (-1) ** length * ctx.qpow(length)
         entries.append((t, pref * v if variance == CONTRA else v))
-    return _eps_op(n, variance, entries)
+    return _eps_op(n, variance, entries, ctx.field)
 
 
 def build_eps_dyn(params, p, variance):
@@ -98,7 +99,7 @@ def build_eps_dyn(params, p, variance):
             for (j, i) in inv:
                 v = v * params.alpha(i, j, p.p(i, j))
         entries.append((t, v))
-    return _eps_op(n, variance, entries)
+    return _eps_op(n, variance, entries, params.ctx.field)
 
 
 # -- eigenvector property and uniqueness ---------------------------------
@@ -122,7 +123,7 @@ def eigencheck(rep, ket, bra):
 
     ident = TensorOp.identity(n, n, ctx.field)
     kernel_dim = n**n - len(TensorOp.echelon(
-        rep.image(i) + ctx.qbar * ident for i in range(1, n)))
+        (rep.image(i) + ctx.qbar * ident for i in range(1, n)), ctx.field))
     return [Check("eps.right-eigenvector", wit_k is None, wit_k),
             Check("eps.left-eigenvector", wit_b is None, wit_b),
             Check("eps.joint-eigenspace-dimension", kernel_dim == 1,
@@ -155,27 +156,59 @@ def projector_from_eps(params, p, window, k):
 
 
 class NKMatrices:
-    """Diagonal transport matrices with K N = N K = 1."""
+    """Diagonal transport matrices with K N = N K = 1, over field."""
 
-    __slots__ = ("n", "nvals", "kvals")
+    __slots__ = ("nvals", "kvals", "field")
 
-    def __init__(self, n, nvals, kvals):
-        self.n = n
-        self.nvals = list(nvals)
-        self.kvals = list(kvals)
+    def __init__(self, nvals, kvals, field):
+        self.nvals = nvals
+        self.kvals = kvals
+        self.field = field
 
     def n_op(self):
-        return TensorOp.diagonal(self.n, 1, lambda m: self.nvals[m[0] - 1])
+        return TensorOp.diagonal(len(self.nvals), 1,
+                                 lambda m: self.nvals[m[0] - 1], self.field)
 
     def k_op(self):
-        return TensorOp.diagonal(self.n, 1, lambda m: self.kvals[m[0] - 1])
+        return TensorOp.diagonal(len(self.kvals), 1,
+                                 lambda m: self.kvals[m[0] - 1], self.field)
 
 
-def build_nk(params=None, p=None, n=None, ctx=None):
-    """N and K from their defining contractions.
+def _contract_nk(n, ctx, ket, bra, shifted):
+    """N and K by their defining contractions from the ket and the bra
+    at p and from shifted(i), those at p - v(i), with K N = 1 checked."""
+    c = ctx.field.of((-1) ** (n - 1)) / qfact(n - 1, ctx)
+    nvals = []
+    kvals = []
+    for i in range(1, n + 1):
+        ket_i, bra_i = shifted(i)
+        acc_n = acc_k = ctx.field.zero
+        for mid in itertools.permutations([x for x in range(1, n + 1)
+                                           if x != i]):
+            acc_n = acc_n + bra_i.entry((), mid + (i,)) \
+                * ket.entry((i,) + mid, ())
+            acc_k = acc_k + bra.entry((), (i,) + mid) \
+                * ket_i.entry(mid + (i,), ())
+        nvals.append(c * acc_n)
+        kvals.append(c * acc_k)
+    if any(nv * kv != ctx.field.one for nv, kv in zip(nvals, kvals)):
+        raise DegenerateParameterError("K is not the inverse of N")
+    return NKMatrices(nvals, kvals, ctx.field)
 
-    Constant case: N = K = identity (verified from the contraction).
-    Dynamic case:
+
+def build_nk_const(n, ctx):
+    """N and K of the constant tensors from their defining contractions,
+    as :func:`build_nk`, verified to be the identity."""
+    ket = build_eps_const(n, ctx, CONTRA)
+    bra = build_eps_const(n, ctx, CO)
+    nk = _contract_nk(n, ctx, ket, bra, lambda i: (ket, bra))
+    if any(v != ctx.field.one for v in nk.nvals):
+        raise DegenerateParameterError("constant N must be identity")
+    return nk
+
+
+def build_nk(params, p):
+    """N(p) and K(p) from their defining contractions,
 
         N^i_i(p) = c * sum_mid E_[mid, i'](p - v(i)) E^[i, mid](p),
         K^g_g(p) = c * sum_mid E_[g, mid](p) E^[mid, g'](p - v(g)),
@@ -188,60 +221,26 @@ def build_nk(params=None, p=None, n=None, ctx=None):
     (theta_ji = 1 if j > i else 0) is asserted against the contraction,
     and K = N^(-1).
     """
-    if params is None:
-        the_n, the_ctx = n, ctx
-        ket = build_eps_const(the_n, the_ctx, CONTRA)
-        bra = build_eps_const(the_n, the_ctx, CO)
+    n = params.n
 
-        def shifted(i):
-            return ket, bra
-    else:
-        the_n, the_ctx = params.n, params.ctx
-        ket = build_eps_dyn(params, p, CONTRA)
-        bra = build_eps_dyn(params, p, CO)
+    def shifted(i):
+        """The ket and the bra at p - v(i)."""
+        pi = p.shift(i, -1)
+        return (build_eps_dyn(params, pi, CONTRA),
+                build_eps_dyn(params, pi, CO))
 
-        def shifted(i):
-            """The ket and the bra at p - v(i)."""
-            pi = p.shift(i, -1)
-            return (build_eps_dyn(params, pi, CONTRA),
-                    build_eps_dyn(params, pi, CO))
-
-    c = the_ctx.field.of((-1) ** (the_n - 1)) / qfact(the_n - 1, the_ctx)
-    nvals = []
-    kvals = []
-    others = lambda i: [x for x in range(1, the_n + 1) if x != i]
-    for i in range(1, the_n + 1):
-        ket_i, bra_i = shifted(i)
-        acc_n = the_ctx.field.zero
-        acc_k = the_ctx.field.zero
-        for mid in itertools.permutations(others(i)):
-            acc_n = acc_n + bra_i.entry((), mid + (i,)) \
-                * ket.entry((i,) + mid, ())
-            acc_k = acc_k + bra.entry((), (i,) + mid) \
-                * ket_i.entry(mid + (i,), ())
-        nvals.append(c * acc_n)
-        kvals.append(c * acc_k)
-
-    for nv, kv in zip(nvals, kvals):
-        if nv * kv != the_ctx.field.one:
-            raise DegenerateParameterError("K is not the inverse of N")
-
-    if params is not None:
-        # closed form for the diagonal components
-        for i in range(1, the_n + 1):
-            closed = the_ctx.field.one
-            for j in others(i):
-                theta = 1 if j > i else 0
-                closed = closed * params.alpha(i, j, p.p(i, j) - theta) \
+    nk = _contract_nk(n, params.ctx, build_eps_dyn(params, p, CONTRA),
+                      build_eps_dyn(params, p, CO), shifted)
+    for i in range(1, n + 1):
+        closed = params.ctx.field.one
+        for j in range(1, n + 1):
+            if j != i:
+                closed = closed * params.alpha(i, j, p.p(i, j) - (j > i)) \
                     * params.xi(i, j, p.p(i, j))
-            if closed != nvals[i - 1]:
-                raise DegenerateParameterError(
-                    "closed form for N differs from the contraction")
-    else:
-        for v in nvals:
-            if v != the_ctx.field.one:
-                raise DegenerateParameterError("constant N must be identity")
-    return NKMatrices(the_n, nvals, kvals)
+        if closed != nk.nvals[i - 1]:
+            raise DegenerateParameterError(
+                "closed form for N differs from the contraction")
+    return nk
 
 
 # -- window-shift relations ----------------------------------------------
@@ -257,7 +256,7 @@ def window_shift_relations_const(n, ctx):
     rep = HeckeRep.constant(n, ctx, n + 1)
     ket = build_eps_const(n, ctx, CONTRA)
     one_site = TensorOp.identity(n, 1, ctx.field)
-    nk = build_nk(n=n, ctx=ctx)
+    nk = build_nk_const(n, ctx)
 
     up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
     down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))

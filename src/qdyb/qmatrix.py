@@ -180,15 +180,15 @@ class SpacedTensor:
 
     __slots__ = ("kets", "bras", "rows", "den", "p")
 
-    def __init__(self, kets=(), bras=(), rows=None):
-        """rows: {ket tuple: {bra tuple: value}} with int, Fraction or
-        ModInt values, keyed in the sorted label order."""
+    def __init__(self, kets, bras, rows, field):
+        """rows: {ket tuple: {bra tuple: value}} with values of field (or
+        ints), keyed in the sorted label order."""
         self.kets = _sorted_labels(kets)
         self.bras = _sorted_labels(bras)
-        self.rows, self.den, self.p = _stored_form(*_raw_form(rows or {}))
+        self.rows, self.den, self.p = _stored_form(*_raw_form(rows, field.p))
 
     @classmethod
-    def _make(cls, kets, bras, rows, den=1, p=None):
+    def _make(cls, kets, bras, rows, den, p):
         """A tensor over int rows, as :meth:`TensorOp._make`; kets and
         bras are sorted already."""
         st = cls.__new__(cls)
@@ -197,14 +197,14 @@ class SpacedTensor:
         return st
 
     @classmethod
-    def scalar(cls, value):
-        return cls((), (), {(): {(): value}})
+    def scalar(cls, value, field):
+        return cls((), (), {(): {(): value}}, field)
 
     @classmethod
-    def diagonal(cls, ket, bra, values):
+    def diagonal(cls, ket, bra, values, field):
         """The tensor sending bra index i to ket index i with values[i-1]."""
         return cls((ket,), (bra,), {(i,): {(i,): v}
-                                    for i, v in enumerate(values, 1)})
+                                    for i, v in enumerate(values, 1)}, field)
 
     @classmethod
     def from_tensorop(cls, op, ket_labels, bra_labels):
@@ -219,7 +219,7 @@ class SpacedTensor:
         cols = {c for row in op.rows.values() for c in row}
         return cls._make(kets, bras, *_assemble([(
             op, {r: ket_of(multi_index(r, n, op.rk)) for r in op.rows},
-            {c: bra_of(multi_index(c, n, op.ck)) for c in cols})]))
+            {c: bra_of(multi_index(c, n, op.ck)) for c in cols})], op.p))
 
     def compose(self, other):
         """self * other: contract self's bras against other's kets on
@@ -606,7 +606,7 @@ class ReplayEngine:
         # (k, p.chain, block) -> its intertwiner basis, or None
         self._spans = {}
         self._prime = self.ctx.field.p
-        self._unit = SpacedTensor.scalar(self.ctx.field.one)
+        self._unit = SpacedTensor.scalar(self.ctx.field.one, self.ctx.field)
 
     # -- named tensor builders ------------------------------------
 
@@ -645,16 +645,17 @@ class ReplayEngine:
         return FConst(name, args, st)
 
     def _build_const(self, name, args):
-        n, ctx = self.n, self.ctx
-        one = ctx.field.one
+        n, ctx, field = self.n, self.ctx, self.ctx.field
+        one = field.one
         if name == "scalar":
             if "sym" in args:
                 kind, m = args["sym"]
-                return SpacedTensor.scalar(SYMS[kind][1](ctx, n, m))
+                return SpacedTensor.scalar(SYMS[kind][1](ctx, n, m), field)
             return SpacedTensor.scalar(
-                parse_scalar("scalar value", args["value"], ctx.field))
+                parse_scalar("scalar value", args["value"], field), field)
         if name == "delta":
-            return SpacedTensor.diagonal(args["ket"], args["bra"], [one] * n)
+            return SpacedTensor.diagonal(args["ket"], args["bra"], [one] * n,
+                                         field)
         if name == "eps_ket":
             op = build_eps_const(n, ctx, CONTRA)
             return SpacedTensor.from_tensorop(op, args["window"], ())
@@ -666,11 +667,11 @@ class ReplayEngine:
             op = rho_image(self._const_rep(len(spaces)), args["word"])
         elif name == "sigma":
             op = TensorOp.diagonal(
-                n, 2, lambda m: ctx.qpow(2) if m[0] == m[1] else one)
+                n, 2, lambda m: ctx.qpow(2) if m[0] == m[1] else one, field)
         else:
             op = build_dj(n, ctx)
             if args.get("power", 1) == -1:
-                op = op - ctx.lam * TensorOp.identity(n, 2, ctx.field)
+                op = op - ctx.lam * TensorOp.identity(n, 2, field)
         return SpacedTensor.from_tensorop(op, spaces, spaces)
 
     def eval_p(self, fp, p):
@@ -717,13 +718,13 @@ class ReplayEngine:
                            if ket_at(k) == want},
                           {b: bra_of(b + extra) for b in cols
                            if bra_at(b) == want}))
-        return SpacedTensor._make(kets, bras, *_assemble(parts))
+        return SpacedTensor._make(kets, bras, *_assemble(parts, self._prime))
 
     def _build_p(self, name, args, p):
-        params = self.params
+        params, field = self.params, self.ctx.field
         if name == "func":
             sf = ShiftFunc.from_json(args["func"])
-            return SpacedTensor.scalar(sf.eval(params, p))
+            return SpacedTensor.scalar(sf.eval(params, p), field)
         if name == "eps_bra_dyn":
             op = build_eps_dyn(params, p, CO)
             return SpacedTensor.from_tensorop(op, (), args["window"])
@@ -737,18 +738,19 @@ class ReplayEngine:
         if name == "nk":
             nk = self._nk_at(p)
             vals = nk.nvals if args["which"] == "n" else nk.kvals
-            return SpacedTensor.diagonal(args["ket"], args["bra"], vals)
+            return SpacedTensor.diagonal(args["ket"], args["bra"], vals,
+                                         field)
         if name == "kdiag":
             s = args["space"]
             pw = args.get("power", 1)
             return SpacedTensor.diagonal(
-                s, s, [k ** pw for k in self._nk_at(p).kvals])
+                s, s, [k ** pw for k in self._nk_at(p).kvals], field)
         if name == "ddiag":
             s = args["space"]
-            return SpacedTensor.diagonal(s, s, self._dvals(p))
+            return SpacedTensor.diagonal(s, s, self._dvals(p), field)
         if name == "dmat":
             return SpacedTensor.diagonal(args["ket"], args["bra"],
-                                         self._dvals(p))
+                                         self._dvals(p), field)
 
     def _dvals(self, p):
         """Diagonal of the root-gauge weight matrix: pi_in q^(-2 p_i)."""
@@ -1058,7 +1060,7 @@ class ReplayEngine:
 
     def const_scalar(self, value):
         return FConst("scalar", {"value": fmt_scalar(value)},
-                      SpacedTensor.scalar(value))
+                      SpacedTensor.scalar(value, self.ctx.field))
 
     def _mv_fold_det(self, expr, move):
         at = self._at(expr, move)
@@ -1725,7 +1727,7 @@ def block_intertwiners(engine, k, p, block):
     v0 = block[1]
     s0 = flat_index(v0, n)
     # N: each row of (D_i - q) dden cden, q = C_i[v0, v0] over cden
-    kernel = Echelon(p=prime)
+    kernel = Echelon((), prime)
     for i in range(1, k):
         if v0[i - 1] != v0[i]:
             continue

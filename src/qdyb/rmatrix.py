@@ -46,7 +46,7 @@ def build_dj(n, ctx):
                             ctx.q if a1 == a2 else ctx.field.one))
             if a2 > a1:
                 entries.append(((a1, a2), (a1, a2), ctx.lam))
-    return TensorOp.from_entries(n, 2, 2, entries)
+    return TensorOp.from_entries(n, 2, 2, entries, ctx.field)
 
 
 def dyn_entries(params, p, pairs):
@@ -68,7 +68,8 @@ def build_dyn(params, p):
     """The dynamical braid matrix evaluated at the weight point p."""
     n = params.n
     return TensorOp.from_entries(n, 2, 2, dyn_entries(
-        params, p, itertools.product(range(1, n + 1), repeat=2)))
+        params, p, itertools.product(range(1, n + 1), repeat=2)),
+        params.ctx.field)
 
 
 def flipped(op):
@@ -96,7 +97,7 @@ def invert_dyn(params, p):
                 b = params.b_entry(i2, i1, p.p(i2, i1))
                 if b:
                     entries.append(((i1, i2), (i1, i2), -b))
-    return TensorOp.from_entries(n, 2, 2, entries)
+    return TensorOp.from_entries(n, 2, 2, entries, params.ctx.field)
 
 
 class DynRMatrix:
@@ -143,7 +144,8 @@ def dressed_block(n, builder, dress, p, sign=-1, side="prefix"):
         block = builder(p.shift_many(extra, sign))
         e = flat_index(extra, n)
         parts.append((block, placed(block.rk, e), placed(block.ck, e)))
-    return TensorOp.assemble(n, dress + block.rk, dress + block.ck, parts)
+    return TensorOp.assemble(n, dress + block.rk, dress + block.ck, parts,
+                             block)
 
 
 # -- verification -------------------------------------------------------
@@ -173,7 +175,8 @@ def weight_conservation_check(rmx, p):
                                                [I])
                        if flat_index(e[1], n) in cols)
     return compare("weight-conservation",
-                   TensorOp.from_entries(n, 2, 2, entries), R)
+                   TensorOp.from_entries(n, 2, 2, entries, params.ctx.field),
+                   R)
 
 
 BRAID_LAYOUTS = ("qdybe.braid.shifted-form", "qdybe.braid.site3-conjugated",
@@ -327,16 +330,14 @@ def verify_qdybe(params, p, rmx=None):
 # -- diagonal twist -----------------------------------------------------
 
 
-def twist_f_matrix(psi, p, n, inverse=False):
-    """The diagonal factor F with F[(i1,i2),(i1,i2)] = psi_{i1 i2}(p_{i1 i2}),
-    or F^(-1) when inverse is set."""
-    def val(m):
-        v = psi(m[0], m[1], p.p(m[0], m[1]))
-        return 1 / v if inverse else v
-    return TensorOp.diagonal(n, 2, val)
+def twist_f_matrix(params, psi, p, e):
+    """F^e for the diagonal factor F with F[(i1,i2),(i1,i2)] =
+    psi_{i1 i2}(p_{i1 i2}), and e = 1 or -1."""
+    return TensorOp.diagonal(params.n, 2, lambda m: psi(
+        m[0], m[1], p.p(m[0], m[1])) ** e, params.ctx.field)
 
 
-def twist_a_diag(psi, p, n):
+def twist_a_diag(params, psi, p):
     """Diagonal A with entries psi_ik psi_jk (i != j) and psi_ik(p_ik+1)^2
     (i = j); A * P23 * P12 realizes the operator in the twist hypotheses."""
     def val(m):
@@ -344,7 +345,7 @@ def twist_a_diag(psi, p, n):
         if i != j:
             return psi(i, k, p.p(i, k)) * psi(j, k, p.p(j, k))
         return psi(i, k, p.p(i, k) + 1) ** 2
-    return TensorOp.diagonal(n, 3, val)
+    return TensorOp.diagonal(params.n, 3, val, params.ctx.field)
 
 
 def twist_checks(params, psi, p, rmx=None):
@@ -366,8 +367,8 @@ def twist_checks(params, psi, p, rmx=None):
     """
     records = []
     n = params.n
-    Fhat = twist_f_matrix(psi, p, n).permuted(right=(2, 1))
-    Fhat_inv = twist_f_matrix(psi, p, n, inverse=True).permuted((2, 1))
+    Fhat = twist_f_matrix(params, psi, p, 1).permuted(right=(2, 1))
+    Fhat_inv = twist_f_matrix(params, psi, p, -1).permuted((2, 1))
 
     R = (rmx or DynRMatrix(params)).at(p)
     twisted = params.twisted(psi)
@@ -377,7 +378,7 @@ def twist_checks(params, psi, p, rmx=None):
     rhs = flipped(R_twisted)
     records.append(compare("twist.flip-conjugation", lhs, rhs))
 
-    Ahat = twist_a_diag(psi, p, n).permuted(right=(2, 3, 1))
+    Ahat = twist_a_diag(params, psi, p).permuted(right=(2, 3, 1))
     records.append(compare("twist.cyclic-intertwiner",
                            R.embed(1, 3) * Ahat, Ahat * R.embed(2, 3)))
 
@@ -502,10 +503,12 @@ def diag_inversion(params, p, rmx=None):
     dvals = [ctx.qpow(-2 * p.p(i, n)) * params.pi(i, n)
              for i in range(1, n + 1)]
     assert dvals[n - 1] == ctx.field.one
-    D1 = TensorOp.diagonal(n, 2, lambda m: dvals[m[0] - 1])
-    D2_inv = TensorOp.diagonal(n, 2, lambda m: 1 / dvals[m[1] - 1])
+    D1 = TensorOp.diagonal(n, 2, lambda m: dvals[m[0] - 1], ctx.field)
+    D2_inv = TensorOp.diagonal(n, 2, lambda m: 1 / dvals[m[1] - 1],
+                               ctx.field)
     sigma = TensorOp.diagonal(
-        n, 2, lambda m: ctx.qpow(2) if m[0] == m[1] else ctx.field.one)
+        n, 2, lambda m: ctx.qpow(2) if m[0] == m[1] else ctx.field.one,
+        ctx.field)
 
     R = (rmx or DynRMatrix(params)).at(p)
     lhs = D1 * (R * D2_inv)

@@ -115,11 +115,11 @@ class ModInt:
         return ModInt(pow(self.v, -1, self.p), self.p)
 
     def __eq__(self, other):
-        if isinstance(other, ModInt):
-            return self.v == other.v and self.p == other.p
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
+        """Equality in F_p; a value of another field raises."""
+        if isinstance(other, Fraction):
+            raise mixed_fields(self.p, None)
+        o = self._lift(other)
+        return o if o is NotImplemented else self.v == o.v
 
     def __bool__(self):
         return self.v != 0

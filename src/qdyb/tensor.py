@@ -29,12 +29,14 @@ integer arithmetic only:
 * over F_p, ``rows`` holds residues in 1..p-1, ``p`` is the prime and
   den is 1.  Each product sum is reduced once, at the end of its row.
 
-The entries an operator is built from fix its field: any ``ModInt``
-entry means F_p, anything else (ints, ``Fraction``s) means Q, and
-``identity`` and ``zero`` take theirs.  A kernel operation on two fields
-raises :func:`~qdyb.scalars.mixed_fields`, naming both: nothing is
-lifted to F_p here.  Field values -- reduced ``Fraction``s, or
-``ModInt``s -- go in through the constructor, ``from_entries`` and
+Every constructor takes the operator's field (``_make`` and
+:class:`Echelon` its ``p``), and none reads it off the values it is
+given, so an operator of no entries is the zero of its field;
+``identity``, ``assemble`` and ``echelon`` also take an operator for
+its own field.  A value or a kernel operand of another field raises
+:func:`~qdyb.scalars.mixed_fields`, naming both: nothing is lifted to
+F_p here.  Field values -- ``Fraction``s, or ``ModInt``s, and ints in
+either -- go in through the constructor, ``from_entries`` and
 ``diagonal``, and come out only through :meth:`TensorOp.entry`,
 ``entries``, ``first_nonzero`` and ``dump``.
 
@@ -96,16 +98,16 @@ class TensorOp:
 
     __slots__ = ("n", "rk", "ck", "rows", "den", "p")
 
-    def __init__(self, n, rk, ck, rows=None):
-        """rows: {row: {column: value}} with int, Fraction or ModInt
-        values; zeros and empty rows are dropped."""
+    def __init__(self, n, rk, ck, rows, field):
+        """rows: {row: {column: value}} with values of field (or ints);
+        zeros and empty rows are dropped."""
         self.n = n
         self.rk = rk
         self.ck = ck
-        self.rows, self.den, self.p = _stored_form(*_raw_form(rows or {}))
+        self.rows, self.den, self.p = _stored_form(*_raw_form(rows, field.p))
 
     @classmethod
-    def _make(cls, n, rk, ck, rows, den=1, p=None):
+    def _make(cls, n, rk, ck, rows, den, p):
         """An operator over int rows: numerators over den when p is None,
         else values mod p.  They are brought to the stored form, which
         may keep the row dicts: pass dicts that nothing else holds."""
@@ -117,21 +119,23 @@ class TensorOp:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def from_entries(cls, n, rk, ck, entries):
-        """entries: iterable of (row multi, col multi, value), 1-based."""
+    def from_entries(cls, n, rk, ck, entries, field):
+        """entries: iterable of (row multi, col multi, value of field),
+        1-based."""
         rows = {}
         for rm, cm, v in entries:
             row = rows.setdefault(flat_index(rm, n), {})
             c = flat_index(cm, n)
             row[c] = row[c] + v if c in row else v
-        return cls(n, rk, ck, rows)
+        return cls(n, rk, ck, rows, field)
 
     @classmethod
-    def assemble(cls, n, rk, ck, parts):
-        """An operator made of the stored entries of others, placed by
+    def assemble(cls, n, rk, ck, parts, field):
+        """An operator over field (or an operator's field) made of the
+        stored entries of others of that field, placed by
         :func:`_assemble`: parts is an iterable of (op, {op row: row},
         {op column: column})."""
-        return cls._make(n, rk, ck, *_assemble(parts))
+        return cls._make(n, rk, ck, *_assemble(parts, field.p))
 
     @staticmethod
     def cleared(*ops):
@@ -148,15 +152,15 @@ class TensorOp:
             s = d // op.den
             out.append(TensorOp._make(op.n, op.rk, op.ck, {
                 r: {c: v * s for c, v in row.items()}
-                for r, row in op.rows.items()}))
+                for r, row in op.rows.items()}, 1, None))
         return tuple(out)
 
     @classmethod
-    def diagonal(cls, n, k, fn):
+    def diagonal(cls, n, k, fn, field):
         """The diagonal operator on k sites whose entry at the multi-index
-        m (1-based) is fn(m)."""
+        m (1-based) is fn(m), a value of field."""
         return cls(n, k, k, {f: {f: fn(multi_index(f, n, k))}
-                             for f in range(n**k)})
+                             for f in range(n**k)}, field)
 
     @classmethod
     def identity(cls, n, k, field):
@@ -331,18 +335,18 @@ class TensorOp:
         the column P_right sends to I."""
         cols = {i: j for j, i in _site_map(self.n, self.ck, right).items()}
         return TensorOp.assemble(self.n, self.rk, self.ck, [
-            (self, _site_map(self.n, self.rk, left), cols)])
+            (self, _site_map(self.n, self.rk, left), cols)], self)
 
     def exact_rank(self):
-        return len(TensorOp.echelon([self]))
+        return len(Echelon(self.rows.values(), self.p))
 
     @staticmethod
-    def echelon(ops):
-        """The :class:`Echelon` of the rows of every op, reduced from their
-        stored ints; the ops share one field."""
+    def echelon(ops, field):
+        """The :class:`Echelon` over field (or an operator's field) of the
+        rows of every op, reduced from their stored ints."""
         ops = list(ops)
-        p = _shared_p(ops)
-        return Echelon([row for op in ops for row in op.rows.values()], p)
+        return Echelon([row for op in ops for row in op.rows.values()],
+                       _checked_p(field.p, ops))
 
     # -- serialization -----------------------------------------------------
 
@@ -361,7 +365,7 @@ class TensorOp:
             n, rk, ck,
             [(tuple(rm), tuple(cm), parse_scalar(
                 "entry %r %r" % (rm, cm), v, field))
-             for rm, cm, v in doc["entries"]])
+             for rm, cm, v in doc["entries"]], field)
 
 
 @functools.lru_cache(maxsize=64)
@@ -378,20 +382,15 @@ def _site_map(n, k, sigma):
 # -- the raw form ------------------------------------------------------------
 
 
-def _raw_form(rows):
-    """(int rows, den, p) for rows of field values: residues mod p when
-    any value is a ModInt, else integer numerators over the lcm of the
-    denominators."""
-    try:
-        den = lcm(*{v.denominator for row in rows.values()
-                    for v in row.values()})
-    except AttributeError:      # a ModInt has no denominator
-        p = next((v.p for row in rows.values() for v in row.values()
-                  if isinstance(v, ModInt)), None)
-        if p is None:
-            raise
+def _raw_form(rows, p):
+    """(int rows, den, p) for rows of values of the field of p (ints
+    too): residues mod p, or for p None integer numerators over the lcm
+    of the denominators.  A value of another field raises."""
+    if p is not None:
         return {r: {c: _residue(v, p) for c, v in row.items()}
                 for r, row in rows.items()}, 1, p
+    den = lcm(*{_rational(v).denominator for row in rows.values()
+                for v in row.values()})
     return {r: {c: v.numerator * (den // v.denominator)
                 for c, v in row.items()}
             for r, row in rows.items()}, den, None
@@ -408,29 +407,35 @@ def _residue(v, p):
     raise mixed_fields(p, None)
 
 
+def _rational(v):
+    """v, a value of Q (an int or a Fraction); a ModInt raises."""
+    if isinstance(v, ModInt):
+        raise mixed_fields(None, v.p)
+    return v
+
+
 def _value(v, den, p):
     """The field value of one stored int."""
     return Fraction(v, den) if p is None else ModInt(v, p)
 
 
-def _shared_p(xs):
-    """The p of tensors of one field (None for Q, or for no tensor)."""
-    p = xs[0].p if xs else None
+def _checked_p(p, xs):
+    """p, once every tensor of xs is over the field of p (None: Q)."""
     for x in xs:
         if x.p != p:
             raise mixed_fields(p, x.p)
     return p
 
 
-def _assemble(parts):
+def _assemble(parts, p):
     """(rows, den, p) of the stored entries of several tensors, whatever
     their keys: parts is an iterable of (x, rmap, cmap), and entry (r, c)
     of x goes to (rmap[r], cmap[c]), left out when r or c is missing from
-    its map.  Parts place their entries at distinct positions and share
-    one field.  The rows are over the lcm of the parts' denominators, or
-    mod p, and still to be brought to the stored form."""
+    its map.  Parts place their entries at distinct positions, and each
+    is over the field of p.  The rows are over the lcm of the parts'
+    denominators, or mod p, and still to be brought to the stored form."""
     parts = list(parts)
-    p = _shared_p([x for x, _, _ in parts])
+    _checked_p(p, [x for x, _, _ in parts])
     den = lcm(*(x.den for x, _, _ in parts))
     rows = {}
     for x, rmap, cmap in parts:
@@ -477,7 +482,7 @@ def _stored_form(rows, den, p):
 def _common_field(a, b):
     """(a rows, a den, b rows, b den, p): the stored forms of a and b (two
     TensorOps, or two qmatrix.SpacedTensors) of one field."""
-    return a.rows, a.den, b.rows, b.den, _shared_p([a, b])
+    return a.rows, a.den, b.rows, b.den, _checked_p(a.p, [b])
 
 
 # -- exact elimination ----------------------------------------------------
@@ -491,7 +496,7 @@ class Echelon:
 
     __slots__ = ("pivots", "p")
 
-    def __init__(self, rows=(), p=None):
+    def __init__(self, rows, p):
         self.pivots = {}
         self.p = p
         for row in rows:

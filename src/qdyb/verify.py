@@ -390,7 +390,8 @@ def suite_epsilon(cfg):
     if cfg.corrupt == "eps-sign":
         # negate the first component
         t0, _, v0 = cket.first_nonzero()
-        cket = cket - TensorOp.from_entries(n, n, 0, [(t0, (), 2 * v0)])
+        cket = cket - TensorOp.from_entries(n, n, 0, [(t0, (), 2 * v0)],
+                                            ctx.field)
     crep = hecke.HeckeRep.constant(n, ctx, n)
     records.extend(prefixed("epsilon.const.", levicivita.eigencheck(
         crep, cket, cbra) + levicivita.window_shift_relations_const(n, ctx)))
@@ -421,7 +422,7 @@ def suite_epsilon(cfg):
         == levicivita.build_eps_const(n, ctx, levicivita.CONTRA)
         and levicivita.build_eps_dyn(cm, p0, levicivita.CO)
         == levicivita.build_eps_const(n, ctx, levicivita.CO)))
-    nk = levicivita.build_nk(n=n, ctx=ctx)
+    nk = levicivita.build_nk_const(n, ctx)
     records.append(Check("epsilon.constant-nk-identity",
                          all(v == 1 for v in nk.nvals + nk.kvals)))
 

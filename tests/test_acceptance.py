@@ -93,7 +93,7 @@ def test_criterion_3_eps_tensors():
             == levicivita.build_eps_const(n, ctx, levicivita.CONTRA)
         assert levicivita.build_eps_dyn(cm, p0, levicivita.CO) \
             == levicivita.build_eps_const(n, ctx, levicivita.CO)
-        nk = levicivita.build_nk(n=n, ctx=ctx)
+        nk = levicivita.build_nk_const(n, ctx)
         assert all(v == 1 for v in nk.nvals + nk.kvals)
         params = sample_params(n, rng)
         p = sample_point(params, rng, clearance=4)
@@ -144,7 +144,7 @@ def test_criterion_5_constant_limits():
         assert rmatrix.build_dyn(params, p) == rmatrix.build_dj(n, ctx)
         p2 = WeightPoint(n, tuple([3] * (n - 1)))
         assert rmatrix.build_dyn(params, p2) == rmatrix.build_dyn(params, p)
-        nk = levicivita.build_nk(n=n, ctx=ctx)
+        nk = levicivita.build_nk_const(n, ctx)
         assert all(v == 1 for v in nk.nvals + nk.kvals)
         no_fail(levicivita.window_shift_relations_const(n, ctx))
     report("criterion-5 constant-limits", t0)

@@ -189,15 +189,39 @@ def test_verify_exit_codes(capsys):
                for rep in doc["reports"] for r in rep["records"])
 
 
-def test_verify_all_report_bytes_pinned():
+#: argv -> the first 16 hex digits of the sha256 of its report under
+#: strip_timing, keys sorted: passing runs of verify all and derive on both
+#: backends, and a failing run of each --corrupt mode
+PINNED_REPORTS = {
+    "verify all --n 2 --seed 7": "44078402c459ade5",
+    "verify all --n 2 --seed 7 --backend prime": "eed0436d3126814e",
+    "verify all --n 3 --seed 7": "99d03bff29878f87",
+    "derive --n 2 --seed 7": "7f1f2f1e2b90eee7",
+    "derive --n 2 --backend prime --seed 7": "a7a47d9e5a4d620e",
+    "derive --n 3 --seed 7": "a951305cdd4a977d",
+    "derive --n 3 --backend prime --seed 7": "fe41748aff6f0c2a",
+    "verify appendix --n 2 --corrupt xi": "506e1bed7386cd6c",
+    "verify appendix --n 2 --corrupt xi --backend prime": "98a7493ea72fea78",
+    "verify qmatrix --n 2 --corrupt xunit": "2fb8e01c8960a80b",
+    "verify qmatrix --n 2 --corrupt xunit --backend prime":
+        "ff88df6116d79999",
+    "verify wznw --n 2 --corrupt scale": "955f9132a90b5c24",
+    "verify wznw --n 2 --corrupt scale --backend prime": "7b806c733d2c5ccf",
+    "verify qdybe --n 2 --corrupt beta --backend prime": "d99466b192f638f2",
+    "verify epsilon --n 2 --corrupt eps-sign --backend prime":
+        "9d8226e9868df6dc",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))
+def test_verify_all_report_bytes_pinned(capsys, argv):
     """Refactors keep every report byte-identical under strip_timing."""
     import hashlib
-    for backend, digest in (("rational", "44078402c459ade5"),
-                            ("prime", "eed0436d3126814e")):
-        doc = strip_timing(verify.run(RunConfig(n=2, seed=7,
-                                                backend=backend), "all"))
-        text = json.dumps(doc, sort_keys=True).encode()
-        assert hashlib.sha256(text).hexdigest()[:16] == digest, backend
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code in (0, 1)
+    text = json.dumps(strip_timing(json.loads(out)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        PINNED_REPORTS[argv]
 
 
 def test_verify_all_n3_prime_report_bytes_pinned(capsys):

@@ -12,8 +12,8 @@ from qdyb.rmatrix import dressed_block
 from qdyb.tensor import TensorOp
 from qdyb.levicivita import (
     CO, CONTRA, b_table_from_xi, bruteforce_norm_identities,
-    build_eps_const, build_eps_dyn, build_nk, dressed_bra_tensor, eigencheck,
-    eps_dump, normalization_check,
+    build_eps_const, build_eps_dyn, build_nk, build_nk_const,
+    dressed_bra_tensor, eigencheck, eps_dump, normalization_check,
     perm_sum, projector_from_eps, window_shift_relations_const,
     window_shift_relations_dyn, xi_only_hypotheses_hold, xi_table,
 )
@@ -91,7 +91,7 @@ def test_eigencheck_detects_wrong_sign():
     up = build_eps_const(2, ctx, CONTRA)
     bad = TensorOp.from_entries(2, 2, 0, [
         ((1, 2), (), up.entry((1, 2), ())),
-        ((2, 1), (), -up.entry((2, 1), ()))])
+        ((2, 1), (), -up.entry((2, 1), ()))], ctx.field)
     records = eigencheck(rep, bad, build_eps_const(2, ctx, CO))
     assert any(r[1] is False for r in records)
 
@@ -121,7 +121,7 @@ def test_projector_matches_antisymmetrizer():
 def test_nk_constant_is_identity():
     for n in (2, 3):
         ctx = QContext(Fraction(3, 2), n)
-        nk = build_nk(n=n, ctx=ctx)
+        nk = build_nk_const(n, ctx)
         assert all(v == 1 for v in nk.nvals)
         assert all(v == 1 for v in nk.kvals)
 
@@ -181,8 +181,8 @@ def test_dressed_block_on_bra_and_ket_blocks():
             for t, _, v in build_eps_dyn(params, p.shift(i, +1), CONTRA) \
                     .entries():
                 ket_rows.append((t + (i,), (i,), v))
-        bra = TensorOp.from_entries(n, 1, n + 1, bra_rows)
-        ket = TensorOp.from_entries(n, n + 1, 1, ket_rows)
+        bra = TensorOp.from_entries(n, 1, n + 1, bra_rows, params.ctx.field)
+        ket = TensorOp.from_entries(n, n + 1, 1, ket_rows, params.ctx.field)
         assert dressed_block(
             n, lambda pp: build_eps_dyn(params, pp, CO), 1, p,
             sign=-1, side="prefix") == bra

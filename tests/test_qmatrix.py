@@ -88,14 +88,16 @@ def test_antisym_word_is_the_window_antisymmetrizer():
 
 def test_spaced_tensor_compose():
     one = Fraction(1)
-    A = SpacedTensor((1,), (2,), {(i,): {(i,): one} for i in (1, 2)})
-    B = SpacedTensor((2,), (3,), {(i,): {(i,): Fraction(i)} for i in (1, 2)})
+    A = SpacedTensor((1,), (2,), {(i,): {(i,): one} for i in (1, 2)},
+                     RATIONAL)
+    B = SpacedTensor((2,), (3,), {(i,): {(i,): Fraction(i)} for i in (1, 2)},
+                     RATIONAL)
     C = A.compose(B)
     assert C.kets == (1,) and C.bras == (3,)
     assert C.rows[(2,)][(2,)] == 2 and C.den == 1
     # equal numerators over different denominators differ
-    assert SpacedTensor.scalar(Fraction(1, 2)) != \
-        SpacedTensor.scalar(Fraction(1, 3))
+    assert SpacedTensor.scalar(Fraction(1, 2), RATIONAL) != \
+        SpacedTensor.scalar(Fraction(1, 3), RATIONAL)
     with pytest.raises(MoveError):
         A.compose(A)  # ket collision at space 1
 
@@ -115,14 +117,14 @@ def values(st):
 def random_spaced(rng, field, kets, bras, n=2, nnz=8):
     """A random sparse SpacedTensor; its rows are keyed in the sorted
     socket order the constructor gives."""
-    shape = SpacedTensor(kets, bras)
+    shape = SpacedTensor(kets, bras, {}, field)
     rows = {}
     for _ in range(nnz):
         kv = tuple(rng.randint(1, n) for _ in shape.kets)
         bv = tuple(rng.randint(1, n) for _ in shape.bras)
         rows.setdefault(kv, {})[bv] = field.of(
             Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
-    return SpacedTensor(shape.kets, shape.bras, rows)
+    return SpacedTensor(shape.kets, shape.bras, rows, field)
 
 
 def by_label(st):
@@ -180,8 +182,8 @@ def test_compose_matches_reference(field):
         assert set(c.kets) == set(a_kets) | (set(b_kets) - set(shared))
         assert set(c.bras) == (set(a_bras) - set(shared)) | set(b_bras)
         # sockets come out sorted, and the stored form holds
-        assert SpacedTensor(c.kets, c.bras).kets == c.kets
-        assert SpacedTensor(c.kets, c.bras).bras == c.bras
+        assert SpacedTensor(c.kets, c.bras, {}, field).kets == c.kets
+        assert SpacedTensor(c.kets, c.bras, {}, field).bras == c.bras
         assert_stored_form(c)
         assert by_label(c) == expected, (a, b)
         ref = unplanned_compose(a, b)
@@ -234,8 +236,8 @@ def test_plan_collisions_raise_on_every_call():
     """A cached plan keeps no exception: a ket or a bra collision raises
     the same MoveError on every call, as the unplanned compose does; and
     both socket caches are bounded."""
-    a = SpacedTensor((1,), (2,), {(1,): {(1,): 1}})
-    b = SpacedTensor((), (2,), {(): {(1,): 1}})
+    a = SpacedTensor((1,), (2,), {(1,): {(1,): 1}}, RATIONAL)
+    b = SpacedTensor((), (2,), {(): {(1,): 1}}, RATIONAL)
     for other, text in ((a, "ket collision at 1"), (b, "bra collision at 2")):
         for compose in (SpacedTensor.compose, unplanned_compose):
             for _ in range(3):
@@ -305,7 +307,7 @@ def fold_canonical(eng, expr, p):
             acc = unplanned_compose(acc, SpacedTensor(
                 (f.space,), (f.space, ("sr", t), ("sc", t)),
                 {(r,): {(c, c, r): one for c in range(1, eng.n + 1)}
-                 for r in range(1, eng.n + 1)}))
+                 for r in range(1, eng.n + 1)}, eng.ctx.field))
             seen_slot = True
         elif isinstance(f, FConst):
             acc = unplanned_compose(acc, f.st)
@@ -441,7 +443,7 @@ def test_spaced_tensors_keep_the_stored_form(field):
         rows = {(rng.randint(1, 2),): {(rng.randint(1, 2),): field.of(
             Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))))}
             for _ in range(3)}
-        st = SpacedTensor((1,), (2,), rows)
+        st = SpacedTensor((1,), (2,), rows, field)
         assert_stored_form(st)
         assert not _row_dicts(st) & {id(row) for row in rows.values()}
         other = random_spaced(rng, field, (2,), (3, 4))
@@ -656,7 +658,7 @@ def _reference_span(engine, k, p, block):
 
 
 def _in_span(ech, vec):
-    probe = Echelon(p=ech.p)
+    probe = Echelon((), ech.p)
     probe.pivots = dict(ech.pivots)
     return not probe.add(vec)
 
@@ -752,7 +754,7 @@ def test_tampered_dynamic_image_fails_naming_its_block():
     rep = eng._dyn_rep(2, p)
     d1 = rep.image(1)
     d = rep._images[0] = d1 + TensorOp.from_entries(
-        2, 2, 2, [((1, 2), (2, 1), d1.entry((1, 2), (2, 1)))])
+        2, 2, 2, [((1, 2), (2, 1), d1.entry((1, 2), (2, 1)))], eng.ctx.field)
     assert d * d != TensorOp.identity(2, 2, eng.ctx.field) \
         + eng.ctx.lam * d
     word = [_eps_bra_dyn((1, 2)), _slot(1), _slot(2), _eps_ket((1, 2))]
@@ -770,7 +772,7 @@ def test_constant_image_without_its_module_structure_is_inconclusive():
     eng = engine(2, random.Random(44), npoints=1)
     rep = eng._const_rep(2)
     rep._images[0] = 2 * rep.image(1) + TensorOp.from_entries(
-        2, 2, 2, [((1, 1), (1, 2), eng.ctx.field.one)])
+        2, 2, 2, [((1, 1), (1, 2), eng.ctx.field.one)], eng.ctx.field)
     p = eng.points[0]
     weights = [(1, 1), (1, 2), (2, 2)]
     assert all(block_intertwiners(eng, 2, p, (a, b)) is None

@@ -212,7 +212,7 @@ def multiset_dress(op, p, builder, sign):
                 raise DegenerateParameterError(
                     "operator does not conserve index multisets")
         parts.append((src, {r: r}, {c: c for c in cols}))
-    return TensorOp.assemble(n, k, k, parts)
+    return TensorOp.assemble(n, k, k, parts, op)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
@@ -499,7 +499,7 @@ def reference_operands(params, p):
         at = {x: (e - 1) * n**2 + x for x in range(n**2)}
         parts.append((rmx.at(p.shift(e, -1)), at, at))
     pairs = [
-        (R.embed(1, 3), TensorOp.assemble(n, 3, 3, parts)),
+        (R.embed(1, 3), TensorOp.assemble(n, 3, 3, parts, params.ctx.field)),
         (R.embed(2, 3),
          dressed_block(n, rmx.at, 1, p, sign=+1, side="suffix")),
         (flipped(R).embed(1, 3),

@@ -194,6 +194,23 @@ def test_a_fraction_is_no_modint_operand():
     assert RATIONAL.p is None and F.p == 101
 
 
+def test_cross_field_comparison_raises_naming_both():
+    """A residue compared with a value of another field -- a residue of
+    another prime, or a Fraction, on either side -- raises naming both
+    fields instead of reading as unequal; an int compares in F_p, and
+    None or a text is only unequal."""
+    F, G = PrimeField(101), PrimeField(103)
+    for a, b, names in ((F.of(2), G.of(2), r"prime\(101\) and prime\(103\)"),
+                        (F.of(2), Fraction(2), r"prime\(101\) and rational"),
+                        (Fraction(2), F.of(2), r"prime\(101\) and rational")):
+        for compare in (lambda a, b: a == b, lambda a, b: a != b):
+            with pytest.raises(ValueError, match="mixed fields " + names):
+                compare(a, b)
+    assert F.of(2) == 103 and F.of(-1) == 100 and F.of(2) != 3
+    assert F.of(2) != None and F.of(2) != "2"    # noqa: E711
+    assert {F.of(2): 1}.get(None) is None
+
+
 def test_prime_field_rejects_composite_moduli():
     assert PrimeField(DEFAULT_PRIME).p == DEFAULT_PRIME
     assert PrimeField(2**61 - 1).p == 2**61 - 1

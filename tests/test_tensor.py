@@ -10,7 +10,7 @@ import pytest
 from qdyb.scalars import (RATIONAL, DegenerateParameterError, ModInt,
                           PrimeField, QContext)
 from qdyb.qmatrix import SpacedTensor
-from qdyb.tensor import (Echelon, TensorOp, _raw_form, _residue, flat_index,
+from qdyb.tensor import (Echelon, TensorOp, _raw_form, flat_index,
                          multi_index)
 
 
@@ -29,7 +29,7 @@ def random_sparse(n, k, rng, density=5):
         r = rng.randrange(dim)
         c = rng.randrange(dim)
         rows.setdefault(r, {})[c] = Fraction(rng.randint(-4, 4))
-    return TensorOp(n, k, k, rows)
+    return TensorOp(n, k, k, rows, RATIONAL)
 
 
 def test_flat_index_convention():
@@ -43,7 +43,8 @@ def test_flat_index_convention():
 
 
 def test_no_explicit_zeros():
-    op = TensorOp(2, 1, 1, {0: {0: Fraction(0), 1: Fraction(2)}, 1: {}})
+    op = TensorOp(2, 1, 1, {0: {0: Fraction(0), 1: Fraction(2)}, 1: {}},
+                  RATIONAL)
     assert op.nnz() == 1
     op2 = op - op
     assert op2.is_zero() and not op2.rows
@@ -61,9 +62,9 @@ def test_products_store_no_zeros(field):
     cancel must still leave no zero entry and no empty row."""
     of = field.of
     # row 0 of a.b cancels to zero; row 1 keeps one entry
-    a = TensorOp(2, 1, 1, {0: {0: of(1), 1: of(1)}, 1: {0: of(2)}})
+    a = TensorOp(2, 1, 1, {0: {0: of(1), 1: of(1)}, 1: {0: of(2)}}, field)
     b = TensorOp(2, 1, 1, {0: {0: of(3), 1: of(1)},
-                           1: {0: of(-3), 1: of(-1)}})
+                           1: {0: of(-3), 1: of(-1)}}, field)
     ab = a * b
     assert sorted(ab.rows) == [1] and ab.rows[1] == {0: of(6), 1: of(2)}
     assert (b * a).rows == {0: {0: of(5), 1: of(3)},
@@ -93,13 +94,31 @@ def test_identity_equals_the_field_value_construction(field):
     field too."""
     for n, k in ((1, 1), (2, 1), (2, 3), (3, 2)):
         ident = TensorOp.identity(n, k, field)
-        ref = TensorOp(n, k, k, {r: {r: field.one} for r in range(n**k)})
+        ref = TensorOp(n, k, k, {r: {r: field.one} for r in range(n**k)},
+                       field)
         assert ident == ref
         assert (ident.rows, ident.den, ident.p) == (ref.rows, ref.den, ref.p)
         assert ident.entry((1,) * k, (1,) * k) == field.one
         zero = TensorOp.zero(n, k, 1, field)
         assert zero.is_zero() and zero.p == field.p
         assert ident * zero == zero
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(101)])
+def test_an_empty_construction_is_over_its_field(field):
+    """An operator or a tensor built from no entries is the zero of the
+    field it is given, not a rational zero: it compares with the kernel's
+    zero of that field without a mixed-fields error."""
+    zero = TensorOp.zero(2, 1, 1, field)
+    for op in (TensorOp.from_entries(2, 1, 1, [], field),
+               TensorOp.assemble(2, 1, 1, [], field),
+               TensorOp(2, 1, 1, {}, field)):
+        assert op.p == field.p and op == zero and op.is_zero()
+    assert TensorOp.assemble(2, 2, 2, [], field) == \
+        TensorOp.zero(2, 2, 2, field)
+    st = SpacedTensor((1,), (1,), {}, field)
+    assert st.p == field.p
+    assert st == SpacedTensor.from_tensorop(zero, (1,), (1,))
 
 
 def test_permutation_cycles():
@@ -138,7 +157,8 @@ def test_product_associative_smoke():
 
 
 def test_kron_rectangular():
-    ket = TensorOp(2, 1, 0, {0: {0: Fraction(2)}, 1: {0: Fraction(3)}})
+    ket = TensorOp(2, 1, 0, {0: {0: Fraction(2)}, 1: {0: Fraction(3)}},
+                   RATIONAL)
     ident = TensorOp.identity(2, 1, RATIONAL)
     emb = ket.kron(ident)
     assert emb.rk == 2 and emb.ck == 1
@@ -164,7 +184,7 @@ def test_exact_rank_basics():
     # rank-1 outer product
     rows = {r: {c: Fraction((r + 1) * (c + 2)) for c in range(4)}
             for r in range(4)}
-    assert TensorOp(2, 2, 2, rows).exact_rank() == 1
+    assert TensorOp(2, 2, 2, rows, RATIONAL).exact_rank() == 1
 
 
 def test_exact_rank_rational_vs_prime():
@@ -173,7 +193,7 @@ def test_exact_rank_rational_vs_prime():
     for _ in range(6):
         op = random_sparse(2, 3, rng, 2)
         modop = TensorOp.from_entries(2, 3, 3, [
-            (rm, cm, F.of(v)) for rm, cm, v in op.entries()])
+            (rm, cm, F.of(v)) for rm, cm, v in op.entries()], F)
         assert op.exact_rank() == modop.exact_rank()
 
 
@@ -309,22 +329,22 @@ def test_diagonal_scales_rows_and_inverts():
     op = random_sparse(2, 2, rng)
     vals = {(1, 1): Fraction(1), (1, 2): Fraction(2), (2, 1): Fraction(3),
             (2, 2): Fraction(5)}
-    d = TensorOp.diagonal(2, 2, lambda m: vals[m])
-    d_inv = TensorOp.diagonal(2, 2, lambda m: 1 / vals[m])
+    d = TensorOp.diagonal(2, 2, lambda m: vals[m], RATIONAL)
+    d_inv = TensorOp.diagonal(2, 2, lambda m: 1 / vals[m], RATIONAL)
     assert all(d.entry(m, m) == v for m, v in vals.items()) and d.nnz() == 4
     assert d * d_inv == TensorOp.identity(2, 2, RATIONAL)
     assert all((d * op).entry(rm, cm) == vals[rm] * v
                for rm, cm, v in op.entries())
     assert d_inv * (d * op * d_inv) * d == op
-    two = TensorOp.diagonal(2, 2, lambda m: Fraction(2))
+    two = TensorOp.diagonal(2, 2, lambda m: Fraction(2), RATIONAL)
     assert d * two == two * d                   # diagonals commute
     F = PrimeField()
-    dp = TensorOp.diagonal(2, 1, lambda m: F.of(m[0] + 1))
+    dp = TensorOp.diagonal(2, 1, lambda m: F.of(m[0] + 1), F)
     assert dp.p == F.p and dp.entry((2,), (2,)) == F.of(3)
     with pytest.raises(ZeroDivisionError):      # the inverse of a zero
-        TensorOp.diagonal(2, 2, lambda m: 1 / (vals[m] - 1))
+        TensorOp.diagonal(2, 2, lambda m: 1 / (vals[m] - 1), RATIONAL)
     with pytest.raises(ZeroDivisionError):
-        TensorOp.diagonal(2, 1, lambda m: 1 / F.of(m[0] - 1))
+        TensorOp.diagonal(2, 1, lambda m: 1 / F.of(m[0] - 1), F)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
@@ -333,16 +353,16 @@ def test_echelon_of_operators_stacks_their_rows(field):
     for _ in range(10):
         ops = [TensorOp.from_entries(2, 2, 2, [
             (rm, cm, field.of(v * Fraction(1, rng.randint(1, 3))))
-            for rm, cm, v in random_sparse(2, 2, rng, 1).entries()])
+            for rm, cm, v in random_sparse(2, 2, rng, 1).entries()], field)
             for _ in range(rng.randint(1, 3))]
         rows = [{flat_index(cm, 2): v for rm2, cm, v in op.entries()
                  if rm2 == rm}
                 for op in ops for rm in {rm for rm, _, _ in op.entries()}]
-        ech = TensorOp.echelon(ops)
+        ech = TensorOp.echelon(ops, field)
         assert len(ech) == dense_rank(rows, 4, field.zero)
         assert not any(ech.add(raw(row)) for row in rows)
         assert [op.exact_rank() for op in ops] == \
-            [len(TensorOp.echelon([op])) for op in ops]
+            [len(TensorOp.echelon([op], field)) for op in ops]
         assert ech.p == field.p
 
 
@@ -369,7 +389,8 @@ def test_load_names_a_bad_entry():
 
 
 def test_dump_format_shape():
-    op = TensorOp.from_entries(2, 2, 2, [((1, 2), (2, 1), Fraction(5, 3))])
+    op = TensorOp.from_entries(2, 2, 2, [((1, 2), (2, 1), Fraction(5, 3))],
+                               RATIONAL)
     doc = op.dump()
     assert doc["n"] == 2 and doc["k"] == 2
     assert doc["entries"] == [[[1, 2], [2, 1], "5/3"]]
@@ -401,9 +422,7 @@ def from_ref(n, rk, ck, ref, field):
     rows = {}
     for (r, c), v in ref.items():
         rows.setdefault(r, {})[c] = v
-    if not rows:
-        return TensorOp.zero(n, rk, ck, field)
-    return TensorOp(n, rk, ck, rows)
+    return TensorOp(n, rk, ck, rows, field)
 
 
 def ref_clean(ref):
@@ -502,13 +521,14 @@ def test_kernel_routes_to_one_stored_form(field):
         assert (a + b) - b == a and ((a + b) - b).den == a.den
 
 
-def _reference_raw_form(rows):
-    """The raw form by a scan for a ModInt ahead of the denominators."""
-    p = next((v.p for row in rows.values() for v in row.values()
-              if isinstance(v, ModInt)), None)
-    if p is not None:
-        return {r: {c: _residue(v, p) for c, v in row.items()}
-                for r, row in rows.items()}, 1, p
+def _reference_raw_form(rows, field):
+    """The raw form through field values: each value brought into field,
+    then its residue, or its numerator over the lcm of the denominators."""
+    rows = {r: {c: field.of(v) for c, v in row.items()}
+            for r, row in rows.items()}
+    if field.p is not None:
+        return {r: {c: v.v for c, v in row.items()}
+                for r, row in rows.items()}, 1, field.p
     den = lcm(*{v.denominator for row in rows.values()
                 for v in row.values()})
     return {r: {c: v.numerator * (den // v.denominator)
@@ -516,11 +536,10 @@ def _reference_raw_form(rows):
             for r, row in rows.items()}, den, None
 
 
-def test_raw_form_finds_a_modint_in_the_denominator_pass():
-    """One pass collects the denominators and meets any ModInt: the raw
-    form equals the scan-first one on rational, integer and prime rows, a
-    ModInt in the last row included, and raises naming both fields on
-    rows of rationals and residues."""
+def test_raw_form_reads_values_of_the_given_field():
+    """The raw form is over the field it is given, whatever the values:
+    it equals the reference on rational, integer and prime rows, no rows
+    included, and a value of another field raises naming both fields."""
     F = PrimeField(101)
     rng = random.Random(29)
     for _ in range(20):
@@ -528,20 +547,27 @@ def test_raw_form_finds_a_modint_in_the_denominator_pass():
                     for c in rng.sample(range(9), 3)}
                 for r in rng.sample(range(9), 4)}
         rows[9] = {0: rng.randint(-5, 5)}
-        assert _raw_form(rows) == _reference_raw_form(rows)
+        assert _raw_form(rows, None) == _reference_raw_form(rows, RATIONAL)
+        ints = {r: {c: rng.randint(-9, 9) for c in row}
+                for r, row in rows.items()}
+        for field in (RATIONAL, F):
+            assert _raw_form(ints, field.p) == \
+                _reference_raw_form(ints, field)
         prime = {r: {c: F.of(v) for c, v in row.items()}
                  for r, row in rows.items()}
-        prime[9] = {0: rng.randint(-5, 5)}
-        prime[10] = {3: F.of(rng.randint(1, 100))}
-        assert _raw_form(prime) == _reference_raw_form(prime)
-        assert _raw_form(prime)[2] == 101
-        rows[10] = prime[10]
+        prime[10] = {3: rng.randint(-5, 5)}
+        assert _raw_form(prime, 101) == _reference_raw_form(prime, F)
         with pytest.raises(ValueError,
-                           match=r"prime\(101\) and rational"):
-            _raw_form(rows)
-    assert _raw_form({}) == _reference_raw_form({}) == ({}, 1, None)
+                           match=r"mixed fields rational and prime\(101\)"):
+            _raw_form({**rows, 10: {0: F.of(3)}}, None)
+        with pytest.raises(ValueError,
+                           match=r"mixed fields prime\(101\) and rational"):
+            _raw_form({**prime, 11: {0: Fraction(1, 3)}}, 101)
+    for field in (RATIONAL, F):
+        assert _raw_form({}, field.p) == _reference_raw_form({}, field) \
+            == ({}, 1, field.p)
     with pytest.raises(AttributeError):
-        _raw_form({0: {0: 1.5}})
+        _raw_form({0: {0: 1.5}}, None)
 
 
 def _spaced(op):
@@ -555,8 +581,8 @@ MIXED_OPERATIONS = {
     "==": lambda a, b: a == b,
     "kron": lambda a, b: b.kron(a),
     "assemble": lambda a, b: TensorOp.assemble(2, 1, 1, [
-        (a, {0: 0}, {0: 0}), (b, {1: 1}, {1: 1})]),
-    "echelon": lambda a, b: TensorOp.echelon([a, b]),
+        (a, {0: 0}, {0: 0}), (b, {1: 1}, {1: 1})], a),
+    "echelon": lambda a, b: TensorOp.echelon([a, b], a),
     "compose": lambda a, b: _spaced(a).compose(_spaced(b)),
     "scalar": lambda a, b: b.entry((1,), (1,)) * a,
 }
@@ -643,7 +669,8 @@ def test_assemble_matches_field_value_reference(field):
             ref = {(rm[r], cm[c]): v
                    for vals, (rm, cm) in zip(values, maps)
                    for (r, c), v in vals.items()}
-            cases.append((TensorOp.assemble(n, 3, 2, parts), ref, parts))
+            cases.append((TensorOp.assemble(n, 3, 2, parts, field), ref,
+                          parts))
         # row picking: row r of source r % 2, on the columns of a pattern
         pattern = {r: [c for c in range(n**2) if rng.random() < 0.6]
                    for r in range(n**2)}
@@ -652,17 +679,14 @@ def test_assemble_matches_field_value_reference(field):
         ref = {(r, c): values[2 + r % 2][(r, c)]
                for r, cols in pattern.items() for c in cols
                if (r, c) in values[2 + r % 2]}
-        cases.append((TensorOp.assemble(n, 2, 2, parts), ref, parts))
-        cases.append((TensorOp.assemble(n, 2, 2, []), {}, []))
+        cases.append((TensorOp.assemble(n, 2, 2, parts, field), ref, parts))
+        cases.append((TensorOp.assemble(n, 2, 2, [], field), {}, []))
 
         for op, ref, parts in cases:
             assert_stored_form(op)
             assert ref_entries(op) == ref_clean(ref)
-            # no part, no field: the empty assembly is the rational zero
-            assert op == from_ref(op.n, op.rk, op.ck, ref,
-                                  field if parts else RATIONAL)
-            if parts:
-                assert op.p == field.p
+            assert op == from_ref(op.n, op.rk, op.ck, ref, field)
+            assert op.p == field.p
             assert not held_rows(op, *(src for src, _, _ in parts))
             before = ref_entries(op)
             for _, rmap, cmap in parts:     # the caller's maps
@@ -674,8 +698,9 @@ def test_assemble_matches_field_value_reference(field):
 
 def test_assemble_normalizes_a_picked_part():
     # only the entry 1/4 of a block over den 12 is picked
-    src = TensorOp(2, 1, 1, {0: {0: Fraction(1, 4)}, 1: {1: Fraction(1, 3)}})
-    op = TensorOp.assemble(2, 1, 1, [(src, {0: 1}, {0: 0})])
+    src = TensorOp(2, 1, 1, {0: {0: Fraction(1, 4)}, 1: {1: Fraction(1, 3)}},
+                   RATIONAL)
+    op = TensorOp.assemble(2, 1, 1, [(src, {0: 1}, {0: 0})], RATIONAL)
     assert (op.rows, op.den) == ({1: {0: 1}}, 4)
     assert dict(op.support()) == {1: {0: 1}.keys()}
 
@@ -688,7 +713,7 @@ def test_operators_hold_rows_of_their_own(field):
         ref = random_ref(field, rng, 2, 1, 1, 0.8)
         rows = {r: {c: v for (rr, c), v in ref.items() if rr == r}
                 for r in range(2)}
-        a = TensorOp(2, 1, 1, rows)
+        a = TensorOp(2, 1, 1, rows, field)
         b = from_ref(2, 1, 1, random_ref(field, rng, 2, 1, 1, 0.8), field)
         assert not held_rows(a, rows)
         before = ref_entries(a)
@@ -702,10 +727,11 @@ def test_operators_hold_rows_of_their_own(field):
             assert not held_rows(op, a, b)
     # repeated cells of from_entries add up; a cell that cancels is dropped
     op = TensorOp.from_entries(1, 1, 1, [
-        ((1,), (1,), Fraction(1, 2)), ((1,), (1,), Fraction(1, 2))])
+        ((1,), (1,), Fraction(1, 2)), ((1,), (1,), Fraction(1, 2))], RATIONAL)
     assert list(op.entries()) == [((1,), (1,), 1)]
     assert TensorOp.from_entries(1, 1, 1, [
-        ((1,), (1,), Fraction(2)), ((1,), (1,), Fraction(-2))]).is_zero()
+        ((1,), (1,), Fraction(2)), ((1,), (1,), Fraction(-2))],
+        RATIONAL).is_zero()
 
 
 def test_cleared_scales_rational_ops_onto_one_integer_form():
@@ -716,7 +742,8 @@ def test_cleared_scales_rational_ops_onto_one_integer_form():
     ops = [from_ref(2, 2, 2, random_ref(RATIONAL, rng, 2, 2, 2),
                     RATIONAL)
            for _ in range(3)]
-    ops.append(TensorOp(2, 2, 2, {0: {1: Fraction(3)}, 2: {2: Fraction(-1)}}))
+    ops.append(TensorOp(2, 2, 2, {0: {1: Fraction(3)}, 2: {2: Fraction(-1)}},
+                        RATIONAL))
     d = lcm(*(op.den for op in ops))
     assert d > 1 and ops[-1].den == 1 and len({op.den for op in ops}) > 2
     out = TensorOp.cleared(*ops)
@@ -733,7 +760,8 @@ def test_cleared_scales_rational_ops_onto_one_integer_form():
 
 def test_cleared_leaves_integer_prime_and_mixed_ops_alone():
     rng = random.Random(28)
-    ints = [TensorOp(2, 1, 1, {0: {0: Fraction(2), 1: Fraction(-3)}}),
+    ints = [TensorOp(2, 1, 1, {0: {0: Fraction(2), 1: Fraction(-3)}},
+                     RATIONAL),
             TensorOp.identity(2, 1, RATIONAL)]
     F = PrimeField(101)
     rat = from_ref(2, 1, 1, {(0, 0): Fraction(1, 3), (1, 0): Fraction(2, 5)},
