@@ -10,15 +10,19 @@ Elements are kept as free linear combinations of words; no normal form
 is claimed at this level.  Generator inverses exist abstractly through
 the quadratic relation, g^(-1) = g - (q - qbar).
 
-Three representation flavors on V^(x)k:
+Three constructors of :class:`HeckeRep`, one per flavor, on V^(x)k:
 
-* constant: g_i -> R_{i,i+1} for a constant Hecke braid matrix;
-* dynamic:  g_i -> (X_1...X_{i-1}) R_{i,i+1}(p) (X_1...X_{i-1})^(-1),
+* `constant`: g_i -> R_{i,i+1} for a constant Hecke braid matrix;
+* `dynamic`:  g_i -> (X_1...X_{i-1}) R_{i,i+1}(p) (X_1...X_{i-1})^(-1),
   concretely the block-diagonal matrix whose block at the prefix
   multi-index (i_1..i_{i-1}) is R(p - v(i_1) - ... - v(i_{i-1}));
   nonlocal for i >= 2, localized for i = 1;
-* localized-last: g_i -> (X_{i+2}...X_k)^(-1) R_{i,i+1}(p) (X_{i+2}...X_k),
-  equivalent to the dynamic flavor by conjugation with X_1...X_k.
+* `localized_last`:
+  g_i -> (X_{i+2}...X_k)^(-1) R_{i,i+1}(p) (X_{i+2}...X_k), equivalent
+  to the dynamic flavor by conjugation with X_1...X_k.
+
+A representation is its generators, with no record of its flavor,
+parameters or point: a check that reads them takes them as arguments.
 
 One window recursion serves the q-antisymmetrizer and the symmetrizer.
 In H_k(t) the window of sites i..j is built by
@@ -129,11 +133,6 @@ class HeckeWord:
                           for w, c in sorted(self.terms.items())) or "0"
 
 
-CONSTANT = "constant"
-DYNAMIC = "dynamic"
-LOCALIZED_LAST = "localized-last"
-
-
 def _lift(op, first, a, b):
     """op, acting on the sites from `first` on, as an operator on sites
     a..b: identities on the sites it does not act on."""
@@ -144,14 +143,10 @@ class HeckeRep:
     """A representation of H_k(q) on V^(x)k: each generator kept as its
     local block and the first site it acts on."""
 
-    def __init__(self, k, ctx, blocks, starts, flavor, params=None,
-                 base=None):
+    def __init__(self, k, ctx, blocks, starts):
         self.k = k
         self.ctx = ctx
         self.n = blocks[0].n if blocks else ctx.n
-        self.flavor = flavor
-        self.params = params
-        self.base = base
         self._blocks = blocks          # local blocks of g_1 .. g_{k-1}
         self._starts = starts          # the first site of each
         self._images = [None] * len(blocks)     # k-site images, on use
@@ -162,22 +157,21 @@ class HeckeRep:
     @classmethod
     def constant(cls, n, ctx, k):
         R = build_dj(n, ctx)
-        return cls(k, ctx, [R] * (k - 1), list(range(1, k)), CONSTANT)
+        return cls(k, ctx, [R] * (k - 1), list(range(1, k)))
 
     @classmethod
     def dynamic(cls, params, p, k, rmat=None):
         rmx = rmat if rmat is not None else DynRMatrix(params)
-        blocks = [dressed_block(params.n, rmx.at, i - 1, p, sign=-1,
-                                side="prefix") for i in range(1, k)]
-        return cls(k, params.ctx, blocks, [1] * (k - 1), DYNAMIC, params, p)
+        blocks = [dressed_block(rmx.at, i - 1, p, "prefix")
+                  for i in range(1, k)]
+        return cls(k, params.ctx, blocks, [1] * (k - 1))
 
     @classmethod
     def localized_last(cls, params, p, k, rmat=None):
         rmx = rmat if rmat is not None else DynRMatrix(params)
-        blocks = [dressed_block(params.n, rmx.at, k - i - 1, p, sign=+1,
-                                side="suffix") for i in range(1, k)]
-        return cls(k, params.ctx, blocks, list(range(1, k)), LOCALIZED_LAST,
-                   params, p)
+        blocks = [dressed_block(rmx.at, k - i - 1, p, "suffix")
+                  for i in range(1, k)]
+        return cls(k, params.ctx, blocks, list(range(1, k)))
 
     def span(self, gens):
         """(first, last): the sites from the first one any generator g_l,
@@ -467,16 +461,13 @@ def locality_structure(rep):
     return out
 
 
-def global_conjugation_equivalent(rep_dynamic, rep_local):
-    """The localized-last flavor equals the dynamic one conjugated by the
-    full product X_1...X_k (entry (I, J) at p + v(I_1) + ... + v(I_k)).
-    Row I of g_i's support is the row (I_i, I_{i+1}) of R at
-    p + v(I_i) + ... + v(I_k), the prefix's shift cancelling the
-    dressing, evaluated alone by :func:`~qdyb.rmatrix.dyn_entries`."""
-    assert rep_dynamic.flavor == DYNAMIC and rep_local.flavor == LOCALIZED_LAST
-    assert rep_dynamic.base == rep_local.base
-    p = rep_dynamic.base
-    params = rep_dynamic.params
+def global_conjugation_equivalent(params, p, rep_dynamic, rep_local):
+    """The localized-last representation of params at p equals the
+    dynamic one conjugated by the full product X_1...X_k (entry (I, J)
+    at p + v(I_1) + ... + v(I_k)).  Row I of g_i's support in rep_dynamic
+    is the row (I_i, I_{i+1}) of R at p + v(I_i) + ... + v(I_k), the
+    prefix's shift cancelling the dressing, evaluated alone by
+    :func:`~qdyb.rmatrix.dyn_entries`."""
     n, k = rep_dynamic.n, rep_dynamic.k
     for i in range(1, k):
         entries = []

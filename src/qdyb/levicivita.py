@@ -148,8 +148,7 @@ def projector_from_eps(params, p, window, k):
         return inv_fact * (build_eps_dyn(params, pp, CONTRA)
                            * build_eps_dyn(params, pp, CO))
 
-    block = dressed_block(n, builder, window - 1, p, sign=-1, side="prefix")
-    return block.embed(1, k) if block.rk < k else block
+    return dressed_block(builder, window - 1, p, "prefix").embed(1, k)
 
 
 # -- the diagonal transport matrices N and K ------------------------------
@@ -271,9 +270,8 @@ def dressed_bra_tensor(params, p):
     """The site-1-conjugated covariant tensor on sites 2..n+1: the row
     tensor T with T[i; j_1..j_{n+1}] = delta(i, j_1) E_[j_2..j_{n+1}]
     evaluated at p - v(i)."""
-    return dressed_block(params.n,
-                         lambda pp: build_eps_dyn(params, pp, CO),
-                         1, p, sign=-1, side="prefix")
+    return dressed_block(lambda pp: build_eps_dyn(params, pp, CO), 1, p,
+                         "prefix")
 
 
 def window_shift_relations_dyn(params, p, rmat=None):

@@ -119,19 +119,23 @@ class DynRMatrix:
 # -- dressed (shift-conjugated) evaluation ------------------------------
 
 
-def dressed_block(n, builder, dress, p, sign=-1, side="prefix"):
-    """Assemble the operator that acts on `dress` extra sites diagonally
-    and whose block at the extra multi-index (i_1..i_d) is
+def dressed_block(builder, dress, p, side):
+    """Assemble the operator that acts on `dress` extra sites diagonally,
+    before the block's sites (side 'prefix') or after them ('suffix'),
+    and whose block at the extra multi-index (i_1..i_d) is builder at
 
-        builder(p + sign * (v(i_1) + ... + v(i_d))).
+        p - v(i_1) - ... - v(i_d)   on the prefix side,
+        p + v(i_1) + ... + v(i_d)   on the suffix side.
 
-    sign=-1 with side='prefix' realizes conjugation by X_1...X_d from
-    the left; sign=+1 with side='suffix' realizes conjugation by
-    (X_{m+1}...X_k)^(-1) from the left.  Blocks may be rectangular (a
+    The side alone sets the sign of the shift: the prefix side realizes
+    conjugation by X_1...X_d from the left, the suffix side conjugation
+    by (X_{m+1}...X_k)^(-1) from the left.  Blocks may be rectangular (a
     bra or ket tensor); the extra sites are added on both sides.
     """
+    sign = {"prefix": -1, "suffix": +1}[side]
     if dress == 0:
         return builder(p)
+    n = p.n
 
     def placed(k, e):
         """Indices on k sites -> on dress + k sites, extra index e."""
@@ -308,7 +312,7 @@ def verify_qdybe(params, p, rmx=None):
     records.append(compare(
         "qdybe.middle-construction-equivalence",
         params.ctx.field.one / D * layouts[0][1],
-        dressed_block(n, rmx.at, 1, p, sign=-1, side="prefix")))
+        dressed_block(rmx.at, 1, p, "prefix")))
     shifted, conjugated = (_braid(a, m) for a, m in layouts)
     exchanged = None if conjugated is None else conjugated.permuted(
         (3, 2, 1), (3, 2, 1))

@@ -32,10 +32,10 @@ from .tensor import TensorOp
 
 SCHEMA = "qdyb-report/1"
 
-SUITES = ("params", "qdybe", "hecke", "epsilon", "appendix", "qmatrix",
-          "wznw")
-
 ALPHAS = ("unit", "standard")
+
+#: the negative controls: each breaks what one suite checks
+CORRUPTIONS = ("beta", "eps-sign", "xi", "xunit", "scale")
 
 
 def fixed_params(n, q, root, beta, alpha, field):
@@ -63,6 +63,10 @@ class RunConfig:
         if alpha not in ALPHAS:
             raise DegenerateParameterError(
                 "alpha %r must be one of %s" % (alpha, ", ".join(ALPHAS)))
+        if corrupt is not None and corrupt not in CORRUPTIONS:
+            raise DegenerateParameterError(
+                "corrupt %r must be one of %s"
+                % (corrupt, ", ".join(CORRUPTIONS)))
         self.n = n
         self.q = q
         self.root = root
@@ -375,7 +379,8 @@ def suite_hecke(cfg):
                          loc[0] is True and all(x is False
                                                 for x in loc[1:])))
     records.append(Check("hecke.localized-last-equivalence",
-                         hecke.global_conjugation_equivalent(drep, lrep)))
+                         hecke.global_conjugation_equivalent(
+                             params, p, drep, lrep)))
     return records
 
 
@@ -557,14 +562,17 @@ def suite_wznw(cfg):
 # -- report assembly -------------------------------------------------------
 
 
-def run_suite(name, cfg):
-    t0 = time.time()
-    fn = {"params": suite_params, "qdybe": suite_qdybe,
+#: the suites by name, in the order `run` takes them for "all"
+SUITES = {"params": suite_params, "qdybe": suite_qdybe,
           "hecke": suite_hecke, "epsilon": suite_epsilon,
           "appendix": suite_appendix, "qmatrix": suite_qmatrix,
-          "wznw": suite_wznw}[name]
+          "wznw": suite_wznw}
+
+
+def run_suite(name, cfg):
+    t0 = time.time()
     try:
-        records = fn(cfg)
+        records = SUITES[name](cfg)
     except (PoleError, DegenerateParameterError) as e:
         records = [Check("%s.setup" % name, False, str(e))]
     records = sorted(records, key=lambda c: c.id)

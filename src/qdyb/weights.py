@@ -108,29 +108,28 @@ class PairFamily:
     (j,i); the constraint forces w_ij = w_ji, not w_ij w_ji = 1).
 
     The same structure serves for the alpha parameters and for diagonal
-    twists psi.
+    twists psi.  Its values are in `field`; w is None for the constant
+    kind.
     """
 
-    __slots__ = ("n", "kind", "c", "w")
+    __slots__ = ("n", "kind", "c", "w", "field")
 
-    def __init__(self, n, kind, c, w=None):
+    def __init__(self, n, kind, c, w, field):
         assert kind in ("constant", "geometric")
         self.n = n
         self.kind = kind
         self.c = dict(c)
         self.w = dict(w) if w else {}
+        self.field = field
         self._validate()
 
     def _validate(self):
-        one = None
         for i in range(1, self.n + 1):
             for j in range(1, self.n + 1):
                 if i == j:
                     continue
                 cij = self.c[(i, j)]
-                if one is None:
-                    one = cij / cij
-                if cij * self.c[(j, i)] != one:
+                if cij * self.c[(j, i)] != self.field.one:
                     raise DegenerateParameterError(
                         "alpha constraint broken: c_%d%d * c_%d%d != 1"
                         % (i, j, j, i))
@@ -143,7 +142,7 @@ class PairFamily:
     def unit(cls, n, field):
         c = {(i, j): field.one
              for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-        return cls(n, "constant", c)
+        return cls(n, "constant", c, None, field)
 
     @classmethod
     def standard(cls, n, ctx):
@@ -156,7 +155,7 @@ class PairFamily:
                     c[(i, j)] = ctx.q
                 elif i > j:
                     c[(i, j)] = ctx.qbar
-        return cls(n, "constant", c)
+        return cls(n, "constant", c, None, ctx.field)
 
     @classmethod
     def constant(cls, n, upper, field):
@@ -167,7 +166,7 @@ class PairFamily:
             v = field.of(v)
             c[(i, j)] = v
             c[(j, i)] = field.one / v
-        return cls(n, "constant", c)
+        return cls(n, "constant", c, None, field)
 
     @classmethod
     def geometric(cls, n, upper_c, ratio_w, field):
@@ -181,13 +180,12 @@ class PairFamily:
             r = field.of(ratio_w[(i, j)])
             w[(i, j)] = r
             w[(j, i)] = r
-        return cls(n, "geometric", c, w)
+        return cls(n, "geometric", c, w, field)
 
     def __call__(self, i, j, arg):
         """alpha_ij evaluated at integer (or, for constant kind, any) arg."""
         if i == j:
-            one = next(iter(self.c.values()), Fraction(1))
-            return one / one if self.c else Fraction(1)
+            return self.field.one
         cij = self.c[(i, j)]
         if self.kind == "constant":
             return cij
@@ -200,25 +198,23 @@ class PairFamily:
         """The effect of the diagonal twist by psi:
         alpha_ij(x) -> alpha_ij(x) * psi_ji(-x)^2."""
         assert psi.n == self.n
-        if self.kind == "constant" and psi.kind == "constant":
-            c = {k: self.c[k] * psi.c[(k[1], k[0])] ** 2 for k in self.c}
-            return PairFamily(self.n, "constant", c)
-        # both promoted to geometric; missing ratios default to 1
-        one = next(iter(self.c.values()))
-        one = one / one
         c = {k: self.c[k] * psi.c[(k[1], k[0])] ** 2 for k in self.c}
+        if self.kind == "constant" and psi.kind == "constant":
+            return PairFamily(self.n, "constant", c, None, self.field)
+        # both promoted to geometric; missing ratios default to 1
+        one = self.field.one
         w = {}
         for (i, j) in self.c:
             wa = self.w.get((i, j), one)
             wp = psi.w.get((i, j), one)
             w[(i, j)] = wa * wp**-2
-        return PairFamily(self.n, "geometric", c, w)
+        return PairFamily(self.n, "geometric", c, w, self.field)
 
     def phi(self, i, j, arg):
         """The discrete antiderivative phi with
         phi_ij(x+1)/phi_ij(x) = alpha_ij(x): c^x * w^(x(x-1)/2)."""
         if i == j:
-            return self(1, 1, 0)
+            return self.field.one
         x = int(arg)
         val = self.c[(i, j)] ** x
         if self.kind == "geometric":

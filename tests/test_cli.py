@@ -210,6 +210,12 @@ PINNED_REPORTS = {
     "verify qdybe --n 2 --corrupt beta --backend prime": "d99466b192f638f2",
     "verify epsilon --n 2 --corrupt eps-sign --backend prime":
         "9d8226e9868df6dc",
+    "verify hecke --n 2 --corrupt beta": "02b9f93a9dc0cdf0",
+    "verify hecke --n 2 --corrupt beta --backend prime": "d8825d6132fea1a5",
+    "verify hecke --n 3 --seed 7 --backend prime": "6d61a3db1b44fe22",
+    "verify epsilon --n 3 --seed 7 --backend prime": "07625ca5248f5381",
+    "verify qdybe --n 3 --seed 7 --backend prime": "f6b10cb4ce94d310",
+    "verify all --n 2 --seed 7 --alpha standard": "a0c49f16627a367c",
 }
 
 
@@ -222,6 +228,24 @@ def test_verify_all_report_bytes_pinned(capsys, argv):
     text = json.dumps(strip_timing(json.loads(out)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
         PINNED_REPORTS[argv]
+
+
+def test_runconfig_takes_only_the_cli_corruption_names(capsys):
+    """A corruption no suite knows is refused, as an unknown alpha is,
+    instead of running clean and reporting pass; the CLI offers the
+    same names."""
+    for name in verify.CORRUPTIONS + (None,):
+        assert RunConfig(n=2, draws=1, points=1, corrupt=name).corrupt \
+            == name
+    for bad in ("Beta", "", "eps_sign", "all"):
+        with pytest.raises(DegenerateParameterError,
+                           match=re.escape("corrupt %r" % bad)):
+            RunConfig(n=2, draws=1, points=1, corrupt=bad)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "params", "--corrupt", "Beta"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(repr(name) in err for name in verify.CORRUPTIONS), err
 
 
 def test_verify_all_n3_prime_report_bytes_pinned(capsys):
@@ -252,7 +276,7 @@ def test_suites_redraw_params_without_a_pole_free_point(capsys, argv):
 def test_suite_that_compares_nothing_is_skip(capsys, monkeypatch):
     for records in ([], [Check("wznw.x", None, "no root"),
                          Check("wznw.y", None, "no root")]):
-        monkeypatch.setattr(verify, "suite_wznw", lambda cfg: records)
+        monkeypatch.setitem(verify.SUITES, "wznw", lambda cfg: records)
         code, out, _ = run_cli(capsys, "verify", "wznw")
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "skip"

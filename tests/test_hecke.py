@@ -43,10 +43,10 @@ def test_relations_constant_and_dynamic():
     ctx = QContext(Fraction(3, 2), 3)
     rep = HeckeRep.constant(3, ctx, 4)
     assert rep.relations_hold()
-    drep = dyn_rep(3, 4, rng)
-    assert drep.relations_hold()
-    lrep = HeckeRep.localized_last(drep.params, drep.base, 4)
-    assert lrep.relations_hold()
+    params = sample_params(3, rng)
+    p = sample_point(params, rng, clearance=4)
+    assert HeckeRep.dynamic(params, p, 4).relations_hold()
+    assert HeckeRep.localized_last(params, p, 4).relations_hold()
 
 
 def test_generator_inverse_and_quadratic():
@@ -118,15 +118,20 @@ def test_tampered_image_breaks_symmetrizer_on_every_call():
 FLAVORS = ("constant", "dynamic", "localized-last")
 
 
+def flavor_draw(n, k, seed):
+    """The parameters and point drawn from the seed."""
+    rng = random.Random(seed)
+    params = sample_params(n, rng)
+    return params, sample_point(params, rng, clearance=k)
+
+
 def flavor_builder(flavor, n, k, seed):
     """A function building a fresh representation of the flavor, at
     parameters and a point drawn once from the seed."""
     if flavor == "constant":
         ctx = QContext(Fraction(3, 2), n)
         return lambda: HeckeRep.constant(n, ctx, k)
-    rng = random.Random(seed)
-    params = sample_params(n, rng)
-    p = sample_point(params, rng, clearance=k)
+    params, p = flavor_draw(n, k, seed)
     make = (HeckeRep.dynamic if flavor == "dynamic"
             else HeckeRep.localized_last)
     return lambda: make(params, p, k)
@@ -221,18 +226,16 @@ def reference_window(rep, sign, i, j, memo):
     return memo[sign, i, j]
 
 
-def embedded_image(rep, i):
-    """g_i built from R(p) and embedded on all k sites, apart from the
-    representation's own storage."""
+def embedded_image(flavor, rep, i, params, p):
+    """g_i of the flavor at params and p, built from R(p) and embedded
+    on all k sites, apart from the representation's own storage."""
     n, k = rep.n, rep.k
-    if rep.flavor == "constant":
+    if flavor == "constant":
         return build_dj(n, rep.ctx).embed(i, k)
-    rmx = DynRMatrix(rep.params)
-    if rep.flavor == "dynamic":
-        return dressed_block(n, rmx.at, i - 1, rep.base, sign=-1,
-                             side="prefix").embed(1, k)
-    return dressed_block(n, rmx.at, k - i - 1, rep.base, sign=+1,
-                         side="suffix").embed(i, k)
+    rmx = DynRMatrix(params)
+    if flavor == "dynamic":
+        return dressed_block(rmx.at, i - 1, p, "prefix").embed(1, k)
+    return dressed_block(rmx.at, k - i - 1, p, "suffix").embed(i, k)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -242,8 +245,9 @@ def test_windows_on_spans_equal_the_k_site_recursion(flavor, n, k):
     the generators agree with the k-site images, and every memoized
     window is kept on its generators' span, not on k sites."""
     rep = flavor_builder(flavor, n, k, 61)()
+    params, p = flavor_draw(n, k, 61)
     for i in range(1, k):
-        assert rep.image(i) == embedded_image(rep, i)
+        assert rep.image(i) == embedded_image(flavor, rep, i, params, p)
     memo = {}
     for i in range(1, k + 1):
         for j in range(i, k + 1):
@@ -451,7 +455,7 @@ def test_localized_last_equivalence(monkeypatch):
         return dynamic(params, pp, k, rmat)
 
     monkeypatch.setattr(HeckeRep, "dynamic", counted)
-    assert global_conjugation_equivalent(drep, lrep)
+    assert global_conjugation_equivalent(params, p, drep, lrep)
     assert built == []
     for i in (1, 2):
         rebuilt = lambda pp: HeckeRep.dynamic(params, pp, 3).image(i)
@@ -470,7 +474,7 @@ def test_localized_last_equivalence_fails_on_a_tampered_entry():
     drep = HeckeRep.dynamic(params, p, 3)
     for i in (1, 2):
         lrep = HeckeRep.localized_last(params, p, 3)
-        assert global_conjugation_equivalent(drep, lrep)
+        assert global_conjugation_equivalent(params, p, drep, lrep)
         img = lrep.image(i)
         r, row = next(iter(sorted(img.rows.items())))
         c = max(row)
@@ -479,7 +483,7 @@ def test_localized_last_equivalence_fails_on_a_tampered_entry():
         lrep._images[i - 1] = TensorOp._make(img.n, img.rk, img.ck, rows,
                                              img.den, img.p)
         assert lrep.image(i) != img
-        assert not global_conjugation_equivalent(drep, lrep)
+        assert not global_conjugation_equivalent(params, p, drep, lrep)
 
 
 def test_symmetrizer_tower_lightly():

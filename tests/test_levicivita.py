@@ -184,12 +184,11 @@ def test_dressed_block_on_bra_and_ket_blocks():
         bra = TensorOp.from_entries(n, 1, n + 1, bra_rows, params.ctx.field)
         ket = TensorOp.from_entries(n, n + 1, 1, ket_rows, params.ctx.field)
         assert dressed_block(
-            n, lambda pp: build_eps_dyn(params, pp, CO), 1, p,
-            sign=-1, side="prefix") == bra
+            lambda pp: build_eps_dyn(params, pp, CO), 1, p, "prefix") == bra
         assert dressed_bra_tensor(params, p) == bra
         assert dressed_block(
-            n, lambda pp: build_eps_dyn(params, pp, CONTRA), 1, p,
-            sign=+1, side="suffix") == ket
+            lambda pp: build_eps_dyn(params, pp, CONTRA), 1, p,
+            "suffix") == ket
 
 
 def test_window_shift_relations():

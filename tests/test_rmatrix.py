@@ -371,7 +371,8 @@ def test_twist_checks_and_alpha_cancellation():
     psi = sample_twist(3, rng, params.ctx.field)
     twisted = params.twisted(psi)
     inv_psi = PairFamily(3, "constant",
-                         {k: 1 / v for k, v in psi.c.items()})
+                         {k: 1 / v for k, v in psi.c.items()}, None,
+                         params.ctx.field)
     back = twisted.twisted(inv_psi)
     for i in range(1, 4):
         for j in range(1, 4):
@@ -488,23 +489,26 @@ BRAID_IDS = ("qdybe.braid.shifted-form", "qdybe.braid.site3-conjugated",
 def reference_operands(params, p):
     """The braid layouts' (rec_id, D, a, m) through the generic machinery:
     R(p) embedded by kron (R_12, R_23, and the flipped R_12), the middle
-    factor assembled from the matrices at p - v(e), G and H dressed by
-    dressed_block (H from flipped matrices), and each pair cleared onto
-    the lcm D of its denominators (D = 1 over F_p)."""
+    factor and H assembled from the matrices at p - v(e) and the flipped
+    ones at p + v(e), G dressed by dressed_block, and each pair cleared
+    onto the lcm D of its denominators (D = 1 over F_p)."""
     n = params.n
     rmx = DynRMatrix(params)
     R = rmx.at(p)
-    parts = []
-    for e in range(1, n + 1):
-        at = {x: (e - 1) * n**2 + x for x in range(n**2)}
-        parts.append((rmx.at(p.shift(e, -1)), at, at))
+
+    def middle(builder, sign):
+        """Diagonal in site 1: builder(p + sign v(e)) at its index e."""
+        parts = []
+        for e in range(1, n + 1):
+            at = {x: (e - 1) * n**2 + x for x in range(n**2)}
+            parts.append((builder(p.shift(e, sign)), at, at))
+        return TensorOp.assemble(n, 3, 3, parts, params.ctx.field)
+
     pairs = [
-        (R.embed(1, 3), TensorOp.assemble(n, 3, 3, parts, params.ctx.field)),
-        (R.embed(2, 3),
-         dressed_block(n, rmx.at, 1, p, sign=+1, side="suffix")),
+        (R.embed(1, 3), middle(rmx.at, -1)),
+        (R.embed(2, 3), dressed_block(rmx.at, 1, p, "suffix")),
         (flipped(R).embed(1, 3),
-         dressed_block(n, lambda pp: flipped(rmx.at(pp)), 1, p, sign=+1,
-                       side="prefix")),
+         middle(lambda pp: flipped(rmx.at(pp)), +1)),
     ]
     return [(rec_id, 1 if A.p is not None else lcm(A.den, M.den))
             + tuple(TensorOp.cleared(A, M))

@@ -211,11 +211,33 @@ def test_phi_is_discrete_antiderivative():
         assert fam.phi(2, 1, x + 1) == fam(2, 1, x) * fam.phi(2, 1, x)
 
 
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(101)])
+def test_a_pair_family_is_over_its_field(field):
+    """The diagonal alpha and phi of either kind, and of a twisted
+    family, are the given field's one; a family whose values are of
+    another field raises naming both."""
+    const = PairFamily.constant(3, {(1, 2): 2, (1, 3): Fraction(1, 3),
+                                    (2, 3): 5}, field)
+    geo = PairFamily.geometric(3, {(1, 2): 3, (1, 3): 7, (2, 3): -2},
+                               {(1, 2): 2, (1, 3): 3, (2, 3): 4}, field)
+    for fam in (const, geo, const.twisted(geo), geo.twisted(const)):
+        assert fam.field == field
+        for i in range(1, 4):
+            for x in (-2, 0, 3):
+                for one in (fam(i, i, x), fam.phi(i, i, x)):
+                    assert one == field.one
+                    assert type(one) is type(field.one)
+    other = PrimeField(101).of if field is RATIONAL else Fraction
+    with pytest.raises(ValueError, match="mixed fields"):
+        PairFamily(2, "constant", {(1, 2): other(2), (2, 1): other(1) / 2},
+                   None, field)
+
+
 def test_geometric_alpha_bad_ratio_rejected():
     with pytest.raises(DegenerateParameterError):
         PairFamily(2, "geometric",
                    {(1, 2): Fraction(2), (2, 1): Fraction(1, 2)},
-                   {(1, 2): Fraction(2), (2, 1): Fraction(1, 2)})
+                   {(1, 2): Fraction(2), (2, 1): Fraction(1, 2)}, RATIONAL)
 
 
 def test_degenerate_chain_raises():
