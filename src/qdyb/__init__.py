@@ -17,8 +17,7 @@ from .rmatrix import (
     build_dyn, diag_inversion, invert_dyn, twist_checks, verify_qdybe,
 )
 from .hecke import (
-    HeckeRep, HeckeWord, antisym, height,
-    top_vanish_equivalents,
+    HeckeRep, antisym, height, top_vanish_equivalents,
 )
 from .levicivita import (
     CO, CONTRA, build_eps_const, build_eps_dyn, build_nk, build_nk_const,

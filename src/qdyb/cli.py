@@ -256,7 +256,7 @@ def main(argv=None):
     v.add_argument("--draws", type=int, default=5)
     v.add_argument("--points", type=int, default=3, help=POINTS_HELP)
     v.add_argument("--backend", default="rational")
-    v.add_argument("--corrupt", choices=verify.CORRUPTIONS)
+    v.add_argument("--corrupt", choices=list(verify.CORRUPTIONS))
     v.set_defaults(fn=cmd_verify)
 
     r = subs.add_parser("derive", help="replay derivations")

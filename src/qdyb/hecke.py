@@ -1,4 +1,4 @@
-"""Hecke algebra words, their tensor representations, q-antisymmetrizers.
+"""Tensor representations of the Hecke algebra, q-antisymmetrizers.
 
 The abstract algebra H_k(q) has generators g_1 .. g_{k-1} with
 
@@ -6,9 +6,11 @@ The abstract algebra H_k(q) has generators g_1 .. g_{k-1} with
     g_i^2 = 1 + (q - qbar) g_i,
     g_i g_j = g_j g_i               (|i - j| >= 2).
 
-Elements are kept as free linear combinations of words; no normal form
-is claimed at this level.  Generator inverses exist abstractly through
-the quadratic relation, g^(-1) = g - (q - qbar).
+Generator inverses exist through the quadratic relation,
+g^(-1) = g - (q - qbar).  No free algebra of words is modeled: a word is
+a tuple of letters, +l for g_l and -l for its inverse, which a
+representation applies (:meth:`HeckeRep.word`), and a combination of
+words is a list of (letters, coefficient) pairs (:meth:`HeckeRep.apply`).
 
 Three constructors of :class:`HeckeRep`, one per flavor, on V^(x)k:
 
@@ -71,66 +73,8 @@ import itertools
 from .checks import Check, compare
 from .scalars import RATIONAL, DegenerateParameterError, qnum
 from .tensor import TensorOp, flat_index, multi_index
-from .rmatrix import DynRMatrix, build_dj, dressed_block, dyn_entries
-
-
-class HeckeWord:
-    """A linear combination of words in g_i^(+-1), free of relations.
-
-    Words are tuples of nonzero signed integers: +i for g_i, -i for the
-    inverse.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[tuple(w)] = self.terms.get(tuple(w), 0) + c
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    @classmethod
-    def gen(cls, i, power=1):
-        assert i >= 1
-        return cls({(i if power > 0 else -i,) * abs(power): 1})
-
-    @classmethod
-    def word(cls, letters):
-        return cls({tuple(letters): 1})
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, 0) + c
-        return HeckeWord(t)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, s):
-        return HeckeWord({w: s * c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, HeckeWord):
-            return NotImplemented
-        t = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                t[w] = t.get(w, 0) + c1 * c2
-        return HeckeWord(t)
-
-    def __repr__(self):
-        def show(w):
-            return "*".join("g%d" % l if l > 0 else "g%d^-1" % -l
-                            for l in w) or "1"
-        return " + ".join("%s %s" % (c, show(w))
-                          for w, c in sorted(self.terms.items())) or "0"
+from .rmatrix import (DynRMatrix, braid_sides, build_dj, dressed_block,
+                      dyn_entries)
 
 
 def _lift(op, first, a, b):
@@ -202,18 +146,27 @@ class HeckeRep:
             self._inverses[i - 1] = self.image(i) - lam * ident
         return self._inverses[i - 1]
 
-    def apply(self, elt):
-        """Image of a HeckeWord: multiplicative on words, linear overall.
-        A word's product starts from its first letter's image and the sum
-        from its first term; only the empty word is the identity."""
+    def word(self, letters):
+        """The image of a word, the product of its letters' images (+l
+        for g_l, -l for its inverse): it starts from the first letter's
+        image, and only the empty word is the identity."""
+        ops = [self.image(l) if l > 0 else self.image_inv(-l)
+               for l in letters]
+        if not ops:
+            return TensorOp.identity(self.n, self.k, self.ctx.field)
+        out = ops[0]
+        for x in ops[1:]:
+            out = out * x
+        return out
+
+    def apply(self, terms):
+        """The image of sum c w over the (letters w, coefficient c)
+        pairs, linear in the terms and summed from the first one: no
+        terms give the zero operator."""
         out = None
-        for w, c in elt.terms.items():
-            ops = [self.image(l) if l > 0 else self.image_inv(-l) for l in w]
-            op = ops[0] if ops else TensorOp.identity(self.n, self.k,
-                                                      self.ctx.field)
-            for x in ops[1:]:
-                op = op * x
-            out = c * op if out is None else out + c * op
+        for letters, c in terms:
+            op = c * self.word(letters)
+            out = op if out is None else out + op
         if out is None:
             return TensorOp.zero(self.n, self.k, self.k, self.ctx.field)
         return out
@@ -236,7 +189,7 @@ class HeckeRep:
 
         for i in range(1, self.k - 1):
             a, b = TensorOp.cleared(*on_span(i, i + 1))
-            yield ("braid", i), *_braid_sides(a, b)
+            yield ("braid", i), *braid_sides(a, b)
         for i in range(1, self.k):
             a = self._blocks[i - 1]         # on its own span
             yield (("quadratic", i), a * a,
@@ -249,12 +202,6 @@ class HeckeRep:
     def relations_hold(self):
         """Exact check of the braid, quadratic and locality relations."""
         return all(lhs == rhs for _, lhs, rhs in self.relations())
-
-
-def _braid_sides(a, b):
-    """(aba, bab) as (x a, b x) with x = a b: 3 products."""
-    x = a * b
-    return x * a, b * x
 
 
 def antisym(rep, i, j):
@@ -397,8 +344,8 @@ def top_vanish_equivalents(rep, n):
     ctx = rep.ctx
     A = antisym(rep, 1, n)
     B = antisym(rep, 2, n + 1)
-    down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))
-    up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
+    down = rep.word(range(n, 0, -1))
+    up = rep.word(range(1, n + 1))
     s = (-1) ** (n - 1) * ctx.q * qnum(n, ctx)
 
     inv2 = 1 / qnum(n, ctx) ** 2
@@ -413,10 +360,8 @@ def top_vanish_equivalents(rep, n):
     ]
 
     # alternating expansion of the top antisymmetrizer
-    alt = HeckeWord({(): ctx.qpow(n)})
-    for m in range(1, n + 1):
-        word = tuple(range(n, n - m, -1))
-        alt = alt + HeckeWord({word: (-1) ** m * ctx.qpow(n - m)})
+    alt = [(range(n, n - m, -1), (-1) ** m * ctx.qpow(n - m))
+           for m in range(n + 1)]
     lhs = antisym(rep, 1, n + 1)
     rhs = (1 / qnum(n + 1, ctx)) * (A * rep.apply(alt))
     records.append(compare("top-vanish.alternating-expansion", lhs, rhs))
@@ -430,8 +375,8 @@ def inner_automorphism_check(rep, i, r):
     on sites i..r+i onto the one on sites i+1..r+i+1; checked on
     generators and on the window antisymmetrizers."""
     assert r + i + 1 <= rep.k
-    W = rep.apply(HeckeWord.word(tuple(range(i, r + i + 1))))
-    Winv = rep.apply(HeckeWord.word(tuple(-l for l in range(r + i, i - 1, -1))))
+    W = rep.word(range(i, r + i + 1))
+    Winv = rep.word(-l for l in range(r + i, i - 1, -1))
     ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field)
     records = [Check("inner-auto.invertible", W * Winv == ident)]
     ok = True

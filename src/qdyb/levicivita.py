@@ -37,7 +37,7 @@ from .checks import Check, compare
 from .scalars import (DegenerateParameterError, fmt_scalar, qfact,
                       qfact_base, qnum, qnum_base)
 from .tensor import TensorOp
-from .hecke import HeckeRep, HeckeWord
+from .hecke import HeckeRep
 from .rmatrix import dressed_block
 
 
@@ -257,8 +257,8 @@ def window_shift_relations_const(n, ctx):
     one_site = TensorOp.identity(n, 1, ctx.field)
     nk = build_nk_const(n, ctx)
 
-    up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
-    down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))
+    up = rep.word(range(1, n + 1))
+    down = rep.word(range(n, 0, -1))
 
     return [compare("window-shift.const-up", up * ket.kron(one_site),
                     ctx.q * nk.n_op().kron(ket)),
@@ -292,8 +292,8 @@ def window_shift_relations_dyn(params, p, rmat=None):
     bra = build_eps_dyn(params, p, CO)
     one_site = TensorOp.identity(n, 1, ctx.field)
     dressed = dressed_bra_tensor(params, p)
-    up = rep.apply(HeckeWord.word(tuple(range(1, n + 1))))
-    down = rep.apply(HeckeWord.word(tuple(range(n, 0, -1))))
+    up = rep.word(range(1, n + 1))
+    down = rep.word(range(n, 0, -1))
 
     return [compare("window-shift.dyn-down", bra.kron(one_site) * down,
                     ctx.q * (nk.k_op() * dressed)),

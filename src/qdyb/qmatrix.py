@@ -23,9 +23,9 @@ A braid word (the `word` of a `rho` or `rho_dyn` factor) is a list of
 [coefficient, letters] terms, applied letter by letter in the Hecke
 representation on the factor's spaces, or {"antisym": m}, which
 resolves to hecke.antisym(rep, 1, m): the window antisymmetrizer from
-that representation's memo (keyed (sign, i, j)), equal to the image of
-the word-level recursion because the representation is linear and
-multiplicative on free words.
+that representation's memo (keyed (sign, i, j)): the window recursion
+run on the generators' images, which is the image of its expansion into
+words because a representation is linear and multiplicative.
 
 A script is checked before any replay against one declared schema,
 FACTORS, MOVES and SIGNATURES (:func:`derivation_from_json`); replay
@@ -100,7 +100,7 @@ from .scalars import (RATIONAL, DegenerateParameterError, fmt_scalar,
 from .tensor import (Echelon, TensorOp, _assemble, _common_field,
                      _raw_form, _stored_form, _value, flat_index,
                      multi_index)
-from .hecke import HeckeRep, HeckeWord, antisym
+from .hecke import HeckeRep, antisym
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
 from .rmatrix import DynRMatrix, build_dj
 
@@ -293,21 +293,9 @@ class ShiftFunc:
 
     __slots__ = ("coef", "atoms")
 
-    def __init__(self, coef=Fraction(1), atoms=None):
+    def __init__(self, coef, atoms):
         self.coef = coef
-        self.atoms = {}
-        if atoms:
-            for key, e in atoms.items():
-                if e:
-                    self.atoms[key] = self.atoms.get(key, 0) + e
-
-    def shifted(self, m, sign):
-        atoms = {}
-        for (kind, i, j, off), e in self.atoms.items():
-            d = sign * ((1 if m == i else 0) - (1 if m == j else 0))
-            key = (kind, i, j, off + d)
-            atoms[key] = atoms.get(key, 0) + e
-        return ShiftFunc(self.coef, atoms)
+        self.atoms = {key: e for key, e in atoms.items() if e}
 
     def eval(self, params, p):
         v = params.ctx.field.of(self.coef)
@@ -1226,9 +1214,9 @@ def rho_image(rep, word):
         word = word[0]
     if isinstance(word, dict):
         return antisym(rep, 1, word["antisym"])
-    return rep.apply(sum((HeckeWord({tuple(letters): parse_scalar(
-        "word coefficient", coef, rep.ctx.field)})
-        for coef, letters in word), HeckeWord()))
+    return rep.apply([(letters, parse_scalar("word coefficient", coef,
+                                             rep.ctx.field))
+                      for coef, letters in word])
 
 
 # -- expression fragments ----------------------------------------------------

@@ -256,13 +256,19 @@ def _scaled(blocks, prime):
                for block in ratios]
 
 
+def braid_sides(a, b):
+    """(a b a, b a b) as (x a, b x) with the shared factor x = a b: 3
+    products."""
+    x = a * b
+    return x * a, b * x
+
+
 def _braid(a, m):
-    """The residual X a - m X of the braid layout A M A = M A M, or None
-    when it vanishes, with the shared factor X = a m, on the integer
-    multiples a = D A and m = D M of :func:`braid_operands`: the relation
-    is homogeneous of degree 3, so it is D^3 times that on A and M."""
-    x = a * m
-    lhs, rhs = x * a, m * x
+    """The residual of the braid layout A M A = M A M, or None when it
+    vanishes, from the :func:`braid_sides` of the integer multiples
+    a = D A and m = D M of :func:`braid_operands`: the relation is
+    homogeneous of degree 3, so it is D^3 times that on A and M."""
+    lhs, rhs = braid_sides(a, m)
     return None if lhs == rhs else lhs - rhs
 
 

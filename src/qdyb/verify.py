@@ -8,8 +8,11 @@ witness.  Identical configurations produce byte-identical reports except
 for the timing fields.
 
 Every suite also has a deliberately corrupted variant (broken beta
-symmetry, wrong tensor sign, non-unimodular shift dressing, wrong
-determinant scaling) used as a negative control: it must fail.
+symmetry, wrong tensor sign, a wrong xi entry, non-unimodular shift
+dressing, wrong determinant scaling) used as a negative control: it
+must fail.  CORRUPTIONS names the suites each corruption breaks; a run
+of another named suite under it is refused, since it would check
+nothing the corruption touches.
 """
 
 import random
@@ -34,8 +37,10 @@ SCHEMA = "qdyb-report/1"
 
 ALPHAS = ("unit", "standard")
 
-#: the negative controls: each breaks what one suite checks
-CORRUPTIONS = ("beta", "eps-sign", "xi", "xunit", "scale")
+#: the negative controls: each corruption, and the suites it breaks
+CORRUPTIONS = {"beta": ("params", "qdybe", "hecke"),
+               "eps-sign": ("epsilon",), "xi": ("appendix",),
+               "xunit": ("qmatrix",), "scale": ("wznw",)}
 
 
 def fixed_params(n, q, root, beta, alpha, field):
@@ -67,6 +72,10 @@ class RunConfig:
             raise DegenerateParameterError(
                 "corrupt %r must be one of %s"
                 % (corrupt, ", ".join(CORRUPTIONS)))
+        if corrupt == "beta" and beta == "infinity":
+            raise DegenerateParameterError(
+                "corrupt 'beta' breaks a finite beta chain, and beta "
+                "infinity has none")
         self.n = n
         self.q = q
         self.root = root
@@ -584,6 +593,16 @@ def run_suite(name, cfg):
 
 
 def run(cfg, suite="all"):
+    """The report of one suite, or of every suite for "all".  A named
+    suite that the run's corruption does not break is refused: it would
+    run clean and report pass."""
+    if suite != "all" and cfg.corrupt is not None \
+            and suite not in CORRUPTIONS[cfg.corrupt]:
+        broken = CORRUPTIONS[cfg.corrupt]
+        raise DegenerateParameterError(
+            "corrupt %r breaks only the %s suite%s, not %s"
+            % (cfg.corrupt, ", ".join(broken), "s" * (len(broken) > 1),
+               suite))
     names = SUITES if suite == "all" else (suite,)
     reports = [run_suite(nm, cfg) for nm in names]
     return {"schema": SCHEMA, "suite": suite,

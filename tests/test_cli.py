@@ -216,6 +216,10 @@ PINNED_REPORTS = {
     "verify epsilon --n 3 --seed 7 --backend prime": "07625ca5248f5381",
     "verify qdybe --n 3 --seed 7 --backend prime": "f6b10cb4ce94d310",
     "verify all --n 2 --seed 7 --alpha standard": "a0c49f16627a367c",
+    "verify all --n 2 --draws 1 --points 1 --corrupt beta":
+        "6d4b0c6a9a2edf4c",
+    "verify all --n 2 --draws 1 --points 1 --corrupt xunit":
+        "33564915a708eb40",
 }
 
 
@@ -234,7 +238,7 @@ def test_runconfig_takes_only_the_cli_corruption_names(capsys):
     """A corruption no suite knows is refused, as an unknown alpha is,
     instead of running clean and reporting pass; the CLI offers the
     same names."""
-    for name in verify.CORRUPTIONS + (None,):
+    for name in tuple(verify.CORRUPTIONS) + (None,):
         assert RunConfig(n=2, draws=1, points=1, corrupt=name).corrupt \
             == name
     for bad in ("Beta", "", "eps_sign", "all"):
@@ -246,6 +250,44 @@ def test_runconfig_takes_only_the_cli_corruption_names(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert all(repr(name) in err for name in verify.CORRUPTIONS), err
+
+
+@pytest.mark.parametrize("corrupt", sorted(verify.CORRUPTIONS))
+def test_a_corruption_runs_only_on_the_suites_it_breaks(capsys, corrupt):
+    """Over all suite and --corrupt pairs: a suite the corruption breaks
+    fails with a witness, and any other named suite, which would run
+    clean and report pass, is refused with exit 2 naming the suites the
+    corruption breaks."""
+    broken = verify.CORRUPTIONS[corrupt]
+    assert broken and set(broken) <= set(verify.SUITES)
+    for suite in verify.SUITES:
+        code, out, err = run_cli(capsys, "verify", suite, "--n", "2",
+                                 "--draws", "1", "--points", "1",
+                                 "--corrupt", corrupt)
+        if suite in broken:
+            assert code == 1, (suite, err)
+            (rep,) = json.loads(out)["reports"]
+            fails = [r for r in rep["records"] if r["status"] == "fail"]
+            assert any("witness" in r for r in fails), (suite, fails)
+        else:
+            assert code == 2 and not out, suite
+            assert "corrupt %r breaks only the %s suite" % (
+                corrupt, ", ".join(broken)) in err, err
+            assert err.rstrip().endswith("not %s" % suite), err
+
+
+@pytest.mark.parametrize("suite", ["params", "qdybe", "hecke", "all"])
+def test_corrupt_beta_needs_a_finite_beta_chain(capsys, suite):
+    """beta infinity has no chain for --corrupt beta to break: on each
+    suite the corruption breaks, and on all, the run is refused by name
+    with exit 2."""
+    code, out, err = run_cli(capsys, "verify", suite, "--n", "2", "--beta",
+                             "infinity", "--corrupt", "beta")
+    assert code == 2 and not out
+    assert "corrupt 'beta' breaks a finite beta chain, and beta infinity " \
+        "has none" in err, err
+    with pytest.raises(DegenerateParameterError, match="finite beta chain"):
+        RunConfig(n=2, beta="infinity", corrupt="beta")
 
 
 def test_verify_all_n3_prime_report_bytes_pinned(capsys):

@@ -10,7 +10,7 @@ from qdyb import hecke
 from qdyb.scalars import DegenerateParameterError, QContext
 from qdyb.tensor import TensorOp
 from qdyb.hecke import (
-    HeckeRep, HeckeWord, antisym, antisym_props_hold,
+    HeckeRep, antisym, antisym_props_hold,
     classical_antisym_rank, global_conjugation_equivalent, height,
     inner_automorphism_check, locality_structure, symmetrizer,
     top_vanish_equivalents,
@@ -32,10 +32,17 @@ def dyn_rep(n, k, rng, **kw):
 
 
 def test_word_algebra():
-    w = HeckeWord.gen(1) * HeckeWord.gen(2) + 3 * HeckeWord.one()
-    assert w.terms == {(1, 2): 1, (): 3}
-    assert (w - w).terms == {}
-    assert HeckeWord.gen(2, -1).terms == {(-2,): 1}
+    rng = random.Random(17)
+    rep = dyn_rep(2, 3, rng)
+    ident = TensorOp.identity(2, 3, rep.ctx.field)
+    g1, g2 = rep.image(1), rep.image(2)
+    assert rep.word((1, 2)) == g1 * g2
+    assert rep.word(()) == ident
+    assert rep.word((-2,)) == rep.image_inv(2)
+    w = [((1, 2), 1), ((), 3)]
+    assert rep.apply(w) == g1 * g2 + 3 * ident
+    assert rep.apply(w + [(l, -c) for l, c in w]).is_zero()
+    assert rep.apply([]) == TensorOp.zero(2, 3, 3, rep.ctx.field)
 
 
 def test_relations_constant_and_dynamic():
@@ -56,9 +63,8 @@ def test_generator_inverse_and_quadratic():
     for i in (1, 2):
         assert rep.image(i) * rep.image_inv(i) == ident
         # g_i g_i = 1 + lam * g_i
-        w = HeckeWord.gen(i) * HeckeWord.gen(i)
-        assert rep.apply(w) == ident + rep.ctx.lam * rep.image(i)
-    assert rep.apply(HeckeWord.one()) == ident
+        assert rep.word((i, i)) == ident + rep.ctx.lam * rep.image(i)
+    assert rep.word(()) == ident
 
 
 def test_antisym_small_and_idempotent():
