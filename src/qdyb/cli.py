@@ -18,16 +18,13 @@ import json
 import sys
 
 from .checks import fold
-from .scalars import RATIONAL, DegenerateParameterError, PoleError
+from .scalars import MAX_WEIGHT, RATIONAL, DegenerateParameterError, PoleError
 from .weights import SLnParams, WeightPoint, sample_point
 from . import rmatrix, levicivita, verify, wznw
 from .qmatrix import builtin_derivations, derivation_from_json
 
 USAGE_ERROR = 2
 FAIL = 1
-#: the largest |p_ij| of a --p point: entries hold q^(p_ij) exactly, and
-#: at n = 4 a point with every |p_ij| <= 100 builds in about a second
-MAX_WEIGHT = 100
 POINTS_HELP = ("sample points per draw; on a prime field where ord(3/2) "
                ">= n * 2^56, a replay engine (derive, the qmatrix suite) "
                "whose alpha is not geometric takes one wide point instead: "

@@ -9,8 +9,9 @@ The abstract algebra H_k(q) has generators g_1 .. g_{k-1} with
 Generator inverses exist through the quadratic relation,
 g^(-1) = g - (q - qbar).  No free algebra of words is modeled: a word is
 a tuple of letters, +l for g_l and -l for its inverse, which a
-representation applies (:meth:`HeckeRep.word`), and a combination of
-words is a list of (letters, coefficient) pairs (:meth:`HeckeRep.apply`).
+representation applies (:meth:`HeckeRep.word`), forming an inverse
+letter from the image of g_l, and a combination of words is a list of
+(letters, coefficient) pairs (:meth:`HeckeRep.apply`).
 
 Three constructors of :class:`HeckeRep`, one per flavor, on V^(x)k:
 
@@ -26,20 +27,16 @@ Three constructors of :class:`HeckeRep`, one per flavor, on V^(x)k:
 A representation is its generators, with no record of its flavor,
 parameters or point: a check that reads them takes them as arguments.
 
-One window recursion serves the q-antisymmetrizer and the symmetrizer.
-In H_k(t) the window of sites i..j is built by
+The window antisymmetrizer A(i,j) of sites i..j is built by
 
-    W(i,i) = 1,
-    W(i,j) = (1/[m]_t) W(i,j-1) (t^(m-1) - [m-1]_t g_{j-1}) W(i,j-1),
+    A(i,i) = 1,
+    A(i,j) = (1/[m]) A(i,j-1) (q^(m-1) - [m-1] g_{j-1}) A(i,j-1),
     m = j - i + 1,
 
 equivalently from the left end through g_i; both routes are computed
-and compared.  The Hecke relation is unchanged by q -> -qbar, so one
-set of generator images serves both deformation parameters: t = q gives
-the antisymmetrizer A(i,j), t = -qbar the symmetrizer S(i,j), with
-[m]_{-qbar} = (-1)^(m+1) [m].  The height of a representation is the n
-at which the (n+1)-node antisymmetrizer vanishes while the n-node one
-keeps exactly one dimension per window (matrix rank n^(k-n) on V^(x)k).
+and compared.  The height of a representation is the n at which the
+(n+1)-node antisymmetrizer vanishes while the n-node one keeps exactly
+one dimension per window (matrix rank n^(k-n) on V^(x)k).
 
 Each generator is kept once, as its local block and the first site it
 acts on: g_i acts on sites i..i+1 in the constant flavor, on 1..i+1 in
@@ -48,7 +45,7 @@ image of g_i is built from it on first use.  Every check on generators
 and windows works on the span of the generators involved (the sites
 from the first one any of them acts on to the last), and lifts the
 operands there by Kronecker products with identities.  The window
-W(i,j) lives on the span of g_i..g_{j-1} (the site i alone when i = j).
+A(i,j) lives on the span of g_i..g_{j-1} (the site i alone when i = j).
 The lift loses nothing, since for operators X, Y on the span and the
 identity 1 on the other sites
 
@@ -63,9 +60,9 @@ homogeneous in the generators, are formed on integer multiples of them
 (:meth:`TensorOp.cleared`).
 
 Each representation keeps one memo of its windows on their spans,
-keyed by (sign, i, j), so every window is built, and its two routes
-compared, once per representation, by whichever check asks for it
-first; `antisym` and `symmetrizer` memoize the k-site lift.
+keyed by (i, j), so every window is built, and its two routes compared,
+once per representation, by whichever check asks for it first;
+`antisym` lifts the window to k sites on each call.
 """
 
 import itertools
@@ -94,9 +91,7 @@ class HeckeRep:
         self._blocks = blocks          # local blocks of g_1 .. g_{k-1}
         self._starts = starts          # the first site of each
         self._images = [None] * len(blocks)     # k-site images, on use
-        self._inverses = [None] * len(blocks)
-        self._windows = {}             # (sign, i, j) -> A or S on its span
-        self._lifted = {}              # (sign, i, j) -> its k-site lift
+        self._windows = {}             # (i, j) -> A(i, j) on its span
 
     @classmethod
     def constant(cls, n, ctx, k):
@@ -125,7 +120,7 @@ class HeckeRep:
                     for l in gens))
 
     def window_span(self, i, j):
-        """The sites the window W(i, j) is kept on: the span of
+        """The sites the window A(i, j) is kept on: the span of
         g_i .. g_{j-1}, or the site i alone when i = j."""
         return (i, i) if i == j else self.span(range(i, j))
 
@@ -139,25 +134,21 @@ class HeckeRep:
             self._images[i - 1] = self.local(i, 1, self.k)
         return self._images[i - 1]
 
-    def image_inv(self, i):
-        if self._inverses[i - 1] is None:
-            lam = self.ctx.lam
-            ident = TensorOp.identity(self.n, self.k, self.ctx.field)
-            self._inverses[i - 1] = self.image(i) - lam * ident
-        return self._inverses[i - 1]
-
     def word(self, letters):
         """The image of a word, the product of its letters' images (+l
-        for g_l, -l for its inverse): it starts from the first letter's
-        image, and only the empty word is the identity."""
-        ops = [self.image(l) if l > 0 else self.image_inv(-l)
-               for l in letters]
-        if not ops:
-            return TensorOp.identity(self.n, self.k, self.ctx.field)
-        out = ops[0]
-        for x in ops[1:]:
-            out = out * x
-        return out
+        for g_l, -l for its inverse g_l - (q - qbar)): it starts from the
+        first letter's image, and only the empty word is the identity.
+        The k-site identity is built only for a word that needs it."""
+        letters = tuple(letters)
+        ident = (TensorOp.identity(self.n, self.k, self.ctx.field)
+                 if not letters or min(letters) < 0 else None)
+        out = None
+        for l in letters:
+            x = self.image(abs(l))
+            if l < 0:
+                x = x - self.ctx.lam * ident
+            out = x if out is None else out * x
+        return ident if out is None else out
 
     def apply(self, terms):
         """The image of sum c w over the (letters w, coefficient c)
@@ -212,37 +203,19 @@ def antisym(rep, i, j):
     `rep`.  A mismatch is never stored, so it raises on every call.
     """
     assert 1 <= i <= j <= rep.k
-    return _lifted_window(rep, +1, i, j)
+    return _window_on(rep, i, j, 1, rep.k)
 
 
-def symmetrizer(rep, j):
-    """The j-node symmetrizer S(1, j): the window recursion with q
-    replaced by -qbar (a convention; the two towers are distinguished
-    by which one terminates)."""
-    assert 1 <= j <= rep.k
-    return _lifted_window(rep, -1, 1, j)
+def _window_on(rep, i, j, a, b):
+    """The window A(i, j) as an operator on sites a..b."""
+    return _lift(_window(rep, i, j), rep.window_span(i, j)[0], a, b)
 
 
-def _lifted_window(rep, sign, i, j):
-    """The k-site lift of the window, built once per representation."""
-    key = (sign, i, j)
-    if key not in rep._lifted:
-        rep._lifted[key] = _window_on(rep, sign, i, j, 1, rep.k)
-    return rep._lifted[key]
-
-
-def _window_on(rep, sign, i, j, a, b):
-    """The window W(i, j) as an operator on sites a..b."""
-    return _lift(_window(rep, sign, i, j), rep.window_span(i, j)[0], a, b)
-
-
-def _window(rep, sign, i, j):
-    """The window recursion with t = q (sign +1) or t = -qbar (sign -1),
-    on the window's span, `rep.window_span(i, j)`."""
+def _window(rep, i, j):
+    """The window A(i, j) on its span, `rep.window_span(i, j)`."""
     memo = rep._windows
-    key = (sign, i, j)
-    if key in memo:
-        return memo[key]
+    if (i, j) in memo:
+        return memo[i, j]
     ctx = rep.ctx
     if i == j:
         out = TensorOp.identity(rep.n, 1, ctx.field)
@@ -250,29 +223,27 @@ def _window(rep, sign, i, j):
         a, b = rep.window_span(i, j)
         ident = TensorOp.identity(rep.n, b - a + 1, ctx.field)
         m = j - i + 1
-        den = sign ** (m + 1) * qnum(m, ctx)    # [m]_t
+        den = qnum(m, ctx)
         if not den:
             raise DegenerateParameterError("[%d] = 0" % m)
-        coef = sign ** (m - 1) * ctx.qpow(sign * (m - 1))   # t^(m-1)
-        low = sign ** m * qnum(m - 1, ctx)      # [m-1]_t
+        coef, low = ctx.qpow(m - 1), qnum(m - 1, ctx)
 
         def route(g, lo, hi):
-            """(1/[m]_t) W (t^(m-1) - [m-1]_t g) W with W = W(lo, hi),
-            whose products are left out when W is a one-site window: 1."""
+            """(1/[m]) W (q^(m-1) - [m-1] g) W with W = A(lo, hi), whose
+            products are left out when W is a one-site window: 1."""
             step = coef * ident - low * rep.local(g, a, b)
             if lo == hi:
                 return (1 / den) * step
-            prev = _window_on(rep, sign, lo, hi, a, b)
+            prev = _window_on(rep, lo, hi, a, b)
             return (1 / den) * (prev * step * prev)
 
         out = route(j - 1, i, j - 1)
         # the left-end recursion must agree; at m = 2 it is the same route
         if m > 2 and route(i, i + 1, j) != out:
             raise DegenerateParameterError(
-                "window recursion mismatch at %s(%d,%d): the generator "
-                "images do not satisfy the algebra relations"
-                % ("A" if sign > 0 else "S", i, j))
-    memo[key] = out
+                "window recursion mismatch at A(%d,%d): the generator "
+                "images do not satisfy the algebra relations" % (i, j))
+    memo[i, j] = out
     return out
 
 
@@ -281,7 +252,7 @@ def antisym_props_hold(rep, j):
     A(1,j) A(i,l) = A(i,l) A(1,j) = A(1,j) for windows i < l in 1..j,
     on the span of A = A(1,j), which holds every such g_i and window."""
     a, b = rep.window_span(1, j)
-    A = _window(rep, +1, 1, j)
+    A = _window(rep, 1, j)
     qbar = rep.ctx.qbar
     ident = TensorOp.identity(rep.n, A.rk, rep.ctx.field)
     for i in range(1, j):
@@ -290,7 +261,7 @@ def antisym_props_hold(rep, j):
             return False
     for i in range(1, j):
         for l in range(i + 1, j + 1):
-            W = _window_on(rep, +1, i, l, a, b)
+            W = _window_on(rep, i, l, a, b)
             if A * W != A or W * A != A:
                 return False
     return True
@@ -308,25 +279,16 @@ def height(rep):
     k = rep.k
 
     def rank(i, j):
-        W = _window(rep, +1, i, j)
+        W = _window(rep, i, j)
         return W.exact_rank() * rep.n ** (k - W.rk)
 
-    for n in range(1, k + 1):
-        if n == k:
-            if rank(1, k) == 1:
-                return n
-            return None
-        top_zero = all(
-            _window(rep, +1, i, n + i).is_zero()
-            for i in range(1, k - n + 1))
-        if not top_zero:
-            continue
-        expected = rep.n ** (k - n)
-        ranks_ok = all(
-            rank(j, n + j - 1) == expected
-            for j in range(1, k - n + 2))
-        return n if ranks_ok else None
-    return None
+    for n in range(1, k):
+        if all(_window(rep, i, n + i).is_zero() for i in range(1, k - n + 1)):
+            expected = rep.n ** (k - n)
+            ranks_ok = all(rank(j, n + j - 1) == expected
+                           for j in range(1, k - n + 2))
+            return n if ranks_ok else None
+    return k if rank(1, k) == 1 else None
 
 
 def top_vanish_equivalents(rep, n):

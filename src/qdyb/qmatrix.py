@@ -95,8 +95,8 @@ from math import inf, lcm
 from operator import itemgetter
 
 from .checks import Check, fold, witness_repr
-from .scalars import (RATIONAL, DegenerateParameterError, fmt_scalar,
-                      parse_scalar, qfact, qnum)
+from .scalars import (MAX_WEIGHT, RATIONAL, DegenerateParameterError,
+                      fmt_scalar, parse_scalar, qfact, qnum)
 from .tensor import (Echelon, TensorOp, _assemble, _common_field,
                      _raw_form, _stored_form, _value, flat_index,
                      multi_index)
@@ -1893,6 +1893,12 @@ def _is_identity(st, n):
 # -- script (de)serialization ------------------------------------------------
 
 
+#: the integers a script shifts or powers by (an "int" argument, a sym's
+#: m, a func atom's offset and exponent, a dress sign), each held or
+#: stepped through exactly, lie in -MAX_WEIGHT..MAX_WEIGHT
+_WEIGHTS = "in -%d..%d" % (MAX_WEIGHT, MAX_WEIGHT)
+
+
 def _fault(kind, v, n, owner=None):
     """What is wrong with v as a value of schema type `kind` at n, or
     None: (True, what v must be) for a wrong JSON type, else (False, a
@@ -1908,6 +1914,8 @@ def _fault(kind, v, n, owner=None):
             return True, "an integer"
         if base == "index" and v < 0:
             return False, "%d must be >= 0" % v
+        if base == "int" and abs(v) > MAX_WEIGHT:
+            return False, "%d must be %s" % (v, _WEIGHTS)
     elif base in _LABELS:
         if not (isinstance(v, list) and all(type(s) is int for s in v)):
             return True, "a list of integers"
@@ -1928,6 +1936,8 @@ def _fault(kind, v, n, owner=None):
                 "kind one of %s" % (v, ", ".join(SYMS))
         if v[1] < SYMS[v[0]][0]:
             return False, "%r needs m >= %d" % (v, SYMS[v[0]][0])
+        if abs(v[1]) > MAX_WEIGHT:
+            return False, "%r: m must be %s" % (v, _WEIGHTS)
     elif base == "func":
         return _func_fault(v, n)
     else:
@@ -1953,6 +1963,9 @@ def _func_fault(v, n):
             if type(x) is not int or label and not 1 <= x <= n:
                 return False, "atom %r: %s = %r must be an integer%s" % (
                     a, field, x, " in 1..n = %d" % n if label else "")
+            if abs(x) > MAX_WEIGHT:
+                return False, "atom %r: %s = %d must be %s" % (
+                    a, field, x, _WEIGHTS)
     return None
 
 
@@ -2034,6 +2047,9 @@ def _check_factor(doc, where, n):
             for d in dress):
         raise ValueError("%s %s dress = %r must be a list of [integer "
                          "space, integer sign] pairs" % (where, name, dress))
+    if any(abs(sign) > MAX_WEIGHT for _, sign in dress):
+        raise ValueError("%s %s dress = %r: each sign must be %s"
+                         % (where, name, dress, _WEIGHTS))
     spaces = [s for s, _ in dress]
     if len(set(spaces)) < len(spaces):
         raise ValueError("%s dressed factor %s repeats a space in %r"

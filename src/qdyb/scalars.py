@@ -281,6 +281,12 @@ _SCALAR_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 #: powers are held exactly, and Python prints no int past 4300 digits
 MAX_SCALAR_DIGITS = 1000
 
+#: the largest size of an integer weight, offset, exponent or power read
+#: from outside the program (a --p point, a derivation script): values
+#: hold q to such powers exactly, and at n = 4 a point with every
+#: |p_ij| <= 100 builds in about a second
+MAX_WEIGHT = 100
+
 
 def parse_scalar(name, v, field, nonzero=False):
     """The scalar `name` read from outside the program (params JSON, a

@@ -326,6 +326,10 @@ def suite_qdybe(cfg):
     ctx = cfg.context(rng)
     lam = ctx.lam
     try:
+        if not lam:
+            raise DegenerateParameterError(
+                "no canonical shift at q = %s: 1 - q^2 = 0"
+                % fmt_scalar(ctx.q))
         beta1 = lam / (1 - ctx.qpow(2))
         chain = [beta1] + [ctx.field.of(Fraction(1))] * (cfg.n - 2)
         params = SLnParams(ctx, chain)
@@ -559,7 +563,8 @@ def suite_wznw(cfg):
     p = sample_point(params, rngg)
     records.extend(prefixed("beta-infinity.",
                             wznw.reconcile_diag_gauge(params, p)))
-    gen, p = _params_and_point(rngg, lambda rng: sample_params(cfg.n, rng))
+    gen, p = _params_and_point(rngg, lambda rng: sample_params(
+        cfg.n, rng, ctx=cfg.context(rng)))
     for c in wznw.reconcile_diag_gauge(gen, p):
         if c.id == "wznw.gauge-exact-match":
             c = Check(c.id + ".mismatch-reported",

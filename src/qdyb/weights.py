@@ -547,6 +547,11 @@ def sample_params(n, rng, ctx=None, regime=GENERIC, alpha="unit"):
         chain = None
     elif regime == CONSTANT_MULTIPARAM:
         chain = [lam] * (n - 1)
+    elif not lam:
+        # at q^2 = 1 every chain makes derive_beta degenerate
+        raise DegenerateParameterError(
+            "no generic beta chain at q = %s over %s: lam = q - qbar = 0"
+            % (fmt_scalar(ctx.q), field.name))
     else:
         while True:
             chain = [field.of(rand_fraction(rng)) for _ in range(n - 1)]

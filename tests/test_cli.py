@@ -885,6 +885,36 @@ BAD_SCRIPTS = {
             "move": "lemma", "at": 0, "name": "inv_cancel_left",
             "args": {"t": 1, "u": 3, "rest": [2]}, "reverse": "yes"}]),
         "script moves[0]: lemma reverse 'yes' must be False or True"),
+    # each of these ran for seconds or without end: the integers a script
+    # shifts or powers by are bounded by MAX_WEIGHT
+    "func-exponent-past-the-bound": ({
+        "start": [_func([["qnum", 1, 2, 0, 10 ** 6]]), _slot(1)],
+        "end": [_slot(1)]},
+        "start[0] func atom ['qnum', 1, 2, 0, 1000000]: exponent = 1000000 "
+        "must be in -100..100"),
+    "func-offset-past-the-bound": ({
+        "start": [_func([["qnum", 1, 2, 10 ** 7, 1]]), _slot(1)],
+        "end": [_slot(1)]},
+        "start[0] func atom ['qnum', 1, 2, 10000000, 1]: offset = 10000000 "
+        "must be in -100..100"),
+    "kdiag-power-past-the-bound": ({
+        "start": [_pfactor("kdiag", space=1, power=10 ** 6), _slot(1)],
+        "end": [_slot(1)]},
+        "start[0] kdiag power 1000000 must be in -100..100"),
+    "sym-q-past-the-bound": ({
+        "start": [_const("scalar", sym=["q", 10 ** 7]), _slot(1)],
+        "end": [_slot(1)]},
+        "start[0] scalar sym ['q', 10000000]: m must be in -100..100"),
+    "sym-qfact-past-the-bound": ({
+        "start": [_const("scalar", sym=["qfact", 10 ** 6]), _slot(1)],
+        "end": [_slot(1)]},
+        "start[0] scalar sym ['qfact', 1000000]: m must be in -100..100"),
+    "dress-sign-past-the-bound": ({
+        "start": [{"kind": "p", "name": "ddiag", "args": {"space": 1},
+                   "dress": [[2, 10 ** 7]]}, _slot(1)],
+        "end": [_slot(1)]},
+        "start[0] ddiag dress = [[2, 10000000]]: each sign must be in "
+        "-100..100"),
 }
 
 
@@ -940,6 +970,61 @@ def test_derive_same_under_python_optimize(tmp_path):
         assert got[0] == 2 and not got[1], (name, got)
         assert message in got[2], (name, got)
         assert got_o == got, name
+
+
+# input that hung or ended in a traceback: at q^2 = 1 (lam = 0) no generic
+# beta chain exists, and a script's exponent past MAX_WEIGHT.  Each row
+# is an argv and either the message of its exit 2 or the failing setup
+# records of its report (none: it passes); SCRIPT stands for the script
+DEGENERATE_ARGVS = [
+    ("verify params --n 2 --q 1", {"params.setup"}),
+    ("verify params --n 2 --q -1", {"params.setup"}),
+    ("verify qdybe --n 3 --q 1", {"qdybe.setup"}),
+    ("verify appendix --n 2 --q 1 --beta infinity", {"appendix.setup"}),
+    ("verify qmatrix --n 2 --backend prime:5", {"qmatrix.setup"}),
+    ("derive --n 2 --backend prime:5",
+     "no generic beta chain at q = 1 over prime(5)"),
+    ("derive --n 3 --backend prime:5",
+     "no generic beta chain at q = 4 over prime(5)"),
+    ("verify qdybe --n 2 --q 1 --beta infinity", set()),
+    ("verify qdybe --n 2 --q -1 --beta infinity", set()),
+    ("verify all --n 2 --q 1 --beta infinity",
+     {"params.setup", "epsilon.setup", "appendix.setup", "wznw.setup"}),
+    ("derive --n 2 --points 1 --script SCRIPT",
+     "exponent = 1000000 must be in -100..100"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", DEGENERATE_ARGVS,
+                         ids=[a for a, _ in DEGENERATE_ARGVS])
+def test_degenerate_input_ends_by_name(argv, expected, tmp_path):
+    """Each run ends well inside a timeout, with no traceback: exit 2
+    naming q, the field or the script's field, or a report whose only
+    failures are setup records.  At beta infinity the canonical shift,
+    which divides by 1 - q^2, is skipped with a note."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(
+        BAD_SCRIPTS["func-exponent-past-the-bound"][0]))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(qdyb.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdyb"]
+        + argv.replace("SCRIPT", str(script)).split(),
+        capture_output=True, text=True, env=env, timeout=30)
+    assert "Traceback" not in proc.stdout + proc.stderr, proc.stderr
+    if isinstance(expected, str):
+        assert proc.returncode == 2 and not proc.stdout, proc.stderr
+        assert expected in proc.stderr, proc.stderr
+        return
+    doc = json.loads(proc.stdout)
+    records = [r for rep in doc.get("reports", [doc]) for r in rep["records"]]
+    assert {r["id"] for r in records if r["status"] == "fail"} == expected
+    assert proc.returncode == (1 if expected else 0)
+    for r in records:
+        if r["id"] == "qdybe.canonical-shift-removes-beta":
+            assert r["status"] == "skip"
+            assert r["note"] == "no canonical shift at q = %s: 1 - q^2 = 0" \
+                % argv.split("--q ")[1].split()[0]
 
 
 def _digest(text):

@@ -12,8 +12,7 @@ from qdyb.tensor import TensorOp
 from qdyb.hecke import (
     HeckeRep, antisym, antisym_props_hold,
     classical_antisym_rank, global_conjugation_equivalent, height,
-    inner_automorphism_check, locality_structure, symmetrizer,
-    top_vanish_equivalents,
+    inner_automorphism_check, locality_structure, top_vanish_equivalents,
 )
 from qdyb.rmatrix import DynRMatrix, build_dj, dressed_block
 from qdyb.weights import sample_params, sample_point
@@ -38,7 +37,7 @@ def test_word_algebra():
     g1, g2 = rep.image(1), rep.image(2)
     assert rep.word((1, 2)) == g1 * g2
     assert rep.word(()) == ident
-    assert rep.word((-2,)) == rep.image_inv(2)
+    assert rep.word((-2,)) == g2 - rep.ctx.lam * ident
     w = [((1, 2), 1), ((), 3)]
     assert rep.apply(w) == g1 * g2 + 3 * ident
     assert rep.apply(w + [(l, -c) for l, c in w]).is_zero()
@@ -61,7 +60,8 @@ def test_generator_inverse_and_quadratic():
     rep = dyn_rep(2, 3, rng)
     ident = TensorOp.identity(2, 3, rep.ctx.field)
     for i in (1, 2):
-        assert rep.image(i) * rep.image_inv(i) == ident
+        assert rep.image(i) * rep.word((-i,)) == ident
+        assert rep.word((i, -i)) == ident
         # g_i g_i = 1 + lam * g_i
         assert rep.word((i, i)) == ident + rep.ctx.lam * rep.image(i)
     assert rep.word(()) == ident
@@ -104,21 +104,6 @@ def test_tampered_image_raises_on_every_call():
                            match=r"window recursion mismatch at A\(1,3\)"):
             antisym(rep, 1, 3)
     assert antisym(rep, 1, 2) == antisym(good, 1, 2)
-
-
-def test_tampered_image_breaks_symmetrizer_on_every_call():
-    """The symmetrizer runs the same window recursion as the
-    antisymmetrizer, so it compares the same two routes and never
-    memoizes a window where they disagree."""
-    ctx = QContext(Fraction(3, 2), 2)
-    rep = HeckeRep.constant(2, ctx, 3)
-    good = HeckeRep.constant(2, ctx, 3)
-    rep._blocks[1] = 2 * rep._blocks[1]   # 2 g_2 breaks g^2 = 1 + lam g
-    for _ in range(2):
-        with pytest.raises(DegenerateParameterError,
-                           match=r"window recursion mismatch at S\(1,3\)"):
-            symmetrizer(rep, 3)
-    assert symmetrizer(rep, 2) == symmetrizer(good, 2)
 
 
 FLAVORS = ("constant", "dynamic", "localized-last")
@@ -212,24 +197,24 @@ def test_each_relation_forms_its_fewest_products(flavor, monkeypatch):
     assert rep.relations_hold()
 
 
-def reference_window(rep, sign, i, j, memo):
-    """W(i, j) by the right-end recursion over the k-site images, with
-    t = q or -qbar and [m]_t = t^(m-1) + t^(m-3) + ... + t^(1-m)."""
-    if (sign, i, j) in memo:
-        return memo[sign, i, j]
+def reference_window(rep, i, j, memo):
+    """A(i, j) by the right-end recursion over the k-site images, with
+    [m] = q^(m-1) + q^(m-3) + ... + q^(1-m)."""
+    if (i, j) in memo:
+        return memo[i, j]
     ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field)
     if i == j:
         return ident
-    t = rep.ctx.q if sign > 0 else -rep.ctx.qbar
+    q = rep.ctx.q
 
     def qint(m):
-        return sum(t ** (m - 1 - 2 * r) for r in range(m))
+        return sum(q ** (m - 1 - 2 * r) for r in range(m))
 
     m = j - i + 1
-    prev = reference_window(rep, sign, i, j - 1, memo)
-    step = t ** (m - 1) * ident - qint(m - 1) * rep.image(j - 1)
-    memo[sign, i, j] = (1 / qint(m)) * (prev * step * prev)
-    return memo[sign, i, j]
+    prev = reference_window(rep, i, j - 1, memo)
+    step = q ** (m - 1) * ident - qint(m - 1) * rep.image(j - 1)
+    memo[i, j] = (1 / qint(m)) * (prev * step * prev)
+    return memo[i, j]
 
 
 def embedded_image(flavor, rep, i, params, p):
@@ -257,17 +242,16 @@ def test_windows_on_spans_equal_the_k_site_recursion(flavor, n, k):
     memo = {}
     for i in range(1, k + 1):
         for j in range(i, k + 1):
-            ref = reference_window(rep, +1, i, j, memo)
+            ref = reference_window(rep, i, j, memo)
             assert antisym(rep, i, j) == ref
-            W = rep._windows[+1, i, j]
+            W = rep._windows[i, j]
             assert W.exact_rank() * n ** (k - W.rk) == ref.exact_rank()
-        assert symmetrizer(rep, i) == reference_window(rep, -1, 1, i, memo)
     assert height(rep) == n
     assert antisym_props_hold(rep, min(n + 1, k))
     sites = {"constant": lambda i, j: j - i + 1,
              "dynamic": lambda i, j: j,
              "localized-last": lambda i, j: k - i + 1}[flavor]
-    for (_, i, j), W in rep._windows.items():
+    for (i, j), W in rep._windows.items():
         assert W.rk == (sites(i, j) if i < j else 1), (i, j)
 
 
@@ -409,8 +393,8 @@ def test_antisym_props_form_no_identity_product(monkeypatch):
             assert antisym_props_hold(rep, n)
             window_on = hecke._window_on
 
-            def doubled(rep, sign, i, l, a, b):
-                W = window_on(rep, sign, i, l, a, b)
+            def doubled(rep, i, l, a, b):
+                W = window_on(rep, i, l, a, b)
                 return 2 * W if (i, l) == (n - 1, n) else W
 
             with monkeypatch.context() as mp:
@@ -490,21 +474,6 @@ def test_localized_last_equivalence_fails_on_a_tampered_entry():
                                              img.den, img.p)
         assert lrep.image(i) != img
         assert not global_conjugation_equivalent(params, p, drep, lrep)
-
-
-def test_symmetrizer_tower_lightly():
-    rng = random.Random(53)
-    ctx = QContext(Fraction(2), 2)
-    rep = HeckeRep.constant(2, ctx, 2)
-    S = symmetrizer(rep, 2)
-    assert S * S == S
-    assert S.exact_rank() == 3          # symmetric square of C^2
-    A = antisym(rep, 1, 2)
-    assert S + A == TensorOp.identity(2, 2, ctx.field)
-    drep = dyn_rep(2, 3, rng)
-    S3 = symmetrizer(drep, 3)
-    assert S3 * S3 == S3
-    assert S3.exact_rank() == 4         # symmetric cube of C^2
 
 
 def test_top_window_rank_at_k_equals_n():

@@ -1,6 +1,7 @@
 """Weight points and the derived parameter tables."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,22 @@ def test_degenerate_chain_raises():
         derive_beta(ctx, [b1, b2])
     with pytest.raises(DegenerateParameterError, match="need n-1 = 2"):
         SLnParams(ctx, [b1])
+
+
+@pytest.mark.parametrize("q, field, shown", [
+    (1, RATIONAL, "1 over rational"), (-1, RATIONAL, "-1 over rational"),
+    (Fraction(9, 4), PrimeField(5), "1 over prime(5)")])
+def test_no_generic_chain_at_unit_q_squared(q, field, shown):
+    """At q^2 = 1 every chain is degenerate (lam = 0): the generic
+    sampler raises at once, naming q, and draws nothing."""
+    ctx = QContext(field.of(q), 2, field=field)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(DegenerateParameterError,
+                       match=re.escape("no generic beta chain at q = %s: "
+                                       "lam = q - qbar = 0" % shown)):
+        sample_params(2, rng, ctx=ctx)
+    assert rng.getstate() == state
 
 
 def test_params_json_roundtrip():

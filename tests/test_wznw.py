@@ -82,3 +82,22 @@ def test_numeric_instance_with_root():
     d = dvec(w)
     assert ctx.qpow(d[0]) == Fraction(1, 8)
     assert ctx.qpow(d[1]) == 2
+
+
+def test_prime_wznw_suite_draws_over_its_field(monkeypatch):
+    """Both gauge reconciliations of a prime run, at beta infinity and
+    at the generic draw, get parameters over the run's field."""
+    from qdyb import verify, wznw
+    fields = []
+    reconcile = wznw.reconcile_diag_gauge
+
+    def spy(params, point):
+        fields.append(params.ctx.field.name)
+        return reconcile(params, point)
+
+    monkeypatch.setattr(wznw, "reconcile_diag_gauge", spy)
+    cfg = verify.RunConfig(n=3, draws=1, points=1, backend="prime")
+    report = verify.run_suite("wznw", cfg)
+    assert report["status"] == "pass"
+    assert fields == [cfg.field().name] * 2
+    assert fields[0].startswith("prime(")
