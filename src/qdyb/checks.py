@@ -2,8 +2,13 @@
 
 Every check function returns :class:`Check` records, and every report
 serializes them with :meth:`Check.to_json`.  A record unpacks as
-``rec_id, ok, witness``; ``ok`` is True (pass), False (fail) or None
-(skip, and the witness is then the note saying why).
+``rec_id, ok, witness``; ``ok`` is True (pass), False (fail, and the
+witness names what failed) or None (skip, and the witness is then the
+note saying why).
+
+A record folds its comparisons in one place, :func:`tally`; a
+comparison of two operators is a :func:`mismatch`, and :func:`compare`
+the record of one.
 """
 
 import collections
@@ -55,10 +60,21 @@ def fold(statuses):
                                           else "skip")
 
 
+def tally(rec_id, witnesses):
+    """The record of a stream of comparisons, one item each: None where
+    the identity holds, else its witness (never None).  Every item is
+    read, and the record fails with the first witness or else passes."""
+    found = [w for w in witnesses if w is not None]
+    return Check(rec_id, not found, found[0] if found else None)
+
+
+def mismatch(lhs, rhs, *where):
+    """None when two operators are equal, by their stored forms; else the
+    first nonzero entry of lhs - rhs, formed only then, after the labels
+    `where` (and operators of different shapes fail to subtract)."""
+    return None if lhs == rhs else where + (lhs - rhs).first_nonzero()
+
+
 def compare(rec_id, lhs, rhs):
-    """Compare two operators exactly, by their stored forms; only a fail
-    forms the difference, whose first nonzero entry is the witness (and
-    operators of different shapes fail to subtract)."""
-    if lhs == rhs:
-        return Check(rec_id, True)
-    return Check(rec_id, False, (lhs - rhs).first_nonzero())
+    """Compare two operators exactly: a record of one :func:`mismatch`."""
+    return tally(rec_id, [mismatch(lhs, rhs)])

@@ -67,7 +67,7 @@ once per representation, by whichever check asks for it first;
 
 import itertools
 
-from .checks import Check, compare
+from .checks import compare, mismatch, tally
 from .scalars import RATIONAL, DegenerateParameterError, qnum
 from .tensor import TensorOp, flat_index, multi_index
 from .rmatrix import (DynRMatrix, braid_sides, build_dj, dressed_block,
@@ -190,9 +190,15 @@ class HeckeRep:
                 a, b = TensorOp.cleared(*on_span(i, j))
                 yield ("locality", i, j), a * b, b * a
 
+    def failed_relations(self):
+        """For each relation of :meth:`relations`, None when it holds and
+        its tag when it fails: the comparisons of a relations record."""
+        return (None if lhs == rhs else rel
+                for rel, lhs, rhs in self.relations())
+
     def relations_hold(self):
         """Exact check of the braid, quadratic and locality relations."""
-        return all(lhs == rhs for _, lhs, rhs in self.relations())
+        return tally("relations", self.failed_relations()).ok
 
 
 def antisym(rep, i, j):
@@ -247,24 +253,24 @@ def _window(rep, i, j):
     return out
 
 
-def antisym_props_hold(rep, j):
-    """(g_i + qbar) A = A (g_i + qbar) = 0 for i < j, and absorption
-    A(1,j) A(i,l) = A(i,l) A(1,j) = A(1,j) for windows i < l in 1..j,
-    on the span of A = A(1,j), which holds every such g_i and window."""
+def antisym_props(rep, j):
+    """Yield the comparisons of (g_i + qbar) A = A (g_i + qbar) = 0 for
+    i < j, and of absorption A(1,j) A(i,l) = A(i,l) A(1,j) = A(1,j) for
+    windows i < l in 1..j, on the span of A = A(1,j), which holds every
+    such g_i and window: None for each that holds, else the first entry
+    of the residual after i (or i, l)."""
     a, b = rep.window_span(1, j)
     A = _window(rep, 1, j)
     qbar = rep.ctx.qbar
     ident = TensorOp.identity(rep.n, A.rk, rep.ctx.field)
     for i in range(1, j):
         t = rep.local(i, a, b) + qbar * ident
-        if not (t * A).is_zero() or not (A * t).is_zero():
-            return False
+        wit = (t * A).first_nonzero() or (A * t).first_nonzero()
+        yield None if wit is None else (i,) + wit
     for i in range(1, j):
         for l in range(i + 1, j + 1):
             W = _window_on(rep, i, l, a, b)
-            if A * W != A or W * A != A:
-                return False
-    return True
+            yield mismatch(A * W, A, i, l) or mismatch(W * A, A, i, l)
 
 
 def height(rep):
@@ -340,16 +346,13 @@ def inner_automorphism_check(rep, i, r):
     W = rep.word(range(i, r + i + 1))
     Winv = rep.word(-l for l in range(r + i, i - 1, -1))
     ident = TensorOp.identity(rep.n, rep.k, rep.ctx.field)
-    records = [Check("inner-auto.invertible", W * Winv == ident)]
-    ok = True
-    for m in range(i, r + i):
-        if W * rep.image(m) * Winv != rep.image(m + 1):
-            ok = False
-    records.append(Check("inner-auto.generators", ok))
-    lhs = W * antisym(rep, i, r + i) * Winv
-    records.append(Check("inner-auto.antisymmetrizer",
-                         lhs == antisym(rep, i + 1, r + i + 1)))
-    return records
+    return [compare("inner-auto.invertible", W * Winv, ident),
+            tally("inner-auto.generators", (
+                mismatch(W * rep.image(m) * Winv, rep.image(m + 1), m)
+                for m in range(i, r + i))),
+            compare("inner-auto.antisymmetrizer",
+                    W * antisym(rep, i, r + i) * Winv,
+                    antisym(rep, i + 1, r + i + 1))]
 
 
 def locality_structure(rep):
@@ -368,13 +371,14 @@ def locality_structure(rep):
     return out
 
 
-def global_conjugation_equivalent(params, p, rep_dynamic, rep_local):
-    """The localized-last representation of params at p equals the
-    dynamic one conjugated by the full product X_1...X_k (entry (I, J)
-    at p + v(I_1) + ... + v(I_k)).  Row I of g_i's support in rep_dynamic
-    is the row (I_i, I_{i+1}) of R at p + v(I_i) + ... + v(I_k), the
-    prefix's shift cancelling the dressing, evaluated alone by
-    :func:`~qdyb.rmatrix.dyn_entries`."""
+def global_conjugation(params, p, rep_dynamic, rep_local):
+    """Yield, for each generator g_i, None when the localized-last
+    representation of params at p equals the dynamic one conjugated by
+    the full product X_1...X_k (entry (I, J) at p + v(I_1) + ... +
+    v(I_k)), else i and the first entry of the difference.  Row I of
+    g_i's support in rep_dynamic is the row (I_i, I_{i+1}) of R at
+    p + v(I_i) + ... + v(I_k), the prefix's shift cancelling the
+    dressing, evaluated alone by :func:`~qdyb.rmatrix.dyn_entries`."""
     n, k = rep_dynamic.n, rep_dynamic.k
     for i in range(1, k):
         entries = []
@@ -386,10 +390,9 @@ def global_conjugation_equivalent(params, p, rep_dynamic, rep_local):
                 J = head + cm + tail
                 if flat_index(J, n) in cols:
                     entries.append((I, J, v))
-        if TensorOp.from_entries(n, k, k, entries, params.ctx.field) \
-                != rep_local.image(i):
-            return False
-    return True
+        yield mismatch(TensorOp.from_entries(n, k, k, entries,
+                                             params.ctx.field),
+                       rep_local.image(i), i)
 
 
 def classical_antisym_rank(n, j, k):

@@ -32,8 +32,9 @@ component t is entry (t, ()) of a ket and ((), t) of a bra.
 """
 
 import itertools
+import math
 
-from .checks import Check, compare
+from .checks import Check, compare, mismatch, tally
 from .scalars import (DegenerateParameterError, fmt_scalar, qfact,
                       qfact_base, qnum, qnum_base)
 from .tensor import TensorOp
@@ -111,21 +112,15 @@ def eigencheck(rep, ket, bra):
     n = rep.n
     assert rep.k == n
     ctx = rep.ctx
-    wit_k = wit_b = None
-    for i in range(1, n):
-        g = rep.image(i)
-        dk = g * ket - (-ctx.qbar) * ket
-        if not dk.is_zero() and wit_k is None:
-            wit_k = (i,) + dk.first_nonzero()
-        db = bra * g - (-ctx.qbar) * bra
-        if not db.is_zero() and wit_b is None:
-            wit_b = (i,) + db.first_nonzero()
-
     ident = TensorOp.identity(n, n, ctx.field)
     kernel_dim = n**n - len(TensorOp.echelon(
         (rep.image(i) + ctx.qbar * ident for i in range(1, n)), ctx.field))
-    return [Check("eps.right-eigenvector", wit_k is None, wit_k),
-            Check("eps.left-eigenvector", wit_b is None, wit_b),
+    return [tally("eps.right-eigenvector", (
+                mismatch(rep.image(i) * ket, -ctx.qbar * ket, i)
+                for i in range(1, n))),
+            tally("eps.left-eigenvector", (
+                mismatch(bra * rep.image(i), -ctx.qbar * bra, i)
+                for i in range(1, n))),
             Check("eps.joint-eigenspace-dimension", kernel_dim == 1,
                   kernel_dim)]
 
@@ -351,53 +346,39 @@ def bruteforce_norm_identities(table, ctx, subsets, d=None):
     else:
         base = dict(table)
     btab = b_table_from_xi(table, ctx.q)
-
-    wit_perm = wit_row = wit_b = None
-    for subset in subsets:
-        k = len(subset)
-        total = perm_sum(base, subset)
-        if total != qfact_base(k, d, ctx) and wit_perm is None:
-            wit_perm = (subset, total)
-        row = ctx.field.zero
-        rowb = ctx.field.zero
-        for r in subset:
-            prod = ctx.field.one
-            prodb = ctx.field.one
-            for l in subset:
-                if l != r:
-                    prod = prod * base[(l, r)]
-                    prodb = prodb * btab[(l, r)]
-            row = row + prod
-            rowb = rowb + prodb
-        if row != qnum_base(k, d, ctx) and wit_row is None:
-            wit_row = (subset, row)
-        if k >= 2 and rowb != ctx.lam ** (k - 1) and wit_b is None:
-            wit_b = (subset, rowb)
-    return [Check("perm-sum.factorial", wit_perm is None, wit_perm),
-            Check("perm-sum.row-sums", wit_row is None, wit_row),
-            Check("perm-sum.b-row-sums", wit_b is None, wit_b)]
+    sums = [(subset, perm_sum(base, subset), row_sum(base, subset, ctx),
+             row_sum(btab, subset, ctx)) for subset in subsets]
+    return [tally("perm-sum.factorial", (
+                None if total == qfact_base(len(s), d, ctx) else (s, total)
+                for s, total, _, _ in sums)),
+            tally("perm-sum.row-sums", (
+                None if row == qnum_base(len(s), d, ctx) else (s, row)
+                for s, _, row, _ in sums)),
+            tally("perm-sum.b-row-sums", (
+                None if len(s) < 2 or rowb == ctx.lam ** (len(s) - 1)
+                else (s, rowb) for s, _, _, rowb in sums))]
 
 
-def xi_only_hypotheses_hold(table, ctx):
-    """The weaker hypotheses on a bare xi-table: xi_ij + xi_ji = [2] and
-    the row-sum identity at size 3 (no reference to any b or beta data)."""
+def row_sum(table, subset, ctx):
+    """sum_r prod_{l != r} table[(l, r)], over r and l in subset."""
+    return sum((math.prod((table[(l, r)] for l in subset if l != r),
+                          start=ctx.field.one) for r in subset),
+               ctx.field.zero)
+
+
+def xi_only_hypotheses(table, ctx):
+    """Yield the comparisons of the weaker hypotheses on a bare xi-table,
+    xi_ij + xi_ji = [2] and the row-sum identity at size 3 (no reference
+    to any b or beta data): None for each that holds, else the pair or
+    triple and its sum."""
     two = qnum(2, ctx)
     idx = sorted({i for (i, _) in table})
-    for i in idx:
-        for j in idx:
-            if i != j and table[(i, j)] + table[(j, i)] != two:
-                return False
+    for i, j in itertools.permutations(idx, 2):
+        v = table[(i, j)] + table[(j, i)]
+        yield None if v == two else (i, j, v)
     for trip in itertools.combinations(idx, 3):
-        row = ctx.field.zero
-        for r in trip:
-            prod = ctx.field.one
-            for l in trip:
-                if l != r:
-                    prod = prod * table[(l, r)]
-            row = row + prod
-        if row != qnum(3, ctx):
-            return False
-    return True
+        row = row_sum(table, trip, ctx)
+        yield None if row == qnum(3, ctx) else (trip, row)
 
 
 def normalization_check(params, p):
@@ -406,17 +387,17 @@ def normalization_check(params, p):
     n = params.n
     ket = build_eps_dyn(params, p, CONTRA)
     bra = build_eps_dyn(params, p, CO)
-    total = params.ctx.field.zero
-    ok_comp = True
-    for t in itertools.permutations(range(1, n + 1)):
-        prod = bra.entry((), t) * ket.entry(t, ())
-        expect = params.ctx.field.one
-        for a in range(n):
-            for b in range(a + 1, n):
-                expect = expect * params.xi(t[a], t[b], p.p(t[a], t[b]))
-        if prod != expect:
-            ok_comp = False
-        total = total + prod
-    return [Check("eps.componentwise-product", ok_comp),
+    field = params.ctx.field
+    prods = [(t, bra.entry((), t) * ket.entry(t, ()))
+             for t in itertools.permutations(range(1, n + 1))]
+    total = sum((v for _, v in prods), field.zero)
+
+    def expected(t):
+        return math.prod((params.xi(a, b, p.p(a, b))
+                          for a, b in itertools.combinations(t, 2)),
+                         start=field.one)
+
+    return [tally("eps.componentwise-product", (
+                None if v == expected(t) else (t, v) for t, v in prods)),
             Check("eps.normalization-factorial",
                   total == qfact(n, params.ctx), total)]

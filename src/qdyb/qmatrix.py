@@ -23,7 +23,7 @@ A braid word (the `word` of a `rho` or `rho_dyn` factor) is a list of
 [coefficient, letters] terms, applied letter by letter in the Hecke
 representation on the factor's spaces, or {"antisym": m}, which
 resolves to hecke.antisym(rep, 1, m): the window antisymmetrizer from
-that representation's memo (keyed (sign, i, j)): the window recursion
+that representation's memo (keyed (i, j)): the window recursion
 run on the generators' images, which is the image of its expansion into
 words because a representation is linear and multiplicative.
 

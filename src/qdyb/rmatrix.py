@@ -31,7 +31,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .checks import Check, compare
+from .checks import Check, compare, tally
 from .scalars import DegenerateParameterError
 from .tensor import TensorOp, flat_index, multi_index
 from .weights import BETA_INFINITY, GENERIC
@@ -408,17 +408,18 @@ def twist_checks(params, psi, p, rmx=None):
     records.append(Check("twist.preserves-braid-and-hecke", not bad,
                          bad[0].witness if bad else None))
 
-    if params.beta_chain is not None:
-        same_beta = all(
-            params.beta(i, j) == twisted.beta(i, j)
-            for i in range(1, n + 1) for j in range(1, n + 1))
+    if params.beta_chain is None:
+        # beta = oo: a fail names the chain the twisted set gained
+        records.append(tally("twist.preserves-beta", [twisted.beta_chain]))
     else:
-        same_beta = twisted.beta_chain is None
-    records.append(Check("twist.preserves-beta", same_beta))
+        records.append(tally("twist.preserves-beta", (
+            None if params.beta(i, j) == twisted.beta(i, j)
+            else (i, j, twisted.beta(i, j))
+            for i in range(1, n + 1) for j in range(1, n + 1))))
 
     pattern = lambda op: {(r, c) for r, cols in op.support() for c in cols}
-    records.append(Check("twist.preserves-pattern",
-                         pattern(R) == pattern(R_twisted)))
+    records.append(tally("twist.preserves-pattern", [
+        min(pattern(R) ^ pattern(R_twisted), default=None)]))
     return records
 
 
@@ -525,38 +526,37 @@ def diag_inversion(params, p, rmx=None):
     rhs = invert_dyn(params, p) * sigma
     records.append(compare("diag-inversion.operator", lhs, rhs))
 
-    ok_a = ok_b = True
-    lam = ctx.lam
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pij = p.p(i, j)
-            a = params.a_entry(i, j, pij)
-            sig = ctx.qpow(2) if i == j else ctx.field.one
-            if a != (a - (lam if i == j else 0)) * sig:
-                ok_a = False
-            if i != j:
-                b = params.b_entry(i, j, pij)
-                bj = params.b_entry(j, i, -pij)
-                if dvals[i - 1] / dvals[j - 1] * b != -bj:
-                    ok_b = False
-    records.append(Check("diag-inversion.swap-component", ok_a))
-    records.append(Check("diag-inversion.diagonal-component", ok_b))
+    # a_ii = (a_ii - lam) q^2; off the diagonal sigma is 1 and a_ij = a_ij
+    diag_a = [(i, params.a_entry(i, i, p.p(i, i))) for i in range(1, n + 1)]
+    records.append(tally("diag-inversion.swap-component", (
+        None if a == (a - ctx.lam) * ctx.qpow(2) else (i, a)
+        for i, a in diag_a)))
+
+    def residual(i, j):
+        """None, or (i, j) and D_i / D_j b_ij + b_ji where it is not 0."""
+        pij = p.p(i, j)
+        r = dvals[i - 1] / dvals[j - 1] * params.b_entry(i, j, pij) \
+            + params.b_entry(j, i, -pij)
+        return (i, j, r) if r else None
+
+    records.append(tally("diag-inversion.diagonal-component", (
+        residual(i, j)
+        for i, j in itertools.permutations(range(1, n + 1), 2))))
     return D1, sigma, records
 
 
 def pi_ratio_check(params, p):
-    """-(b_ji / b_ij) q^(2 p_ij) = pi_ij at the sampled point."""
+    """-(b_ji / b_ij) q^(2 p_ij) = pi_ij at the sampled point, wherever
+    b_ij is nonzero; a fail names (i, j) and the ratio."""
     n = params.n
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
+
+    def mismatches():
+        for i, j in itertools.permutations(range(1, n + 1), 2):
             pij = p.p(i, j)
             bij = params.b_entry(i, j, pij)
-            bji = params.b_entry(j, i, -pij)
-            if not bij:
-                continue
-            if -(bji / bij) * params.ctx.qpow(2 * pij) != params.pi(i, j):
-                ok = False
-    return [Check("pi-from-b-ratio", ok)]
+            if bij:
+                r = -(params.b_entry(j, i, -pij) / bij) \
+                    * params.ctx.qpow(2 * pij)
+                yield None if r == params.pi(i, j) else (i, j, r)
+
+    return [tally("pi-from-b-ratio", mismatches())]

@@ -15,6 +15,7 @@ of another named suite under it is refused, since it would check
 nothing the corruption touches.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .weights import (
     sample_points, sample_q, sample_twist,
 )
 from . import rmatrix, hecke, levicivita, wznw
-from .checks import Check, fold, prefixed
+from .checks import Check, fold, mismatch, prefixed, tally
 from .qmatrix import ReplayEngine, builtin_derivations, oracle_confirm
 from .tensor import TensorOp
 
@@ -191,97 +192,94 @@ def suite_params(cfg):
 
     # q-number consistency: [j][k+1] - [j+1][k] = [j-k]
     ctx = cfg.context(rng)
-    ok = all(
-        qnum(j, ctx) * qnum(k + 1, ctx) - qnum(j + 1, ctx) * qnum(k, ctx)
-        == qnum(j - k, ctx)
-        for j in range(-6, 7) for k in range(-6, 7))
-    records.append(Check("params.qnum-consistency", ok))
+    records.append(tally("params.qnum-consistency", (
+        None if qnum(j, ctx) * qnum(k + 1, ctx)
+        - qnum(j + 1, ctx) * qnum(k, ctx) == qnum(j - k, ctx) else (j, k)
+        for j in range(-6, 7) for k in range(-6, 7))))
 
     # f recursion and the b fraction recursion
-    ok_f = ok_b = True
-    for _ in range(10):
-        beta = field.of(Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
-        for p in range(-8, 9):
-            lhs = f_poly(p + 1, beta, ctx) + f_poly(p - 1, beta, ctx)
-            if lhs != qnum(2, ctx) * f_poly(p, beta, ctx):
-                ok_f = False
-            try:
-                den = f_poly(p, beta, ctx)
-                den1 = f_poly(p + 1, beta, ctx)
-                if den and den1:
-                    b = ctx.q - f_poly(p - 1, beta, ctx) / den
-                    b1 = ctx.q - den / den1
-                    if ctx.qbar + b and b1 != b * ctx.q / (ctx.qbar + b):
-                        ok_b = False
-            except ZeroDivisionError:
-                pass
-    records.append(Check("params.f-recursion", ok_f))
-    records.append(Check("params.b-fraction-recursion", ok_b))
+    betas = [field.of(Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
+             for _ in range(10)]
+    cases = [(beta, p) for beta in betas for p in range(-8, 9)]
+
+    def b_fraction(beta, p):
+        """None, or (beta, p) where b(p+1) = q b(p) / (qbar + b(p)) fails
+        for b(p) = q - f(p-1)/f(p); a vanishing denominator skips p."""
+        den, den1 = f_poly(p, beta, ctx), f_poly(p + 1, beta, ctx)
+        if den and den1:
+            b = ctx.q - f_poly(p - 1, beta, ctx) / den
+            if ctx.qbar + b \
+                    and ctx.q - den / den1 != b * ctx.q / (ctx.qbar + b):
+                return beta, p
+
+    records.append(tally("params.f-recursion", (
+        None if f_poly(p + 1, beta, ctx) + f_poly(p - 1, beta, ctx)
+        == qnum(2, ctx) * f_poly(p, beta, ctx) else (beta, p)
+        for beta, p in cases)))
+    records.append(tally("params.b-fraction-recursion",
+                         (b_fraction(beta, p) for beta, p in cases)))
 
     for d in range(cfg.draws):
         params, p = _params_and_point(rng, cfg.draw_params)
         bad = params if cfg.corrupt != "beta" else _corrupt_beta(params)
         lam = params.ctx.lam
-        n = params.n
-        wit_sym = next(
-            ((i, j, bad.beta(i, j) + bad.beta(j, i))
-             for i in range(1, n + 1) for j in range(1, n + 1)
-             if i != j and bad.beta(i, j) + bad.beta(j, i) != lam), None)
-        wit_cyc = next(
-            ((i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)
-             for k in range(1, n + 1) if len({i, j, k}) == 3
-             and bad.beta(i, j) * bad.beta(j, k) * bad.beta(k, i)
-             + bad.beta(i, k) * bad.beta(k, j) * bad.beta(j, i) != 0),
-            None)
-        ok_pi = all(
-            params.pi(i, j) * params.pi(j, i) == 1
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
-        ok_alpha = all(
-            params.alpha(i, j, x) * params.alpha(j, i, -x) == 1
-            for i in range(1, n + 1) for j in range(1, n + 1)
-            for x in range(-6, 7) if i != j)
-        wit_ab = None
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                pij = p.p(i, j)
-                aij = bad.a_entry(i, j, pij)
-                aji = bad.a_entry(j, i, -pij)
-                bij = bad.b_entry(i, j, pij)
-                bji = bad.b_entry(j, i, -pij)
-                if bij + bji != lam or aij * aji - bij * bji != 1:
-                    wit_ab = (i, j, aij * aji - bij * bji)
-        records.append(Check("params.beta-antisymmetry[%d]" % d,
-                             wit_sym is None, wit_sym))
-        records.append(Check("params.beta-triple-cycle[%d]" % d,
-                             wit_cyc is None, wit_cyc))
-        records.append(Check("params.pi-inverse-pairs[%d]" % d, ok_pi))
-        records.append(Check("params.alpha-pairing[%d]" % d, ok_alpha))
-        records.append(Check("params.ab-quadratic[%d]" % d,
-                             wit_ab is None, wit_ab))
+        idx = range(1, params.n + 1)
+        pairs = list(itertools.permutations(idx, 2))
+        if params.beta_chain is None:
+            for name in ("beta-antisymmetry", "beta-triple-cycle"):
+                records.append(Check("params.%s[%d]" % (name, d), None,
+                                     "beta is infinite in this regime"))
+        else:
+            records.append(tally("params.beta-antisymmetry[%d]" % d, (
+                None if (s := bad.beta(i, j) + bad.beta(j, i)) == lam
+                else (i, j, s) for i, j in pairs)))
+            records.append(tally("params.beta-triple-cycle[%d]" % d, (
+                None if bad.beta(i, j) * bad.beta(j, k) * bad.beta(k, i)
+                + bad.beta(i, k) * bad.beta(k, j) * bad.beta(j, i) == 0
+                else (i, j, k) for i, j, k in itertools.permutations(idx, 3))))
+        records.append(tally("params.pi-inverse-pairs[%d]" % d, (
+            None if params.pi(i, j) * params.pi(j, i) == 1 else (i, j)
+            for i, j in pairs)))
+        records.append(tally("params.alpha-pairing[%d]" % d, (
+            None if params.alpha(i, j, x) * params.alpha(j, i, -x) == 1
+            else (i, j, x) for i, j in pairs for x in range(-6, 7))))
+
+        def ab_quadratic(i, j):
+            """None, or (i, j, a_ij a_ji - b_ij b_ji) where that is not 1
+            or b_ij + b_ji is not lam."""
+            pij = p.p(i, j)
+            bij, bji = bad.b_entry(i, j, pij), bad.b_entry(j, i, -pij)
+            det = bad.a_entry(i, j, pij) * bad.a_entry(j, i, -pij) - bij * bji
+            return None if bij + bji == lam and det == 1 else (i, j, det)
+
+        records.append(tally("params.ab-quadratic[%d]" % d,
+                             (ab_quadratic(i, j) for i, j in pairs)))
         records.extend(prefixed("params.d%d." % d,
                                 rmatrix.pi_ratio_check(params, p)))
 
     # prime backend agreement on scalar kernels
     F = PrimeField()
     rngp = random.Random(cfg.seed + 1)
-    agree = True
-    for _ in range(10):
-        qv = Fraction(rngp.randint(2, 9), rngp.randint(1, 3))
-        if qv == 1:
-            continue
-        cq = QContext(qv, 3)
-        cf = QContext(F.of(qv), 3, field=F)
-        j = rngp.randint(-5, 5)
-        beta = Fraction(rngp.randint(-5, 5), 2)
-        if F.of(qnum(j, cq)) != qnum(j, cf):
-            agree = False
-        if F.of(f_poly(j, beta, cq)) != f_poly(j, F.of(beta), cf):
-            agree = False
-        if F.of(qnum_base(4, qv + 1, cq)) != qnum_base(4, F.of(qv + 1), cf):
-            agree = False
-    records.append(Check("params.prime-backend-agreement", agree))
+
+    def disagreements():
+        """None for each kernel value that agrees, else its name and
+        arguments; 10 draws, those at q = 1 left out."""
+        for _ in range(10):
+            qv = Fraction(rngp.randint(2, 9), rngp.randint(1, 3))
+            if qv == 1:
+                continue
+            cq = QContext(qv, 3)
+            cf = QContext(F.of(qv), 3, field=F)
+            j = rngp.randint(-5, 5)
+            beta = Fraction(rngp.randint(-5, 5), 2)
+            yield None if F.of(qnum(j, cq)) == qnum(j, cf) \
+                else ("qnum", qv, j)
+            yield None if F.of(f_poly(j, beta, cq)) \
+                == f_poly(j, F.of(beta), cf) else ("f_poly", qv, j, beta)
+            yield None if F.of(qnum_base(4, qv + 1, cq)) \
+                == qnum_base(4, F.of(qv + 1), cf) else ("qnum_base", qv)
+
+    records.append(tally("params.prime-backend-agreement", disagreements()))
     return records
 
 
@@ -335,10 +333,9 @@ def suite_qdybe(cfg):
         params = SLnParams(ctx, chain)
         offs = rmatrix.beta_removal_offsets(params)
         ev = rmatrix.ShiftedEvaluation(params, offs)
-        ok = all(ev.xi(1, 2, pij)
-                 == qnum(pij - 1, ctx) / qnum(pij, ctx)
-                 for pij in range(2, 7))
-        records.append(Check("qdybe.canonical-shift-removes-beta", ok))
+        records.append(tally("qdybe.canonical-shift-removes-beta", (
+            None if ev.xi(1, 2, pij) == qnum(pij - 1, ctx) / qnum(pij, ctx)
+            else pij for pij in range(2, 7))))
     except DegenerateParameterError as e:
         records.append(Check("qdybe.canonical-shift-removes-beta", None,
                              str(e)))
@@ -366,34 +363,34 @@ def suite_hecke(cfg):
 
     for label, rep in (("constant", crep), ("dynamic", drep),
                        ("localized-last", lrep)):
-        records.append(Check("hecke.relations.%s" % label,
-                             rep.relations_hold()))
+        records.append(tally("hecke.relations.%s" % label,
+                             rep.failed_relations()))
         height = hecke.height(rep)
-        records.append(Check("hecke.height.%s" % label, height == n, height))
+        records.append(Check("hecke.height.%s" % label, height == n,
+                             "no height" if height is None else height))
         records.extend(prefixed("hecke.%s." % label,
                                 hecke.top_vanish_equivalents(rep, n)))
-        records.append(Check("hecke.antisym-props.%s" % label,
-                             hecke.antisym_props_hold(rep, min(n + 1, k))))
+        records.append(tally("hecke.antisym-props.%s" % label,
+                             hecke.antisym_props(rep, min(n + 1, k))))
 
     # rank oracle against the undeformed antisymmetrizer
-    ok_rank = True
-    for j in range(1, n + 1):
-        expected = hecke.classical_antisym_rank(n, j, k)
-        if hecke.antisym(crep, 1, j).exact_rank() != expected:
-            ok_rank = False
-        if hecke.antisym(drep, 1, j).exact_rank() != expected:
-            ok_rank = False
-    records.append(Check("hecke.rank-oracle", ok_rank))
+    def rank_errors():
+        for j in range(1, n + 1):
+            expected = hecke.classical_antisym_rank(n, j, k)
+            for label, rep in (("constant", crep), ("dynamic", drep)):
+                rank = hecke.antisym(rep, 1, j).exact_rank()
+                yield None if rank == expected else (label, j, rank)
+
+    records.append(tally("hecke.rank-oracle", rank_errors()))
 
     records.extend(prefixed("hecke.dynamic.", hecke.inner_automorphism_check(
         drep, 1, min(n - 1, k - 2))))
-    loc = hecke.locality_structure(drep)
-    records.append(Check("hecke.nonlocality-pattern",
-                         loc[0] is True and all(x is False
-                                                for x in loc[1:])))
-    records.append(Check("hecke.localized-last-equivalence",
-                         hecke.global_conjugation_equivalent(
-                             params, p, drep, lrep)))
+    # only g_1 is localized
+    records.append(tally("hecke.nonlocality-pattern", (
+        None if local is (i == 1) else i
+        for i, local in enumerate(hecke.locality_structure(drep), 1))))
+    records.append(tally("hecke.localized-last-equivalence",
+                         hecke.global_conjugation(params, p, drep, lrep)))
     return records
 
 
@@ -434,26 +431,28 @@ def suite_epsilon(cfg):
     # constant-regime reduction and N = K = identity
     cm = constant_multiparam(ctx)
     p0 = WeightPoint(n, tuple(1 for _ in range(n - 1)))
-    records.append(Check(
-        "epsilon.constant-regime-reduction",
-        levicivita.build_eps_dyn(cm, p0, levicivita.CONTRA)
-        == levicivita.build_eps_const(n, ctx, levicivita.CONTRA)
-        and levicivita.build_eps_dyn(cm, p0, levicivita.CO)
-        == levicivita.build_eps_const(n, ctx, levicivita.CO)))
+    records.append(tally("epsilon.constant-regime-reduction", (
+        mismatch(levicivita.build_eps_dyn(cm, p0, variance),
+                 levicivita.build_eps_const(n, ctx, variance), variance)
+        for variance in (levicivita.CONTRA, levicivita.CO))))
     nk = levicivita.build_nk_const(n, ctx)
-    records.append(Check("epsilon.constant-nk-identity",
-                         all(v == 1 for v in nk.nvals + nk.kvals)))
+    records.append(tally("epsilon.constant-nk-identity", (
+        None if v == 1 else (name, i, v)
+        for name, vals in (("N", nk.nvals), ("K", nk.kvals))
+        for i, v in enumerate(vals, 1))))
 
     # projectors match the antisymmetrizer tower
     params, p = _params_and_point(rng, cfg.draw_params, clearance=n + 1)
     k = n + 1
     drep = hecke.HeckeRep.dynamic(params, p, k)
-    ok = True
-    for w in (1, 2):
+
+    def projector(w):
         proj = levicivita.projector_from_eps(params, p, w, k)
-        if proj != hecke.antisym(drep, w, w + n - 1) or proj * proj != proj:
-            ok = False
-    records.append(Check("epsilon.projector-vs-antisymmetrizer", ok))
+        return mismatch(proj, hecke.antisym(drep, w, w + n - 1), w) \
+            or mismatch(proj * proj, proj, w)
+
+    records.append(tally("epsilon.projector-vs-antisymmetrizer",
+                         (projector(w) for w in (1, 2))))
     return records
 
 
@@ -475,25 +474,25 @@ def suite_appendix(cfg):
     records.extend(prefixed("appendix.generic-d.",
                             levicivita.bruteforce_norm_identities(
                                 table, params.ctx, d=d, subsets=subsets)))
-    records.append(Check("appendix.xi-only-hypotheses",
-                         levicivita.xi_only_hypotheses_hold(table,
-                                                            params.ctx)))
+    records.append(tally("appendix.xi-only-hypotheses",
+                         levicivita.xi_only_hypotheses(table, params.ctx)))
 
     # cycle reversal up to length 5 and the pi ratio
     def b(i, j):
         return params.ctx.q - table[(i, j)]
 
-    ok_cycle = True
-    for k in (3, 4, 5):
-        idx = rng.sample(range(1, size + 1), k)
-        fwd = params.ctx.field.one
-        bwd = params.ctx.field.one
+    def reversal(idx):
+        """None, or the cycle idx where prod b along it is not (-1)^k
+        times the product along its reversal."""
+        k = len(idx)
+        fwd = bwd = params.ctx.field.one
         for t in range(k):
             fwd = fwd * b(idx[t], idx[(t + 1) % k])
             bwd = bwd * b(idx[(t + 1) % k], idx[t])
-        if fwd != (-1) ** k * bwd:
-            ok_cycle = False
-    records.append(Check("appendix.cycle-reversal", ok_cycle))
+        return None if fwd == (-1) ** k * bwd else tuple(idx)
+
+    records.append(tally("appendix.cycle-reversal", (
+        reversal(rng.sample(range(1, size + 1), k)) for k in (3, 4, 5))))
     records.extend(prefixed("appendix.", rmatrix.pi_ratio_check(params, p)))
     return records
 
@@ -531,16 +530,19 @@ def suite_qmatrix(cfg):
 def suite_wznw(cfg):
     rng = cfg.rng()
     records = []
-    ok_routes = True
-    for _ in range(20):
-        n = rng.choice([2, 3, 4, 5])
-        chain = [rng.randint(-6, 6) for _ in range(n - 1)]
-        w = wznw.WeightVector.from_point(WeightPoint(n, chain))
-        try:
-            wznw.dvec(w)
-        except DegenerateParameterError:
-            ok_routes = False
-    records.append(Check("wznw.dimension-two-routes", ok_routes))
+
+    def route_errors():
+        for _ in range(20):
+            n = rng.choice([2, 3, 4, 5])
+            chain = [rng.randint(-6, 6) for _ in range(n - 1)]
+            try:
+                wznw.dvec(wznw.WeightVector.from_point(WeightPoint(n, chain)))
+            except DegenerateParameterError as e:
+                yield chain, str(e)
+            else:
+                yield None
+
+    records.append(tally("wznw.dimension-two-routes", route_errors()))
 
     for n in (2, 3, 4):
         field = cfg.field()
@@ -568,7 +570,8 @@ def suite_wznw(cfg):
     for c in wznw.reconcile_diag_gauge(gen, p):
         if c.id == "wznw.gauge-exact-match":
             c = Check(c.id + ".mismatch-reported",
-                      not c.ok or gen.regime == BETA_INFINITY)
+                      not c.ok or gen.regime == BETA_INFINITY,
+                      "an exact match in the %s regime" % gen.regime)
         records.extend(prefixed("generic.", [c]))
     return records
 

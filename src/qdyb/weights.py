@@ -511,9 +511,10 @@ class SLnParams:
 
 def constant_multiparam(ctx):
     """The degenerate regime beta_i = lam with the standard alpha choice;
-    p-independent, reproducing the Drinfeld-Jimbo matrix."""
-    return SLnParams(ctx, [ctx.lam] * (ctx.n - 1),
-                     PairFamily.standard(ctx.n, ctx))
+    p-independent, reproducing the Drinfeld-Jimbo matrix.  Neither draws
+    anything, so no rng is passed."""
+    return sample_params(ctx.n, None, ctx=ctx, regime=CONSTANT_MULTIPARAM,
+                         alpha="standard")
 
 
 # -- deterministic sampling -------------------------------------------
@@ -543,15 +544,15 @@ def sample_params(n, rng, ctx=None, regime=GENERIC, alpha="unit"):
     field = ctx.field
     lam = ctx.lam
     beta = None
+    if regime != BETA_INFINITY and not lam:
+        # at q^2 = 1 every finite chain makes derive_beta degenerate
+        raise DegenerateParameterError(
+            "no %s beta chain at q = %s over %s: lam = q - qbar = 0"
+            % (regime, fmt_scalar(ctx.q), field.name))
     if regime == BETA_INFINITY:
         chain = None
     elif regime == CONSTANT_MULTIPARAM:
         chain = [lam] * (n - 1)
-    elif not lam:
-        # at q^2 = 1 every chain makes derive_beta degenerate
-        raise DegenerateParameterError(
-            "no generic beta chain at q = %s over %s: lam = q - qbar = 0"
-            % (fmt_scalar(ctx.q), field.name))
     else:
         while True:
             chain = [field.of(rand_fraction(rng)) for _ in range(n - 1)]

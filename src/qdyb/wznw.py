@@ -18,9 +18,10 @@ beta -> oo regime; otherwise the mismatch factor pi_ij is reported
 rather than hidden.
 """
 
+import itertools
 from fractions import Fraction
 
-from .checks import Check
+from .checks import Check, mismatch, tally
 from .scalars import DegenerateParameterError
 from .tensor import TensorOp
 from .rmatrix import build_dj
@@ -103,8 +104,6 @@ def det_normalization_check(n, ctx):
     two = ctx.q + ctx.qbar
     sym = (1 / two) * (R + ctx.qbar * ident)     # q-eigenprojector
     anti = (1 / two) * (ctx.q * ident - R)       # (-qbar)-eigenprojector
-    ok_idem = sym * sym == sym and anti * anti == anti \
-        and (sym + anti) == ident
 
     m_plus = sym.exact_rank()
     m_minus = anti.exact_rank()
@@ -115,7 +114,10 @@ def det_normalization_check(n, ctx):
     lam_minus = -ctx.qbar / ctx.root
     product = lam_plus**m_plus * lam_minus**m_minus
     expected = ctx.field.of((-1) ** exp_minus)
-    return [Check("wznw.spectral-projectors", ok_idem),
+    return [tally("wznw.spectral-projectors", [
+                mismatch(sym * sym, sym, "symmetric"),
+                mismatch(anti * anti, anti, "antisymmetric"),
+                mismatch(sym + anti, ident, "sum")]),
             Check("wznw.multiplicity-symmetric", m_plus == exp_plus, m_plus),
             Check("wznw.multiplicity-antisymmetric", m_minus == exp_minus,
                   m_minus),
@@ -135,22 +137,14 @@ def reconcile_diag_gauge(params, point):
             "regime mismatch: pi undefined outside the generic family")
     n = params.n
     ctx = params.ctx
-    w = WeightVector.from_point(point)
-    d = dvec(w)
-    mismatch = {}
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            # d_i - d_j = -2 p_ij is an integer, so exact q-powers exist
-            lhs = ctx.qpow(int(d[i - 1] - d[j - 1]))
-            rhs = ctx.qpow(-2 * point.p(i, j)) * params.pi(i, j)
-            ratio = rhs / lhs
-            if ratio != params.pi(i, j):
-                ok = False
-            if ratio != ctx.field.one:
-                mismatch[(i, j)] = ratio
-    return [Check("wznw.gauge-ratio-is-pi", ok),
-            Check("wznw.gauge-exact-match", not mismatch,
-                  sorted(mismatch) if mismatch else None)]
+    d = dvec(WeightVector.from_point(point))
+    # d_i - d_j = -2 p_ij is an integer, so exact q-powers exist
+    ratios = {(i, j): ctx.qpow(-2 * point.p(i, j)) * params.pi(i, j)
+              / ctx.qpow(int(d[i - 1] - d[j - 1]))
+              for i, j in itertools.permutations(range(1, n + 1), 2)}
+    return [tally("wznw.gauge-ratio-is-pi", (
+                None if r == params.pi(i, j) else (i, j, r)
+                for (i, j), r in ratios.items())),
+            tally("wznw.gauge-exact-match", [sorted(
+                ij for ij, r in ratios.items() if r != ctx.field.one)
+                or None])]

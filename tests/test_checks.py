@@ -1,12 +1,16 @@
-"""The check record and the status fold."""
+"""The check record, the comparison tally and the status fold."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from qdyb.checks import Check, compare, fold, prefixed
+import qdyb
+from qdyb import checks
+from qdyb.checks import Check, compare, fold, mismatch, prefixed, tally
 from qdyb.scalars import RATIONAL, QContext
 from qdyb.rmatrix import build_dj
 from qdyb.tensor import TensorOp
@@ -43,6 +47,68 @@ def test_fold():
     assert fold(["pass", "skip", "fail"]) == "fail"
 
 
+def test_tally_reads_every_item_and_keeps_the_first_witness():
+    assert tally("none", []) == ("none", True, None)
+    assert tally("held", [None, None]) == ("held", True, None)
+    read = []
+
+    def items():
+        for k, witness in enumerate([None, (1, 2), None, (3, 4)]):
+            read.append(k)
+            yield witness
+
+    assert tally("failed", items()) == ("failed", False, (1, 2))
+    assert read == [0, 1, 2, 3]
+
+
+def test_mismatch_puts_its_labels_before_the_first_entry():
+    ctx = QContext(Fraction(2), 2)
+    R = build_dj(2, ctx)
+    assert mismatch(R, R, 1, 2) is None
+    row, col, value = R.first_nonzero()
+    assert mismatch(R, 2 * R) == (row, col, -value)
+    assert mismatch(R, 2 * R, 1, 2) == (1, 2, row, col, -value)
+
+
+def _tally_modules():
+    """Every qdyb module that folds records with checks.tally."""
+    names = [m.name for m in pkgutil.iter_modules(qdyb.__path__)
+             if m.name != "__main__"]
+    mods = [importlib.import_module("qdyb." + name) for name in names]
+    return [m for m in mods if getattr(m, "tally", None) is checks.tally]
+
+
+@pytest.mark.parametrize("n, empty", [
+    (2, {"params.beta-triple-cycle[%d]" % d for d in range(5)}),
+    (3, set())])
+def test_records_that_compare_nothing_are_pinned(monkeypatch, n, empty):
+    """A tally of no comparison passes, so the records whose stream is
+    empty in `verify all --seed 7` are pinned, on both fields: at n = 2
+    only the triple cycles, which need three distinct indices.  A loop
+    cut short, say a range that ends too soon, joins this set."""
+    seen = set()
+    real = checks.tally
+
+    def counted(rec_id, witnesses):
+        items = list(witnesses)
+        if not items:
+            seen.add(rec_id)
+        return real(rec_id, items)
+
+    mods = _tally_modules()
+    assert {m.__name__ for m in mods} >= {
+        "qdyb.checks", "qdyb.hecke", "qdyb.levicivita", "qdyb.rmatrix",
+        "qdyb.verify", "qdyb.wznw"}
+    for backend in ("rational", "prime"):
+        seen.clear()
+        with monkeypatch.context() as mp:
+            for m in mods:
+                mp.setattr(m, "tally", counted)
+            assert run(RunConfig(n=n, seed=7, backend=backend))["status"] \
+                == "pass"
+        assert seen == empty, backend
+
+
 def test_compare_witness_is_first_nonzero_entry():
     ctx = QContext(Fraction(2), 2)
     R = build_dj(2, ctx)
@@ -74,7 +140,8 @@ def test_passing_compare_forms_no_difference(monkeypatch):
 
 def test_corrupt_beta_records_pinned():
     """`qdyb verify qdybe --n 2 --corrupt beta`: the failing ids and their
-    witnesses, as read before compare decided by stored form."""
+    witnesses, as read before compare decided by stored form, and with
+    the first failing pair as the diagonal-component witness."""
     doc = strip_timing(run(RunConfig(n=2, corrupt="beta"), "qdybe"))
     fails = [(r["id"], r.get("witness")) for rep in doc["reports"]
              for r in rep["records"] if r["status"] != "pass"]
@@ -84,7 +151,7 @@ def test_corrupt_beta_records_pinned():
     assert fails[-2] == ("qdybe.d4.p2.qdybe.inverse-by-hecke",
                          "((1, 2), (1, 2), Fraction(-62208, 44975245))")
     text = json.dumps(fails).encode()
-    assert hashlib.sha256(text).hexdigest()[:16] == "80bf7a16fd2c9821"
+    assert hashlib.sha256(text).hexdigest()[:16] == "9f80ff87fc6a07a4"
 
 
 def test_corrupt_beta_on_a_shared_context_fails_as_on_a_fresh_one():

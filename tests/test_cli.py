@@ -200,14 +200,14 @@ PINNED_REPORTS = {
     "derive --n 2 --backend prime --seed 7": "a7a47d9e5a4d620e",
     "derive --n 3 --seed 7": "a951305cdd4a977d",
     "derive --n 3 --backend prime --seed 7": "fe41748aff6f0c2a",
-    "verify appendix --n 2 --corrupt xi": "506e1bed7386cd6c",
-    "verify appendix --n 2 --corrupt xi --backend prime": "98a7493ea72fea78",
+    "verify appendix --n 2 --corrupt xi": "0e266522c0c14a76",
+    "verify appendix --n 2 --corrupt xi --backend prime": "e07d054088caf089",
     "verify qmatrix --n 2 --corrupt xunit": "2fb8e01c8960a80b",
     "verify qmatrix --n 2 --corrupt xunit --backend prime":
         "ff88df6116d79999",
     "verify wznw --n 2 --corrupt scale": "955f9132a90b5c24",
     "verify wznw --n 2 --corrupt scale --backend prime": "7b806c733d2c5ccf",
-    "verify qdybe --n 2 --corrupt beta --backend prime": "d99466b192f638f2",
+    "verify qdybe --n 2 --corrupt beta --backend prime": "f58d713ca2859454",
     "verify epsilon --n 2 --corrupt eps-sign --backend prime":
         "9d8226e9868df6dc",
     "verify hecke --n 2 --corrupt beta": "02b9f93a9dc0cdf0",
@@ -217,7 +217,7 @@ PINNED_REPORTS = {
     "verify qdybe --n 3 --seed 7 --backend prime": "f6b10cb4ce94d310",
     "verify all --n 2 --seed 7 --alpha standard": "a0c49f16627a367c",
     "verify all --n 2 --draws 1 --points 1 --corrupt beta":
-        "6d4b0c6a9a2edf4c",
+        "c85f875ce68f6937",
     "verify all --n 2 --draws 1 --points 1 --corrupt xunit":
         "33564915a708eb40",
 }
@@ -255,7 +255,7 @@ def test_runconfig_takes_only_the_cli_corruption_names(capsys):
 @pytest.mark.parametrize("corrupt", sorted(verify.CORRUPTIONS))
 def test_a_corruption_runs_only_on_the_suites_it_breaks(capsys, corrupt):
     """Over all suite and --corrupt pairs: a suite the corruption breaks
-    fails with a witness, and any other named suite, which would run
+    fails, each failing record with a witness, and any other named suite, which would run
     clean and report pass, is refused with exit 2 naming the suites the
     corruption breaks."""
     broken = verify.CORRUPTIONS[corrupt]
@@ -268,12 +268,50 @@ def test_a_corruption_runs_only_on_the_suites_it_breaks(capsys, corrupt):
             assert code == 1, (suite, err)
             (rep,) = json.loads(out)["reports"]
             fails = [r for r in rep["records"] if r["status"] == "fail"]
-            assert any("witness" in r for r in fails), (suite, fails)
+            assert fails and all("witness" in r for r in fails), \
+                (suite, fails)
         else:
             assert code == 2 and not out, suite
             assert "corrupt %r breaks only the %s suite" % (
                 corrupt, ", ".join(broken)) in err, err
             assert err.rstrip().endswith("not %s" % suite), err
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_params_suite_skips_the_beta_records_at_beta_infinity(capsys, n):
+    """beta infinity has no beta table: the beta antisymmetry and triple
+    cycle records of each draw are skips that say so, and every other
+    params record is checked and passes."""
+    code, out, _ = run_cli(capsys, "verify", "params", "--n", str(n),
+                           "--q", "5/2", "--beta", "infinity", "--draws", "2")
+    assert code == 0
+    (rep,) = json.loads(out)["reports"]
+    skips = {r["id"]: r["note"] for r in rep["records"]
+             if r["status"] == "skip"}
+    assert skips == {"params.beta-%s[%d]" % (name, d):
+                     "beta is infinite in this regime"
+                     for name in ("antisymmetry", "triple-cycle")
+                     for d in (0, 1)}
+    assert {r["status"] for r in rep["records"]
+            if r["id"] not in skips} == {"pass"}
+    code, out, _ = run_cli(capsys, "verify", "all", "--n", "2", "--q", "2",
+                           "--beta", "infinity", "--draws", "1",
+                           "--points", "1")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+
+
+def test_constant_multiparam_at_unit_q_squared_names_q(capsys):
+    """At q = 1 the constant multiparametric chain [lam] is [0]: the
+    epsilon suite, which builds it, fails its setup naming q, the field
+    and the regime."""
+    code, out, _ = run_cli(capsys, "verify", "epsilon", "--n", "2", "--q",
+                           "1", "--beta", "infinity")
+    assert code == 1
+    (rep,) = json.loads(out)["reports"]
+    assert rep["records"] == [{
+        "id": "epsilon.setup", "anchor": "epsilon.setup", "status": "fail",
+        "witness": repr("no constant-multiparam beta chain at q = 1 over "
+                        "rational: lam = q - qbar = 0")}]
 
 
 @pytest.mark.parametrize("suite", ["params", "qdybe", "hecke", "all"])
@@ -989,7 +1027,7 @@ DEGENERATE_ARGVS = [
     ("verify qdybe --n 2 --q 1 --beta infinity", set()),
     ("verify qdybe --n 2 --q -1 --beta infinity", set()),
     ("verify all --n 2 --q 1 --beta infinity",
-     {"params.setup", "epsilon.setup", "appendix.setup", "wznw.setup"}),
+     {"epsilon.setup", "appendix.setup", "wznw.setup"}),
     ("derive --n 2 --points 1 --script SCRIPT",
      "exponent = 1000000 must be in -100..100"),
 ]

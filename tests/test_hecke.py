@@ -7,11 +7,12 @@ from math import lcm
 import pytest
 
 from qdyb import hecke
+from qdyb.checks import tally
 from qdyb.scalars import DegenerateParameterError, QContext
 from qdyb.tensor import TensorOp
 from qdyb.hecke import (
-    HeckeRep, antisym, antisym_props_hold,
-    classical_antisym_rank, global_conjugation_equivalent, height,
+    HeckeRep, antisym, antisym_props,
+    classical_antisym_rank, global_conjugation, height,
     inner_automorphism_check, locality_structure, top_vanish_equivalents,
 )
 from qdyb.rmatrix import DynRMatrix, build_dj, dressed_block
@@ -82,9 +83,9 @@ def test_antisym_props_and_tower():
     rng = random.Random(17)
     ctx = QContext(Fraction(5, 3), 3)
     rep = HeckeRep.constant(3, ctx, 4)
-    assert antisym_props_hold(rep, 3)
+    assert tally("p", antisym_props(rep, 3)).ok
     drep = dyn_rep(3, 4, rng)
-    assert antisym_props_hold(drep, 3)
+    assert tally("p", antisym_props(drep, 3)).ok
     for r in (rep, drep):
         for j in range(1, 5):       # the tower A(1,1) .. A(1,4)
             A = antisym(r, 1, j)
@@ -247,7 +248,7 @@ def test_windows_on_spans_equal_the_k_site_recursion(flavor, n, k):
             W = rep._windows[i, j]
             assert W.exact_rank() * n ** (k - W.rk) == ref.exact_rank()
     assert height(rep) == n
-    assert antisym_props_hold(rep, min(n + 1, k))
+    assert tally("p", antisym_props(rep, min(n + 1, k))).ok
     sites = {"constant": lambda i, j: j - i + 1,
              "dynamic": lambda i, j: j,
              "localized-last": lambda i, j: k - i + 1}[flavor]
@@ -358,7 +359,7 @@ def test_top_vanish_forms_no_identity_product(monkeypatch):
 
 def test_antisym_props_form_no_identity_product(monkeypatch):
     """Absorption is checked on the windows A(i, l) with i < l, since
-    A(i, i) is the identity: no product of antisym_props_hold has an
+    A(i, i) is the identity: no product of antisym_props has an
     identity operand.  A doubled generator, or a doubled window in the
     absorption, still fails the check."""
     mul = TensorOp.__mul__
@@ -382,15 +383,15 @@ def test_antisym_props_form_no_identity_product(monkeypatch):
                 operands.clear()
                 with monkeypatch.context() as mp:
                     mp.setattr(TensorOp, "__mul__", counted)
-                    assert antisym_props_hold(rep, j)
+                    assert tally("p", antisym_props(rep, j)).ok
                 assert operands
                 assert not any(is_identity(a) or is_identity(b)
                                for a, b in operands)
             rep = build()
             rep._blocks[0] = 2 * rep._blocks[0]
-            assert not antisym_props_hold(rep, 2)
+            assert not tally("p", antisym_props(rep, 2)).ok
             rep = build()
-            assert antisym_props_hold(rep, n)
+            assert tally("p", antisym_props(rep, n)).ok
             window_on = hecke._window_on
 
             def doubled(rep, i, l, a, b):
@@ -399,7 +400,7 @@ def test_antisym_props_form_no_identity_product(monkeypatch):
 
             with monkeypatch.context() as mp:
                 mp.setattr(hecke, "_window_on", doubled)
-                assert not antisym_props_hold(rep, n)
+                assert not tally("p", antisym_props(rep, n)).ok
 
 
 def test_top_vanish_n1_degenerate():
@@ -445,7 +446,7 @@ def test_localized_last_equivalence(monkeypatch):
         return dynamic(params, pp, k, rmat)
 
     monkeypatch.setattr(HeckeRep, "dynamic", counted)
-    assert global_conjugation_equivalent(params, p, drep, lrep)
+    assert tally("g", global_conjugation(params, p, drep, lrep)).ok
     assert built == []
     for i in (1, 2):
         rebuilt = lambda pp: HeckeRep.dynamic(params, pp, 3).image(i)
@@ -464,7 +465,7 @@ def test_localized_last_equivalence_fails_on_a_tampered_entry():
     drep = HeckeRep.dynamic(params, p, 3)
     for i in (1, 2):
         lrep = HeckeRep.localized_last(params, p, 3)
-        assert global_conjugation_equivalent(params, p, drep, lrep)
+        assert tally("g", global_conjugation(params, p, drep, lrep)).ok
         img = lrep.image(i)
         r, row = next(iter(sorted(img.rows.items())))
         c = max(row)
@@ -473,7 +474,7 @@ def test_localized_last_equivalence_fails_on_a_tampered_entry():
         lrep._images[i - 1] = TensorOp._make(img.n, img.rk, img.ck, rows,
                                              img.den, img.p)
         assert lrep.image(i) != img
-        assert not global_conjugation_equivalent(params, p, drep, lrep)
+        assert not tally("g", global_conjugation(params, p, drep, lrep)).ok
 
 
 def test_top_window_rank_at_k_equals_n():

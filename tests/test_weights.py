@@ -268,6 +268,13 @@ def test_no_generic_chain_at_unit_q_squared(q, field, shown):
                                        "lam = q - qbar = 0" % shown)):
         sample_params(2, rng, ctx=ctx)
     assert rng.getstate() == state
+    # the constant multiparametric chain [lam] is [0] there too
+    cm = re.escape("no constant-multiparam beta chain at q = %s: "
+                   "lam = q - qbar = 0" % shown)
+    with pytest.raises(DegenerateParameterError, match=cm):
+        constant_multiparam(ctx)
+    with pytest.raises(DegenerateParameterError, match=cm):
+        sample_params(2, rng, ctx=ctx, regime=CONSTANT_MULTIPARAM)
 
 
 def test_params_json_roundtrip():
