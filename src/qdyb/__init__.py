@@ -13,8 +13,8 @@ from .weights import (
 )
 from .tensor import TensorOp
 from .rmatrix import (
-    DynRMatrix, ShiftedEvaluation, beta_removal_offsets, build_dj,
-    build_dyn, diag_inversion, invert_dyn, twist_checks, verify_qdybe,
+    ShiftedEvaluation, beta_removal_offsets, build_dj, build_dyn,
+    diag_inversion, dyn_at, invert_dyn, twist_checks, verify_qdybe,
 )
 from .hecke import (
     HeckeRep, antisym, height, top_vanish_equivalents,

@@ -24,6 +24,9 @@ Three constructors of :class:`HeckeRep`, one per flavor, on V^(x)k:
   g_i -> (X_{i+2}...X_k)^(-1) R_{i,i+1}(p) (X_{i+2}...X_k), equivalent
   to the dynamic flavor by conjugation with X_1...X_k.
 
+The two dynamical flavors read R through ``rmatrix.dyn_at``, so every
+representation of one parameter set shares one R per point.
+
 A representation is its generators, with no record of its flavor,
 parameters or point: a check that reads them takes them as arguments.
 
@@ -70,8 +73,7 @@ import itertools
 from .checks import compare, mismatch, tally
 from .scalars import RATIONAL, DegenerateParameterError, qnum
 from .tensor import TensorOp, flat_index, multi_index
-from .rmatrix import (DynRMatrix, braid_sides, build_dj, dressed_block,
-                      dyn_entries)
+from .rmatrix import braid_sides, build_dj, dressed_block, dyn_at, dyn_entries
 
 
 def _lift(op, first, a, b):
@@ -99,17 +101,15 @@ class HeckeRep:
         return cls(k, ctx, [R] * (k - 1), list(range(1, k)))
 
     @classmethod
-    def dynamic(cls, params, p, k, rmat=None):
-        rmx = rmat if rmat is not None else DynRMatrix(params)
-        blocks = [dressed_block(rmx.at, i - 1, p, "prefix")
-                  for i in range(1, k)]
+    def dynamic(cls, params, p, k):
+        blocks = [dressed_block(lambda pp: dyn_at(params, pp), i - 1, p,
+                                "prefix") for i in range(1, k)]
         return cls(k, params.ctx, blocks, [1] * (k - 1))
 
     @classmethod
-    def localized_last(cls, params, p, k, rmat=None):
-        rmx = rmat if rmat is not None else DynRMatrix(params)
-        blocks = [dressed_block(rmx.at, k - i - 1, p, "suffix")
-                  for i in range(1, k)]
+    def localized_last(cls, params, p, k):
+        blocks = [dressed_block(lambda pp: dyn_at(params, pp), k - i - 1, p,
+                                "suffix") for i in range(1, k)]
         return cls(k, params.ctx, blocks, list(range(1, k)))
 
     def span(self, gens):

@@ -269,21 +269,19 @@ def dressed_bra_tensor(params, p):
                          "prefix")
 
 
-def window_shift_relations_dyn(params, p, rmat=None):
+def window_shift_relations_dyn(params, p, nk):
     """The dynamical transport relations on k = n + 1 sites:
 
         E_[1..n](p) rho(g_n...g_1) = q K(p) (X1 E_[2..n+1](p) X1^(-1)),
         (X1 E_[2..n+1](p) X1^(-1)) rho(g_1...g_n) = q N(p) E_[1..n](p),
 
     where the conjugated bra is the explicit row tensor of
-    :func:`dressed_bra_tensor` and N, K act between site n+1 and site 1.
-    R(p) is taken from rmat, a caller's :class:`DynRMatrix` of params,
-    when given.
+    :func:`dressed_bra_tensor`, N, K act between site n+1 and site 1 and
+    nk is :func:`build_nk` at p, which the caller builds once.
     """
     n = params.n
     ctx = params.ctx
-    rep = HeckeRep.dynamic(params, p, n + 1, rmat)
-    nk = build_nk(params, p)
+    rep = HeckeRep.dynamic(params, p, n + 1)
     bra = build_eps_dyn(params, p, CO)
     one_site = TensorOp.identity(n, 1, ctx.field)
     dressed = dressed_bra_tensor(params, p)

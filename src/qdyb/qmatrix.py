@@ -102,7 +102,7 @@ from .tensor import (Echelon, TensorOp, _assemble, _common_field,
                      multi_index)
 from .hecke import HeckeRep, antisym
 from .levicivita import CO, CONTRA, build_eps_const, build_eps_dyn, build_nk
-from .rmatrix import DynRMatrix, build_dj
+from .rmatrix import build_dj
 
 
 class MoveError(ValueError):
@@ -583,7 +583,6 @@ class ReplayEngine:
         self.ctx = params.ctx
         # each point once, in first-seen order
         self.points = list(dict.fromkeys(points))
-        self._rmx = DynRMatrix(params)     # R at each point, for every k
         self._reps = {}
         self._nk = {}
         self._certs = {}
@@ -601,7 +600,7 @@ class ReplayEngine:
     def _dyn_rep(self, k, p):
         key = (k, p.chain)
         if key not in self._reps:
-            self._reps[key] = HeckeRep.dynamic(self.params, p, k, self._rmx)
+            self._reps[key] = HeckeRep.dynamic(self.params, p, k)
         return self._reps[key]
 
     def _const_rep(self, k):

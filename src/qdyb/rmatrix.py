@@ -100,20 +100,14 @@ def invert_dyn(params, p):
     return TensorOp.from_entries(n, 2, 2, entries, params.ctx.field)
 
 
-class DynRMatrix:
-    """Evaluation cache for one parameter set: a pure memo p -> matrix."""
-
-    def __init__(self, params):
-        self.params = params
-        self._cache = {}
-
-    def at(self, p):
-        key = p.chain
-        out = self._cache.get(key)
-        if out is None:
-            out = build_dyn(self.params, p)
-            self._cache[key] = out
-        return out
+def dyn_at(params, p):
+    """R(p) for params: :func:`build_dyn`'s matrix, built on the first
+    call at the point and then kept in the parameter set's memo, keyed by
+    the point's chain (operators are immutable)."""
+    R = params._r.get(p.chain)
+    if R is None:
+        R = params._r[p.chain] = build_dyn(params, p)
+    return R
 
 
 # -- dressed (shift-conjugated) evaluation ------------------------------
@@ -155,19 +149,19 @@ def dressed_block(builder, dress, p, side):
 # -- verification -------------------------------------------------------
 
 
-def weight_conservation_check(rmx, p):
+def weight_conservation_check(params, p):
     """Nonzero entries only connect equal index multisets, and entries are
     unchanged under p -> p - v(i1) - v(i2) on their own support (the
     concrete content of commutation with X1 X2).
 
-    `rmx` is the caller's :class:`DynRMatrix`, so R(p) is built once.
-    Each row (i1, i2) of its support is evaluated alone at its shifted
-    point, by the entry code of :func:`build_dyn`, and the rows are
-    compared with R(p) on its support, as the conjugation of R(p) by the
-    full product X1 X2 would compare them."""
-    params = rmx.params
+    R(p) is read through :func:`dyn_at`, so it is built once per
+    parameter set and point.  Each row (i1, i2) of its support is
+    evaluated alone at its shifted point, by the entry code of
+    :func:`build_dyn`, and the rows are compared with R(p) on its
+    support, as the conjugation of R(p) by the full product X1 X2 would
+    compare them."""
     n = params.n
-    R = rmx.at(p)
+    R = dyn_at(params, p)
     entries = []
     for r, cols in R.support():
         I = multi_index(r, n, 2)
@@ -282,14 +276,14 @@ def _braid_record(rec_id, D, residual):
     return Check(rec_id, False, (rm, cm, v / D**3 if D != 1 else v))
 
 
-def verify_qdybe(params, p, rmx=None):
+def verify_qdybe(params, p):
     """All braid-relation layouts for the dynamical matrix at p.
 
     Returns the record list; every residual is compared to zero exactly.
-    R(p) and the matrices at p - v(e) are built once, by the caller's
-    :class:`DynRMatrix` of params when it passes one as rmx (operators
-    are immutable).  No check builds more than it compares: the braid
-    layouts are decided on the integer operands that
+    R(p) and the matrices at p - v(e) are read through :func:`dyn_at`,
+    so each is built once per parameter set and point, by whichever
+    check or caller asks for it first.  No check builds more than it
+    compares: the braid layouts are decided on the integer operands that
     :func:`braid_operands` places straight from R's entries at p and
     p -/+ v(e), with no embedding, relabeling or assembly, and the
     weight conservation evaluates only R(p)'s own rows at their shifted
@@ -309,8 +303,7 @@ def verify_qdybe(params, p, rmx=None):
     """
     records = []
     n = params.n
-    rmx = rmx or DynRMatrix(params)
-    R = rmx.at(p)
+    R = dyn_at(params, p)
     D, layouts = braid_operands(params, p)
 
     # the middle factor, placed from the shifted-argument matrix elements,
@@ -318,7 +311,7 @@ def verify_qdybe(params, p, rmx=None):
     records.append(compare(
         "qdybe.middle-construction-equivalence",
         params.ctx.field.one / D * layouts[0][1],
-        dressed_block(rmx.at, 1, p, "prefix")))
+        dressed_block(lambda pp: dyn_at(params, pp), 1, p, "prefix")))
     shifted, conjugated = (_braid(a, m) for a, m in layouts)
     exchanged = None if conjugated is None else conjugated.permuted(
         (3, 2, 1), (3, 2, 1))
@@ -328,7 +321,7 @@ def verify_qdybe(params, p, rmx=None):
     ident = TensorOp.identity(n, 2, params.ctx.field)
     records.append(compare("qdybe.hecke-condition", R * R,
                            ident + params.ctx.lam * R))
-    records.append(weight_conservation_check(rmx, p))
+    records.append(weight_conservation_check(params, p))
 
     inv = invert_dyn(params, p)
     records.append(compare("qdybe.closed-form-inverse", R * inv, ident))
@@ -358,7 +351,7 @@ def twist_a_diag(params, psi, p):
     return TensorOp.diagonal(params.n, 3, val, params.ctx.field)
 
 
-def twist_checks(params, psi, p, rmx=None):
+def twist_checks(params, psi, p):
     """Matrix-level verification of the diagonal twist at p:
 
     * F R(p) F^(-1) (with F = F12 * P12) equals the flipped matrix of the
@@ -367,23 +360,23 @@ def twist_checks(params, psi, p, rmx=None):
     * the shift-operator hypothesis, for a constant psi (whose factors
       do not depend on p, so the shifts act trivially) the products
       F12^(-1) F23 and A A at p,
-    * braid relation and Hecke condition survive, beta values survive.
+    * braid relation and Hecke condition survive, beta values survive;
+      a fail names the first failing record of the twisted set and its
+      witness.
 
-    R(p) is built once for params (or taken from rmx, a caller's
-    :class:`DynRMatrix` of params) and once for the twisted set.  The
-    flips and the cyclic permutation of the twist operators relabel
-    stored entries (:meth:`TensorOp.permuted`); no product has a
-    permutation operand.
+    R(p) is read through :func:`dyn_at` for params and for the twisted
+    set, which has a memo of its own.  The flips and the cyclic
+    permutation of the twist operators relabel stored entries
+    (:meth:`TensorOp.permuted`); no product has a permutation operand.
     """
     records = []
     n = params.n
     Fhat = twist_f_matrix(params, psi, p, 1).permuted(right=(2, 1))
     Fhat_inv = twist_f_matrix(params, psi, p, -1).permuted((2, 1))
 
-    R = (rmx or DynRMatrix(params)).at(p)
+    R = dyn_at(params, p)
     twisted = params.twisted(psi)
-    twisted_rmx = DynRMatrix(twisted)
-    R_twisted = twisted_rmx.at(p)
+    R_twisted = dyn_at(twisted, p)
     lhs = Fhat * R * Fhat_inv
     rhs = flipped(R_twisted)
     records.append(compare("twist.flip-conjugation", lhs, rhs))
@@ -404,9 +397,9 @@ def twist_checks(params, psi, p, rmx=None):
         records.append(Check("twist.shift-hypothesis", None,
                              "skipped: p-dependent twist"))
 
-    bad = [r for r in verify_qdybe(twisted, p, twisted_rmx) if not r.ok]
-    records.append(Check("twist.preserves-braid-and-hecke", not bad,
-                         bad[0].witness if bad else None))
+    records.append(tally("twist.preserves-braid-and-hecke", (
+        None if r.ok else (r.id, r.witness)
+        for r in verify_qdybe(twisted, p))))
 
     if params.beta_chain is None:
         # beta = oo: a fail names the chain the twisted set gained
@@ -494,15 +487,15 @@ def beta_removal_offsets(params):
 # -- the diagonal-conjugation inversion identity ------------------------
 
 
-def diag_inversion(params, p, rmx=None):
+def diag_inversion(params, p):
     """Build D (D_i = q^(-2 p_in) pi_in, normalized D_n = 1) and sigma
     (q^2 on the diagonal pairs, 1 off), and verify exactly
 
         D1 R(p) D2^(-1) = R(p)^(-1) sigma12
 
     together with its two scalar components.  Needs pi, so the regime
-    must be generic (or beta -> oo, where pi = 1).  R(p) is taken from
-    rmx, a caller's :class:`DynRMatrix` of params, when given.
+    must be generic (or beta -> oo, where pi = 1).  R(p) is read
+    through :func:`dyn_at`.
     """
     records = []
     n = params.n
@@ -521,7 +514,7 @@ def diag_inversion(params, p, rmx=None):
         n, 2, lambda m: ctx.qpow(2) if m[0] == m[1] else ctx.field.one,
         ctx.field)
 
-    R = (rmx or DynRMatrix(params)).at(p)
+    R = dyn_at(params, p)
     lhs = D1 * (R * D2_inv)
     rhs = invert_dyn(params, p) * sigma
     records.append(compare("diag-inversion.operator", lhs, rhs))

@@ -348,7 +348,8 @@ class QContext:
             raise DegenerateParameterError("root**n != q")
         for j in range(2, n + 2):
             if not qnum(j, self):
-                raise DegenerateParameterError("[%d] = 0 for this q" % j)
+                raise DegenerateParameterError("[%d] = 0 at q = %s over %s" % (
+                    j, fmt_scalar(self.q), field.name))
 
     def qpow(self, e):
         """q**e for integer e, or rational e with denominator dividing n

@@ -304,22 +304,21 @@ def suite_qdybe(cfg):
             return params
 
         params, p = _params_and_point(rng, draw)
-        rmx = rmatrix.DynRMatrix(params)    # R(p) once per point
         for t in range(cfg.points):
             if t:
                 p = sample_point(params, rng)
             pre = "qdybe.d%d.p%d." % (d, t)
             records.extend(prefixed(
-                pre, rmatrix.verify_qdybe(params, p, rmx)))
+                pre, rmatrix.verify_qdybe(params, p)))
             if params.regime in (GENERIC, BETA_INFINITY):
-                _, _, recs = rmatrix.diag_inversion(params, p, rmx)
+                _, _, recs = rmatrix.diag_inversion(params, p)
                 records.extend(prefixed(pre, recs))
         # twist and canonical-shift symmetries on the first point
         if params.regime == GENERIC:
             p = sample_point(params, rng)
             psi = sample_twist(cfg.n, rng, field=params.ctx.field)
             records.extend(prefixed(
-                "qdybe.d%d." % d, rmatrix.twist_checks(params, psi, p, rmx)))
+                "qdybe.d%d." % d, rmatrix.twist_checks(params, psi, p)))
     # the beta-removing canonical shift, on a crafted pi = q^2 family
     ctx = cfg.context(rng)
     lam = ctx.lam
@@ -357,9 +356,8 @@ def suite_hecke(cfg):
     # the global conjugation evaluates R at p + v(I), |I| = k, and the
     # dynamic images dress that with up to k - 2 further shifts
     params, p = _params_and_point(rng, draw, clearance=2 * k - 2)
-    rmx = rmatrix.DynRMatrix(params)    # R at each point once
-    drep = hecke.HeckeRep.dynamic(params, p, k, rmx)
-    lrep = hecke.HeckeRep.localized_last(params, p, k, rmx)
+    drep = hecke.HeckeRep.dynamic(params, p, k)
+    lrep = hecke.HeckeRep.localized_last(params, p, k)
 
     for label, rep in (("constant", crep), ("dynamic", drep),
                        ("localized-last", lrep)):
@@ -414,19 +412,23 @@ def suite_epsilon(cfg):
     for d in range(cfg.draws):
         params, p = _params_and_point(rng, cfg.draw_params)
         pre = "epsilon.d%d." % d
-        rmx = rmatrix.DynRMatrix(params)    # R at each point once
-        drep = hecke.HeckeRep.dynamic(params, p, n, rmx)
+        drep = hecke.HeckeRep.dynamic(params, p, n)
         dket = levicivita.build_eps_dyn(params, p, levicivita.CONTRA)
         dbra = levicivita.build_eps_dyn(params, p, levicivita.CO)
         records.extend(prefixed(pre, levicivita.eigencheck(drep, dket, dbra)
-                                + levicivita.normalization_check(params, p)
-                                + levicivita.window_shift_relations_dyn(
-                                    params, p, rmx)))
+                                + levicivita.normalization_check(params, p)))
         try:
-            levicivita.build_nk(params, p)
-            records.append(Check(pre + "nk-closed-form", True))
+            nk = levicivita.build_nk(params, p)
         except DegenerateParameterError as e:
+            # the window-shift relations read N and K: skip them here
             records.append(Check(pre + "nk-closed-form", False, str(e)))
+            records.extend(Check(pre + "window-shift.dyn-" + way, None,
+                                 "skipped: no N(p), K(p): %s" % e)
+                           for way in ("down", "up"))
+            continue
+        records.append(Check(pre + "nk-closed-form", True))
+        records.extend(prefixed(pre, levicivita.window_shift_relations_dyn(
+            params, p, nk)))
 
     # constant-regime reduction and N = K = identity
     cm = constant_multiparam(ctx)

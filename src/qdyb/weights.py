@@ -27,8 +27,9 @@ R-matrix coefficients a_ij = alpha_ij * xi_ij, b_ij = q - xi_ij.
 
 Points and families are immutable values.  A parameter set is immutable
 in every field it exposes; it fills private memos of its derived tables
-(pi, the regime, xi and its denominators) on first use, which changes no
-value it returns, so instances can still be shared freely.
+(pi, the regime, xi and its denominators, a, b, and R(p) by
+``rmatrix.dyn_at``) on first use, which changes no value it returns, so
+instances can still be shared freely; a set made from another has its own.
 """
 
 import random
@@ -326,7 +327,7 @@ class SLnParams:
     """One member of the SL(n)-type dynamical R-matrix family."""
 
     __slots__ = ("n", "ctx", "beta_chain", "alpha", "_beta", "_pi", "_regime",
-                 "_den", "_xi", "_a", "_b")
+                 "_den", "_xi", "_a", "_b", "_r")
 
     def __init__(self, ctx, beta_chain, alpha=None, _beta_override=None):
         n = ctx.n
@@ -355,6 +356,7 @@ class SLnParams:
         self._xi = {}
         self._a = {}
         self._b = {}
+        self._r = {}        # p.chain -> R(p), filled by rmatrix.dyn_at
 
     # -- derived parameter tables ------------------------------------
 

@@ -98,7 +98,8 @@ def test_criterion_3_eps_tensors():
         assert all(v == 1 for v in nk.nvals + nk.kvals)
         params = sample_params(n, rng)
         p = sample_point(params, rng, clearance=4)
-        no_fail(levicivita.window_shift_relations_dyn(params, p))
+        no_fail(levicivita.window_shift_relations_dyn(
+            params, p, levicivita.build_nk(params, p)))
     assert time.time() - t0 < 60
     report("criterion-3 eps-tensors", t0, "normalization up to n=5")
 

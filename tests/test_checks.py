@@ -140,8 +140,9 @@ def test_passing_compare_forms_no_difference(monkeypatch):
 
 def test_corrupt_beta_records_pinned():
     """`qdyb verify qdybe --n 2 --corrupt beta`: the failing ids and their
-    witnesses, as read before compare decided by stored form, and with
-    the first failing pair as the diagonal-component witness."""
+    witnesses, as read before compare decided by stored form, with the
+    first failing pair as the diagonal-component witness and the first
+    failing record of the twisted set as the twist's."""
     doc = strip_timing(run(RunConfig(n=2, corrupt="beta"), "qdybe"))
     fails = [(r["id"], r.get("witness")) for rep in doc["reports"]
              for r in rep["records"] if r["status"] != "pass"]
@@ -151,7 +152,7 @@ def test_corrupt_beta_records_pinned():
     assert fails[-2] == ("qdybe.d4.p2.qdybe.inverse-by-hecke",
                          "((1, 2), (1, 2), Fraction(-62208, 44975245))")
     text = json.dumps(fails).encode()
-    assert hashlib.sha256(text).hexdigest()[:16] == "9f80ff87fc6a07a4"
+    assert hashlib.sha256(text).hexdigest()[:16] == "95de5b198d642012"
 
 
 def test_corrupt_beta_on_a_shared_context_fails_as_on_a_fresh_one():

@@ -207,7 +207,7 @@ PINNED_REPORTS = {
         "ff88df6116d79999",
     "verify wznw --n 2 --corrupt scale": "955f9132a90b5c24",
     "verify wznw --n 2 --corrupt scale --backend prime": "7b806c733d2c5ccf",
-    "verify qdybe --n 2 --corrupt beta --backend prime": "f58d713ca2859454",
+    "verify qdybe --n 2 --corrupt beta --backend prime": "f3518a3934c1c040",
     "verify epsilon --n 2 --corrupt eps-sign --backend prime":
         "9d8226e9868df6dc",
     "verify hecke --n 2 --corrupt beta": "02b9f93a9dc0cdf0",
@@ -217,7 +217,7 @@ PINNED_REPORTS = {
     "verify qdybe --n 3 --seed 7 --backend prime": "f6b10cb4ce94d310",
     "verify all --n 2 --seed 7 --alpha standard": "a0c49f16627a367c",
     "verify all --n 2 --draws 1 --points 1 --corrupt beta":
-        "c85f875ce68f6937",
+        "6281fefe9fa2241b",
     "verify all --n 2 --draws 1 --points 1 --corrupt xunit":
         "33564915a708eb40",
 }
@@ -1126,10 +1126,13 @@ def test_fixed_params_without_a_pole_free_point_are_drawn_once(monkeypatch):
     assert _digest(json.dumps(doc, sort_keys=True)) == "ef0d2e8c50484ef9"
 
 
-@pytest.mark.parametrize("suite", ["hecke", "epsilon", "qmatrix"])
-def test_suite_builds_each_r_matrix_once(monkeypatch, suite):
-    """Every representation of one parameter set in a suite takes R from
-    one evaluator, so R(p) is built once per (parameters, point)."""
+@pytest.mark.parametrize("suite, backend", [
+    ("hecke", "rational"), ("epsilon", "rational"), ("qmatrix", "rational"),
+    ("all", "rational"), ("all", "prime")],
+    ids=["hecke", "epsilon", "qmatrix", "all", "all-prime"])
+def test_suite_builds_each_r_matrix_once(monkeypatch, suite, backend):
+    """Every check on one parameter set reads R through the set's memo,
+    so R(p) is built once per (parameters, point)."""
     from qdyb import rmatrix
     build = rmatrix.build_dyn
     calls, held = [], []
@@ -1140,9 +1143,48 @@ def test_suite_builds_each_r_matrix_once(monkeypatch, suite):
         return build(params, p)
 
     monkeypatch.setattr(rmatrix, "build_dyn", counted)
-    doc = verify.run(RunConfig(n=2, seed=7), suite)
+    doc = verify.run(RunConfig(n=2, seed=7, backend=backend), suite)
     assert doc["status"] == "pass"
     assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("backend", ["rational", "prime"])
+def test_a_closed_form_mismatch_fails_nk_and_skips_the_window_shifts(
+        monkeypatch, backend):
+    """A dynamic contraction that gives 2 N and K / 2, still inverse to
+    each other, differs from the closed form of N: each draw fails its
+    nk-closed-form record with that message and skips its two
+    window-shift records with a note, and every other record of the
+    epsilon suite runs and passes as on a clean run."""
+    from qdyb import levicivita
+    contract = levicivita._contract_nk
+
+    def bent(n, ctx, ket, bra, shifted):
+        nk = contract(n, ctx, ket, bra, shifted)
+        if shifted(1)[0] is ket:        # the constant tensors
+            return nk
+        two = ctx.field.of(2)
+        return levicivita.NKMatrices([v * two for v in nk.nvals],
+                                     [v / two for v in nk.kvals], ctx.field)
+
+    cfg = RunConfig(n=2, seed=7, backend=backend)
+    clean = {r["id"] for r in run_suite("epsilon", cfg)["records"]}
+    monkeypatch.setattr(levicivita, "_contract_nk", bent)
+    records = run_suite("epsilon", cfg)["records"]
+    assert {r["id"] for r in records} == clean
+    message = "closed form for N differs from the contraction"
+    bent_ids = set()
+    for d in range(cfg.draws):
+        pre = "epsilon.d%d." % d
+        bent_ids |= {pre + "nk-closed-form", pre + "window-shift.dyn-down",
+                     pre + "window-shift.dyn-up"}
+    for r in records:
+        if r["id"].endswith("nk-closed-form"):
+            assert r["status"] == "fail" and r["witness"] == repr(message)
+        elif r["id"] in bent_ids:
+            assert r["status"] == "skip" and message in r["note"], r
+        else:
+            assert r["status"] == "pass", r
 
 
 _C3 = {"1,2": "2", "1,3": "3", "2,3": "5"}

@@ -15,7 +15,7 @@ from qdyb.hecke import (
     classical_antisym_rank, global_conjugation, height,
     inner_automorphism_check, locality_structure, top_vanish_equivalents,
 )
-from qdyb.rmatrix import DynRMatrix, build_dj, dressed_block
+from qdyb.rmatrix import build_dj, build_dyn, dressed_block
 from qdyb.weights import sample_params, sample_point
 from test_rmatrix import multiset_dress
 
@@ -224,10 +224,10 @@ def embedded_image(flavor, rep, i, params, p):
     n, k = rep.n, rep.k
     if flavor == "constant":
         return build_dj(n, rep.ctx).embed(i, k)
-    rmx = DynRMatrix(params)
+    at = lambda pp: build_dyn(params, pp)
     if flavor == "dynamic":
-        return dressed_block(rmx.at, i - 1, p, "prefix").embed(1, k)
-    return dressed_block(rmx.at, k - i - 1, p, "suffix").embed(i, k)
+        return dressed_block(at, i - 1, p, "prefix").embed(1, k)
+    return dressed_block(at, k - i - 1, p, "suffix").embed(i, k)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -441,9 +441,9 @@ def test_localized_last_equivalence(monkeypatch):
     built = []
     dynamic = HeckeRep.dynamic
 
-    def counted(params, pp, k, rmat=None):
+    def counted(params, pp, k):
         built.append(pp.chain)
-        return dynamic(params, pp, k, rmat)
+        return dynamic(params, pp, k)
 
     monkeypatch.setattr(HeckeRep, "dynamic", counted)
     assert tally("g", global_conjugation(params, p, drep, lrep)).ok

@@ -199,11 +199,11 @@ def test_window_shift_relations():
         all_pass(window_shift_relations_const(n, ctx))
         params = sample_params(n, rng, alpha="constant")
         p = sample_point(params, rng, clearance=4)
-        all_pass(window_shift_relations_dyn(params, p))
+        all_pass(window_shift_relations_dyn(params, p, build_nk(params, p)))
     # geometric alpha exercises the shifted-argument evaluations
     params = sample_params(2, rng, alpha="geometric")
     p = sample_point(params, rng, clearance=4)
-    all_pass(window_shift_relations_dyn(params, p))
+    all_pass(window_shift_relations_dyn(params, p, build_nk(params, p)))
 
 
 def test_normalization_all_regimes():

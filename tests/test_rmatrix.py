@@ -13,9 +13,9 @@ from qdyb.scalars import (
 )
 from qdyb.tensor import TensorOp, multi_index
 from qdyb.rmatrix import (
-    BRAID_LAYOUTS, DynRMatrix, ShiftedEvaluation, beta_removal_offsets,
-    braid_operands, build_dj, build_dyn, diag_inversion, dressed_block,
-    flipped, invert_dyn, pi_ratio_check, twist_checks, verify_qdybe,
+    BRAID_LAYOUTS, ShiftedEvaluation, beta_removal_offsets, braid_operands,
+    build_dj, build_dyn, diag_inversion, dressed_block, dyn_at, flipped,
+    invert_dyn, pi_ratio_check, twist_checks, verify_qdybe,
     weight_conservation_check,
 )
 from qdyb.weights import (
@@ -131,7 +131,7 @@ def test_weight_conservation_builds_once_per_multiset(monkeypatch):
         params = sample_params(n, rng, alpha="geometric")
         p = sample_point(params, rng)
         del calls[:]
-        assert weight_conservation_check(DynRMatrix(params), p) \
+        assert weight_conservation_check(params, p) \
             == ("weight-conservation", True, None)
         assert calls == [p]
 
@@ -178,8 +178,7 @@ def test_weight_conservation_catches_chain_dependence(monkeypatch):
     for n in (2, 3):
         params = sample_params(n, rng)
         p = sample_point(params, rng)
-        rec_id, ok, witness = weight_conservation_check(DynRMatrix(params),
-                                                        p)
+        rec_id, ok, witness = weight_conservation_check(params, p)
         assert rec_id == "weight-conservation" and ok is False
         assert witness[:2] == ((1, 1), (1, 1))
 
@@ -221,21 +220,21 @@ def test_weight_conservation_rows_give_the_full_build_record(monkeypatch,
     """The row-wise check gives the record of the full-build reference,
     R(p) conjugated by X1 X2 through multiset_dress with one full R per
     index multiset: untampered, and with one entry tampered at one
-    shifted point."""
+    shifted point.  The reference builds through build_dyn, which keeps
+    no memo, so the tampered one reads the tampered entry."""
     entries = rmatrix.dyn_entries
     rng = random.Random(50)
     for n in (2, 3, 4):
         params, p = drawn_on(field, n, rng)
 
         def reference():
-            rmx = DynRMatrix(params)
-            R = rmx.at(p)
-            return compare("weight-conservation",
-                           multiset_dress(R, p, rmx.at, sign=-1), R)
+            R = build_dyn(params, p)
+            return compare("weight-conservation", multiset_dress(
+                R, p, lambda pp: build_dyn(params, pp), sign=-1), R)
 
         good = reference()
         assert good == ("weight-conservation", True, None)
-        assert weight_conservation_check(DynRMatrix(params), p) == good
+        assert weight_conservation_check(params, p) == good
 
         # the a entry of row I, doubled at I's shifted point only (at
         # n = 2, p - v(1) - v(2) is p itself)
@@ -253,7 +252,7 @@ def test_weight_conservation_rows_give_the_full_build_record(monkeypatch,
             mp.setattr(rmatrix, "dyn_entries", tampered)
             bad = reference()
             assert bad.ok is False and bad.witness[:2] == (I, I[::-1])
-            assert weight_conservation_check(DynRMatrix(params), p) == bad
+            assert weight_conservation_check(params, p) == bad
 
 
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField()])
@@ -482,6 +481,30 @@ def test_qdybe_suite_builds_r_once_per_params_and_point(monkeypatch):
     assert keys.count((id(params), p.chain)) == 1
 
 
+def test_dyn_at_memo_belongs_to_its_parameter_set():
+    """dyn_at keeps one R(p) per parameter set and point.  A set made
+    from another one, by a twist or a tampered beta table, has a memo of
+    its own: after the clean set holds R(p), the corrupt set still fails
+    its braid layouts, each with a witness."""
+    from qdyb.verify import _corrupt_beta
+    rng = random.Random(52)
+    for n in (2, 3):
+        params = sample_params(n, rng, alpha="constant")
+        p = sample_point(params, rng)
+        R = dyn_at(params, p)
+        assert dyn_at(params, p) is R and R == build_dyn(params, p)
+        twisted = params.twisted(sample_twist(n, rng, params.ctx.field))
+        assert dyn_at(twisted, p) is not R
+        assert dyn_at(twisted, p) == build_dyn(twisted, p)
+        bad = _corrupt_beta(params)
+        failed = {r.id: r.witness for r in verify_qdybe(bad, p)
+                  if r.ok is False}
+        assert set(BRAID_LAYOUTS) <= set(failed), (n, failed)
+        assert all(failed.values()), (n, failed)
+        assert dyn_at(bad, p) == build_dyn(bad, p) != R
+        assert dyn_at(params, p) is R
+
+
 BRAID_IDS = ("qdybe.braid.shifted-form", "qdybe.braid.site3-conjugated",
              "qdybe.braid.sites-exchanged")
 
@@ -493,8 +516,8 @@ def reference_operands(params, p):
     ones at p + v(e), G dressed by dressed_block, and each pair cleared
     onto the lcm D of its denominators (D = 1 over F_p)."""
     n = params.n
-    rmx = DynRMatrix(params)
-    R = rmx.at(p)
+    at = lambda pp: build_dyn(params, pp)
+    R = at(p)
 
     def middle(builder, sign):
         """Diagonal in site 1: builder(p + sign v(e)) at its index e."""
@@ -505,10 +528,9 @@ def reference_operands(params, p):
         return TensorOp.assemble(n, 3, 3, parts, params.ctx.field)
 
     pairs = [
-        (R.embed(1, 3), middle(rmx.at, -1)),
-        (R.embed(2, 3), dressed_block(rmx.at, 1, p, "suffix")),
-        (flipped(R).embed(1, 3),
-         middle(lambda pp: flipped(rmx.at(pp)), +1)),
+        (R.embed(1, 3), middle(at, -1)),
+        (R.embed(2, 3), dressed_block(at, 1, p, "suffix")),
+        (flipped(R).embed(1, 3), middle(lambda pp: flipped(at(pp)), +1)),
     ]
     return [(rec_id, 1 if A.p is not None else lcm(A.den, M.den))
             + tuple(TensorOp.cleared(A, M))

@@ -128,6 +128,14 @@ def test_context_guards():
         QContext(Fraction(4), 2, root=Fraction(3))
 
 
+def test_genericity_guard_names_q_and_the_field():
+    """[3] = q^2 + 1 + q^-2 vanishes at q = 4 over F_7: the error says
+    which q-integer, at which q and over which field."""
+    with pytest.raises(DegenerateParameterError) as err:
+        QContext(4, 2, field=PrimeField(7))
+    assert str(err.value) == "[3] = 0 at q = 4 over prime(7)"
+
+
 def test_fractional_power_via_root():
     c = QContext(Fraction(4), 2, root=Fraction(2))
     assert c.qpow(Fraction(1, 2)) == 2

@@ -8,7 +8,7 @@ import qdyb
 
 # parameters with a default, over every function, method and lambda of the
 # package: positional defaults plus keyword-only ones that have a default
-MAX_DEFAULTED_PARAMETERS = 61
+MAX_DEFAULTED_PARAMETERS = 55
 
 
 def _trees():
